@@ -10,7 +10,9 @@ test:
 
 # verify is the tier-1 gate: build, vet, tests, and the race detector.
 # staticcheck runs when installed (no network fetch in the gate); any
-# finding fails the build.
+# finding fails the build. bench/ is its own module, invisible to the root
+# ./... patterns, so it is vetted and self-tested here explicitly: an API
+# deletion in the library cannot break the benchmark silently.
 verify:
 	$(GO) build ./...
 	$(GO) vet ./...
@@ -21,6 +23,7 @@ verify:
 	fi
 	$(GO) test ./...
 	$(GO) test -race ./...
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 	$(MAKE) soak-smoke
 
 # live runs the E-series parity scenarios over real UDP loopback sockets

@@ -43,13 +43,13 @@ import (
 	"time"
 
 	"adaptive/internal/arbiter"
+	"adaptive/internal/event"
 	"adaptive/internal/mantts"
 	"adaptive/internal/mechanism"
 	"adaptive/internal/netapi"
 	"adaptive/internal/obsv"
 	"adaptive/internal/protograph"
 	"adaptive/internal/session"
-	"adaptive/internal/tko"
 	"adaptive/internal/trace"
 	"adaptive/internal/unites"
 )
@@ -170,92 +170,42 @@ const (
 	OrderSequenced = mechanism.OrderSequenced
 )
 
-// Options configures a Node.
-//
-// Deprecated: pass functional options (WithProvider, WithHost, WithRules,
-// WithMetrics, ...) to NewNode instead. The struct — and its shim
-// NewNodeFromOptions — remain for one release.
-type Options struct {
-	// Provider supplies the network and clock (netsim.Network or
-	// udpnet.Provider).
-	Provider Provider
-	// Host is this node's identity on the provider.
-	Host HostID
-	// SAPPort overrides the transport service access point port.
-	SAPPort uint16
-	// Seed feeds the node's deterministic randomness.
-	Seed int64
-	// Metrics, when set, receives UNITES instrumentation for every
-	// session on this node. Nil disables collection.
-	//
-	// Deprecated: set Observe.Repository (WithObservability) instead.
-	Metrics *unites.Repository
-	// Tracer, when set, receives flight-recorder records for every session
-	// on this node (see internal/trace). Nil disables the hooks.
-	//
-	// Deprecated: set Observe.Tracer — or Observe.TraceBuffer for a
-	// node-owned, streamable recorder — via WithObservability instead.
-	Tracer *trace.Recorder
-	// Observe configures the observability plane (WithObservability).
-	Observe *Observe
-	// Name tags this node's metrics scope.
-	Name string
-	// Synth overrides the TKO synthesizer (template experiments).
-	Synth *tko.Synthesizer
-	// Rules are node-level default TSA rules, applied to dialed
-	// connections whose ACD carries no policy of its own.
-	Rules []Rule
-	// Arbiter, when set, enables the per-host bandwidth arbiter under the
-	// policy (WithArbiter).
-	Arbiter *ArbiterPolicy
+// options is the target NewNode's functional options write into.
+type options struct {
+	provider Provider
+	host     HostID
+	sapPort  uint16
+	seed     int64
+	observe  *Observe
+	name     string
+	rules    []Rule
+	arbiter  *ArbiterPolicy
 }
 
 // Option configures one aspect of a Node (functional options for NewNode).
-type Option func(*Options)
+type Option func(*options)
 
 // WithProvider supplies the network and clock (netsim.Network or
 // udpnet.Provider). Required.
-func WithProvider(p Provider) Option { return func(o *Options) { o.Provider = p } }
+func WithProvider(p Provider) Option { return func(o *options) { o.provider = p } }
 
 // WithHost sets this node's identity on the provider.
-func WithHost(h HostID) Option { return func(o *Options) { o.Host = h } }
+func WithHost(h HostID) Option { return func(o *options) { o.host = h } }
 
 // WithSAPPort overrides the transport service access point port.
-func WithSAPPort(port uint16) Option { return func(o *Options) { o.SAPPort = port } }
+func WithSAPPort(port uint16) Option { return func(o *options) { o.sapPort = port } }
 
 // WithSeed feeds the node's deterministic randomness.
-func WithSeed(seed int64) Option { return func(o *Options) { o.Seed = seed } }
-
-// WithMetrics routes UNITES instrumentation for every session on this node
-// into the repository.
-//
-// Deprecated: use WithObservability(Observe{Repository: r}) — the Observe
-// group also exposes the collected state back through Node.Observability()
-// (snapshots, Prometheus/JSON endpoint, live trace tails). This option
-// remains one release and folds into the same plane.
-func WithMetrics(r *unites.Repository) Option { return func(o *Options) { o.Metrics = r } }
-
-// WithTracer routes flight-recorder records for every session on this node
-// into the recorder. Attach the same recorder to the simulation kernel
-// (sim.Kernel.SetTracer) to capture kernel and link events alongside.
-//
-// Deprecated: use WithObservability(Observe{Tracer: r}) for an external
-// recorder, or Observe{TraceBuffer: n} for a node-owned recorder that can
-// stream live through Node.Observability().TraceTail. This option remains
-// one release and folds into the same plane.
-func WithTracer(r *trace.Recorder) Option { return func(o *Options) { o.Tracer = r } }
+func WithSeed(seed int64) Option { return func(o *options) { o.seed = seed } }
 
 // WithName tags this node's metrics scope.
-func WithName(name string) Option { return func(o *Options) { o.Name = name } }
-
-// WithSynthesizer overrides the TKO synthesizer (template experiments).
-func WithSynthesizer(s *tko.Synthesizer) Option { return func(o *Options) { o.Synth = s } }
+func WithName(name string) Option { return func(o *options) { o.name = name } }
 
 // WithRules installs node-level default TSA rules: dialed connections whose
 // ACD names no policy of its own run under these (typically graceful-
 // degradation rules reacting to loss and delay shifts).
 func WithRules(rules ...Rule) Option {
-	return func(o *Options) { o.Rules = append(o.Rules, rules...) }
+	return func(o *options) { o.rules = append(o.rules, rules...) }
 }
 
 // WithArbiter enables the per-host bandwidth arbiter: a congestion manager
@@ -267,7 +217,7 @@ func WithRules(rules ...Rule) Option {
 // budget changes through Conn.OnBudgetChange; arbiter state appears as
 // adaptive_arbiter_* gauges on the observability plane's /metrics.
 func WithArbiter(pol ArbiterPolicy) Option {
-	return func(o *Options) { o.Arbiter = &pol }
+	return func(o *options) { o.arbiter = &pol }
 }
 
 // Node is one host's complete ADAPTIVE transport system instance: a
@@ -279,41 +229,24 @@ type Node struct {
 	arb    *arbiter.Arbiter
 	name   string
 	rules  []Rule
+
+	hintPoll *event.Event // arbiter congestion-hint poller; nil without one
 }
 
 // NewNode brings up ADAPTIVE on a host.
 func NewNode(opts ...Option) (*Node, error) {
-	var o Options
+	var o options
 	for _, fn := range opts {
 		fn(&o)
 	}
-	return newNode(o)
-}
-
-// NewNodeFromOptions brings up ADAPTIVE from an Options struct.
-//
-// Deprecated: use NewNode with functional options.
-func NewNodeFromOptions(opts Options) (*Node, error) { return newNode(opts) }
-
-func newNode(opts Options) (*Node, error) {
-	if opts.Provider == nil {
+	if o.provider == nil {
 		return nil, fmt.Errorf("adaptive: a Provider is required (WithProvider)")
 	}
-	name := opts.Name
+	name := o.name
 	if name == "" {
-		name = fmt.Sprintf("%v", opts.Host)
+		name = fmt.Sprintf("%v", o.host)
 	}
-	// Both API generations land on one plane: the deprecated Metrics/Tracer
-	// options fold into the Observe group, so legacy callers get a working
-	// Node.Observability() too. A synthesized group keeps legacy semantics
-	// exactly (no repository means no collection); an explicit Observe with
-	// a nil Repository gets a private per-node one.
-	obs := opts.Observe
-	synthesized := false
-	if obs == nil && (opts.Metrics != nil || opts.Tracer != nil) {
-		obs = &Observe{}
-		synthesized = true
-	}
+	obs := o.observe
 	var (
 		repo   *unites.Repository
 		tracer *trace.Recorder
@@ -322,15 +255,9 @@ func newNode(opts Options) (*Node, error) {
 	if obs != nil {
 		repo = obs.Repository
 		if repo == nil {
-			repo = opts.Metrics
-		}
-		if repo == nil && !synthesized {
 			repo = unites.NewRepository()
 		}
 		tracer = obs.Tracer
-		if tracer == nil {
-			tracer = opts.Tracer
-		}
 		if tracer == nil && obs.TraceBuffer > 0 {
 			// Node-owned recorder: the only kind the node installs live
 			// streaming on — externally-owned recorders keep their owner's
@@ -350,22 +277,21 @@ func newNode(opts Options) (*Node, error) {
 		mf = func(connID uint32) mechanism.MetricSink { return sink(connID) }
 	}
 	stack, err := protograph.NewStack(protograph.Config{
-		Provider: opts.Provider,
-		Host:     opts.Host,
-		SAPPort:  opts.SAPPort,
-		Seed:     opts.Seed,
-		Synth:    opts.Synth,
+		Provider: o.provider,
+		Host:     o.host,
+		SAPPort:  o.sapPort,
+		Seed:     o.seed,
 		Metrics:  mf,
 		Tracer:   tracer,
 	})
 	if err != nil {
 		return nil, err
 	}
-	n := &Node{stack: stack, entity: mantts.NewEntity(stack), name: name, rules: opts.Rules}
-	if opts.Arbiter != nil {
-		n.arb = arbiter.New(*opts.Arbiter)
+	n := &Node{stack: stack, entity: mantts.NewEntity(stack), name: name, rules: o.rules}
+	if o.arbiter != nil {
+		n.arb = arbiter.New(*o.arbiter)
 		n.entity.SetArbiter(n.arb)
-		n.startHintPoller(opts.Provider)
+		n.startHintPoller(o.provider)
 	}
 	n.obs = &Observability{}
 	if obs != nil {
@@ -424,7 +350,7 @@ func (n *Node) startHintPoller(p Provider) {
 	}
 	clock := n.stack.Clock()
 	last := read()
-	n.stack.Timers().SchedulePeriodic(hintPollEvery, hintPollEvery, func() {
+	n.hintPoll = n.stack.Timers().SchedulePeriodic(hintPollEvery, hintPollEvery, func() {
 		if d := read(); d != last {
 			last = d
 			n.arb.Hint(clock.Now())
@@ -460,14 +386,20 @@ func (n *Node) ArbiterStatus() ArbiterStatus {
 }
 
 // Observability returns the node's observability handle. It is never nil;
-// Enabled() reports whether a plane was configured (WithObservability, or
-// the deprecated WithMetrics/WithTracer options).
+// Enabled() reports whether a plane was configured (WithObservability).
 func (n *Node) Observability() *Observability { return n.obs }
 
-// Close releases node resources: the observability plane's trace stream is
-// flushed and its HTTP endpoint stops. Call after the node's event source
-// has quiesced (simulation drained or provider closed).
-func (n *Node) Close() error { return n.obs.Close() }
+// Close releases node resources: the arbiter's hint poller and every probing
+// campaign still running are canceled, the observability plane's trace
+// stream is flushed and its HTTP endpoint stops. Call after the node's event
+// source has quiesced (simulation drained or provider closed).
+func (n *Node) Close() error {
+	if n.hintPoll != nil {
+		n.hintPoll.Cancel()
+	}
+	n.entity.StopAllProbing()
+	return n.obs.Close()
+}
 
 // Stack exposes the protocol graph (advanced use and experiments).
 func (n *Node) Stack() *protograph.Stack { return n.stack }
@@ -485,33 +417,12 @@ func (n *Node) SeedPath(peer HostID, info mantts.StaticPathInfo) {
 	n.entity.NetState().Seed(peer, info)
 }
 
-// Probe starts periodic RTT probing toward a peer.
-//
-// Deprecated: the probe ticker runs until another campaign replaces it —
-// callers that forget to replace or stop it leak the timer for the life of
-// the node. Use ProbeContext, which bounds the campaign with a context and
-// returns a stop func. This shim remains one release.
-func (n *Node) Probe(peer HostID, every time.Duration) {
-	n.entity.StartProbing(peer, every)
-}
-
 // ProbeContext starts periodic RTT probing toward a peer, replacing any
 // existing campaign for that peer. Probing stops when ctx is canceled
 // (observed at the next tick) or when the returned stop func runs; both
 // are idempotent.
 func (n *Node) ProbeContext(ctx context.Context, peer HostID, every time.Duration) (stop func()) {
 	return n.entity.StartProbingCtx(ctx, peer, every)
-}
-
-// OnNotification installs the node-wide application call-back for session
-// events (establishment, loss, policy actions, peer reconfigurations).
-//
-// Deprecated: this is a single slot — installing a second callback silently
-// replaces the first, so user code and tooling cannot observe the node at
-// the same time. Use Subscribe, which supports any number of listeners.
-// This shim remains one release; its callback fires before subscribers.
-func (n *Node) OnNotification(fn func(connID uint32, note Notification)) {
-	n.entity.Notify = fn
 }
 
 // Subscribe registers a listener for node-wide session events

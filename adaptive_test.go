@@ -2,6 +2,7 @@ package adaptive_test
 
 import (
 	"bytes"
+	"context"
 	"sync"
 	"testing"
 	"time"
@@ -74,7 +75,7 @@ func TestNotificationsSurface(t *testing.T) {
 	k, _, na, nb := simPair(t, netsim.LinkConfig{Bandwidth: 10e6, PropDelay: time.Millisecond, MTU: 1500})
 	nb.Listen(80, nil, func(c *adaptive.Conn) { c.OnReceive(func([]byte, bool) {}) })
 	var notes []adaptive.Notification
-	na.OnNotification(func(_ uint32, n adaptive.Notification) { notes = append(notes, n) })
+	na.Subscribe(func(_ uint32, n adaptive.Notification) { notes = append(notes, n) })
 	conn, _ := na.Dial(&adaptive.ACD{
 		Participants: []adaptive.Addr{nb.Addr()},
 		RemotePort:   80,
@@ -129,8 +130,8 @@ func TestMetricsRepositoryWired(t *testing.T) {
 	net.SetRoute(ha.ID(), hb.ID(), l1)
 	net.SetRoute(hb.ID(), ha.ID(), l2)
 	repo := unites.NewRepository()
-	na, _ := adaptive.NewNode(adaptive.WithProvider(net), adaptive.WithHost(ha.ID()), adaptive.WithMetrics(repo), adaptive.WithName("alpha"))
-	nb, _ := adaptive.NewNode(adaptive.WithProvider(net), adaptive.WithHost(hb.ID()), adaptive.WithMetrics(repo), adaptive.WithName("beta"))
+	na, _ := adaptive.NewNode(adaptive.WithProvider(net), adaptive.WithHost(ha.ID()), adaptive.WithObservability(adaptive.Observe{Repository: repo}), adaptive.WithName("alpha"))
+	nb, _ := adaptive.NewNode(adaptive.WithProvider(net), adaptive.WithHost(hb.ID()), adaptive.WithObservability(adaptive.Observe{Repository: repo}), adaptive.WithName("beta"))
 	nb.Listen(80, nil, func(c *adaptive.Conn) { c.OnReceive(func([]byte, bool) {}) })
 	conn, _ := na.Dial(&adaptive.ACD{
 		Participants: []adaptive.Addr{nb.Addr()},
@@ -161,7 +162,7 @@ func TestTMCSelectiveInstrumentation(t *testing.T) {
 	net.SetRoute(ha.ID(), hb.ID(), net.NewLink(netsim.LinkConfig{Bandwidth: 10e6, MTU: 1500}))
 	net.SetRoute(hb.ID(), ha.ID(), net.NewLink(netsim.LinkConfig{Bandwidth: 10e6, MTU: 1500}))
 	repo := unites.NewRepository()
-	na, _ := adaptive.NewNode(adaptive.WithProvider(net), adaptive.WithHost(ha.ID()), adaptive.WithMetrics(repo), adaptive.WithName("filtered"))
+	na, _ := adaptive.NewNode(adaptive.WithProvider(net), adaptive.WithHost(ha.ID()), adaptive.WithObservability(adaptive.Observe{Repository: repo}), adaptive.WithName("filtered"))
 	nb, _ := adaptive.NewNode(adaptive.WithProvider(net), adaptive.WithHost(hb.ID()), adaptive.WithName("peer"))
 	nb.Listen(80, nil, func(c *adaptive.Conn) { c.OnReceive(func([]byte, bool) {}) })
 	conn, err := na.Dial(&adaptive.ACD{
@@ -316,7 +317,7 @@ func TestDialSpecAndAccessors(t *testing.T) {
 
 func TestFacadeProbe(t *testing.T) {
 	k, _, na, nb := simPair(t, netsim.LinkConfig{Bandwidth: 10e6, PropDelay: 20 * time.Millisecond, MTU: 1500})
-	na.Probe(nb.Addr().Host, 50*time.Millisecond)
+	na.ProbeContext(context.Background(), nb.Addr().Host, 50*time.Millisecond)
 	k.RunUntil(2 * time.Second)
 	rtt := na.Entity().NetState().Path(nb.Addr().Host).RTT
 	if rtt < 38*time.Millisecond || rtt > 45*time.Millisecond {

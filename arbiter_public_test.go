@@ -1,10 +1,12 @@
 package adaptive_test
 
 import (
+	"context"
 	"testing"
 	"time"
 
 	"adaptive"
+	"adaptive/internal/impair"
 	"adaptive/internal/netsim"
 	"adaptive/internal/sim"
 )
@@ -136,5 +138,44 @@ func TestArbiterGovernsMixedSessions(t *testing.T) {
 	// Status on an arbiter-less node is inert.
 	if nb.ArbiterStatus().Enabled {
 		t.Fatal("node without WithArbiter reports an enabled arbiter")
+	}
+}
+
+// TestNodeCloseCancelsTimers: Close must not leave the node's own periodic
+// timers running — the arbiter's congestion-hint poller and a probing
+// campaign bounded only by context.Background.
+func TestNodeCloseCancelsTimers(t *testing.T) {
+	k := sim.NewKernel(5)
+	net := netsim.New(k)
+	ha, hb := net.AddHost(), net.AddHost()
+	link := netsim.LinkConfig{Bandwidth: 8e6, PropDelay: 2 * time.Millisecond, MTU: 1500}
+	net.SetRoute(ha.ID(), hb.ID(), net.NewLink(link))
+	net.SetRoute(hb.ID(), ha.ID(), net.NewLink(link))
+
+	// The impairment shim has a drop counter, which is what arms the poller.
+	prov := impair.Wrap(net, impair.Config{Seed: 5, Loss: 0.01})
+	n, err := adaptive.NewNode(adaptive.WithProvider(prov), adaptive.WithHost(ha.ID()),
+		adaptive.WithArbiter(adaptive.DefaultArbiterPolicy()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	n.ProbeContext(context.Background(), hb.ID(), 50*time.Millisecond)
+	k.RunFor(time.Second)
+
+	timers := n.Stack().Timers()
+	before := timers.Stats()
+	if before.Expired == 0 {
+		t.Fatal("no timer fired before Close: the test lost its subject")
+	}
+	if err := n.Close(); err != nil {
+		t.Fatal(err)
+	}
+	closed := timers.Stats()
+	if got := closed.Canceled - before.Canceled; got != 2 {
+		t.Fatalf("Close canceled %d timers, want 2 (hint poller + probe campaign)", got)
+	}
+	k.RunFor(time.Second)
+	if after := timers.Stats(); after.Expired != closed.Expired {
+		t.Fatalf("%d timers fired after Close", after.Expired-closed.Expired)
 	}
 }

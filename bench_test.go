@@ -224,9 +224,7 @@ func BenchmarkE5_Customization(b *testing.B) {
 	payload := make([]byte, 512)
 	mkPkt := func(seq uint32) []byte {
 		p := &wire.PDU{Header: wire.Header{Type: wire.TData, Seq: seq}, Payload: message.NewFromBytes(payload)}
-		enc := wire.Encode(p, wire.CkCRC32)
-		out := enc.CopyBytes()
-		enc.Release()
+		out := encodedCopy(b, p, wire.CkCRC32)
 		p.ReleasePayload()
 		return out
 	}
@@ -247,12 +245,14 @@ func BenchmarkE5_Customization(b *testing.B) {
 		for i := range pkts {
 			pkts[i] = mkPkt(uint32(i))
 		}
+		var p wire.PDU
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := wire.Decode(pkts[i]); err != nil {
+			if err := wire.DecodeInto(pkts[i], &p); err != nil {
 				b.Fatal(err)
 			}
+			p.ReleasePayload()
 		}
 	})
 }
@@ -281,29 +281,17 @@ func BenchmarkE6_TemplateCache(b *testing.B) {
 
 // --- substrate micro-benchmarks ---
 
-func BenchmarkWireEncode(b *testing.B) {
-	payload := message.NewFromBytes(make([]byte, 1400))
-	p := &wire.PDU{Header: wire.Header{Type: wire.TData, Seq: 1}, Payload: payload}
-	b.SetBytes(1400)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		pkt := wire.Encode(p, wire.CkCRC32)
-		pkt.Release()
+// encodedCopy returns a private copy of the packet EncodeTo emits for p.
+func encodedCopy(tb testing.TB, p *wire.PDU, ck wire.ChecksumKind) []byte {
+	tb.Helper()
+	var out []byte
+	if err := wire.EncodeTo(p, ck, func(pkt []byte) error {
+		out = append([]byte(nil), pkt...)
+		return nil
+	}); err != nil {
+		tb.Fatal(err)
 	}
-}
-
-func BenchmarkWireDecode(b *testing.B) {
-	payload := message.NewFromBytes(make([]byte, 1400))
-	p := &wire.PDU{Header: wire.Header{Type: wire.TData, Seq: 1}, Payload: payload}
-	enc := wire.Encode(p, wire.CkCRC32)
-	pkt := enc.CopyBytes()
-	b.SetBytes(1400)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := wire.Decode(pkt); err != nil {
-			b.Fatal(err)
-		}
-	}
+	return out
 }
 
 func BenchmarkWireEncodeTo(b *testing.B) {
@@ -322,9 +310,7 @@ func BenchmarkWireEncodeTo(b *testing.B) {
 func BenchmarkWireDecodeInto(b *testing.B) {
 	payload := message.NewFromBytes(make([]byte, 1400))
 	src := &wire.PDU{Header: wire.Header{Type: wire.TData, Seq: 1}, Payload: payload}
-	enc := wire.Encode(src, wire.CkCRC32)
-	pkt := enc.CopyBytes()
-	enc.Release()
+	pkt := encodedCopy(b, src, wire.CkCRC32)
 	var p wire.PDU
 	b.SetBytes(1400)
 	b.ReportAllocs()
@@ -345,8 +331,9 @@ func BenchmarkChecksums(b *testing.B) {
 			b.SetBytes(1400)
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				pkt := wire.Encode(p, ck)
-				pkt.Release()
+				if err := wire.EncodeTo(p, ck, func([]byte) error { return nil }); err != nil {
+					b.Fatal(err)
+				}
 			}
 		})
 	}

@@ -84,11 +84,11 @@ func main() {
 	network.SetRoute(b.ID(), a.ID(), network.NewLink(link))
 
 	repo := unites.NewRepository()
-	na, err := adaptive.NewNode(adaptive.WithProvider(network), adaptive.WithHost(a.ID()), adaptive.WithMetrics(repo), adaptive.WithName("sender"), adaptive.WithSeed(*seed))
+	na, err := adaptive.NewNode(adaptive.WithProvider(network), adaptive.WithHost(a.ID()), adaptive.WithObservability(adaptive.Observe{Repository: repo}), adaptive.WithName("sender"), adaptive.WithSeed(*seed))
 	if err != nil {
 		log.Fatal(err)
 	}
-	nb, err := adaptive.NewNode(adaptive.WithProvider(network), adaptive.WithHost(b.ID()), adaptive.WithMetrics(repo), adaptive.WithName("receiver"), adaptive.WithSeed(*seed+1))
+	nb, err := adaptive.NewNode(adaptive.WithProvider(network), adaptive.WithHost(b.ID()), adaptive.WithObservability(adaptive.Observe{Repository: repo}), adaptive.WithName("receiver"), adaptive.WithSeed(*seed+1))
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -91,7 +91,7 @@ func main() {
 		}},
 		TMC: adaptive.TMC{SampleRate: 100 * time.Millisecond},
 	}
-	speaker.OnNotification(func(connID uint32, n adaptive.Notification) {
+	speaker.Subscribe(func(connID uint32, n adaptive.Notification) {
 		if n.Kind == adaptive.NotePolicyAction || n.Kind == adaptive.NotePeerReconfig {
 			fmt.Printf("[%8v] speaker notification: %s\n", kernel.Now(), n.Detail)
 		}

@@ -84,7 +84,7 @@ func main() {
 	var rateLog []string
 	var video *workload.VBR
 	const fullLayerMean = 16000
-	srv.OnNotification(func(_ uint32, n adaptive.Notification) {
+	srv.Subscribe(func(_ uint32, n adaptive.Notification) {
 		switch n.Kind {
 		case adaptive.NotePolicyAction, adaptive.NoteAppLoss:
 			rateLog = append(rateLog, fmt.Sprintf("[%8v] %s", kernel.Now(), n.Detail))

@@ -7,10 +7,12 @@ import (
 	"time"
 
 	"adaptive"
+	"adaptive/internal/mechanism"
 	"adaptive/internal/message"
 	"adaptive/internal/netsim"
 	"adaptive/internal/sim"
 	"adaptive/internal/unites"
+	"adaptive/internal/wire"
 )
 
 // faultRun executes one complete adaptive transfer under a burst-loss fault
@@ -27,12 +29,12 @@ func faultRun(t *testing.T) []byte {
 	net.SetRoute(hb.ID(), ha.ID(), ba)
 	repo := unites.NewRepository()
 	na, err := adaptive.NewNode(adaptive.WithProvider(net), adaptive.WithHost(ha.ID()),
-		adaptive.WithSeed(1), adaptive.WithMetrics(repo), adaptive.WithName("a"))
+		adaptive.WithSeed(1), adaptive.WithObservability(adaptive.Observe{Repository: repo}), adaptive.WithName("a"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	nb, err := adaptive.NewNode(adaptive.WithProvider(net), adaptive.WithHost(hb.ID()),
-		adaptive.WithSeed(2), adaptive.WithMetrics(repo), adaptive.WithName("b"))
+		adaptive.WithSeed(2), adaptive.WithObservability(adaptive.Observe{Repository: repo}), adaptive.WithName("b"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,9 +110,9 @@ func TestPartitionDuringHandshakeBackoff(t *testing.T) {
 	net.SetRoute(hb.ID(), ha.ID(), ba)
 	repo := unites.NewRepository()
 	na, _ := adaptive.NewNode(adaptive.WithProvider(net), adaptive.WithHost(ha.ID()),
-		adaptive.WithSeed(1), adaptive.WithMetrics(repo))
+		adaptive.WithSeed(1), adaptive.WithObservability(adaptive.Observe{Repository: repo}))
 	nb, _ := adaptive.NewNode(adaptive.WithProvider(net), adaptive.WithHost(hb.ID()),
-		adaptive.WithSeed(2), adaptive.WithMetrics(repo))
+		adaptive.WithSeed(2), adaptive.WithObservability(adaptive.Observe{Repository: repo}))
 
 	net.Partition([]adaptive.HostID{ha.ID()}, []adaptive.HostID{hb.ID()})
 	k.ScheduleAt(1500*time.Millisecond, func() { net.Heal() })
@@ -171,7 +173,7 @@ func TestDialContextCancelAbortsEstablishment(t *testing.T) {
 	nb.Listen(80, nil, nil)
 
 	var failed bool
-	na.OnNotification(func(connID uint32, note adaptive.Notification) {
+	na.Subscribe(func(connID uint32, note adaptive.Notification) {
 		if note.Kind == adaptive.NoteEstablishFailed {
 			failed = true
 		}
@@ -203,7 +205,7 @@ func TestEstablishDeadlineExpires(t *testing.T) {
 	net.Partition([]adaptive.HostID{na.Addr().Host}, []adaptive.HostID{nb.Addr().Host})
 	nb.Listen(80, nil, nil)
 	var failed bool
-	na.OnNotification(func(connID uint32, note adaptive.Notification) {
+	na.Subscribe(func(connID uint32, note adaptive.Notification) {
 		if note.Kind == adaptive.NoteEstablishFailed {
 			failed = true
 		}
@@ -229,7 +231,7 @@ func TestKeepaliveDeadPeerDetection(t *testing.T) {
 	k, net, na, nb := simPair(t, netsim.LinkConfig{Bandwidth: 10e6, PropDelay: time.Millisecond, MTU: 1500})
 	nb.Listen(80, nil, func(c *adaptive.Conn) {})
 	var dead bool
-	na.OnNotification(func(connID uint32, note adaptive.Notification) {
+	na.Subscribe(func(connID uint32, note adaptive.Notification) {
 		if note.Kind == adaptive.NotePeerDead {
 			dead = true
 		}
@@ -304,5 +306,57 @@ func TestConnErrorSurface(t *testing.T) {
 	}
 	if err := raw.RemoveParticipant(99); err != adaptive.ErrUnmanaged {
 		t.Fatalf("RemoveParticipant on DialSpec conn = %v, want ErrUnmanaged", err)
+	}
+}
+
+// dropNthData is a fault-injection layer on the sender's protocol graph: it
+// swallows exactly the n-th (0-based) data PDU the stack transmits.
+type dropNthData struct{ n, seen int }
+
+func (d *dropNthData) Name() string { return "drop-nth-data" }
+
+func (d *dropNthData) Outbound(pkt []byte, _ adaptive.Addr) ([]byte, bool) {
+	if wire.Type(pkt[0]&0x0f) == wire.TData {
+		d.seen++
+		return pkt, d.seen-1 != d.n
+	}
+	return pkt, true
+}
+
+func (d *dropNthData) Inbound(pkt []byte, _ adaptive.Addr) ([]byte, bool) { return pkt, true }
+
+// TestFECHybridRebuildsBesideImplicitConfig loses one member of the FEC group
+// that also holds the implicit-config PDU: the sender's parity and the
+// receiver's accumulator must cover the same bytes of that first PDU, or the
+// rebuilt segment — delivered as part of a reliable stream — is garbage.
+func TestFECHybridRebuildsBesideImplicitConfig(t *testing.T) {
+	k, _, na, nb := simPair(t, netsim.LinkConfig{Bandwidth: 10e6, PropDelay: time.Millisecond, MTU: 1500})
+	var got []byte
+	var rcv *adaptive.Conn
+	nb.Listen(80, nil, func(c *adaptive.Conn) {
+		rcv = c
+		c.OnReceive(func(data []byte, _ bool) { got = append(got, data...) })
+	})
+	na.Stack().InsertLayer(&dropNthData{n: 1})
+
+	spec := mechanism.DefaultSpec()
+	spec.ConnMgmt, spec.Recovery, spec.FECGroup = adaptive.ConnImplicit, adaptive.RecoveryFECHybrid, 4
+	conn, err := na.DialSpec(spec, nb.Addr(), 1000, 80)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := make([]byte, 16<<10)
+	for i := range src {
+		src[i] = byte(i * 7)
+	}
+	if err := conn.Send(src); err != nil {
+		t.Fatal(err)
+	}
+	k.RunUntil(5 * time.Second)
+	if rcv == nil || rcv.Stats().FECRecovered == 0 {
+		t.Fatal("the dropped PDU was not rebuilt from parity: the test lost its subject")
+	}
+	if !bytes.Equal(got, src) {
+		t.Fatalf("delivered stream diverges from the source (%d of %d bytes)", len(got), len(src))
 	}
 }

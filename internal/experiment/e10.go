@@ -210,9 +210,8 @@ func runE10Shard(shard int, k *sim.Kernel, sessions int, repo *unites.Repository
 			adaptive.WithProvider(net),
 			adaptive.WithHost(h.ID()),
 			adaptive.WithSeed(sim.DeriveSeed(e10Seed, shard)+salt),
-			adaptive.WithMetrics(repo),
+			adaptive.WithObservability(adaptive.Observe{Repository: repo, Tracer: tracer}),
 			adaptive.WithName(fmt.Sprintf("e10s%d-%s", shard, name)),
-			adaptive.WithTracer(tracer),
 		)
 		if err != nil {
 			panic(err)

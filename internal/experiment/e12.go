@@ -4,14 +4,12 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
-	"sync"
 	"time"
 
 	"adaptive"
+	"adaptive/internal/impair"
 	"adaptive/internal/netapi"
 	"adaptive/internal/netsim"
-	"adaptive/internal/sim"
-	"adaptive/internal/udpnet"
 	"adaptive/internal/wire"
 )
 
@@ -39,15 +37,6 @@ type E12Scenario struct {
 	// Phase1 is sent from the source host before MigrateSession; Phase2
 	// from the adopted connection on the target (defaults 256 KiB each).
 	Phase1, Phase2 int
-	// ChunkSize segments the payload into Send calls (default 32 KiB).
-	ChunkSize int
-	// Link is the simulator-side link (zero value picks 20 Mbps / 2 ms).
-	Link netsim.LinkConfig
-	// PhaseTimeout caps each live-run wait in wall time (default 30s).
-	PhaseTimeout time.Duration
-	// BatchSize / FlushWindow configure the live provider (udpnet.Config).
-	BatchSize   int
-	FlushWindow time.Duration
 }
 
 func (sc *E12Scenario) phase1() int {
@@ -64,20 +53,6 @@ func (sc *E12Scenario) phase2() int {
 	return 256 << 10
 }
 
-func (sc *E12Scenario) chunk() int {
-	if sc.ChunkSize > 0 {
-		return sc.ChunkSize
-	}
-	return 32 << 10
-}
-
-func (sc *E12Scenario) timeout() time.Duration {
-	if sc.PhaseTimeout > 0 {
-		return sc.PhaseTimeout
-	}
-	return 30 * time.Second
-}
-
 // Payload generates the deterministic source stream both runs transmit.
 func (sc *E12Scenario) Payload() []byte {
 	buf := make([]byte, sc.phase1()+sc.phase2())
@@ -85,12 +60,9 @@ func (sc *E12Scenario) Payload() []byte {
 	return buf
 }
 
-func (sc *E12Scenario) link() netsim.LinkConfig {
-	if sc.Link.Bandwidth != 0 {
-		return sc.Link
-	}
-	return netsim.LinkConfig{Bandwidth: 20e6, PropDelay: 2 * time.Millisecond, MTU: 1500, QueueLen: 64000}
-}
+// e12Timeout caps each wait of the script on the environment's own clock
+// (virtual time on the simulator, wall time live).
+const e12Timeout = 30 * time.Second
 
 // E12Run is the outcome of one environment's execution.
 type E12Run struct {
@@ -106,9 +78,9 @@ type E12Run struct {
 }
 
 // staleReplay transmits a data PDU for the migrated connection from the old
-// owner's stack — a stale-epoch sender the peer must fence. Must run on the
-// provider's event loop. The sequence is long-acknowledged, so even a fence
-// miss could not corrupt the stream; the gate is the rejection counter.
+// owner's stack — a stale-epoch sender the peer must fence. Must run where
+// protocol code runs (env.do). The sequence is long-acknowledged, so even a
+// fence miss could not corrupt the stream; the gate is the rejection counter.
 func staleReplay(src *adaptive.Node, peer netapi.Addr, connID uint32, srcPort uint16) error {
 	p := wire.GetPDU()
 	p.Header = wire.Header{
@@ -127,307 +99,125 @@ func staleReplay(src *adaptive.Node, peer netapi.Addr, connID uint32, srcPort ui
 
 // RunSim executes the scenario on the deterministic simulator.
 func (sc *E12Scenario) RunSim() (*E12Run, error) {
-	k := sim.NewKernel(sc.Seed)
-	k.SetEventLimit(200_000_000)
-	net := netsim.New(k)
-	hosts := []*netsim.Host{net.AddHost(), net.AddHost(), net.AddHost()}
-	for i := range hosts {
-		for j := range hosts {
-			if i != j {
-				net.SetRoute(hosts[i].ID(), hosts[j].ID(), net.NewLink(sc.link()))
-			}
-		}
-	}
+	link := netsim.LinkConfig{Bandwidth: 20e6, PropDelay: 2 * time.Millisecond, MTU: 1500, QueueLen: 64000}
+	return sc.run(newSimEnv(sc.Seed, 3, link, impair.Config{}))
+}
+
+// RunLive executes the scenario over UDP loopback sockets and the wall
+// clock: three in-process hosts on one provider.
+func (sc *E12Scenario) RunLive() (*E12Run, error) {
+	return sc.run(newLiveEnv(3, impair.Config{}, 0, 0))
+}
+
+// run is the scenario script. Hosts: 0 = source A, 1 = target B, 2 = peer P.
+func (sc *E12Scenario) run(e *env) (*E12Run, error) {
+	defer e.close()
+	tag := sc.Name + "/" + e.name
 	var nodes [3]*adaptive.Node
-	for i, name := range []string{"sim-a", "sim-b", "sim-p"} {
-		n, err := adaptive.NewNode(adaptive.WithProvider(net), adaptive.WithHost(hosts[i].ID()),
-			adaptive.WithSeed(sc.Seed+int64(i)), adaptive.WithName(name))
+	cp := adaptive.NewControlPlane()
+	for i := range nodes {
+		n, err := e.node(i, sc.Seed+int64(i))
 		if err != nil {
+			return nil, err
+		}
+		if err := cp.Enroll(n, 0); err != nil {
 			return nil, err
 		}
 		nodes[i] = n
 	}
 	na, nb, np := nodes[0], nodes[1], nodes[2]
 
-	cp := adaptive.NewControlPlane()
-	for _, n := range nodes {
-		if err := cp.Enroll(n, 0); err != nil {
-			return nil, err
-		}
-	}
-
 	var delivered []byte
-	if err := np.Listen(80, nil, func(c *adaptive.Conn) {
+	if err := e.listen(np, 80, func(c *adaptive.Conn) {
 		c.OnReceive(func(data []byte, _ bool) { delivered = append(delivered, data...) })
 	}); err != nil {
 		return nil, err
 	}
-	conn, err := na.Dial(&adaptive.ACD{
+	conn, err := e.dial(na, &adaptive.ACD{
 		Participants: []adaptive.Addr{np.Addr()},
 		RemotePort:   80,
 		Quant:        adaptive.QuantQoS{AvgThroughputBps: 10e6},
 		Qual:         adaptive.QualQoS{Ordered: true},
-	}, &adaptive.DialOptions{LocalPort: 1000})
+	}, &adaptive.DialOptions{LocalPort: 1000}, e12Timeout)
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("%s: %w", tag, err)
 	}
-	for !conn.Established() {
-		if k.Now() > 30*time.Second {
-			return nil, fmt.Errorf("%s/sim: establishment stalled", sc.Name)
-		}
-		k.RunFor(time.Millisecond)
-	}
-	if err := cp.Place(conn); err != nil {
+	e.do(func() { err = cp.Place(conn) })
+	if err != nil {
 		return nil, err
 	}
 
 	src := sc.Payload()
 	send := func(c *adaptive.Conn, lo, hi int) error {
-		for off := lo; off < hi; {
-			n := sc.chunk()
-			if hi-off < n {
-				n = hi - off
-			}
-			if err := c.Send(src[off : off+n]); err != nil {
-				return err
-			}
-			off += n
+		var serr error
+		e.do(func() { serr = sendChunked(c, src[lo:hi]) })
+		return serr
+	}
+	waitDelivered := func(step time.Duration, target int, what string) error {
+		got := 0
+		if !e.until(step, e12Timeout, func() bool {
+			got = len(delivered)
+			return got >= target
+		}) {
+			return fmt.Errorf("%s: %s stalled at %d of %d bytes", tag, what, got, target)
 		}
 		return nil
 	}
 	if err := send(conn, 0, sc.phase1()); err != nil {
-		return nil, fmt.Errorf("%s/sim: phase1: %w", sc.Name, err)
+		return nil, fmt.Errorf("%s: phase1: %w", tag, err)
 	}
 	// Let roughly a quarter of phase 1 land so the handoff record carries
 	// live state: queued segments, unacked PDUs, meters.
-	for len(delivered) < sc.phase1()/4 {
-		if k.Now() > 5*time.Minute {
-			return nil, fmt.Errorf("%s/sim: phase1 stalled at %d bytes", sc.Name, len(delivered))
-		}
-		k.RunFor(time.Millisecond)
+	if err := waitDelivered(time.Millisecond, sc.phase1()/4, "pre-migration"); err != nil {
+		return nil, err
 	}
 
-	migrateAt := k.Now()
-	m, err := cp.MigrateSession(conn, nb.Addr().Host)
+	migrateAt := e.now()
+	var m *adaptive.Migration
+	e.do(func() { m, err = cp.MigrateSession(conn, nb.Addr().Host) })
 	if err != nil {
 		return nil, err
 	}
-	migrated := func() bool {
+	if !e.until(time.Millisecond, e12Timeout, func() bool {
 		select {
 		case <-m.Done():
 			return true
 		default:
 			return false
 		}
-	}
-	for !migrated() {
-		if k.Now() > migrateAt+time.Minute {
-			return nil, fmt.Errorf("%s/sim: migration stalled", sc.Name)
-		}
-		k.RunFor(time.Millisecond)
+	}) {
+		return nil, fmt.Errorf("%s: migration stalled", tag)
 	}
 	if m.Err() != nil {
-		return nil, fmt.Errorf("%s/sim: %w", sc.Name, m.Err())
+		return nil, fmt.Errorf("%s: %w", tag, m.Err())
 	}
-	run := &E12Run{MigrationTime: k.Now() - migrateAt}
+	run := &E12Run{MigrationTime: e.now() - migrateAt}
 
 	adopted := m.Conn()
 	if adopted == nil {
-		return nil, fmt.Errorf("%s/sim: migration returned no adopted conn", sc.Name)
+		return nil, fmt.Errorf("%s: migration returned no adopted conn", tag)
 	}
 	if err := send(adopted, sc.phase1(), len(src)); err != nil {
-		return nil, fmt.Errorf("%s/sim: phase2: %w", sc.Name, err)
+		return nil, fmt.Errorf("%s: phase2: %w", tag, err)
 	}
-	deadline := k.Now() + 5*time.Minute
-	for len(delivered) < len(src) && k.Now() < deadline {
-		k.RunFor(5 * time.Millisecond)
-	}
-	if len(delivered) < len(src) {
-		return nil, fmt.Errorf("%s/sim: stalled at %d of %d bytes", sc.Name, len(delivered), len(src))
-	}
-
-	if err := staleReplay(na, np.Addr(), conn.ConnID(), conn.Session().LocalPort()); err != nil {
-		return nil, err
-	}
-	k.RunFor(time.Second)
-
-	run.Delivered = delivered
-	run.FencedPDUs = np.Stack().Stats().FencedPDUs
-	run.Status = cp.Status()
-	run.Stats = adopted.Stats()
-	return run, nil
-}
-
-// RunLive executes the scenario over UDP loopback sockets and the wall
-// clock: three in-process hosts on one provider, every datapath interaction
-// on the provider's event loop (via Wait).
-func (sc *E12Scenario) RunLive() (*E12Run, error) {
-	base := udpnet.New(udpnet.WithQueueLen(1<<14), udpnet.WithSocketBuffers(4<<20, 4<<20),
-		udpnet.WithBatch(sc.BatchSize), udpnet.WithFlushWindow(sc.FlushWindow))
-	defer base.Close()
-
-	var nodes [3]*adaptive.Node
-	for i, name := range []string{"live-a", "live-b", "live-p"} {
-		n, err := adaptive.NewNode(adaptive.WithProvider(base), adaptive.WithHost(netapi.HostID(i+1)),
-			adaptive.WithSeed(sc.Seed+int64(i)), adaptive.WithName(name))
-		if err != nil {
-			return nil, err
-		}
-		nodes[i] = n
-	}
-	na, nb, np := nodes[0], nodes[1], nodes[2]
-
-	cp := adaptive.NewControlPlane()
-	for _, n := range nodes {
-		if err := cp.Enroll(n, 0); err != nil {
-			return nil, err
-		}
-	}
-
-	var mu sync.Mutex
-	var delivered []byte
-	progress := make(chan struct{}, 1)
-	var listenErr error
-	base.Wait(func() {
-		listenErr = np.Listen(80, nil, func(c *adaptive.Conn) {
-			c.OnReceive(func(data []byte, _ bool) {
-				mu.Lock()
-				delivered = append(delivered, data...)
-				mu.Unlock()
-				select {
-				case progress <- struct{}{}:
-				default:
-				}
-			})
-		})
-	})
-	if listenErr != nil {
-		return nil, listenErr
-	}
-	deliveredLen := func() int {
-		mu.Lock()
-		defer mu.Unlock()
-		return len(delivered)
-	}
-	waitDelivered := func(target int, what string) error {
-		timeout := time.After(sc.timeout())
-		for deliveredLen() < target {
-			select {
-			case <-progress:
-			case <-timeout:
-				return fmt.Errorf("%s/live: %s stalled at %d of %d bytes",
-					sc.Name, what, deliveredLen(), target)
-			}
-		}
-		return nil
-	}
-
-	var conn *adaptive.Conn
-	var dialErr error
-	base.Wait(func() {
-		conn, dialErr = na.Dial(&adaptive.ACD{
-			Participants: []adaptive.Addr{np.Addr()},
-			RemotePort:   80,
-			Quant:        adaptive.QuantQoS{AvgThroughputBps: 10e6},
-			Qual:         adaptive.QualQoS{Ordered: true},
-		}, &adaptive.DialOptions{LocalPort: 1000})
-	})
-	if dialErr != nil {
-		return nil, dialErr
-	}
-	establishBy := time.Now().Add(10 * time.Second)
-	for {
-		var est bool
-		base.Wait(func() { est = conn.Established() })
-		if est {
-			break
-		}
-		if time.Now().After(establishBy) {
-			return nil, fmt.Errorf("%s/live: establishment stalled", sc.Name)
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	var placeErr error
-	base.Wait(func() { placeErr = cp.Place(conn) })
-	if placeErr != nil {
-		return nil, placeErr
-	}
-
-	src := sc.Payload()
-	send := func(c *adaptive.Conn, lo, hi int) error {
-		var serr error
-		base.Wait(func() {
-			for off := lo; off < hi && serr == nil; {
-				n := sc.chunk()
-				if hi-off < n {
-					n = hi - off
-				}
-				serr = c.Send(src[off : off+n])
-				off += n
-			}
-		})
-		return serr
-	}
-	if err := send(conn, 0, sc.phase1()); err != nil {
-		return nil, fmt.Errorf("%s/live: phase1: %w", sc.Name, err)
-	}
-	if err := waitDelivered(sc.phase1()/4, "pre-migration"); err != nil {
+	if err := waitDelivered(5*time.Millisecond, len(src), "post-migration"); err != nil {
 		return nil, err
 	}
 
-	migrateAt := time.Now()
-	var m *adaptive.Migration
-	var merr error
-	base.Wait(func() { m, merr = cp.MigrateSession(conn, nb.Addr().Host) })
-	if merr != nil {
-		return nil, merr
-	}
-	select {
-	case <-m.Done():
-	case <-time.After(sc.timeout()):
-		return nil, fmt.Errorf("%s/live: migration stalled", sc.Name)
-	}
-	if m.Err() != nil {
-		return nil, fmt.Errorf("%s/live: %w", sc.Name, m.Err())
-	}
-	run := &E12Run{MigrationTime: time.Since(migrateAt)}
-
-	adopted := m.Conn()
-	if adopted == nil {
-		return nil, fmt.Errorf("%s/live: migration returned no adopted conn", sc.Name)
-	}
-	if err := send(adopted, sc.phase1(), len(src)); err != nil {
-		return nil, fmt.Errorf("%s/live: phase2: %w", sc.Name, err)
-	}
-	if err := waitDelivered(len(src), "post-migration"); err != nil {
+	e.do(func() {
+		err = staleReplay(na, np.Addr(), conn.ConnID(), conn.Session().LocalPort())
+	})
+	if err != nil {
 		return nil, err
 	}
-
-	var repErr error
-	base.Wait(func() {
-		repErr = staleReplay(na, np.Addr(), conn.ConnID(), conn.Session().LocalPort())
+	// A fence miss leaves FencedPDUs zero; the caller's gate reports it.
+	e.until(time.Millisecond, e12Timeout, func() bool {
+		run.FencedPDUs = np.Stack().Stats().FencedPDUs
+		return run.FencedPDUs > 0
 	})
-	if repErr != nil {
-		return nil, repErr
-	}
-	fencedBy := time.Now().Add(sc.timeout())
-	for {
-		var fenced uint64
-		base.Wait(func() { fenced = np.Stack().Stats().FencedPDUs })
-		if fenced > 0 {
-			run.FencedPDUs = fenced
-			break
-		}
-		if time.Now().After(fencedBy) {
-			break // leave zero; the caller's gate reports it
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
 
-	base.Wait(func() {
-		mu.Lock()
-		run.Delivered = append([]byte(nil), delivered...)
-		mu.Unlock()
+	e.do(func() {
+		run.Delivered = delivered
 		run.Status = cp.Status()
 		run.Stats = adopted.Stats()
 	})

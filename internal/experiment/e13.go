@@ -3,14 +3,11 @@ package experiment
 import (
 	"fmt"
 	"math"
-	"sync"
 	"time"
 
 	"adaptive"
 	"adaptive/internal/impair"
-	"adaptive/internal/netapi"
 	"adaptive/internal/netsim"
-	"adaptive/internal/udpnet"
 	"adaptive/internal/workload"
 )
 
@@ -371,19 +368,15 @@ type E13LiveRun struct {
 // the arbiter must register environment congestion (Hints > 0) and back off
 // its capacity estimate below the seeded path bandwidth.
 func (sc *E13Scenario) RunLive() (*E13LiveRun, error) {
-	base := udpnet.New(udpnet.WithQueueLen(1<<14), udpnet.WithSocketBuffers(4<<20, 4<<20))
-	defer base.Close()
-	prov := impair.Wrap(base, impair.Config{Seed: sc.Seed, Loss: 0.05})
+	e := newLiveEnv(2, impair.Config{Seed: sc.Seed, Loss: 0.05}, 0, 0)
+	defer e.close()
 
 	const seedBps = 50e6
-	na, err := adaptive.NewNode(adaptive.WithProvider(prov), adaptive.WithHost(netapi.HostID(1)),
-		adaptive.WithSeed(sc.Seed), adaptive.WithName("e13-live-a"),
-		adaptive.WithArbiter(adaptive.DefaultArbiterPolicy()))
+	na, err := e.node(0, sc.Seed, adaptive.WithArbiter(adaptive.DefaultArbiterPolicy()))
 	if err != nil {
 		return nil, err
 	}
-	nb, err := adaptive.NewNode(adaptive.WithProvider(prov), adaptive.WithHost(netapi.HostID(2)),
-		adaptive.WithSeed(sc.Seed+1), adaptive.WithName("e13-live-b"))
+	nb, err := e.node(1, sc.Seed+1)
 	if err != nil {
 		return nil, err
 	}
@@ -391,50 +384,26 @@ func (sc *E13Scenario) RunLive() (*E13LiveRun, error) {
 		Bandwidth: seedBps, RTT: time.Millisecond, MTU: 1400,
 	})
 
-	var mu sync.Mutex
-	var voiceBytes, bulkBytes uint64
+	run := &E13LiveRun{}
 	var accepts int
-	var listenErr error
-	base.Wait(func() {
-		listenErr = nb.Listen(80, nil, func(c *adaptive.Conn) {
-			idx := accepts
-			accepts++
-			c.OnReceive(func(data []byte, eom bool) {
-				mu.Lock()
-				if idx == 0 {
-					voiceBytes += uint64(len(data))
-				} else {
-					bulkBytes += uint64(len(data))
-				}
-				mu.Unlock()
-			})
-		})
-	})
-	if listenErr != nil {
-		return nil, listenErr
+	if err := e.listen(nb, 80, func(c *adaptive.Conn) {
+		sink := &run.VoiceBytes // accepts arrive in dial order: voice, then bulk
+		if accepts > 0 {
+			sink = &run.BulkBytes
+		}
+		accepts++
+		c.OnReceive(func(data []byte, eom bool) { *sink += uint64(len(data)) })
+	}); err != nil {
+		return nil, err
 	}
 
 	dial := func(acd *adaptive.ACD, what string) (*adaptive.Conn, error) {
-		var conn *adaptive.Conn
-		var derr error
-		base.Wait(func() { conn, derr = na.Dial(acd, nil) })
-		if derr != nil {
-			return nil, fmt.Errorf("%s/live/%s: %w", sc.Name, what, derr)
+		conn, err := e.dial(na, acd, nil, 10*time.Second)
+		if err != nil {
+			return nil, fmt.Errorf("%s/live/%s: %w", sc.Name, what, err)
 		}
-		deadline := time.Now().Add(10 * time.Second)
-		for {
-			var est bool
-			base.Wait(func() { est = conn.Established() })
-			if est {
-				return conn, nil
-			}
-			if time.Now().After(deadline) {
-				return nil, fmt.Errorf("%s/live/%s: establishment stalled", sc.Name, what)
-			}
-			time.Sleep(2 * time.Millisecond)
-		}
+		return conn, nil
 	}
-
 	voice, err := dial(&adaptive.ACD{
 		Participants: []adaptive.Addr{nb.Addr()},
 		RemotePort:   80,
@@ -457,49 +426,29 @@ func (sc *E13Scenario) RunLive() (*E13LiveRun, error) {
 		return nil, err
 	}
 
-	var bulkBudget float64
-	var wireErr error
-	base.Wait(func() {
-		wireErr = bulkConn.OnBudgetChange(func(bps float64) {
-			mu.Lock()
-			bulkBudget = bps
-			mu.Unlock()
-		})
-	})
-	if wireErr != nil {
-		return nil, wireErr
-	}
-
-	base.Wait(func() {
+	e.do(func() {
+		if err = bulkConn.OnBudgetChange(func(bps float64) { run.BulkBudget = bps }); err != nil {
+			return
+		}
 		timers := na.Stack().Timers()
 		cbr := &workload.CBR{Timers: timers, Out: voice, MsgSize: 500, Interval: 5 * time.Millisecond}
 		cbr.Start(0)
 		b := &workload.Bulk{Out: bulkConn, TotalSize: 4 << 20, ChunkSize: 32 << 10}
-		b.Start(prov.Clock())
+		b.Start(e.prov.Clock())
 	})
+	if err != nil {
+		return nil, err
+	}
 
 	// Let the hint poller (100 ms cadence) see the impairment drops a few
 	// times over and the samplers deliver loss evidence.
-	deadline := time.Now().Add(8 * time.Second)
-	for time.Now().Before(deadline) {
-		st := na.ArbiterStatus()
-		mu.Lock()
-		delivered := voiceBytes > 0 && bulkBytes > 0
-		mu.Unlock()
-		if st.Hints > 0 && st.Decreases > 0 && st.Grants > 0 && delivered {
-			break
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-
-	st := na.ArbiterStatus()
-	run := &E13LiveRun{
-		Grants: st.Grants, Decreases: st.Decreases, Hints: st.Hints,
-		CapacityBps: st.CapacityBps,
-	}
-	mu.Lock()
-	run.VoiceBytes, run.BulkBytes, run.BulkBudget = voiceBytes, bulkBytes, bulkBudget
-	mu.Unlock()
+	var st adaptive.ArbiterStatus
+	e.until(20*time.Millisecond, 8*time.Second, func() bool {
+		st = na.ArbiterStatus()
+		return st.Hints > 0 && st.Decreases > 0 && st.Grants > 0 &&
+			run.VoiceBytes > 0 && run.BulkBytes > 0
+	})
+	run.Grants, run.Decreases, run.Hints, run.CapacityBps = st.Grants, st.Decreases, st.Hints, st.CapacityBps
 	return run, nil
 }
 

@@ -39,7 +39,7 @@ func RunE3() []Table {
 // (this is the reference trace adaptivetrace renders to Chrome format).
 func runE3Case(label, mode string, tracer *trace.Recorder) []string {
 	link := netsim.LinkConfig{Bandwidth: 10e6, PropDelay: 10 * time.Millisecond, MTU: 1500, QueueLen: 64000}
-	tb, err := NewTestbed(2, link, 4242, adaptive.WithTracer(tracer))
+	tb, err := newTracedTestbed(2, link, 4242, tracer)
 	if err != nil {
 		panic(err)
 	}

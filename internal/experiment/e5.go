@@ -56,9 +56,10 @@ func buildPackets(n int, payload int) [][]byte {
 	for i := range pkts {
 		p := &wire.PDU{Header: wire.Header{Type: wire.TData, Seq: uint32(i), DstPort: 80, SrcPort: 1000}}
 		p.Payload = message.NewFromBytes(body)
-		enc := wire.Encode(p, wire.CkCRC32)
-		pkts[i] = enc.CopyBytes()
-		enc.Release()
+		wire.EncodeTo(p, wire.CkCRC32, func(pkt []byte) error {
+			pkts[i] = append([]byte(nil), pkt...)
+			return nil
+		})
 		p.ReleasePayload()
 	}
 	return pkts
@@ -88,8 +89,10 @@ func dynamicPathNs(n int) float64 {
 	pkts := buildPackets(n, 512)
 	start := time.Now()
 	for _, pkt := range pkts {
-		pdu, err := wire.Decode(pkt)
-		if err != nil {
+		// The stack's own receive step (protograph.onPacket): pooled PDU,
+		// recycled by the session at the end of its lifecycle.
+		pdu := wire.GetPDU()
+		if err := wire.DecodeInto(pkt, pdu); err != nil {
 			panic(err)
 		}
 		s.HandlePDU(pdu)

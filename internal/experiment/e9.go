@@ -70,7 +70,7 @@ func RunE9() []Table {
 // single-event disturbance the trace-diff regression test must localize.
 func runE9Case(profile string, adaptivePolicy bool, tracer *trace.Recorder, perturb bool) ([]string, []byte, []string) {
 	link := netsim.LinkConfig{Bandwidth: 10e6, PropDelay: 5 * time.Millisecond, MTU: 1500, QueueLen: 1 << 20}
-	tb, err := NewTestbed(2, link, 9090, adaptive.WithTracer(tracer))
+	tb, err := newTracedTestbed(2, link, 9090, tracer)
 	if err != nil {
 		panic(err)
 	}

@@ -19,6 +19,7 @@ import (
 	"adaptive/internal/netapi"
 	"adaptive/internal/netsim"
 	"adaptive/internal/sim"
+	"adaptive/internal/trace"
 	"adaptive/internal/unites"
 )
 
@@ -78,9 +79,15 @@ type Testbed struct {
 }
 
 // NewTestbed builds n hosts fully meshed with per-direction links of the
-// given configuration. Extra options (e.g. adaptive.WithTracer) are applied
+// given configuration. Extra options (e.g. adaptive.WithArbiter) are applied
 // to every node.
 func NewTestbed(n int, link netsim.LinkConfig, seed int64, extra ...adaptive.Option) (*Testbed, error) {
+	return newTracedTestbed(n, link, seed, nil, extra...)
+}
+
+// newTracedTestbed is NewTestbed with every node flight-recording into
+// tracer (nil leaves the trace hooks off).
+func newTracedTestbed(n int, link netsim.LinkConfig, seed int64, tracer *trace.Recorder, extra ...adaptive.Option) (*Testbed, error) {
 	k := sim.NewKernel(seed)
 	k.SetEventLimit(200_000_000)
 	net := netsim.New(k)
@@ -103,7 +110,7 @@ func NewTestbed(n int, link netsim.LinkConfig, seed int64, extra ...adaptive.Opt
 			adaptive.WithProvider(net),
 			adaptive.WithHost(tb.Hosts[i].ID()),
 			adaptive.WithSeed(seed + int64(i)),
-			adaptive.WithMetrics(tb.Repo),
+			adaptive.WithObservability(adaptive.Observe{Repository: tb.Repo, Tracer: tracer}),
 			adaptive.WithName(fmt.Sprintf("host%d", i)),
 		}
 		node, err := adaptive.NewNode(append(opts, extra...)...)

@@ -3,7 +3,6 @@ package experiment
 import (
 	"fmt"
 	"math/rand"
-	"sync"
 	"time"
 
 	"adaptive"
@@ -11,8 +10,6 @@ import (
 	"adaptive/internal/mantts"
 	"adaptive/internal/netapi"
 	"adaptive/internal/netsim"
-	"adaptive/internal/sim"
-	"adaptive/internal/udpnet"
 )
 
 // This file is the live harness: it runs one scenario — phased bulk transfer
@@ -36,20 +33,15 @@ type LivePhase struct {
 // LiveScenario describes a parity experiment between the simulator and the
 // UDP provider.
 type LiveScenario struct {
-	Name string
-	Seed int64
-	// ChunkSize segments the payload into Send calls (default 32 KiB).
-	ChunkSize int
-	Phases    []LivePhase
+	Name   string
+	Seed   int64
+	Phases []LivePhase
 	// Impair, when active, wraps BOTH providers with the same seeded
 	// impairment shim, so the lossy scenario needs no netem on the live
 	// side and no special link on the sim side.
 	Impair impair.Config
-	// Link is the simulator-side link (zero value picks a clean 50 Mbps,
-	// 2 ms path).
-	Link netsim.LinkConfig
-	// PhaseTimeout caps each phase of the live run in wall time
-	// (default 30s; the sim run is capped in virtual time instead).
+	// PhaseTimeout caps establishment and each phase on the environment's
+	// own clock — virtual time on the simulator, wall time live (default 30s).
 	PhaseTimeout time.Duration
 	// BatchSize and FlushWindow configure the live provider's batched
 	// datapath (udpnet.Config). The zero values keep receive batching at
@@ -76,13 +68,6 @@ func (sc *LiveScenario) Payload() []byte {
 	return buf
 }
 
-func (sc *LiveScenario) chunk() int {
-	if sc.ChunkSize > 0 {
-		return sc.ChunkSize
-	}
-	return 32 << 10
-}
-
 func (sc *LiveScenario) phaseTimeout() time.Duration {
 	if sc.PhaseTimeout > 0 {
 		return sc.PhaseTimeout
@@ -104,206 +89,73 @@ type LiveRun struct {
 	Delivered   []byte
 	Stats       adaptive.Stats
 	Impairments impair.Counters
-	// QueueDrops is the udpnet loop-queue overflow count (always zero for
-	// the sim run).
-	QueueDrops uint64
 }
 
 // RunSim executes the scenario on the deterministic simulator.
 func (sc *LiveScenario) RunSim() (*LiveRun, error) {
-	k := sim.NewKernel(sc.Seed)
-	k.SetEventLimit(200_000_000)
-	net := netsim.New(k)
-	ha, hb := net.AddHost(), net.AddHost()
-	link := sc.Link
-	if link.Bandwidth == 0 {
-		link = netsim.LinkConfig{Bandwidth: 50e6, PropDelay: 2 * time.Millisecond, MTU: 1500, QueueLen: 64000}
-	}
-	net.SetRoute(ha.ID(), hb.ID(), net.NewLink(link))
-	net.SetRoute(hb.ID(), ha.ID(), net.NewLink(link))
+	link := netsim.LinkConfig{Bandwidth: 50e6, PropDelay: 2 * time.Millisecond, MTU: 1500, QueueLen: 64000}
+	return sc.run(newSimEnv(sc.Seed, 2, link, sc.Impair))
+}
 
-	var prov netapi.Provider = net
-	var imp *impair.Provider
-	if sc.Impair.Active() {
-		imp = impair.Wrap(net, sc.Impair)
-		prov = imp
-	}
-	na, err := adaptive.NewNode(adaptive.WithProvider(prov), adaptive.WithHost(ha.ID()),
-		adaptive.WithSeed(sc.Seed), adaptive.WithName("sim-a"))
+// RunLive executes the scenario over UDP loopback sockets and the wall clock.
+func (sc *LiveScenario) RunLive() (*LiveRun, error) {
+	return sc.run(newLiveEnv(2, sc.Impair, sc.BatchSize, sc.FlushWindow))
+}
+
+// run is the scenario script: dial, then per phase reconfigure, queue the
+// phase's payload, and wait until the receiver has all of it.
+func (sc *LiveScenario) run(e *env) (*LiveRun, error) {
+	defer e.close()
+	tag := sc.Name + "/" + e.name
+	na, err := e.node(0, sc.Seed)
 	if err != nil {
 		return nil, err
 	}
-	nb, err := adaptive.NewNode(adaptive.WithProvider(prov), adaptive.WithHost(hb.ID()),
-		adaptive.WithSeed(sc.Seed+1), adaptive.WithName("sim-b"))
+	nb, err := e.node(1, sc.Seed+1)
 	if err != nil {
 		return nil, err
 	}
 
 	var delivered []byte
-	if err := nb.Listen(80, nil, func(c *adaptive.Conn) {
-		c.OnReceive(func(data []byte, _ bool) {
-			delivered = append(delivered, data...)
-		})
+	if err := e.listen(nb, 80, func(c *adaptive.Conn) {
+		c.OnReceive(func(data []byte, _ bool) { delivered = append(delivered, data...) })
 	}); err != nil {
 		return nil, err
 	}
-	conn, err := na.Dial(sc.acd(nb.Addr()), &adaptive.DialOptions{LocalPort: 1000})
+	conn, err := e.dial(na, sc.acd(nb.Addr()), &adaptive.DialOptions{LocalPort: 1000}, sc.phaseTimeout())
 	if err != nil {
-		return nil, err
-	}
-	for !conn.Established() {
-		if k.Now() > 30*time.Second {
-			return nil, fmt.Errorf("%s/sim: establishment stalled", sc.Name)
-		}
-		k.RunFor(time.Millisecond)
+		return nil, fmt.Errorf("%s: %w", tag, err)
 	}
 
 	src := sc.Payload()
 	off := 0
 	for _, ph := range sc.Phases {
-		if ph.Mutate != nil {
-			if err := conn.Reconfigure(ph.Mutate); err != nil {
-				return nil, fmt.Errorf("%s/sim: reconfigure %q: %w", sc.Name, ph.Label, err)
-			}
-		}
 		end := off + ph.Bytes
-		for off < end {
-			n := sc.chunk()
-			if end-off < n {
-				n = end - off
-			}
-			if err := conn.Send(src[off : off+n]); err != nil {
-				return nil, fmt.Errorf("%s/sim: send in %q: %w", sc.Name, ph.Label, err)
-			}
-			off += n
-		}
-		deadline := k.Now() + 5*time.Minute
-		for len(delivered) < end && k.Now() < deadline {
-			k.RunFor(5 * time.Millisecond)
-		}
-		if len(delivered) < end {
-			return nil, fmt.Errorf("%s/sim: phase %q stalled at %d of %d bytes",
-				sc.Name, ph.Label, len(delivered), end)
-		}
-	}
-	run := &LiveRun{Delivered: delivered, Stats: conn.Stats()}
-	if imp != nil {
-		run.Impairments = imp.Counters()
-	}
-	return run, nil
-}
-
-// RunLive executes the scenario over UDP loopback sockets and the wall
-// clock. All interaction with the connection happens on the provider's
-// event loop (via Wait); progress is observed through a signal channel the
-// receive upcall pings.
-func (sc *LiveScenario) RunLive() (*LiveRun, error) {
-	base := udpnet.New(udpnet.WithQueueLen(1<<14), udpnet.WithSocketBuffers(4<<20, 4<<20),
-		udpnet.WithBatch(sc.BatchSize), udpnet.WithFlushWindow(sc.FlushWindow))
-	defer base.Close()
-	var prov netapi.Provider = base
-	var imp *impair.Provider
-	if sc.Impair.Active() {
-		imp = impair.Wrap(base, sc.Impair)
-		prov = imp
-	}
-	na, err := adaptive.NewNode(adaptive.WithProvider(prov), adaptive.WithHost(1),
-		adaptive.WithSeed(sc.Seed), adaptive.WithName("live-a"))
-	if err != nil {
-		return nil, err
-	}
-	nb, err := adaptive.NewNode(adaptive.WithProvider(prov), adaptive.WithHost(2),
-		adaptive.WithSeed(sc.Seed+1), adaptive.WithName("live-b"))
-	if err != nil {
-		return nil, err
-	}
-
-	var mu sync.Mutex
-	var delivered []byte
-	progress := make(chan struct{}, 1)
-	var listenErr error
-	base.Wait(func() {
-		listenErr = nb.Listen(80, nil, func(c *adaptive.Conn) {
-			c.OnReceive(func(data []byte, _ bool) {
-				mu.Lock()
-				delivered = append(delivered, data...)
-				mu.Unlock()
-				select {
-				case progress <- struct{}{}:
-				default:
+		e.do(func() {
+			if ph.Mutate != nil {
+				if err = conn.Reconfigure(ph.Mutate); err != nil {
+					err = fmt.Errorf("reconfigure: %w", err)
+					return
 				}
-			})
+			}
+			err = sendChunked(conn, src[off:end])
 		})
-	})
-	if listenErr != nil {
-		return nil, listenErr
-	}
-	var conn *adaptive.Conn
-	var dialErr error
-	base.Wait(func() {
-		conn, dialErr = na.Dial(sc.acd(nb.Addr()), &adaptive.DialOptions{LocalPort: 1000})
-	})
-	if dialErr != nil {
-		return nil, dialErr
-	}
-	establishBy := time.Now().Add(10 * time.Second)
-	for {
-		var est bool
-		base.Wait(func() { est = conn.Established() })
-		if est {
-			break
+		if err != nil {
+			return nil, fmt.Errorf("%s: phase %q: %w", tag, ph.Label, err)
 		}
-		if time.Now().After(establishBy) {
-			return nil, fmt.Errorf("%s/live: establishment stalled", sc.Name)
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-
-	src := sc.Payload()
-	off := 0
-	for _, ph := range sc.Phases {
-		if ph.Mutate != nil {
-			var rerr error
-			base.Wait(func() { rerr = conn.Reconfigure(ph.Mutate) })
-			if rerr != nil {
-				return nil, fmt.Errorf("%s/live: reconfigure %q: %w", sc.Name, ph.Label, rerr)
-			}
-		}
-		end := off + ph.Bytes
-		base.Wait(func() {
-			for off < end {
-				n := sc.chunk()
-				if end-off < n {
-					n = end - off
-				}
-				conn.Send(src[off : off+n])
-				off += n
-			}
-		})
-		timeout := time.After(sc.phaseTimeout())
-		for {
-			mu.Lock()
-			n := len(delivered)
-			mu.Unlock()
-			if n >= end {
-				break
-			}
-			select {
-			case <-progress:
-			case <-timeout:
-				return nil, fmt.Errorf("%s/live: phase %q stalled at %d of %d bytes",
-					sc.Name, ph.Label, n, end)
-			}
+		off = end
+		got := 0
+		if !e.until(5*time.Millisecond, sc.phaseTimeout(), func() bool {
+			got = len(delivered)
+			return got >= end
+		}) {
+			return nil, fmt.Errorf("%s: phase %q stalled at %d of %d bytes", tag, ph.Label, got, end)
 		}
 	}
-	var stats adaptive.Stats
-	base.Wait(func() { stats = conn.Stats() })
-	mu.Lock()
-	got := append([]byte(nil), delivered...)
-	mu.Unlock()
-	run := &LiveRun{Delivered: got, Stats: stats, QueueDrops: base.DroppedPosts()}
-	if imp != nil {
-		run.Impairments = imp.Counters()
+	run := &LiveRun{}
+	e.do(func() { run.Delivered, run.Stats = delivered, conn.Stats() })
+	if e.imp != nil {
+		run.Impairments = e.imp.Counters()
 	}
 	return run, nil
 }

@@ -93,15 +93,9 @@ type Entity struct {
 	managed  map[uint32]*Managed
 	arb      *arbiter.Arbiter // optional host bandwidth arbiter
 
-	// Notify is the application-facing notification hook (call-back
-	// reconfiguration path, §4.1.2 "Application-Specific").
-	//
-	// Deprecated: single-slot hook kept for the old OnNotification API.
-	// New listeners use SubscribeNotes, which lets several coexist (user
-	// code plus the observability plane).
-	Notify func(connID uint32, n mechanism.Notification)
-
-	// Notification subscribers (SubscribeNotes). The list is copy-on-write:
+	// Notification subscribers (SubscribeNotes): the application-facing
+	// call-back reconfiguration path (§4.1.2 "Application-Specific"), shared
+	// by user code and tooling. The list is copy-on-write:
 	// notifyApp, which runs on the provider event loop per delivered note,
 	// takes one atomic load; Subscribe/cancel (rare, any goroutine) copy
 	// under subMu and swap.
@@ -197,13 +191,6 @@ func (e *Entity) ManagedSession(connID uint32) *Managed { return e.managed[connI
 
 // --- connection negotiation and configuration phase (§4.1.1) ---
 
-// OpenSession runs the full three-stage transformation for an ACD and opens
-// the session. For multicast descriptors it first distributes JoinInvites to
-// every participant over the signaling channel.
-func (e *Entity) OpenSession(acd *ACD, localPort uint16) (*Managed, error) {
-	return e.OpenSessionWith(acd, OpenOptions{LocalPort: localPort})
-}
-
 // OpenOptions names the optional parameters of OpenSessionWith.
 type OpenOptions struct {
 	// LocalPort fixes the local transport port; 0 selects an ephemeral one.
@@ -217,7 +204,9 @@ type OpenOptions struct {
 	DefaultTSA []Rule
 }
 
-// OpenSessionWith is OpenSession with the full option set.
+// OpenSessionWith runs the full three-stage transformation for an ACD and
+// opens the session. For multicast descriptors it first distributes
+// JoinInvites to every participant over the signaling channel.
 func (e *Entity) OpenSessionWith(acd *ACD, opts OpenOptions) (*Managed, error) {
 	localPort := opts.LocalPort
 	if err := acd.Validate(); err != nil {
@@ -611,22 +600,6 @@ func (e *Entity) onJoinInvite(connID uint32, specB []byte, group uint32, port ui
 
 // --- probing (MANTTS-NMI) ---
 
-// probeHandle pins one probing campaign's timer so a stop func (or context
-// cancellation) cancels exactly its own campaign, never a successor that
-// reused the host slot.
-type probeHandle struct {
-	ev *event.Event
-}
-
-// StartProbing begins periodic RTT probes toward a host.
-//
-// Deprecated: the campaign runs until StopProbing(host) or a replacement —
-// callers that forget leak the timer forever. Use StartProbingCtx, which
-// bounds the campaign's lifetime with a context and a stop func.
-func (e *Entity) StartProbing(host netapi.HostID, interval time.Duration) {
-	e.StartProbingCtx(context.Background(), host, interval)
-}
-
 // StartProbingCtx begins periodic RTT probes toward a host, replacing any
 // existing campaign for it. Probing ends when ctx is canceled (checked at
 // the next tick) or when the returned stop func runs, whichever is first;
@@ -634,10 +607,18 @@ func (e *Entity) StartProbing(host netapi.HostID, interval time.Duration) {
 func (e *Entity) StartProbingCtx(ctx context.Context, host netapi.HostID, interval time.Duration) (stop func()) {
 	e.StopProbing(host)
 	to := netapi.Addr{Host: host, Port: e.stack.LocalAddr().Port}
-	h := &probeHandle{}
+	// stop cancels exactly this campaign's timer, and clears the host slot
+	// only while this campaign still owns it — never a successor's.
+	var ev *event.Event
+	stop = func() {
+		ev.Cancel()
+		if e.probeTimers[host] == ev {
+			delete(e.probeTimers, host)
+		}
+	}
 	tick := func() {
 		if ctx.Err() != nil {
-			e.releaseProbe(host, h)
+			stop()
 			return
 		}
 		now := e.stack.Clock().Now()
@@ -653,21 +634,9 @@ func (e *Entity) StartProbingCtx(ctx context.Context, host netapi.HostID, interv
 		})
 		p.ReleasePayload()
 	}
-	h.ev = e.stack.Timers().SchedulePeriodic(0, interval, tick)
-	e.probeTimers[host] = h.ev
-	return func() { e.releaseProbe(host, h) }
-}
-
-// releaseProbe cancels one campaign's timer and clears the host slot only
-// if that campaign still owns it.
-func (e *Entity) releaseProbe(host netapi.HostID, h *probeHandle) {
-	if h.ev == nil {
-		return
-	}
-	h.ev.Cancel()
-	if cur, ok := e.probeTimers[host]; ok && cur == h.ev {
-		delete(e.probeTimers, host)
-	}
+	ev = e.stack.Timers().SchedulePeriodic(0, interval, tick)
+	e.probeTimers[host] = ev
+	return stop
 }
 
 // StopProbing cancels probing toward a host.
@@ -675,6 +644,15 @@ func (e *Entity) StopProbing(host netapi.HostID) {
 	if t, ok := e.probeTimers[host]; ok {
 		t.Cancel()
 		delete(e.probeTimers, host)
+	}
+}
+
+// StopAllProbing cancels every probing campaign still running (node
+// shutdown: a campaign bounded only by context.Background would otherwise
+// outlive the node).
+func (e *Entity) StopAllProbing() {
+	for host := range e.probeTimers {
+		e.StopProbing(host)
 	}
 }
 
@@ -862,7 +840,7 @@ type noteSub struct {
 }
 
 // SubscribeNotes registers a notification listener alongside any others;
-// listeners fire in registration order, after the deprecated Notify hook.
+// listeners fire in registration order.
 // The returned cancel is idempotent and safe from any goroutine.
 func (e *Entity) SubscribeNotes(fn func(connID uint32, n mechanism.Notification)) (cancel func()) {
 	e.subMu.Lock()
@@ -893,9 +871,6 @@ func (e *Entity) SubscribeNotes(fn func(connID uint32, n mechanism.Notification)
 }
 
 func (e *Entity) notifyApp(connID uint32, n mechanism.Notification) {
-	if e.Notify != nil {
-		e.Notify(connID, n)
-	}
 	if subs := e.subs.Load(); subs != nil {
 		for _, s := range *subs {
 			s.fn(connID, n)

@@ -74,7 +74,7 @@ func TestEntityOpensAndTransfers(t *testing.T) {
 		Qual:         QualQoS{Ordered: true},
 	}
 	r.ents[0].NetState().Seed(r.hosts[1].ID(), StaticPathInfo{Bandwidth: 10e6, RTT: 4 * time.Millisecond, MTU: 1500})
-	m, err := r.ents[0].OpenSession(acd, 555)
+	m, err := r.ents[0].OpenSessionWith(acd, OpenOptions{LocalPort: 555})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +91,7 @@ func TestEntityOpensAndTransfers(t *testing.T) {
 
 func TestEntityProbingMeasuresRTT(t *testing.T) {
 	r := newRig(t, 2, netsim.LinkConfig{Bandwidth: 10e6, PropDelay: 25 * time.Millisecond, MTU: 1500})
-	r.ents[0].StartProbing(r.hosts[1].ID(), 20*time.Millisecond)
+	r.ents[0].StartProbingCtx(context.Background(), r.hosts[1].ID(), 20*time.Millisecond)
 	r.k.RunUntil(2 * time.Second)
 	r.ents[0].StopProbing(r.hosts[1].ID())
 	p := r.ents[0].NetState().Path(r.hosts[1].ID())
@@ -131,7 +131,7 @@ func TestPolicyRuleTriggersRecoverySegue(t *testing.T) {
 		TMC: TMC{SampleRate: 20 * time.Millisecond},
 	}
 	r.ents[0].NetState().Seed(r.hosts[1].ID(), StaticPathInfo{Bandwidth: 10e6, RTT: 4 * time.Millisecond, MTU: 1500})
-	m, err := r.ents[0].OpenSession(acd, 555)
+	m, err := r.ents[0].OpenSessionWith(acd, OpenOptions{LocalPort: 555})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,9 +139,9 @@ func TestPolicyRuleTriggersRecoverySegue(t *testing.T) {
 		t.Fatalf("initial recovery %v", m.Session.Spec().Recovery)
 	}
 	var notes []string
-	r.ents[0].Notify = func(_ uint32, n mechanism.Notification) {
+	r.ents[0].SubscribeNotes(func(_ uint32, n mechanism.Notification) {
 		notes = append(notes, n.Detail)
-	}
+	})
 	// Start clean, then loss appears mid-session.
 	payload := bytes.Repeat([]byte("x"), 800*1024)
 	m.Session.Send(payload)
@@ -187,7 +187,7 @@ func TestMulticastJoinLeave(t *testing.T) {
 		RemotePort: 80,
 		Quant:      QuantQoS{AvgThroughputBps: 1e6, LossTolerance: 0.05, MaxJitter: 10 * time.Millisecond},
 	}
-	m, err := r.ents[0].OpenSession(acd, 80)
+	m, err := r.ents[0].OpenSessionWith(acd, OpenOptions{LocalPort: 80})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -243,7 +243,7 @@ func TestReconfigSignalSurvivesLoss(t *testing.T) {
 		Quant:        QuantQoS{AvgThroughputBps: 5e6},
 		Qual:         QualQoS{Ordered: true},
 	}
-	m, err := r.ents[0].OpenSession(acd, 555)
+	m, err := r.ents[0].OpenSessionWith(acd, OpenOptions{LocalPort: 555})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +266,7 @@ func TestTerminationReleasesResources(t *testing.T) {
 		s.SetReceiver(func(d session.Delivery) { d.Msg.Release() })
 	}})
 	acd := &ACD{Participants: []netapi.Addr{r.addr(1)}, RemotePort: 80, Qual: QualQoS{Ordered: true}}
-	m, err := r.ents[0].OpenSession(acd, 555)
+	m, err := r.ents[0].OpenSessionWith(acd, OpenOptions{LocalPort: 555})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,13 +296,13 @@ func TestCoordinateRatesByPriority(t *testing.T) {
 	mk := func(port uint16, prio int) *Managed {
 		addr := r.addr(1)
 		addr.Port = r.addr(1).Port
-		m, err := r.ents[0].OpenSession(&ACD{
+		m, err := r.ents[0].OpenSessionWith(&ACD{
 			Participants: []netapi.Addr{r.addr(1)},
 			RemotePort:   port,
 			Quant: QuantQoS{AvgThroughputBps: 1e6, MaxJitter: 5 * time.Millisecond,
 				LossTolerance: 0.05},
 			Qual: QualQoS{Priority: prio},
-		}, port)
+		}, OpenOptions{LocalPort: port})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -330,11 +330,11 @@ func TestNotifyAppRuleDelivery(t *testing.T) {
 		s.SetReceiver(func(d session.Delivery) { d.Msg.Release() })
 	}})
 	var seen []string
-	r.ents[0].Notify = func(_ uint32, n mechanism.Notification) {
+	r.ents[0].SubscribeNotes(func(_ uint32, n mechanism.Notification) {
 		if n.Kind == mechanism.NotePolicyAction {
 			seen = append(seen, n.Detail)
 		}
-	}
+	})
 	acd := &ACD{
 		Participants: []netapi.Addr{r.addr(1)},
 		RemotePort:   80,
@@ -346,7 +346,7 @@ func TestNotifyAppRuleDelivery(t *testing.T) {
 		}},
 		TMC: TMC{SampleRate: 10 * time.Millisecond},
 	}
-	m, _ := r.ents[0].OpenSession(acd, 555)
+	m, _ := r.ents[0].OpenSessionWith(acd, OpenOptions{LocalPort: 555})
 	m.Session.Send([]byte("hello"))
 	r.k.RunUntil(time.Second)
 	if len(seen) != 1 || !strings.Contains(seen[0], "slow") {
@@ -403,8 +403,7 @@ func TestSubscribeNotesMultipleListeners(t *testing.T) {
 	r.stacks[1].Listen(80, &protograph.Listener{OnAccept: func(s *session.Session) {
 		s.SetReceiver(func(d session.Delivery) { d.Msg.Release() })
 	}})
-	var legacy, a, b int
-	r.ents[0].Notify = func(_ uint32, _ mechanism.Notification) { legacy++ }
+	var a, b int
 	cancelA := r.ents[0].SubscribeNotes(func(_ uint32, _ mechanism.Notification) { a++ })
 	r.ents[0].SubscribeNotes(func(_ uint32, _ mechanism.Notification) { b++ })
 
@@ -419,14 +418,14 @@ func TestSubscribeNotesMultipleListeners(t *testing.T) {
 		}},
 		TMC: TMC{SampleRate: 10 * time.Millisecond},
 	}
-	m, err := r.ents[0].OpenSession(acd, 555)
+	m, err := r.ents[0].OpenSessionWith(acd, OpenOptions{LocalPort: 555})
 	if err != nil {
 		t.Fatal(err)
 	}
 	m.Session.Send([]byte("hello"))
 	r.k.RunUntil(time.Second)
-	if legacy == 0 || a == 0 || b == 0 || a != b || a != legacy {
-		t.Fatalf("listener counts diverge: legacy=%d a=%d b=%d", legacy, a, b)
+	if a == 0 || a != b {
+		t.Fatalf("listener counts diverge: a=%d b=%d", a, b)
 	}
 
 	// Canceling one listener (twice — idempotent) leaves the other running.

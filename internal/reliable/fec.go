@@ -136,10 +136,19 @@ func (f *FEC) OnSendData(e mechanism.Env, p *wire.PDU) {
 		f.sndBase = p.Seq
 		f.sndMax = 0
 	}
-	xorInto(f.sndAcc, p.PayloadBytes(), p.Flags&wire.FlagEOM != 0)
-	if b := 2 + len(p.PayloadBytes()); b > f.sndMax {
+	body := p.PayloadBytes()
+	// The parity block stays sized by the whole payload, so no PDU's wire
+	// size depends on what is folded below.
+	if b := 2 + len(body); b > f.sndMax {
 		f.sndMax = b
 	}
+	if p.Flags&wire.FlagImplicitCfg != 0 && int(p.Aux) <= len(body) {
+		// The receiver strips the piggybacked config before its FEC folds
+		// the PDU (Session.HandlePDU): parity must cover only what is left,
+		// or rebuilding any other member of this group yields garbage.
+		body = body[p.Aux:]
+	}
+	xorInto(f.sndAcc, body, p.Flags&wire.FlagEOM != 0)
 	f.sndCount++
 	if !f.hybrid {
 		// Loss-tolerant mode keeps no retransmission buffer: the payload

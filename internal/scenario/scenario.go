@@ -454,7 +454,7 @@ func Build(doc *Document) (*Runtime, error) {
 	for name, h := range rt.hosts {
 		node, err := adaptive.NewNode(
 			adaptive.WithProvider(rt.Net), adaptive.WithHost(h.ID()),
-			adaptive.WithSeed(doc.Seed), adaptive.WithMetrics(rt.Repo),
+			adaptive.WithSeed(doc.Seed), adaptive.WithObservability(adaptive.Observe{Repository: rt.Repo}),
 			adaptive.WithName(name),
 		)
 		if err != nil {

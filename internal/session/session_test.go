@@ -37,15 +37,28 @@ func (l *loopOut) Transmit(pkt []byte, dst netapi.Addr) error {
 		return nil
 	}
 	if l.peer != nil {
-		pdu, err := wire.Decode(cp)
-		if err == nil {
+		pdu := wire.GetPDU()
+		if err := wire.DecodeInto(cp, pdu); err == nil {
 			l.peer.HandlePDU(pdu)
+		} else {
+			wire.PutPDU(pdu)
 		}
 	}
 	return nil
 }
 
 func (l *loopOut) PathMTU(netapi.Addr) int { return 1500 }
+
+// decodeHeader parses a captured packet and returns its header.
+func decodeHeader(t *testing.T, pkt []byte) wire.Header {
+	t.Helper()
+	var p wire.PDU
+	if err := wire.DecodeInto(pkt, &p); err != nil {
+		t.Fatal(err)
+	}
+	p.ReleasePayload()
+	return p.Header
+}
 
 func buildSlots(spec *mechanism.Spec) Slots {
 	var rec mechanism.Recovery
@@ -133,12 +146,10 @@ func TestSendSegmentsToMSS(t *testing.T) {
 	if len(out.pkts) != 4 {
 		t.Fatalf("%d packets for 350 B at MSS 100", len(out.pkts))
 	}
-	last, _ := wire.Decode(out.pkts[3])
-	if last.Flags&wire.FlagEOM == 0 {
+	if decodeHeader(t, out.pkts[3]).Flags&wire.FlagEOM == 0 {
 		t.Fatal("final segment lacks EOM")
 	}
-	first, _ := wire.Decode(out.pkts[0])
-	if first.Flags&wire.FlagEOM != 0 {
+	if decodeHeader(t, out.pkts[0]).Flags&wire.FlagEOM != 0 {
 		t.Fatal("first segment has EOM")
 	}
 }
@@ -368,7 +379,7 @@ func TestMulticastSuppressesSenderState(t *testing.T) {
 	r.HandlePDU(&wire.PDU{Header: wire.Header{Type: wire.TData, Seq: 0, Flags: wire.FlagMcast}})
 	rOut := r.out.(*loopOut)
 	for _, pkt := range rOut.pkts {
-		if pdu, err := wire.Decode(pkt); err == nil && pdu.Type == wire.TAck {
+		if decodeHeader(t, pkt).Type == wire.TAck {
 			t.Fatal("multicast receiver acked (implosion)")
 		}
 	}

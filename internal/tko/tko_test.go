@@ -146,10 +146,18 @@ func buildRawPacket(seq uint32, payload []byte) []byte {
 	if seqEOM := false; seqEOM {
 		p.Flags |= wire.FlagEOM
 	}
-	pkt := wire.Encode(p, wire.CkCRC32)
-	out := pkt.CopyBytes()
-	pkt.Release()
+	out := encodedCopy(p)
 	p.ReleasePayload()
+	return out
+}
+
+// encodedCopy returns a private copy of the packet EncodeTo emits for p.
+func encodedCopy(p *wire.PDU) []byte {
+	var out []byte
+	wire.EncodeTo(p, wire.CkCRC32, func(pkt []byte) error {
+		out = append([]byte(nil), pkt...)
+		return nil
+	})
 	return out
 }
 
@@ -165,9 +173,9 @@ func TestCustomizedReceiverInOrder(t *testing.T) {
 		if ack == nil {
 			t.Fatalf("no ack for seq %d", i)
 		}
-		pdu, err := wire.Decode(ack)
-		if err != nil || pdu.Type != wire.TAck || pdu.Ack != i+1 {
-			t.Fatalf("ack %d: %v %v", i, pdu, err)
+		var pdu wire.PDU
+		if err := wire.DecodeInto(ack, &pdu); err != nil || pdu.Type != wire.TAck || pdu.Ack != i+1 {
+			t.Fatalf("ack %d: %v %v", i, pdu.Header.String(), err)
 		}
 	}
 	if c.Delivered != 5 || len(got) != 5 || got[3][0] != 3 {
@@ -194,8 +202,8 @@ func TestCustomizedReceiverDupAcksOutOfOrder(t *testing.T) {
 	if delivered != 0 {
 		t.Fatal("out-of-order delivered (customized path is strict GBN-style)")
 	}
-	pdu, _ := wire.Decode(ack)
-	if pdu.Ack != 0 {
+	var pdu wire.PDU
+	if err := wire.DecodeInto(ack, &pdu); err != nil || pdu.Ack != 0 {
 		t.Fatalf("dup ack %d", pdu.Ack)
 	}
 }
@@ -227,9 +235,7 @@ func TestCustomizedMatchesDynamicSemantics(t *testing.T) {
 		if i%2 == 1 {
 			p.Flags |= wire.FlagEOM
 		}
-		pkt := wire.Encode(p, wire.CkCRC32)
-		c.Process(pkt.Bytes())
-		pkt.Release()
+		c.Process(encodedCopy(p))
 		p.ReleasePayload()
 	}
 	if len(eoms) != 4 || eoms[0] || !eoms[1] || eoms[2] || !eoms[3] {

@@ -89,7 +89,7 @@ func TestEncodeToReentrantReleaseDuringEmit(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, derr := Decode(captured)
+	got, derr := decode(captured)
 	if derr != nil {
 		t.Fatalf("decode of packet emitted during reentrant release: %v", derr)
 	}
@@ -112,7 +112,7 @@ func TestEncodeToInsufficientHeadroomSlowPath(t *testing.T) {
 		if &pkt[HeaderLen] == &payload.Bytes()[0] {
 			t.Fatal("slow path unexpectedly aliased the payload")
 		}
-		got, derr := Decode(pkt)
+		got, derr := decode(pkt)
 		if derr != nil {
 			t.Fatalf("decode: %v", derr)
 		}

@@ -289,19 +289,6 @@ func EncodeTo(p *PDU, kind ChecksumKind, emit func(pkt []byte) error) error {
 	return err
 }
 
-// Encode serializes the PDU into a single packet buffer drawn from the
-// message pool. The returned message owns one reference that the caller must
-// release after the provider copies it out. Hot paths should prefer EncodeTo,
-// which avoids materializing the packet as a Message at all.
-func Encode(p *PDU, kind ChecksumKind) *message.Message {
-	var out *message.Message
-	_ = EncodeTo(p, kind, func(pkt []byte) error {
-		out = message.PooledFromBytes(pkt)
-		return nil
-	})
-	return out
-}
-
 // DecodeInto parses a packet into the caller-supplied PDU, overwriting it.
 // The payload (if any) is a pooled message copied out of pkt (providers
 // reuse their receive buffers). On error the PDU is left unmodified and no
@@ -339,14 +326,4 @@ func DecodeInto(pkt []byte, p *PDU) error {
 		p.Payload = message.PooledFromBytes(body[HeaderLen:])
 	}
 	return nil
-}
-
-// Decode parses a packet into a freshly allocated PDU. Verification failures
-// return a nil PDU and the error.
-func Decode(pkt []byte) (*PDU, error) {
-	p := new(PDU)
-	if err := DecodeInto(pkt, p); err != nil {
-		return nil, err
-	}
-	return p, nil
 }

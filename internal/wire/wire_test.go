@@ -8,6 +8,25 @@ import (
 	"adaptive/internal/message"
 )
 
+// encode returns a private copy of the packet EncodeTo emits for p.
+func encode(p *PDU, kind ChecksumKind) []byte {
+	var out []byte
+	EncodeTo(p, kind, func(pkt []byte) error {
+		out = append([]byte(nil), pkt...)
+		return nil
+	})
+	return out
+}
+
+// decode parses a packet into a fresh PDU; nil on verification failure.
+func decode(pkt []byte) (*PDU, error) {
+	p := new(PDU)
+	if err := DecodeInto(pkt, p); err != nil {
+		return nil, err
+	}
+	return p, nil
+}
+
 func TestEncodeDecodeRoundTrip(t *testing.T) {
 	for _, ck := range []ChecksumKind{CkNone, CkInternet, CkCRC32} {
 		p := &PDU{
@@ -18,8 +37,8 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 			},
 			Payload: message.NewFromBytes([]byte("hello adaptive")),
 		}
-		pkt := Encode(p, ck)
-		got, err := Decode(pkt.Bytes())
+		pkt := encode(p, ck)
+		got, err := decode(pkt)
 		if err != nil {
 			t.Fatalf("%v: decode: %v", ck, err)
 		}
@@ -37,17 +56,16 @@ func TestEncodeDecodeRoundTrip(t *testing.T) {
 		if got.Checksum() != ck {
 			t.Fatalf("checksum kind %v != %v", got.Checksum(), ck)
 		}
-		pkt.Release()
 	}
 }
 
 func TestHeaderOnlyPDU(t *testing.T) {
 	p := &PDU{Header: Header{Type: TAck, Ack: 9, Window: 16}}
-	pkt := Encode(p, CkInternet)
-	if pkt.Len() != Overhead {
-		t.Fatalf("ack PDU length %d, want %d", pkt.Len(), Overhead)
+	pkt := encode(p, CkInternet)
+	if len(pkt) != Overhead {
+		t.Fatalf("ack PDU length %d, want %d", len(pkt), Overhead)
 	}
-	got, err := Decode(pkt.Bytes())
+	got, err := decode(pkt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,12 +77,12 @@ func TestHeaderOnlyPDU(t *testing.T) {
 func TestCorruptionDetected(t *testing.T) {
 	for _, ck := range []ChecksumKind{CkInternet, CkCRC32} {
 		p := &PDU{Header: Header{Type: TData, Seq: 1}, Payload: message.NewFromBytes(make([]byte, 256))}
-		pkt := Encode(p, ck).CopyBytes()
+		pkt := encode(p, ck)
 		// Flip one bit in every position and confirm detection.
 		misses := 0
 		for i := range pkt {
 			pkt[i] ^= 0x10
-			if _, err := Decode(pkt); err == nil {
+			if _, err := decode(pkt); err == nil {
 				misses++
 			}
 			pkt[i] ^= 0x10
@@ -77,30 +95,30 @@ func TestCorruptionDetected(t *testing.T) {
 
 func TestNoChecksumAcceptsCorruptPayload(t *testing.T) {
 	p := &PDU{Header: Header{Type: TData, Seq: 1}, Payload: message.NewFromBytes([]byte("abcd"))}
-	pkt := Encode(p, CkNone).CopyBytes()
+	pkt := encode(p, CkNone)
 	pkt[HeaderLen] ^= 0xff // corrupt payload only
-	if _, err := Decode(pkt); err != nil {
+	if _, err := decode(pkt); err != nil {
 		t.Fatalf("CkNone rejected corrupt payload: %v", err)
 	}
 }
 
 func TestDecodeErrors(t *testing.T) {
-	if _, err := Decode(make([]byte, Overhead-1)); err != ErrTooShort {
+	if _, err := decode(make([]byte, Overhead-1)); err != ErrTooShort {
 		t.Fatalf("short packet: %v", err)
 	}
 	p := &PDU{Header: Header{Type: TData}}
-	pkt := Encode(p, CkCRC32).CopyBytes()
+	pkt := encode(p, CkCRC32)
 	pkt[0] = 0xF0 | pkt[0]&0x0f // bogus version
-	if _, err := Decode(pkt); err != ErrBadVersion {
+	if _, err := decode(pkt); err != ErrBadVersion {
 		t.Fatalf("bad version: %v", err)
 	}
 }
 
 func TestPayloadLengthMismatch(t *testing.T) {
 	p := &PDU{Header: Header{Type: TData}, Payload: message.NewFromBytes([]byte("1234"))}
-	pkt := Encode(p, CkNone).CopyBytes()
+	pkt := encode(p, CkNone)
 	pkt = append(pkt, 0, 0, 0, 0) // stretch the packet
-	if _, err := Decode(pkt); err != ErrBadLength {
+	if _, err := decode(pkt); err != ErrBadLength {
 		t.Fatalf("length mismatch: %v", err)
 	}
 }
@@ -108,16 +126,14 @@ func TestPayloadLengthMismatch(t *testing.T) {
 func TestEncodeDoesNotConsumePayload(t *testing.T) {
 	payload := message.NewFromBytes([]byte("retransmit me"))
 	p := &PDU{Header: Header{Type: TData, Seq: 1}, Payload: payload}
-	pkt1 := Encode(p, CkCRC32)
-	pkt2 := Encode(p, CkCRC32) // e.g. a retransmission
-	if !bytes.Equal(pkt1.Bytes(), pkt2.Bytes()) {
+	pkt1 := encode(p, CkCRC32)
+	pkt2 := encode(p, CkCRC32) // e.g. a retransmission
+	if !bytes.Equal(pkt1, pkt2) {
 		t.Fatal("second encode differs")
 	}
 	if string(payload.Bytes()) != "retransmit me" {
 		t.Fatal("encode mutated the retained payload")
 	}
-	pkt1.Release()
-	pkt2.Release()
 }
 
 func TestChecksumKindFlagBits(t *testing.T) {
@@ -156,9 +172,8 @@ func TestRoundTripProperty(t *testing.T) {
 			Header:  Header{Type: TData, Seq: seq, Ack: ack, ConnID: conn, Window: win, Aux: aux},
 			Payload: message.NewFromBytes(payload),
 		}
-		pkt := Encode(p, CkCRC32)
-		got, err := Decode(pkt.Bytes())
-		pkt.Release()
+		pkt := encode(p, CkCRC32)
+		got, err := decode(pkt)
 		if err != nil {
 			return false
 		}
@@ -249,7 +264,7 @@ func TestDecodeGarbageNeverPanicsProperty(t *testing.T) {
 				t.Fatalf("Decode panicked on %x", pkt)
 			}
 		}()
-		p, err := Decode(pkt)
+		p, err := decode(pkt)
 		if err != nil {
 			return p == nil
 		}
@@ -270,13 +285,11 @@ func TestDecodeBitFlipProperty(t *testing.T) {
 			payload = payload[:4096]
 		}
 		p := &PDU{Header: Header{Type: TData, Seq: seq}, Payload: message.NewFromBytes(payload)}
-		enc := Encode(p, CkCRC32)
-		pkt := enc.CopyBytes()
-		enc.Release()
+		pkt := encode(p, CkCRC32)
 		p.ReleasePayload()
 		idx := int(bit) % (len(pkt) * 8)
 		pkt[idx/8] ^= 1 << (idx % 8)
-		_, err := Decode(pkt)
+		_, err := decode(pkt)
 		return err != nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {

@@ -89,7 +89,7 @@ type Observe struct {
 
 // WithObservability configures the node's observability plane.
 func WithObservability(cfg Observe) Option {
-	return func(o *Options) { o.Observe = &cfg }
+	return func(o *options) { o.observe = &cfg }
 }
 
 // Observability is a node's handle on its observability plane. Obtain it

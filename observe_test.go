@@ -165,7 +165,7 @@ func TestTraceTailContextCancel(t *testing.T) {
 	}
 }
 
-func TestDeprecatedOptionsFoldIntoObservability(t *testing.T) {
+func TestExternalRecorderAndBareNode(t *testing.T) {
 	link := netsim.LinkConfig{Bandwidth: 10e6, PropDelay: time.Millisecond, MTU: 1500}
 	k := sim.NewKernel(7)
 	net := netsim.New(k)
@@ -176,21 +176,21 @@ func TestDeprecatedOptionsFoldIntoObservability(t *testing.T) {
 	repo := unites.NewRepository()
 	rec := trace.NewRecorder(1 << 10)
 	n, err := adaptive.NewNode(
-		adaptive.WithProvider(net), adaptive.WithHost(h.ID()), adaptive.WithName("legacy"),
-		adaptive.WithMetrics(repo), adaptive.WithTracer(rec),
+		adaptive.WithProvider(net), adaptive.WithHost(h.ID()), adaptive.WithName("external"),
+		adaptive.WithObservability(adaptive.Observe{Repository: repo, Tracer: rec}),
 	)
 	if err != nil {
 		t.Fatal(err)
 	}
 	obs := n.Observability()
 	if !obs.Enabled() {
-		t.Fatal("legacy options did not enable the plane")
+		t.Fatal("plane not enabled")
 	}
 	if obs.Repository() != repo {
-		t.Fatal("legacy repository not adopted")
+		t.Fatal("supplied repository not adopted")
 	}
 	if obs.Recorder() != rec {
-		t.Fatal("legacy tracer not adopted")
+		t.Fatal("supplied tracer not adopted")
 	}
 	// The node does not install streaming on an externally-owned recorder.
 	if _, err := obs.TraceTail(context.Background()); err == nil {
@@ -214,12 +214,12 @@ func TestDeprecatedOptionsFoldIntoObservability(t *testing.T) {
 	}
 }
 
-func TestNodeSubscribeCoexistsWithLegacyHook(t *testing.T) {
+func TestNodeSubscribersFireInParity(t *testing.T) {
 	k, na, nb := observedPair(t)
 	nb.Listen(80, nil, func(c *adaptive.Conn) { c.OnReceive(func([]byte, bool) {}) })
-	var legacy, subbed int
-	na.OnNotification(func(_ uint32, _ adaptive.Notification) { legacy++ })
-	cancel := na.Subscribe(func(_ uint32, _ adaptive.Notification) { subbed++ })
+	var first, second int
+	na.Subscribe(func(_ uint32, _ adaptive.Notification) { first++ })
+	cancel := na.Subscribe(func(_ uint32, _ adaptive.Notification) { second++ })
 	conn, _ := na.Dial(&adaptive.ACD{
 		Participants: []adaptive.Addr{nb.Addr()},
 		RemotePort:   80,
@@ -227,18 +227,18 @@ func TestNodeSubscribeCoexistsWithLegacyHook(t *testing.T) {
 	}, nil)
 	conn.Send([]byte("x"))
 	k.RunUntil(time.Second)
-	if legacy == 0 || subbed != legacy {
-		t.Fatalf("listeners diverge: legacy=%d subscribed=%d", legacy, subbed)
+	if first == 0 || second != first {
+		t.Fatalf("listeners diverge: first=%d second=%d", first, second)
 	}
 	cancel()
-	before := subbed
+	before := second
 	conn.Close()
 	k.RunUntil(10 * time.Second)
-	if subbed != before {
+	if second != before {
 		t.Fatal("canceled subscriber kept firing")
 	}
-	if legacy == before {
-		t.Fatal("legacy hook missed close notifications")
+	if first == before {
+		t.Fatal("remaining subscriber missed close notifications")
 	}
 }
 
