@@ -8,13 +8,16 @@ build:
 test:
 	$(GO) test ./...
 
-# verify is the tier-1 gate: build, vet, tests, and the race detector.
-# staticcheck runs when installed (no network fetch in the gate); any
+# verify is the tier-1 gate: build, formatting, vet, tests, and the race
+# detector. gofmt -l must list nothing (bench/ included: gofmt reads files, not
+# modules). staticcheck runs when installed (no network fetch in the gate); any
 # finding fails the build. bench/ is its own module, invisible to the root
 # ./... patterns, so it is vetted and self-tested here explicitly: an API
 # deletion in the library cannot break the benchmark silently.
 verify:
 	$(GO) build ./...
+	@unformatted=$$(gofmt -l . | grep -v '^\.bench_build/'); \
+	if [ -n "$$unformatted" ]; then echo "gofmt -l lists:"; echo "$$unformatted"; exit 1; fi
 	$(GO) vet ./...
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		echo "staticcheck ./..."; staticcheck ./...; \

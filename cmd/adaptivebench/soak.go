@@ -150,9 +150,9 @@ func runSoak(cfg soakConfig) int {
 		archRecs := archiveRecords(lastMetrics)
 		row := soakIterRow{
 			Iter: i, Delivered: res.Delivered, Events: res.Events,
-			WallMS: float64(wall.Microseconds()) / 1e3,
+			WallMS:     float64(wall.Microseconds()) / 1e3,
 			PktsPerSec: float64(res.Delivered) / wall.Seconds(),
-			RSSMB: rssMB, HeapMB: heapMB, ArchiveRecs: archRecs,
+			RSSMB:      rssMB, HeapMB: heapMB, ArchiveRecs: archRecs,
 			ScrapeBytes: scrapeBytes, Fingerprint: fp,
 		}
 		sum.Iters = append(sum.Iters, row)

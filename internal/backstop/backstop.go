@@ -5,10 +5,17 @@
 // many-session run re-allocates its entire pooled working set after each GC
 // — at scale those refills dominate the allocation profile. A Stack is a
 // bounded free stack the GC never clears: releases land here first, and only
-// the overflow cycles through sync.Pool. It is sharded with per-shard mutexes
-// and a round-robin rotor so parallel shard workers do not serialize on one
-// lock; which shard serves an object never affects simulation results
-// (callers always fully re-initialize what they get back).
+// the overflow cycles through sync.Pool.
+//
+// The stack is cut into shards so goroutines that collide (the sharded
+// simulation runner's workers, udpnet's readers) move on to a neighbouring
+// shard instead of queueing on one lock. Nobody ever waits: a shard is entered
+// with TryLock, and a caller that finds its shards busy, full or empty simply
+// reports failure, which its sync.Pool fallback absorbs. A goroutine running
+// alone sees one logical LIFO stack, the shards its segments, at the price of
+// one uncontended try-lock per operation. Which shard serves an object never
+// affects simulation results (callers always fully re-initialize what they get
+// back).
 package backstop
 
 import (
@@ -22,7 +29,7 @@ const Shards = 8
 type shard[T any] struct {
 	mu   sync.Mutex
 	free []T
-	_    [24]byte // separate cache lines between shards
+	_    [32]byte // one cache line per shard
 }
 
 // Stack is a sharded, bounded, GC-immune free stack. The zero value is
@@ -30,36 +37,55 @@ type shard[T any] struct {
 type Stack[T any] struct {
 	// PerShard bounds each shard's stack depth (set once, before use).
 	PerShard int
-	rotor    atomic.Uint32
-	shards   [Shards]shard[T]
+	// top is the shard operations try first: the segment holding the top of
+	// the logical stack. It is a hint, read on every operation and written
+	// only when the top crosses into a neighbouring shard.
+	top    atomic.Uint32
+	shards [Shards]shard[T]
 }
 
-// Put offers x to one shard; it reports false when that shard is full (the
-// caller falls back to sync.Pool or drops the object to the GC).
+// Put offers x to the top shard, then to the one above it; it reports false
+// when both are full or busy (the caller falls back to sync.Pool or drops the
+// object to the GC).
 func (b *Stack[T]) Put(x T) bool {
-	s := &b.shards[b.rotor.Add(1)&(Shards-1)]
-	s.mu.Lock()
-	if len(s.free) >= b.PerShard {
+	at := b.top.Load()
+	for i := uint32(0); i < 2; i++ {
+		k := (at + i) & (Shards - 1)
+		s := &b.shards[k]
+		if !s.mu.TryLock() {
+			continue
+		}
+		if len(s.free) < b.PerShard {
+			s.free = append(s.free, x)
+			s.mu.Unlock()
+			if i != 0 {
+				b.top.Store(k)
+			}
+			return true
+		}
 		s.mu.Unlock()
-		return false
 	}
-	s.free = append(s.free, x)
-	s.mu.Unlock()
-	return true
+	return false
 }
 
-// Get pops from up to two shards before giving up.
+// Get pops from the top shard, then from the one below it, before giving up.
 func (b *Stack[T]) Get() (T, bool) {
 	var zero T
-	i := b.rotor.Add(1)
-	for t := uint32(0); t < 2; t++ {
-		s := &b.shards[(i+t)&(Shards-1)]
-		s.mu.Lock()
+	at := b.top.Load()
+	for i := uint32(0); i < 2; i++ {
+		k := (at - i) & (Shards - 1)
+		s := &b.shards[k]
+		if !s.mu.TryLock() {
+			continue
+		}
 		if n := len(s.free); n > 0 {
 			x := s.free[n-1]
 			s.free[n-1] = zero
 			s.free = s.free[:n-1]
 			s.mu.Unlock()
+			if i != 0 {
+				b.top.Store(k)
+			}
 			return x, true
 		}
 		s.mu.Unlock()

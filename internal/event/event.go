@@ -58,8 +58,8 @@ func (m *Manager) Stats() Stats { return m.stats }
 // event loop (the same discipline as all protocol code).
 type Event struct {
 	mgr      *Manager
-	timer    netapi.Timer // generic-clock path
-	simTimer sim.Timer    // kernel fast path (value type, no boxing)
+	timer    netapi.Timer  // generic-clock path
+	simTimer sim.Timer     // kernel fast path (value type, no boxing)
 	period   time.Duration // 0 for one-shot
 	fn       func()
 	fireFn   func() // e.fire bound once; reused for every (re)arm
@@ -107,7 +107,13 @@ func (m *Manager) arm(e *Event, d time.Duration) {
 		if e.fireFn == nil {
 			e.fireFn = e.fire // bound once; reused for every re-arm
 		}
-		e.timer = m.clock.AfterFunc(d, e.fireFn)
+		// A provider timer that can be re-armed in place is; any other clock
+		// (a wrapper, a test fake) gets a fresh AfterFunc per arm.
+		if r, ok := e.timer.(interface{ Reset(time.Duration) }); ok {
+			r.Reset(d)
+		} else {
+			e.timer = m.clock.AfterFunc(d, e.fireFn)
+		}
 	}
 }
 

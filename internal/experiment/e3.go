@@ -66,7 +66,7 @@ func runE3Case(label, mode string, tracer *trace.Recorder) []string {
 	// Sample receiver buffer occupancy.
 	tb.Nodes[1].Stack().Timers().SchedulePeriodic(10*time.Millisecond, 10*time.Millisecond, func() {
 		if rxConn != nil {
-			if n := len(rxConn.Session().State().RcvBuf); n > peakBuf {
+			if n := rxConn.Session().State().RcvBuf.Len(); n > peakBuf {
 				peakBuf = n
 			}
 		}

@@ -736,7 +736,7 @@ func (e *Entity) sample(m *Managed) {
 		MetricCongestion:     path.Congestion,
 		MetricRetransmitRate: retxRate,
 		MetricThroughputBps:  float64(dDeliv) * 8 / dt,
-		MetricRcvBufFill:     float64(len(st.RcvBuf)) / float64(st.RcvBufCap),
+		MetricRcvBufFill:     float64(st.RcvBuf.Len()) / float64(st.RcvBufCap),
 	}
 	if e.arb != nil {
 		// Feed the host arbiter this session's congestion view and pick up

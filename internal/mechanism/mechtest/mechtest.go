@@ -132,7 +132,7 @@ func DataPDU(seq uint32, payload string) *wire.PDU {
 // SentEntry installs a retransmission-buffer entry (sender-side test setup).
 func (e *Env) SentEntry(seq uint32, payload string, at time.Duration) {
 	p := DataPDU(seq, payload)
-	e.StateV.Unacked[seq] = &mechanism.SentPDU{PDU: p, SentAt: at}
+	e.StateV.Unacked.Set(seq, &mechanism.SentPDU{PDU: p, SentAt: at})
 	if e.StateV.SndNxt <= seq {
 		e.StateV.SndNxt = seq + 1
 	}

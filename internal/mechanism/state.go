@@ -3,6 +3,7 @@ package mechanism
 import (
 	"time"
 
+	"adaptive/internal/seqwin"
 	"adaptive/internal/wire"
 )
 
@@ -27,15 +28,15 @@ type RecvPDU struct {
 // and both buffers here, outside any individual mechanism.
 type TransferState struct {
 	// Sender.
-	SndUna  uint32              // oldest unacknowledged sequence
-	SndNxt  uint32              // next sequence to assign
-	Unacked map[uint32]*SentPDU // in-flight data, nil values never stored
+	SndUna  uint32                // oldest unacknowledged sequence
+	SndNxt  uint32                // next sequence to assign
+	Unacked seqwin.Ring[*SentPDU] // in-flight data
 	DupAcks int
 
 	// Receiver.
-	RcvNxt    uint32              // next expected in-order sequence
-	RcvBuf    map[uint32]*RecvPDU // buffered out-of-order data
-	RcvBufCap int                 // advertised-buffer capacity in PDUs
+	RcvNxt    uint32                // next expected in-order sequence
+	RcvBuf    seqwin.Ring[*RecvPDU] // buffered out-of-order data
+	RcvBufCap int                   // advertised-buffer capacity in PDUs
 
 	// Round-trip estimation (Jacobson/Karels, with Karn's rule applied by
 	// callers: retransmitted PDUs are never timed).
@@ -83,12 +84,7 @@ func NewTransferState(rcvBufCap int, rtoInit time.Duration) *TransferState {
 	if rtoInit <= 0 {
 		rtoInit = 200 * time.Millisecond
 	}
-	return &TransferState{
-		Unacked:   make(map[uint32]*SentPDU),
-		RcvBuf:    make(map[uint32]*RecvPDU),
-		RcvBufCap: rcvBufCap,
-		RTO:       rtoInit,
-	}
+	return &TransferState{RcvBufCap: rcvBufCap, RTO: rtoInit}
 }
 
 // NewSent returns a retransmission-buffer entry from the state's free list,
@@ -147,11 +143,11 @@ func (s *TransferState) FreeRecv(e *RecvPDU) {
 }
 
 // InFlight returns the number of unacknowledged data PDUs.
-func (s *TransferState) InFlight() int { return len(s.Unacked) }
+func (s *TransferState) InFlight() int { return s.Unacked.Len() }
 
 // Advertise returns the receive-window advertisement in PDUs.
 func (s *TransferState) Advertise() uint16 {
-	free := s.RcvBufCap - len(s.RcvBuf)
+	free := s.RcvBufCap - s.RcvBuf.Len()
 	if free < 0 {
 		free = 0
 	}
@@ -209,15 +205,14 @@ func (s *TransferState) AckThrough(ack uint32) (acked int, sentAt time.Duration,
 	if ack <= s.SndUna {
 		return 0, 0, false
 	}
-	for seq := s.SndUna; seq < ack; seq++ {
-		if e, present := s.Unacked[seq]; present {
+	for seq := s.SndUna; seq < ack && s.Unacked.Len() > 0; seq++ {
+		if e, present := s.Unacked.Take(seq); present {
 			acked++
 			if e.Retransmits == 0 { // Karn's rule
 				if !ok || e.SentAt > sentAt {
 					sentAt, ok = e.SentAt, true
 				}
 			}
-			delete(s.Unacked, seq)
 			s.FreeSent(e)
 		}
 	}
@@ -234,11 +229,10 @@ func (s *TransferState) AckThrough(ack uint32) (acked int, sentAt time.Duration,
 func (s *TransferState) DrainInOrder() []*RecvPDU {
 	out := s.drainScratch[:0]
 	for {
-		e, present := s.RcvBuf[s.RcvNxt]
+		e, present := s.RcvBuf.Take(s.RcvNxt)
 		if !present {
 			break
 		}
-		delete(s.RcvBuf, s.RcvNxt)
 		s.RcvNxt++
 		out = append(out, e)
 	}

@@ -32,7 +32,7 @@ func TestAckThroughNoProgress(t *testing.T) {
 		t.Fatal("stale ack made progress")
 	}
 	st.DupAcks = 2
-	st.Unacked[5] = &SentPDU{PDU: &wire.PDU{Header: wire.Header{Seq: 5}, Payload: message.NewFromBytes([]byte("x"))}}
+	st.Unacked.Set(5, &SentPDU{PDU: &wire.PDU{Header: wire.Header{Seq: 5}, Payload: message.NewFromBytes([]byte("x"))}})
 	if n, _, _ := st.AckThrough(6); n != 1 {
 		t.Fatal("fresh ack made no progress")
 	}
@@ -46,14 +46,14 @@ func TestDrainInOrderStopsAtGap(t *testing.T) {
 	mk := func(seq uint32) *RecvPDU {
 		return &RecvPDU{PDU: &wire.PDU{Header: wire.Header{Seq: seq}, Payload: message.NewFromBytes([]byte("p"))}}
 	}
-	st.RcvBuf[0] = mk(0)
-	st.RcvBuf[1] = mk(1)
-	st.RcvBuf[3] = mk(3)
+	st.RcvBuf.Set(0, mk(0))
+	st.RcvBuf.Set(1, mk(1))
+	st.RcvBuf.Set(3, mk(3))
 	run := st.DrainInOrder()
 	if len(run) != 2 || st.RcvNxt != 2 {
 		t.Fatalf("drained %d, rcvNxt %d", len(run), st.RcvNxt)
 	}
-	if len(st.RcvBuf) != 1 {
+	if st.RcvBuf.Len() != 1 {
 		t.Fatal("gap entry drained")
 	}
 }

@@ -11,6 +11,7 @@ package order
 import (
 	"adaptive/internal/mechanism"
 	"adaptive/internal/message"
+	"adaptive/internal/seqwin"
 )
 
 // Sequenced delivers strictly in sequence order; anything arriving early is
@@ -18,8 +19,8 @@ import (
 // Skip).
 type Sequenced struct {
 	next    uint32
-	held    map[uint32]mechanism.Delivery
-	max     int // cap on held entries; overflow drops newest (backpressure)
+	held    seqwin.Ring[mechanism.Delivery] // early arrivals, all at or above next
+	max     int                             // cap on held entries; overflow drops newest (backpressure)
 	Dropped uint64
 
 	// out is the reusable delivery slice returned by Submit/Skip/Flush.
@@ -37,7 +38,7 @@ func NewSequenced(maxHeld int) *Sequenced {
 	if maxHeld <= 0 {
 		maxHeld = 1024
 	}
-	return &Sequenced{held: make(map[uint32]mechanism.Delivery), max: maxHeld}
+	return &Sequenced{max: maxHeld}
 }
 
 func (s *Sequenced) Name() string { return "sequenced" }
@@ -48,28 +49,36 @@ func (s *Sequenced) Submit(seq uint32, m *message.Message, eom bool) []mechanism
 		m.Release() // duplicate of already-delivered data
 		return nil
 	}
-	if _, dup := s.held[seq]; dup {
+	d := mechanism.Delivery{Seq: seq, Msg: m, EOM: eom}
+	if seq == s.next && s.held.Len() == 0 {
+		// In order with nothing waiting: the run is this message alone.
+		s.next++
+		s.out = append(s.out[:0], d)
+		return s.out
+	}
+	if _, dup := s.held.Get(seq); dup {
 		m.Release()
 		return nil
 	}
-	if len(s.held) >= s.max {
+	if s.held.Len() >= s.max || !s.held.Set(seq, d) {
 		s.Dropped++
 		m.Release()
 		return nil
 	}
-	s.held[seq] = mechanism.Delivery{Seq: seq, Msg: m, EOM: eom}
-	out := s.out[:0]
+	s.out = s.drain(s.out[:0])
+	return s.out
+}
+
+// drain appends the contiguous run starting at next, advancing next past it.
+func (s *Sequenced) drain(out []mechanism.Delivery) []mechanism.Delivery {
 	for {
-		d, ok := s.held[s.next]
+		d, ok := s.held.Take(s.next)
 		if !ok {
-			break
+			return out
 		}
-		delete(s.held, s.next)
 		s.next++
 		out = append(out, d)
 	}
-	s.out = out
-	return out
 }
 
 // Skip abandons sequences below seq (loss-tolerant gap abandonment): held
@@ -81,57 +90,34 @@ func (s *Sequenced) Skip(seq uint32) []mechanism.Delivery {
 	// Deliver everything in [next, seq) that did arrive, in order, then
 	// continue the contiguous run from seq.
 	out := s.out[:0]
-	for q := s.next; q < seq; q++ {
-		if d, ok := s.held[q]; ok {
-			delete(s.held, q)
+	for q := s.next; q < seq && s.held.Len() > 0; q++ {
+		if d, ok := s.held.Take(q); ok {
 			out = append(out, d)
 		}
 	}
 	s.next = seq
-	for {
-		d, ok := s.held[s.next]
-		if !ok {
-			break
-		}
-		delete(s.held, s.next)
-		s.next++
-		out = append(out, d)
-	}
-	s.out = out
-	return out
+	s.out = s.drain(out)
+	return s.out
 }
 
 // Flush releases all held messages in sequence order (teardown).
 func (s *Sequenced) Flush() []mechanism.Delivery {
 	var out []mechanism.Delivery
-	for len(s.held) > 0 {
-		// find smallest held seq
-		var min uint32
-		first := true
-		for q := range s.held {
-			if first || q < min {
-				min, first = q, false
-			}
-		}
-		d := s.held[min]
-		delete(s.held, min)
+	for q, d := range s.held.All() {
+		s.held.Take(q)
 		out = append(out, d)
-		if min >= s.next {
-			s.next = min + 1
-		}
+		s.next = q + 1
 	}
 	return out
 }
 
 // Held returns the number of messages waiting on a gap.
-func (s *Sequenced) Held() int { return len(s.held) }
+func (s *Sequenced) Held() int { return s.held.Len() }
 
 // Unordered delivers immediately in arrival order, filtering duplicates with
 // a sliding window of seen sequence numbers.
 type Unordered struct {
-	seen       map[uint32]bool
-	ring       []uint32
-	ringPos    int
+	seen       *seqwin.Bitmap
 	Duplicates uint64
 
 	// out is the reusable single-delivery slice returned by Submit; callers
@@ -145,33 +131,16 @@ var _ mechanism.Orderer = (*Unordered)(nil)
 // last window sequence numbers for duplicate suppression (0 disables the
 // filter).
 func NewUnordered(window int) *Unordered {
-	u := &Unordered{}
-	if window > 0 {
-		u.seen = make(map[uint32]bool, window)
-		u.ring = make([]uint32, window)
-		for i := range u.ring {
-			u.ring[i] = ^uint32(0)
-		}
-	}
-	return u
+	return &Unordered{seen: seqwin.NewBitmap(window)}
 }
 
 func (u *Unordered) Name() string { return "unordered" }
 
 func (u *Unordered) Submit(seq uint32, m *message.Message, eom bool) []mechanism.Delivery {
-	if u.seen != nil {
-		if u.seen[seq] {
-			u.Duplicates++
-			m.Release()
-			return nil
-		}
-		old := u.ring[u.ringPos]
-		if old != ^uint32(0) {
-			delete(u.seen, old)
-		}
-		u.ring[u.ringPos] = seq
-		u.seen[seq] = true
-		u.ringPos = (u.ringPos + 1) % len(u.ring)
+	if u.seen.Mark(seq) {
+		u.Duplicates++
+		m.Release()
+		return nil
 	}
 	u.out[0] = mechanism.Delivery{Seq: seq, Msg: m, EOM: eom}
 	return u.out[:]

@@ -3,6 +3,7 @@ package reliable
 import (
 	"testing"
 
+	"adaptive/internal/mechanism"
 	"adaptive/internal/mechanism/mechtest"
 	"adaptive/internal/wire"
 )
@@ -38,5 +39,29 @@ func TestSendCumAckZeroAlloc(t *testing.T) {
 	}
 	if e.acks == 0 {
 		t.Fatal("no acks emitted — measurement exercised nothing")
+	}
+}
+
+// TestOnNakZeroAlloc pins NAK handling at zero heap allocations: the
+// missing-sequence list is decoded into a stack buffer, and the throttle that
+// turns a repeated NAK away is a slot lookup. (Each sequence is retransmitted
+// once on the warm-up call; the measured calls arrive inside the
+// retransmission gap, the case a NAK storm makes hot.)
+func TestOnNakZeroAlloc(t *testing.T) {
+	for name, r := range map[string]mechanism.Recovery{"selective-repeat": NewSelectiveRepeat(), "fec-hybrid": NewFEC(true)} {
+		e := mechtest.New(nil)
+		missing := make([]uint32, maxNakList)
+		for i := range missing {
+			missing[i] = uint32(i)
+			e.SentEntry(uint32(i), "p", 0)
+		}
+		nak := EncodeNak(missing)
+		r.OnNak(e, nak)
+		if len(e.Data) != maxNakList {
+			t.Fatalf("%s: warm-up retransmitted %d PDUs, want %d", name, len(e.Data), maxNakList)
+		}
+		if allocs := testing.AllocsPerRun(200, func() { r.OnNak(e, nak) }); allocs != 0 {
+			t.Fatalf("%s: OnNak: %v allocs/op, want 0", name, allocs)
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package reliable
 
 import (
+	"crypto/subtle"
 	"encoding/binary"
 	"time"
 
@@ -46,8 +47,8 @@ type FEC struct {
 	gapTimer *event.Event
 
 	// Hybrid fallback throttles.
-	lastRetx   map[uint32]time.Duration
-	lastNak    map[uint32]time.Duration
+	lastRetx   throttle
+	lastNak    throttle
 	nakScratch []uint32 // reused missing-sequence list (valid within one nakGaps call)
 }
 
@@ -76,12 +77,7 @@ var _ mechanism.Recovery = (*FEC)(nil)
 // NewFEC returns an FEC strategy; hybrid adds NAK-driven retransmission
 // fallback (fully reliable), otherwise gaps are abandoned (loss-tolerant).
 func NewFEC(hybrid bool) *FEC {
-	return &FEC{
-		hybrid:   hybrid,
-		groups:   make(map[uint32]*fecGroup),
-		lastRetx: make(map[uint32]time.Duration),
-		lastNak:  make(map[uint32]time.Duration),
-	}
+	return &FEC{hybrid: hybrid, groups: make(map[uint32]*fecGroup)}
 }
 
 func (f *FEC) Name() string {
@@ -110,13 +106,10 @@ func xorInto(acc []byte, payload []byte, eom bool) {
 	if eom {
 		word |= 0x8000
 	}
-	var lenb [2]byte
-	binary.BigEndian.PutUint16(lenb[:], word)
-	acc[0] ^= lenb[0]
-	acc[1] ^= lenb[1]
-	for i, b := range payload {
-		acc[2+i] ^= b
-	}
+	acc[0] ^= byte(word >> 8)
+	acc[1] ^= byte(word)
+	body := acc[2 : 2+len(payload)]
+	subtle.XORBytes(body, body, payload) // word-wide
 }
 
 // OnSendData folds the outgoing PDU into the current parity group, emitting
@@ -186,21 +179,17 @@ func (f *FEC) emitParity(e mechanism.Env) {
 // FlushParity force-emits a partial group (end of burst / segue away).
 func (f *FEC) FlushParity(e mechanism.Env) { f.emitParity(e) }
 
-// OnAck prunes hybrid retransmission throttling state the cumulative ack
-// advanced past (same bounded-map discipline as the ARQ strategies).
-func (f *FEC) OnAck(e mechanism.Env, p *wire.PDU) {
-	if f.hybrid {
-		pruneStale(f.lastRetx, e.State().SndUna)
-	}
-}
+// OnAck has nothing to add to the session's generic ack bookkeeping.
+func (*FEC) OnAck(mechanism.Env, *wire.PDU) {}
 
 // OnNak (hybrid only) retransmits the listed sequences.
 func (f *FEC) OnNak(e mechanism.Env, p *wire.PDU) {
 	if !f.hybrid {
 		return
 	}
-	for _, seq := range DecodeNakList(p) {
-		retransmit(e, seq, f.lastRetx)
+	var list [maxNakList]uint32 // on the stack: a retransmission may re-enter OnNak
+	for _, seq := range DecodeNakList(p, list[:0]) {
+		retransmit(e, seq, &f.lastRetx)
 	}
 }
 
@@ -211,17 +200,15 @@ func (f *FEC) OnRTO(e mechanism.Env) {
 	st.BackoffRTO(e.Spec().RTOMax)
 	if f.hybrid {
 		e.WindowOnLoss()
-		if _, ok := st.Unacked[st.SndUna]; ok {
-			delete(f.lastRetx, st.SndUna)
-			retransmit(e, st.SndUna, f.lastRetx)
-		}
+		f.lastRetx.Take(st.SndUna) // force: RTO overrides the retx gap
+		retransmit(e, st.SndUna, &f.lastRetx)
 		return
 	}
 	// Emit any held partial parity, then give up on the outstanding data:
 	// a loss-tolerant sender never blocks on history.
 	f.emitParity(e)
-	for seq, entry := range st.Unacked {
-		delete(st.Unacked, seq)
+	for seq, entry := range st.Unacked.All() {
+		st.Unacked.Take(seq)
 		st.FreeSent(entry)
 	}
 	st.SndUna = st.SndNxt
@@ -238,10 +225,17 @@ func (f *FEC) OnData(e mechanism.Env, p *wire.PDU) {
 		sendCumAck(e)
 		return
 	}
-	if _, dup := st.RcvBuf[p.Seq]; dup {
+	if _, dup := st.RcvBuf.Get(p.Seq); dup {
 		wire.PutPDU(p)
 		e.Metrics().Count("rel.duplicates", 1)
 		sendCumAck(e)
+		return
+	}
+	r := st.NewRecv(p, e.Clock().Now(), false)
+	if !st.RcvBuf.Set(p.Seq, r) {
+		// Further ahead than any advertised window allows.
+		st.FreeRecv(r)
+		e.Metrics().Count("rel.rcvbuf_overflow", 1)
 		return
 	}
 	k := uint32(e.Spec().FECGroup)
@@ -252,7 +246,6 @@ func (f *FEC) OnData(e mechanism.Env, p *wire.PDU) {
 		g.got |= 1 << idx
 		g.count++
 	}
-	st.RcvBuf[p.Seq] = st.NewRecv(p, e.Clock().Now(), false)
 	f.tryReconstruct(e, p.Seq/k*k)
 	f.afterArrival(e)
 }
@@ -309,11 +302,7 @@ func (f *FEC) tryReconstruct(e mechanism.Env, base uint32) {
 	seq := base + uint32(missing)
 	block := make([]byte, len(g.parity))
 	copy(block, g.parity)
-	for i := range block {
-		if i < len(g.acc) {
-			block[i] ^= g.acc[i]
-		}
-	}
+	subtle.XORBytes(block, block, g.acc) // over the shorter of the two
 	word := binary.BigEndian.Uint16(block)
 	eom := word&0x8000 != 0
 	n := int(word &^ 0x8000)
@@ -325,7 +314,7 @@ func (f *FEC) tryReconstruct(e mechanism.Env, base uint32) {
 	if seq < st.RcvNxt {
 		return // already passed (was abandoned); nothing to insert
 	}
-	if _, dup := st.RcvBuf[seq]; dup {
+	if _, dup := st.RcvBuf.Get(seq); dup {
 		return
 	}
 	pdu := wire.GetPDU()
@@ -337,7 +326,10 @@ func (f *FEC) tryReconstruct(e mechanism.Env, base uint32) {
 	if eom {
 		pdu.Flags |= wire.FlagEOM
 	}
-	st.RcvBuf[seq] = st.NewRecv(pdu, e.Clock().Now(), true)
+	if r := st.NewRecv(pdu, e.Clock().Now(), true); !st.RcvBuf.Set(seq, r) {
+		st.FreeRecv(r)
+		return
+	}
 	st.FECRecovered++
 	e.Tracer().Emit(e.Clock().Now(), trace.KFECRepair, e.ConnID(), uint64(seq), 0, 0)
 	e.Metrics().Count("rel.fec_recovered", 1)
@@ -350,11 +342,11 @@ func (f *FEC) afterArrival(e mechanism.Env) {
 	deliverRun(e, st.DrainInOrder())
 	sendCumAck(e)
 	f.gcGroups(e)
-	if len(st.RcvBuf) == 0 {
+	if st.RcvBuf.Len() == 0 {
 		return
 	}
 	if f.hybrid {
-		f.nakGaps(e)
+		f.nakScratch = nakGaps(e, &f.lastNak, f.nakScratch, false)
 		return
 	}
 	if f.gapTimer == nil {
@@ -366,60 +358,21 @@ func (f *FEC) afterArrival(e mechanism.Env) {
 	}
 }
 
-// nakGaps (hybrid) requests retransmission of sequences FEC could not
-// rebuild.
-func (f *FEC) nakGaps(e mechanism.Env) {
-	st := e.State()
-	var max uint32
-	for q := range st.RcvBuf {
-		if q > max {
-			max = q
-		}
-	}
-	now := e.Clock().Now()
-	gap := minRetxGap(st)
-	missing := f.nakScratch[:0]
-	for q := st.RcvNxt; q < max && len(missing) < maxNakList; q++ {
-		if _, have := st.RcvBuf[q]; have {
-			continue
-		}
-		if last, seen := f.lastNak[q]; seen && now-last < gap {
-			continue
-		}
-		f.lastNak[q] = now
-		missing = append(missing, q)
-	}
-	f.nakScratch = missing
-	if len(missing) > 0 {
-		e.Metrics().Count("rel.naks_sent", 1)
-		p := EncodeNak(missing)
-		e.EmitControl(p)
-		wire.PutPDU(p) // EmitControl copies synchronously; recycle PDU + payload
-	}
-}
-
 // abandonGaps (loss-tolerant) skips past losses whose deadline expired.
 func (f *FEC) abandonGaps(e mechanism.Env) {
 	st := e.State()
-	if len(st.RcvBuf) == 0 {
+	smallest, ok := st.RcvBuf.Min()
+	if !ok {
 		return
 	}
 	now := e.Clock().Now()
 	dl := e.Spec().GapDeadline
 	// Find the oldest buffered arrival; if it has waited past the
 	// deadline, skip the gap in front of it.
-	var oldestSeq uint32
 	var oldestAt time.Duration = -1
-	for q, r := range st.RcvBuf {
-		if oldestAt < 0 || r.ArrivedAt < oldestAt || (r.ArrivedAt == oldestAt && q < oldestSeq) {
-			oldestSeq, oldestAt = q, r.ArrivedAt
-		}
-	}
-	var smallest uint32
-	first := true
-	for q := range st.RcvBuf {
-		if first || q < smallest {
-			smallest, first = q, false
+	for _, r := range st.RcvBuf.All() {
+		if oldestAt < 0 || r.ArrivedAt < oldestAt {
+			oldestAt = r.ArrivedAt
 		}
 	}
 	if now-oldestAt >= dl {
@@ -433,7 +386,7 @@ func (f *FEC) abandonGaps(e mechanism.Env) {
 		sendCumAck(e)
 		f.gcGroups(e)
 	}
-	if len(st.RcvBuf) > 0 {
+	if st.RcvBuf.Len() > 0 {
 		f.gapTimer.Reset(dl)
 	}
 }
@@ -458,8 +411,8 @@ type fecState struct {
 	sndBase  uint32
 	sndMax   int
 	groups   map[uint32]*fecGroup
-	lastRetx map[uint32]time.Duration
-	lastNak  map[uint32]time.Duration
+	lastRetx throttle
+	lastNak  throttle
 }
 
 func (f *FEC) ExportState() any {
@@ -478,11 +431,6 @@ func (f *FEC) ImportState(st any) {
 		if v.groups != nil {
 			f.groups = v.groups
 		}
-		if v.lastRetx != nil {
-			f.lastRetx = v.lastRetx
-		}
-		if v.lastNak != nil {
-			f.lastNak = v.lastNak
-		}
+		f.lastRetx, f.lastNak = v.lastRetx, v.lastNak
 	}
 }

@@ -28,7 +28,7 @@ func sendGroup(e *mechtest.Env, f *FEC, base uint32, payloads []string) *wire.PD
 	before := e.ControlCount(wire.TParity)
 	for i, p := range payloads {
 		pdu := mechtest.DataPDU(base+uint32(i), p)
-		e.StateV.Unacked[pdu.Seq] = &mechanism.SentPDU{PDU: pdu}
+		e.StateV.Unacked.Set(pdu.Seq, &mechanism.SentPDU{PDU: pdu})
 		if e.StateV.SndNxt <= pdu.Seq {
 			e.StateV.SndNxt = pdu.Seq + 1
 		}
@@ -181,7 +181,7 @@ func TestFECHybridReceiverNaksUnrecoverableGap(t *testing.T) {
 	if nak == nil {
 		t.Fatal("hybrid receiver never NAKed")
 	}
-	missing := DecodeNakList(nak)
+	missing := DecodeNakList(nak, nil)
 	if len(missing) != 2 || missing[0] != 1 || missing[1] != 2 {
 		t.Fatalf("NAK lists %v", missing)
 	}
@@ -206,10 +206,10 @@ func TestFECSegueExportImport(t *testing.T) {
 	f2.ImportState(f1.ExportState())
 	// The partial accumulator traveled: two more sends complete the group.
 	p3 := mechtest.DataPDU(2, "cc")
-	e.StateV.Unacked[2] = &mechanism.SentPDU{PDU: p3}
+	e.StateV.Unacked.Set(2, &mechanism.SentPDU{PDU: p3})
 	f2.OnSendData(e, p3)
 	p4 := mechtest.DataPDU(3, "dd")
-	e.StateV.Unacked[3] = &mechanism.SentPDU{PDU: p4}
+	e.StateV.Unacked.Set(3, &mechanism.SentPDU{PDU: p4})
 	f2.OnSendData(e, p4)
 	parity := e.LastControl(wire.TParity)
 	if parity == nil || parity.Aux != 4 {

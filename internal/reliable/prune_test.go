@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"adaptive/internal/mechanism/mechtest"
+	"adaptive/internal/seqwin"
 	"adaptive/internal/wire"
 )
 
@@ -38,15 +39,15 @@ func TestSelectiveRepeatRetxMapBounded(t *testing.T) {
 		// Everything is then acked: the session clears Unacked and
 		// advances SndUna before the strategy sees the ack.
 		for q := base; q < seq; q++ {
-			delete(e.StateV.Unacked, q)
+			e.StateV.Unacked.Take(q)
 		}
 		e.StateV.SndUna = seq
 		s.OnAck(e, ackPDU(seq))
 		e.Kernel.RunUntil(e.Clock().Now() + 100*time.Millisecond)
 	}
-	if len(s.lastRetx) > window {
+	if s.lastRetx.Len() > window {
 		t.Fatalf("lastRetx grew to %d entries after %d rounds (want <= %d)",
-			len(s.lastRetx), rounds, window)
+			s.lastRetx.Len(), rounds, window)
 	}
 }
 
@@ -69,11 +70,11 @@ func TestSelectiveRepeatNakMapBounded(t *testing.T) {
 	if e.StateV.RcvNxt != seq {
 		t.Fatalf("receiver advanced to %d, want %d", e.StateV.RcvNxt, seq)
 	}
-	if len(s.lastNak) > 8 {
-		t.Fatalf("lastNak grew to %d entries after %d rounds", len(s.lastNak), rounds)
+	if s.lastNak.Len() > 8 {
+		t.Fatalf("lastNak grew to %d entries after %d rounds", s.lastNak.Len(), rounds)
 	}
-	if len(e.StateV.RcvBuf) != 0 {
-		t.Fatalf("receive buffer holds %d PDUs after full delivery", len(e.StateV.RcvBuf))
+	if e.StateV.RcvBuf.Len() != 0 {
+		t.Fatalf("receive buffer holds %d PDUs after full delivery", e.StateV.RcvBuf.Len())
 	}
 }
 
@@ -91,15 +92,15 @@ func TestGoBackNRetxMapBounded(t *testing.T) {
 		}
 		g.OnRTO(e) // retransmits the whole window, populating lastRetx
 		for q := seq - window; q < seq; q++ {
-			delete(e.StateV.Unacked, q)
+			e.StateV.Unacked.Take(q)
 		}
 		e.StateV.SndUna = seq
 		g.OnAck(e, ackPDU(seq))
 		e.Kernel.RunUntil(e.Clock().Now() + 100*time.Millisecond)
 	}
-	if len(g.lastRetx) > window {
+	if g.lastRetx.Len() > window {
 		t.Fatalf("lastRetx grew to %d entries after %d rounds (want <= %d)",
-			len(g.lastRetx), rounds, window)
+			g.lastRetx.Len(), rounds, window)
 	}
 }
 
@@ -123,14 +124,86 @@ func TestFECHybridRetxMapBounded(t *testing.T) {
 		nak := EncodeNak(missing)
 		f.OnNak(e, nak)
 		for q := base; q < seq; q++ {
-			delete(e.StateV.Unacked, q)
+			e.StateV.Unacked.Take(q)
 		}
 		e.StateV.SndUna = seq
 		f.OnAck(e, ackPDU(seq))
 		e.Kernel.RunUntil(e.Clock().Now() + 100*time.Millisecond)
 	}
-	if len(f.lastRetx) > window {
+	if f.lastRetx.Len() > window {
 		t.Fatalf("lastRetx grew to %d entries after %d rounds (want <= %d)",
-			len(f.lastRetx), rounds, window)
+			f.lastRetx.Len(), rounds, window)
+	}
+}
+
+// TestFECHybridNakThrottleFollowsRcvNxt runs a hybrid receiver more than
+// seqwin.MaxSpan sequence numbers past its first NAK. The throttle is pruned
+// where it is consulted (nakGaps, shared with selective repeat), so it lets go
+// of what RcvNxt has passed and a gap that opens later is still NAKed once,
+// not on every arrival.
+func TestFECHybridNakThrottleFollowsRcvNxt(t *testing.T) {
+	e := mechtest.New(fecSpec(4))
+	f := NewFEC(true)
+	naks := 0
+	arrive := func(seq uint32) {
+		f.OnData(e, mechtest.DataPDU(seq, "p"))
+		naks += e.ControlCount(wire.TNak)
+		e.Control = e.Control[:0]
+		for _, d := range e.Released {
+			d.Msg.Release()
+		}
+		e.Released = e.Released[:0]
+	}
+	arrive(1) // hole at 0: NAKed
+	arrive(0)
+	if naks != 1 {
+		t.Fatalf("%d NAKs for the first hole, want 1", naks)
+	}
+	seq := uint32(2)
+	for ; seq < seqwin.MaxSpan+100; seq++ {
+		arrive(seq)
+	}
+	if e.StateV.RcvNxt != seq {
+		t.Fatalf("after %d in-order PDUs RcvNxt is %d", seq, e.StateV.RcvNxt)
+	}
+	// A new hole at seq, then three arrivals beyond it at one instant.
+	naks = 0
+	arrive(seq + 1)
+	arrive(seq + 2)
+	arrive(seq + 3)
+	if naks != 1 {
+		t.Fatalf("%d NAKs for one hole within the retransmission gap, want 1", naks)
+	}
+	if f.lastNak.Len() != 1 {
+		t.Fatalf("throttle holds %d entries, want 1", f.lastNak.Len())
+	}
+}
+
+// TestNakBeyondThrottleSpanNotSent: a hole the throttle cannot hold (MaxSpan
+// or more past RcvNxt, where no conforming sender is) is not NAKed at all
+// rather than NAKed on every arrival. One PDU far ahead, repeated within one
+// retransmission gap, walks the NAK list up to the span and no further.
+func TestNakBeyondThrottleSpanNotSent(t *testing.T) {
+	e := mechtest.New(nil)
+	s := NewSelectiveRepeat()
+	const far = seqwin.MaxSpan + 200
+	listed := 0
+	for i := 0; i < seqwin.MaxSpan/maxNakList+10; i++ {
+		s.OnData(e, mechtest.DataPDU(far, "far"))
+		for _, p := range e.Control {
+			if p.Type != wire.TNak {
+				continue
+			}
+			for _, q := range DecodeNakList(p, nil) {
+				if q >= seqwin.MaxSpan {
+					t.Fatalf("arrival %d: NAKed %d, which a throttle with low edge 0 cannot hold", i, q)
+				}
+				listed++
+			}
+		}
+		e.Control = e.Control[:0]
+	}
+	if listed != seqwin.MaxSpan {
+		t.Fatalf("NAKed %d sequence numbers, want each of the %d holdable ones once", listed, seqwin.MaxSpan)
 	}
 }

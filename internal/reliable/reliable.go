@@ -18,6 +18,7 @@ import (
 
 	"adaptive/internal/mechanism"
 	"adaptive/internal/message"
+	"adaptive/internal/seqwin"
 	"adaptive/internal/trace"
 	"adaptive/internal/wire"
 )
@@ -35,19 +36,24 @@ func minRetxGap(st *mechanism.TransferState) time.Duration {
 	return g
 }
 
-// pruneStale drops throttle entries for sequences the transfer has moved
-// past (below SndUna for retransmission maps, below RcvNxt for NAK maps).
-// Without it the per-sequence pacing maps grow monotonically over a long
-// session; with it their size is bounded by the in-flight window. The scan
-// is O(len(m)), but every surviving entry is at or above the floor, so the
-// amortized cost per acknowledged sequence is constant.
-func pruneStale(m map[uint32]time.Duration, floor uint32) {
-	for q := range m {
-		if q < floor {
-			delete(m, q)
-		}
-	}
+// throttle remembers when each sequence number was last retransmitted (or
+// NAKed), so one loss is not answered again on every arrival. retransmit and
+// nakGaps drop the entries below the cumulative point (SndUna, RcvNxt) before
+// they consult it, which keeps the state inside the in-flight window and
+// costs nothing while there is none. Instants are held offset by one so that
+// virtual time zero is not the ring's "absent".
+type throttle struct{ seqwin.Ring[time.Duration] }
+
+// recent reports whether seq was marked less than gap ago.
+func (t *throttle) recent(seq uint32, now, gap time.Duration) bool {
+	at, ok := t.Get(seq)
+	return ok && now-(at-1) < gap
 }
+
+// mark records that seq was answered at now. It reports false when seq is
+// seqwin.MaxSpan or more from an entry still held: such a sequence number
+// cannot be throttled, so the caller must not answer it.
+func (t *throttle) mark(seq uint32, now time.Duration) bool { return t.Set(seq, now+1) }
 
 // sendCumAck emits a cumulative acknowledgment for everything below RcvNxt.
 // The ack is built in the TransferState's reusable control-PDU slot, so
@@ -80,17 +86,19 @@ func deliverRun(e mechanism.Env, run []*mechanism.RecvPDU) {
 
 // retransmit re-emits the buffered entry for seq if present and not resent
 // too recently. It returns true if a PDU went out.
-func retransmit(e mechanism.Env, seq uint32, lastRetx map[uint32]time.Duration) bool {
+func retransmit(e mechanism.Env, seq uint32, lastRetx *throttle) bool {
 	st := e.State()
-	entry, ok := st.Unacked[seq]
+	entry, ok := st.Unacked.Get(seq)
 	if !ok {
 		return false
 	}
 	now := e.Clock().Now()
-	if last, seen := lastRetx[seq]; seen && now-last < minRetxGap(st) {
+	lastRetx.DropBelow(st.SndUna)
+	// (mark cannot refuse: pump keeps every unacknowledged sequence number
+	// within seqwin.MaxSpan of SndUna, and nothing below SndUna is left.)
+	if lastRetx.recent(seq, now, minRetxGap(st)) || !lastRetx.mark(seq, now) {
 		return false
 	}
-	lastRetx[seq] = now
 	entry.Retransmits++
 	st.Retransmissions++
 	e.Tracer().Emit(now, trace.KRetransmit, e.ConnID(), uint64(seq), uint64(entry.Retransmits), 0)
@@ -118,8 +126,7 @@ func (*None) Reliable() bool { return false }
 func (*None) OnSendData(e mechanism.Env, p *wire.PDU) {
 	st := e.State()
 	seq := p.Seq
-	if entry, ok := st.Unacked[seq]; ok {
-		delete(st.Unacked, seq)
+	if entry, ok := st.Unacked.Take(seq); ok {
 		st.FreeSent(entry) // recycles p and its payload
 	} else {
 		p.ReleasePayload()
@@ -157,16 +164,14 @@ func (*None) ImportState(st any) {}
 // (minimal receiver memory — the property the paper's congestion policy
 // exploits when buffers tighten, §3C).
 type GoBackN struct {
-	lastRetx map[uint32]time.Duration
+	lastRetx throttle
 	acker    delayedAcker
 }
 
 var _ mechanism.Recovery = (*GoBackN)(nil)
 
 // NewGoBackN returns a go-back-n strategy.
-func NewGoBackN() *GoBackN {
-	return &GoBackN{lastRetx: make(map[uint32]time.Duration)}
-}
+func NewGoBackN() *GoBackN { return &GoBackN{} }
 
 func (*GoBackN) Name() string   { return "go-back-n" }
 func (*GoBackN) Reliable() bool { return true }
@@ -180,7 +185,6 @@ func (g *GoBackN) OnSendData(e mechanism.Env, p *wire.PDU) {
 // performed by the session before strategies see the PDU.)
 func (g *GoBackN) OnAck(e mechanism.Env, p *wire.PDU) {
 	st := e.State()
-	pruneStale(g.lastRetx, st.SndUna)
 	if st.DupAcks == 3 && st.InFlight() > 0 {
 		e.WindowOnLoss()
 		e.Metrics().Count("rel.fast_retransmits", 1)
@@ -200,7 +204,7 @@ func (g *GoBackN) OnRTO(e mechanism.Env) {
 func (g *GoBackN) goBack(e mechanism.Env) {
 	st := e.State()
 	for seq := st.SndUna; seq < st.SndNxt; seq++ {
-		retransmit(e, seq, g.lastRetx)
+		retransmit(e, seq, &g.lastRetx)
 	}
 }
 
@@ -237,8 +241,8 @@ func (g *GoBackN) FlushAck(e mechanism.Env) { g.acker.stop(e) }
 
 func (g *GoBackN) ExportState() any { return g.lastRetx }
 func (g *GoBackN) ImportState(st any) {
-	if m, ok := st.(map[uint32]time.Duration); ok && m != nil {
-		g.lastRetx = m
+	if t, ok := st.(throttle); ok {
+		g.lastRetx = t
 	}
 }
 
@@ -246,8 +250,8 @@ func (g *GoBackN) ImportState(st any) {
 // PDUs so the sender retransmits only what was lost — more receiver memory,
 // far less redundant traffic on lossy or long-delay paths.
 type SelectiveRepeat struct {
-	lastRetx   map[uint32]time.Duration
-	lastNak    map[uint32]time.Duration
+	lastRetx   throttle
+	lastNak    throttle
 	acker      delayedAcker
 	nakScratch []uint32 // reused missing-sequence list (valid within one nakGaps call)
 
@@ -260,31 +264,25 @@ type SelectiveRepeat struct {
 var _ mechanism.Recovery = (*SelectiveRepeat)(nil)
 
 // NewSelectiveRepeat returns a selective-repeat strategy.
-func NewSelectiveRepeat() *SelectiveRepeat {
-	return &SelectiveRepeat{
-		lastRetx: make(map[uint32]time.Duration),
-		lastNak:  make(map[uint32]time.Duration),
-	}
-}
+func NewSelectiveRepeat() *SelectiveRepeat { return &SelectiveRepeat{} }
 
 func (*SelectiveRepeat) Name() string   { return "selective-repeat" }
 func (*SelectiveRepeat) Reliable() bool { return true }
 
 func (s *SelectiveRepeat) OnSendData(e mechanism.Env, p *wire.PDU) {}
 
-// OnAck prunes retransmission throttling state the cumulative ack advanced
-// past (the generic ack bookkeeping runs in the session before this).
-func (s *SelectiveRepeat) OnAck(e mechanism.Env, p *wire.PDU) {
-	pruneStale(s.lastRetx, e.State().SndUna)
-}
+// OnAck has nothing to add to the generic ack bookkeeping the session runs
+// before it.
+func (*SelectiveRepeat) OnAck(mechanism.Env, *wire.PDU) {}
 
 // OnNak retransmits exactly the listed sequences.
 func (s *SelectiveRepeat) OnNak(e mechanism.Env, p *wire.PDU) {
-	for _, seq := range DecodeNakList(p) {
+	var list [maxNakList]uint32 // on the stack: a retransmission may re-enter OnNak
+	for _, seq := range DecodeNakList(p, list[:0]) {
 		if s.DisableThrottle {
-			delete(s.lastRetx, seq)
+			s.lastRetx.Take(seq)
 		}
-		retransmit(e, seq, s.lastRetx)
+		retransmit(e, seq, &s.lastRetx)
 	}
 }
 
@@ -293,23 +291,15 @@ func (s *SelectiveRepeat) OnRTO(e mechanism.Env) {
 	st := e.State()
 	e.WindowOnLoss()
 	st.BackoffRTO(e.Spec().RTOMax)
-	if _, ok := st.Unacked[st.SndUna]; ok {
-		delete(s.lastRetx, st.SndUna) // force: RTO overrides the retx gap
-		retransmit(e, st.SndUna, s.lastRetx)
-	} else {
+	oldest, ok := st.SndUna, true
+	if _, mine := st.Unacked.Get(oldest); !mine {
 		// Oldest hole isn't ours (already acked selectively); resend the
 		// oldest PDU actually buffered.
-		var oldest uint32
-		found := false
-		for q := range st.Unacked {
-			if !found || q < oldest {
-				oldest, found = q, true
-			}
-		}
-		if found {
-			delete(s.lastRetx, oldest)
-			retransmit(e, oldest, s.lastRetx)
-		}
+		oldest, ok = st.Unacked.Min()
+	}
+	if ok {
+		s.lastRetx.Take(oldest) // force: RTO overrides the retx gap
+		retransmit(e, oldest, &s.lastRetx)
 	}
 }
 
@@ -321,62 +311,65 @@ func (s *SelectiveRepeat) OnData(e mechanism.Env, p *wire.PDU) {
 	case p.Seq < st.RcvNxt:
 		wire.PutPDU(p)
 		e.Metrics().Count("rel.duplicates", 1)
-	case len(st.RcvBuf) >= st.RcvBufCap && p.Seq != st.RcvNxt:
+	case st.RcvBuf.Len() >= st.RcvBufCap && p.Seq != st.RcvNxt:
 		wire.PutPDU(p)
 		e.Metrics().Count("rel.rcvbuf_overflow", 1)
 	default:
-		if _, dup := st.RcvBuf[p.Seq]; dup {
+		if _, dup := st.RcvBuf.Get(p.Seq); dup {
 			wire.PutPDU(p)
 			e.Metrics().Count("rel.duplicates", 1)
+		} else if r := st.NewRecv(p, e.Clock().Now(), false); !st.RcvBuf.Set(p.Seq, r) {
+			// Further ahead than any advertised window allows.
+			st.FreeRecv(r)
+			e.Metrics().Count("rel.rcvbuf_overflow", 1)
 		} else {
 			inOrder = p.Seq == st.RcvNxt
-			st.RcvBuf[p.Seq] = st.NewRecv(p, e.Clock().Now(), false)
 			deliverRun(e, st.DrainInOrder())
 		}
 	}
-	if inOrder && len(st.RcvBuf) == 0 {
+	if inOrder && st.RcvBuf.Len() == 0 {
 		s.acker.ack(e)
 	} else {
 		// Gaps and duplicates signal loss: acknowledge immediately.
 		s.acker.ackNow(e)
 	}
-	pruneStale(s.lastNak, st.RcvNxt)
-	s.nakGaps(e)
+	s.nakScratch = nakGaps(e, &s.lastNak, s.nakScratch, s.DisableThrottle)
 }
 
-// nakGaps reports missing sequences between RcvNxt and the highest buffered
-// arrival, throttled per sequence.
-func (s *SelectiveRepeat) nakGaps(e mechanism.Env) {
+// nakGaps reports the missing sequences between RcvNxt and the highest
+// buffered arrival in one NAK PDU, throttled per sequence (unless unthrottled).
+// missing is the caller's reusable list; it is returned for the next call.
+func nakGaps(e mechanism.Env, lastNak *throttle, missing []uint32, unthrottled bool) []uint32 {
 	st := e.State()
-	if len(st.RcvBuf) == 0 {
-		return
-	}
-	var max uint32
-	for q := range st.RcvBuf {
-		if q > max {
-			max = q
-		}
+	missing = missing[:0]
+	lastNak.DropBelow(st.RcvNxt)
+	max, ok := st.RcvBuf.Max()
+	if !ok {
+		return missing
 	}
 	now := e.Clock().Now()
 	gap := minRetxGap(st)
-	missing := s.nakScratch[:0]
 	for q := st.RcvNxt; q < max && len(missing) < maxNakList; q++ {
-		if _, have := st.RcvBuf[q]; have {
+		if _, have := st.RcvBuf.Get(q); have {
 			continue
 		}
-		if last, seen := s.lastNak[q]; seen && now-last < gap && !s.DisableThrottle {
+		if !unthrottled && lastNak.recent(q, now, gap) {
 			continue
 		}
-		s.lastNak[q] = now
+		if !lastNak.mark(q, now) {
+			// seqwin.MaxSpan or more past RcvNxt: further than a conforming
+			// sender can be, and past what the throttle can hold.
+			break
+		}
 		missing = append(missing, q)
 	}
-	s.nakScratch = missing
 	if len(missing) > 0 {
 		e.Metrics().Count("rel.naks_sent", 1)
 		p := EncodeNak(missing)
 		e.EmitControl(p)
 		wire.PutPDU(p) // EmitControl copies synchronously; recycle PDU + payload
 	}
+	return missing
 }
 
 func (*SelectiveRepeat) OnParity(mechanism.Env, *wire.PDU) {}
@@ -384,10 +377,7 @@ func (*SelectiveRepeat) OnParity(mechanism.Env, *wire.PDU) {}
 // FlushAck emits any coalesced delayed ack (segue handover).
 func (s *SelectiveRepeat) FlushAck(e mechanism.Env) { s.acker.stop(e) }
 
-type srState struct {
-	lastRetx map[uint32]time.Duration
-	lastNak  map[uint32]time.Duration
-}
+type srState struct{ lastRetx, lastNak throttle }
 
 func (s *SelectiveRepeat) ExportState() any {
 	return srState{lastRetx: s.lastRetx, lastNak: s.lastNak}
@@ -414,18 +404,18 @@ func EncodeNak(missing []uint32) *wire.PDU {
 	return p
 }
 
-// DecodeNakList extracts the missing-sequence list from a NAK PDU.
-func DecodeNakList(p *wire.PDU) []uint32 {
+// DecodeNakList appends the missing-sequence list of a NAK PDU to into (the
+// caller's scratch, or nil) and returns it.
+func DecodeNakList(p *wire.PDU, into []uint32) []uint32 {
 	b := p.PayloadBytes()
 	n := int(p.Aux)
 	if n > len(b)/4 {
 		n = len(b) / 4
 	}
-	out := make([]uint32, n)
-	for i := range out {
-		out[i] = binary.BigEndian.Uint32(b[4*i:])
+	for i := 0; i < n; i++ {
+		into = append(into, binary.BigEndian.Uint32(b[4*i:]))
 	}
-	return out
+	return into
 }
 
 // AcksCoalesced reports how many acknowledgments the delayed-ack timer

@@ -6,6 +6,7 @@ import (
 
 	"adaptive/internal/mechanism"
 	"adaptive/internal/mechanism/mechtest"
+	"adaptive/internal/seqwin"
 	"adaptive/internal/wire"
 )
 
@@ -35,11 +36,17 @@ func TestNoneDeliversImmediately(t *testing.T) {
 	}
 }
 
+// unacked returns the retransmission-buffer entry for seq (nil when absent).
+func unacked(e *mechtest.Env, seq uint32) *mechanism.SentPDU {
+	s, _ := e.StateV.Unacked.Get(seq)
+	return s
+}
+
 func TestNoneDropsSendBuffer(t *testing.T) {
 	e := mechtest.New(nil)
 	n := NewNone()
 	e.SentEntry(0, "x", 0)
-	p := e.StateV.Unacked[0].PDU
+	p := unacked(e, 0).PDU
 	n.OnSendData(e, p)
 	if e.StateV.InFlight() != 0 {
 		t.Fatal("none recovery kept send buffer")
@@ -79,7 +86,7 @@ func TestGBNDiscardsOutOfOrder(t *testing.T) {
 	if len(e.Released) != 0 {
 		t.Fatal("out-of-order delivered")
 	}
-	if len(e.StateV.RcvBuf) != 0 {
+	if e.StateV.RcvBuf.Len() != 0 {
 		t.Fatal("GBN buffered out-of-order data")
 	}
 	if ack := e.LastControl(wire.TAck); ack == nil || ack.Ack != 0 {
@@ -148,7 +155,7 @@ func TestGBNDrainsPreSegueBuffer(t *testing.T) {
 	e := mechtest.New(nil)
 	sr := NewSelectiveRepeat()
 	feedData(e, sr, 1, "b") // buffered by SR
-	if len(e.StateV.RcvBuf) != 1 {
+	if e.StateV.RcvBuf.Len() != 1 {
 		t.Fatal("SR did not buffer")
 	}
 	g := NewGoBackN()
@@ -188,7 +195,7 @@ func TestSRNaksGaps(t *testing.T) {
 	if nak == nil {
 		t.Fatal("no NAK for gap")
 	}
-	missing := DecodeNakList(nak)
+	missing := DecodeNakList(nak, nil)
 	if len(missing) != 3 || missing[0] != 0 || missing[2] != 2 {
 		t.Fatalf("NAK lists %v", missing)
 	}
@@ -252,6 +259,25 @@ func TestSRDuplicateFiltered(t *testing.T) {
 	}
 }
 
+// TestFarAheadSequenceRefused: a sequence number further ahead of the buffered
+// data than any advertised window could put it is counted as overflow and
+// dropped, not allowed to size the reassembly window.
+func TestFarAheadSequenceRefused(t *testing.T) {
+	for name, r := range map[string]mechanism.Recovery{"selective-repeat": NewSelectiveRepeat(), "fec": NewFEC(false)} {
+		e := mechtest.New(nil)
+		feedData(e, r, 1, "b") // 0 missing: 1 is buffered
+		feedData(e, r, 1+seqwin.MaxSpan, "x")
+		if e.StateV.RcvBuf.Len() != 1 || e.Sink.Counts["rel.rcvbuf_overflow"] != 1 {
+			t.Fatalf("%s: buffered %d, overflow %d; want 1 and 1", name,
+				e.StateV.RcvBuf.Len(), e.Sink.Counts["rel.rcvbuf_overflow"])
+		}
+		feedData(e, r, 0, "a")
+		if got := e.ReleasedPayloads(); len(got) != 2 {
+			t.Fatalf("%s: delivered %v after the gap filled", name, got)
+		}
+	}
+}
+
 func TestSRBufferCapRespected(t *testing.T) {
 	spec := mechanism.DefaultSpec()
 	spec.RcvBufPDUs = 2
@@ -260,8 +286,8 @@ func TestSRBufferCapRespected(t *testing.T) {
 	feedData(e, s, 5, "x")
 	feedData(e, s, 6, "y")
 	feedData(e, s, 7, "z") // over capacity: dropped
-	if len(e.StateV.RcvBuf) != 2 {
-		t.Fatalf("buffer grew to %d", len(e.StateV.RcvBuf))
+	if e.StateV.RcvBuf.Len() != 2 {
+		t.Fatalf("buffer grew to %d", e.StateV.RcvBuf.Len())
 	}
 	if e.Sink.Counts["rel.rcvbuf_overflow"] != 1 {
 		t.Fatal("overflow not counted")
@@ -291,7 +317,7 @@ func TestSRSegueStatePreservesThrottles(t *testing.T) {
 func TestNakCodecRoundTrip(t *testing.T) {
 	missing := []uint32{1, 5, 9, 1000000}
 	p := EncodeNak(missing)
-	got := DecodeNakList(p)
+	got := DecodeNakList(p, nil)
 	if len(got) != len(missing) {
 		t.Fatalf("decoded %v", got)
 	}
@@ -309,7 +335,7 @@ func TestNakListCapped(t *testing.T) {
 		long[i] = uint32(i)
 	}
 	p := EncodeNak(long)
-	if got := DecodeNakList(p); len(got) != maxNakList {
+	if got := DecodeNakList(p, nil); len(got) != maxNakList {
 		t.Fatalf("NAK list length %d, want %d", len(got), maxNakList)
 	}
 	p.ReleasePayload()
@@ -318,7 +344,7 @@ func TestNakListCapped(t *testing.T) {
 func TestNakDecodeTruncatedAux(t *testing.T) {
 	p := EncodeNak([]uint32{1, 2, 3})
 	p.Aux = 100 // lies about the count
-	if got := DecodeNakList(p); len(got) != 3 {
+	if got := DecodeNakList(p, nil); len(got) != 3 {
 		t.Fatalf("oversized aux decoded %d entries", len(got))
 	}
 	p.ReleasePayload()
@@ -331,7 +357,7 @@ func TestAckThroughReleasesAndSamplesRTT(t *testing.T) {
 	e.SentEntry(0, "a", 10*time.Millisecond)
 	e.SentEntry(1, "b", 12*time.Millisecond)
 	e.SentEntry(2, "c", 14*time.Millisecond)
-	e.StateV.Unacked[1].Retransmits = 1 // Karn: not timeable
+	unacked(e, 1).Retransmits = 1 // Karn: not timeable
 	acked, sentAt, ok := e.StateV.AckThrough(2)
 	if acked != 2 || !ok {
 		t.Fatalf("acked=%d ok=%v", acked, ok)
@@ -347,7 +373,7 @@ func TestAckThroughReleasesAndSamplesRTT(t *testing.T) {
 func TestAckThroughAllRetransmittedNoSample(t *testing.T) {
 	e := mechtest.New(nil)
 	e.SentEntry(0, "a", 10*time.Millisecond)
-	e.StateV.Unacked[0].Retransmits = 2
+	unacked(e, 0).Retransmits = 2
 	_, _, ok := e.StateV.AckThrough(1)
 	if ok {
 		t.Fatal("Karn violated: sampled a retransmitted PDU")
@@ -387,7 +413,7 @@ func TestAdvertiseClampsToCapacity(t *testing.T) {
 		t.Fatalf("advertise %d", st.Advertise())
 	}
 	for i := uint32(0); i < 6; i++ {
-		st.RcvBuf[i] = &mechanism.RecvPDU{}
+		st.RcvBuf.Set(i, &mechanism.RecvPDU{})
 	}
 	if st.Advertise() != 0 {
 		t.Fatalf("advertise %d with overfull buffer", st.Advertise())

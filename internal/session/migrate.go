@@ -2,7 +2,6 @@ package session
 
 import (
 	"errors"
-	"sort"
 	"time"
 
 	"adaptive/internal/conn"
@@ -30,6 +29,11 @@ type HandoffPDU struct {
 	Flags   uint8
 	Aux     uint16
 	Payload []byte
+}
+
+func handoffPDU(seq uint32, p *wire.PDU) HandoffPDU {
+	return HandoffPDU{Seq: seq, Flags: p.Flags, Aux: p.Aux,
+		Payload: append([]byte(nil), p.PayloadBytes()...)}
 }
 
 // HandoffSeg is one unsent send-queue segment.
@@ -183,31 +187,19 @@ func (s *Session) ExportHandoff() *Handoff {
 		Segues:          s.segues,
 		PeerAdvert:      s.peerAdvert,
 	}
-	if n := len(st.Unacked); n > 0 {
+	// Both buffers are walked in ascending sequence order, so the record is
+	// byte-identical across same-seed runs.
+	if n := st.Unacked.Len(); n > 0 {
 		h.Unacked = make([]HandoffPDU, 0, n)
-		for seq, e := range st.Unacked {
-			h.Unacked = append(h.Unacked, HandoffPDU{
-				Seq:     seq,
-				Flags:   e.PDU.Flags,
-				Aux:     e.PDU.Aux,
-				Payload: append([]byte(nil), e.PDU.PayloadBytes()...),
-			})
+		for seq, e := range st.Unacked.All() {
+			h.Unacked = append(h.Unacked, handoffPDU(seq, e.PDU))
 		}
-		// Ascending sequence order: the record must be byte-identical across
-		// same-seed runs, and map iteration order is not.
-		sort.Slice(h.Unacked, func(i, j int) bool { return h.Unacked[i].Seq < h.Unacked[j].Seq })
 	}
-	if n := len(st.RcvBuf); n > 0 {
+	if n := st.RcvBuf.Len(); n > 0 {
 		h.RcvBuf = make([]HandoffPDU, 0, n)
-		for seq, e := range st.RcvBuf {
-			h.RcvBuf = append(h.RcvBuf, HandoffPDU{
-				Seq:     seq,
-				Flags:   e.PDU.Flags,
-				Aux:     e.PDU.Aux,
-				Payload: append([]byte(nil), e.PDU.PayloadBytes()...),
-			})
+		for seq, e := range st.RcvBuf.All() {
+			h.RcvBuf = append(h.RcvBuf, handoffPDU(seq, e.PDU))
 		}
-		sort.Slice(h.RcvBuf, func(i, j int) bool { return h.RcvBuf[i].Seq < h.RcvBuf[j].Seq })
 	}
 	if n := s.queuedLen(); n > 0 {
 		h.SendQ = make([]HandoffSeg, 0, n)
@@ -276,7 +268,9 @@ func (s *Session) ImportHandoff(h *Handoff) {
 		}
 		e := st.NewSent(p, now)
 		e.Retransmits = 1 // Karn: never RTT-time a PDU sent by another host
-		st.Unacked[hp.Seq] = e
+		if !st.Unacked.Set(hp.Seq, e) {
+			st.FreeSent(e) // a record spanning more than any window: not ours to honour
+		}
 	}
 	for i := range h.RcvBuf {
 		hp := &h.RcvBuf[i]
@@ -290,7 +284,9 @@ func (s *Session) ImportHandoff(h *Handoff) {
 			copy(m.Bytes(), hp.Payload)
 			p.Payload = m
 		}
-		st.RcvBuf[hp.Seq] = st.NewRecv(p, now, false)
+		if r := st.NewRecv(p, now, false); !st.RcvBuf.Set(hp.Seq, r) {
+			st.FreeRecv(r)
+		}
 	}
 	for i := range h.SendQ {
 		seg := &h.SendQ[i]

@@ -20,7 +20,9 @@ import (
 	"adaptive/internal/mechanism"
 	"adaptive/internal/message"
 	"adaptive/internal/netapi"
+	"adaptive/internal/seqwin"
 	"adaptive/internal/trace"
+	"adaptive/internal/unites"
 	"adaptive/internal/wire"
 )
 
@@ -66,6 +68,22 @@ type Params struct {
 	Out       Outbound
 }
 
+// The counters a session bumps for every PDU. Each resolves once into a cell
+// of the session's Recorder (see Session.count); every other counter is a
+// rare event and goes through MetricSink.Count by name.
+const (
+	ctrPDUSent = iota
+	ctrBytesSent
+	ctrPDUReceived
+	ctrDeliveredPDUs
+	ctrDeliveredBytes
+	numHotCounters
+)
+
+var hotCounterNames = [numHotCounters]string{
+	"pdu.sent", "bytes.sent", "pdu.received", "app.delivered_pdus", "app.delivered_bytes",
+}
+
 type queuedSeg struct {
 	msg *message.Message
 	eom bool
@@ -87,6 +105,7 @@ type Session struct {
 	timers  *event.Manager
 	rng     *rand.Rand
 	metrics mechanism.MetricSink
+	cells   [numHotCounters]*unites.Cell // resolved from metrics at first use
 	tracer  *trace.Recorder
 	out     Outbound
 
@@ -204,6 +223,22 @@ func (s *Session) SetMetricSink(m mechanism.MetricSink) {
 		m = mechanism.NopSink{}
 	}
 	s.metrics = m
+	s.cells = [numHotCounters]*unites.Cell{}
+}
+
+// count bumps one of the per-PDU counters. On a Recorder the counter's cell is
+// resolved at its first increment — which is also when its name first shows in
+// the exports, as with a by-name Count — and every later bump is one atomic
+// add. Any other sink (a TMC filter, a test sink) is counted by name.
+func (s *Session) count(ctr int, delta uint64) {
+	if c := s.cells[ctr]; c != nil {
+		c.Add(delta)
+	} else if r, ok := s.metrics.(*unites.Recorder); ok {
+		s.cells[ctr] = r.Cell(hotCounterNames[ctr])
+		s.cells[ctr].Add(delta)
+	} else {
+		s.metrics.Count(hotCounterNames[ctr], delta)
+	}
 }
 
 // State exposes the shared transfer state.
@@ -384,7 +419,10 @@ func (s *Session) pump() {
 		return
 	}
 	for s.queuedLen() > 0 {
-		if !s.slots.Window.CanSend(s.state.InFlight(), s.peerAdvert) {
+		if !s.slots.Window.CanSend(s.state.InFlight(), s.peerAdvert) ||
+			s.state.SndNxt-s.state.SndUna >= seqwin.MaxSpan {
+			// The second bound is the wire's: a 16-bit window field cannot
+			// advertise more, whatever the Spec asks for.
 			return
 		}
 		seg := s.sendQ[s.sendQH]
@@ -439,7 +477,8 @@ func (s *Session) emitSegment(seg queuedSeg) {
 		p.Payload = withCfg
 	}
 
-	st.Unacked[seq] = st.NewSent(p, s.clock.Now())
+	// pump keeps SndNxt within seqwin.MaxSpan of SndUna, so the entry fits.
+	st.Unacked.Set(seq, st.NewSent(p, s.clock.Now()))
 	size := wire.Overhead
 	if p.Payload != nil {
 		size += p.Payload.Len()
@@ -450,8 +489,7 @@ func (s *Session) emitSegment(seg queuedSeg) {
 	if s.spec.Multicast {
 		// Multicast senders keep no per-receiver state: no ack-driven
 		// buffer (ack implosion is suppressed receiver-side too).
-		if e, ok := st.Unacked[seq]; ok {
-			delete(st.Unacked, seq)
+		if e, ok := st.Unacked.Take(seq); ok {
 			st.FreeSent(e)
 		}
 		if st.SndUna <= seq {
@@ -491,8 +529,8 @@ func (s *Session) emitPacket(pkt []byte) error {
 		s.tracer.EmitKeyed(s.txSeq|s.txAck, s.clock.Now(), trace.KPDUSend,
 			s.connID, s.txSeq, s.txType, uint64(len(pkt)))
 	}
-	s.metrics.Count("pdu.sent", 1)
-	s.metrics.Count("bytes.sent", uint64(len(pkt)))
+	s.count(ctrPDUSent, 1)
+	s.count(ctrBytesSent, uint64(len(pkt)))
 	if err := s.out.Transmit(pkt, s.peerNet); err != nil {
 		s.metrics.Count("pdu.send_errors", 1)
 	}
@@ -556,7 +594,7 @@ func (s *Session) HandlePDU(p *wire.PDU) {
 		s.tracer.EmitKeyed(uint64(p.Seq)|uint64(p.Ack), s.clock.Now(), trace.KPDURecv,
 			s.connID, uint64(p.Seq), uint64(p.Type), uint64(p.PayloadLen))
 	}
-	s.metrics.Count("pdu.received", 1)
+	s.count(ctrPDUReceived, 1)
 	s.lastHeard = s.clock.Now()
 	if p.Type == wire.TAck {
 		s.peerAdvert = int(p.Window)
@@ -653,8 +691,8 @@ func (s *Session) deliver(d Delivery) {
 		s.tracer.EmitKeyed(uint64(d.Seq), s.clock.Now(), trace.KDeliver,
 			s.connID, uint64(d.Seq), uint64(d.Msg.Len()), eom)
 	}
-	s.metrics.Count("app.delivered_pdus", 1)
-	s.metrics.Count("app.delivered_bytes", uint64(d.Msg.Len()))
+	s.count(ctrDeliveredPDUs, 1)
+	s.count(ctrDeliveredBytes, uint64(d.Msg.Len()))
 	if s.recvCb != nil {
 		s.recvCb(d)
 	} else {

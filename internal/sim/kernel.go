@@ -57,6 +57,7 @@ func (t Timer) Stop() bool {
 	}
 	t.ev.canceled = true
 	t.k.stopped++
+	t.k.wh.stopped(t.ev.at)
 	if t.k.tracer != nil {
 		// Keyed: timer stops are per-packet-rate (delayed-ack cancels), so
 		// sampled recordings thin them like fires instead of keeping all.
@@ -212,7 +213,7 @@ func (k *Kernel) nextLive() *Event {
 		}
 		k.due = k.due[:0]
 		k.dueIdx = 0
-		tmin, ok := k.wh.minLive()
+		tmin, ok := k.wh.minLive(k)
 		if !ok {
 			if k.queued > 0 {
 				// Only canceled events remain; drop them all.
@@ -236,7 +237,7 @@ func (k *Kernel) peekAt() (time.Duration, bool) {
 		k.dueIdx++
 		k.reap(ev)
 	}
-	return k.wh.minLive()
+	return k.wh.minLive(k)
 }
 
 // Step executes the single earliest pending event and returns true, or

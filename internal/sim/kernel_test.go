@@ -435,3 +435,36 @@ func TestEventPoolingReusesObjects(t *testing.T) {
 	}
 	k.Run()
 }
+
+// TestPeekedMinimumFollowsScheduleAndStop: RunUntil peeks the earliest live
+// timestamp and may decline to step; the wheel keeps that answer until the
+// next extraction. An event scheduled earlier than the peeked one, and the
+// peeked one being stopped, must both show in the next peek.
+func TestPeekedMinimumFollowsScheduleAndStop(t *testing.T) {
+	k := NewKernel(1)
+	var ran []int
+	first := k.Schedule(10*time.Millisecond, func() { ran = append(ran, 1) })
+	k.Schedule(20*time.Millisecond, func() { ran = append(ran, 2) })
+	k.RunUntil(5 * time.Millisecond) // peeks 10ms and declines
+	if len(ran) != 0 {
+		t.Fatalf("ran %v before anything was due", ran)
+	}
+	k.Schedule(2*time.Millisecond, func() { ran = append(ran, 3) }) // due at 7ms: below the peeked minimum
+	k.RunUntil(8 * time.Millisecond)
+	if len(ran) != 1 || ran[0] != 3 {
+		t.Fatalf("ran %v by 8ms, want [3]", ran)
+	}
+	k.RunUntil(9 * time.Millisecond) // peeks 10ms again
+	first.Stop()                     // the peeked minimum itself goes away
+	if k.Pending() != 1 {
+		t.Fatalf("Pending = %d after stopping one of two", k.Pending())
+	}
+	k.RunUntil(15 * time.Millisecond)
+	if len(ran) != 1 {
+		t.Fatalf("ran %v by 15ms: the stopped event fired", ran)
+	}
+	k.Run()
+	if len(ran) != 2 || ran[1] != 2 || k.Now() != 20*time.Millisecond {
+		t.Fatalf("ran %v, now %v; want [3 2] at 20ms", ran, k.Now())
+	}
+}

@@ -39,10 +39,21 @@ type wheel struct {
 	slots    [wheelLevels][wheelSlots]*Event
 	occ      [wheelLevels]uint64 // per-level slot occupancy bitmap
 	overflow overflowHeap
+
+	// min caches minLive's answer between the peek that decides whether to
+	// step and the step itself (and across peeks that decline to), so the
+	// slot lists — canceled events included — are walked once per extraction,
+	// not twice. insert lowers it, stopping an event due at it or extracting
+	// invalidates it.
+	min   time.Duration
+	minOK bool
 }
 
 // insert places ev, which must satisfy ev.at >= w.cur.
 func (w *wheel) insert(ev *Event) {
+	if w.minOK && ev.at < w.min {
+		w.min = ev.at
+	}
 	d := uint64(ev.at) ^ uint64(w.cur)
 	if d>>wheelSpan != 0 {
 		w.overflow.push(ev)
@@ -58,10 +69,25 @@ func (w *wheel) insert(ev *Event) {
 	w.occ[lvl] |= 1 << slot
 }
 
-// minLive returns the earliest timestamp among non-canceled events. It is
-// read-only: peeking must not advance cur, because callers (RunUntil) may
-// decline to extract and later schedule events earlier than the peeked time.
-func (w *wheel) minLive() (time.Duration, bool) {
+// minLive returns the earliest timestamp among non-canceled events. It never
+// advances cur: callers (RunUntil) may decline to extract and later schedule
+// events earlier than the peeked time. Canceled events it walks over are
+// reaped, so none is walked twice.
+func (w *wheel) minLive(k *Kernel) (time.Duration, bool) {
+	if !w.minOK {
+		w.min, w.minOK = w.scanMin(k)
+	}
+	return w.min, w.minOK
+}
+
+// stopped tells the wheel an event due at `at` was canceled.
+func (w *wheel) stopped(at time.Duration) {
+	if at == w.min {
+		w.minOK = false
+	}
+}
+
+func (w *wheel) scanMin(k *Kernel) (time.Duration, bool) {
 	for lvl := 0; lvl < wheelLevels; lvl++ {
 		curSlot := int(uint64(w.cur)>>(lvl*wheelBits)) & slotMask
 		// Slots below cur's own can only hold stale canceled events.
@@ -70,14 +96,22 @@ func (w *wheel) minLive() (time.Duration, bool) {
 			s := bits.TrailingZeros64(m)
 			m &= m - 1
 			best := time.Duration(-1)
-			for e := w.slots[lvl][s]; e != nil; e = e.next {
-				if !e.canceled && (best < 0 || e.at < best) {
+			for link := &w.slots[lvl][s]; *link != nil; {
+				e := *link
+				if e.canceled {
+					*link, e.next = e.next, nil
+					k.reap(e)
+					continue
+				}
+				if best < 0 || e.at < best {
 					best = e.at
 				}
+				link = &e.next
 			}
 			if best >= 0 {
 				return best, true
 			}
+			w.occ[lvl] &^= 1 << s
 		}
 	}
 	best := time.Duration(-1)
@@ -97,6 +131,7 @@ func (w *wheel) minLive() (time.Duration, bool) {
 // exactly at tmin to k.due. Canceled events touched along the way are reaped.
 func (w *wheel) extract(tmin time.Duration, k *Kernel) {
 	w.cur = tmin
+	w.minOK = false
 	// Overflow events now within the wheel span migrate in. The heap is
 	// ordered by at, and XOR distance from tmin is monotonic in at for
 	// at >= tmin, so a while-top-qualifies loop is exact.
@@ -182,6 +217,7 @@ func (w *wheel) purgeInto(k *Kernel) {
 		k.reap(e)
 	}
 	w.overflow = w.overflow[:0]
+	w.minOK = false
 }
 
 // overflowHeap is a binary min-heap of events ordered by (at, seq), used for

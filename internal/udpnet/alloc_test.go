@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"adaptive/internal/event"
 	"adaptive/internal/netapi"
 )
 
@@ -114,5 +115,24 @@ func TestPerPacketSendAllocs(t *testing.T) {
 	t.Logf("per-packet send path: %.0f allocs for %d pkts = %.4f allocs/pkt", allocs, pkts, perPkt)
 	if perPkt >= 1.0 {
 		t.Fatalf("allocs/pkt = %.3f, want < 1.0", perPkt)
+	}
+}
+
+// TestEventRearmZeroAlloc pins re-arming an event.Event over the live clock at
+// zero allocations: the manager re-arms the provider's timer in place (its
+// optional Reset) instead of building a timer, a closure and a runtime timer
+// through AfterFunc on every arm — the RTO is re-armed on every send and
+// every ack.
+func TestEventRearmZeroAlloc(t *testing.T) {
+	p := New()
+	defer p.Close()
+	m := event.NewManager(p.Clock())
+	e := m.Schedule(time.Hour, func() {})
+	defer e.Cancel()
+	if allocs := testing.AllocsPerRun(1000, func() { e.Reset(time.Hour) }); allocs != 0 {
+		t.Fatalf("Event.Reset over udpnet: %v allocs/op, want 0", allocs)
+	}
+	if got := m.Stats().Scheduled; got < 1000 {
+		t.Fatalf("Scheduled = %d: the re-arms were not counted", got)
 	}
 }

@@ -518,16 +518,29 @@ var _ netapi.Clock = clock{}
 func (c clock) Now() time.Duration { return time.Since(c.epoch) }
 
 func (c clock) AfterFunc(d time.Duration, fn func()) netapi.Timer {
-	t := &timer{}
-	// Timer callbacks are control-plane work: use the blocking Post (a
-	// full queue delays the timer rather than dropping protocol events).
-	t.t = time.AfterFunc(d, func() { c.p.Post(fn) })
+	t := &timer{p: c.p, fn: fn}
+	t.t = time.AfterFunc(d, t.post)
 	return t
 }
 
-type timer struct{ t *time.Timer }
+type timer struct {
+	t  *time.Timer
+	p  *Provider
+	fn func()
+}
+
+// post hands the callback to the event loop. Timer callbacks are
+// control-plane work: use the blocking Post (a full queue delays the timer
+// rather than dropping protocol events).
+func (t *timer) post() { t.p.Post(t.fn) }
 
 func (t *timer) Stop() bool { return t.t.Stop() }
+
+// Reset re-arms the timer to run the same callback after d. The event
+// manager finds it by type assertion and re-arms through it, so a timer that
+// is reset on every send and every ack (the RTO) costs one runtime timer and
+// one closure for its whole life instead of one of each per arm.
+func (t *timer) Reset(d time.Duration) { t.t.Reset(d) }
 
 // Clock implements netapi.Provider.
 func (p *Provider) Clock() netapi.Clock { return p.clock }

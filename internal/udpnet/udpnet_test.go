@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"adaptive/internal/event"
 	"adaptive/internal/netapi"
 )
 
@@ -75,6 +76,46 @@ func TestTimerStop(t *testing.T) {
 	time.Sleep(100 * time.Millisecond)
 	if fired.Load() {
 		t.Fatal("stopped timer fired")
+	}
+}
+
+// TestEventResetRearmsLiveTimer drives an event.Event over the live clock the
+// way the RTO is driven: re-armed in place (the provider timer's Reset), it
+// must fire once, on the loop, at the re-armed instant — and again after a
+// re-arm that follows a firing.
+func TestEventResetRearmsLiveTimer(t *testing.T) {
+	p := New()
+	defer p.Close()
+	m := event.NewManager(p.Clock())
+	fired := make(chan time.Duration, 4)
+	var e *event.Event
+	armed := make(chan struct{})
+	p.Post(func() {
+		e = m.Schedule(time.Hour, func() { fired <- p.Clock().Now() })
+		e.Reset(30 * time.Millisecond)
+		close(armed)
+	})
+	<-armed
+	start := p.Clock().Now()
+	wait := func(what string) {
+		t.Helper()
+		select {
+		case at := <-fired:
+			if at-start < 25*time.Millisecond {
+				t.Fatalf("%s: fired after %v", what, at-start)
+			}
+		case <-time.After(2 * time.Second):
+			t.Fatalf("%s: never fired", what)
+		}
+	}
+	wait("re-armed before firing")
+	start = p.Clock().Now()
+	p.Post(func() { e.Reset(30 * time.Millisecond) })
+	wait("re-armed after firing")
+	select {
+	case <-fired:
+		t.Fatal("fired more than once per arm")
+	case <-time.After(80 * time.Millisecond):
 	}
 }
 

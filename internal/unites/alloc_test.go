@@ -48,3 +48,19 @@ func TestRecorderSampleSteadyStateZeroAlloc(t *testing.T) {
 		t.Fatalf("Recorder.Sample steady state: %v allocs/op, want 0", allocs)
 	}
 }
+
+func TestCounterCellZeroAlloc(t *testing.T) {
+	r := NewRecorder("host-a/conn-00000001")
+	c := r.Cell("pdu.sent")
+	if allocs := testing.AllocsPerRun(1000, func() { c.Add(1) }); allocs != 0 {
+		t.Fatalf("Cell.Add: %v allocs/op, want 0", allocs)
+	}
+	// The by-name entry reaches the same cell without allocating once it
+	// exists.
+	if allocs := testing.AllocsPerRun(1000, func() { r.Count("pdu.sent", 1) }); allocs != 0 {
+		t.Fatalf("Recorder.Count on an existing counter: %v allocs/op, want 0", allocs)
+	}
+	if got := r.Counter("pdu.sent"); got != 2002 {
+		t.Fatalf("counter = %d after 1001 adds by cell and 1001 by name, want 2002", got)
+	}
+}

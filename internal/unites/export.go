@@ -95,8 +95,8 @@ func snapshotOf(r *Recorder) RecorderSnapshot {
 	out := RecorderSnapshot{Scope: r.Scope}
 	if len(r.counters) > 0 {
 		out.Counters = make(map[string]uint64, len(r.counters))
-		for k, v := range r.counters {
-			out.Counters[k] = v
+		for k, c := range r.counters {
+			out.Counters[k] = c.v.Load()
 		}
 	}
 	if len(r.gauges) > 0 {

@@ -22,6 +22,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 )
 
 // Class distinguishes the paper's two metric classes.
@@ -210,12 +211,22 @@ func (d *Distribution) Merge(o *Distribution) {
 	}
 }
 
+// Cell is one counter of a Recorder. A session resolves each per-PDU counter
+// to its cell once (Recorder.Cell) and bumps the cell from then on: the fast
+// path hashes no name and takes no lock, and the instrumentation perturbs what
+// it measures as little as it can (§4.3). The value is atomic because the
+// snapshot plane reads it from another goroutine while the session counts.
+type Cell struct{ v atomic.Uint64 }
+
+// Add adds delta to the counter.
+func (c *Cell) Add(delta uint64) { c.v.Add(delta) }
+
 // Recorder collects metrics for one session (or one named scope). It
 // implements mechanism.MetricSink.
 type Recorder struct {
 	mu       sync.Mutex
 	Scope    string
-	counters map[string]uint64
+	counters map[string]*Cell
 	gauges   map[string]float64
 	dists    map[string]*Distribution
 }
@@ -226,17 +237,28 @@ type Recorder struct {
 func NewRecorder(scope string) *Recorder {
 	return &Recorder{
 		Scope:    scope,
-		counters: make(map[string]uint64),
+		counters: make(map[string]*Cell),
 		gauges:   make(map[string]float64),
 		dists:    make(map[string]*Distribution),
 	}
 }
 
-// Count adds delta to a counter.
-func (r *Recorder) Count(name string, delta uint64) {
+// Count adds delta to a counter: the by-name entry to the cell Cell returns,
+// for events too rare to be worth holding a handle for.
+func (r *Recorder) Count(name string, delta uint64) { r.Cell(name).Add(delta) }
+
+// Cell returns the counter's cell, creating it on first use. A counter is
+// listed by CounterNames and the exports from the moment its cell exists, so
+// callers resolve a cell at the first increment, not ahead of it.
+func (r *Recorder) Cell(name string) *Cell {
 	r.mu.Lock()
-	r.counters[name] += delta
+	c := r.counters[name]
+	if c == nil {
+		c = new(Cell)
+		r.counters[name] = c
+	}
 	r.mu.Unlock()
+	return c
 }
 
 // Sample folds a value into a distribution.
@@ -262,7 +284,10 @@ func (r *Recorder) Gauge(name string, v float64) {
 func (r *Recorder) Counter(name string) uint64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.counters[name]
+	if c := r.counters[name]; c != nil {
+		return c.v.Load()
+	}
+	return 0
 }
 
 // GaugeValue reads a gauge.

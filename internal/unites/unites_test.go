@@ -118,6 +118,31 @@ func TestRecorderCountersAndGauges(t *testing.T) {
 	}
 }
 
+// TestCellIsTheNamedCounter: Cell and Count address one counter, a Count of
+// zero still creates it (as a by-name map update always did), and the snapshot
+// lists it from creation on.
+func TestCellIsTheNamedCounter(t *testing.T) {
+	rp := NewRepository()
+	r := rp.SinkFor("h")(1)
+	if len(r.CounterNames()) != 0 || len(rp.Snapshot().Systemwide) != 0 {
+		t.Fatal("a fresh recorder exports counters")
+	}
+	c := r.Cell("pdu.sent")
+	if c != r.Cell("pdu.sent") {
+		t.Fatal("Cell returned two cells for one name")
+	}
+	c.Add(4)
+	r.Count("pdu.sent", 1)
+	r.Count("rel.gaps_abandoned", 0)
+	snap := rp.Snapshot()
+	if v, ok := snap.Systemwide["pdu.sent"]; !ok || v != 5 {
+		t.Fatalf("pdu.sent exported as %d (present %v), want 5", v, ok)
+	}
+	if v, ok := snap.Connections[0].Counters["rel.gaps_abandoned"]; !ok || v != 0 {
+		t.Fatalf("zero-delta counter exported as %d (present %v), want 0 and present", v, ok)
+	}
+}
+
 func TestRepositoryScopes(t *testing.T) {
 	rp := NewRepository()
 	alpha := rp.SinkFor("alpha")
