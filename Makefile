@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test verify live bench bench-scale bench-live bench-compare faults e12 e13 trace soak soak-smoke clean
+.PHONY: build test verify golden-update loc live bench bench-scale bench-live bench-compare faults e12 e13 trace soak soak-smoke clean
 
 build:
 	$(GO) build ./...
@@ -28,6 +28,18 @@ verify:
 	$(GO) test -race ./...
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 	$(MAKE) soak-smoke
+
+# golden-update rewrites the committed goldens from the current code: the
+# deterministic E-series tables (internal/experiment/testdata/eseries.golden)
+# and the adaptivesim reports (cmd/adaptivesim/testdata/*.golden). The golden
+# tests themselves are plain `go test`, so verify and CI already run them; a
+# diff in `git status` after this target is a behaviour change to explain.
+golden-update:
+	$(GO) test -count=1 -run 'Golden' ./internal/experiment/ ./cmd/adaptivesim/ -update
+
+# loc prints the program's size (non-test Go lines outside bench/).
+loc:
+	./scripts/loc.sh
 
 # live runs the E-series parity scenarios over real UDP loopback sockets
 # (segue mid-stream, seeded impairment) under the race detector, plus the

@@ -15,6 +15,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"strings"
@@ -32,35 +33,42 @@ import (
 )
 
 func main() {
-	var (
-		bw      = flag.Float64("bw", 10e6, "link bandwidth (bps)")
-		rtt     = flag.Duration("rtt", 20*time.Millisecond, "path round-trip time")
-		mtu     = flag.Int("mtu", 1500, "link MTU")
-		drop    = flag.Float64("drop", 0, "random packet drop rate")
-		ber     = flag.Float64("ber", 0, "bit error rate")
-		queue   = flag.Int("queue", 1<<20, "bottleneck queue bytes")
-		size    = flag.Int("size", 1<<20, "transfer size (bytes)")
-		seed    = flag.Int64("seed", 42, "simulation seed")
-		useACD  = flag.Bool("acd", false, "derive the config via MANTTS from QoS flags")
-		latency = flag.Duration("latency", 0, "ACD max latency (with -acd)")
-		lossTol = flag.Float64("loss-tol", 0, "ACD loss tolerance (with -acd, or spec flag)")
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
 
-		recovery = flag.String("recovery", "selective-repeat", "none|go-back-n|selective-repeat|fec|fec-hybrid")
-		window   = flag.Int("window", 32, "window size (PDUs)")
-		conn     = flag.String("conn", "explicit-2way", "implicit|explicit-2way|explicit-3way")
-		order    = flag.String("order", "sequenced", "sequenced|none")
-		rate     = flag.Float64("rate", 0, "pacing rate bps (0 = unpaced)")
-		metrics  = flag.Bool("metrics", false, "print the UNITES metric report")
-		measureS = flag.String("measure", "", `measurement-language program, e.g.
+// run is the command: flags from args, the report to out.
+func run(args []string, out io.Writer) error {
+	fs := flag.NewFlagSet("adaptivesim", flag.ExitOnError)
+	var (
+		bw      = fs.Float64("bw", 10e6, "link bandwidth (bps)")
+		rtt     = fs.Duration("rtt", 20*time.Millisecond, "path round-trip time")
+		mtu     = fs.Int("mtu", 1500, "link MTU")
+		drop    = fs.Float64("drop", 0, "random packet drop rate")
+		ber     = fs.Float64("ber", 0, "bit error rate")
+		queue   = fs.Int("queue", 1<<20, "bottleneck queue bytes")
+		size    = fs.Int("size", 1<<20, "transfer size (bytes)")
+		seed    = fs.Int64("seed", 42, "simulation seed")
+		useACD  = fs.Bool("acd", false, "derive the config via MANTTS from QoS flags")
+		latency = fs.Duration("latency", 0, "ACD max latency (with -acd)")
+		lossTol = fs.Float64("loss-tol", 0, "ACD loss tolerance (with -acd, or spec flag)")
+
+		recovery = fs.String("recovery", "selective-repeat", "none|go-back-n|selective-repeat|fec|fec-hybrid")
+		window   = fs.Int("window", 32, "window size (PDUs)")
+		conn     = fs.String("conn", "explicit-2way", "implicit|explicit-2way|explicit-3way")
+		order    = fs.String("order", "sequenced", "sequenced|none")
+		rate     = fs.Float64("rate", 0, "pacing rate bps (0 = unpaced)")
+		metrics  = fs.Bool("metrics", false, "print the UNITES metric report")
+		measureS = fs.String("measure", "", `measurement-language program, e.g.
 	'collect rel., app. every 50ms; generate cbr size=160 interval=20ms count=500'
 	(overrides -size; implies -metrics for the collected families)`)
-		scenarioF = flag.String("scenario", "", "run a JSON scenario file instead of the flag-built topology (see internal/scenario and scenarios/)")
+		scenarioF = fs.String("scenario", "", "run a JSON scenario file instead of the flag-built topology (see internal/scenario and scenarios/)")
 	)
-	flag.Parse()
+	fs.Parse(args)
 
 	if *scenarioF != "" {
-		runScenario(*scenarioF, *metrics)
-		return
+		return runScenario(out, *scenarioF, *metrics)
 	}
 
 	var mspec *measure.Spec
@@ -68,7 +76,7 @@ func main() {
 		var err error
 		mspec, err = measure.Parse(*measureS)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 	}
 
@@ -86,11 +94,11 @@ func main() {
 	repo := unites.NewRepository()
 	na, err := adaptive.NewNode(adaptive.WithProvider(network), adaptive.WithHost(a.ID()), adaptive.WithObservability(adaptive.Observe{Repository: repo}), adaptive.WithName("sender"), adaptive.WithSeed(*seed))
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	nb, err := adaptive.NewNode(adaptive.WithProvider(network), adaptive.WithHost(b.ID()), adaptive.WithObservability(adaptive.Observe{Repository: repo}), adaptive.WithName("receiver"), adaptive.WithSeed(*seed+1))
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	na.SeedPath(b.ID(), mantts.StaticPathInfo{Bandwidth: *bw, RTT: *rtt, BER: *ber, MTU: *mtu})
 
@@ -134,9 +142,9 @@ func main() {
 		c, err = na.DialSpec(spec, nb.Addr(), 1000, 80)
 	}
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("configuration: %v\n", c.Spec())
+	fmt.Fprintf(out, "configuration: %v\n", c.Spec())
 
 	if mspec != nil && mspec.Workload.Kind != measure.WorkloadNone {
 		if len(mspec.TMC.Metrics) > 0 {
@@ -145,11 +153,11 @@ func main() {
 		}
 		start, generated, err := mspec.Workload.Build(na.Stack().Timers(), c)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		start()
 		kernel.RunUntil(30 * time.Minute)
-		fmt.Printf("measurement program generated %d messages\n", generated())
+		fmt.Fprintf(out, "measurement program generated %d messages\n", generated())
 	} else {
 		g := &workload.Bulk{Out: c, TotalSize: *size, ChunkSize: 64 << 10}
 		g.Start(kernel)
@@ -158,29 +166,30 @@ func main() {
 
 	st := c.Stats()
 	if mspec != nil {
-		fmt.Printf("\ndelivered: %d bytes, last delivery at %v\n", gotBytes, meter.LastAt)
+		fmt.Fprintf(out, "\ndelivered: %d bytes, last delivery at %v\n", gotBytes, meter.LastAt)
 	} else {
-		fmt.Printf("\ntransfer: %d of %d bytes", gotBytes, *size)
+		fmt.Fprintf(out, "\ntransfer: %d of %d bytes", gotBytes, *size)
 		if doneAt > 0 {
-			fmt.Printf(" in %v (%.2f Mbps goodput)", doneAt, float64(gotBytes)*8/doneAt.Seconds()/1e6)
+			fmt.Fprintf(out, " in %v (%.2f Mbps goodput)", doneAt, float64(gotBytes)*8/doneAt.Seconds()/1e6)
 		} else if meter.LastAt > 0 {
-			fmt.Printf(" (incomplete; last delivery at %v)", meter.LastAt)
+			fmt.Fprintf(out, " (incomplete; last delivery at %v)", meter.LastAt)
 		}
-		fmt.Println()
+		fmt.Fprintln(out)
 	}
-	fmt.Printf("whitebox (sender):   %d PDUs sent, %d retransmissions, %d segues\n",
+	fmt.Fprintf(out, "whitebox (sender):   %d PDUs sent, %d retransmissions, %d segues\n",
 		st.SentPDUs, st.Retransmissions, st.Segues)
 	if rx != nil {
 		rst := rx.Stats()
-		fmt.Printf("whitebox (receiver): %d PDUs received, %d FEC-recovered, %d gaps abandoned\n",
+		fmt.Fprintf(out, "whitebox (receiver): %d PDUs received, %d FEC-recovered, %d gaps abandoned\n",
 			rst.RecvPDUs, rst.FECRecovered, rst.GapsAbandoned)
 	}
-	fmt.Printf("blackbox: p50 chunk latency %.2f ms, p99 %.2f ms\n",
+	fmt.Fprintf(out, "blackbox: p50 chunk latency %.2f ms, p99 %.2f ms\n",
 		meter.Latency.Quantile(0.5)*1e3, meter.Latency.Quantile(0.99)*1e3)
 	if *metrics {
-		fmt.Println("\nUNITES metric repository:")
-		fmt.Print(repo.Render())
+		fmt.Fprintln(out, "\nUNITES metric repository:")
+		fmt.Fprint(out, repo.Render())
 	}
+	return nil
 }
 
 func parseRecovery(s string) mechanismRecovery {
@@ -236,28 +245,29 @@ type (
 
 // runScenario executes a declarative JSON scenario and reports per-session
 // delivered QoS.
-func runScenario(path string, metrics bool) {
+func runScenario(out io.Writer, path string, metrics bool) error {
 	raw, err := os.ReadFile(path)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
 	res, err := scenario.Load(raw)
 	if err != nil {
-		log.Fatal(err)
+		return err
 	}
-	fmt.Printf("scenario complete at t=%v (simulated)\n\n", res.SimTime)
+	fmt.Fprintf(out, "scenario complete at t=%v (simulated)\n\n", res.SimTime)
 	for _, s := range res.Sessions {
 		m := s.Meter
-		fmt.Printf("session %q  %v\n", s.Name, s.Spec)
-		fmt.Printf("  generated %d messages; delivered %d messages / %d bytes (%.2f%% loss)\n",
+		fmt.Fprintf(out, "session %q  %v\n", s.Name, s.Spec)
+		fmt.Fprintf(out, "  generated %d messages; delivered %d messages / %d bytes (%.2f%% loss)\n",
 			s.Generated, m.Messages, m.Bytes, m.LossRate(s.Generated)*100)
-		fmt.Printf("  p50/p99 latency %.2f / %.2f ms, mean jitter %.2f ms, misordered %d\n",
+		fmt.Fprintf(out, "  p50/p99 latency %.2f / %.2f ms, mean jitter %.2f ms, misordered %d\n",
 			m.Latency.Quantile(0.5)*1e3, m.Latency.Quantile(0.99)*1e3, m.Jitter.Mean()*1e3, m.Misordered)
-		fmt.Printf("  sender: %d PDUs, %d retransmissions, %d FEC-recovered, %d segues\n",
+		fmt.Fprintf(out, "  sender: %d PDUs, %d retransmissions, %d FEC-recovered, %d segues\n",
 			s.Sent.SentPDUs, s.Sent.Retransmissions, s.Sent.FECRecovered, s.Sent.Segues)
 	}
 	if metrics {
-		fmt.Println("\nUNITES metric repository:")
-		fmt.Print(res.Repo.Render())
+		fmt.Fprintln(out, "\nUNITES metric repository:")
+		fmt.Fprint(out, res.Repo.Render())
 	}
+	return nil
 }
