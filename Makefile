@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test verify golden-update loc live bench bench-scale bench-live bench-compare faults e12 e13 trace soak soak-smoke clean
+.PHONY: build test verify golden-update live bench bench-scale bench-live bench-compare faults e12 e13 trace soak soak-smoke clean
 
 build:
 	$(GO) build ./...
@@ -36,10 +36,6 @@ verify:
 # diff in `git status` after this target is a behaviour change to explain.
 golden-update:
 	$(GO) test -count=1 -run 'Golden' ./internal/experiment/ ./cmd/adaptivesim/ -update
-
-# loc prints the program's size (non-test Go lines outside bench/).
-loc:
-	./scripts/loc.sh
 
 # live runs the E-series parity scenarios over real UDP loopback sockets
 # (segue mid-stream, seeded impairment) under the race detector, plus the

@@ -22,11 +22,10 @@ import (
 	"time"
 
 	"adaptive"
-	"adaptive/internal/mantts"
 	"adaptive/internal/measure"
 	"adaptive/internal/netsim"
+	"adaptive/internal/rig"
 	"adaptive/internal/scenario"
-	"adaptive/internal/sim"
 	"adaptive/internal/unites"
 	"adaptive/internal/wire"
 	"adaptive/internal/workload"
@@ -80,42 +79,28 @@ func run(args []string, out io.Writer) error {
 		}
 	}
 
-	kernel := sim.NewKernel(*seed)
-	kernel.SetEventLimit(500_000_000)
-	network := netsim.New(kernel)
-	a, b := network.AddHost(), network.AddHost()
+	w := rig.NewSim(*seed, 2)
 	link := netsim.LinkConfig{
 		Bandwidth: *bw, PropDelay: *rtt / 2, MTU: *mtu,
 		DropRate: *drop, BER: *ber, QueueLen: *queue,
 	}
-	network.SetRoute(a.ID(), b.ID(), network.NewLink(link))
-	network.SetRoute(b.ID(), a.ID(), network.NewLink(link))
-
-	repo := unites.NewRepository()
-	na, err := adaptive.NewNode(adaptive.WithProvider(network), adaptive.WithHost(a.ID()), adaptive.WithObservability(adaptive.Observe{Repository: repo}), adaptive.WithName("sender"), adaptive.WithSeed(*seed))
+	w.AddLink(0, 1, link)
+	w.AddLink(1, 0, link)
+	na, err := w.Node(0, *seed, "sender")
 	if err != nil {
 		return err
 	}
-	nb, err := adaptive.NewNode(adaptive.WithProvider(network), adaptive.WithHost(b.ID()), adaptive.WithObservability(adaptive.Observe{Repository: repo}), adaptive.WithName("receiver"), adaptive.WithSeed(*seed+1))
+	nb, err := w.Node(1, *seed+1, "receiver")
 	if err != nil {
 		return err
 	}
-	na.SeedPath(b.ID(), mantts.StaticPathInfo{Bandwidth: *bw, RTT: *rtt, BER: *ber, MTU: *mtu})
+	w.SeedPaths()
 
-	meter := workload.NewMeter(kernel)
-	var gotBytes int
-	var doneAt time.Duration
-	var rx *adaptive.Conn
-	nb.Listen(80, nil, func(c *adaptive.Conn) {
-		rx = c
-		c.OnDelivery(func(d adaptive.Delivery) {
-			gotBytes += d.Msg.Len()
-			if gotBytes >= *size && doneAt == 0 {
-				doneAt = kernel.Now()
-			}
-			meter.OnDeliver(d)
-		})
-	})
+	meter := workload.NewMeter(w.K)
+	sink, err := w.Sink(nb, 80, *size, meter)
+	if err != nil {
+		return err
+	}
 
 	var c *adaptive.Conn
 	if *useACD {
@@ -156,21 +141,21 @@ func run(args []string, out io.Writer) error {
 			return err
 		}
 		start()
-		kernel.RunUntil(30 * time.Minute)
+		w.K.RunUntil(30 * time.Minute)
 		fmt.Fprintf(out, "measurement program generated %d messages\n", generated())
 	} else {
 		g := &workload.Bulk{Out: c, TotalSize: *size, ChunkSize: 64 << 10}
-		g.Start(kernel)
-		kernel.RunUntil(30 * time.Minute)
+		g.Start(w.K)
+		w.K.RunUntil(30 * time.Minute)
 	}
 
 	st := c.Stats()
 	if mspec != nil {
-		fmt.Fprintf(out, "\ndelivered: %d bytes, last delivery at %v\n", gotBytes, meter.LastAt)
+		fmt.Fprintf(out, "\ndelivered: %d bytes, last delivery at %v\n", sink.Bytes, meter.LastAt)
 	} else {
-		fmt.Fprintf(out, "\ntransfer: %d of %d bytes", gotBytes, *size)
-		if doneAt > 0 {
-			fmt.Fprintf(out, " in %v (%.2f Mbps goodput)", doneAt, float64(gotBytes)*8/doneAt.Seconds()/1e6)
+		fmt.Fprintf(out, "\ntransfer: %d of %d bytes", sink.Bytes, *size)
+		if sink.DoneAt > 0 {
+			fmt.Fprintf(out, " in %v (%.2f Mbps goodput)", sink.DoneAt, float64(sink.Bytes)*8/sink.DoneAt.Seconds()/1e6)
 		} else if meter.LastAt > 0 {
 			fmt.Fprintf(out, " (incomplete; last delivery at %v)", meter.LastAt)
 		}
@@ -178,8 +163,8 @@ func run(args []string, out io.Writer) error {
 	}
 	fmt.Fprintf(out, "whitebox (sender):   %d PDUs sent, %d retransmissions, %d segues\n",
 		st.SentPDUs, st.Retransmissions, st.Segues)
-	if rx != nil {
-		rst := rx.Stats()
+	if sink.Conn != nil {
+		rst := sink.Conn.Stats()
 		fmt.Fprintf(out, "whitebox (receiver): %d PDUs received, %d FEC-recovered, %d gaps abandoned\n",
 			rst.RecvPDUs, rst.FECRecovered, rst.GapsAbandoned)
 	}
@@ -187,7 +172,7 @@ func run(args []string, out io.Writer) error {
 		meter.Latency.Quantile(0.5)*1e3, meter.Latency.Quantile(0.99)*1e3)
 	if *metrics {
 		fmt.Fprintln(out, "\nUNITES metric repository:")
-		fmt.Fprint(out, repo.Render())
+		fmt.Fprint(out, w.Repo.Render())
 	}
 	return nil
 }

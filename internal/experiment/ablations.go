@@ -31,45 +31,30 @@ func RunA1() []Table {
 
 func runA1Case(delay time.Duration) []string {
 	link := netsim.LinkConfig{Bandwidth: 10e6, PropDelay: 10 * time.Millisecond, MTU: 1500}
-	tb, err := NewTestbed(2, link, 9100)
-	if err != nil {
-		panic(err)
-	}
+	w := newWorld(2, link, 9100, nil)
 	const total = 2 << 20
-	var got int
-	var doneAt time.Duration
-	var rx *adaptive.Conn
-	tb.Nodes[1].Listen(80, nil, func(c *adaptive.Conn) {
-		rx = c
-		c.OnDelivery(func(d adaptive.Delivery) {
-			got += d.Msg.Len()
-			if got >= total && doneAt == 0 {
-				doneAt = tb.K.Now()
-			}
-			d.Msg.Release()
-		})
-	})
+	sink := must(w.Sink(w.Nodes[1], 80, total, nil))
 	spec := adaptive.Spec{
 		ConnMgmt: adaptive.ConnExplicit2Way, Recovery: adaptive.RecoverySelectiveRepeat,
 		Window: adaptive.WindowFixed, WindowSize: 32, Order: adaptive.OrderSequenced,
 		AckDelay: delay, RTOMin: 50 * time.Millisecond,
 	}
-	conn, err := tb.Nodes[0].DialSpec(spec, tb.hostAddr(1), 1000, 80)
+	conn, err := w.Nodes[0].DialSpec(spec, w.Nodes[1].Addr(), 1000, 80)
 	if err != nil {
 		panic(err)
 	}
 	g := &workload.Bulk{Out: conn, TotalSize: total, ChunkSize: 64 << 10}
-	g.Start(tb.K)
-	tb.K.RunUntil(2 * time.Minute)
-	acks := rx.Stats().SentPDUs // receiver sends only acks/naks on this flow
-	coalesced := coalescedOf(rx.Session())
+	g.Start(w.K)
+	w.K.RunUntil(2 * time.Minute)
+	acks := sink.Conn.Stats().SentPDUs // receiver sends only acks/naks on this flow
+	coalesced := coalescedOf(sink.Conn.Session())
 	label := fmtDur(delay)
 	if delay == 0 {
 		label = "immediate"
 	}
 	return []string{
 		label,
-		fmtDur(doneAt),
+		fmtDur(sink.DoneAt),
 		fmt.Sprintf("%d", acks),
 		fmt.Sprintf("%d", coalesced),
 		fmt.Sprintf("%d", coalesced*28),
@@ -106,38 +91,30 @@ func RunA2() []Table {
 
 func runA2Case(k int) []string {
 	link := netsim.LinkConfig{Bandwidth: 10e6, PropDelay: 5 * time.Millisecond, MTU: 1500, DropRate: 0.02}
-	tb, err := NewTestbed(2, link, int64(9200+k))
-	if err != nil {
-		panic(err)
-	}
+	w := newWorld(2, link, int64(9200+k), nil)
 	const total = 1 << 20
-	var got int
-	var rx *adaptive.Conn
-	tb.Nodes[1].Listen(80, nil, func(c *adaptive.Conn) {
-		rx = c
-		c.OnDelivery(func(d adaptive.Delivery) { got += d.Msg.Len(); d.Msg.Release() })
-	})
+	sink := must(w.Sink(w.Nodes[1], 80, total, nil))
 	spec := adaptive.Spec{
 		ConnMgmt: adaptive.ConnImplicit, Recovery: adaptive.RecoveryFEC,
 		Window: adaptive.WindowFixed, WindowSize: 64, Order: adaptive.OrderNone,
 		FECGroup: k, LossTolerant: true, Graceful: false,
 		GapDeadline: 30 * time.Millisecond, MSS: 1400,
 	}
-	conn, err := tb.Nodes[0].DialSpec(spec, tb.hostAddr(1), 1000, 80)
+	conn, err := w.Nodes[0].DialSpec(spec, w.Nodes[1].Addr(), 1000, 80)
 	if err != nil {
 		panic(err)
 	}
 	g := &workload.Bulk{Out: conn, TotalSize: total, ChunkSize: 64 << 10}
-	g.Start(tb.K)
-	tb.K.RunUntil(2 * time.Minute)
+	g.Start(w.K)
+	w.K.RunUntil(2 * time.Minute)
 	st := conn.Stats()
-	rst := rx.Stats()
+	rst := sink.Conn.Stats()
 	dataPDUs := uint64((total + 1399) / 1400)
 	var parity uint64
 	if st.SentPDUs > dataPDUs {
 		parity = st.SentPDUs - dataPDUs
 	}
-	residual := 1 - float64(got)/float64(total)
+	residual := 1 - float64(sink.Bytes)/float64(total)
 	if residual < 0 {
 		residual = 0
 	}
@@ -169,48 +146,33 @@ func RunA3() []Table {
 
 func runA3Case(disable bool) []string {
 	link := netsim.LinkConfig{Bandwidth: 10e6, PropDelay: 20 * time.Millisecond, MTU: 1500, DropRate: 0.03}
-	tb, err := NewTestbed(2, link, 9300)
-	if err != nil {
-		panic(err)
-	}
+	w := newWorld(2, link, 9300, nil)
 	const total = 1 << 20
-	var got int
-	var doneAt time.Duration
-	var rx *adaptive.Conn
-	tb.Nodes[1].Listen(80, nil, func(c *adaptive.Conn) {
-		rx = c
-		c.OnDelivery(func(d adaptive.Delivery) {
-			got += d.Msg.Len()
-			if got >= total && doneAt == 0 {
-				doneAt = tb.K.Now()
-			}
-			d.Msg.Release()
-		})
-	})
+	sink := must(w.Sink(w.Nodes[1], 80, total, nil))
 	spec := adaptive.Spec{
 		ConnMgmt: adaptive.ConnExplicit2Way, Recovery: adaptive.RecoverySelectiveRepeat,
 		Window: adaptive.WindowFixed, WindowSize: 64, Order: adaptive.OrderSequenced,
 	}
-	conn, err := tb.Nodes[0].DialSpec(spec, tb.hostAddr(1), 1000, 80)
+	conn, err := w.Nodes[0].DialSpec(spec, w.Nodes[1].Addr(), 1000, 80)
 	if err != nil {
 		panic(err)
 	}
 	if disable {
 		// Disable on both ends (receiver re-NAKs, sender re-sends).
 		conn.Session().CurrentSlots().Recovery.(*reliable.SelectiveRepeat).DisableThrottle = true
-		tb.K.Schedule(100*time.Millisecond, func() {
-			if rx != nil {
-				if sr, ok := rx.Session().CurrentSlots().Recovery.(*reliable.SelectiveRepeat); ok {
+		w.K.Schedule(100*time.Millisecond, func() {
+			if sink.Conn != nil {
+				if sr, ok := sink.Conn.Session().CurrentSlots().Recovery.(*reliable.SelectiveRepeat); ok {
 					sr.DisableThrottle = true
 				}
 			}
 		})
 	}
 	g := &workload.Bulk{Out: conn, TotalSize: total, ChunkSize: 64 << 10}
-	g.Start(tb.K)
-	tb.K.RunUntil(5 * time.Minute)
+	g.Start(w.K)
+	w.K.RunUntil(5 * time.Minute)
 	st := conn.Stats()
-	naks := tb.Repo.TotalCounter("rel.naks_sent")
+	naks := w.Repo.TotalCounter("rel.naks_sent")
 	label := "enabled (production)"
 	if disable {
 		label = "disabled"
@@ -222,7 +184,7 @@ func runA3Case(disable bool) []string {
 	}
 	return []string{
 		label,
-		fmtDur(doneAt),
+		fmtDur(sink.DoneAt),
 		fmt.Sprintf("%d", st.Retransmissions),
 		fmt.Sprintf("%d", naks),
 		fmt.Sprintf("%d", redundant),

@@ -42,23 +42,10 @@ func RunE1() []Table {
 
 func runE1Case(loss float64, base adaptive.Spec) []string {
 	link := netsim.LinkConfig{Bandwidth: 10e6, PropDelay: 10 * time.Millisecond, MTU: 1500, DropRate: loss}
-	tb, err := NewTestbed(2, link, int64(1000+int(loss*1e4)))
-	if err != nil {
-		panic(err)
-	}
+	w := newWorld(2, link, int64(1000+int(loss*1e4)), nil)
 	const total = 1 << 20
-	m := workload.NewMeter(tb.K)
-	var gotBytes int
-	var doneAt time.Duration
-	tb.Nodes[1].Listen(80, nil, func(c *adaptive.Conn) {
-		c.OnDelivery(func(d adaptive.Delivery) {
-			gotBytes += d.Msg.Len()
-			if gotBytes >= total*99/100 && doneAt == 0 {
-				doneAt = tb.K.Now()
-			}
-			m.OnDeliver(d)
-		})
-	})
+	m := workload.NewMeter(w.K)
+	sink := must(w.Sink(w.Nodes[1], 80, total*99/100, m))
 	spec := base
 	spec.ConnMgmt = adaptive.ConnExplicit2Way
 	spec.Window = adaptive.WindowFixed
@@ -69,16 +56,17 @@ func runE1Case(loss float64, base adaptive.Spec) []string {
 		spec.Order = adaptive.OrderNone
 		spec.GapDeadline = 30 * time.Millisecond
 	}
-	conn, err := tb.Nodes[0].DialSpec(spec, tb.hostAddr(1), 1000, 80)
+	conn, err := w.Nodes[0].DialSpec(spec, w.Nodes[1].Addr(), 1000, 80)
 	if err != nil {
 		panic(err)
 	}
 	g := &workload.Bulk{Out: conn, TotalSize: total, ChunkSize: 16 << 10}
-	g.Start(tb.K)
-	tb.K.RunUntil(5 * time.Minute)
+	g.Start(w.K)
+	w.K.RunUntil(5 * time.Minute)
 
 	st := conn.Stats()
-	completion := doneAt
+	gotBytes := sink.Bytes
+	completion := sink.DoneAt
 	if completion == 0 {
 		// Loss-tolerant runs may never hit the byte threshold; the last
 		// delivery marks the end of the (gappy) stream.

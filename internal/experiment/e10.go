@@ -8,6 +8,7 @@ import (
 	"adaptive"
 	"adaptive/internal/mechanism"
 	"adaptive/internal/netsim"
+	"adaptive/internal/rig"
 	"adaptive/internal/sim"
 	"adaptive/internal/trace"
 	"adaptive/internal/unites"
@@ -76,17 +77,9 @@ type e10Class struct {
 	weight int // sessions per 10 in the mix
 	spec   func() adaptive.Spec
 	// start wires the workload for one session and returns nothing; it is
-	// handed the shard kernel, the client conn and a deterministic stagger
-	// offset inside the class period.
-	start func(sh *e10Testbed, conn *adaptive.Conn, stagger time.Duration)
-}
-
-// e10Testbed is one shard's private world.
-type e10Testbed struct {
-	k      *sim.Kernel
-	net    *netsim.Network
-	client *adaptive.Node
-	server *adaptive.Node
+	// handed the shard's world (host 0 the client, host 1 the server), the
+	// client conn and a deterministic stagger offset inside the class period.
+	start func(sh *rig.World, conn *adaptive.Conn, stagger time.Duration)
 }
 
 // e10Mix is the soak's service-class mix (per 10 sessions: 2 voice CBR,
@@ -107,10 +100,10 @@ func e10Mix() []e10Class {
 				s.LossTolerant = true
 				return s
 			},
-			start: func(sh *e10Testbed, conn *adaptive.Conn, stagger time.Duration) {
-				g := &workload.CBR{Timers: sh.client.Stack().Timers(), Out: conn,
+			start: func(sh *rig.World, conn *adaptive.Conn, stagger time.Duration) {
+				g := &workload.CBR{Timers: sh.Nodes[0].Stack().Timers(), Out: conn,
 					MsgSize: 160, Interval: 20 * time.Millisecond}
-				sh.k.Schedule(stagger, func() { g.Start(0) })
+				sh.K.Schedule(stagger, func() { g.Start(0) })
 			},
 		},
 		{
@@ -125,10 +118,10 @@ func e10Mix() []e10Class {
 				s.LossTolerant = true
 				return s
 			},
-			start: func(sh *e10Testbed, conn *adaptive.Conn, stagger time.Duration) {
-				g := &workload.VBR{Timers: sh.client.Stack().Timers(), Out: conn,
+			start: func(sh *rig.World, conn *adaptive.Conn, stagger time.Duration) {
+				g := &workload.VBR{Timers: sh.Nodes[0].Stack().Timers(), Out: conn,
 					FrameRate: 30, MeanSize: 4000, Burst: 2, GroupLen: 30}
-				sh.k.Schedule(stagger, func() { g.Start(0) })
+				sh.K.Schedule(stagger, func() { g.Start(0) })
 			},
 		},
 		{
@@ -141,9 +134,9 @@ func e10Mix() []e10Class {
 				s.AckDelay = 2 * time.Millisecond
 				return s
 			},
-			start: func(sh *e10Testbed, conn *adaptive.Conn, stagger time.Duration) {
+			start: func(sh *rig.World, conn *adaptive.Conn, stagger time.Duration) {
 				g := &workload.Bulk{Out: conn, TotalSize: 128 << 10, ChunkSize: 16 << 10}
-				sh.k.Schedule(stagger, func() { g.Start(sh.k) })
+				sh.K.Schedule(stagger, func() { g.Start(sh.K) })
 			},
 		},
 		{
@@ -154,11 +147,11 @@ func e10Mix() []e10Class {
 				s.WindowSize = 8
 				return s
 			},
-			start: func(sh *e10Testbed, conn *adaptive.Conn, stagger time.Duration) {
-				rr := &workload.ReqResp{Timers: sh.client.Stack().Timers(), Out: conn,
+			start: func(sh *rig.World, conn *adaptive.Conn, stagger time.Duration) {
+				rr := &workload.ReqResp{Timers: sh.Nodes[0].Stack().Timers(), Out: conn,
 					ReqSize: 256, Think: 5 * time.Millisecond}
 				conn.OnDelivery(rr.OnResponse)
-				sh.k.Schedule(stagger, func() { rr.Start(1 << 30) })
+				sh.K.Schedule(stagger, func() { rr.Start(1 << 30) })
 			},
 		},
 	}
@@ -183,13 +176,14 @@ func e10ClassFor(mix []e10Class, i int) *e10Class {
 // installed on the kernel and every node, so the shard's flight record
 // covers timers, links, and sessions.
 func runE10Shard(shard int, k *sim.Kernel, sessions int, repo *unites.Repository, tracer *trace.Recorder) e10Shard {
-	k.SetEventLimit(200_000_000)
+	sh := rig.OnKernel(k, 2)
 	if tracer != nil {
 		tracer.SetShard(shard)
-		k.SetTracer(tracer)
+		sh.Trace(tracer)
 	}
-	net := netsim.New(k)
-	a, b := net.AddHost(), net.AddHost()
+	if repo != nil {
+		sh.Repo = repo
+	}
 	link := netsim.LinkConfig{
 		Bandwidth: 1e9,
 		PropDelay: 500 * time.Microsecond,
@@ -199,26 +193,11 @@ func runE10Shard(shard int, k *sim.Kernel, sessions int, repo *unites.Repository
 		// share one drain. This is the batched-delivery amortization knob.
 		Coalesce: 200 * time.Microsecond,
 	}
-	net.SetRoute(a.ID(), b.ID(), net.NewLink(link))
-	net.SetRoute(b.ID(), a.ID(), net.NewLink(link))
-
-	if repo == nil {
-		repo = unites.NewRepository()
-	}
-	mkNode := func(h *netsim.Host, name string, salt int64) *adaptive.Node {
-		n, err := adaptive.NewNode(
-			adaptive.WithProvider(net),
-			adaptive.WithHost(h.ID()),
-			adaptive.WithSeed(sim.DeriveSeed(e10Seed, shard)+salt),
-			adaptive.WithObservability(adaptive.Observe{Repository: repo, Tracer: tracer}),
-			adaptive.WithName(fmt.Sprintf("e10s%d-%s", shard, name)),
-		)
-		if err != nil {
-			panic(err)
-		}
-		return n
-	}
-	sh := &e10Testbed{k: k, net: net, client: mkNode(a, "c", 1), server: mkNode(b, "s", 2)}
+	sh.AddLink(0, 1, link)
+	sh.AddLink(1, 0, link)
+	seed := sim.DeriveSeed(e10Seed, shard)
+	client := must(sh.Node(0, seed+1, fmt.Sprintf("e10s%d-c", shard)))
+	server := must(sh.Node(1, seed+2, fmt.Sprintf("e10s%d-s", shard)))
 	// One meter per shard measures stamped-message latency/jitter at the
 	// receivers (blackbox QoS); sessions of a shard share it, shards merge.
 	meter := workload.NewMeter(k)
@@ -229,19 +208,19 @@ func runE10Shard(shard int, k *sim.Kernel, sessions int, repo *unites.Repository
 		port := uint16(2000 + i)
 		if cls.name == "oltp-reqresp" {
 			// Echo server: one response PDU per request.
-			sh.server.Listen(port, nil, func(c *adaptive.Conn) {
+			check(server.Listen(port, nil, func(c *adaptive.Conn) {
 				// Send copies synchronously into a pooled message, so the
 				// delivered slice can be echoed straight back without a copy.
 				c.OnReceive(func(data []byte, eom bool) {
 					c.Send(data)
 				})
-			})
+			}))
 		} else {
-			sh.server.Listen(port, nil, func(c *adaptive.Conn) {
+			check(server.Listen(port, nil, func(c *adaptive.Conn) {
 				c.OnDelivery(meter.OnDeliver)
-			})
+			}))
 		}
-		conn, err := sh.client.DialSpec(cls.spec(), sh.server.Addr(), uint16(30000+i), port)
+		conn, err := client.DialSpec(cls.spec(), server.Addr(), uint16(30000+i), port)
 		if err != nil {
 			panic(err)
 		}
@@ -254,9 +233,9 @@ func runE10Shard(shard int, k *sim.Kernel, sessions int, repo *unites.Repository
 	}
 
 	k.RunUntil(e10Warmup)
-	ev0, rx0 := k.Executed(), net.TotalReceived()
+	ev0, rx0 := k.Executed(), sh.Net.TotalReceived()
 	k.RunUntil(e10End)
-	return e10Shard{delivered: net.TotalReceived() - rx0, events: k.Executed() - ev0,
+	return e10Shard{delivered: sh.Net.TotalReceived() - rx0, events: k.Executed() - ev0,
 		latency: meter.Latency, jitter: meter.Jitter}
 }
 

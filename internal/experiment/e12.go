@@ -7,9 +7,9 @@ import (
 	"time"
 
 	"adaptive"
-	"adaptive/internal/impair"
 	"adaptive/internal/netapi"
 	"adaptive/internal/netsim"
+	"adaptive/internal/rig"
 	"adaptive/internal/wire"
 )
 
@@ -79,7 +79,7 @@ type E12Run struct {
 
 // staleReplay transmits a data PDU for the migrated connection from the old
 // owner's stack — a stale-epoch sender the peer must fence. Must run where
-// protocol code runs (env.do). The sequence is long-acknowledged, so even a
+// protocol code runs (World.Do). The sequence is long-acknowledged, so even a
 // fence miss could not corrupt the stream; the gate is the rejection counter.
 func staleReplay(src *adaptive.Node, peer netapi.Addr, connID uint32, srcPort uint16) error {
 	p := wire.GetPDU()
@@ -99,24 +99,25 @@ func staleReplay(src *adaptive.Node, peer netapi.Addr, connID uint32, srcPort ui
 
 // RunSim executes the scenario on the deterministic simulator.
 func (sc *E12Scenario) RunSim() (*E12Run, error) {
-	link := netsim.LinkConfig{Bandwidth: 20e6, PropDelay: 2 * time.Millisecond, MTU: 1500, QueueLen: 64000}
-	return sc.run(newSimEnv(sc.Seed, 3, link, impair.Config{}))
+	w := rig.NewSim(sc.Seed, 3)
+	w.Mesh(netsim.LinkConfig{Bandwidth: 20e6, PropDelay: 2 * time.Millisecond, MTU: 1500, QueueLen: 64000})
+	return sc.run(w)
 }
 
 // RunLive executes the scenario over UDP loopback sockets and the wall
 // clock: three in-process hosts on one provider.
 func (sc *E12Scenario) RunLive() (*E12Run, error) {
-	return sc.run(newLiveEnv(3, impair.Config{}, 0, 0))
+	return sc.run(rig.NewLive(3, 0, 0))
 }
 
 // run is the scenario script. Hosts: 0 = source A, 1 = target B, 2 = peer P.
-func (sc *E12Scenario) run(e *env) (*E12Run, error) {
-	defer e.close()
-	tag := sc.Name + "/" + e.name
+func (sc *E12Scenario) run(e *rig.World) (*E12Run, error) {
+	defer e.Close()
+	tag := sc.Name + "/" + e.Name
 	var nodes [3]*adaptive.Node
 	cp := adaptive.NewControlPlane()
 	for i := range nodes {
-		n, err := e.node(i, sc.Seed+int64(i))
+		n, err := scriptNode(e, i, sc.Seed+int64(i))
 		if err != nil {
 			return nil, err
 		}
@@ -128,12 +129,12 @@ func (sc *E12Scenario) run(e *env) (*E12Run, error) {
 	na, nb, np := nodes[0], nodes[1], nodes[2]
 
 	var delivered []byte
-	if err := e.listen(np, 80, func(c *adaptive.Conn) {
+	if err := e.Listen(np, 80, func(c *adaptive.Conn) {
 		c.OnReceive(func(data []byte, _ bool) { delivered = append(delivered, data...) })
 	}); err != nil {
 		return nil, err
 	}
-	conn, err := e.dial(na, &adaptive.ACD{
+	conn, err := e.Dial(na, &adaptive.ACD{
 		Participants: []adaptive.Addr{np.Addr()},
 		RemotePort:   80,
 		Quant:        adaptive.QuantQoS{AvgThroughputBps: 10e6},
@@ -142,7 +143,7 @@ func (sc *E12Scenario) run(e *env) (*E12Run, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", tag, err)
 	}
-	e.do(func() { err = cp.Place(conn) })
+	e.Do(func() { err = cp.Place(conn) })
 	if err != nil {
 		return nil, err
 	}
@@ -150,12 +151,12 @@ func (sc *E12Scenario) run(e *env) (*E12Run, error) {
 	src := sc.Payload()
 	send := func(c *adaptive.Conn, lo, hi int) error {
 		var serr error
-		e.do(func() { serr = sendChunked(c, src[lo:hi]) })
+		e.Do(func() { serr = sendChunked(c, src[lo:hi]) })
 		return serr
 	}
 	waitDelivered := func(step time.Duration, target int, what string) error {
 		got := 0
-		if !e.until(step, e12Timeout, func() bool {
+		if !e.Until(step, e12Timeout, func() bool {
 			got = len(delivered)
 			return got >= target
 		}) {
@@ -172,13 +173,13 @@ func (sc *E12Scenario) run(e *env) (*E12Run, error) {
 		return nil, err
 	}
 
-	migrateAt := e.now()
+	migrateAt := e.Now()
 	var m *adaptive.Migration
-	e.do(func() { m, err = cp.MigrateSession(conn, nb.Addr().Host) })
+	e.Do(func() { m, err = cp.MigrateSession(conn, nb.Addr().Host) })
 	if err != nil {
 		return nil, err
 	}
-	if !e.until(time.Millisecond, e12Timeout, func() bool {
+	if !e.Until(time.Millisecond, e12Timeout, func() bool {
 		select {
 		case <-m.Done():
 			return true
@@ -191,7 +192,7 @@ func (sc *E12Scenario) run(e *env) (*E12Run, error) {
 	if m.Err() != nil {
 		return nil, fmt.Errorf("%s: %w", tag, m.Err())
 	}
-	run := &E12Run{MigrationTime: e.now() - migrateAt}
+	run := &E12Run{MigrationTime: e.Now() - migrateAt}
 
 	adopted := m.Conn()
 	if adopted == nil {
@@ -204,19 +205,19 @@ func (sc *E12Scenario) run(e *env) (*E12Run, error) {
 		return nil, err
 	}
 
-	e.do(func() {
+	e.Do(func() {
 		err = staleReplay(na, np.Addr(), conn.ConnID(), conn.Session().LocalPort())
 	})
 	if err != nil {
 		return nil, err
 	}
 	// A fence miss leaves FencedPDUs zero; the caller's gate reports it.
-	e.until(time.Millisecond, e12Timeout, func() bool {
+	e.Until(time.Millisecond, e12Timeout, func() bool {
 		run.FencedPDUs = np.Stack().Stats().FencedPDUs
 		return run.FencedPDUs > 0
 	})
 
-	e.do(func() {
+	e.Do(func() {
 		run.Delivered = delivered
 		run.Status = cp.Status()
 		run.Stats = adopted.Stats()

@@ -8,6 +8,7 @@ import (
 	"adaptive"
 	"adaptive/internal/impair"
 	"adaptive/internal/netsim"
+	"adaptive/internal/rig"
 	"adaptive/internal/workload"
 )
 
@@ -118,12 +119,9 @@ func (sc *E13Scenario) RunSim(arbitrated bool) (*E13Run, error) {
 	if arbitrated {
 		extra = append(extra, adaptive.WithArbiter(adaptive.DefaultArbiterPolicy()))
 	}
-	tb, err := NewTestbed(2, link, sc.Seed, extra...)
-	if err != nil {
-		return nil, err
-	}
-	tb.SeedPaths()
-	k := tb.K
+	w := newWorld(2, link, sc.Seed, nil, extra...)
+	w.SeedPaths()
+	k := w.K
 
 	// Port 80 sinks the metered flows; accepts arrive in dial order because
 	// each dial below is pumped to establishment before the next.
@@ -132,7 +130,7 @@ func (sc *E13Scenario) RunSim(arbitrated bool) (*E13Run, error) {
 		meters[i] = workload.NewMeter(k)
 	}
 	var accepts int
-	if err := tb.Nodes[1].Listen(80, nil, func(c *adaptive.Conn) {
+	if err := w.Listen(w.Nodes[1], 80, func(c *adaptive.Conn) {
 		if accepts < len(meters) {
 			m := meters[accepts]
 			c.OnDelivery(m.OnDeliver)
@@ -142,7 +140,7 @@ func (sc *E13Scenario) RunSim(arbitrated bool) (*E13Run, error) {
 		return nil, err
 	}
 	// Port 81 echoes OLTP requests.
-	if err := tb.Nodes[1].Listen(81, nil, func(c *adaptive.Conn) {
+	if err := w.Listen(w.Nodes[1], 81, func(c *adaptive.Conn) {
 		c.OnReceive(func(data []byte, eom bool) {
 			reply := make([]byte, len(data))
 			copy(reply, data)
@@ -153,23 +151,16 @@ func (sc *E13Scenario) RunSim(arbitrated bool) (*E13Run, error) {
 	}
 
 	dial := func(acd *adaptive.ACD, what string) (*adaptive.Conn, error) {
-		conn, err := tb.Nodes[0].Dial(acd, nil)
+		conn, err := w.Dial(w.Nodes[0], acd, nil, 10*time.Second)
 		if err != nil {
 			return nil, fmt.Errorf("%s/%s: %w", sc.Name, what, err)
-		}
-		deadline := k.Now() + 10*time.Second
-		for !conn.Established() {
-			if k.Now() > deadline {
-				return nil, fmt.Errorf("%s/%s: establishment stalled", sc.Name, what)
-			}
-			k.RunFor(time.Millisecond)
 		}
 		return conn, nil
 	}
 
 	voiceACD := func() *adaptive.ACD {
 		return &adaptive.ACD{
-			Participants: []adaptive.Addr{tb.hostAddr(1)},
+			Participants: []adaptive.Addr{w.Nodes[1].Addr()},
 			RemotePort:   80,
 			Quant: adaptive.QuantQoS{
 				AvgThroughputBps: 320e3, PeakThroughputBps: 320e3,
@@ -188,7 +179,7 @@ func (sc *E13Scenario) RunSim(arbitrated bool) (*E13Run, error) {
 	}
 	const videoTopBps = 6e6
 	cVideo, err := dial(&adaptive.ACD{
-		Participants: []adaptive.Addr{tb.hostAddr(1)},
+		Participants: []adaptive.Addr{w.Nodes[1].Addr()},
 		RemotePort:   80,
 		Quant: adaptive.QuantQoS{
 			AvgThroughputBps: videoTopBps, PeakThroughputBps: videoTopBps,
@@ -201,7 +192,7 @@ func (sc *E13Scenario) RunSim(arbitrated bool) (*E13Run, error) {
 	}
 	const bulkDemandBps = 3e6
 	cBulk, err := dial(&adaptive.ACD{
-		Participants: []adaptive.Addr{tb.hostAddr(1)},
+		Participants: []adaptive.Addr{w.Nodes[1].Addr()},
 		RemotePort:   80,
 		Quant:        adaptive.QuantQoS{AvgThroughputBps: bulkDemandBps},
 		Qual:         adaptive.QualQoS{Ordered: true},
@@ -210,7 +201,7 @@ func (sc *E13Scenario) RunSim(arbitrated bool) (*E13Run, error) {
 		return nil, err
 	}
 	cOltp, err := dial(&adaptive.ACD{
-		Participants: []adaptive.Addr{tb.hostAddr(1)},
+		Participants: []adaptive.Addr{w.Nodes[1].Addr()},
 		RemotePort:   81,
 		Quant: adaptive.QuantQoS{
 			AvgThroughputBps: 400e3,
@@ -223,7 +214,7 @@ func (sc *E13Scenario) RunSim(arbitrated bool) (*E13Run, error) {
 		return nil, err
 	}
 
-	timers := tb.Nodes[0].Stack().Timers()
+	timers := w.Nodes[0].Stack().Timers()
 	voiceA := &workload.CBR{Timers: timers, Out: cVoiceA, MsgSize: 200, Interval: 5 * time.Millisecond}
 	voiceB := &workload.CBR{Timers: timers, Out: cVoiceB, MsgSize: 200, Interval: 5 * time.Millisecond}
 	// 30 fps ladder: 6 / 4 / 2 Mbps mean frame sizes.
@@ -316,7 +307,7 @@ func (sc *E13Scenario) RunSim(arbitrated bool) (*E13Run, error) {
 	if run.Flows[1].P99 > run.VoiceP99 {
 		run.VoiceP99 = run.Flows[1].P99
 	}
-	st := tb.Nodes[0].ArbiterStatus()
+	st := w.Nodes[0].ArbiterStatus()
 	run.Grants, run.Decreases, run.CapacityBps = st.Grants, st.Decreases, st.CapacityBps
 
 	fp := fmt.Sprintf("arm=%v", arbitrated)
@@ -368,15 +359,16 @@ type E13LiveRun struct {
 // the arbiter must register environment congestion (Hints > 0) and back off
 // its capacity estimate below the seeded path bandwidth.
 func (sc *E13Scenario) RunLive() (*E13LiveRun, error) {
-	e := newLiveEnv(2, impair.Config{Seed: sc.Seed, Loss: 0.05}, 0, 0)
-	defer e.close()
+	e := rig.NewLive(2, 0, 0)
+	defer e.Close()
+	e.Impair(impair.Config{Seed: sc.Seed, Loss: 0.05})
 
 	const seedBps = 50e6
-	na, err := e.node(0, sc.Seed, adaptive.WithArbiter(adaptive.DefaultArbiterPolicy()))
+	na, err := e.Node(0, sc.Seed, "live-0", adaptive.WithArbiter(adaptive.DefaultArbiterPolicy()))
 	if err != nil {
 		return nil, err
 	}
-	nb, err := e.node(1, sc.Seed+1)
+	nb, err := e.Node(1, sc.Seed+1, "live-1")
 	if err != nil {
 		return nil, err
 	}
@@ -386,7 +378,7 @@ func (sc *E13Scenario) RunLive() (*E13LiveRun, error) {
 
 	run := &E13LiveRun{}
 	var accepts int
-	if err := e.listen(nb, 80, func(c *adaptive.Conn) {
+	if err := e.Listen(nb, 80, func(c *adaptive.Conn) {
 		sink := &run.VoiceBytes // accepts arrive in dial order: voice, then bulk
 		if accepts > 0 {
 			sink = &run.BulkBytes
@@ -398,7 +390,7 @@ func (sc *E13Scenario) RunLive() (*E13LiveRun, error) {
 	}
 
 	dial := func(acd *adaptive.ACD, what string) (*adaptive.Conn, error) {
-		conn, err := e.dial(na, acd, nil, 10*time.Second)
+		conn, err := e.Dial(na, acd, nil, 10*time.Second)
 		if err != nil {
 			return nil, fmt.Errorf("%s/live/%s: %w", sc.Name, what, err)
 		}
@@ -426,7 +418,7 @@ func (sc *E13Scenario) RunLive() (*E13LiveRun, error) {
 		return nil, err
 	}
 
-	e.do(func() {
+	e.Do(func() {
 		if err = bulkConn.OnBudgetChange(func(bps float64) { run.BulkBudget = bps }); err != nil {
 			return
 		}
@@ -434,21 +426,21 @@ func (sc *E13Scenario) RunLive() (*E13LiveRun, error) {
 		cbr := &workload.CBR{Timers: timers, Out: voice, MsgSize: 500, Interval: 5 * time.Millisecond}
 		cbr.Start(0)
 		b := &workload.Bulk{Out: bulkConn, TotalSize: 4 << 20, ChunkSize: 32 << 10}
-		b.Start(e.prov.Clock())
+		b.Start(e.Prov.Clock())
 	})
 	if err != nil {
 		return nil, err
 	}
 
-	// Let the hint poller (100 ms cadence) see the impairment drops a few
-	// times over and the samplers deliver loss evidence.
-	var st adaptive.ArbiterStatus
-	e.until(20*time.Millisecond, 8*time.Second, func() bool {
-		st = na.ArbiterStatus()
-		return st.Hints > 0 && st.Decreases > 0 && st.Grants > 0 &&
-			run.VoiceBytes > 0 && run.BulkBytes > 0
+	// Wait for exactly what CheckLive gates. A hint backs the estimate off at
+	// once but only marks the arbiter dirty: the smaller bulk grant arrives
+	// with the next sampler tick's Reallocate, so hints, decreases and a first
+	// (unsqueezed) grant can all be in before the budget has moved.
+	e.Until(20*time.Millisecond, 8*time.Second, func() bool {
+		st := na.ArbiterStatus()
+		run.Grants, run.Decreases, run.Hints, run.CapacityBps = st.Grants, st.Decreases, st.Hints, st.CapacityBps
+		return sc.CheckLive(run) == nil
 	})
-	run.Grants, run.Decreases, run.Hints, run.CapacityBps = st.Grants, st.Decreases, st.Hints, st.CapacityBps
 	return run, nil
 }
 

@@ -50,30 +50,28 @@ func RunE2() []Table {
 // runVoiceCase runs 20 s of 50-PDU/s voice over a lossy path.
 func runVoiceCase(label string, overweight bool) []string {
 	link := netsim.LinkConfig{Bandwidth: 10e6, PropDelay: 12500 * time.Microsecond, MTU: 1500, DropRate: 0.01}
-	tb, err := NewTestbed(2, link, 2222)
-	if err != nil {
-		panic(err)
-	}
-	tb.SeedPaths()
-	m := workload.NewMeter(tb.K)
-	tb.Nodes[1].Listen(80, nil, func(c *adaptive.Conn) { c.OnDelivery(m.OnDeliver) })
+	w := newWorld(2, link, 2222, nil)
+	w.SeedPaths()
+	m := workload.NewMeter(w.K)
+	check(w.Nodes[1].Listen(80, nil, func(c *adaptive.Conn) { c.OnDelivery(m.OnDeliver) }))
 
 	var conn *adaptive.Conn
+	var err error
 	if overweight {
 		spec := baseline.RDTPSpec()
-		conn, err = tb.Nodes[0].DialSpec(spec, tb.hostAddr(1), 1000, 80)
+		conn, err = w.Nodes[0].DialSpec(spec, w.Nodes[1].Addr(), 1000, 80)
 	} else {
 		acd := mantts.ACDForProfile(mantts.Profile("Voice Conversation"))
-		acd.Participants = []netapi.Addr{tb.hostAddr(1)}
+		acd.Participants = []netapi.Addr{w.Nodes[1].Addr()}
 		acd.RemotePort = 80
-		conn, err = tb.Nodes[0].Dial(acd, &adaptive.DialOptions{LocalPort: 1000})
+		conn, err = w.Nodes[0].Dial(acd, &adaptive.DialOptions{LocalPort: 1000})
 	}
 	if err != nil {
 		panic(err)
 	}
-	g := &workload.CBR{Timers: tb.Nodes[0].Stack().Timers(), Out: conn, MsgSize: 160, Interval: 20 * time.Millisecond}
+	g := &workload.CBR{Timers: w.Nodes[0].Stack().Timers(), Out: conn, MsgSize: 160, Interval: 20 * time.Millisecond}
 	g.Start(1000)
-	tb.K.RunUntil(40 * time.Second)
+	w.K.RunUntil(40 * time.Second)
 	st := conn.Stats()
 	return []string{
 		label,
@@ -91,47 +89,44 @@ func runVoiceCase(label string, overweight bool) []string {
 // or as one native multicast session.
 func runFanoutCase(n int, multicast bool) []string {
 	link := netsim.LinkConfig{Bandwidth: 100e6, PropDelay: 2 * time.Millisecond, MTU: 1500, QueueLen: 1 << 20}
-	tb, err := NewTestbed(n+1, link, int64(3000+n))
-	if err != nil {
-		panic(err)
-	}
-	tb.SeedPaths()
+	w := newWorld(n+1, link, int64(3000+n), nil)
+	w.SeedPaths()
 	meters := make([]*workload.Meter, n)
 	const msgs = 250
 
-	timers := tb.Nodes[0].Stack().Timers()
+	timers := w.Nodes[0].Stack().Timers()
 	if multicast {
-		group := tb.Net.NewGroup()
+		group := w.Net.NewGroup()
 		for i := 1; i <= n; i++ {
-			tb.Net.Join(group, tb.Hosts[i].ID())
-			meters[i-1] = workload.NewMeter(tb.K)
+			w.Net.Join(group, w.Hosts[i])
+			meters[i-1] = workload.NewMeter(w.K)
 			meter := meters[i-1]
-			tb.Nodes[i].OnMulticastJoin(func(c *adaptive.Conn, _ adaptive.HostID) {
+			w.Nodes[i].OnMulticastJoin(func(c *adaptive.Conn, _ adaptive.HostID) {
 				c.OnDelivery(meter.OnDeliver)
 			})
 		}
 		acd := &mantts.ACD{
-			Participants: []netapi.Addr{{Host: group, Port: tb.hostAddr(0).Port}},
+			Participants: []netapi.Addr{{Host: group, Port: w.Nodes[0].Addr().Port}},
 			RemotePort:   80,
 			Quant:        mantts.QuantQoS{AvgThroughputBps: 200e3, LossTolerance: 0.02, MaxJitter: 10 * time.Millisecond},
 		}
 		for i := 1; i <= n; i++ {
-			acd.Participants = append(acd.Participants, tb.hostAddr(i))
+			acd.Participants = append(acd.Participants, w.Nodes[i].Addr())
 		}
-		conn, err := tb.Nodes[0].Dial(acd, &adaptive.DialOptions{LocalPort: 80})
+		conn, err := w.Nodes[0].Dial(acd, &adaptive.DialOptions{LocalPort: 80})
 		if err != nil {
 			panic(err)
 		}
 		g := &workload.CBR{Timers: timers, Out: conn, MsgSize: 480, Interval: 20 * time.Millisecond}
-		tb.K.Schedule(100*time.Millisecond, func() { g.Start(msgs) })
+		w.K.Schedule(100*time.Millisecond, func() { g.Start(msgs) })
 	} else {
 		var conns []*adaptive.Conn
 		for i := 1; i <= n; i++ {
-			meters[i-1] = workload.NewMeter(tb.K)
+			meters[i-1] = workload.NewMeter(w.K)
 			meter := meters[i-1]
-			tb.Nodes[i].Listen(80, nil, func(c *adaptive.Conn) { c.OnDelivery(meter.OnDeliver) })
+			check(w.Nodes[i].Listen(80, nil, func(c *adaptive.Conn) { c.OnDelivery(meter.OnDeliver) }))
 			spec := baseline.RDTPSpec()
-			c, err := tb.Nodes[0].DialSpec(spec, tb.hostAddr(i), uint16(1000+i), 80)
+			c, err := w.Nodes[0].DialSpec(spec, w.Nodes[i].Addr(), uint16(1000+i), 80)
 			if err != nil {
 				panic(err)
 			}
@@ -139,18 +134,18 @@ func runFanoutCase(n int, multicast bool) []string {
 		}
 		var fan fanoutSender = conns
 		g := &workload.CBR{Timers: timers, Out: fan, MsgSize: 480, Interval: 20 * time.Millisecond}
-		tb.K.Schedule(100*time.Millisecond, func() { g.Start(msgs) })
+		w.K.Schedule(100*time.Millisecond, func() { g.Start(msgs) })
 	}
-	tb.K.RunUntil(30 * time.Second)
+	w.K.RunUntil(30 * time.Second)
 
 	// Sender network load: bytes injected on all of host 0's outgoing
 	// links (unicast pays once per receiver; multicast pays once, and the
 	// netsim models per-member delivery beyond host 0's access as free
 	// fan-out in the switch fabric — so count host 0's sent PDUs too).
-	h0 := tb.Hosts[0].Stats()
+	h0 := w.Net.Host(w.Hosts[0]).Stats()
 	var senderBytes uint64
 	for i := 1; i <= n; i++ {
-		senderBytes += tb.Link(0, i).Stats().TxBytes
+		senderBytes += w.Link(0, i).Stats().TxBytes
 	}
 	if multicast {
 		// All copies traverse distinct sim links; charge the access link

@@ -39,34 +39,16 @@ func RunE3() []Table {
 // (this is the reference trace adaptivetrace renders to Chrome format).
 func runE3Case(label, mode string, tracer *trace.Recorder) []string {
 	link := netsim.LinkConfig{Bandwidth: 10e6, PropDelay: 10 * time.Millisecond, MTU: 1500, QueueLen: 64000}
-	tb, err := newTracedTestbed(2, link, 4242, tracer)
-	if err != nil {
-		panic(err)
-	}
-	if tracer != nil {
-		tb.K.SetTracer(tracer)
-	}
-	tb.SeedPaths()
+	w := newWorld(2, link, 4242, tracer)
+	w.SeedPaths()
 
 	const total = 4 << 20
-	var got int
-	var doneAt time.Duration
-	var peakBuf int
-	var rxConn *adaptive.Conn
-	tb.Nodes[1].Listen(80, nil, func(c *adaptive.Conn) {
-		rxConn = c
-		c.OnDelivery(func(d adaptive.Delivery) {
-			got += d.Msg.Len()
-			if got >= total && doneAt == 0 {
-				doneAt = tb.K.Now()
-			}
-			d.Msg.Release()
-		})
-	})
+	sink := must(w.Sink(w.Nodes[1], 80, total, nil))
 	// Sample receiver buffer occupancy.
-	tb.Nodes[1].Stack().Timers().SchedulePeriodic(10*time.Millisecond, 10*time.Millisecond, func() {
-		if rxConn != nil {
-			if n := rxConn.Session().State().RcvBuf.Len(); n > peakBuf {
+	var peakBuf int
+	w.Nodes[1].Stack().Timers().SchedulePeriodic(10*time.Millisecond, 10*time.Millisecond, func() {
+		if sink.Conn != nil {
+			if n := sink.Conn.Session().State().RcvBuf.Len(); n > peakBuf {
 				peakBuf = n
 			}
 		}
@@ -76,7 +58,7 @@ func runE3Case(label, mode string, tracer *trace.Recorder) []string {
 	// spec; only the presence of TSA rules (and the forced recovery for
 	// the static go-back-n row) differs.
 	acd := &mantts.ACD{
-		Participants: []netapi.Addr{tb.hostAddr(1)},
+		Participants: []netapi.Addr{w.Nodes[1].Addr()},
 		RemotePort:   80,
 		Quant:        mantts.QuantQoS{AvgThroughputBps: 8e6, PeakThroughputBps: 10e6},
 		Qual:         mantts.QualQoS{Ordered: true},
@@ -96,7 +78,7 @@ func runE3Case(label, mode string, tracer *trace.Recorder) []string {
 			},
 		}
 	}
-	conn, err := tb.Nodes[0].Dial(acd, &adaptive.DialOptions{LocalPort: 1000})
+	conn, err := w.Nodes[0].Dial(acd, &adaptive.DialOptions{LocalPort: 1000})
 	if err != nil {
 		panic(err)
 	}
@@ -104,22 +86,23 @@ func runE3Case(label, mode string, tracer *trace.Recorder) []string {
 		// Install the static go-back-n configuration once the handshake
 		// settles (reconfigurations racing the handshake are refused by
 		// the negotiation logic).
-		tb.K.Schedule(100*time.Millisecond, func() {
+		w.K.Schedule(100*time.Millisecond, func() {
 			conn.Reconfigure(func(s *adaptive.Spec) { s.Recovery = adaptive.RecoveryGoBackN })
 		})
 	}
 
 	// Congestion phase: cross traffic at 95% of the bottleneck during
 	// t in [1s, 4s).
-	l := tb.Link(0, 1)
-	tb.K.Schedule(time.Second, func() { l.StartCrossTraffic(9.5e6, 1000) })
-	tb.K.Schedule(4*time.Second, func() { l.StartCrossTraffic(0, 0) })
+	l := w.Link(0, 1)
+	w.K.Schedule(time.Second, func() { l.StartCrossTraffic(9.5e6, 1000) })
+	w.K.Schedule(4*time.Second, func() { l.StartCrossTraffic(0, 0) })
 
 	g := &workload.Bulk{Out: conn, TotalSize: total, ChunkSize: 64 << 10}
-	g.Start(tb.K)
-	tb.K.RunUntil(10 * time.Minute)
+	g.Start(w.K)
+	w.K.RunUntil(10 * time.Minute)
 
 	st := conn.Stats()
+	doneAt := sink.DoneAt
 	goodput := 0.0
 	if doneAt > 0 {
 		goodput = float64(total) * 8 / doneAt.Seconds()

@@ -37,25 +37,12 @@ func runE4Case(label string, adaptivePolicy bool) []string {
 	mk := func(prop time.Duration) netsim.LinkConfig {
 		return netsim.LinkConfig{Bandwidth: 10e6, PropDelay: prop, MTU: 1500, DropRate: 0.01, QueueLen: 1 << 20}
 	}
-	tb, err := NewTestbed(2, mk(5*time.Millisecond), 5555)
-	if err != nil {
-		panic(err)
-	}
-	tb.SeedPaths()
+	w := newWorld(2, mk(5*time.Millisecond), 5555, nil)
+	w.SeedPaths()
 
 	const total = 6 << 20
-	var got int
-	var doneAt time.Duration
 	var gotAtSwitch int
-	tb.Nodes[1].Listen(80, nil, func(c *adaptive.Conn) {
-		c.OnDelivery(func(d adaptive.Delivery) {
-			got += d.Msg.Len()
-			if got >= total && doneAt == 0 {
-				doneAt = tb.K.Now()
-			}
-			d.Msg.Release()
-		})
-	})
+	sink := must(w.Sink(w.Nodes[1], 80, total, nil))
 
 	// Both configurations start from the identical MANTTS-derived spec,
 	// provisioned for the terrestrial path; only the adaptive run carries
@@ -63,7 +50,7 @@ func runE4Case(label string, adaptivePolicy bool) []string {
 	// long-delay adjustments: large flow-control windows plus a recovery
 	// scheme that avoids the retransmission round trip).
 	acd := &mantts.ACD{
-		Participants: []netapi.Addr{tb.hostAddr(1)},
+		Participants: []netapi.Addr{w.Nodes[1].Addr()},
 		RemotePort:   80,
 		Quant:        mantts.QuantQoS{AvgThroughputBps: 8e6, PeakThroughputBps: 10e6},
 		Qual:         mantts.QualQoS{Ordered: true},
@@ -83,29 +70,29 @@ func runE4Case(label string, adaptivePolicy bool) []string {
 			},
 		}
 	}
-	conn, err := tb.Nodes[0].Dial(acd, &adaptive.DialOptions{LocalPort: 1000})
+	conn, err := w.Nodes[0].Dial(acd, &adaptive.DialOptions{LocalPort: 1000})
 	if err != nil {
 		panic(err)
 	}
 
 	// Satellite switch at t=2s (both directions).
 	var retxAtSwitch uint64
-	tb.K.Schedule(2*time.Second, func() {
-		sat01, sat10 := tb.Net.NewLink(mk(275*time.Millisecond)), tb.Net.NewLink(mk(275*time.Millisecond))
-		tb.Net.SetRoute(tb.Hosts[0].ID(), tb.Hosts[1].ID(), sat01)
-		tb.Net.SetRoute(tb.Hosts[1].ID(), tb.Hosts[0].ID(), sat10)
-		gotAtSwitch = got
+	w.K.Schedule(2*time.Second, func() {
+		w.AddLink(0, 1, mk(275*time.Millisecond))
+		w.AddLink(1, 0, mk(275*time.Millisecond))
+		gotAtSwitch = sink.Bytes
 		retxAtSwitch = conn.Stats().Retransmissions
 	})
 
 	g := &workload.Bulk{Out: conn, TotalSize: total, ChunkSize: 64 << 10}
-	g.Start(tb.K)
-	tb.K.RunUntil(15 * time.Minute)
+	g.Start(w.K)
+	w.K.RunUntil(15 * time.Minute)
 
 	st := conn.Stats()
+	doneAt := sink.DoneAt
 	var postGoodput float64
 	if doneAt > 2*time.Second {
-		postGoodput = float64(got-gotAtSwitch) * 8 / (doneAt - 2*time.Second).Seconds()
+		postGoodput = float64(sink.Bytes-gotAtSwitch) * 8 / (doneAt - 2*time.Second).Seconds()
 	}
 	return []string{
 		label,

@@ -46,32 +46,19 @@ func RunE7() []Table {
 
 func runE7Case(name string, bps float64, mtu int, heavy bool) []string {
 	link := netsim.LinkConfig{Bandwidth: bps, PropDelay: 2 * time.Millisecond, MTU: mtu, QueueLen: 1 << 22}
-	tb, err := NewTestbed(2, link, int64(7000+int(bps/1e6)))
-	if err != nil {
-		panic(err)
-	}
-	tb.SeedPaths()
+	w := newWorld(2, link, int64(7000+int(bps/1e6)), nil)
+	w.SeedPaths()
 
 	cost := baseline.LightweightCost
 	if heavy {
 		cost = baseline.MonolithicCost
 	}
-	for _, n := range tb.Nodes {
+	for _, n := range w.Nodes {
 		n.Stack().Endpoint().(*netsim.Endpoint).SetCPUCost(cost)
 	}
 
 	const total = 8 << 20
-	var got int
-	var doneAt time.Duration
-	tb.Nodes[1].Listen(80, nil, func(c *adaptive.Conn) {
-		c.OnDelivery(func(d adaptive.Delivery) {
-			got += d.Msg.Len()
-			if got >= total && doneAt == 0 {
-				doneAt = tb.K.Now()
-			}
-			d.Msg.Release()
-		})
-	})
+	sink := must(w.Sink(w.Nodes[1], 80, total, nil))
 
 	var spec adaptive.Spec
 	if heavy {
@@ -93,14 +80,15 @@ func runE7Case(name string, bps float64, mtu int, heavy bool) []string {
 			RcvBufPDUs: 4 * (3*bdp + 4),
 		}
 	}
-	conn, err := tb.Nodes[0].DialSpec(spec, tb.hostAddr(1), 1000, 80)
+	conn, err := w.Nodes[0].DialSpec(spec, w.Nodes[1].Addr(), 1000, 80)
 	if err != nil {
 		panic(err)
 	}
 	g := &workload.Bulk{Out: conn, TotalSize: total, ChunkSize: 256 << 10}
-	g.Start(tb.K)
-	tb.K.RunUntil(10 * time.Minute)
+	g.Start(w.K)
+	w.K.RunUntil(10 * time.Minute)
 
+	doneAt := sink.DoneAt
 	var delivered float64
 	if doneAt > 0 {
 		delivered = float64(total) * 8 / doneAt.Seconds()
@@ -109,7 +97,7 @@ func runE7Case(name string, bps float64, mtu int, heavy bool) []string {
 	if heavy {
 		stack = "monolithic (RDTP)"
 	}
-	cpu := tb.Hosts[0].Stats().CPUTime + tb.Hosts[1].Stats().CPUTime
+	cpu := w.Net.Host(w.Hosts[0]).Stats().CPUTime + w.Net.Host(w.Hosts[1]).Stats().CPUTime
 	var cpuFrac float64
 	if doneAt > 0 {
 		cpuFrac = cpu.Seconds() / (2 * doneAt.Seconds())

@@ -24,74 +24,71 @@ func RunE8() []Table {
 		Headers: []string{"event", "at", "observation"},
 	}
 	link := netsim.LinkConfig{Bandwidth: 10e6, PropDelay: 2 * time.Millisecond, MTU: 1500, DropRate: 0.005}
-	tb, err := NewTestbed(4, link, 8888)
-	if err != nil {
-		panic(err)
-	}
-	tb.SeedPaths()
-	group := tb.Net.NewGroup()
+	w := newWorld(4, link, 8888, nil)
+	w.SeedPaths()
+	group := w.Net.NewGroup()
 
 	meters := map[int]*workload.Meter{}
 	joinedAt := map[int]time.Duration{}
 	firstData := map[int]time.Duration{}
 	for i := 1; i <= 3; i++ {
 		i := i
-		meters[i] = workload.NewMeter(tb.K)
-		tb.Nodes[i].OnMulticastJoin(func(c *adaptive.Conn, g adaptive.HostID) {
-			joinedAt[i] = tb.K.Now()
+		meters[i] = workload.NewMeter(w.K)
+		w.Nodes[i].OnMulticastJoin(func(c *adaptive.Conn, g adaptive.HostID) {
+			joinedAt[i] = w.K.Now()
 			c.OnDelivery(func(d adaptive.Delivery) {
 				if _, ok := firstData[i]; !ok {
-					firstData[i] = tb.K.Now()
+					firstData[i] = w.K.Now()
 				}
 				meters[i].OnDeliver(d)
 			})
 		})
 	}
 	// Hosts 1,2 in the group from the start; host 3 joins later.
-	tb.Net.Join(group, tb.Hosts[1].ID())
-	tb.Net.Join(group, tb.Hosts[2].ID())
+	w.Net.Join(group, w.Hosts[1])
+	w.Net.Join(group, w.Hosts[2])
 
 	acd := &mantts.ACD{
 		Participants: []netapi.Addr{
-			{Host: group, Port: tb.hostAddr(0).Port},
-			tb.hostAddr(1), tb.hostAddr(2),
+			{Host: group, Port: w.Nodes[0].Addr().Port},
+			w.Nodes[1].Addr(), w.Nodes[2].Addr(),
 		},
 		RemotePort: 80,
 		Quant:      mantts.QuantQoS{AvgThroughputBps: 200e3, LossTolerance: 0.05, MaxJitter: 10 * time.Millisecond},
 	}
-	conn, err := tb.Nodes[0].Dial(acd, &adaptive.DialOptions{LocalPort: 80})
+	conn, err := w.Nodes[0].Dial(acd, &adaptive.DialOptions{LocalPort: 80})
 	if err != nil {
 		panic(err)
 	}
-	g := &workload.CBR{Timers: tb.Nodes[0].Stack().Timers(), Out: conn, MsgSize: 480, Interval: 20 * time.Millisecond}
-	tb.K.Schedule(100*time.Millisecond, func() { g.Start(0) })
+	g := &workload.CBR{Timers: w.Nodes[0].Stack().Timers(), Out: conn, MsgSize: 480, Interval: 20 * time.Millisecond}
+	w.K.Schedule(100*time.Millisecond, func() { g.Start(0) })
 
 	var inviteAt time.Duration
 	var host2AtJoin, host2AtLeave uint64
 	var gapsBeforeSegue, gapsAfterRun uint64
 
 	// t=2s: host 3 joins the live conference.
-	tb.K.Schedule(2*time.Second, func() {
-		inviteAt = tb.K.Now()
-		tb.Net.Join(group, tb.Hosts[3].ID())
-		conn.AddParticipant(tb.Hosts[3].ID())
+	w.K.Schedule(2*time.Second, func() {
+		inviteAt = w.K.Now()
+		w.Net.Join(group, w.Hosts[3])
+		conn.AddParticipant(w.Hosts[3])
 		host2AtJoin = meters[2].Messages
 	})
 	// t=4s: live reconfiguration — tighten FEC to group of 4 while
 	// streaming.
-	tb.K.Schedule(4*time.Second, func() {
+	w.K.Schedule(4*time.Second, func() {
 		gapsBeforeSegue = conn.Stats().GapsAbandoned
 		conn.Reconfigure(func(s *adaptive.Spec) { s.FECGroup = 4 })
 	})
 	// t=6s: host 1 leaves.
-	tb.K.Schedule(6*time.Second, func() {
-		conn.RemoveParticipant(tb.Hosts[1].ID())
-		tb.Net.Leave(group, tb.Hosts[1].ID())
+	w.K.Schedule(6*time.Second, func() {
+		conn.RemoveParticipant(w.Hosts[1])
+		w.Net.Leave(group, w.Hosts[1])
 		host2AtLeave = meters[2].Messages
 	})
 	// t=8s: stop.
-	tb.K.Schedule(8*time.Second, func() { g.Stop() })
-	tb.K.RunUntil(10 * time.Second)
+	w.K.Schedule(8*time.Second, func() { g.Stop() })
+	w.K.RunUntil(10 * time.Second)
 	gapsAfterRun = conn.Stats().GapsAbandoned
 
 	joinLatency := time.Duration(0)

@@ -70,64 +70,45 @@ func RunE9() []Table {
 // single-event disturbance the trace-diff regression test must localize.
 func runE9Case(profile string, adaptivePolicy bool, tracer *trace.Recorder, perturb bool) ([]string, []byte, []string) {
 	link := netsim.LinkConfig{Bandwidth: 10e6, PropDelay: 5 * time.Millisecond, MTU: 1500, QueueLen: 1 << 20}
-	tb, err := newTracedTestbed(2, link, 9090, tracer)
-	if err != nil {
-		panic(err)
-	}
-	if tracer != nil {
-		tb.K.SetTracer(tracer)
-	}
+	w := newWorld(2, link, 9090, tracer)
 	if perturb {
-		tb.K.Schedule(2*time.Second, func() {})
+		w.K.Schedule(2*time.Second, func() {})
 	}
-	tb.SeedPaths()
+	w.SeedPaths()
 
 	// Declarative fault timeline on the data link (host0 -> host1).
-	plan := tb.Net.NewFaultPlan()
+	plan := w.Net.NewFaultPlan()
 	switch {
 	case strings.HasPrefix(profile, "burst"):
 		// Stationary loss ~= 0.09 * 0.5 ~= 4.5%, mean burst 1/0.2 = 5 pkts,
 		// plus light reordering and bit corruption to exercise the checksum.
-		plan.Impair(1*time.Second, tb.Link(0, 1), netsim.Impairment{
+		plan.Impair(1*time.Second, w.Link(0, 1), netsim.Impairment{
 			PGoodToBad: 0.02, PBadToGood: 0.2,
 			LossGood: 0.001, LossBad: 0.5,
 			ReorderRate: 0.002, ReorderDelay: 20 * time.Millisecond,
 			CorruptRate: 0.001,
 		})
-		plan.ClearImpair(4*time.Second, tb.Link(0, 1))
+		plan.ClearImpair(4*time.Second, w.Link(0, 1))
 	case strings.HasPrefix(profile, "link flap"):
-		plan.LinkDown(1500*time.Millisecond, tb.Link(0, 1))
-		plan.LinkUp(1800*time.Millisecond, tb.Link(0, 1))
+		plan.LinkDown(1500*time.Millisecond, w.Link(0, 1))
+		plan.LinkUp(1800*time.Millisecond, w.Link(0, 1))
 	default: // partition
 		plan.Partition(1500*time.Millisecond,
-			[]netapi.HostID{tb.Hosts[0].ID()}, []netapi.HostID{tb.Hosts[1].ID()})
+			w.Hosts[:1], w.Hosts[1:])
 		plan.Heal(2500 * time.Millisecond)
 	}
-	if err := plan.Install(); err != nil {
-		panic(err)
-	}
+	check(plan.Install())
 
 	const total = 4 << 20
-	var got int
-	var doneAt time.Duration
-	meter := workload.NewMeter(tb.K)
-	tb.Nodes[1].Listen(80, nil, func(c *adaptive.Conn) {
-		c.OnDelivery(func(d adaptive.Delivery) {
-			got += d.Msg.Len()
-			if got >= total && doneAt == 0 {
-				doneAt = tb.K.Now()
-			}
-			meter.Observe(d)
-			d.Msg.Release()
-		})
-	})
+	meter := workload.NewMeter(w.K)
+	sink := must(w.Sink(w.Nodes[1], 80, total, meter))
 
 	// Both configurations derive the identical spec; the adaptive one adds
 	// the paper's degradation rules: sustained retransmission pressure from
 	// burst loss switches the recovery scheme to FEC (§3C), while milder
 	// pressure falls back from selective repeat to go-back-n (§5).
 	acd := &mantts.ACD{
-		Participants: []netapi.Addr{tb.hostAddr(1)},
+		Participants: []netapi.Addr{w.Nodes[1].Addr()},
 		RemotePort:   80,
 		Quant:        mantts.QuantQoS{AvgThroughputBps: 8e6, PeakThroughputBps: 10e6},
 		Qual:         mantts.QualQoS{Ordered: true},
@@ -155,32 +136,29 @@ func runE9Case(profile string, adaptivePolicy bool, tracer *trace.Recorder, pert
 			},
 		}
 	}
-	conn, err := tb.Nodes[0].Dial(acd, &adaptive.DialOptions{LocalPort: 1000})
+	conn, err := w.Nodes[0].Dial(acd, &adaptive.DialOptions{LocalPort: 1000})
 	if err != nil {
 		panic(err)
 	}
 
 	g := &workload.Bulk{Out: conn, TotalSize: total, ChunkSize: 64 << 10}
-	g.Start(tb.K)
+	g.Start(w.K)
 	// Step the clock in 1s increments and stop shortly after the transfer
 	// completes — running a long idle tail would only accumulate no-op
 	// policy firings from the calm-restore rule.
-	horizon := time.Second
-	for ; horizon <= 60*time.Second && doneAt == 0; horizon += time.Second {
-		tb.K.RunUntil(horizon)
-	}
-	tb.K.RunUntil(horizon + time.Second)
+	w.Until(time.Second, 60*time.Second, func() bool { return sink.DoneAt > 0 })
+	w.K.RunFor(2 * time.Second)
 
 	st := conn.Stats()
 	label := "static (MANTTS-derived, no rules)"
 	if adaptivePolicy {
 		label = "adaptive (TSA on retransmit rate)"
 	}
-	snap := tb.Repo.Snapshot()
+	snap := w.Repo.Snapshot()
 	row := []string{
 		profile, label,
-		fmtDur(doneAt),
-		fmt.Sprintf("%.1f MB", float64(got)/(1<<20)),
+		fmtDur(sink.DoneAt),
+		fmt.Sprintf("%.1f MB", float64(sink.Bytes)/(1<<20)),
 		fmt.Sprintf("%d", st.Retransmissions),
 		fmt.Sprintf("%d", st.FECRecovered),
 		fmt.Sprintf("%d", st.Segues),
@@ -189,11 +167,7 @@ func runE9Case(profile string, adaptivePolicy bool, tracer *trace.Recorder, pert
 		fmtQuantile(meter.Latency, 0.99),
 		fmtQuantile(meter.Latency, 0.999),
 	}
-	js, err := tb.Repo.JSON()
-	if err != nil {
-		panic(err)
-	}
-	return row, js, segueTransitions(snap)
+	return row, must(w.Repo.JSON()), segueTransitions(snap)
 }
 
 // sumCounterPrefix totals every systemwide counter under the prefix.

@@ -49,26 +49,23 @@ func RunF3() []Table {
 
 func runF3Case(delay time.Duration, connKind int) (firstByte, done time.Duration, handshakePDUs uint64) {
 	link := netsim.LinkConfig{Bandwidth: 10e6, PropDelay: delay, MTU: 1500}
-	tb, err := NewTestbed(2, link, 77)
-	if err != nil {
-		panic(err)
-	}
-	tb.SeedPaths()
+	w := newWorld(2, link, 77, nil)
+	w.SeedPaths()
 
 	var first, last time.Duration
 	var got int
 	const total = 10 << 10
-	tb.Nodes[1].Listen(80, nil, func(c *adaptive.Conn) {
+	check(w.Nodes[1].Listen(80, nil, func(c *adaptive.Conn) {
 		c.OnReceive(func(data []byte, eom bool) {
 			if got == 0 {
-				first = tb.K.Now()
+				first = w.K.Now()
 			}
 			got += len(data)
 			if got >= total {
-				last = tb.K.Now()
+				last = w.K.Now()
 			}
 		})
-	})
+	}))
 
 	spec := adaptive.Spec{
 		Recovery:   adaptive.RecoverySelectiveRepeat,
@@ -84,12 +81,12 @@ func runF3Case(delay time.Duration, connKind int) (firstByte, done time.Duration
 	default:
 		spec.ConnMgmt = adaptive.ConnExplicit3Way
 	}
-	conn, err := tb.Nodes[0].DialSpec(spec, tb.hostAddr(1), 1000, 80)
+	conn, err := w.Nodes[0].DialSpec(spec, w.Nodes[1].Addr(), 1000, 80)
 	if err != nil {
 		panic(err)
 	}
-	conn.Send(workload.Stamp(0, tb.K.Now(), total))
-	tb.K.RunUntil(time.Minute)
+	conn.Send(workload.Stamp(0, w.K.Now(), total))
+	w.K.RunUntil(time.Minute)
 	return first, last, uint64(handshakeCount(connKind))
 }
 

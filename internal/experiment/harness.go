@@ -15,10 +15,8 @@ import (
 	"time"
 
 	"adaptive"
-	"adaptive/internal/mantts"
-	"adaptive/internal/netapi"
 	"adaptive/internal/netsim"
-	"adaptive/internal/sim"
+	"adaptive/internal/rig"
 	"adaptive/internal/trace"
 	"adaptive/internal/unites"
 )
@@ -67,76 +65,35 @@ func (t *Table) Render() string {
 	return b.String()
 }
 
-// Testbed is a deterministic two-or-more-host simulation with ADAPTIVE
-// nodes.
-type Testbed struct {
-	K     *sim.Kernel
-	Net   *netsim.Network
-	Hosts []*netsim.Host
-	Nodes []*adaptive.Node
-	Links map[[2]int]*netsim.Link
-	Repo  *unites.Repository
+// newWorld builds the world the sim experiments stand on: n hosts fully meshed
+// with per-direction links of one configuration on a kernel seeded seed, node i
+// seeded seed+i and named host<i>. A non-nil tracer flight-records kernel and
+// nodes; extra options (e.g. adaptive.WithArbiter) apply to every node.
+func newWorld(n int, link netsim.LinkConfig, seed int64, tracer *trace.Recorder, extra ...adaptive.Option) *rig.World {
+	w := rig.NewSim(seed, n)
+	if tracer != nil {
+		w.Trace(tracer)
+	}
+	w.Mesh(link)
+	for i := range w.Hosts {
+		must(w.Node(i, seed+int64(i), fmt.Sprintf("host%d", i), extra...))
+	}
+	return w
 }
 
-// NewTestbed builds n hosts fully meshed with per-direction links of the
-// given configuration. Extra options (e.g. adaptive.WithArbiter) are applied
-// to every node.
-func NewTestbed(n int, link netsim.LinkConfig, seed int64, extra ...adaptive.Option) (*Testbed, error) {
-	return newTracedTestbed(n, link, seed, nil, extra...)
+// check panics on an error an experiment script has no answer to: they come
+// from misuse of the rig (a port listened on twice, a dial without a
+// provider), never from the simulated network.
+func check(err error) {
+	if err != nil {
+		panic(err)
+	}
 }
 
-// newTracedTestbed is NewTestbed with every node flight-recording into
-// tracer (nil leaves the trace hooks off).
-func newTracedTestbed(n int, link netsim.LinkConfig, seed int64, tracer *trace.Recorder, extra ...adaptive.Option) (*Testbed, error) {
-	k := sim.NewKernel(seed)
-	k.SetEventLimit(200_000_000)
-	net := netsim.New(k)
-	tb := &Testbed{K: k, Net: net, Links: make(map[[2]int]*netsim.Link), Repo: unites.NewRepository()}
-	for i := 0; i < n; i++ {
-		tb.Hosts = append(tb.Hosts, net.AddHost())
-	}
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			if i == j {
-				continue
-			}
-			l := net.NewLink(link)
-			net.SetRoute(tb.Hosts[i].ID(), tb.Hosts[j].ID(), l)
-			tb.Links[[2]int{i, j}] = l
-		}
-	}
-	for i := 0; i < n; i++ {
-		opts := []adaptive.Option{
-			adaptive.WithProvider(net),
-			adaptive.WithHost(tb.Hosts[i].ID()),
-			adaptive.WithSeed(seed + int64(i)),
-			adaptive.WithObservability(adaptive.Observe{Repository: tb.Repo, Tracer: tracer}),
-			adaptive.WithName(fmt.Sprintf("host%d", i)),
-		}
-		node, err := adaptive.NewNode(append(opts, extra...)...)
-		if err != nil {
-			return nil, err
-		}
-		tb.Nodes = append(tb.Nodes, node)
-	}
-	return tb, nil
-}
-
-// Link returns the simplex link from host i to host j.
-func (tb *Testbed) Link(i, j int) *netsim.Link { return tb.Links[[2]int{i, j}] }
-
-// SeedPaths propagates static path knowledge (bandwidth, RTT, BER, MTU of
-// the i->j link) into node i's MANTTS network descriptor for all pairs.
-func (tb *Testbed) SeedPaths() {
-	for key, l := range tb.Links {
-		cfg := l.Config()
-		tb.Nodes[key[0]].SeedPath(tb.Hosts[key[1]].ID(), mantts.StaticPathInfo{
-			Bandwidth: cfg.Bandwidth,
-			RTT:       2 * cfg.PropDelay,
-			BER:       cfg.BER,
-			MTU:       cfg.MTU,
-		})
-	}
+// must is check for calls that also return a value.
+func must[T any](v T, err error) T {
+	check(err)
+	return v
 }
 
 // fmtDur renders a duration with ms precision for table cells.
@@ -237,6 +194,3 @@ func RunAllParallel(workers int) []Table {
 	}
 	return out
 }
-
-// hostAddr is a convenience for node i's SAP address.
-func (tb *Testbed) hostAddr(i int) netapi.Addr { return tb.Nodes[i].Addr() }

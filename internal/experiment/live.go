@@ -10,6 +10,7 @@ import (
 	"adaptive/internal/mantts"
 	"adaptive/internal/netapi"
 	"adaptive/internal/netsim"
+	"adaptive/internal/rig"
 )
 
 // This file is the live harness: it runs one scenario — phased bulk transfer
@@ -93,36 +94,57 @@ type LiveRun struct {
 
 // RunSim executes the scenario on the deterministic simulator.
 func (sc *LiveScenario) RunSim() (*LiveRun, error) {
-	link := netsim.LinkConfig{Bandwidth: 50e6, PropDelay: 2 * time.Millisecond, MTU: 1500, QueueLen: 64000}
-	return sc.run(newSimEnv(sc.Seed, 2, link, sc.Impair))
+	w := rig.NewSim(sc.Seed, 2)
+	w.Mesh(netsim.LinkConfig{Bandwidth: 50e6, PropDelay: 2 * time.Millisecond, MTU: 1500, QueueLen: 64000})
+	return sc.run(w)
 }
 
 // RunLive executes the scenario over UDP loopback sockets and the wall clock.
 func (sc *LiveScenario) RunLive() (*LiveRun, error) {
-	return sc.run(newLiveEnv(2, sc.Impair, sc.BatchSize, sc.FlushWindow))
+	return sc.run(rig.NewLive(2, sc.BatchSize, sc.FlushWindow))
+}
+
+// scriptNode brings up host i of a two-environment script: the node is named
+// after the environment so a shared repository keeps the runs apart.
+func scriptNode(w *rig.World, i int, seed int64) (*adaptive.Node, error) {
+	return w.Node(i, seed, fmt.Sprintf("%s-%d", w.Name, i))
+}
+
+// sendChunked queues data on c in 32 KiB Send calls.
+func sendChunked(c *adaptive.Conn, data []byte) error {
+	const chunk = 32 << 10
+	for len(data) > 0 {
+		n := min(chunk, len(data))
+		if err := c.Send(data[:n]); err != nil {
+			return fmt.Errorf("send: %w", err)
+		}
+		data = data[n:]
+	}
+	return nil
 }
 
 // run is the scenario script: dial, then per phase reconfigure, queue the
 // phase's payload, and wait until the receiver has all of it.
-func (sc *LiveScenario) run(e *env) (*LiveRun, error) {
-	defer e.close()
-	tag := sc.Name + "/" + e.name
-	na, err := e.node(0, sc.Seed)
+func (sc *LiveScenario) run(e *rig.World) (*LiveRun, error) {
+	defer e.Close()
+	e.Impair(sc.Impair)
+	tag := sc.Name + "/" + e.Name
+	na, err := scriptNode(e, 0, sc.Seed)
 	if err != nil {
 		return nil, err
 	}
-	nb, err := e.node(1, sc.Seed+1)
+	nb, err := scriptNode(e, 1, sc.Seed+1)
 	if err != nil {
 		return nil, err
 	}
 
 	var delivered []byte
-	if err := e.listen(nb, 80, func(c *adaptive.Conn) {
+	if err := e.Listen(nb, 80, func(c *adaptive.Conn) {
 		c.OnReceive(func(data []byte, _ bool) { delivered = append(delivered, data...) })
 	}); err != nil {
 		return nil, err
 	}
-	conn, err := e.dial(na, sc.acd(nb.Addr()), &adaptive.DialOptions{LocalPort: 1000}, sc.phaseTimeout())
+	conn, err := e.Dial(na, sc.acd(nb.Addr()), &adaptive.DialOptions{LocalPort: 1000}, sc.phaseTimeout())
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", tag, err)
 	}
@@ -131,7 +153,7 @@ func (sc *LiveScenario) run(e *env) (*LiveRun, error) {
 	off := 0
 	for _, ph := range sc.Phases {
 		end := off + ph.Bytes
-		e.do(func() {
+		e.Do(func() {
 			if ph.Mutate != nil {
 				if err = conn.Reconfigure(ph.Mutate); err != nil {
 					err = fmt.Errorf("reconfigure: %w", err)
@@ -145,7 +167,7 @@ func (sc *LiveScenario) run(e *env) (*LiveRun, error) {
 		}
 		off = end
 		got := 0
-		if !e.until(5*time.Millisecond, sc.phaseTimeout(), func() bool {
+		if !e.Until(5*time.Millisecond, sc.phaseTimeout(), func() bool {
 			got = len(delivered)
 			return got >= end
 		}) {
@@ -153,9 +175,9 @@ func (sc *LiveScenario) run(e *env) (*LiveRun, error) {
 		}
 	}
 	run := &LiveRun{}
-	e.do(func() { run.Delivered, run.Stats = delivered, conn.Stats() })
-	if e.imp != nil {
-		run.Impairments = e.imp.Counters()
+	e.Do(func() { run.Delivered, run.Stats = delivered, conn.Stats() })
+	if e.Imp != nil {
+		run.Impairments = e.Imp.Counters()
 	}
 	return run, nil
 }

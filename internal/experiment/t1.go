@@ -72,46 +72,43 @@ func runProfileRow(p *mantts.AppProfile, seed int64) []string {
 	if mcast {
 		nHosts = 3
 	}
-	tb, err := NewTestbed(nHosts, link, seed)
-	if err != nil {
-		return []string{p.Application, "error", err.Error()}
-	}
-	tb.SeedPaths()
+	w := newWorld(nHosts, link, seed, nil)
+	w.SeedPaths()
 
 	acd := mantts.ACDForProfile(p)
 	meters := make([]*workload.Meter, 0, nHosts-1)
 
 	var group netapi.HostID
 	if mcast {
-		group = tb.Net.NewGroup()
+		group = w.Net.NewGroup()
 		for i := 1; i < nHosts; i++ {
-			tb.Net.Join(group, tb.Hosts[i].ID())
-			m := workload.NewMeter(tb.K)
+			w.Net.Join(group, w.Hosts[i])
+			m := workload.NewMeter(w.K)
 			meters = append(meters, m)
-			node := tb.Nodes[i]
+			node := w.Nodes[i]
 			meter := m
 			node.OnMulticastJoin(func(c *adaptive.Conn, _ netapi.HostID) {
 				c.OnDelivery(meter.OnDeliver)
 			})
 		}
-		acd.Participants = []netapi.Addr{{Host: group, Port: tb.hostAddr(0).Port}}
+		acd.Participants = []netapi.Addr{{Host: group, Port: w.Nodes[0].Addr().Port}}
 		for i := 1; i < nHosts; i++ {
-			acd.Participants = append(acd.Participants, tb.hostAddr(i))
+			acd.Participants = append(acd.Participants, w.Nodes[i].Addr())
 		}
 	} else {
-		m := workload.NewMeter(tb.K)
+		m := workload.NewMeter(w.K)
 		meters = append(meters, m)
-		tb.Nodes[1].Listen(80, nil, func(c *adaptive.Conn) { c.OnDelivery(m.OnDeliver) })
-		acd.Participants = []netapi.Addr{tb.hostAddr(1)}
+		check(w.Nodes[1].Listen(80, nil, func(c *adaptive.Conn) { c.OnDelivery(m.OnDeliver) }))
+		acd.Participants = []netapi.Addr{w.Nodes[1].Addr()}
 	}
 	acd.RemotePort = 80
 
-	conn, err := tb.Nodes[0].Dial(acd, &adaptive.DialOptions{LocalPort: 80})
+	conn, err := w.Nodes[0].Dial(acd, &adaptive.DialOptions{LocalPort: 80})
 	if err != nil {
 		return []string{p.Application, "error", err.Error()}
 	}
 
-	timers := tb.Nodes[0].Stack().Timers()
+	timers := w.Nodes[0].Stack().Timers()
 	var generated *uint64
 	var expBytes func() uint64
 	runFor := 5 * time.Second
@@ -123,31 +120,31 @@ func runProfileRow(p *mantts.AppProfile, seed int64) []string {
 		expBytes = func() uint64 { return g.Generated * 160 }
 	case strings.Contains(p.Application, "Tele-Conferencing"):
 		g := &workload.CBR{Timers: timers, Out: conn, MsgSize: 480, Interval: 20 * time.Millisecond}
-		tb.K.Schedule(100*time.Millisecond, func() { g.Start(200) }) // let invites land
+		w.K.Schedule(100*time.Millisecond, func() { g.Start(200) }) // let invites land
 		generated = &g.Generated
 		expBytes = func() uint64 { return g.Generated * 480 }
 	case strings.Contains(p.Application, "(comp)"):
 		g := &workload.VBR{Timers: timers, Out: conn, FrameRate: 30, MeanSize: 8000, Burst: 4, GroupLen: 12}
-		tb.K.Schedule(100*time.Millisecond, func() { g.Start(150) })
+		w.K.Schedule(100*time.Millisecond, func() { g.Start(150) })
 		generated = &g.Generated
 		expBytes = func() uint64 { return g.BytesOut }
 		runFor = 7 * time.Second // 5s of frames plus drain
 	case strings.Contains(p.Application, "(raw)"):
 		g := &workload.CBR{Timers: timers, Out: conn, MsgSize: 60000, Interval: 33 * time.Millisecond}
-		tb.K.Schedule(100*time.Millisecond, func() { g.Start(150) })
+		w.K.Schedule(100*time.Millisecond, func() { g.Start(150) })
 		generated = &g.Generated
 		expBytes = func() uint64 { return g.Generated * 60000 }
 		runFor = 8 * time.Second
 	case strings.Contains(p.Application, "Manufacturing"):
 		// The 0.1% loss budget needs a long run to judge fairly.
 		g := &workload.CBR{Timers: timers, Out: conn, MsgSize: 128, Interval: 10 * time.Millisecond}
-		tb.K.Schedule(100*time.Millisecond, func() { g.Start(3000) })
+		w.K.Schedule(100*time.Millisecond, func() { g.Start(3000) })
 		generated = &g.Generated
 		expBytes = func() uint64 { return g.Generated * 128 }
 		runFor = 32 * time.Second
 	case strings.Contains(p.Application, "File Transfer"):
 		g := &workload.Bulk{Out: conn, TotalSize: 2 << 20, ChunkSize: 32 << 10}
-		g.Start(tb.K)
+		g.Start(w.K)
 		generated = &g.Generated
 		runFor = 10 * time.Second
 	case strings.Contains(p.Application, "TELNET"):
@@ -158,14 +155,14 @@ func runProfileRow(p *mantts.AppProfile, seed int64) []string {
 	default: // OLTP, Remote File Service: request-response
 		rr := &workload.ReqResp{Timers: timers, Out: conn, ReqSize: 256, Think: 5 * time.Millisecond}
 		// Echo server: replies to each request.
-		tb.Nodes[1].Unlisten(80)
-		tb.Nodes[1].Listen(80, nil, func(c *adaptive.Conn) {
+		w.Nodes[1].Unlisten(80)
+		check(w.Nodes[1].Listen(80, nil, func(c *adaptive.Conn) {
 			c.OnReceive(func(data []byte, eom bool) {
 				reply := make([]byte, len(data))
 				copy(reply, data)
 				c.Send(reply)
 			})
-		})
+		}))
 		conn.OnDelivery(func(d adaptive.Delivery) {
 			meters[0].Observe(d)
 			rr.OnResponse(d)
@@ -175,7 +172,7 @@ func runProfileRow(p *mantts.AppProfile, seed int64) []string {
 		runFor = 15 * time.Second
 	}
 
-	tb.K.RunUntil(runFor)
+	w.K.RunUntil(runFor)
 	// Aggregate across receivers (multicast) or take the single meter.
 	m := meters[0]
 	var gen uint64

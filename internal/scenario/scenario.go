@@ -28,9 +28,14 @@
 // Fault-injection events drive the netsim fault subsystem: "link_state"
 // takes a link down or up, "impair" attaches a Gilbert–Elliott burst-loss /
 // reorder / corrupt profile (or clears it), and "partition" severs host
-// groups until a heal. Sessions may carry "tsa" rules so the scenario
-// demonstrates policy-driven reconfiguration under those faults (see
-// scenarios/fault-burst.json).
+// groups until a heal. Run compiles them into one netsim.FaultPlan. An event
+// that names a host pair acts on the link the pair is routed over at its
+// instant — a declared one, or the one an earlier "route_switch" put in place —
+// and Parse rejects the document when there is none. Sessions may carry "tsa"
+// rules so the scenario demonstrates policy-driven reconfiguration under those
+// faults (see scenarios/fault-burst.json).
+//
+// The world itself (kernel, hosts, links, nodes) is an internal/rig World.
 //
 // Workloads use the internal/measure specification language; ACDs use a
 // JSON projection of the ADAPTIVE Communication Descriptor.
@@ -39,13 +44,14 @@ package scenario
 import (
 	"encoding/json"
 	"fmt"
+	"sort"
 	"time"
 
 	"adaptive"
 	"adaptive/internal/mantts"
 	"adaptive/internal/measure"
 	"adaptive/internal/netsim"
-	"adaptive/internal/sim"
+	"adaptive/internal/rig"
 	"adaptive/internal/unites"
 	"adaptive/internal/workload"
 )
@@ -259,13 +265,9 @@ type Result struct {
 // Runtime is a built, runnable scenario.
 type Runtime struct {
 	doc    Document
-	Kernel *sim.Kernel
-	Net    *netsim.Network
-	Nodes  map[string]*adaptive.Node
-	hosts  map[string]*netsim.Host
+	World  *rig.World     // host i of the world is doc.Hosts[i]
+	host   map[string]int // host name -> world index
 	groups map[string]adaptive.HostID
-	links  map[[2]string]*netsim.Link
-	Repo   *unites.Repository
 
 	// Control is the deployment's controller, built only when the document
 	// carries migrate events; every host is enrolled.
@@ -323,33 +325,73 @@ func Parse(raw []byte) (*Document, error) {
 		}
 		names[h] = true
 	}
+	groups := map[string]bool{}
 	for _, g := range doc.Groups {
 		if names[g.Name] {
 			return nil, fmt.Errorf("scenario: group %q collides with a host name", g.Name)
 		}
+		groups[g.Name] = true
 		for _, m := range g.Members {
 			if !names[m] {
 				return nil, fmt.Errorf("scenario: group %q member %q is not a host", g.Name, m)
 			}
 		}
 	}
-	for _, l := range doc.Links {
-		if !names[l.From] || !names[l.To] {
-			return nil, fmt.Errorf("scenario: link %s->%s references unknown host", l.From, l.To)
+	// linked is the set of host pairs with a link: the declared ones, then
+	// those each route_switch adds as the events are walked in firing order.
+	linked := map[[2]string]bool{}
+	addLink := func(what, from, to string, l *LinkDoc) error {
+		if !names[from] || !names[to] {
+			return fmt.Errorf("scenario: %s %s->%s references unknown host", what, from, to)
 		}
 		if l.BandwidthBps <= 0 {
-			return nil, fmt.Errorf("scenario: link %s->%s needs bandwidth_bps", l.From, l.To)
+			return fmt.Errorf("scenario: %s %s->%s needs bandwidth_bps", what, from, to)
+		}
+		linked[[2]string{from, to}] = true
+		return nil
+	}
+	for i := range doc.Links {
+		l := &doc.Links[i]
+		if err := addLink("link", l.From, l.To, l); err != nil {
+			return nil, err
 		}
 	}
-	for i, ev := range doc.Events {
+	for _, s := range doc.Sessions {
+		if !names[s.From] {
+			return nil, fmt.Errorf("scenario: session %q: unknown host %q", s.Name, s.From)
+		}
+		if !names[s.To] && !groups[s.To] {
+			return nil, fmt.Errorf("scenario: session %q: unknown destination %q", s.Name, s.To)
+		}
+	}
+	onLink := func(i int, kind, from, to string) error {
+		if !names[from] || !names[to] {
+			return fmt.Errorf("scenario: event %d %s references unknown host", i, kind)
+		}
+		if !linked[[2]string{from, to}] {
+			return fmt.Errorf("scenario: event %d %s: no link %s->%s at that time", i, kind, from, to)
+		}
+		return nil
+	}
+	for _, i := range firingOrder(doc.Events) {
+		ev := &doc.Events[i]
 		switch {
+		case ev.CrossTraffic != nil:
+			if err := onLink(i, "cross_traffic", ev.CrossTraffic.From, ev.CrossTraffic.To); err != nil {
+				return nil, err
+			}
+		case ev.RouteSwitch != nil:
+			rs := ev.RouteSwitch
+			if err := addLink(fmt.Sprintf("event %d route_switch", i), rs.From, rs.To, &rs.Link); err != nil {
+				return nil, err
+			}
 		case ev.LinkState != nil:
-			if !names[ev.LinkState.From] || !names[ev.LinkState.To] {
-				return nil, fmt.Errorf("scenario: event %d link_state references unknown host", i)
+			if err := onLink(i, "link_state", ev.LinkState.From, ev.LinkState.To); err != nil {
+				return nil, err
 			}
 		case ev.Impair != nil:
-			if !names[ev.Impair.From] || !names[ev.Impair.To] {
-				return nil, fmt.Errorf("scenario: event %d impair references unknown host", i)
+			if err := onLink(i, "impair", ev.Impair.From, ev.Impair.To); err != nil {
+				return nil, err
 			}
 			if !ev.Impair.Clear {
 				imp := ev.Impair.impairment()
@@ -395,6 +437,17 @@ func Parse(raw []byte) (*Document, error) {
 	return &doc, nil
 }
 
+// firingOrder lists the events' indices by time, document order within one
+// instant: the order the kernel fires them in.
+func firingOrder(evs []EventDoc) []int {
+	order := make([]int, len(evs))
+	for i := range order {
+		order[i] = i
+	}
+	sort.SliceStable(order, func(a, b int) bool { return evs[order[a]].AtMs < evs[order[b]].AtMs })
+	return order
+}
+
 func (l *LinkDoc) config() netsim.LinkConfig {
 	mtu := l.MTU
 	if mtu == 0 {
@@ -422,53 +475,45 @@ func (a *ACDDoc) acd() mantts.QuantQoS {
 	}
 }
 
-// Build constructs the simulation described by the document.
+// Node returns the node running on the named host, or nil.
+func (rt *Runtime) Node(name string) *adaptive.Node {
+	i, ok := rt.host[name]
+	if !ok {
+		return nil
+	}
+	return rt.World.Nodes[i]
+}
+
+// Build constructs the world a parsed document describes: hosts, links,
+// groups and nodes in document order, every node seeded with the document
+// seed and named after its host, path knowledge seeded from the links.
 func Build(doc *Document) (*Runtime, error) {
-	k := sim.NewKernel(doc.Seed + 1)
-	k.SetEventLimit(500_000_000)
+	w := rig.NewSim(doc.Seed+1, len(doc.Hosts))
 	rt := &Runtime{
 		doc:    *doc,
-		Kernel: k,
-		Net:    netsim.New(k),
-		Nodes:  make(map[string]*adaptive.Node),
-		hosts:  make(map[string]*netsim.Host),
+		World:  w,
+		host:   make(map[string]int),
 		groups: make(map[string]adaptive.HostID),
-		links:  make(map[[2]string]*netsim.Link),
-		Repo:   unites.NewRepository(),
 	}
-	for _, name := range doc.Hosts {
-		rt.hosts[name] = rt.Net.AddHost()
+	for i, name := range doc.Hosts {
+		rt.host[name] = i
 	}
 	for _, l := range doc.Links {
-		link := rt.Net.NewLink(l.config())
-		rt.Net.SetRoute(rt.hosts[l.From].ID(), rt.hosts[l.To].ID(), link)
-		rt.links[[2]string{l.From, l.To}] = link
+		w.AddLink(rt.host[l.From], rt.host[l.To], l.config())
 	}
 	for _, g := range doc.Groups {
-		id := rt.Net.NewGroup()
+		id := w.Net.NewGroup()
 		rt.groups[g.Name] = id
 		for _, m := range g.Members {
-			rt.Net.Join(id, rt.hosts[m].ID())
+			w.Net.Join(id, w.Hosts[rt.host[m]])
 		}
 	}
-	for name, h := range rt.hosts {
-		node, err := adaptive.NewNode(
-			adaptive.WithProvider(rt.Net), adaptive.WithHost(h.ID()),
-			adaptive.WithSeed(doc.Seed), adaptive.WithObservability(adaptive.Observe{Repository: rt.Repo}),
-			adaptive.WithName(name),
-		)
-		if err != nil {
+	for i, name := range doc.Hosts {
+		if _, err := w.Node(i, doc.Seed, name); err != nil {
 			return nil, err
 		}
-		rt.Nodes[name] = node
 	}
-	// Seed path knowledge from the declared links.
-	for key, l := range rt.links {
-		cfg := l.Config()
-		rt.Nodes[key[0]].SeedPath(rt.hosts[key[1]].ID(), mantts.StaticPathInfo{
-			Bandwidth: cfg.Bandwidth, RTT: 2 * cfg.PropDelay, BER: cfg.BER, MTU: cfg.MTU,
-		})
-	}
+	w.SeedPaths()
 	// Migration needs the control plane; enroll every host.
 	for _, ev := range doc.Events {
 		if ev.Migrate == nil {
@@ -477,7 +522,7 @@ func Build(doc *Document) (*Runtime, error) {
 		rt.Control = adaptive.NewControlPlane()
 		rt.senders = make(map[string]*migratingSender)
 		for _, name := range doc.Hosts {
-			if err := rt.Control.Enroll(rt.Nodes[name], 0); err != nil {
+			if err := rt.Control.Enroll(rt.Node(name), 0); err != nil {
 				return nil, err
 			}
 		}
@@ -488,84 +533,81 @@ func Build(doc *Document) (*Runtime, error) {
 
 // Run executes the scenario and returns results.
 func (rt *Runtime) Run() (*Result, error) {
-	doc := &rt.doc
-	res := &Result{Repo: rt.Repo}
+	doc, w := &rt.doc, rt.World
+	res := &Result{Repo: w.Repo}
 
-	// Timed network events.
-	for _, ev := range doc.Events {
-		ev := ev
+	// Timed network events, walked in firing order so each names the link
+	// its host pair is routed over at that instant. The fault events are one
+	// declarative netsim.FaultPlan; at an instant shared with a cross-traffic,
+	// route-switch or migrate event, the plan's events fire after it.
+	plan := w.Net.NewFaultPlan()
+	switched := make(map[[2]int]*netsim.Link)
+	link := func(from, to string) *netsim.Link {
+		key := [2]int{rt.host[from], rt.host[to]}
+		if l, ok := switched[key]; ok {
+			return l
+		}
+		return w.Link(key[0], key[1])
+	}
+	ids := func(names []string) []adaptive.HostID {
+		out := make([]adaptive.HostID, len(names))
+		for i, n := range names {
+			out[i] = w.Hosts[rt.host[n]]
+		}
+		return out
+	}
+	for _, i := range firingOrder(doc.Events) {
+		ev := &doc.Events[i]
 		at := time.Duration(ev.AtMs * float64(time.Millisecond))
-		rt.Kernel.ScheduleAt(at, func() {
-			switch {
-			case ev.CrossTraffic != nil:
-				ct := ev.CrossTraffic
-				if l := rt.links[[2]string{ct.From, ct.To}]; l != nil {
-					pkt := ct.Pkt
-					if pkt == 0 {
-						pkt = 1000
-					}
-					l.StartCrossTraffic(ct.RateBps, pkt)
-				}
-			case ev.RouteSwitch != nil:
-				rs := ev.RouteSwitch
-				from, to := rt.hosts[rs.From], rt.hosts[rs.To]
-				if from == nil || to == nil {
-					return
-				}
-				link := rt.Net.NewLink(rs.Link.config())
-				rt.Net.SetRoute(from.ID(), to.ID(), link)
-				rt.links[[2]string{rs.From, rs.To}] = link
-			case ev.LinkState != nil:
-				ls := ev.LinkState
-				if l := rt.links[[2]string{ls.From, ls.To}]; l != nil {
-					l.SetDown(ls.Down)
-				}
-			case ev.Impair != nil:
-				im := ev.Impair
-				l := rt.links[[2]string{im.From, im.To}]
-				if l == nil {
-					return
-				}
-				if im.Clear {
-					_ = l.SetImpairment(nil)
-					return
-				}
-				imp := im.impairment()
-				_ = l.SetImpairment(&imp) // validated by Parse
-			case ev.Partition != nil:
-				pt := ev.Partition
-				if pt.Heal {
-					rt.Net.Heal()
-					return
-				}
-				ids := func(names []string) []adaptive.HostID {
-					var out []adaptive.HostID
-					for _, n := range names {
-						if h := rt.hosts[n]; h != nil {
-							out = append(out, h.ID())
-						}
-					}
-					return out
-				}
-				rt.Net.Partition(ids(pt.A), ids(pt.B))
-			case ev.Migrate != nil:
-				rt.startMigration(ev.Migrate)
+		switch {
+		case ev.CrossTraffic != nil:
+			ct := ev.CrossTraffic
+			l, pkt := link(ct.From, ct.To), ct.Pkt
+			if pkt == 0 {
+				pkt = 1000
 			}
-		})
+			w.K.ScheduleAt(at, func() { l.StartCrossTraffic(ct.RateBps, pkt) })
+		case ev.RouteSwitch != nil:
+			rs := ev.RouteSwitch
+			from, to := rt.host[rs.From], rt.host[rs.To]
+			l := w.Net.NewLink(rs.Link.config())
+			switched[[2]int{from, to}] = l
+			w.K.ScheduleAt(at, func() { w.Net.SetRoute(w.Hosts[from], w.Hosts[to], l) })
+		case ev.LinkState != nil:
+			if ls := ev.LinkState; ls.Down {
+				plan.LinkDown(at, link(ls.From, ls.To))
+			} else {
+				plan.LinkUp(at, link(ls.From, ls.To))
+			}
+		case ev.Impair != nil:
+			if im := ev.Impair; im.Clear {
+				plan.ClearImpair(at, link(im.From, im.To))
+			} else {
+				plan.Impair(at, link(im.From, im.To), im.impairment())
+			}
+		case ev.Partition != nil:
+			if pt := ev.Partition; pt.Heal {
+				plan.Heal(at)
+			} else {
+				plan.Partition(at, ids(pt.A), ids(pt.B))
+			}
+		case ev.Migrate != nil:
+			w.K.ScheduleAt(at, func() { rt.startMigration(ev.Migrate) })
+		}
+	}
+	if err := plan.Install(); err != nil {
+		return nil, fmt.Errorf("scenario: %v", err)
 	}
 
 	// Sessions.
 	for i := range doc.Sessions {
 		sd := &doc.Sessions[i]
-		srcNode := rt.Nodes[sd.From]
-		if srcNode == nil {
-			return nil, fmt.Errorf("scenario: session %q: unknown host %q", sd.Name, sd.From)
-		}
+		srcNode := rt.Node(sd.From)
 		port := sd.Port
 		if port == 0 {
 			port = 80
 		}
-		meter := workload.NewMeter(rt.Kernel)
+		meter := workload.NewMeter(w.K)
 
 		var participants []adaptive.Addr
 		if gid, isGroup := rt.groups[sd.To]; isGroup {
@@ -575,7 +617,7 @@ func (rt *Runtime) Run() (*Result, error) {
 					continue
 				}
 				for _, m := range g.Members {
-					node := rt.Nodes[m]
+					node := rt.Node(m)
 					participants = append(participants, node.Addr())
 					node.OnMulticastJoin(func(c *adaptive.Conn, _ adaptive.HostID) {
 						c.OnDelivery(meter.OnDeliver)
@@ -583,10 +625,7 @@ func (rt *Runtime) Run() (*Result, error) {
 				}
 			}
 		} else {
-			dstNode := rt.Nodes[sd.To]
-			if dstNode == nil {
-				return nil, fmt.Errorf("scenario: session %q: unknown destination %q", sd.Name, sd.To)
-			}
+			dstNode := rt.Node(sd.To)
 			participants = []adaptive.Addr{dstNode.Addr()}
 			if err := dstNode.Listen(port, nil, func(c *adaptive.Conn) {
 				c.OnDelivery(meter.OnDeliver)
@@ -644,7 +683,7 @@ func (rt *Runtime) Run() (*Result, error) {
 		if err != nil {
 			return nil, fmt.Errorf("scenario: session %q: %v", sd.Name, err)
 		}
-		rt.Kernel.ScheduleAt(time.Duration(sd.StartMs*float64(time.Millisecond)), start)
+		w.K.ScheduleAt(time.Duration(sd.StartMs*float64(time.Millisecond)), start)
 
 		sr := SessionResult{Name: sd.Name, Meter: meter}
 		connRef := conn
@@ -663,8 +702,8 @@ func (rt *Runtime) Run() (*Result, error) {
 		}()
 	}
 
-	rt.Kernel.RunUntil(time.Duration(doc.RunMs * float64(time.Millisecond)))
-	res.SimTime = rt.Kernel.Now()
+	w.K.RunUntil(time.Duration(doc.RunMs * float64(time.Millisecond)))
+	res.SimTime = w.K.Now()
 	return res, nil
 }
 
@@ -679,7 +718,7 @@ func (rt *Runtime) startMigration(mg *MigrateDoc) {
 		return
 	}
 	src := sender.cur
-	m, err := rt.Control.MigrateSession(src, rt.hosts[mg.To].ID())
+	m, err := rt.Control.MigrateSession(src, rt.World.Hosts[rt.host[mg.To]])
 	if err != nil {
 		return // e.g. already on the target host; the workload carries on
 	}
@@ -694,7 +733,7 @@ func (rt *Runtime) startMigration(mg *MigrateDoc) {
 				sender.adopt(src)
 			}
 		default:
-			rt.Kernel.ScheduleAt(rt.Kernel.Now()+5*time.Millisecond, watch)
+			rt.World.K.ScheduleAt(rt.World.K.Now()+5*time.Millisecond, watch)
 		}
 	}
 	watch()

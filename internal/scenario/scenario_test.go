@@ -167,19 +167,71 @@ func TestParseRejectsBadDocuments(t *testing.T) {
 		"no sessions":          `{"hosts":["a","b"]}`,
 		"group names host":     `{"hosts":["a","b"],"groups":[{"name":"a"}],"sessions":[{}]}`,
 		"group unknown member": `{"hosts":["a","b"],"groups":[{"name":"g","members":["zz"]}],"sessions":[{}]}`,
+		"session unknown from": oneLink(`{"name":"s","from":"zz","to":"b"}`, ``),
+		"session unknown to":   oneLink(`{"name":"s","from":"a","to":"zz"}`, ``),
+		// Events: a->b is the only declared link; c is a host without links.
+		"cross_traffic unknown host": oneLink(okSession, `{"at_ms":1,"cross_traffic":{"from":"a","to":"zz","rate_bps":1e6}}`),
+		"cross_traffic no link":      oneLink(okSession, `{"at_ms":1,"cross_traffic":{"from":"b","to":"a","rate_bps":1e6}}`),
+		"link_state no link":         oneLink(okSession, `{"at_ms":1,"link_state":{"from":"a","to":"c","down":true}}`),
+		"impair no link":             oneLink(okSession, `{"at_ms":1,"impair":{"from":"c","to":"a","clear":true}}`),
+		"route_switch unknown host":  oneLink(okSession, `{"at_ms":1,"route_switch":{"from":"a","to":"zz","link":{"bandwidth_bps":1e6}}}`),
+		"route_switch no bandwidth":  oneLink(okSession, `{"at_ms":1,"route_switch":{"from":"a","to":"b","link":{}}}`),
+		// A route_switch links its pair from its own instant on, not before,
+		// whatever the order the document lists the events in.
+		"link_state before the switch that links it": oneLink(okSession,
+			`{"at_ms":5,"route_switch":{"from":"a","to":"c","link":{"bandwidth_bps":1e6}}},
+			 {"at_ms":4,"link_state":{"from":"a","to":"c","down":true}}`),
 	}
 	for name, doc := range cases {
 		if _, err := Parse([]byte(doc)); err == nil {
 			t.Errorf("%s: parsed without error", name)
 		}
 	}
+	accepted := oneLink(okSession,
+		`{"at_ms":5,"link_state":{"from":"a","to":"c","down":true}},
+		 {"at_ms":5,"route_switch":{"from":"a","to":"c","link":{"bandwidth_bps":1e6}}},
+		 {"at_ms":4,"route_switch":{"from":"a","to":"c","link":{"bandwidth_bps":1e6}}}`)
+	if _, err := Parse([]byte(accepted)); err != nil {
+		t.Errorf("link_state on a pair an earlier route_switch linked: %v", err)
+	}
 }
 
-func TestRunRejectsUnknownSessionHosts(t *testing.T) {
-	doc := strings.Replace(basicScenario, `"from": "client", "to": "server", "port": 80`,
-		`"from": "nobody", "to": "server", "port": 80`, 1)
-	if _, err := Load([]byte(doc)); err == nil || !strings.Contains(err.Error(), "unknown host") {
-		t.Fatalf("err = %v", err)
+const okSession = `{"name":"s","from":"a","to":"b","workload":"generate bulk size=10"}`
+
+// oneLink is a three-host document whose only declared link is a->b.
+func oneLink(session, events string) string {
+	return fmt.Sprintf(`{"hosts":["a","b","c"],"links":[{"from":"a","to":"b","bandwidth_bps":1e6}],
+	  "sessions":[%s],"events":[%s]}`, session, events)
+}
+
+// TestFaultFollowsRouteSwitch: a fault event names the link its host pair is
+// routed over at that instant. The route moves to a new link at 100 ms and the
+// a->b link goes down for good at 200 ms: if the plan had taken down the
+// replaced link instead, the transfer would complete.
+func TestFaultFollowsRouteSwitch(t *testing.T) {
+	const doc = `{
+	  "hosts": ["a", "b"],
+	  "links": [
+	    {"from": "a", "to": "b", "bandwidth_bps": 10e6, "delay_ms": 5},
+	    {"from": "b", "to": "a", "bandwidth_bps": 10e6, "delay_ms": 5}
+	  ],
+	  "sessions": [
+	    {"name": "s", "from": "a", "to": "b",
+	     "acd": {"avg_bps": 8e6, "ordered": true},
+	     "workload": "generate bulk size=1048576 chunk=65536"}
+	  ],
+	  "events": [
+	    {"at_ms": 200, "link_state": {"from": "a", "to": "b", "down": true}},
+	    {"at_ms": 100, "route_switch": {"from": "a", "to": "b", "link": {"bandwidth_bps": 10e6, "delay_ms": 5}}}
+	  ],
+	  "run_ms": 10000
+	}`
+	res, err := Load([]byte(doc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := res.Sessions[0].Meter.Bytes; got == 0 || got >= 1048576 {
+		t.Fatalf("delivered %d of 1048576 bytes: the link in use at 200 ms should have gone down mid-transfer", got)
 	}
 }
 
@@ -226,7 +278,7 @@ func TestScenarioMigration(t *testing.T) {
 	for _, p := range st.Placements {
 		pl = append(pl, PlacementCheck{p.Owner, p.Epoch})
 	}
-	if len(pl) != 1 || pl[0].Owner != rt.Nodes["standby"].Addr().Host || pl[0].Epoch != 2 {
+	if len(pl) != 1 || pl[0].Owner != rt.Node("standby").Addr().Host || pl[0].Epoch != 2 {
 		t.Fatalf("placements %+v", st.Placements)
 	}
 }
