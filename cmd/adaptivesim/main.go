@@ -84,8 +84,7 @@ func run(args []string, out io.Writer) error {
 		Bandwidth: *bw, PropDelay: *rtt / 2, MTU: *mtu,
 		DropRate: *drop, BER: *ber, QueueLen: *queue,
 	}
-	w.AddLink(0, 1, link)
-	w.AddLink(1, 0, link)
+	w.Mesh(link)
 	na, err := w.Node(0, *seed, "sender")
 	if err != nil {
 		return err

@@ -193,8 +193,7 @@ func runE10Shard(shard int, k *sim.Kernel, sessions int, repo *unites.Repository
 		// share one drain. This is the batched-delivery amortization knob.
 		Coalesce: 200 * time.Microsecond,
 	}
-	sh.AddLink(0, 1, link)
-	sh.AddLink(1, 0, link)
+	sh.Mesh(link)
 	seed := sim.DeriveSeed(e10Seed, shard)
 	client := must(sh.Node(0, seed+1, fmt.Sprintf("e10s%d-c", shard)))
 	server := must(sh.Node(1, seed+2, fmt.Sprintf("e10s%d-s", shard)))

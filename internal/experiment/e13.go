@@ -364,11 +364,11 @@ func (sc *E13Scenario) RunLive() (*E13LiveRun, error) {
 	e.Impair(impair.Config{Seed: sc.Seed, Loss: 0.05})
 
 	const seedBps = 50e6
-	na, err := e.Node(0, sc.Seed, "live-0", adaptive.WithArbiter(adaptive.DefaultArbiterPolicy()))
+	na, err := scriptNode(e, 0, sc.Seed, adaptive.WithArbiter(adaptive.DefaultArbiterPolicy()))
 	if err != nil {
 		return nil, err
 	}
-	nb, err := e.Node(1, sc.Seed+1, "live-1")
+	nb, err := scriptNode(e, 1, sc.Seed+1)
 	if err != nil {
 		return nil, err
 	}

@@ -78,8 +78,7 @@ func runE4Case(label string, adaptivePolicy bool) []string {
 	// Satellite switch at t=2s (both directions).
 	var retxAtSwitch uint64
 	w.K.Schedule(2*time.Second, func() {
-		w.AddLink(0, 1, mk(275*time.Millisecond))
-		w.AddLink(1, 0, mk(275*time.Millisecond))
+		w.Mesh(mk(275 * time.Millisecond))
 		gotAtSwitch = sink.Bytes
 		retxAtSwitch = conn.Stats().Retransmissions
 	})

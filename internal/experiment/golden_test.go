@@ -3,8 +3,8 @@ package experiment
 import (
 	"flag"
 	"os"
+	"runtime"
 	"strings"
-	"sync"
 	"testing"
 )
 
@@ -25,22 +25,12 @@ func TestESeriesGolden(t *testing.T) {
 			runners = append(runners, r)
 		}
 	}
-	rendered := make([]string, len(runners))
-	var wg sync.WaitGroup
-	for i, r := range runners {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			var sb strings.Builder
-			for _, tb := range r.Run() {
-				sb.WriteString(tb.Render())
-				sb.WriteByte('\n')
-			}
-			rendered[i] = sb.String()
-		}()
+	var sb strings.Builder
+	for _, tb := range runParallel(runners, runtime.GOMAXPROCS(0)) {
+		sb.WriteString(tb.Render())
+		sb.WriteByte('\n')
 	}
-	wg.Wait()
-	got := strings.Join(rendered, "")
+	got := sb.String()
 
 	const golden = "testdata/eseries.golden"
 	if *update {

@@ -71,9 +71,7 @@ func (t *Table) Render() string {
 // nodes; extra options (e.g. adaptive.WithArbiter) apply to every node.
 func newWorld(n int, link netsim.LinkConfig, seed int64, tracer *trace.Recorder, extra ...adaptive.Option) *rig.World {
 	w := rig.NewSim(seed, n)
-	if tracer != nil {
-		w.Trace(tracer)
-	}
+	w.Trace(tracer)
 	w.Mesh(link)
 	for i := range w.Hosts {
 		must(w.Node(i, seed+int64(i), fmt.Sprintf("host%d", i), extra...))
@@ -170,8 +168,10 @@ func All() []Runner {
 // RunAllParallel executes every experiment, fanning independent runners out
 // across worker goroutines (each builds its own kernel, so runs are
 // independent and deterministic). Results return in presentation order.
-func RunAllParallel(workers int) []Table {
-	runners := All()
+func RunAllParallel(workers int) []Table { return runParallel(All(), workers) }
+
+// runParallel is RunAllParallel over a chosen set of runners.
+func runParallel(runners []Runner, workers int) []Table {
 	results := make([][]Table, len(runners))
 	if workers < 1 {
 		workers = 1

@@ -106,8 +106,8 @@ func (sc *LiveScenario) RunLive() (*LiveRun, error) {
 
 // scriptNode brings up host i of a two-environment script: the node is named
 // after the environment so a shared repository keeps the runs apart.
-func scriptNode(w *rig.World, i int, seed int64) (*adaptive.Node, error) {
-	return w.Node(i, seed, fmt.Sprintf("%s-%d", w.Name, i))
+func scriptNode(w *rig.World, i int, seed int64, extra ...adaptive.Option) (*adaptive.Node, error) {
+	return w.Node(i, seed, fmt.Sprintf("%s-%d", w.Name, i), extra...)
 }
 
 // sendChunked queues data on c in 32 KiB Send calls.
