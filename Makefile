@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test verify golden-update live bench bench-scale bench-live bench-compare faults e12 e13 trace soak soak-smoke clean
+.PHONY: build test verify golden-update live cli-smoke bench trace soak soak-smoke clean
 
 build:
 	$(GO) build ./...
@@ -45,52 +45,18 @@ live:
 	$(GO) test -race -count=1 -v -run 'TestLive' ./internal/experiment/
 	$(GO) test -race -count=1 ./internal/udpnet/ ./internal/impair/
 
-# faults runs the deterministic sweeps twice each and verifies the runs are
-# byte-identical: the E9 fault-injection sweep (which also compares UNITES
-# snapshots of two same-seed runs) and the E10 scale soak (sharded kernels +
-# batched delivery, including the batched-vs-per-packet A/B equivalence).
-faults:
-	./scripts/faults_e9.sh
-	./scripts/scale_e10.sh
+# cli-smoke drives the command-line round trips no `go test` reaches: two
+# same-seed `adaptivetrace -record e10` flight recordings diffed to zero
+# divergence, and `adaptivectl migrate` on the simulator and over UDP
+# loopback (each gating exact delivery and stale-epoch fencing).
+cli-smoke:
+	./scripts/cli_smoke.sh
 
-# e12 is the cross-host migration gate: the E12 experiment run twice and
-# byte-compared, the adaptivectl handoff in both environments (sim + UDP
-# loopback, each gating exact delivery and stale-epoch fencing), and the
-# targeted migration test suites under the race detector.
-e12:
-	./scripts/e12_migrate.sh
-
-# e13 is the bandwidth-arbiter gate: the shared-bottleneck experiment run
-# twice and byte-compared (fairness, isochronous latency, and goodput gates
-# inside), the allocation-free grant-path benchmark, and the targeted
-# arbiter test suites under the race detector.
-e13:
-	./scripts/e13_arbiter.sh
-
-# bench runs the data-path micro-benchmarks (packet codec, message pool,
-# netsim forwarding, sim kernel) 5 times with allocation stats and writes
-# the raw output plus a JSON summary to BENCH_datapath.json.
+# bench runs the repo benchmark's layer rungs (bench/, the module
+# BENCHMARK.json declares): one isolated cost row per layer, printed as the
+# per_layer metrics. The full four-workload run is `bash bench/run.sh`.
 bench:
-	./scripts/bench_datapath.sh
-
-# bench-scale runs the E10 many-session soak benchmark and writes
-# BENCH_scale.json (pkts/s, events/pkt, ns/pkt, allocs/pkt per soak size,
-# with go version / GOMAXPROCS / CPU metadata).
-bench-scale:
-	./scripts/bench_scale.sh
-
-# bench-live runs the E11 live line-rate blast over UDP loopback in both
-# provider configurations (per-packet vs batched recvmmsg/sendmmsg) and
-# writes BENCH_live.json. The script gates A/B within the run: batched
-# must reach >= 2x the per-packet packet rate and hold allocs/pkt < 1.0.
-bench-live:
-	./scripts/bench_live.sh
-
-# bench-compare diffs freshly generated BENCH_*.json against the committed
-# baselines under scripts/baseline/ and fails on time or allocation
-# regressions (TIME_THRESHOLD / ALLOC_THRESHOLD override the percent gates).
-bench-compare:
-	./scripts/bench_compare.sh
+	cd bench && $(GO) run . -layers
 
 # trace flight-records the E3 policy-segue run, renders it to Chrome
 # trace-event JSON (load TRACE_e3.json in chrome://tracing or
@@ -116,5 +82,5 @@ soak-smoke:
 	SESSIONS=100 ITERS=2 PREFIX=SMOKE_ ./scripts/soak_e10.sh
 
 clean:
-	rm -f BENCH_* FAULTS_* TRACE_* SOAK_* SMOKE_* results_all.txt
+	rm -f CLI_* TRACE_* SOAK_* SMOKE_*
 	rm -rf bin

@@ -28,8 +28,13 @@ import (
 )
 
 func main() {
+	runners := experiment.All()
+	ids := make([]string, len(runners))
+	for i, r := range runners {
+		ids[i] = r.ID
+	}
 	var (
-		which   = flag.String("experiment", "all", "experiment id (T1, T2, F2, F3, E1..E10, A1..A3) or 'all'")
+		which   = flag.String("experiment", "all", "experiment id ("+strings.Join(ids, ", ")+") or 'all'")
 		list    = flag.Bool("list", false, "list experiments and exit")
 		workers = flag.Int("workers", runtime.NumCPU(), "parallel experiment workers for -experiment all")
 
@@ -58,7 +63,6 @@ func main() {
 		}))
 	}
 
-	runners := experiment.All()
 	if *list {
 		for _, r := range runners {
 			fmt.Printf("%-4s %s\n", r.ID, r.Name)

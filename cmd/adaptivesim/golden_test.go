@@ -49,3 +49,23 @@ func TestReportGolden(t *testing.T) {
 		})
 	}
 }
+
+// TestBadArgumentsReturnErrors: a value or flag the command does not know
+// fails the run with an error and prints no report — it must not exit the
+// process, which is also the golden test's process.
+func TestBadArgumentsReturnErrors(t *testing.T) {
+	for _, args := range [][]string{
+		{"-recovery", "bogus"},
+		{"-conn", "bogus"},
+		{"-order", "bogus"},
+		{"-no-such-flag"},
+	} {
+		var out bytes.Buffer
+		if err := run(args, &out); err == nil {
+			t.Errorf("%v: no error", args)
+		}
+		if out.Len() != 0 {
+			t.Errorf("%v: wrote %q before failing", args, out.Bytes())
+		}
+	}
+}

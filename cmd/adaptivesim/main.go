@@ -13,6 +13,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -33,13 +34,16 @@ import (
 
 func main() {
 	if err := run(os.Args[1:], os.Stdout); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return
+		}
 		log.Fatal(err)
 	}
 }
 
 // run is the command: flags from args, the report to out.
 func run(args []string, out io.Writer) error {
-	fs := flag.NewFlagSet("adaptivesim", flag.ExitOnError)
+	fs := flag.NewFlagSet("adaptivesim", flag.ContinueOnError)
 	var (
 		bw      = fs.Float64("bw", 10e6, "link bandwidth (bps)")
 		rtt     = fs.Duration("rtt", 20*time.Millisecond, "path round-trip time")
@@ -64,7 +68,9 @@ func run(args []string, out io.Writer) error {
 	(overrides -size; implies -metrics for the collected families)`)
 		scenarioF = fs.String("scenario", "", "run a JSON scenario file instead of the flag-built topology (see internal/scenario and scenarios/)")
 	)
-	fs.Parse(args)
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	if *scenarioF != "" {
 		return runScenario(out, *scenarioF, *metrics)
@@ -113,15 +119,21 @@ func run(args []string, out io.Writer) error {
 		}, nil)
 	} else {
 		spec := adaptive.Spec{
-			ConnMgmt:     parseConn(*conn),
-			Recovery:     parseRecovery(*recovery),
 			Window:       adaptive.WindowFixed,
 			WindowSize:   *window,
-			Order:        parseOrder(*order),
 			RateBps:      *rate,
 			LossTolerant: *lossTol > 0,
 			Graceful:     *lossTol == 0,
 			Checksum:     wire.CkCRC32,
+		}
+		if spec.ConnMgmt, err = parseConn(*conn); err != nil {
+			return err
+		}
+		if spec.Recovery, err = parseRecovery(*recovery); err != nil {
+			return err
+		}
+		if spec.Order, err = parseOrder(*order); err != nil {
+			return err
 		}
 		c, err = na.DialSpec(spec, nb.Addr(), 1000, 80)
 	}
@@ -176,56 +188,43 @@ func run(args []string, out io.Writer) error {
 	return nil
 }
 
-func parseRecovery(s string) mechanismRecovery {
+func parseRecovery(s string) (adaptive.RecoveryKind, error) {
 	switch strings.ToLower(s) {
 	case "none":
-		return adaptive.RecoveryNone
+		return adaptive.RecoveryNone, nil
 	case "go-back-n", "gbn":
-		return adaptive.RecoveryGoBackN
+		return adaptive.RecoveryGoBackN, nil
 	case "selective-repeat", "sr":
-		return adaptive.RecoverySelectiveRepeat
+		return adaptive.RecoverySelectiveRepeat, nil
 	case "fec":
-		return adaptive.RecoveryFEC
+		return adaptive.RecoveryFEC, nil
 	case "fec-hybrid":
-		return adaptive.RecoveryFECHybrid
+		return adaptive.RecoveryFECHybrid, nil
 	}
-	fmt.Fprintf(os.Stderr, "unknown recovery %q\n", s)
-	os.Exit(2)
-	return 0
+	return 0, fmt.Errorf("unknown recovery %q", s)
 }
 
-func parseConn(s string) mechanismConn {
+func parseConn(s string) (adaptive.ConnKind, error) {
 	switch strings.ToLower(s) {
 	case "implicit":
-		return adaptive.ConnImplicit
+		return adaptive.ConnImplicit, nil
 	case "explicit-2way", "2way":
-		return adaptive.ConnExplicit2Way
+		return adaptive.ConnExplicit2Way, nil
 	case "explicit-3way", "3way":
-		return adaptive.ConnExplicit3Way
+		return adaptive.ConnExplicit3Way, nil
 	}
-	fmt.Fprintf(os.Stderr, "unknown conn mgmt %q\n", s)
-	os.Exit(2)
-	return 0
+	return 0, fmt.Errorf("unknown conn mgmt %q", s)
 }
 
-func parseOrder(s string) mechanismOrder {
+func parseOrder(s string) (adaptive.OrderKind, error) {
 	switch strings.ToLower(s) {
 	case "sequenced":
-		return adaptive.OrderSequenced
+		return adaptive.OrderSequenced, nil
 	case "none", "unordered":
-		return adaptive.OrderNone
+		return adaptive.OrderNone, nil
 	}
-	fmt.Fprintf(os.Stderr, "unknown order %q\n", s)
-	os.Exit(2)
-	return 0
+	return 0, fmt.Errorf("unknown order %q", s)
 }
-
-// Concrete kind types via the re-exported constants.
-type (
-	mechanismRecovery = adaptive.RecoveryKind
-	mechanismConn     = adaptive.ConnKind
-	mechanismOrder    = adaptive.OrderKind
-)
 
 // runScenario executes a declarative JSON scenario and reports per-session
 // delivered QoS.

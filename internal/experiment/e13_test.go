@@ -24,8 +24,10 @@ func TestE13SimArbiter(t *testing.T) {
 }
 
 // TestE13SimDeterministic reruns the arbitrated arm at the same seed and
-// requires identical fingerprints — the property scripts/e13_arbiter.sh
-// gates in CI.
+// requires identical fingerprints. The golden table pins only what it prints
+// (rounded rates and quantiles, grants, decreases, downshifts); the
+// fingerprint also carries exact byte, message and incomplete-message counts
+// per flow, OLTP issued/completed and the congestion-hint count.
 func TestE13SimDeterministic(t *testing.T) {
 	sc := &E13Scenario{Name: "e13-det", Seed: 13}
 	a, err := sc.RunSim(true)

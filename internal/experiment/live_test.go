@@ -165,46 +165,3 @@ func TestLiveFlushWindowAB(t *testing.T) {
 		t.Fatal("per-packet and batched runs delivered different streams")
 	}
 }
-
-// TestE11Smoke drives the live line-rate rig briefly in both standard
-// configurations: every datagram must arrive (the send window provides the
-// backpressure) and the counters must reflect the configured mode.
-func TestE11Smoke(t *testing.T) {
-	const n = 5000
-	perpkt, err := RunE11(E11PerPacket, n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if perpkt.Packets != n {
-		t.Fatalf("per-packet blast delivered %d of %d", perpkt.Packets, n)
-	}
-	if perpkt.Counters.BatchesOut != 0 {
-		t.Fatalf("per-packet mode used the flush queue: %+v", perpkt.Counters)
-	}
-
-	batched, err := RunE11(E11Batched, n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if batched.Packets != n {
-		t.Fatalf("batched blast delivered %d of %d", batched.Packets, n)
-	}
-	c := batched.Counters
-	if c.BatchesOut == 0 || c.BatchesIn == 0 {
-		t.Fatalf("batched mode never batched: %+v", c)
-	}
-	if c.FramesIn < n || c.FramesOut < n {
-		t.Fatalf("counter shortfall: %+v", c)
-	}
-	// The whole point: fewer wire datagrams and upcalls than frames —
-	// trains coalesce the stream, batches amortize the syscalls.
-	if c.DatagramsOut >= c.FramesOut {
-		t.Fatalf("no tx coalescing: %d datagrams for %d frames", c.DatagramsOut, c.FramesOut)
-	}
-	if c.TrainFrames == 0 || c.TrainsOut == 0 {
-		t.Fatalf("no frame trains: %+v", c)
-	}
-	if c.BatchesIn >= c.FramesIn {
-		t.Fatalf("no rx amortization: %d batches for %d frames", c.BatchesIn, c.FramesIn)
-	}
-}

@@ -8,7 +8,7 @@ import (
 // Flight-recorded experiment runs. Each helper runs one reference experiment
 // with a trace.Recorder attached to the kernel and every node, and returns
 // the collected trace set. These back the adaptivetrace CLI (-record), the
-// seed-determinism regression tests, and the scale_e10.sh trace-diff gate.
+// seed-determinism regression tests, and the cli_smoke.sh trace-diff gate.
 //
 // buffer is the per-recorder ring capacity in records (<= 0 uses
 // trace.DefaultBuffer); sample is the keyed-sampling stride for high-rate

@@ -548,10 +548,20 @@ func (e *Entity) onSignal(p *wire.PDU, from netapi.Addr) {
 // session whose recovery generates no ack stream (FEC or none): without it
 // the sender's MANTTS entity is blind to delivered loss. Reports are
 // fire-and-forget (no signal ack): the next period repeats them anyway.
+//
+// The ticker stops itself at the first tick that finds the session
+// terminated — closed, aborted, or a passive open that never completed — so
+// it outlives the session by less than one period, whichever path ended it,
+// and the session's notifier stays the owner's.
 func (e *Entity) StartQualityReports(s *session.Session, sender netapi.Addr) {
 	var lastRecv, lastGaps uint64
 	var w wire.TLVWriter // hoisted: one report buffer per session, not per tick
-	ev := e.stack.Timers().SchedulePeriodic(qualReportPeriod, qualReportPeriod, func() {
+	var ev *event.Event
+	ev = e.stack.Timers().SchedulePeriodic(qualReportPeriod, qualReportPeriod, func() {
+		if s.Closed() {
+			ev.Cancel()
+			return
+		}
 		st := s.State()
 		dRecv := s.RecvPDUs - lastRecv
 		dGaps := st.GapsAbandoned - lastGaps
@@ -565,12 +575,6 @@ func (e *Entity) StartQualityReports(s *session.Session, sender netapi.Addr) {
 		w.PutU32(sigTagConnID, s.ConnID())
 		w.PutU64(sigTagLoss, uint64(frac*1e9))
 		e.transmitSignal(sender, w.Bytes())
-	})
-	// Stop reporting when the session dies.
-	s.SetNotifier(func(n mechanism.Notification) {
-		if n.Kind == mechanism.NoteClosed {
-			ev.Cancel()
-		}
 	})
 }
 

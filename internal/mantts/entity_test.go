@@ -441,3 +441,52 @@ func TestSubscribeNotesMultipleListeners(t *testing.T) {
 		t.Fatal("remaining listener missed the close notification")
 	}
 }
+
+// TestQualityReportsStopAfterFailedPassiveOpen: a 3-way passive open whose
+// CONNCONF never arrives ends in NoteEstablishFailed, not NoteClosed; the
+// receiver-report ticker armed at accept must stop within one period of that
+// (it used to tick, and hold the session, for the life of the stack), and the
+// notifier the acceptor installed first must still be the one that hears it.
+func TestQualityReportsStopAfterFailedPassiveOpen(t *testing.T) {
+	r := newRig(t, 2, netsim.LinkConfig{Bandwidth: 10e6, PropDelay: time.Millisecond, MTU: 1500})
+	var passive *session.Session
+	failed := false
+	r.stacks[1].Listen(80, &protograph.Listener{OnAccept: func(s *session.Session) {
+		passive = s
+		s.SetNotifier(func(n mechanism.Notification) {
+			failed = failed || n.Kind == mechanism.NoteEstablishFailed
+		})
+		r.ents[1].StartQualityReports(s, s.PeerAddr())
+	}})
+	spec := mechanism.DefaultSpec()
+	spec.ConnMgmt = mechanism.ConnExplicit3Way
+	spec.Recovery = mechanism.RecoveryFEC
+	s, _, err := r.stacks[0].CreateActiveSession(&spec, r.addr(1), 555, 80)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Open()
+	// Partition once the CONNREQ has spawned the passive session: its
+	// CONNACKs still leave, the CONNCONFs never come back.
+	for passive == nil && r.k.Now() < time.Second {
+		r.k.RunFor(100 * time.Microsecond)
+	}
+	if passive == nil {
+		t.Fatal("CONNREQ never reached the listener")
+	}
+	r.links[[2]int{0, 1}].SetDown(true)
+	for !passive.Closed() && r.k.Now() < 5*time.Minute {
+		r.k.RunFor(time.Second)
+	}
+	if !failed {
+		t.Fatal("passive open never reported NoteEstablishFailed to the acceptor's notifier")
+	}
+
+	timers := r.stacks[1].Timers()
+	r.k.RunFor(qualReportPeriod)
+	settled := timers.Stats()
+	r.k.RunFor(time.Minute)
+	if after := timers.Stats(); after != settled {
+		t.Fatalf("timers still running a report period after the failed open: %+v -> %+v", settled, after)
+	}
+}

@@ -193,24 +193,17 @@ func TestKindNamesRoundTrip(t *testing.T) {
 	}
 }
 
-// BenchmarkEmitDisabled proves the disabled hook cost: one nil branch,
-// zero allocations. This is the per-hook price the data path pays when
-// tracing is off.
-func BenchmarkEmitDisabled(b *testing.B) {
-	var r *Recorder
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		r.Emit(time.Duration(i), KPDUSend, 1, uint64(i), 1, 1500)
-	}
-}
-
-// BenchmarkEmitEnabled measures the hot cost of an enabled hook (a ring
-// store; still zero allocations per record).
-func BenchmarkEmitEnabled(b *testing.B) {
-	r := NewRecorder(1 << 16)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r.EmitKeyed(uint64(i), time.Duration(i), KPDUSend, 1, uint64(i), 1, 1500)
+// TestEmitZeroAlloc pins the per-hook price the data path pays: a disabled
+// hook (nil recorder) is one branch, an enabled one a ring store, and neither
+// touches the heap.
+func TestEmitZeroAlloc(t *testing.T) {
+	var i uint64
+	for name, r := range map[string]*Recorder{"disabled": nil, "enabled": NewRecorder(1 << 10)} {
+		if allocs := testing.AllocsPerRun(1000, func() {
+			i++
+			r.EmitKeyed(i, time.Duration(i), KPDUSend, 1, i, 1, 1500)
+		}); allocs != 0 {
+			t.Errorf("%s hook: %v allocs/op, want 0", name, allocs)
+		}
 	}
 }

@@ -17,7 +17,7 @@ import (
 // one allocation per packet. The budget lives on pooled slabs (message),
 // the pooled rxBatch carriers (backstop-fronted), pre-bound syscall
 // callbacks, and the RCU host snapshot; a regression on any of them shows
-// up here long before it shows up in BenchmarkE11_Live.
+// up here long before it shows up in the repo benchmark's blast rung.
 func TestBatchedPathAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation soak")
