@@ -223,14 +223,16 @@ func WithArbiter(pol ArbiterPolicy) Option {
 // Node is one host's complete ADAPTIVE transport system instance: a
 // protocol graph (TKO), a MANTTS entity, and UNITES instrumentation.
 type Node struct {
-	stack  *protograph.Stack
-	entity *mantts.Entity
-	obs    *Observability
-	arb    *arbiter.Arbiter
-	name   string
-	rules  []Rule
+	provider Provider
+	stack    *protograph.Stack
+	entity   *mantts.Entity
+	obs      *Observability
+	arb      *arbiter.Arbiter
+	name     string
+	rules    []Rule
 
-	hintPoll *event.Event // arbiter congestion-hint poller; nil without one
+	hintPoll *event.Event     // arbiter congestion-hint poller; nil without one
+	conns    map[uint32]*Conn // handles of the live connections, by ConnID
 }
 
 // NewNode brings up ADAPTIVE on a host.
@@ -287,7 +289,19 @@ func NewNode(opts ...Option) (*Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	n := &Node{stack: stack, entity: mantts.NewEntity(stack), name: name, rules: o.rules}
+	n := &Node{provider: o.provider, stack: stack, entity: mantts.NewEntity(stack), name: name, rules: o.rules,
+		conns: make(map[uint32]*Conn)}
+	stack.OnTerminal(func(s *session.Session) {
+		if c := n.conns[s.ConnID()]; c != nil {
+			c.finish()
+			delete(n.conns, s.ConnID())
+		}
+		if repo != nil {
+			// Per-connection detail ends at close: the recorder folds into
+			// the host's retired totals.
+			repo.Retire(name, s.ConnID())
+		}
+	})
 	if o.arbiter != nil {
 		n.arb = arbiter.New(*o.arbiter)
 		n.entity.SetArbiter(n.arb)
@@ -323,6 +337,7 @@ func NewNode(opts ...Option) (*Node, error) {
 		// (rendered adaptive_arbiter_* on /metrics).
 		n.obs.RegisterCounters(n.arb.MetricCounters())
 	}
+	n.obs.RegisterCounters(stack.MetricCounters())
 	return n, nil
 }
 
@@ -389,16 +404,41 @@ func (n *Node) ArbiterStatus() ArbiterStatus {
 // Enabled() reports whether a plane was configured (WithObservability).
 func (n *Node) Observability() *Observability { return n.obs }
 
-// Close releases node resources: the arbiter's hint poller and every probing
-// campaign still running are canceled, the observability plane's trace
-// stream is flushed and its HTTP endpoint stops. Call after the node's event
-// source has quiesced (simulation drained or provider closed).
+// Close releases node resources. Every session still open — dialled, accepted
+// or multicast — goes through its terminal transition abortively (nothing is
+// transmitted; owners hear NoteClosed or NoteEstablishFailed), the arbiter's
+// hint poller, every probing campaign and every unacknowledged signal retry
+// are canceled, so no timer of this node is left pending; then the
+// observability plane's trace stream is flushed and its HTTP endpoint stops.
+// The teardown runs on the provider's event loop when the provider has one
+// that is still up, and inline when it was closed first or is a simulation
+// (call it from the goroutine that steps the kernel, not from inside an
+// upcall of a live provider).
 func (n *Node) Close() error {
-	if n.hintPoll != nil {
-		n.hintPoll.Cancel()
-	}
-	n.entity.StopAllProbing()
+	n.onLoop(func() {
+		for _, s := range n.stack.Sessions() {
+			s.Abort("node closed")
+		}
+		if n.hintPoll != nil {
+			n.hintPoll.Cancel()
+		}
+		n.entity.Shutdown()
+	})
 	return n.obs.Close()
+}
+
+// onLoop runs fn where the node's protocol code runs: on the provider's event
+// loop when it has one still running (udpnet, or a shim in front of it),
+// inline otherwise — a simulated provider, or a live one closed already, whose
+// loop has exited and can no longer race with fn.
+func (n *Node) onLoop(fn func()) {
+	ran := false
+	if w, ok := n.provider.(interface{ Wait(func()) }); ok {
+		w.Wait(func() { ran = true; fn() })
+	}
+	if !ran {
+		fn()
+	}
 }
 
 // Stack exposes the protocol graph (advanced use and experiments).
@@ -481,7 +521,7 @@ func (n *Node) DialContext(ctx context.Context, acd *ACD, opts *DialOptions) (*C
 	if err != nil {
 		return nil, err
 	}
-	c := &Conn{node: n, managed: m, sess: m.Session}
+	c := n.newConn(m.Session, m)
 	n.watchContext(ctx, c)
 	return c, nil
 }
@@ -507,7 +547,7 @@ func (n *Node) DialSpecContext(ctx context.Context, spec Spec, peer Addr, localP
 		return nil, err
 	}
 	s.Open()
-	c := &Conn{node: n, sess: s}
+	c := n.newConn(s, nil)
 	n.watchContext(ctx, c)
 	return c, nil
 }
@@ -550,23 +590,17 @@ func (do DialOptions) applyTo(s *Spec) {
 // session's timer wheel rather than a goroutine, so it is deterministic
 // under the single-threaded simulation kernel.
 func (n *Node) watchContext(ctx context.Context, c *Conn) {
-	if ctx.Done() == nil {
+	if ctx.Done() == nil || c.sess == nil {
 		return
 	}
 	const pollEvery = 10 * time.Millisecond
-	timers := n.stack.Timers()
-	var tick func()
-	tick = func() {
-		if c.sess.Established() || c.sess.Closed() {
-			return
+	c.watch = n.stack.Timers().SchedulePeriodic(pollEvery, pollEvery, func() {
+		if c.sess.Established() {
+			c.watch.Cancel()
+		} else if err := ctx.Err(); err != nil {
+			c.sess.AbortEstablish("dial canceled: " + err.Error()) // finish stops the poll
 		}
-		if err := ctx.Err(); err != nil {
-			c.sess.AbortEstablish("dial canceled: " + err.Error())
-			return
-		}
-		timers.Schedule(pollEvery, tick)
-	}
-	timers.Schedule(pollEvery, tick)
+	})
 }
 
 // Listen accepts connections on a transport port. The accept callback runs
@@ -582,7 +616,7 @@ func (n *Node) Listen(port uint16, adjust func(proposed *Spec, from Addr) *Spec,
 			if !s.CurrentSlots().Recovery.Reliable() {
 				n.entity.StartQualityReports(s, s.PeerAddr())
 			}
-			accept(&Conn{node: n, sess: s})
+			accept(n.newConn(s, nil))
 		},
 	})
 }
@@ -594,6 +628,6 @@ func (n *Node) Unlisten(port uint16) { n.stack.Unlisten(port) }
 // into a multicast session.
 func (n *Node) OnMulticastJoin(fn func(c *Conn, group HostID)) {
 	n.entity.OnMulticastAccept = func(s *session.Session, group HostID) {
-		fn(&Conn{node: n, sess: s}, group)
+		fn(n.newConn(s, nil), group)
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"adaptive/internal/impair"
 	"adaptive/internal/netsim"
 	"adaptive/internal/sim"
+	"adaptive/internal/wire"
 )
 
 // TestArbiterGovernsMixedSessions is the end-to-end loop for the host
@@ -141,9 +142,11 @@ func TestArbiterGovernsMixedSessions(t *testing.T) {
 	}
 }
 
-// TestNodeCloseCancelsTimers: Close must not leave the node's own periodic
-// timers running — the arbiter's congestion-hint poller and a probing
-// campaign bounded only by context.Background.
+// TestNodeCloseCancelsTimers: Close must leave nothing of the node running —
+// not its own periodic timers (the arbiter's congestion-hint poller, a probing
+// campaign bounded only by context.Background) and not its sessions: a dialled
+// one, an accepted one, one still establishing and both ends of a multicast
+// one all go through the terminal transition abortively, transmitting nothing.
 func TestNodeCloseCancelsTimers(t *testing.T) {
 	k := sim.NewKernel(5)
 	net := netsim.New(k)
@@ -151,6 +154,8 @@ func TestNodeCloseCancelsTimers(t *testing.T) {
 	link := netsim.LinkConfig{Bandwidth: 8e6, PropDelay: 2 * time.Millisecond, MTU: 1500}
 	net.SetRoute(ha.ID(), hb.ID(), net.NewLink(link))
 	net.SetRoute(hb.ID(), ha.ID(), net.NewLink(link))
+	group := net.NewGroup()
+	net.Join(group, hb.ID())
 
 	// The impairment shim has a drop counter, which is what arms the poller.
 	prov := impair.Wrap(net, impair.Config{Seed: 5, Loss: 0.01})
@@ -159,23 +164,85 @@ func TestNodeCloseCancelsTimers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	peer, err := adaptive.NewNode(adaptive.WithProvider(net), adaptive.WithHost(hb.ID()), adaptive.WithSeed(2))
+	if err != nil {
+		t.Fatal(err)
+	}
 	n.ProbeContext(context.Background(), hb.ID(), 50*time.Millisecond)
+
+	var conns []*adaptive.Conn
+	keep := func(c *adaptive.Conn) { conns = append(conns, c) }
+	peer.Listen(80, nil, keep)
+	peer.OnMulticastJoin(func(c *adaptive.Conn, _ adaptive.HostID) { keep(c) })
+	ended := map[adaptive.NotificationKind]int{}
+	n.Subscribe(func(_ uint32, note adaptive.Notification) { ended[note.Kind]++ })
+	for _, acd := range []*adaptive.ACD{
+		{Participants: []adaptive.Addr{peer.Addr()}, RemotePort: 80, Qual: adaptive.QualQoS{Ordered: true}},
+		{Participants: []adaptive.Addr{peer.Addr()}, RemotePort: 81, Qual: adaptive.QualQoS{Ordered: true}}, // nobody listens
+		{Participants: []adaptive.Addr{{Host: group, Port: n.Addr().Port}, peer.Addr()}, RemotePort: 90,
+			Quant: adaptive.QuantQoS{AvgThroughputBps: 1e6, LossTolerance: 0.05, MaxJitter: 10 * time.Millisecond}},
+	} {
+		c, err := n.Dial(acd, &adaptive.DialOptions{Keepalive: 100 * time.Millisecond})
+		if err != nil {
+			t.Fatal(err)
+		}
+		keep(c)
+	}
 	k.RunFor(time.Second)
+	if got := len(n.Stack().Sessions()) + len(peer.Stack().Sessions()); got != 5 {
+		t.Fatalf("%d sessions before Close, want 5 (3 dialled, 1 accepted, 1 joined): the test lost its subject", got)
+	}
 
 	timers := n.Stack().Timers()
 	before := timers.Stats()
 	if before.Expired == 0 {
 		t.Fatal("no timer fired before Close: the test lost its subject")
 	}
-	if err := n.Close(); err != nil {
-		t.Fatal(err)
+	// From here on the only thing either stack may emit is the echo of a probe
+	// that was already in flight (a closed node's endpoint stays bound).
+	var sent sessionPDUs
+	n.Stack().InsertLayer(&sent)
+	peer.Stack().InsertLayer(&sent)
+	for _, node := range []*adaptive.Node{n, peer} {
+		if err := node.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if st := node.Stack().Timers().Stats(); st.Pending != 0 {
+			t.Fatalf("%d events pending on a closed node's timer manager", st.Pending)
+		}
+		if left := len(node.Stack().Sessions()); left != 0 {
+			t.Fatalf("%d sessions outlived Node.Close", left)
+		}
 	}
 	closed := timers.Stats()
-	if got := closed.Canceled - before.Canceled; got != 2 {
-		t.Fatalf("Close canceled %d timers, want 2 (hint poller + probe campaign)", got)
+	if got := closed.Canceled - before.Canceled; got < 2 {
+		t.Fatalf("Close canceled %d timers, want at least the hint poller and the probe campaign", got)
+	}
+	for i, c := range conns {
+		if !c.Closed() {
+			t.Fatalf("conn %d (%#x) not closed by Node.Close", i, c.ConnID())
+		}
+	}
+	if ended[adaptive.NoteClosed] != 2 || ended[adaptive.NoteEstablishFailed] != 1 {
+		t.Fatalf("owners heard %v, want 2 NoteClosed and 1 NoteEstablishFailed", ended)
 	}
 	k.RunFor(time.Second)
 	if after := timers.Stats(); after.Expired != closed.Expired {
 		t.Fatalf("%d timers fired after Close", after.Expired-closed.Expired)
 	}
+	if sent != 0 {
+		t.Fatalf("closing the nodes transmitted %d session PDUs", sent)
+	}
 }
+
+// sessionPDUs is a pass-through layer counting every departing PDU but probes.
+type sessionPDUs int
+
+func (c *sessionPDUs) Name() string { return "session-pdus" }
+func (c *sessionPDUs) Outbound(pkt []byte, _ adaptive.Addr) ([]byte, bool) {
+	if wire.Type(pkt[0]&0x0f) != wire.TProbe {
+		*c++
+	}
+	return pkt, true
+}
+func (c *sessionPDUs) Inbound(pkt []byte, _ adaptive.Addr) ([]byte, bool) { return pkt, true }

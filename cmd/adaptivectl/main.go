@@ -142,7 +142,8 @@ func printStatus(st adaptive.ControlStatus) {
 		if h.Capacity > 0 {
 			cap = fmt.Sprintf("%d", h.Capacity)
 		}
-		fmt.Printf("  host %-4d sessions %-4d capacity %s\n", h.Host, h.Sessions, cap)
+		fmt.Printf("  host %-4d sessions %-4d capacity %-9s sessions_live %-4d sessions_retired_total %d\n",
+			h.Host, h.Sessions, cap, h.Live, h.Retired)
 	}
 	fmt.Println("placements:")
 	if len(st.Placements) == 0 {

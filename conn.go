@@ -3,6 +3,7 @@ package adaptive
 import (
 	"errors"
 
+	"adaptive/internal/event"
 	"adaptive/internal/mantts"
 	"adaptive/internal/session"
 )
@@ -21,22 +22,70 @@ var (
 )
 
 // Conn is an open ADAPTIVE transport connection (one TKO_Session plus, when
-// opened through Dial, its MANTTS policy machinery).
+// opened through Dial, its MANTTS policy machinery). When the connection
+// terminates — however it ends — the handle lets go of the session and keeps a
+// final snapshot: ConnID, LocalPort, Spec, TSC, Closed and Stats keep
+// answering, operations report ErrClosed (ErrMigrated after a hand-off), and
+// nothing the connection used stays reachable through it, so holding closed
+// Conns costs a few hundred bytes each.
 type Conn struct {
 	node    *Node
-	managed *mantts.Managed // nil for DialSpec / passive connections
-	sess    *session.Session
+	managed *mantts.Managed  // nil for DialSpec / passive connections, and once terminated
+	sess    *session.Session // nil once terminated
+	watch   *event.Event     // dial context poll; nil without one
+
+	connID    uint32
+	localPort uint16
+	tsc       TSC
+	hasTSC    bool
+	migrated  bool  // terminated by a hand-off to another host
+	spec      *Spec // final configuration; set at termination
+	stats     Stats // final counters; set at termination
+}
+
+// newConn wraps a session and enters the handle in the node's table of live
+// connections, which is how the terminal transition finds it (finish).
+func (n *Node) newConn(s *session.Session, m *mantts.Managed) *Conn {
+	c := &Conn{node: n, managed: m, sess: s, connID: s.ConnID(), localPort: s.LocalPort()}
+	if m != nil {
+		c.tsc, c.hasTSC = m.TSC, true
+	}
+	n.conns[c.connID] = c
+	return c
+}
+
+// finish is the handle's share of the terminal transition: take the final
+// snapshot and drop everything else.
+func (c *Conn) finish() {
+	c.stats, c.spec, c.migrated = c.Stats(), c.sess.Spec(), c.sess.Retired()
+	if c.watch != nil {
+		c.watch.Cancel()
+	}
+	c.sess, c.managed, c.watch = nil, nil, nil
+}
+
+// errDone is what an operation on a terminated connection reports.
+func (c *Conn) errDone() error {
+	if c.migrated {
+		return ErrMigrated
+	}
+	return ErrClosed
 }
 
 // Send queues data for transmission. Data larger than the negotiated
 // segment size is segmented; the final segment carries the end-of-message
 // marker, which the receiver sees as eom.
-func (c *Conn) Send(data []byte) error { return c.sess.Send(data) }
+func (c *Conn) Send(data []byte) error {
+	if c.sess == nil {
+		return c.errDone()
+	}
+	return c.sess.Send(data)
+}
 
 // OnReceive installs the delivery callback. The data slice is only valid
 // during the callback.
 func (c *Conn) OnReceive(fn func(data []byte, eom bool)) {
-	c.sess.SetReceiver(func(d Delivery) {
+	c.OnDelivery(func(d Delivery) {
 		fn(d.Msg.Bytes(), d.EOM)
 		d.Msg.Release()
 	})
@@ -44,14 +93,18 @@ func (c *Conn) OnReceive(fn func(data []byte, eom bool)) {
 
 // OnDelivery installs a zero-copy delivery callback; the callback owns the
 // message and must Release it.
-func (c *Conn) OnDelivery(fn func(d Delivery)) { c.sess.SetReceiver(fn) }
+func (c *Conn) OnDelivery(fn func(d Delivery)) {
+	if c.sess != nil {
+		c.sess.SetReceiver(fn)
+	}
+}
 
 // Close terminates the connection with the configured semantics (graceful
 // closes drain acknowledged data first). Closing an already-terminated
 // connection returns ErrClosed; a close already in progress is a no-op.
 func (c *Conn) Close() error {
-	if c.sess.Closed() {
-		return ErrClosed
+	if c.sess == nil {
+		return c.errDone()
 	}
 	c.sess.Close()
 	return nil
@@ -60,33 +113,37 @@ func (c *Conn) Close() error {
 // Abort terminates the connection immediately, skipping the closing
 // handshake and any graceful drain.
 func (c *Conn) Abort() error {
-	if c.sess.Closed() {
-		return ErrClosed
+	if c.sess == nil {
+		return c.errDone()
 	}
 	c.sess.Abort("application abort")
 	return nil
 }
 
 // Established reports whether data may flow.
-func (c *Conn) Established() bool { return c.sess.Established() }
+func (c *Conn) Established() bool { return c.sess != nil && c.sess.Established() }
 
 // Closed reports whether termination completed.
-func (c *Conn) Closed() bool { return c.sess.Closed() }
+func (c *Conn) Closed() bool { return c.sess == nil }
 
 // ConnID returns the connection identifier.
-func (c *Conn) ConnID() uint32 { return c.sess.ConnID() }
+func (c *Conn) ConnID() uint32 { return c.connID }
 
-// Spec returns the connection's current configuration.
-func (c *Conn) Spec() Spec { return *c.sess.Spec() }
+// LocalPort returns the connection's local transport port.
+func (c *Conn) LocalPort() uint16 { return c.localPort }
+
+// Spec returns the connection's current configuration (the last one, once
+// the connection has terminated).
+func (c *Conn) Spec() Spec {
+	if c.sess == nil {
+		return *c.spec
+	}
+	return *c.sess.Spec()
+}
 
 // TSC returns the Transport Service Class MANTTS selected (Stage I), valid
 // for dialed connections.
-func (c *Conn) TSC() (TSC, bool) {
-	if c.managed == nil {
-		return 0, false
-	}
-	return c.managed.TSC, true
-}
+func (c *Conn) TSC() (TSC, bool) { return c.tsc, c.hasTSC }
 
 // Reconfigure applies an explicit SCS change (§4.1.2 "explicit
 // reconfiguration"): the mutation is negotiated with the peer over the
@@ -94,8 +151,8 @@ func (c *Conn) TSC() (TSC, bool) {
 // opened with DialSpec reconfigure locally only. Synthesis failures and
 // refused segues (immutable template sessions) are returned.
 func (c *Conn) Reconfigure(mutate func(s *Spec)) error {
-	if c.sess.Closed() {
-		return ErrClosed
+	if c.sess == nil {
+		return c.errDone()
 	}
 	if c.managed != nil {
 		return c.node.entity.Reconfigure(c.managed, mutate)
@@ -113,6 +170,9 @@ func (c *Conn) Reconfigure(mutate func(s *Spec)) error {
 // return quickly. Returns ErrUnmanaged for connections without MANTTS
 // machinery; a node without WithArbiter never fires it.
 func (c *Conn) OnBudgetChange(fn func(budgetBps float64)) error {
+	if c.sess == nil {
+		return c.errDone()
+	}
 	if c.managed == nil {
 		return ErrUnmanaged
 	}
@@ -126,6 +186,9 @@ func (c *Conn) OnBudgetChange(fn func(budgetBps float64)) error {
 // squeeze). No-op on nodes without WithArbiter; ErrUnmanaged without MANTTS
 // machinery.
 func (c *Conn) SetBandwidthDemand(bps float64) error {
+	if c.sess == nil {
+		return c.errDone()
+	}
 	if c.managed == nil {
 		return ErrUnmanaged
 	}
@@ -137,6 +200,9 @@ func (c *Conn) SetBandwidthDemand(bps float64) error {
 // ErrUnmanaged for connections without MANTTS machinery and ErrNotMulticast
 // for unicast ones.
 func (c *Conn) AddParticipant(host HostID) error {
+	if c.sess == nil {
+		return c.errDone()
+	}
 	if c.managed == nil {
 		return ErrUnmanaged
 	}
@@ -146,6 +212,9 @@ func (c *Conn) AddParticipant(host HostID) error {
 // RemoveParticipant signals a member to leave a multicast connection (same
 // errors as AddParticipant).
 func (c *Conn) RemoveParticipant(host HostID) error {
+	if c.sess == nil {
+		return c.errDone()
+	}
 	if c.managed == nil {
 		return ErrUnmanaged
 	}
@@ -153,7 +222,8 @@ func (c *Conn) RemoveParticipant(host HostID) error {
 }
 
 // Session exposes the underlying TKO_Session for whitebox inspection
-// (experiments read transfer state and counters through this).
+// (experiments read transfer state and counters through this); nil once the
+// connection has terminated.
 func (c *Conn) Session() *session.Session { return c.sess }
 
 // Stats summarizes the connection's whitebox counters.
@@ -168,8 +238,12 @@ type Stats struct {
 	Segues          uint64
 }
 
-// Stats returns a snapshot of the connection counters.
+// Stats returns a snapshot of the connection counters; after the connection
+// has terminated, the final one.
 func (c *Conn) Stats() Stats {
+	if c.sess == nil {
+		return c.stats
+	}
 	st := c.sess.State()
 	return Stats{
 		SentPDUs:        c.sess.SentPDUs,

@@ -79,7 +79,7 @@ func (cp *ControlPlane) Enroll(n *Node, capacity int) error {
 
 	a := controlplane.NewAgent(cp.ctl, n.Stack(), capacity)
 	a.OnAdopt = func(s *session.Session) {
-		c := &Conn{node: n, sess: s}
+		c := n.newConn(s, nil)
 		cp.mu.Lock()
 		cp.adopted[s.ConnID()] = c
 		cp.mu.Unlock()

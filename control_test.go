@@ -131,7 +131,7 @@ func TestMigrateSessionMidStream(t *testing.T) {
 	p.Header = wire.Header{
 		Type:    wire.TData,
 		ConnID:  conn.ConnID(),
-		SrcPort: conn.Session().LocalPort(),
+		SrcPort: conn.LocalPort(),
 		DstPort: 80,
 		Seq:     1, // long-acked: even if it got through it would dedup
 	}

@@ -111,6 +111,7 @@ func NewAgent(ctl *Controller, stack *protograph.Stack, capacity int) *Agent {
 		adopts: make(map[uint32]*adoption),
 	}
 	stack.ControlHandler = a.onControl
+	stack.OnTerminal(a.sessionEnded)
 	ctl.enroll(a, capacity)
 	return a
 }
@@ -179,33 +180,51 @@ func (a *Agent) sendChunk(connID uint32, om *outboundMigration, idx int, data []
 	a.transmitControl(om.target, w.Bytes())
 }
 
-// retireSource finishes the source side of a completed migration: the local
-// copy answers every later Send with ErrMigrated and leaves the demux table.
-func (a *Agent) retireSource(connID uint32) {
+// takeOut ends the bookkeeping of connID's outbound hand-off, if there is one,
+// and returns it: the resend timer is canceled and the entry is gone.
+func (a *Agent) takeOut(connID uint32) *outboundMigration {
 	om := a.out[connID]
-	if om == nil {
-		return
+	if om != nil {
+		if om.timer != nil {
+			om.timer.Cancel()
+		}
+		delete(a.out, connID)
 	}
-	if om.timer != nil {
-		om.timer.Cancel()
+	return om
+}
+
+// retireSource finishes the source side of a completed migration: the local
+// copy goes through its terminal transition and answers every later Send with
+// ErrMigrated.
+func (a *Agent) retireSource(connID uint32) {
+	if om := a.takeOut(connID); om != nil {
+		om.sess.Retire()
 	}
-	om.sess.Retire()
-	a.stack.Remove(connID)
-	delete(a.out, connID)
+}
+
+// sessionEnded is the agent's share of a session's terminal transition: a
+// hand-off the session was part of has nothing left to move. An outbound one
+// still in flight fails (its source is gone); a finished or pending adoption
+// is forgotten.
+func (a *Agent) sessionEnded(s *session.Session) {
+	connID := s.ConnID()
+	if om := a.takeOut(connID); om != nil {
+		a.ctl.failMigration(connID, om.epoch)
+	}
+	if ad := a.adopts[connID]; ad != nil {
+		if ad.timer != nil {
+			ad.timer.Cancel()
+		}
+		delete(a.adopts, connID)
+	}
 }
 
 // abortHandoff rolls a failed migration back: the source resumes egress with
 // its retransmission state intact, as if the freeze were a long pause.
 func (a *Agent) abortHandoff(connID uint32) {
-	om := a.out[connID]
-	if om == nil {
-		return
+	if om := a.takeOut(connID); om != nil {
+		om.sess.ResumeEgress()
 	}
-	if om.timer != nil {
-		om.timer.Cancel()
-	}
-	delete(a.out, connID)
-	om.sess.ResumeEgress()
 }
 
 // --- receive path ---
@@ -325,9 +344,7 @@ func (a *Agent) onChunk(connID uint32, epoch uint64, idx, count int, data []byte
 			return
 		}
 		if ad.tries >= ctlRetries {
-			delete(a.adopts, connID)
-			a.stack.Remove(connID)
-			a.stack.ClearFence(connID)
+			sess.Abort("adoption never confirmed by the peer")
 			a.ctl.failMigration(connID, epoch)
 			return
 		}

@@ -254,7 +254,9 @@ func (c *Controller) MetricCounters() map[string]func() uint64 {
 type HostStatus struct {
 	Host     netapi.HostID
 	Capacity int
-	Sessions int
+	Sessions int    // placed on the host, by the controller's view
+	Live     uint64 // in the host stack's demux table now (placed or not)
+	Retired  uint64 // sessions the host has seen through their terminal transition
 }
 
 // PlacementStatus is one session's lease in a Status snapshot.
@@ -289,7 +291,9 @@ func (c *Controller) Status() Status {
 		LeaseEpochs:      c.leaseEpochs,
 	}
 	for h, he := range c.hosts {
-		st.Hosts = append(st.Hosts, HostStatus{Host: h, Capacity: he.capacity, Sessions: he.used})
+		lifecycle := he.agent.stack.MetricCounters() // atomics: readable off the event loop
+		st.Hosts = append(st.Hosts, HostStatus{Host: h, Capacity: he.capacity, Sessions: he.used,
+			Live: lifecycle["sessions.live"](), Retired: lifecycle["sessions.retired"]()})
 	}
 	for id, pl := range c.place {
 		st.Placements = append(st.Placements, PlacementStatus{

@@ -7,8 +7,28 @@ import (
 
 	"adaptive/internal/mechanism"
 	"adaptive/internal/netapi"
+	"adaptive/internal/netsim"
+	"adaptive/internal/protograph"
 	"adaptive/internal/session"
+	"adaptive/internal/sim"
 )
+
+// idleAgents returns agents for simulator hosts 1..n, each on its own stack
+// and enrolled nowhere: the controller tests need hosts, not traffic.
+func idleAgents(t *testing.T, n int) []*Agent {
+	t.Helper()
+	net := netsim.New(sim.NewKernel(1))
+	agents := make([]*Agent, n)
+	for i := range agents {
+		host := net.AddHost().ID()
+		stack, err := protograph.NewStack(protograph.Config{Provider: net, Host: host})
+		if err != nil {
+			t.Fatal(err)
+		}
+		agents[i] = &Agent{host: host, stack: stack}
+	}
+	return agents
+}
 
 func sampleHandoff() *session.Handoff {
 	spec := mechanism.DefaultSpec()
@@ -122,10 +142,9 @@ func TestDecodeRecordRejectsGarbage(t *testing.T) {
 
 func TestControllerAdmission(t *testing.T) {
 	c := NewController()
-	a1 := &Agent{host: 1}
-	a2 := &Agent{host: 2}
-	c.enroll(a1, 2)
-	c.enroll(a2, 1)
+	a := idleAgents(t, 2)
+	c.enroll(a[0], 2)
+	c.enroll(a[1], 1)
 
 	if err := c.Place(10, 1); err != nil {
 		t.Fatalf("Place(10,1): %v", err)
@@ -161,8 +180,9 @@ func TestControllerAdmission(t *testing.T) {
 
 func TestControllerMigrateValidation(t *testing.T) {
 	c := NewController()
-	c.enroll(&Agent{host: 1}, 0)
-	c.enroll(&Agent{host: 2}, 1)
+	a := idleAgents(t, 2)
+	c.enroll(a[0], 0)
+	c.enroll(a[1], 1)
 	if err := c.Place(10, 1); err != nil {
 		t.Fatal(err)
 	}

@@ -20,6 +20,10 @@ type Stats struct {
 	Scheduled uint64
 	Expired   uint64
 	Canceled  uint64
+	// Pending is the number of events armed right now. It is not Scheduled
+	// less the other two: re-arming an event that has not fired yet (Reset)
+	// counts as scheduled again and as neither expired nor canceled.
+	Pending int
 }
 
 // Manager creates events against a clock.
@@ -98,6 +102,9 @@ func (m *Manager) schedule(d, period time.Duration, fn func()) *Event {
 
 func (m *Manager) arm(e *Event, d time.Duration) {
 	m.stats.Scheduled++
+	if !e.pending {
+		m.stats.Pending++
+	}
 	e.pending = true
 	if m.k != nil {
 		// Closure-free: the kernel calls fireEvent(e). Boxing *Event into
@@ -134,7 +141,10 @@ func (e *Event) fire() {
 	if e.stopped {
 		return
 	}
-	e.pending = false
+	if e.pending { // a live clock can deliver a firing its Stop came too late for
+		e.pending = false
+		e.mgr.stats.Pending--
+	}
 	e.mgr.stats.Expired++
 	e.fireSeen++
 	e.fn()
@@ -155,6 +165,7 @@ func (e *Event) Cancel() bool {
 	e.stopTimer()
 	if was {
 		e.mgr.stats.Canceled++
+		e.mgr.stats.Pending--
 	}
 	return was
 }

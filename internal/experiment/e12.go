@@ -207,7 +207,7 @@ func (sc *E12Scenario) run(e *rig.World) (*E12Run, error) {
 	}
 
 	e.Do(func() {
-		err = staleReplay(na, np.Addr(), conn.ConnID(), conn.Session().LocalPort())
+		err = staleReplay(na, np.Addr(), conn.ConnID(), conn.LocalPort())
 	})
 	if err != nil {
 		return nil, err

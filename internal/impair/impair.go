@@ -88,6 +88,17 @@ func (p *Provider) Open(host netapi.HostID, port uint16) (netapi.Endpoint, error
 	return &endpoint{Endpoint: ep, p: p}, nil
 }
 
+// Wait runs fn on the inner provider's event loop when it has one (udpnet),
+// with that provider's semantics: fn does not run once the loop has stopped.
+// Without one (the simulator) it runs fn inline.
+func (p *Provider) Wait(fn func()) {
+	if w, ok := p.inner.(interface{ Wait(func()) }); ok {
+		w.Wait(fn)
+		return
+	}
+	fn()
+}
+
 // DroppedPackets returns the cumulative packets discarded by the fault
 // plan. The node's bandwidth arbiter polls it as an ECN-like environment
 // congestion hint; safe from any goroutine.

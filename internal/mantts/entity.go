@@ -113,6 +113,7 @@ type Entity struct {
 	sigSeq  uint32
 
 	probeTimers map[netapi.HostID]*event.Event
+	reports     map[uint32]*event.Event // receiver quality-report tickers by ConnID
 
 	// Stats.
 	SignalsSent, SignalsRecv uint64
@@ -133,8 +134,10 @@ func NewEntity(stack *protograph.Stack) *Entity {
 		managed:     make(map[uint32]*Managed),
 		pending:     make(map[uint32]*event.Event),
 		probeTimers: make(map[netapi.HostID]*event.Event),
+		reports:     make(map[uint32]*event.Event),
 	}
 	stack.SignalHandler = e.onSignal
+	stack.OnTerminal(e.sessionEnded)
 	return e
 }
 
@@ -265,7 +268,8 @@ func (e *Entity) OpenSessionWith(acd *ACD, opts OpenOptions) (*Managed, error) {
 		peerHost: peer.Host,
 	}
 	e.managed[s.ConnID()] = m
-	s.SetNotifier(func(n mechanism.Notification) { e.onNote(m, n) })
+	id := s.ConnID()
+	s.SetNotifier(func(n mechanism.Notification) { e.notifyApp(id, n) })
 	if e.arb != nil {
 		// Seed the shared bottleneck estimate with a-priori path knowledge
 		// and register the session under its Table-1 class. TSC values map
@@ -522,8 +526,7 @@ func (e *Entity) onSignal(p *wire.PDU, from netapi.Addr) {
 		}
 	case sigLeave:
 		if s := e.stack.Session(connID); s != nil {
-			s.Close()
-			e.stack.Remove(connID)
+			s.Abort("left the group")
 		}
 	case sigQualReport:
 		// A receiver's delivered-quality feedback: fold into the network
@@ -547,21 +550,12 @@ func (e *Entity) onSignal(p *wire.PDU, from netapi.Addr) {
 // StartQualityReports arms the periodic receiver report for a passive
 // session whose recovery generates no ack stream (FEC or none): without it
 // the sender's MANTTS entity is blind to delivered loss. Reports are
-// fire-and-forget (no signal ack): the next period repeats them anyway.
-//
-// The ticker stops itself at the first tick that finds the session
-// terminated — closed, aborted, or a passive open that never completed — so
-// it outlives the session by less than one period, whichever path ended it,
-// and the session's notifier stays the owner's.
+// fire-and-forget (no signal ack): the next period repeats them anyway. The
+// ticker ends with the session (sessionEnded).
 func (e *Entity) StartQualityReports(s *session.Session, sender netapi.Addr) {
 	var lastRecv, lastGaps uint64
 	var w wire.TLVWriter // hoisted: one report buffer per session, not per tick
-	var ev *event.Event
-	ev = e.stack.Timers().SchedulePeriodic(qualReportPeriod, qualReportPeriod, func() {
-		if s.Closed() {
-			ev.Cancel()
-			return
-		}
+	e.reports[s.ConnID()] = e.stack.Timers().SchedulePeriodic(qualReportPeriod, qualReportPeriod, func() {
 		st := s.State()
 		dRecv := s.RecvPDUs - lastRecv
 		dGaps := st.GapsAbandoned - lastGaps
@@ -651,12 +645,17 @@ func (e *Entity) StopProbing(host netapi.HostID) {
 	}
 }
 
-// StopAllProbing cancels every probing campaign still running (node
-// shutdown: a campaign bounded only by context.Background would otherwise
+// Shutdown cancels every probing campaign still running and every reliable
+// signal still awaiting its ack (node shutdown: a campaign bounded only by
+// context.Background, or a retry toward a peer that is gone, would otherwise
 // outlive the node).
-func (e *Entity) StopAllProbing() {
+func (e *Entity) Shutdown() {
 	for host := range e.probeTimers {
 		e.StopProbing(host)
+	}
+	for seq, t := range e.pending {
+		t.Cancel()
+		delete(e.pending, seq)
 	}
 }
 
@@ -691,10 +690,6 @@ func (e *Entity) startSampler(m *Managed) {
 // sample gathers the current metric vector and runs the TSA engine.
 func (e *Entity) sample(m *Managed) {
 	s := m.Session
-	if s.Closed() {
-		m.sampler.Cancel()
-		return
-	}
 	now := e.stack.Clock().Now()
 	dt := (now - m.lastSampleAt).Seconds()
 	if dt <= 0 {
@@ -821,20 +816,28 @@ func (e *Entity) apply(m *Managed, act Action) {
 
 // --- connection termination phase (§4.1.3) ---
 
-func (e *Entity) onNote(m *Managed, n mechanism.Notification) {
-	if n.Kind == mechanism.NoteClosed {
-		// Release resources and drop policy state; the session's bandwidth
-		// budget returns to the arbiter's pool.
-		if m.sampler != nil {
-			m.sampler.Cancel()
-		}
-		if e.arb != nil {
-			e.arb.Unregister(m.Session.ConnID())
-		}
-		e.stack.Remove(m.Session.ConnID())
-		delete(e.managed, m.Session.ConnID())
+// sessionEnded is the entity's share of a session's terminal transition:
+// release resources and drop policy state; the session's bandwidth budget
+// returns to the arbiter's pool. The Managed itself may outlive this in the
+// application's Conn, so it lets go of everything but what describes it.
+func (e *Entity) sessionEnded(s *session.Session) {
+	id := s.ConnID()
+	if ev := e.reports[id]; ev != nil {
+		ev.Cancel()
+		delete(e.reports, id)
 	}
-	e.notifyApp(m.Session.ConnID(), n)
+	m := e.managed[id]
+	if m == nil {
+		return
+	}
+	if m.sampler != nil {
+		m.sampler.Cancel()
+	}
+	if e.arb != nil {
+		e.arb.Unregister(id)
+	}
+	delete(e.managed, id)
+	m.ACD, m.Engine, m.OnBudget, m.members, m.sampler = nil, nil, nil, nil, nil
 }
 
 // noteSub is one notification subscriber.

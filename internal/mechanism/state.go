@@ -142,6 +142,20 @@ func (s *TransferState) FreeRecv(e *RecvPDU) {
 	}
 }
 
+// Release returns every buffered PDU — payload included — to the wire pool and
+// drops both buffers and the free lists (session teardown). The scalars stay:
+// they are the session's final snapshot.
+func (s *TransferState) Release() {
+	for _, e := range s.Unacked.All() {
+		wire.PutPDU(e.PDU)
+	}
+	for _, e := range s.RcvBuf.All() {
+		wire.PutPDU(e.PDU)
+	}
+	s.Unacked, s.RcvBuf = seqwin.Ring[*SentPDU]{}, seqwin.Ring[*RecvPDU]{}
+	s.sentFree, s.recvFree, s.drainScratch = nil, nil, nil
+}
+
 // InFlight returns the number of unacknowledged data PDUs.
 func (s *TransferState) InFlight() int { return s.Unacked.Len() }
 

@@ -102,6 +102,18 @@ func SetPoison(on bool) bool {
 // PoisonEnabled reports whether poison-mode debugging is active.
 func PoisonEnabled() bool { return poisonMode.Load() }
 
+// outstanding counts pooled buffers handed out and not yet recycled, while
+// poison mode is on (the debug mode pays for the bookkeeping; the default
+// path does not).
+var outstanding atomic.Int64
+
+// Outstanding returns the pool balance under poison mode: pooled buffers
+// allocated since it was switched on minus those whose final Release has run.
+// A leak check turns poison mode on before its traffic and compares this
+// figure across two quiescent points: a buffer dropped to the garbage
+// collector instead of released stays counted.
+func Outstanding() int64 { return outstanding.Load() }
+
 // getBuffer returns a buffer with refs=1 whose data slice has length >= total.
 // Pooled when total fits a size class, plain heap otherwise. Contents are NOT
 // zeroed on the pooled path.
@@ -111,6 +123,9 @@ func getBuffer(total int) *buffer {
 		b := &buffer{data: make([]byte, total), class: -1}
 		b.refs.Store(1)
 		return b
+	}
+	if poisonMode.Load() {
+		outstanding.Add(1)
 	}
 	b, ok := bufBackstops[ci].Get()
 	if !ok {
@@ -137,6 +152,7 @@ func recycle(b *buffer) {
 		return
 	}
 	if poisonMode.Load() {
+		outstanding.Add(-1)
 		for i := range b.data {
 			b.data[i] = poisonByte
 		}

@@ -9,6 +9,8 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"sync/atomic"
+	"time"
 
 	"adaptive/internal/event"
 	"adaptive/internal/mechanism"
@@ -44,12 +46,15 @@ type Listener struct {
 
 // Stats counts stack-level demux activity.
 type Stats struct {
-	DecodeErrors   uint64 // checksum failures and malformed packets
-	UnmatchedPDUs  uint64 // no session and no listener
-	FencedPDUs     uint64 // rejected: sent by a non-owner after a migration
-	StaleOwnerUpd  uint64 // ownership updates rejected by epoch ordering
-	SessionsActive int
-	SessionsTotal  uint64
+	DecodeErrors    uint64 // checksum failures and malformed packets
+	UnmatchedPDUs   uint64 // no session and no listener
+	LatePDUs        uint64 // for a connection that ended less than tombLinger ago
+	FencedPDUs      uint64 // rejected: sent by a non-owner after a migration
+	StaleOwnerUpd   uint64 // ownership updates rejected by epoch ordering
+	SessionsActive  int
+	SessionsTotal   uint64
+	SessionsRetired uint64 // sessions that went through the terminal transition
+	Tombstones      int    // ended connections still remembered (<= tombCap)
 }
 
 // fence records the epoch-ordered egress owner of a migrated connection.
@@ -81,6 +86,8 @@ type Stack struct {
 	listeners map[uint16]*Listener
 	layers    []Layer
 	fences    map[uint32]fence
+	tombs     tombstones
+	ended     []func(*session.Session) // OnTerminal subscribers
 
 	// SignalHandler receives out-of-band Signal and Probe PDUs (the
 	// MANTTS entity installs itself here).
@@ -90,6 +97,11 @@ type Stack struct {
 	ControlHandler func(p *wire.PDU, from netapi.Addr)
 
 	stats Stats
+	// The session-lifecycle counters are atomics because the observability
+	// plane reads them from its own goroutine (MetricCounters): live mirrors
+	// len(sessions); retired and late are Stats' SessionsRetired and LatePDUs.
+	live          atomic.Int64
+	retired, late atomic.Uint64
 }
 
 // Config assembles a Stack.
@@ -131,6 +143,7 @@ func NewStack(cfg Config) (*Stack, error) {
 		sessions:  make(map[uint32]*session.Session),
 		listeners: make(map[uint16]*Listener),
 		fences:    make(map[uint32]fence),
+		tombs:     tombstones{until: make(map[uint32]time.Duration)},
 	}
 	ep.SetReceiver(st.onPacket)
 	if be, ok := ep.(netapi.BatchEndpoint); ok {
@@ -161,7 +174,20 @@ func (st *Stack) LocalAddr() netapi.Addr { return st.ep.LocalAddr() }
 func (st *Stack) Stats() Stats {
 	s := st.stats
 	s.SessionsActive = len(st.sessions)
+	s.SessionsRetired, s.LatePDUs = st.retired.Load(), st.late.Load()
+	s.Tombstones = st.tombs.n
 	return s
+}
+
+// MetricCounters exposes the session-lifecycle counters in the observability
+// plane's pull format (sessions.live, sessions.retired, protograph.late_pdus).
+// The closures read atomics: safe from any goroutine.
+func (st *Stack) MetricCounters() map[string]func() uint64 {
+	return map[string]func() uint64{
+		"sessions.live":        func() uint64 { return uint64(st.live.Load()) },
+		"sessions.retired":     st.retired.Load,
+		"protograph.late_pdus": st.late.Load,
+	}
 }
 
 // --- protocol graph editing ---
@@ -234,8 +260,26 @@ func (st *Stack) Sessions() []*session.Session {
 	return out
 }
 
-// Remove drops a session from the demux table (after close).
-func (st *Stack) Remove(connID uint32) { delete(st.sessions, connID) }
+// OnTerminal subscribes fn to every session's terminal transition. It runs
+// after the session has released what it held and the stack has dropped the
+// demux entry and fence; layers that keep per-connection state (policy
+// samplers, migrations, metric recorders) let go of theirs here.
+func (st *Stack) OnTerminal(fn func(s *session.Session)) { st.ended = append(st.ended, fn) }
+
+// sessionEnded is every session's OnTerminal hook: the one place an entry
+// leaves the demux table. The ConnID is remembered for tombLinger so the
+// connection's stragglers are not mistaken for a new peer.
+func (st *Stack) sessionEnded(s *session.Session) {
+	id := s.ConnID()
+	delete(st.sessions, id)
+	delete(st.fences, id)
+	st.tombs.add(id, st.clock.Now())
+	st.retired.Add(1)
+	st.live.Add(-1)
+	for _, fn := range st.ended {
+		fn(s)
+	}
+}
 
 var errNoMechanism = errors.New("protograph: synthesis failed")
 
@@ -281,12 +325,16 @@ func (st *Stack) buildSession(connID uint32, spec *mechanism.Spec, res tko.Resul
 		Metrics:   sink,
 		Tracer:    st.tracer,
 		Out:       st,
+
+		OnTerminal: st.sessionEnded,
 	})
 	if res.Static {
 		s.SetReconfigurable(false)
 	}
 	st.sessions[connID] = s
+	st.tombs.drop(connID) // an explicit re-creation (re-invite, migration back) supersedes it
 	st.stats.SessionsTotal++
+	st.live.Add(1)
 	return s
 }
 
@@ -316,9 +364,6 @@ func (st *Stack) Owner(connID uint32) (owner netapi.Addr, epoch uint64, ok bool)
 	return f.owner, f.epoch, ok
 }
 
-// ClearFence removes a connection's fence (session teardown).
-func (st *Stack) ClearFence(connID uint32) { delete(st.fences, connID) }
-
 // AdoptSession synthesizes a session from a migration handoff and registers
 // it in the demux table already established, with its transfer state,
 // buffers, and meters imported. Egress stays frozen until ResumeEgress. The
@@ -339,7 +384,7 @@ func (st *Stack) AdoptSession(h *session.Handoff) (*session.Session, error) {
 func (st *Stack) allocConnID() uint32 {
 	for {
 		id := st.rng.Uint32()
-		if id != 0 && st.sessions[id] == nil {
+		if id != 0 && st.sessions[id] == nil && !st.tombs.has(id, st.clock.Now()) {
 			return id
 		}
 	}
@@ -403,6 +448,10 @@ func (st *Stack) dispatch(p *wire.PDU, from netapi.Addr) {
 			return
 		}
 		s.HandlePDU(p)
+		return
+	}
+	if st.tombs.has(p.ConnID, st.clock.Now()) {
+		st.latePDU(p, from)
 		return
 	}
 	// No session: a listener may accept it.

@@ -82,7 +82,14 @@ func (d *delayedAcker) flush(e mechanism.Env) {
 func (d *delayedAcker) stop(e mechanism.Env) {
 	if d.pending {
 		d.flush(e)
-	} else if d.timer != nil {
+	} else {
+		d.cancel()
+	}
+}
+
+// cancel drops the delayed-ack timer without emitting (session teardown).
+func (d *delayedAcker) cancel() {
+	if d.timer != nil {
 		d.timer.Cancel()
 	}
 }

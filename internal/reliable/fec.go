@@ -415,10 +415,15 @@ type fecState struct {
 	lastNak  throttle
 }
 
-func (f *FEC) ExportState() any {
+// Stop cancels the gap-abandonment timer (segue handover, session teardown).
+func (f *FEC) Stop() {
 	if f.gapTimer != nil {
 		f.gapTimer.Cancel()
 	}
+}
+
+func (f *FEC) ExportState() any {
+	f.Stop()
 	return fecState{
 		sndAcc: f.sndAcc, sndCount: f.sndCount, sndBase: f.sndBase, sndMax: f.sndMax,
 		groups: f.groups, lastRetx: f.lastRetx, lastNak: f.lastNak,

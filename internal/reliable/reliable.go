@@ -239,6 +239,9 @@ func (*GoBackN) OnParity(mechanism.Env, *wire.PDU) {}
 // FlushAck emits any coalesced delayed ack (segue handover).
 func (g *GoBackN) FlushAck(e mechanism.Env) { g.acker.stop(e) }
 
+// Stop cancels the delayed-ack timer; nothing is emitted (session teardown).
+func (g *GoBackN) Stop() { g.acker.cancel() }
+
 func (g *GoBackN) ExportState() any { return g.lastRetx }
 func (g *GoBackN) ImportState(st any) {
 	if t, ok := st.(throttle); ok {
@@ -376,6 +379,9 @@ func (*SelectiveRepeat) OnParity(mechanism.Env, *wire.PDU) {}
 
 // FlushAck emits any coalesced delayed ack (segue handover).
 func (s *SelectiveRepeat) FlushAck(e mechanism.Env) { s.acker.stop(e) }
+
+// Stop cancels the delayed-ack timer; nothing is emitted (session teardown).
+func (s *SelectiveRepeat) Stop() { s.acker.cancel() }
 
 type srState struct{ lastRetx, lastNak throttle }
 

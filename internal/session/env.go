@@ -65,6 +65,9 @@ func (e sessionEnv) WindowOnLoss() {
 }
 
 func (e sessionEnv) SkipTo(seq uint32) {
+	if e.s.done {
+		return
+	}
 	for _, d := range e.s.slots.Orderer.Skip(seq) {
 		e.s.deliver(d)
 	}

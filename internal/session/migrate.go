@@ -92,22 +92,14 @@ func (s *Session) FreezeEgress() {
 		return
 	}
 	s.frozen = true
-	if s.rtoTimer != nil {
-		s.rtoTimer.Cancel()
-	}
-	if s.pumpTimer != nil {
-		s.pumpTimer.Cancel()
-	}
-	if s.kaTimer != nil {
-		s.kaTimer.Cancel()
-	}
+	s.cancelTimers()
 	s.metrics.Count("session.migrate_freeze", 1)
 }
 
 // ResumeEgress lifts a freeze (migration abort on the source, or routing
 // flip completion on the target) and restarts loss detection and the pump.
 func (s *Session) ResumeEgress() {
-	if !s.frozen {
+	if !s.frozen || s.done {
 		return
 	}
 	s.frozen = false
@@ -132,13 +124,14 @@ func (s *Session) ResumeEgress() {
 // Frozen reports whether egress is currently frozen.
 func (s *Session) Frozen() bool { return s.frozen }
 
-// Retire marks the session as migrated away: every subsequent Send fails
-// with ErrMigrated and all timers stay cancelled. The object remains valid
-// for reading meters. The caller removes it from the stack's demux table.
+// Retire ends the source copy of a migrated session: the hand-off's arm of the
+// terminal transition. Every subsequent Send fails with ErrMigrated; the
+// husk remains valid for reading meters.
 func (s *Session) Retire() {
 	s.FreezeEgress()
 	s.retired = true
 	s.metrics.Count("session.migrate_retired", 1)
+	s.terminate()
 }
 
 // Retired reports whether the session has been handed off.

@@ -158,6 +158,9 @@ func (s *Session) afterSegue(slot, from, to string) {
 // returns an error when synthesis fails or a required segue was refused
 // (immutable template session); parameter-only changes always succeed.
 func (s *Session) ApplySpec(ns *mechanism.Spec) error {
+	if s.done {
+		return errClosed
+	}
 	if s.factory == nil {
 		s.spec = ns
 		return nil
@@ -223,7 +226,7 @@ func (s *Session) ApplySpec(ns *mechanism.Spec) error {
 // NoRate slot (unpaced session) this is a no-op — callers that need grants
 // enforced must ensure a pacer was synthesized (spec.RateBps > 0).
 func (s *Session) SetPaceBps(bps float64) {
-	if s.retired || bps <= 0 {
+	if s.done || bps <= 0 {
 		return
 	}
 	// Grants are application-payload rates (ACD throughput figures describe

@@ -66,6 +66,10 @@ type Params struct {
 	Metrics   mechanism.MetricSink
 	Tracer    *trace.Recorder // nil disables flight-recorder hooks
 	Out       Outbound
+	// OnTerminal, when non-nil, runs once, inside the terminal transition
+	// (see Session.terminate), after the session has released everything it
+	// held: the stack drops its demux entry here.
+	OnTerminal func(*Session)
 }
 
 // The counters a session bumps for every PDU. Each resolves once into a cell
@@ -108,6 +112,7 @@ type Session struct {
 	cells   [numHotCounters]*unites.Cell // resolved from metrics at first use
 	tracer  *trace.Recorder
 	out     Outbound
+	onTerm  func(*Session)
 
 	recvCb func(Delivery)
 	noteCb func(mechanism.Notification)
@@ -145,6 +150,7 @@ type Session struct {
 	reconfigurable bool
 	frozen         bool // egress halted for a migration handoff
 	retired        bool // handed off to another host (ErrMigrated on Send)
+	done           bool // past the terminal transition: a husk that only answers reads
 
 	// Stats visible to UNITES and tests.
 	SentPDUs       uint64
@@ -177,6 +183,7 @@ func New(p Params) *Session {
 		metrics:        p.Metrics,
 		tracer:         p.Tracer,
 		out:            p.Out,
+		onTerm:         p.OnTerminal,
 		peerAdvert:     p.Spec.RcvBufPDUs,
 		reconfigurable: true,
 	}
@@ -241,20 +248,23 @@ func (s *Session) count(ctr int, delta uint64) {
 	}
 }
 
-// State exposes the shared transfer state.
+// State exposes the shared transfer state. After the terminal transition it
+// holds the final scalars (sequence edges, RTT estimate, counters) and empty
+// buffers.
 func (s *Session) State() *mechanism.TransferState { return s.state }
 
-// Slots returns the current mechanism bindings (for inspection).
+// CurrentSlots returns the current mechanism bindings (for inspection); the
+// zero Slots once the session has terminated.
 func (s *Session) CurrentSlots() Slots { return s.slots }
 
 // Segues returns how many mechanism replacements this session has performed.
 func (s *Session) Segues() uint64 { return s.segues }
 
 // Established reports whether data may flow.
-func (s *Session) Established() bool { return s.slots.Conn.Established() }
+func (s *Session) Established() bool { return !s.done && s.slots.Conn.Established() }
 
 // Closed reports whether the connection has fully terminated.
-func (s *Session) Closed() bool { return s.slots.Conn.Closed() }
+func (s *Session) Closed() bool { return s.done || s.slots.Conn.Closed() }
 
 // --- lifecycle ---
 
@@ -281,16 +291,18 @@ func (s *Session) Close() {
 }
 
 func (s *Session) finishClose() {
-	if s.rtoTimer != nil {
-		s.rtoTimer.Cancel()
-	}
-	if s.pumpTimer != nil {
-		s.pumpTimer.Cancel()
-	}
-	if s.kaTimer != nil {
-		s.kaTimer.Cancel()
-	}
+	s.cancelTimers()
 	s.slots.Conn.Close(s.env(), s.graceful)
+}
+
+// cancelTimers stops the retransmission, pacing and keepalive timers (close,
+// migration freeze, terminal transition).
+func (s *Session) cancelTimers() {
+	for _, t := range [...]*event.Event{s.rtoTimer, s.pumpTimer, s.kaTimer} {
+		if t != nil {
+			t.Cancel()
+		}
+	}
 }
 
 // AbortEstablish cancels an in-progress active open (DialContext
@@ -298,34 +310,65 @@ func (s *Session) finishClose() {
 // established or closed; the connection manager reports the failure through
 // NoteEstablishFailed.
 func (s *Session) AbortEstablish(why string) {
-	if s.slots.Conn.Established() || s.slots.Conn.Closed() {
+	if s.Established() || s.Closed() {
 		return
 	}
 	s.closing = true
 	s.slots.Conn.Abort(s.env(), why)
 }
 
-// Abort terminates the session immediately without the closing handshake.
+// Abort terminates the session immediately without the closing handshake;
+// nothing is transmitted.
 func (s *Session) Abort(why string) {
-	if s.slots.Conn.Closed() {
+	if s.Closed() {
 		return
 	}
 	s.closing = true
-	if s.rtoTimer != nil {
-		s.rtoTimer.Cancel()
-	}
-	if s.pumpTimer != nil {
-		s.pumpTimer.Cancel()
-	}
-	if s.kaTimer != nil {
-		s.kaTimer.Cancel()
-	}
 	s.slots.Conn.Abort(s.env(), why)
 }
 
 func (s *Session) maybeFinishClose() {
-	if s.closing && s.queuedLen() == 0 && s.state.InFlight() == 0 && !s.slots.Conn.Closed() {
+	if s.closing && s.queuedLen() == 0 && s.state.InFlight() == 0 && !s.Closed() {
 		s.finishClose()
+	}
+}
+
+// terminate is the session's one terminal transition. Every way a connection
+// ends reaches it exactly once — the connection manager reporting NoteClosed
+// or NoteEstablishFailed (graceful drain, peer FIN, FIN-retry exhaustion,
+// abort, dead peer, failed or canceled establishment; see notify) and Retire
+// (migration hand-off) — and it is the only place a session gives back what
+// it holds: its timers and its mechanisms' are canceled, every retained
+// message buffer returns to its pool, the send queue, the transfer buffers,
+// the mechanism slots, the application's callbacks and the metric sink are
+// dropped, and OnTerminal tells the stack, which drops the demux entry and
+// fans out to the layers that keep per-connection state. What remains is a
+// husk that answers identity, Closed, Spec, State's scalars and the
+// counters — the final snapshot — whoever still holds it, and transmits
+// nothing.
+func (s *Session) terminate() {
+	if s.done {
+		return
+	}
+	s.done, s.closing, s.reconfigurable = true, true, false
+	s.cancelTimers()
+	s.rtoTimer, s.pumpTimer, s.kaTimer = nil, nil, nil
+	if st, ok := s.slots.Recovery.(interface{ Stop() }); ok {
+		st.Stop() // delayed-ack and gap timers
+	}
+	for _, d := range s.slots.Orderer.Flush() {
+		d.Msg.Release()
+	}
+	for i := s.sendQH; i < len(s.sendQ); i++ {
+		s.sendQ[i].msg.Release()
+	}
+	s.sendQ, s.sendQH = nil, 0
+	s.state.Release()
+	s.slots, s.factory = Slots{}, nil
+	s.recvCb, s.noteCb = nil, nil
+	s.SetMetricSink(nil)
+	if s.onTerm != nil {
+		s.onTerm(s)
 	}
 }
 
@@ -386,7 +429,7 @@ func (s *Session) SendMessage(m *message.Message) error {
 		m.Release()
 		return ErrMigrated
 	}
-	if s.closing || s.slots.Conn.Closed() {
+	if s.closing || s.Closed() {
 		m.Release()
 		return errClosed
 	}
@@ -412,10 +455,7 @@ func (s *Session) QueuedSegments() int { return s.queuedLen() }
 // pump drives the transmit loop: it emits queued segments while the
 // connection is established, the window has room, and the pacer permits.
 func (s *Session) pump() {
-	if s.frozen || s.slots.Conn.Closed() {
-		return
-	}
-	if !s.slots.Conn.Established() {
+	if s.frozen || !s.Established() {
 		return
 	}
 	for s.queuedLen() > 0 {
@@ -502,6 +542,9 @@ func (s *Session) emitSegment(seg queuedSeg) {
 // transmitPDU stamps common header fields, encodes, and hands the packet to
 // the network.
 func (s *Session) transmitPDU(p *wire.PDU) {
+	if s.done {
+		return // a mechanism still unwinding after the terminal transition
+	}
 	p.ConnID = s.connID
 	p.SrcPort = s.localPort
 	p.DstPort = s.peerPort
@@ -577,6 +620,9 @@ func (s *Session) onRTO() {
 	}
 	s.metrics.Count("rel.rto_fired", 1)
 	s.slots.Recovery.OnRTO(s.env())
+	if s.done {
+		return // the application closed it from inside a notification
+	}
 	if recoveryUsesRTO(s.slots.Recovery) {
 		s.armRTO()
 	}
@@ -600,7 +646,7 @@ func (s *Session) HandlePDU(p *wire.PDU) {
 		s.peerAdvert = int(p.Window)
 	}
 	if p.Type == wire.TKeepalive {
-		if p.Flags&wire.FlagEcho == 0 && !s.slots.Conn.Closed() {
+		if p.Flags&wire.FlagEcho == 0 && !s.Closed() {
 			s.transmitPDU(&wire.PDU{Header: wire.Header{Type: wire.TKeepalive, Flags: wire.FlagEcho}})
 		}
 		wire.PutPDU(p)
@@ -632,8 +678,10 @@ func (s *Session) HandlePDU(p *wire.PDU) {
 		s.slots.Recovery.OnData(s.env(), p)
 	case wire.TAck:
 		s.processAck(p)
-		s.slots.Recovery.OnAck(s.env(), p)
-		s.pump()
+		if !s.done { // the ack may have completed an abortive close's drain
+			s.slots.Recovery.OnAck(s.env(), p)
+			s.pump()
+		}
 		wire.PutPDU(p)
 	case wire.TNak:
 		s.slots.Recovery.OnNak(s.env(), p)
@@ -675,6 +723,10 @@ func (s *Session) processAck(p *wire.PDU) {
 // releaseData hands recovered data through the sequencing mechanism to the
 // application.
 func (s *Session) releaseData(seq uint32, m *message.Message, eom bool) {
+	if s.done {
+		m.Release()
+		return
+	}
 	for _, d := range s.slots.Orderer.Submit(seq, m, eom) {
 		s.deliver(d)
 	}
@@ -701,11 +753,15 @@ func (s *Session) deliver(d Delivery) {
 }
 
 func (s *Session) notify(n mechanism.Notification) {
-	if n.Kind == mechanism.NoteEstablished {
+	cb := s.noteCb
+	switch n.Kind {
+	case mechanism.NoteEstablished:
 		s.startKeepalive()
+	case mechanism.NoteClosed, mechanism.NoteEstablishFailed:
+		s.terminate() // the owner hears the final note from the husk
 	}
-	if s.noteCb != nil {
-		s.noteCb(n)
+	if cb != nil {
+		cb(n)
 	}
 }
 
@@ -726,7 +782,7 @@ func (s *Session) startKeepalive() {
 }
 
 func (s *Session) keepaliveTick() {
-	if s.closing || s.slots.Conn.Closed() {
+	if s.closing {
 		return
 	}
 	if s.frozen {

@@ -133,7 +133,20 @@ func snapshotOf(r *Recorder) RecorderSnapshot {
 
 // Snapshot exports the repository at all three presentation scopes.
 func (rp *Repository) Snapshot() Snapshot {
+	rp.mu.Lock()
+	rp.snapshots++ // retirements wait until the capture below is over
+	rp.mu.Unlock()
 	recs := rp.Recorders()
+	defer func() {
+		rp.mu.Lock()
+		if rp.snapshots--; rp.snapshots == 0 {
+			for _, key := range rp.deferred {
+				rp.fold(key)
+			}
+			rp.deferred = rp.deferred[:0]
+		}
+		rp.mu.Unlock()
+	}()
 	snap := Snapshot{Systemwide: make(map[string]uint64)}
 	hostTotals := map[string]map[string]uint64{}
 	for _, r := range recs {

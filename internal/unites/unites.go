@@ -318,18 +318,30 @@ func (r *Recorder) CounterNames() []string {
 
 // Repository is the UNITES metric repository: it stores per-connection
 // recorders (keyed by connection ID) grouped under host scopes and answers
-// aggregate queries.
+// aggregate queries. Per-connection detail ends when the connection does:
+// Retire folds its recorder into the host's retired recorder, so the aggregate
+// scopes never lose a count while the repository's size follows the live
+// connections.
 type Repository struct {
-	mu    sync.Mutex
-	conns map[uint32]*Recorder
-	hosts map[uint32]string // connID -> host scope tag
+	mu      sync.Mutex
+	conns   map[uint32]*Recorder
+	hosts   map[uint32]string    // connID -> host scope tag
+	retired map[string]*Recorder // host scope tag -> the sum of its ended connections
+
+	// A Snapshot looks at recorders one by one without holding mu (it must
+	// not stall the event loop that opens and closes connections), so a
+	// retirement that arrives while one is in progress waits in deferred and
+	// is folded when the last of them ends.
+	snapshots int
+	deferred  []uint32
 }
 
 // NewRepository returns an empty repository.
 func NewRepository() *Repository {
 	return &Repository{
-		conns: make(map[uint32]*Recorder),
-		hosts: make(map[uint32]string),
+		conns:   make(map[uint32]*Recorder),
+		hosts:   make(map[uint32]string),
+		retired: make(map[string]*Recorder),
 	}
 }
 
@@ -370,12 +382,73 @@ func hashScope(s string) uint32 {
 	return h
 }
 
-// Recorders returns all recorders, sorted by scope (stable output).
+// Retire ends a connection's recorder: its counters add into, and its
+// distributions merge exactly into, the host's retired recorder (scope
+// "<host>/retired", listed beside the live connections); its gauges, being
+// instantaneous, go with it. The move happens under the repository lock and
+// never while a Snapshot is looking, so no aggregate read sees the connection
+// twice or not at all. Retiring an unknown or already-retired connection is
+// a no-op.
+func (rp *Repository) Retire(host string, connID uint32) {
+	key := connID ^ hashScope(host)
+	rp.mu.Lock()
+	defer rp.mu.Unlock()
+	if rp.conns[key] == nil || rp.hosts[key] != host {
+		return
+	}
+	if rp.snapshots > 0 {
+		rp.deferred = append(rp.deferred, key)
+		return
+	}
+	rp.fold(key)
+}
+
+// fold moves the recorder under key into its host's retired recorder. The
+// caller holds rp.mu.
+func (rp *Repository) fold(key uint32) {
+	r, host := rp.conns[key], rp.hosts[key]
+	if r == nil {
+		return // retired twice while deferred
+	}
+	delete(rp.conns, key)
+	delete(rp.hosts, key)
+	into := rp.retired[host]
+	if into == nil {
+		into = NewRecorder(host + "/retired")
+		rp.retired[host] = into
+	}
+	r.mu.Lock()
+	into.mu.Lock()
+	for name, c := range r.counters {
+		cell := into.counters[name]
+		if cell == nil {
+			cell = new(Cell)
+			into.counters[name] = cell
+		}
+		cell.Add(c.v.Load())
+	}
+	for name, d := range r.dists {
+		md := into.dists[name]
+		if md == nil {
+			md = NewDistribution()
+			into.dists[name] = md
+		}
+		md.Merge(d)
+	}
+	into.mu.Unlock()
+	r.mu.Unlock()
+}
+
+// Recorders returns all recorders — live connections and each host's retired
+// recorder — sorted by scope (stable output).
 func (rp *Repository) Recorders() []*Recorder {
 	rp.mu.Lock()
 	defer rp.mu.Unlock()
-	out := make([]*Recorder, 0, len(rp.conns))
+	out := make([]*Recorder, 0, len(rp.conns)+len(rp.retired))
 	for _, r := range rp.conns {
+		out = append(out, r)
+	}
+	for _, r := range rp.retired {
 		out = append(out, r)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Scope < out[j].Scope })
@@ -384,8 +457,13 @@ func (rp *Repository) Recorders() []*Recorder {
 
 // TotalCounter sums a counter across every recorder (systemwide scope).
 func (rp *Repository) TotalCounter(name string) uint64 {
+	rp.mu.Lock()
+	defer rp.mu.Unlock()
 	var total uint64
-	for _, r := range rp.Recorders() {
+	for _, r := range rp.conns {
+		total += r.Counter(name)
+	}
+	for _, r := range rp.retired {
 		total += r.Counter(name)
 	}
 	return total
@@ -400,6 +478,9 @@ func (rp *Repository) HostCounter(host, name string) uint64 {
 		if rp.hosts[key] == host {
 			total += r.Counter(name)
 		}
+	}
+	if r := rp.retired[host]; r != nil {
+		total += r.Counter(name)
 	}
 	return total
 }

@@ -105,14 +105,45 @@ func TestObservabilityEndToEnd(t *testing.T) {
 	if snap.Systemwide["pdu.sent"] == 0 {
 		t.Fatalf("snapshot saw no pdu.sent: %v", snap.Systemwide)
 	}
-	resp, err := http.Get("http://" + obs.Addr() + "/metrics")
-	if err != nil {
-		t.Fatal(err)
+	scrape := func() string {
+		resp, err := http.Get("http://" + obs.Addr() + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, _ := io.ReadAll(resp.Body)
+		return string(body)
 	}
-	body, _ := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if !strings.Contains(string(body), "adaptive_pdu_sent_total") {
+	line := func(body, metric string) string {
+		for _, l := range strings.Split(body, "\n") {
+			if strings.HasPrefix(l, metric+" ") {
+				return l
+			}
+		}
+		return metric + " <missing>"
+	}
+	body := scrape()
+	if !strings.Contains(body, "adaptive_pdu_sent_total") {
 		t.Fatalf("/metrics missing pdu.sent counter:\n%s", body)
+	}
+
+	// Session lifecycle on the same surface: the open connection is live;
+	// closed, it is retired and its counts stay in the totals.
+	if got := line(body, "adaptive_sessions_live_total"); got != "adaptive_sessions_live_total 1" {
+		t.Fatalf("open connection: %s", got)
+	}
+	sentOpen := line(body, "adaptive_pdu_sent_total")
+	conn.Abort() // nothing more is sent, so the total must read the same
+	body = scrape()
+	for _, want := range []string{
+		"adaptive_sessions_live_total 0",
+		"adaptive_sessions_retired_total 1",
+		"adaptive_protograph_late_pdus_total 0",
+		sentOpen,
+	} {
+		if got := line(body, strings.Fields(want)[0]); got != want {
+			t.Fatalf("after close /metrics has %q, want %q", got, want)
+		}
 	}
 
 	// Trace surface: tail reassembly is Diff-identical to the archive and
