@@ -125,12 +125,12 @@ func fmtBps(bps float64) string {
 func fmtPct(f float64) string { return fmt.Sprintf("%.2f%%", f*100) }
 
 // fmtQuantile renders a latency quantile (seconds-valued distribution) as a
-// duration cell, using the log-bucketed histogram.
+// duration cell.
 func fmtQuantile(d *unites.Distribution, q float64) string {
 	if d == nil || d.Count == 0 {
 		return "-"
 	}
-	return fmtDur(time.Duration(d.HistQuantile(q) * float64(time.Second)))
+	return fmtDur(time.Duration(d.Quantile(q) * float64(time.Second)))
 }
 
 // Runner is one experiment.

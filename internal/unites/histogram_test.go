@@ -110,24 +110,14 @@ func TestDistributionHistQuantile(t *testing.T) {
 	for i := 1; i <= 1000; i++ {
 		d.Add(float64(i))
 	}
-	// Reservoir quantile is untouched (exact for <= limit samples)...
 	if got := d.Quantile(0.5); got < 450 || got > 550 {
-		t.Errorf("reservoir Quantile(0.5) = %g", got)
+		t.Errorf("Quantile(0.5) = %g", got)
 	}
-	// ...and the histogram quantile agrees within bucket error.
 	if got := d.HistQuantile(0.5); math.Abs(got-500)/500 > 1.0/histSub {
 		t.Errorf("HistQuantile(0.5) = %g, want ~500", got)
 	}
 	if d.Hist() == nil || d.Hist().Total() != 1000 {
 		t.Errorf("Hist() should hold all 1000 samples")
-	}
-	// A distribution with no histogram falls back to the reservoir.
-	var bare Distribution
-	bare.reservoirLimit = defaultReservoir
-	bare.reservoir = []float64{1, 2, 3}
-	bare.Count = 3
-	if got := bare.HistQuantile(1); got != 3 {
-		t.Errorf("fallback HistQuantile(1) = %g, want 3", got)
 	}
 }
 

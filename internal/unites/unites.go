@@ -142,26 +142,14 @@ func (d *Distribution) StdDev() float64 {
 	return math.Sqrt(v)
 }
 
-// Quantile returns the q-quantile (0<=q<=1) from the reservoir. A
-// distribution with no reservoir but a histogram (snapshot-restored) answers
-// from the histogram instead of silently reporting 0.
+// Quantile returns the q-quantile (0<=q<=1): the histogram's answer clamped
+// to the observed range, so a single-valued distribution reports its exact
+// value and no quantile lies outside [Min, Max].
 func (d *Distribution) Quantile(q float64) float64 {
-	if len(d.reservoir) == 0 {
-		if d.hist != nil {
-			return d.hist.Quantile(q)
-		}
+	if d.hist == nil {
 		return 0
 	}
-	s := append([]float64(nil), d.reservoir...)
-	sort.Float64s(s)
-	idx := int(q * float64(len(s)-1))
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(s) {
-		idx = len(s) - 1
-	}
-	return s[idx]
+	return math.Max(d.Min, math.Min(d.Max, d.hist.Quantile(q)))
 }
 
 // Hist returns the log-bucketed histogram backing HistQuantile, or nil when

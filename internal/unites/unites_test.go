@@ -29,14 +29,25 @@ func TestDistributionQuantiles(t *testing.T) {
 	for i := 1; i <= 100; i++ {
 		d.Add(float64(i))
 	}
-	if q := d.Quantile(0.5); q < 45 || q > 55 {
-		t.Fatalf("p50 %v", q)
+	// Every answer is the histogram's, so it is within one bucket width
+	// (1/histSub of the value) of the exact order statistic, and clamped to
+	// the observed range.
+	for _, c := range []struct{ q, want float64 }{{0, 1}, {0.5, 50}, {0.99, 99}, {1, 100}} {
+		got := d.Quantile(c.q)
+		if math.Abs(got-c.want) > c.want/histSub {
+			t.Errorf("Quantile(%g) = %g, want %g within one bucket", c.q, got, c.want)
+		}
+		if got < d.Min || got > d.Max {
+			t.Errorf("Quantile(%g) = %g outside [%g, %g]", c.q, got, d.Min, d.Max)
+		}
 	}
-	if q := d.Quantile(0); q != 1 {
-		t.Fatalf("p0 %v", q)
-	}
-	if q := d.Quantile(1); q != 100 {
-		t.Fatalf("p100 %v", q)
+	// A single-valued distribution reports its exact value at every rank.
+	one := NewDistribution()
+	one.Add(2.42e-3)
+	for _, q := range []float64{0, 0.5, 0.999, 1} {
+		if got := one.Quantile(q); got != 2.42e-3 {
+			t.Errorf("single-valued Quantile(%g) = %g, want 2.42e-3", q, got)
+		}
 	}
 }
 
