@@ -135,7 +135,7 @@ func writeProm(b *strings.Builder, snap unites.Snapshot, plane map[string]uint64
 			label string
 			q     float64
 		}{{"0.5", 0.5}, {"0.9", 0.9}, {"0.95", 0.95}, {"0.99", 0.99}, {"0.999", 0.999}} {
-			fmt.Fprintf(b, "%s{quantile=%q} %g\n", pn, q.label, d.HistQuantile(q.q))
+			fmt.Fprintf(b, "%s{quantile=%q} %g\n", pn, q.label, d.Hist().Quantile(q.q))
 		}
 		fmt.Fprintf(b, "%s_sum %g\n", pn, d.Sum)
 		fmt.Fprintf(b, "%s_count %d\n", pn, d.Count)

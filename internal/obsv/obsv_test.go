@@ -191,7 +191,7 @@ func TestHTTPMetricsSurfaces(t *testing.T) {
 	if !ok {
 		t.Fatal("app.latency distribution missing")
 	}
-	if got := ds.Restore().HistQuantile(0.5); got != ds.P50 {
+	if got := ds.Restore().Hist().Quantile(0.5); got != ds.P50 {
 		t.Fatalf("restored p50 %g != exported %g", got, ds.P50)
 	}
 }

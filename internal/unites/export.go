@@ -11,48 +11,41 @@ import (
 // systemwide, per-host, and per-connection scope.
 
 // DistSnapshot summarizes a distribution. The quantile fields (p50..p999)
-// come from the log-bucketed histogram (bounded relative error, exact under
-// cross-shard merge); hist lists its non-empty buckets so consumers can
-// recompute arbitrary quantiles or re-merge snapshots.
+// are bucket midpoints of the log-bucketed histogram (bounded relative error,
+// exact under cross-shard merge); hist lists its non-empty buckets so
+// consumers can recompute arbitrary quantiles or re-merge snapshots. invalid
+// appears only when non-finite samples were offered.
 type DistSnapshot struct {
-	Count  uint64       `json:"count"`
-	Mean   float64      `json:"mean"`
-	StdDev float64      `json:"stddev"`
-	Min    float64      `json:"min"`
-	Max    float64      `json:"max"`
-	P50    float64      `json:"p50"`
-	P90    float64      `json:"p90"`
-	P95    float64      `json:"p95"`
-	P99    float64      `json:"p99"`
-	P999   float64      `json:"p999"`
-	Hist   []HistBucket `json:"hist,omitempty"`
+	Count   uint64       `json:"count"`
+	Mean    float64      `json:"mean"`
+	StdDev  float64      `json:"stddev"`
+	Min     float64      `json:"min"`
+	Max     float64      `json:"max"`
+	P50     float64      `json:"p50"`
+	P90     float64      `json:"p90"`
+	P95     float64      `json:"p95"`
+	P99     float64      `json:"p99"`
+	P999    float64      `json:"p999"`
+	Hist    []HistBucket `json:"hist,omitempty"`
+	Invalid uint64       `json:"invalid,omitempty"`
 }
 
 // Restore reconstructs a Distribution from the snapshot. Moments are
 // recovered exactly from Count/Mean/StdDev and the histogram is rebuilt
-// bucket-for-bucket (HistogramFromBuckets), so a restored distribution
-// reports the same HistQuantile values as the live one it was captured from
-// and merges exactly with other distributions. The quantile reservoir is not
-// exported; Quantile on a restored distribution answers from the histogram.
+// bucket-for-bucket, so a restored distribution reports the same quantiles as
+// the live one it was captured from and merges exactly with other
+// distributions.
 func (ds DistSnapshot) Restore() *Distribution {
 	d := NewDistribution()
-	d.Count = ds.Count
-	d.Min = ds.Min
-	d.Max = ds.Max
-	d.Sum = ds.Mean * float64(ds.Count)
-	d.SumSq = (ds.StdDev*ds.StdDev + ds.Mean*ds.Mean) * float64(ds.Count)
-	if len(ds.Hist) > 0 {
-		d.hist = HistogramFromBuckets(ds.Hist)
-	}
+	ds.MergeSnapshot(d)
 	return d
 }
 
-// MergeSnapshot folds the snapshot into d without materializing a restored
-// Distribution — the allocation-free path scrape-time aggregation uses
-// (Restore allocates a fresh histogram per call; a /metrics render folds
-// thousands of connection snapshots into a handful of aggregates). The
-// result is identical to d.Merge(ds.Restore()).
+// MergeSnapshot folds the snapshot into d in place — a /metrics render folds
+// thousands of connection snapshots into a handful of aggregates. The result
+// is identical to d.Merge(ds.Restore()).
 func (ds DistSnapshot) MergeSnapshot(d *Distribution) {
+	d.Invalid += ds.Invalid
 	if ds.Count == 0 {
 		return
 	}
@@ -65,12 +58,7 @@ func (ds DistSnapshot) MergeSnapshot(d *Distribution) {
 	d.Count += ds.Count
 	d.Sum += ds.Mean * float64(ds.Count)
 	d.SumSq += (ds.StdDev*ds.StdDev + ds.Mean*ds.Mean) * float64(ds.Count)
-	if len(ds.Hist) > 0 {
-		if d.hist == nil {
-			d.hist = &Histogram{}
-		}
-		d.hist.AddBuckets(ds.Hist)
-	}
+	d.hist.AddBuckets(ds.Hist)
 }
 
 // RecorderSnapshot is one scope's metrics.
@@ -110,21 +98,15 @@ func snapshotOf(r *Recorder) RecorderSnapshot {
 		for k, d := range r.dists {
 			snap := DistSnapshot{
 				Count: d.Count, Mean: d.Mean(), StdDev: d.StdDev(),
-				Min: d.Min, Max: d.Max,
+				Min: d.Min, Max: d.Max, Invalid: d.Invalid,
 			}
-			if h := d.Hist(); h != nil {
-				// One bucket pass for all five quantiles: snapshots are
-				// taken at scrape rate over thousands of connections.
-				var qv [5]float64
-				h.Quantiles([]float64{0.5, 0.9, 0.95, 0.99, 0.999}, qv[:])
-				snap.P50, snap.P90, snap.P95, snap.P99, snap.P999 =
-					qv[0], qv[1], qv[2], qv[3], qv[4]
-				snap.Hist = h.Buckets()
-			} else {
-				snap.P50, snap.P90 = d.HistQuantile(0.5), d.HistQuantile(0.9)
-				snap.P95, snap.P99 = d.HistQuantile(0.95), d.HistQuantile(0.99)
-				snap.P999 = d.HistQuantile(0.999)
-			}
+			// One bucket pass for all five quantiles: snapshots are taken at
+			// scrape rate over thousands of connections.
+			var qv [5]float64
+			d.hist.Quantiles([]float64{0.5, 0.9, 0.95, 0.99, 0.999}, qv[:])
+			snap.P50, snap.P90, snap.P95, snap.P99, snap.P999 =
+				qv[0], qv[1], qv[2], qv[3], qv[4]
+			snap.Hist = d.hist.Buckets()
 			out.Dists[k] = snap
 		}
 	}

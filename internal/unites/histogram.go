@@ -2,14 +2,12 @@ package unites
 
 import "math"
 
-// Log-bucketed histogram: the quantile backbone of UNITES latency/jitter
-// reporting. Buckets are geometric — histSub sub-buckets per power of two —
-// so relative error is bounded (≤ 1/histSub ≈ 12% bucket width, ~6% at the
-// midpoint) across the whole dynamic range from microseconds to kiloseconds,
-// and two histograms merge exactly (bucket-wise addition), which is what
-// lets sharded E10 runs aggregate per-shard latency into one p999. The
-// reservoir behind Distribution.Quantile cannot do that: merging reservoirs
-// loses tail mass precisely where p999 lives.
+// Log-bucketed histogram: the one quantile estimator of UNITES. Buckets are
+// geometric — histSub sub-buckets per power of two — so relative error is
+// bounded (≤ 1/histSub ≈ 12% bucket width, ~6% at the midpoint) across the
+// whole dynamic range from microseconds to kiloseconds, and two histograms
+// merge exactly (bucket-wise addition), which is what lets sharded E10 runs
+// aggregate per-shard latency into one p999.
 const (
 	histSubBits = 3 // 8 sub-buckets per octave
 	histSub     = 1 << histSubBits
@@ -18,25 +16,31 @@ const (
 	histBuckets = (histMaxExp - histMinExp) * histSub
 )
 
-// Histogram is a fixed-size log-bucketed counter array. The zero value is
-// ready to use. Values ≤ 0 are counted separately (virtual-time latencies
-// can legitimately be exactly zero); positive values outside the bucketed
-// range clamp to the first/last bucket.
+// Histogram counts samples in the geometric buckets above. It stores only a
+// window over them: win[i] is bucket base+i, and the window grows a whole
+// octave at a time, in either direction, to cover each value it sees. Most
+// distributions span a few octaves (a session's one establishment latency
+// spans one), so they hold tens of bytes where the full 240-bucket array is
+// 2 KB. The zero value is ready to use. Values ≤ 0 are counted separately
+// (virtual-time latencies can legitimately be exactly zero); positive values
+// outside the bucketed range, +Inf included, clamp to the first/last bucket;
+// NaN is not a value and is dropped.
 type Histogram struct {
-	zeros   uint64
-	total   uint64
-	buckets [histBuckets]uint64
+	zeros uint64
+	total uint64
+	base  int // bucket index of win[0], a multiple of histSub
+	win   []uint64
 }
 
 // histIndex maps a positive value to its bucket.
 func histIndex(v float64) int {
+	if v >= 1<<histMaxExp { // +Inf too, which Frexp would not place
+		return histBuckets - 1
+	}
 	frac, exp := math.Frexp(v) // v = frac * 2^exp, frac in [0.5, 1)
 	octave := exp - 1 - histMinExp
 	if octave < 0 {
 		return 0
-	}
-	if octave >= histMaxExp-histMinExp {
-		return histBuckets - 1
 	}
 	sub := int((frac - 0.5) * 2 * histSub)
 	if sub >= histSub {
@@ -54,14 +58,35 @@ func histBounds(idx int) (lo, hi float64) {
 	return lo, lo + base/histSub
 }
 
+// slot returns bucket idx's counter, growing the window to cover its octave.
+func (h *Histogram) slot(idx int) *uint64 {
+	octave := idx &^ (histSub - 1)
+	switch {
+	case len(h.win) == 0:
+		h.base, h.win = octave, make([]uint64, histSub)
+	case octave < h.base:
+		grown := make([]uint64, h.base-octave+len(h.win))
+		copy(grown[h.base-octave:], h.win)
+		h.base, h.win = octave, grown
+	case octave >= h.base+len(h.win):
+		grown := make([]uint64, octave+histSub-h.base)
+		copy(grown, h.win)
+		h.win = grown
+	}
+	return &h.win[idx-h.base]
+}
+
 // Add folds in one sample.
 func (h *Histogram) Add(v float64) {
+	if v != v {
+		return
+	}
 	h.total++
 	if v <= 0 {
 		h.zeros++
 		return
 	}
-	h.buckets[histIndex(v)]++
+	*h.slot(histIndex(v))++
 }
 
 // Total returns the number of samples recorded.
@@ -74,8 +99,14 @@ func (h *Histogram) Merge(o *Histogram) {
 	}
 	h.zeros += o.zeros
 	h.total += o.total
-	for i := range h.buckets {
-		h.buckets[i] += o.buckets[i]
+	if len(o.win) == 0 {
+		return
+	}
+	h.slot(o.base)
+	h.slot(o.base + len(o.win) - 1)
+	into := h.win[o.base-h.base:]
+	for i, c := range o.win {
+		into[i] += c
 	}
 }
 
@@ -96,10 +127,10 @@ func (h *Histogram) Quantile(q float64) float64 {
 		return 0
 	}
 	cum := h.zeros
-	for i, c := range h.buckets {
+	for i, c := range h.win {
 		cum += c
 		if rank < cum {
-			lo, hi := histBounds(i)
+			lo, hi := histBounds(h.base + i)
 			return (lo + hi) / 2
 		}
 	}
@@ -132,13 +163,13 @@ func (h *Histogram) Quantiles(qs []float64, out []float64) {
 		j++
 	}
 	cum := h.zeros
-	for i, c := range h.buckets {
+	for i, c := range h.win {
 		if j >= len(qs) {
 			return
 		}
 		cum += c
 		for j < len(qs) && rankOf(qs[j]) < cum {
-			lo, hi := histBounds(i)
+			lo, hi := histBounds(h.base + i)
 			out[j] = (lo + hi) / 2
 			j++
 		}
@@ -171,10 +202,13 @@ func HistogramFromBuckets(bs []HistBucket) *Histogram {
 // variant of HistogramFromBuckets, for scrape-time aggregation).
 func (h *Histogram) AddBuckets(bs []HistBucket) {
 	for _, b := range bs {
-		if b.Lo == 0 && b.Hi == 0 {
+		switch mid := b.Lo + (b.Hi-b.Lo)/2; {
+		case mid != mid: // NaN or opposite infinities for bounds: no such bucket
+			continue
+		case mid <= 0: // the exported [0,0) bucket
 			h.zeros += b.Count
-		} else {
-			h.buckets[histIndex(b.Lo+(b.Hi-b.Lo)/2)] += b.Count
+		default:
+			*h.slot(histIndex(mid)) += b.Count
 		}
 		h.total += b.Count
 	}
@@ -187,9 +221,9 @@ func (h *Histogram) Buckets() []HistBucket {
 	if h.zeros > 0 {
 		out = append(out, HistBucket{Count: h.zeros})
 	}
-	for i, c := range h.buckets {
+	for i, c := range h.win {
 		if c > 0 {
-			lo, hi := histBounds(i)
+			lo, hi := histBounds(h.base + i)
 			out = append(out, HistBucket{Lo: lo, Hi: hi, Count: c})
 		}
 	}

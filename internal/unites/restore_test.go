@@ -26,19 +26,16 @@ func snapOf(d *Distribution) DistSnapshot {
 	snap := DistSnapshot{
 		Count: d.Count, Mean: d.Mean(), StdDev: d.StdDev(),
 		Min: d.Min, Max: d.Max,
-		P50: d.HistQuantile(0.5), P90: d.HistQuantile(0.9),
-		P95: d.HistQuantile(0.95), P99: d.HistQuantile(0.99),
-		P999: d.HistQuantile(0.999),
-	}
-	if h := d.Hist(); h != nil {
-		snap.Hist = h.Buckets()
+		P50: d.Hist().Quantile(0.5), P90: d.Hist().Quantile(0.9),
+		P95: d.Hist().Quantile(0.95), P99: d.Hist().Quantile(0.99),
+		P999: d.Hist().Quantile(0.999),
+		Hist: d.Hist().Buckets(),
 	}
 	return snap
 }
 
 // Regression for the snapshot-restore divergence: a restored distribution
-// used to have a nil histogram, so HistQuantile silently fell back to the
-// (absent) reservoir and answered 0. The round trip must now be exact —
+// used to have no histogram and answered 0. The round trip must be exact —
 // through JSON, at every quantile, and under merge.
 func TestSnapshotRestoreExactQuantiles(t *testing.T) {
 	d := fillDist()
@@ -63,27 +60,27 @@ func TestSnapshotRestoreExactQuantiles(t *testing.T) {
 	if math.Abs(r.StdDev()-d.StdDev()) > 1e-6*d.StdDev() {
 		t.Fatalf("StdDev: got %g, want %g", r.StdDev(), d.StdDev())
 	}
-	if r.Hist() == nil {
-		t.Fatal("restored distribution has no histogram")
-	}
 	if r.Hist().Total() != d.Hist().Total() {
 		t.Fatalf("hist total: got %d, want %d", r.Hist().Total(), d.Hist().Total())
 	}
 	for q := 0.0; q <= 1.0; q += 0.001 {
-		if got, want := r.HistQuantile(q), d.HistQuantile(q); got != want {
-			t.Fatalf("HistQuantile(%g): restored %g != live %g", q, got, want)
+		if got, want := r.Quantile(q), d.Quantile(q); got != want {
+			t.Fatalf("Quantile(%g): restored %g != live %g", q, got, want)
+		}
+		if got, want := r.Hist().Quantile(q), d.Hist().Quantile(q); got != want {
+			t.Fatalf("Hist().Quantile(%g): restored %g != live %g", q, got, want)
 		}
 	}
 }
 
-// A restored distribution has no reservoir; Quantile must answer from the
-// histogram rather than reporting 0 (the old silent-divergence path).
+// Quantile on a restored distribution answers from the rebuilt histogram
+// rather than reporting 0 (the old silent-divergence path).
 func TestRestoredQuantileFallsBackToHistogram(t *testing.T) {
 	d := fillDist()
 	r := snapOf(d).Restore()
-	if got := r.Quantile(0.99); got != d.HistQuantile(0.99) {
-		t.Fatalf("Quantile(0.99) on restored dist = %g, want histogram answer %g",
-			got, d.HistQuantile(0.99))
+	if got := r.Quantile(0.99); got == 0 || got != d.Quantile(0.99) {
+		t.Fatalf("Quantile(0.99) on restored dist = %g, want the live answer %g",
+			got, d.Quantile(0.99))
 	}
 	// Truly empty distributions still answer 0.
 	if got := NewDistribution().Quantile(0.5); got != 0 {
@@ -110,8 +107,8 @@ func TestRestoredDistributionsMergeExactly(t *testing.T) {
 		t.Fatalf("merged count: got %d, want %d", restored.Count, merged.Count)
 	}
 	for _, q := range []float64{0.5, 0.9, 0.95, 0.99, 0.999} {
-		if got, want := restored.HistQuantile(q), merged.HistQuantile(q); got != want {
-			t.Fatalf("HistQuantile(%g) after restored merge = %g, want %g", q, got, want)
+		if got, want := restored.Quantile(q), merged.Quantile(q); got != want {
+			t.Fatalf("Quantile(%g) after restored merge = %g, want %g", q, got, want)
 		}
 	}
 }
@@ -138,14 +135,14 @@ func TestMergeSnapshotEquivalentToMergeRestore(t *testing.T) {
 		t.Fatalf("moments diverge: direct %+v, via restore %+v", direct, viaRestore)
 	}
 	for q := 0.0; q <= 1.0; q += 0.001 {
-		if got, want := direct.HistQuantile(q), viaRestore.HistQuantile(q); got != want {
-			t.Fatalf("HistQuantile(%g): direct %g != via restore %g", q, got, want)
+		if got, want := direct.Quantile(q), viaRestore.Quantile(q); got != want {
+			t.Fatalf("Quantile(%g): direct %g != via restore %g", q, got, want)
 		}
 	}
 	// Empty snapshots are a no-op.
-	before := *direct
+	before := direct.Count
 	DistSnapshot{}.MergeSnapshot(direct)
-	if direct.Count != before.Count {
+	if direct.Count != before {
 		t.Fatal("empty snapshot changed the aggregate")
 	}
 }

@@ -107,10 +107,10 @@ func TestRetireKeepsEveryAggregate(t *testing.T) {
 			t.Fatalf("%s: moments differ from the merge of the originals", name)
 		}
 		for _, q := range []float64{0, 0.5, 0.9, 0.99, 0.999, 1} {
-			if g, w := got.HistQuantile(q), want.HistQuantile(q); g != w {
+			if g, w := got.Quantile(q), want.Quantile(q); g != w {
 				t.Errorf("%s: retired q%v = %g, merge of the originals = %g", name, q, g, w)
 			}
-			if b, w := back.HistQuantile(q), want.HistQuantile(q); b != w {
+			if b, w := back.Quantile(q), want.Quantile(q); b != w {
 				t.Errorf("%s: snapshot-restored q%v = %g, want %g", name, q, b, w)
 			}
 		}

@@ -45,44 +45,28 @@ func ClassOf(name string) Class {
 	return Whitebox
 }
 
-// Distribution accumulates samples with streaming moments plus a bounded
-// reservoir for quantiles. The reservoir uses a deterministic LCG so
-// experiment output is reproducible.
+// Distribution accumulates samples as streaming moments plus the log-bucketed
+// histogram every quantile is answered from. The zero value is ready to use.
 type Distribution struct {
-	Count          uint64
-	Sum, SumSq     float64
-	Min, Max       float64
-	reservoir      []float64
-	reservoirLimit int
-	lcg            uint64
-	hist           *Histogram // lazily allocated on first Add
+	Count      uint64
+	Sum, SumSq float64
+	Min, Max   float64
+	// Invalid counts the non-finite samples offered (a ratio that divided by
+	// zero). They are in none of the fields above and in no bucket: one NaN or
+	// Inf in a sum would make every later mean, and the JSON export, useless.
+	Invalid uint64
+	hist    Histogram
 }
-
-const defaultReservoir = 2048
 
 // NewDistribution returns an empty distribution.
-func NewDistribution() *Distribution {
-	return &Distribution{reservoirLimit: defaultReservoir, lcg: 0x9e3779b97f4a7c15}
-}
-
-// Reserve preallocates the full reservoir capacity and the histogram so
-// every subsequent Add records into preallocated slots — zero allocations
-// on the metering hot path. Distributions stay lazily sized by default
-// (most recorders hold a handful of samples); hot-path meters opt in.
-func (d *Distribution) Reserve() *Distribution {
-	if cap(d.reservoir) < d.reservoirLimit {
-		r := make([]float64, len(d.reservoir), d.reservoirLimit)
-		copy(r, d.reservoir)
-		d.reservoir = r
-	}
-	if d.hist == nil {
-		d.hist = &Histogram{}
-	}
-	return d
-}
+func NewDistribution() *Distribution { return &Distribution{} }
 
 // Add folds in one sample.
 func (d *Distribution) Add(v float64) {
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		d.Invalid++
+		return
+	}
 	if d.Count == 0 || v < d.Min {
 		d.Min = v
 	}
@@ -92,33 +76,7 @@ func (d *Distribution) Add(v float64) {
 	d.Count++
 	d.Sum += v
 	d.SumSq += v * v
-	if d.hist == nil {
-		d.hist = &Histogram{}
-	}
 	d.hist.Add(v)
-	if len(d.reservoir) < d.reservoirLimit {
-		if len(d.reservoir) == cap(d.reservoir) {
-			// Two-step growth instead of append's doubling: cold recorders
-			// (a handful of samples) stay at one small slab, hot ones jump
-			// straight to the full reservoir — two allocations total rather
-			// than O(log limit). Reserve() skips even those.
-			newCap := 64
-			if cap(d.reservoir) >= newCap || newCap > d.reservoirLimit {
-				newCap = d.reservoirLimit
-			}
-			r := make([]float64, len(d.reservoir), newCap)
-			copy(r, d.reservoir)
-			d.reservoir = r
-		}
-		d.reservoir = append(d.reservoir, v)
-		return
-	}
-	// Vitter's algorithm R with a deterministic LCG.
-	d.lcg = d.lcg*6364136223846793005 + 1442695040888963407
-	idx := d.lcg % d.Count
-	if idx < uint64(d.reservoirLimit) {
-		d.reservoir[idx] = v
-	}
 }
 
 // Mean returns the sample mean (0 when empty).
@@ -146,34 +104,21 @@ func (d *Distribution) StdDev() float64 {
 // to the observed range, so a single-valued distribution reports its exact
 // value and no quantile lies outside [Min, Max].
 func (d *Distribution) Quantile(q float64) float64 {
-	if d.hist == nil {
-		return 0
-	}
 	return math.Max(d.Min, math.Min(d.Max, d.hist.Quantile(q)))
 }
 
-// Hist returns the log-bucketed histogram backing HistQuantile, or nil when
-// the distribution is empty.
-func (d *Distribution) Hist() *Histogram { return d.hist }
+// Hist returns the histogram behind Quantile (empty until the first sample):
+// the exports read its buckets and their unclamped midpoints, which a consumer
+// can recompute from the exported buckets alone.
+func (d *Distribution) Hist() *Histogram { return &d.hist }
 
-// HistQuantile returns the q-quantile from the log-bucketed histogram
-// (bounded relative error, exact under Merge). Snapshot-restored
-// distributions carry an exactly-reconstructed histogram (DistSnapshot.
-// Restore), so this path answers identically before and after a snapshot
-// round trip; only a distribution that never saw a sample falls back to the
-// (empty) reservoir estimate.
-func (d *Distribution) HistQuantile(q float64) float64 {
-	if d.hist != nil {
-		return d.hist.Quantile(q)
-	}
-	return d.Quantile(q)
-}
-
-// Merge folds o's samples into d. Moments and histogram merge exactly;
-// the reservoir concatenates up to its limit (quantiles from a merged
-// distribution should come from HistQuantile, not Quantile).
+// Merge folds o's samples into d. Moments and histogram merge exactly.
 func (d *Distribution) Merge(o *Distribution) {
-	if o == nil || o.Count == 0 {
+	if o == nil {
+		return
+	}
+	d.Invalid += o.Invalid
+	if o.Count == 0 {
 		return
 	}
 	if d.Count == 0 || o.Min < d.Min {
@@ -185,18 +130,7 @@ func (d *Distribution) Merge(o *Distribution) {
 	d.Count += o.Count
 	d.Sum += o.Sum
 	d.SumSq += o.SumSq
-	if o.hist != nil {
-		if d.hist == nil {
-			d.hist = &Histogram{}
-		}
-		d.hist.Merge(o.hist)
-	}
-	for _, v := range o.reservoir {
-		if len(d.reservoir) >= d.reservoirLimit {
-			break
-		}
-		d.reservoir = append(d.reservoir, v)
-	}
+	d.hist.Merge(&o.hist)
 }
 
 // Cell is one counter of a Recorder. A session resolves each per-PDU counter
@@ -219,16 +153,11 @@ type Recorder struct {
 	dists    map[string]*Distribution
 }
 
-// NewRecorder returns an empty recorder for the scope. Maps start minimal —
-// pre-sizing them measurably bloats many-session runs (tens of thousands of
-// recorders) for a one-time growth saving that profiles smaller.
+// NewRecorder returns an empty recorder for the scope. Every session counts, so
+// the counter map exists from the start; most never set a gauge and many never
+// record a sample, so those maps are built by the first Gauge and Sample.
 func NewRecorder(scope string) *Recorder {
-	return &Recorder{
-		Scope:    scope,
-		counters: make(map[string]*Cell),
-		gauges:   make(map[string]float64),
-		dists:    make(map[string]*Distribution),
-	}
+	return &Recorder{Scope: scope, counters: make(map[string]*Cell)}
 }
 
 // Count adds delta to a counter: the by-name entry to the cell Cell returns,
@@ -252,18 +181,31 @@ func (r *Recorder) Cell(name string) *Cell {
 // Sample folds a value into a distribution.
 func (r *Recorder) Sample(name string, v float64) {
 	r.mu.Lock()
-	d, ok := r.dists[name]
-	if !ok {
+	d := r.dist(name)
+	d.Add(v)
+	r.mu.Unlock()
+}
+
+// dist returns the named distribution, creating it (and the map) on first use.
+// The caller holds r.mu.
+func (r *Recorder) dist(name string) *Distribution {
+	d := r.dists[name]
+	if d == nil {
+		if r.dists == nil {
+			r.dists = make(map[string]*Distribution)
+		}
 		d = NewDistribution()
 		r.dists[name] = d
 	}
-	d.Add(v)
-	r.mu.Unlock()
+	return d
 }
 
 // Gauge sets an instantaneous value.
 func (r *Recorder) Gauge(name string, v float64) {
 	r.mu.Lock()
+	if r.gauges == nil {
+		r.gauges = make(map[string]float64)
+	}
 	r.gauges[name] = v
 	r.mu.Unlock()
 }
@@ -416,12 +358,7 @@ func (rp *Repository) fold(key uint32) {
 		cell.Add(c.v.Load())
 	}
 	for name, d := range r.dists {
-		md := into.dists[name]
-		if md == nil {
-			md = NewDistribution()
-			into.dists[name] = md
-		}
-		md.Merge(d)
+		into.dist(name).Merge(d)
 	}
 	into.mu.Unlock()
 	r.mu.Unlock()

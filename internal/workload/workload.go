@@ -12,6 +12,8 @@ package workload
 
 import (
 	"encoding/binary"
+	"math/bits"
+	"sync"
 	"time"
 
 	"adaptive/internal/event"
@@ -37,11 +39,7 @@ func Stamp(seq uint64, now time.Duration, size int) []byte {
 }
 
 // StampInto writes the stamp header into b (len(b) >= headerLen) and returns
-// b. Generators stamp into a per-generator staging buffer and hand it to
-// Send, which copies synchronously — so one staging buffer per generator
-// makes the send side allocation-free. Bytes past the header keep whatever
-// the buffer held; the meter never reads them, and the write sequence is
-// deterministic, so same-seed runs stay byte-identical.
+// b. Bytes past the header keep whatever b held.
 func StampInto(b []byte, seq uint64, now time.Duration) []byte {
 	binary.BigEndian.PutUint32(b[0:], stampMagic)
 	binary.BigEndian.PutUint64(b[4:], uint64(now))
@@ -49,15 +47,31 @@ func StampInto(b []byte, seq uint64, now time.Duration) []byte {
 	return b
 }
 
-// staging returns buf resized to size, reallocating only on growth.
-func staging(buf []byte, size int) []byte {
+// stagePools lends the generators their staging buffers, one pool per
+// power-of-two size class. A generator needs a message-sized buffer only for
+// the length of one Send (which copies synchronously), so it borrows one per
+// emission instead of owning one for its whole life: a thousand idle
+// generators hold nothing. Only the stamp header is ever written into these
+// buffers, so every body byte is zero by construction and the bytes on the
+// wire do not depend on which buffer an emission drew. sync.Pool makes the
+// loan safe across the goroutines of parallel experiment runs.
+var stagePools [bits.UintSize]sync.Pool
+
+// sendStamped sends one message of size bytes (at least a header) carrying seq
+// and the send time through out, staged in a borrowed buffer.
+func sendStamped(out Sender, size int, seq uint64, now time.Duration) error {
 	if size < headerLen {
 		size = headerLen
 	}
-	if cap(buf) < size {
-		return make([]byte, size)
+	pool := &stagePools[bits.Len(uint(size-1))]
+	buf, _ := pool.Get().(*[]byte)
+	if buf == nil {
+		b := make([]byte, 1<<bits.Len(uint(size-1)))
+		buf = &b
 	}
-	return buf[:size]
+	err := out.Send(StampInto((*buf)[:size], seq, now))
+	pool.Put(buf)
+	return err
 }
 
 // Meter is the receiving-side QoS monitor (blackbox metrics, §4.3). It
@@ -87,13 +101,9 @@ type Meter struct {
 	openSeq  uint64
 }
 
-// NewMeter returns a meter reading time from clock. Its distributions are
-// fully reserved so per-message recording never allocates.
+// NewMeter returns a meter reading time from clock.
 func NewMeter(clock interface{ Now() time.Duration }) *Meter {
-	m := &Meter{clock: clock, Latency: unites.NewDistribution(), Jitter: unites.NewDistribution()}
-	m.Latency.Reserve()
-	m.Jitter.Reserve()
-	return m
+	return &Meter{clock: clock, Latency: unites.NewDistribution(), Jitter: unites.NewDistribution()}
 }
 
 // OnDeliver consumes one delivered segment (call from the session receiver;
@@ -191,19 +201,17 @@ type CBR struct {
 
 	Generated uint64
 	ev        *event.Event
-	buf       []byte
 }
 
 // Start begins emission until Stop (or for total messages if total > 0).
 func (c *CBR) Start(total uint64) {
 	clock := c.Timers.Clock()
-	c.buf = staging(c.buf, c.MsgSize)
 	c.ev = c.Timers.SchedulePeriodic(0, c.Interval, func() {
 		if total > 0 && c.Generated >= total {
 			c.ev.Cancel()
 			return
 		}
-		c.Out.Send(StampInto(c.buf, c.Generated, clock.Now()))
+		sendStamped(c.Out, c.MsgSize, c.Generated, clock.Now())
 		c.Generated++
 	})
 }
@@ -239,7 +247,6 @@ type VBR struct {
 	Generated uint64
 	BytesOut  uint64
 	ev        *event.Event
-	buf       []byte
 }
 
 // OnBudget is the content-adaptation hook: given a send budget in bits per
@@ -290,7 +297,6 @@ func (v *VBR) Start(total uint64) {
 	}
 	clock := v.Timers.Clock()
 	start := clock.Now()
-	v.buf = staging(v.buf, int(float64(v.MeanSize)*v.Burst))
 	var frames uint64 // frames emitted since this Start; indexes the deadline ladder
 	var tick func()
 	tick = func() {
@@ -307,9 +313,7 @@ func (v *VBR) Start(total uint64) {
 		if v.Generated%uint64(v.GroupLen) == 0 {
 			size = int(intra)
 		}
-		// A codec raising MeanSize live can outgrow the staging buffer.
-		v.buf = staging(v.buf, size)
-		v.Out.Send(StampInto(v.buf, v.Generated, clock.Now()))
+		sendStamped(v.Out, size, v.Generated, clock.Now())
 		v.Generated++
 		v.BytesOut += uint64(size)
 		frames++
@@ -345,7 +349,6 @@ type Bulk struct {
 	ChunkSize int // per-message granularity (0 = one message)
 
 	Generated uint64
-	buf       []byte
 }
 
 // Start submits the transfer. The clock parameter stamps chunks for latency
@@ -355,13 +358,12 @@ func (b *Bulk) Start(clock interface{ Now() time.Duration }) {
 	if chunk <= 0 {
 		chunk = b.TotalSize
 	}
-	b.buf = staging(b.buf, chunk)
 	for off := 0; off < b.TotalSize; off += chunk {
 		n := chunk
 		if off+n > b.TotalSize {
 			n = b.TotalSize - off
 		}
-		b.Out.Send(StampInto(b.buf[:max(n, headerLen)], b.Generated, clock.Now()))
+		sendStamped(b.Out, n, b.Generated, clock.Now())
 		b.Generated++
 	}
 }
@@ -376,20 +378,18 @@ type Keystroke struct {
 
 	Generated uint64
 	ev        *event.Event
-	buf       []byte
 }
 
 // Start emits total keystrokes.
 func (k *Keystroke) Start(total uint64) {
 	clock := k.Timers.Clock()
 	state := k.Seed | 1
-	k.buf = staging(k.buf, headerLen+1)
 	var next func()
 	next = func() {
 		if k.Generated >= total {
 			return
 		}
-		k.Out.Send(StampInto(k.buf, k.Generated, clock.Now()))
+		sendStamped(k.Out, headerLen+1, k.Generated, clock.Now())
 		k.Generated++
 		// xorshift + exponential-ish gap in [0.2, 2.8) of the mean.
 		state ^= state << 13
@@ -430,7 +430,6 @@ type ReqResp struct {
 	Done      func() // optional completion callback
 	thinkEv   *event.Event
 	issueFn   func() // r.issue bound once; method values allocate per use
-	buf       []byte
 }
 
 // Start issues total transactions. OnResponse must be wired to the client
@@ -440,9 +439,7 @@ func (r *ReqResp) Start(total uint64) {
 	if r.RespTimes == nil {
 		r.RespTimes = unites.NewDistribution()
 	}
-	r.RespTimes.Reserve()
 	r.issueFn = r.issue
-	r.buf = staging(r.buf, r.ReqSize)
 	r.issue()
 }
 
@@ -452,7 +449,7 @@ func (r *ReqResp) issue() {
 	}
 	clock := r.Timers.Clock()
 	r.issuedAt = clock.Now()
-	r.Out.Send(StampInto(r.buf, r.Issued, clock.Now()))
+	sendStamped(r.Out, r.ReqSize, r.Issued, clock.Now())
 	r.Issued++
 }
 
