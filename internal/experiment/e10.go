@@ -169,13 +169,24 @@ func e10ClassFor(mix []e10Class, i int) *e10Class {
 	return &mix[0]
 }
 
-// runE10Shard builds one shard's private 2-host internetwork on the given
-// kernel, drives its share of the sessions, and returns post-warmup deltas.
-// A nil repo gives the shard a private repository (the default); passing a
-// shared one exercises concurrent cross-shard recording. A non-nil tracer is
-// installed on the kernel and every node, so the shard's flight record
-// covers timers, links, and sessions.
+// runE10Shard builds one shard on the given kernel, drives its share of the
+// sessions, and returns post-warmup deltas.
 func runE10Shard(shard int, k *sim.Kernel, sessions int, repo *unites.Repository, tracer *trace.Recorder) e10Shard {
+	sh, meter := buildE10Shard(shard, k, sessions, repo, tracer)
+	k.RunUntil(e10Warmup)
+	ev0, rx0 := k.Executed(), sh.Net.TotalReceived()
+	k.RunUntil(e10End)
+	return e10Shard{delivered: sh.Net.TotalReceived() - rx0, events: k.Executed() - ev0,
+		latency: meter.Latency, jitter: meter.Jitter}
+}
+
+// buildE10Shard builds one shard's private 2-host internetwork on the given
+// kernel and dials its sessions, each with its generator scheduled; nothing
+// has run yet. A nil repo gives the shard a private repository (the default);
+// passing a shared one exercises concurrent cross-shard recording. A non-nil
+// tracer is installed on the kernel and every node, so the shard's flight
+// record covers timers, links, and sessions.
+func buildE10Shard(shard int, k *sim.Kernel, sessions int, repo *unites.Repository, tracer *trace.Recorder) (*rig.World, *workload.Meter) {
 	sh := rig.OnKernel(k, 2)
 	if tracer != nil {
 		tracer.SetShard(shard)
@@ -230,12 +241,7 @@ func runE10Shard(shard int, k *sim.Kernel, sessions int, repo *unites.Repository
 		stagger := 10*time.Millisecond + time.Duration(i%20)*time.Millisecond/2
 		cls.start(sh, conn, stagger)
 	}
-
-	k.RunUntil(e10Warmup)
-	ev0, rx0 := k.Executed(), sh.Net.TotalReceived()
-	k.RunUntil(e10End)
-	return e10Shard{delivered: sh.Net.TotalReceived() - rx0, events: k.Executed() - ev0,
-		latency: meter.Latency, jitter: meter.Jitter}
+	return sh, meter
 }
 
 // RunE10Scale runs one soak of n total sessions across the fixed shard set

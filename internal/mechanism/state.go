@@ -73,8 +73,16 @@ type TransferState struct {
 // freeListCap bounds the per-state entry free lists.
 const freeListCap = 512
 
-// entryBlock is the free-list growth granule for SentPDU/RecvPDU entries.
+// entryBlock is the largest free-list growth granule for SentPDU/RecvPDU
+// entries.
 const entryBlock = 16
+
+// blockFor sizes the block an empty free list grows by: as many entries as are
+// already in use, so a list doubles toward the depth its window really works
+// at — one allocation per entryBlock entries for a deep window, and a single
+// entry for an end that only ever holds one (a recovery-less sender keeps its
+// entry for the length of one emit; an in-order receiver, for one delivery).
+func blockFor(inUse int) int { return min(max(inUse, 1), entryBlock) }
 
 // NewTransferState returns ready-to-use state.
 func NewTransferState(rcvBufCap int, rtoInit time.Duration) *TransferState {
@@ -96,9 +104,7 @@ func (s *TransferState) NewSent(p *wire.PDU, at time.Duration) *SentPDU {
 		*e = SentPDU{PDU: p, SentAt: at}
 		return e
 	}
-	// Warm the free list a block at a time: one allocation per entryBlock
-	// entries while the window grows to its steady-state depth.
-	blk := make([]SentPDU, entryBlock)
+	blk := make([]SentPDU, blockFor(s.Unacked.Len()))
 	for i := 1; i < len(blk); i++ {
 		s.sentFree = append(s.sentFree, &blk[i])
 	}
@@ -124,7 +130,7 @@ func (s *TransferState) NewRecv(p *wire.PDU, at time.Duration, recovered bool) *
 		*e = RecvPDU{PDU: p, ArrivedAt: at, Recovered: recovered}
 		return e
 	}
-	blk := make([]RecvPDU, entryBlock)
+	blk := make([]RecvPDU, blockFor(s.RcvBuf.Len()))
 	for i := 1; i < len(blk); i++ {
 		s.recvFree = append(s.recvFree, &blk[i])
 	}

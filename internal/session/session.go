@@ -193,9 +193,6 @@ func New(p Params) *Session {
 	s.emitFn = s.emitPacket
 	s.pumpFn = s.pump
 	s.rtoFn = s.onRTO
-	// One up-front queue slab instead of append's doubling walk: a sender
-	// session reaches its steady backlog depth without reallocating.
-	s.sendQ = make([]queuedSeg, 0, 16)
 	return s
 }
 
@@ -377,7 +374,15 @@ func (s *Session) terminate() {
 
 func (s *Session) queuedLen() int { return len(s.sendQ) - s.sendQH }
 
-func (s *Session) pushSeg(q queuedSeg) { s.sendQ = append(s.sendQ, q) }
+func (s *Session) pushSeg(q queuedSeg) {
+	if s.sendQ == nil {
+		// One queue slab at the first send instead of append's doubling walk:
+		// a sender reaches its steady backlog depth without reallocating, and
+		// an end that never sends holds no queue.
+		s.sendQ = make([]queuedSeg, 0, 16)
+	}
+	s.sendQ = append(s.sendQ, q)
+}
 
 // pushSegFront re-queues a segment at the head (implicit-config re-split).
 func (s *Session) pushSegFront(q queuedSeg) {
