@@ -28,11 +28,12 @@ import (
 // Measured by this test (go1.24, amd64) when the bars were set, and at the
 // parent commit, where every recorder held a dense 240-bucket histogram and a
 // reservoir for its one establishment-latency sample, every generator owned
-// its staging buffer, and every end a send queue and 16-entry free lists:
+// its staging buffer, and every end a 16-slot send queue and 16-entry free
+// lists:
 //
 //	      this PR    parent
 //	(a)   1.96 KB   4.04 KB
-//	(b)   7.40 KB  13.98 KB
+//	(b)   7.30 KB  13.98 KB
 //
 // The bars are 1.25 x the left column. On failure the per-site table of the
 // bytes still in use names the allocator that grew.
@@ -43,7 +44,7 @@ func TestConnectionFootprint(t *testing.T) {
 	const (
 		sessions = 1000
 		idleBar  = 2.45 * 1024 // bytes per session end, (a)
-		busyBar  = 9.25 * 1024 // (b)
+		busyBar  = 9.13 * 1024 // (b)
 	)
 	// Profile every allocation from here on, so the failure table is exact
 	// for what this test allocated.

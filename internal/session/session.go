@@ -374,15 +374,7 @@ func (s *Session) terminate() {
 
 func (s *Session) queuedLen() int { return len(s.sendQ) - s.sendQH }
 
-func (s *Session) pushSeg(q queuedSeg) {
-	if s.sendQ == nil {
-		// One queue slab at the first send instead of append's doubling walk:
-		// a sender reaches its steady backlog depth without reallocating, and
-		// an end that never sends holds no queue.
-		s.sendQ = make([]queuedSeg, 0, 16)
-	}
-	s.sendQ = append(s.sendQ, q)
-}
+func (s *Session) pushSeg(q queuedSeg) { s.sendQ = append(s.sendQ, q) }
 
 // pushSegFront re-queues a segment at the head (implicit-config re-split).
 func (s *Session) pushSegFront(q queuedSeg) {

@@ -6,10 +6,11 @@ import "testing"
 // not allocate once the distribution is warm, or many-session soaks pay a GC
 // tax proportional to traffic. This pins that budget at exactly zero.
 
-// TestSampleZeroAllocOnceWindowCovers: the first sample in a new octave grows
-// the histogram window (one allocation per octave ever seen); from then on
-// Distribution.Add and Recorder.Sample are in-place accumulation.
-func TestSampleZeroAllocOnceWindowCovers(t *testing.T) {
+// TestRecorderSampleSteadyStateZeroAlloc: the first sample in a new octave
+// grows the histogram window (one allocation per octave ever seen); once the
+// window covers the values seen, Distribution.Add and Recorder.Sample are
+// in-place accumulation.
+func TestRecorderSampleSteadyStateZeroAlloc(t *testing.T) {
 	d := NewDistribution()
 	r := NewRecorder("host-a/conn-00000001")
 	for i := 0; i < 97; i++ {

@@ -46,18 +46,8 @@ func (ds DistSnapshot) Restore() *Distribution {
 // is identical to d.Merge(ds.Restore()).
 func (ds DistSnapshot) MergeSnapshot(d *Distribution) {
 	d.Invalid += ds.Invalid
-	if ds.Count == 0 {
-		return
-	}
-	if d.Count == 0 || ds.Min < d.Min {
-		d.Min = ds.Min
-	}
-	if d.Count == 0 || ds.Max > d.Max {
-		d.Max = ds.Max
-	}
-	d.Count += ds.Count
-	d.Sum += ds.Mean * float64(ds.Count)
-	d.SumSq += (ds.StdDev*ds.StdDev + ds.Mean*ds.Mean) * float64(ds.Count)
+	n := float64(ds.Count)
+	d.mergeMoments(ds.Count, ds.Min, ds.Max, ds.Mean*n, (ds.StdDev*ds.StdDev+ds.Mean*ds.Mean)*n)
 	d.hist.AddBuckets(ds.Hist)
 }
 

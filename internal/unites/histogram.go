@@ -60,25 +60,33 @@ func histBounds(idx int) (lo, hi float64) {
 
 // slot returns bucket idx's counter, growing the window to cover its octave.
 func (h *Histogram) slot(idx int) *uint64 {
-	octave := idx &^ (histSub - 1)
-	switch {
-	case len(h.win) == 0:
-		h.base, h.win = octave, make([]uint64, histSub)
-	case octave < h.base:
-		grown := make([]uint64, h.base-octave+len(h.win))
-		copy(grown[h.base-octave:], h.win)
-		h.base, h.win = octave, grown
-	case octave >= h.base+len(h.win):
-		grown := make([]uint64, octave+histSub-h.base)
-		copy(grown, h.win)
-		h.win = grown
+	if i := idx - h.base; uint(i) < uint(len(h.win)) {
+		return &h.win[i]
 	}
+	h.cover(idx, idx)
 	return &h.win[idx-h.base]
+}
+
+// cover grows the window, in one step, to whole octaves that include buckets
+// first through last.
+func (h *Histogram) cover(first, last int) {
+	lo, hi := first&^(histSub-1), last|(histSub-1)
+	if len(h.win) == 0 {
+		h.base = lo
+	} else {
+		lo, hi = min(lo, h.base), max(hi, h.base+len(h.win)-1)
+	}
+	if hi-lo+1 == len(h.win) {
+		return
+	}
+	grown := make([]uint64, hi-lo+1)
+	copy(grown[h.base-lo:], h.win)
+	h.base, h.win = lo, grown
 }
 
 // Add folds in one sample.
 func (h *Histogram) Add(v float64) {
-	if v != v {
+	if math.IsNaN(v) {
 		return
 	}
 	h.total++
@@ -102,8 +110,7 @@ func (h *Histogram) Merge(o *Histogram) {
 	if len(o.win) == 0 {
 		return
 	}
-	h.slot(o.base)
-	h.slot(o.base + len(o.win) - 1)
+	h.cover(o.base, o.base+len(o.win)-1)
 	into := h.win[o.base-h.base:]
 	for i, c := range o.win {
 		into[i] += c
@@ -203,7 +210,7 @@ func HistogramFromBuckets(bs []HistBucket) *Histogram {
 func (h *Histogram) AddBuckets(bs []HistBucket) {
 	for _, b := range bs {
 		switch mid := b.Lo + (b.Hi-b.Lo)/2; {
-		case mid != mid: // NaN or opposite infinities for bounds: no such bucket
+		case math.IsNaN(mid): // NaN or opposite infinities for bounds: no such bucket
 			continue
 		case mid <= 0: // the exported [0,0) bucket
 			h.zeros += b.Count

@@ -118,19 +118,24 @@ func (d *Distribution) Merge(o *Distribution) {
 		return
 	}
 	d.Invalid += o.Invalid
-	if o.Count == 0 {
+	d.mergeMoments(o.Count, o.Min, o.Max, o.Sum, o.SumSq)
+	d.hist.Merge(&o.hist)
+}
+
+// mergeMoments folds in the moments of count more samples.
+func (d *Distribution) mergeMoments(count uint64, min, max, sum, sumSq float64) {
+	if count == 0 {
 		return
 	}
-	if d.Count == 0 || o.Min < d.Min {
-		d.Min = o.Min
+	if d.Count == 0 || min < d.Min {
+		d.Min = min
 	}
-	if d.Count == 0 || o.Max > d.Max {
-		d.Max = o.Max
+	if d.Count == 0 || max > d.Max {
+		d.Max = max
 	}
-	d.Count += o.Count
-	d.Sum += o.Sum
-	d.SumSq += o.SumSq
-	d.hist.Merge(&o.hist)
+	d.Count += count
+	d.Sum += sum
+	d.SumSq += sumSq
 }
 
 // Cell is one counter of a Recorder. A session resolves each per-PDU counter

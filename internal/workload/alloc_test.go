@@ -15,9 +15,10 @@ type discard struct{ n int }
 func (d *discard) Send(data []byte) error { d.n++; return nil }
 
 // TestCBRNextPacketZeroAlloc pins the steady-state generator tick — timer
-// fire, periodic re-arm, StampInto the reused staging buffer, Send — at zero
-// heap allocations. The first ticks allocate the staging buffer and kernel
-// event blocks; after the warm-up window every tick must be free.
+// fire, periodic re-arm, borrow a staging buffer, StampInto it, Send, give it
+// back — at zero heap allocations. The first ticks allocate the pooled staging
+// buffer and kernel event blocks; after the warm-up window every tick must be
+// free.
 func TestCBRNextPacketZeroAlloc(t *testing.T) {
 	k, timers := rig()
 	out := &discard{}
@@ -26,7 +27,7 @@ func TestCBRNextPacketZeroAlloc(t *testing.T) {
 	defer g.Stop()
 
 	now := 50 * time.Millisecond
-	k.RunUntil(now) // warm: staging buffer, event free lists, wheel buckets
+	k.RunUntil(now) // warm: staging pool, event free lists, wheel buckets
 	before := out.n
 	allocs := testing.AllocsPerRun(200, func() {
 		now += time.Millisecond
@@ -42,7 +43,7 @@ func TestCBRNextPacketZeroAlloc(t *testing.T) {
 
 // TestMeterObserveZeroAlloc pins the receive-side metering path: one
 // Observe per delivered segment folds latency and jitter samples into
-// reserved distributions without allocating.
+// distributions whose windows already cover them, without allocating.
 func TestMeterObserveZeroAlloc(t *testing.T) {
 	k, timers := rig()
 	_ = k

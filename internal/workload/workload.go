@@ -58,20 +58,22 @@ func StampInto(b []byte, seq uint64, now time.Duration) []byte {
 var stagePools [bits.UintSize]sync.Pool
 
 // sendStamped sends one message of size bytes (at least a header) carrying seq
-// and the send time through out, staged in a borrowed buffer.
-func sendStamped(out Sender, size int, seq uint64, now time.Duration) error {
+// and the send time through out, staged in a borrowed buffer. A refused send
+// (the connection closed or migrated under the generator) is not the
+// generator's to handle: the meter sees it as loss.
+func sendStamped(out Sender, size int, seq uint64, now time.Duration) {
 	if size < headerLen {
 		size = headerLen
 	}
-	pool := &stagePools[bits.Len(uint(size-1))]
+	class := bits.Len(uint(size - 1))
+	pool := &stagePools[class]
 	buf, _ := pool.Get().(*[]byte)
 	if buf == nil {
-		b := make([]byte, 1<<bits.Len(uint(size-1)))
+		b := make([]byte, 1<<class)
 		buf = &b
 	}
-	err := out.Send(StampInto((*buf)[:size], seq, now))
+	out.Send(StampInto((*buf)[:size], seq, now))
 	pool.Put(buf)
-	return err
 }
 
 // Meter is the receiving-side QoS monitor (blackbox metrics, §4.3). It

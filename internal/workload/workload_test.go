@@ -321,3 +321,45 @@ func TestVBRWithoutTiersIgnoresBudget(t *testing.T) {
 		t.Fatalf("budget changed a ladderless VBR: size %d", v.MeanSize)
 	}
 }
+
+// zeroBody is a Sender that checks what a generator hands it: the stamp it
+// expects, and nothing but zeros behind it.
+type zeroBody struct {
+	t    *testing.T
+	seen int
+}
+
+func (z *zeroBody) Send(data []byte) error {
+	z.seen++
+	for i, b := range data[headerLen:] {
+		if b != 0 {
+			z.t.Errorf("message of %d bytes: body byte %d is %#x, want zero", len(data), i, b)
+			break
+		}
+	}
+	return nil
+}
+
+// Staging buffers are borrowed per emission from a pool all generators share,
+// across goroutines when experiments run in parallel. Whatever buffer an
+// emission draws, and whatever size it was last used at, the message is the
+// stamp followed by zeros: only the header is ever written.
+func TestBorrowedStagingBodiesStayZero(t *testing.T) {
+	done := make(chan int)
+	for g := 0; g < 4; g++ {
+		go func() {
+			out := &zeroBody{t: t}
+			k, _ := rig()
+			for i, size := range []int{9000, 100, 4000, headerLen, 1, 16 << 10, 33, 9000} {
+				bulk := &Bulk{Out: out, TotalSize: 3 * size, ChunkSize: size, Generated: uint64(i)}
+				bulk.Start(k)
+			}
+			done <- out.seen
+		}()
+	}
+	for g := 0; g < 4; g++ {
+		if seen := <-done; seen != 8*3 {
+			t.Errorf("generator sent %d messages, want 24", seen)
+		}
+	}
+}
