@@ -178,7 +178,6 @@ type options struct {
 	seed     int64
 	observe  *Observe
 	name     string
-	rules    []Rule
 	arbiter  *ArbiterPolicy
 }
 
@@ -201,13 +200,6 @@ func WithSeed(seed int64) Option { return func(o *options) { o.seed = seed } }
 // WithName tags this node's metrics scope.
 func WithName(name string) Option { return func(o *options) { o.name = name } }
 
-// WithRules installs node-level default TSA rules: dialed connections whose
-// ACD names no policy of its own run under these (typically graceful-
-// degradation rules reacting to loss and delay shifts).
-func WithRules(rules ...Rule) Option {
-	return func(o *options) { o.rules = append(o.rules, rules...) }
-}
-
 // WithArbiter enables the per-host bandwidth arbiter: a congestion manager
 // that aggregates loss, RTT-inflation, and environment congestion hints
 // across every session dialed on this node into one shared bottleneck
@@ -229,7 +221,6 @@ type Node struct {
 	obs      *Observability
 	arb      *arbiter.Arbiter
 	name     string
-	rules    []Rule
 
 	hintPoll *event.Event     // arbiter congestion-hint poller; nil without one
 	conns    map[uint32]*Conn // handles of the live connections, by ConnID
@@ -289,7 +280,7 @@ func NewNode(opts ...Option) (*Node, error) {
 	if err != nil {
 		return nil, err
 	}
-	n := &Node{provider: o.provider, stack: stack, entity: mantts.NewEntity(stack), name: name, rules: o.rules,
+	n := &Node{provider: o.provider, stack: stack, entity: mantts.NewEntity(stack), name: name,
 		conns: make(map[uint32]*Conn)}
 	stack.OnTerminal(func(s *session.Session) {
 		if c := n.conns[s.ConnID()]; c != nil {
@@ -515,7 +506,6 @@ func (n *Node) DialContext(ctx context.Context, acd *ACD, opts *DialOptions) (*C
 	}
 	m, err := n.entity.OpenSessionWith(acd, mantts.OpenOptions{
 		LocalPort:  do.LocalPort,
-		DefaultTSA: n.rules,
 		AdjustSpec: func(s *Spec) { do.applyTo(s) },
 	})
 	if err != nil {

@@ -24,6 +24,7 @@ import (
 
 	"adaptive"
 	"adaptive/internal/measure"
+	"adaptive/internal/mechanism"
 	"adaptive/internal/netsim"
 	"adaptive/internal/rig"
 	"adaptive/internal/scenario"
@@ -126,13 +127,13 @@ func run(args []string, out io.Writer) error {
 			Graceful:     *lossTol == 0,
 			Checksum:     wire.CkCRC32,
 		}
-		if spec.ConnMgmt, err = parseConn(*conn); err != nil {
+		if spec.ConnMgmt, err = mechanism.ParseConnKind(kindArg(*conn, "2way", "explicit-2way", "3way", "explicit-3way")); err != nil {
 			return err
 		}
-		if spec.Recovery, err = parseRecovery(*recovery); err != nil {
+		if spec.Recovery, err = mechanism.ParseRecoveryKind(kindArg(*recovery, "gbn", "go-back-n", "sr", "selective-repeat")); err != nil {
 			return err
 		}
-		if spec.Order, err = parseOrder(*order); err != nil {
+		if spec.Order, err = mechanism.ParseOrderKind(kindArg(*order, "none", "unordered")); err != nil {
 			return err
 		}
 		c, err = na.DialSpec(spec, nb.Addr(), 1000, 80)
@@ -188,42 +189,16 @@ func run(args []string, out io.Writer) error {
 	return nil
 }
 
-func parseRecovery(s string) (adaptive.RecoveryKind, error) {
-	switch strings.ToLower(s) {
-	case "none":
-		return adaptive.RecoveryNone, nil
-	case "go-back-n", "gbn":
-		return adaptive.RecoveryGoBackN, nil
-	case "selective-repeat", "sr":
-		return adaptive.RecoverySelectiveRepeat, nil
-	case "fec":
-		return adaptive.RecoveryFEC, nil
-	case "fec-hybrid":
-		return adaptive.RecoveryFECHybrid, nil
+// kindArg lower-cases a mechanism-kind flag and expands the short spellings
+// the flag accepts beside the kind's own name (alias, name pairs).
+func kindArg(s string, aliases ...string) string {
+	s = strings.ToLower(s)
+	for i := 0; i < len(aliases); i += 2 {
+		if s == aliases[i] {
+			return aliases[i+1]
+		}
 	}
-	return 0, fmt.Errorf("unknown recovery %q", s)
-}
-
-func parseConn(s string) (adaptive.ConnKind, error) {
-	switch strings.ToLower(s) {
-	case "implicit":
-		return adaptive.ConnImplicit, nil
-	case "explicit-2way", "2way":
-		return adaptive.ConnExplicit2Way, nil
-	case "explicit-3way", "3way":
-		return adaptive.ConnExplicit3Way, nil
-	}
-	return 0, fmt.Errorf("unknown conn mgmt %q", s)
-}
-
-func parseOrder(s string) (adaptive.OrderKind, error) {
-	switch strings.ToLower(s) {
-	case "sequenced":
-		return adaptive.OrderSequenced, nil
-	case "none", "unordered":
-		return adaptive.OrderNone, nil
-	}
-	return 0, fmt.Errorf("unknown order %q", s)
+	return s
 }
 
 // runScenario executes a declarative JSON scenario and reports per-session

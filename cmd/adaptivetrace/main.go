@@ -20,7 +20,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"io"
 	"net/http"
 	"os"
 	"strconv"
@@ -137,8 +136,9 @@ func oneArg(mode string) string {
 
 // tailStream subscribes to a live endpoint's /trace stream and reassembles
 // it until the serving node finishes its trace (EOF). Gaps — a chunk lost to
-// a slow subscriber buffer — are fatal: a tail recording with holes would
-// pass a size check but silently fail a record-level diff.
+// a slow subscriber buffer, or a prefix missed by attaching late — are fatal:
+// a tail recording with holes would pass a size check but silently fail a
+// record-level diff.
 func tailStream(endpoint string) *trace.Set {
 	url := strings.TrimSuffix(endpoint, "/") + "/trace"
 	resp, err := http.Get(url)
@@ -149,23 +149,16 @@ func tailStream(endpoint string) *trace.Set {
 	if resp.StatusCode != http.StatusOK {
 		fatal("%s: HTTP %d", url, resp.StatusCode)
 	}
-	fr, err := trace.NewFrameReader(resp.Body)
+	set, err := trace.ReadSet(resp.Body)
 	if err != nil {
-		fatal("read stream header: %v", err)
+		fatal("read stream: %v", err)
 	}
-	b := trace.NewSetBuilder()
-	for {
-		c, err := fr.Next()
-		if err == io.EOF {
-			return b.Set()
-		}
-		if err != nil {
-			fatal("read frame: %v", err)
-		}
-		if err := b.Add(c); err != nil {
-			fatal("stream gap: %v", err)
+	for _, sh := range set.Shards {
+		if missed := sh.Total - uint64(len(sh.Records)); missed != 0 {
+			fatal("shard %d stream starts at record %d, not 0 (attach before the run starts)", sh.Shard, missed)
 		}
 	}
+	return set
 }
 
 func load(path string) *trace.Set {

@@ -5,6 +5,7 @@ import (
 
 	"adaptive/internal/event"
 	"adaptive/internal/mantts"
+	"adaptive/internal/mechanism"
 	"adaptive/internal/session"
 )
 
@@ -226,16 +227,12 @@ func (c *Conn) RemoveParticipant(host HostID) error {
 // connection has terminated.
 func (c *Conn) Session() *session.Session { return c.sess }
 
-// Stats summarizes the connection's whitebox counters.
+// Stats summarizes the connection's whitebox counters: the session's meters
+// and the counters its recovery strategies share, by the names the session
+// declares them under (st.SentPDUs, st.Retransmissions, ...).
 type Stats struct {
-	SentPDUs        uint64
-	SentBytes       uint64
-	RecvPDUs        uint64
-	DeliveredBytes  uint64
-	Retransmissions uint64
-	FECRecovered    uint64
-	GapsAbandoned   uint64
-	Segues          uint64
+	session.Meters
+	mechanism.Counters
 }
 
 // Stats returns a snapshot of the connection counters; after the connection
@@ -244,15 +241,5 @@ func (c *Conn) Stats() Stats {
 	if c.sess == nil {
 		return c.stats
 	}
-	st := c.sess.State()
-	return Stats{
-		SentPDUs:        c.sess.SentPDUs,
-		SentBytes:       c.sess.SentBytes,
-		RecvPDUs:        c.sess.RecvPDUs,
-		DeliveredBytes:  c.sess.DeliveredBytes,
-		Retransmissions: st.Retransmissions,
-		FECRecovered:    st.FECRecovered,
-		GapsAbandoned:   st.GapsAbandoned,
-		Segues:          c.sess.Segues(),
-	}
+	return Stats{c.sess.Meters, c.sess.State().Counters}
 }

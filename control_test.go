@@ -234,6 +234,22 @@ func TestMigrateRollbackOnDeadTarget(t *testing.T) {
 	if err := conn.Send([]byte("more")); err != nil {
 		t.Fatalf("source Send after rollback: %v", err)
 	}
+
+	// A record larger than any target accepts (here: 17 MiB still queued) is
+	// refused at the source before a chunk is sent, and the session is not
+	// left frozen: the backlog drains on the old placement.
+	got = got[:0]
+	backlog := bytes.Repeat([]byte("0123456789abcdef"), 17<<16)
+	if err := conn.Send(backlog); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cp.MigrateSession(conn, nb.Addr().Host); err == nil {
+		t.Fatal("a 17 MiB hand-off record was accepted for sending")
+	}
+	k.RunUntil(180 * time.Second)
+	if want := append([]byte("more"), backlog...); !bytes.Equal(got, want) {
+		t.Fatalf("delivered %d of %d bytes after the refused hand-off", len(got), len(want))
+	}
 }
 
 // TestMigrateUnderLoss drives a cross-host handoff over lossy links with an

@@ -41,6 +41,15 @@ const (
 	// declared failed and rolled back.
 	ctlRetryEvery = 40 * time.Millisecond
 	ctlRetries    = 50
+
+	// What a host will hold for hand-offs still arriving — any host that
+	// reaches the SAP can start one. A record is at most maxRecordBytes (the
+	// source refuses to send a larger one), at most maxInbound reassemblies
+	// are open at once, and one that has not completed when its sender must
+	// have given up (inboundHorizon) is dropped.
+	maxRecordBytes = 16 << 20
+	maxInbound     = 16
+	inboundHorizon = ctlRetries * ctlRetryEvery
 )
 
 // Agent is a host's control-plane arm: it executes handoffs the controller
@@ -87,6 +96,7 @@ type inboundMigration struct {
 	from      netapi.Addr
 	chunks    [][]byte
 	remaining int
+	expiry    *event.Event
 }
 
 type adoption struct {
@@ -133,6 +143,10 @@ func (a *Agent) beginHandoff(connID uint32, epoch uint64, target netapi.Addr) er
 	}
 	sess.FreezeEgress()
 	raw := EncodeRecord(epoch, sess.ExportHandoff())
+	if len(raw) > maxRecordBytes {
+		sess.ResumeEgress()
+		return fmt.Errorf("controlplane: conn %d: handoff record of %d bytes exceeds the %d a target accepts", connID, len(raw), maxRecordBytes)
+	}
 
 	om := &outboundMigration{epoch: epoch, target: target, sess: sess}
 	for off := 0; off < len(raw); off += chunkSize {
@@ -294,18 +308,26 @@ func (a *Agent) onChunk(connID uint32, epoch uint64, idx, count int, data []byte
 		return // stale migration attempt
 	}
 	if im == nil || im.epoch < epoch {
-		if count <= 0 || count > 1<<16 {
+		if count <= 0 || count*chunkSize > maxRecordBytes || (im == nil && len(a.in) >= maxInbound) {
+			a.ctl.count(&a.ctl.handoffsRefused)
 			return
 		}
+		a.dropInbound(connID) // the older attempt this one supersedes
 		im = &inboundMigration{
 			epoch:     epoch,
 			from:      from,
 			chunks:    make([][]byte, count),
 			remaining: count,
 		}
+		im.expiry = a.stack.Timers().Schedule(inboundHorizon, func() {
+			if a.in[connID] == im {
+				a.dropInbound(connID)
+				a.ctl.count(&a.ctl.handoffsExpired)
+			}
+		})
 		a.in[connID] = im
 	}
-	if idx < 0 || idx >= len(im.chunks) {
+	if idx < 0 || idx >= len(im.chunks) || len(data) > chunkSize {
 		return
 	}
 	if im.chunks[idx] == nil {
@@ -316,7 +338,7 @@ func (a *Agent) onChunk(connID uint32, epoch uint64, idx, count int, data []byte
 	if im.remaining > 0 {
 		return
 	}
-	delete(a.in, connID)
+	a.dropInbound(connID)
 	var raw []byte
 	for _, ch := range im.chunks {
 		raw = append(raw, ch...)
@@ -359,6 +381,14 @@ func (a *Agent) onChunk(connID uint32, epoch uint64, idx, count int, data []byte
 		ad.timer = a.stack.Timers().Schedule(ctlRetryEvery, announce)
 	}
 	announce()
+}
+
+// dropInbound forgets connID's inbound reassembly, if there is one.
+func (a *Agent) dropInbound(connID uint32) {
+	if im := a.in[connID]; im != nil {
+		im.expiry.Cancel()
+		delete(a.in, connID)
+	}
 }
 
 func (a *Agent) ackChunk(connID uint32, epoch uint64, idx int, to netapi.Addr) {

@@ -28,6 +28,8 @@ type Controller struct {
 	migrationsFailed uint64
 	admissionRejects uint64
 	leaseEpochs      uint64
+	handoffsRefused  uint64 // inbound hand-offs an agent turned away (too large, or too many open)
+	handoffsExpired  uint64 // inbound hand-offs dropped incomplete at the sender's give-up horizon
 
 	// OnMigrationDone fires after a migration completes: the routing view
 	// has flipped and the source copy is retired. OnMigrationFailed fires
@@ -231,6 +233,13 @@ func (c *Controller) failMigration(connID uint32, epoch uint64) {
 	}
 }
 
+// count bumps one of the controller's counters from an agent.
+func (c *Controller) count(ctr *uint64) {
+	c.mu.Lock()
+	*ctr++
+	c.mu.Unlock()
+}
+
 // MetricCounters exposes the controller's counters in the observability
 // plane's pull format; they render as adaptive_ctl_* on /metrics.
 func (c *Controller) MetricCounters() map[string]func() uint64 {
@@ -247,6 +256,8 @@ func (c *Controller) MetricCounters() map[string]func() uint64 {
 		"ctl.migrations_failed": get(&c.migrationsFailed),
 		"ctl.admission_rejects": get(&c.admissionRejects),
 		"ctl.lease_epochs":      get(&c.leaseEpochs),
+		"ctl.handoffs_refused":  get(&c.handoffsRefused),
+		"ctl.handoffs_expired":  get(&c.handoffsExpired),
 	}
 }
 

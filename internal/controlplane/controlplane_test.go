@@ -34,29 +34,13 @@ func sampleHandoff() *session.Handoff {
 	spec := mechanism.DefaultSpec()
 	spec.Normalize()
 	return &session.Handoff{
-		ConnID:          0xdeadbeef,
-		LocalPort:       1000,
-		PeerPort:        2000,
-		PeerNet:         netapi.Addr{Host: 7, Port: 9},
-		Spec:            &spec,
-		SndUna:          100,
-		SndNxt:          105,
-		RcvNxt:          50,
-		RcvBufCap:       256,
-		SRTT:            3 * time.Millisecond,
-		RTTVar:          500 * time.Microsecond,
-		RTO:             20 * time.Millisecond,
-		Retransmissions: 4,
-		FECRecovered:    2,
-		GapsAbandoned:   1,
-		SentPDUs:        500,
-		SentBytes:       400000,
-		RecvPDUs:        300,
-		RecvBytes:       200000,
-		DeliveredMsg:    120,
-		DeliveredBytes:  199999,
-		Segues:          3,
-		PeerAdvert:      64,
+		Identity: session.Identity{ConnID: 0xdeadbeef, LocalPort: 1000, PeerPort: 2000, PeerNet: netapi.Addr{Host: 7, Port: 9}},
+		Spec:     &spec,
+		Portable: mechanism.Portable{SndUna: 100, SndNxt: 105, RcvNxt: 50, RcvBufCap: 256, PeerAdvert: 64,
+			SRTT: 3 * time.Millisecond, RTTVar: 500 * time.Microsecond, RTO: 20 * time.Millisecond,
+			Counters: mechanism.Counters{Retransmissions: 4, FECRecovered: 2, GapsAbandoned: 1}},
+		Meters: session.Meters{SentPDUs: 500, SentBytes: 400000, RecvPDUs: 300, RecvBytes: 200000,
+			DeliveredMsg: 120, DeliveredBytes: 199999, Segues: 3},
 		Unacked: []session.HandoffPDU{
 			{Seq: 100, Flags: 1, Aux: 2, Payload: []byte("payload-100")},
 			{Seq: 103, Payload: []byte("payload-103")},
@@ -72,8 +56,35 @@ func sampleHandoff() *session.Handoff {
 	}
 }
 
+// fillDistinct gives every scalar field under v, nested structs included, its
+// own non-zero value.
+func fillDistinct(t *testing.T, v reflect.Value, next *uint64) {
+	for i := 0; i < v.NumField(); i++ {
+		f := v.Field(i)
+		switch f.Kind() {
+		case reflect.Struct:
+			fillDistinct(t, f, next)
+		case reflect.Uint16, reflect.Uint32, reflect.Uint64:
+			*next++
+			f.SetUint(*next)
+		case reflect.Int, reflect.Int64:
+			*next++
+			f.SetInt(int64(*next))
+		default:
+			t.Fatalf("%s.%s: a %s travels in no record width", v.Type(), v.Type().Field(i).Name, f.Kind())
+		}
+	}
+}
+
+// TestRecordRoundTrip fills the session's portable structs by reflection, so
+// a scalar added to one of them without a line in the record's tag table
+// comes back zero and fails here.
 func TestRecordRoundTrip(t *testing.T) {
 	h := sampleHandoff()
+	var n uint64
+	for _, part := range []any{&h.Identity, &h.Portable, &h.Meters} {
+		fillDistinct(t, reflect.ValueOf(part).Elem(), &n)
+	}
 	raw := EncodeRecord(42, h)
 	epoch, got, err := DecodeRecord(raw)
 	if err != nil {
@@ -212,7 +223,8 @@ func TestMetricCounters(t *testing.T) {
 	c.enroll(&Agent{host: 1}, 0)
 	_ = c.Place(10, 1)
 	m := c.MetricCounters()
-	for _, k := range []string{"ctl.sessions_placed", "ctl.migrations", "ctl.migrations_failed", "ctl.admission_rejects", "ctl.lease_epochs"} {
+	for _, k := range []string{"ctl.sessions_placed", "ctl.migrations", "ctl.migrations_failed", "ctl.admission_rejects", "ctl.lease_epochs",
+		"ctl.handoffs_refused", "ctl.handoffs_expired"} {
 		if m[k] == nil {
 			t.Fatalf("missing counter %q", k)
 		}
@@ -222,5 +234,57 @@ func TestMetricCounters(t *testing.T) {
 	}
 	if got := m["ctl.lease_epochs"](); got != 1 {
 		t.Errorf("ctl_lease_epochs = %d, want 1", got)
+	}
+}
+
+// TestInboundReassemblyIsBounded: any host that reaches the SAP can send
+// hand-off chunks, so what an agent holds for them is capped — record size,
+// chunk size, open reassemblies — and an incomplete one is dropped when its
+// sender must have given up. Each refusal shows in the adaptive_ctl_* counters.
+func TestInboundReassemblyIsBounded(t *testing.T) {
+	k := sim.NewKernel(1)
+	net := netsim.New(k)
+	stack, err := protograph.NewStack(protograph.Config{Provider: net, Host: net.AddHost().ID()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctl := NewController()
+	a := NewAgent(ctl, stack, 0)
+	from := netapi.Addr{Host: 99, Port: 1}
+	counter := ctl.MetricCounters()
+	refused, expired := counter["ctl.handoffs_refused"], counter["ctl.handoffs_expired"]
+
+	// A record larger than any source would send is refused outright.
+	a.onChunk(1, 1, 0, maxRecordBytes/chunkSize+1, []byte("x"), from)
+	if len(a.in) != 0 || refused() != 1 {
+		t.Fatalf("oversize record: %d open, %d refused; want 0, 1", len(a.in), refused())
+	}
+	// A chunk larger than a source cuts them is not stored.
+	a.onChunk(1, 1, 0, 2, make([]byte, chunkSize+1), from)
+	if im := a.in[1]; im == nil || im.remaining != 2 {
+		t.Fatalf("oversize chunk was stored: %+v", im)
+	}
+	// maxInbound reassemblies may be open; the next connection is refused,
+	// while a newer epoch for an open one replaces it.
+	for id := uint32(2); len(a.in) < maxInbound; id++ {
+		a.onChunk(id, 1, 0, 2, []byte("x"), from)
+	}
+	a.onChunk(1000, 1, 0, 2, []byte("x"), from)
+	if a.in[1000] != nil || len(a.in) != maxInbound || refused() != 2 {
+		t.Fatalf("over the cap: %d open, %d refused; want %d, 2", len(a.in), refused(), maxInbound)
+	}
+	a.onChunk(1, 2, 0, 3, []byte("x"), from)
+	if im := a.in[1]; im == nil || im.epoch != 2 || len(a.in) != maxInbound || refused() != 2 {
+		t.Fatalf("newer epoch did not replace the open reassembly: %+v", im)
+	}
+
+	// None of them completes: all are gone once the sender's retries are spent,
+	// and no timer is left behind.
+	k.RunUntil(inboundHorizon + time.Millisecond)
+	if len(a.in) != 0 || expired() != maxInbound {
+		t.Fatalf("after the horizon: %d open, %d expired; want 0, %d", len(a.in), expired(), maxInbound)
+	}
+	if p := stack.Timers().Stats().Pending; p != 0 {
+		t.Fatalf("%d timers pending after every reassembly expired", p)
 	}
 }

@@ -22,40 +22,57 @@ import (
 )
 
 // Handoff-record wire format (DESIGN §5.19): a TLV document reusing the
-// signaling channel's tag/length/value encoding. Scalar tags appear once;
-// buffer tags repeat, one entry per PDU or segment, in ascending sequence
-// order so the record — and therefore the chunk stream carrying it — is
-// byte-identical across same-seed runs.
+// signaling channel's tag/length/value encoding. Scalar tags appear once, in
+// ascending tag order; buffer tags repeat, one entry per PDU or segment, in
+// ascending sequence order so the record — and therefore the chunk stream
+// carrying it — is byte-identical across same-seed runs. Tags are stable wire
+// artifacts: never renumber.
 const (
-	recTagEpoch     uint16 = 1  // u64: lease epoch stamped by the controller
-	recTagConnID    uint16 = 2  // u32
-	recTagLocalPort uint16 = 3  // u16
-	recTagPeerPort  uint16 = 4  // u16
-	recTagPeerHost  uint16 = 5  // u32: network-level peer host
-	recTagPeerSAP   uint16 = 6  // u16: network-level peer SAP port
-	recTagSpec      uint16 = 7  // mechanism.EncodeSpec blob
-	recTagSndUna    uint16 = 8  // u32
-	recTagSndNxt    uint16 = 9  // u32
-	recTagRcvNxt    uint16 = 10 // u32
-	recTagRcvBufCap uint16 = 11 // u32
-	recTagSRTT      uint16 = 12 // u64 nanoseconds
-	recTagRTTVar    uint16 = 13 // u64 nanoseconds
-	recTagRTO       uint16 = 14 // u64 nanoseconds
-	recTagRetrans   uint16 = 15 // u64
-	recTagFECRec    uint16 = 16 // u64
-	recTagGapsAband uint16 = 17 // u64
-	recTagSentPDUs  uint16 = 18 // u64
-	recTagSentBytes uint16 = 19 // u64
-	recTagRecvPDUs  uint16 = 20 // u64
-	recTagRecvBytes uint16 = 21 // u64
-	recTagDelivMsg  uint16 = 22 // u64
-	recTagDelivByte uint16 = 23 // u64
-	recTagSegues    uint16 = 24 // u64
-	recTagPeerAdv   uint16 = 25 // u32
-	recTagUnacked   uint16 = 26 // repeated: seq u32 | flags u8 | aux u16 | payload
-	recTagRcvBuf    uint16 = 27 // repeated: same entry layout as recTagUnacked
-	recTagSendQ     uint16 = 28 // repeated: eom u8 | data
+	recTagSpec    uint16 = 7  // mechanism.EncodeSpec blob
+	recTagUnacked uint16 = 26 // repeated: seq u32 | flags u8 | aux u16 | payload
+	recTagRcvBuf  uint16 = 27 // repeated: same entry layout as recTagUnacked
+	recTagSendQ   uint16 = 28 // repeated: eom u8 | data
 )
+
+// record is what the document holds: the lease epoch the controller stamped
+// and the session's portable state.
+type record struct {
+	epoch uint64
+	session.Handoff
+}
+
+// scalars is the record's tag table: entry i is where the scalar with tag i
+// lives, and its type is its width on the wire (uint16: 2 bytes; uint32,
+// HostID and int: 4; uint64 and Duration: 8, nanoseconds). A scalar that
+// travels is a field of the session's portable structs plus one line here.
+func (r *record) scalars() [recTagUnacked]any {
+	return [...]any{
+		1:  &r.epoch,
+		2:  &r.ConnID,
+		3:  &r.LocalPort,
+		4:  &r.PeerPort,
+		5:  &r.PeerNet.Host,
+		6:  &r.PeerNet.Port,
+		8:  &r.SndUna,
+		9:  &r.SndNxt,
+		10: &r.RcvNxt,
+		11: &r.RcvBufCap,
+		12: &r.SRTT,
+		13: &r.RTTVar,
+		14: &r.RTO,
+		15: &r.Retransmissions,
+		16: &r.FECRecovered,
+		17: &r.GapsAbandoned,
+		18: &r.SentPDUs,
+		19: &r.SentBytes,
+		20: &r.RecvPDUs,
+		21: &r.RecvBytes,
+		22: &r.DeliveredMsg,
+		23: &r.DeliveredBytes,
+		24: &r.Segues,
+		25: &r.PeerAdvert,
+	}
+}
 
 func putPDUEntry(w *wire.TLVWriter, tag uint16, p *session.HandoffPDU) {
 	buf := make([]byte, 7+len(p.Payload))
@@ -81,31 +98,27 @@ func pduEntry(val []byte) (session.HandoffPDU, error) {
 // EncodeRecord serializes an epoch-stamped handoff record.
 func EncodeRecord(epoch uint64, h *session.Handoff) []byte {
 	var w wire.TLVWriter
-	w.PutU64(recTagEpoch, epoch)
-	w.PutU32(recTagConnID, h.ConnID)
-	w.PutU16(recTagLocalPort, h.LocalPort)
-	w.PutU16(recTagPeerPort, h.PeerPort)
-	w.PutU32(recTagPeerHost, uint32(h.PeerNet.Host))
-	w.PutU16(recTagPeerSAP, h.PeerNet.Port)
-	w.Put(recTagSpec, mechanism.EncodeSpec(h.Spec))
-	w.PutU32(recTagSndUna, h.SndUna)
-	w.PutU32(recTagSndNxt, h.SndNxt)
-	w.PutU32(recTagRcvNxt, h.RcvNxt)
-	w.PutU32(recTagRcvBufCap, uint32(h.RcvBufCap))
-	w.PutU64(recTagSRTT, uint64(h.SRTT))
-	w.PutU64(recTagRTTVar, uint64(h.RTTVar))
-	w.PutU64(recTagRTO, uint64(h.RTO))
-	w.PutU64(recTagRetrans, h.Retransmissions)
-	w.PutU64(recTagFECRec, h.FECRecovered)
-	w.PutU64(recTagGapsAband, h.GapsAbandoned)
-	w.PutU64(recTagSentPDUs, h.SentPDUs)
-	w.PutU64(recTagSentBytes, h.SentBytes)
-	w.PutU64(recTagRecvPDUs, h.RecvPDUs)
-	w.PutU64(recTagRecvBytes, h.RecvBytes)
-	w.PutU64(recTagDelivMsg, h.DeliveredMsg)
-	w.PutU64(recTagDelivByte, h.DeliveredBytes)
-	w.PutU64(recTagSegues, h.Segues)
-	w.PutU32(recTagPeerAdv, uint32(h.PeerAdvert))
+	r := record{epoch, *h}
+	for i, at := range r.scalars() {
+		tag := uint16(i)
+		switch v := at.(type) {
+		case *uint16:
+			w.PutU16(tag, *v)
+		case *uint32:
+			w.PutU32(tag, *v)
+		case *netapi.HostID:
+			w.PutU32(tag, uint32(*v))
+		case *int:
+			w.PutU32(tag, uint32(*v))
+		case *uint64:
+			w.PutU64(tag, *v)
+		case *time.Duration:
+			w.PutU64(tag, uint64(*v))
+		}
+		if tag == recTagSpec {
+			w.Put(tag, mechanism.EncodeSpec(h.Spec))
+		}
+	}
 	for i := range h.Unacked {
 		putPDUEntry(&w, recTagUnacked, &h.Unacked[i])
 	}
@@ -126,10 +139,11 @@ func EncodeRecord(epoch uint64, h *session.Handoff) []byte {
 
 // DecodeRecord parses an epoch-stamped handoff record.
 func DecodeRecord(raw []byte) (epoch uint64, h *session.Handoff, err error) {
-	h = &session.Handoff{}
-	r := wire.NewTLVReader(raw)
+	var r record
+	scalars := r.scalars()
+	tlv := wire.NewTLVReader(raw)
 	for {
-		tag, val, ok, rerr := r.Next()
+		tag, val, ok, rerr := tlv.Next()
 		if rerr != nil {
 			return 0, nil, rerr
 		}
@@ -137,87 +151,55 @@ func DecodeRecord(raw []byte) (epoch uint64, h *session.Handoff, err error) {
 			break
 		}
 		switch tag {
-		case recTagEpoch:
-			epoch = wire.U64(val)
-		case recTagConnID:
-			h.ConnID = wire.U32(val)
-		case recTagLocalPort:
-			h.LocalPort = wire.U16(val)
-		case recTagPeerPort:
-			h.PeerPort = wire.U16(val)
-		case recTagPeerHost:
-			h.PeerNet.Host = netapi.HostID(wire.U32(val))
-		case recTagPeerSAP:
-			h.PeerNet.Port = wire.U16(val)
 		case recTagSpec:
 			spec, serr := mechanism.DecodeSpec(val)
 			if serr != nil {
 				return 0, nil, fmt.Errorf("controlplane: handoff spec: %w", serr)
 			}
-			h.Spec = spec
-		case recTagSndUna:
-			h.SndUna = wire.U32(val)
-		case recTagSndNxt:
-			h.SndNxt = wire.U32(val)
-		case recTagRcvNxt:
-			h.RcvNxt = wire.U32(val)
-		case recTagRcvBufCap:
-			h.RcvBufCap = int(wire.U32(val))
-		case recTagSRTT:
-			h.SRTT = time.Duration(wire.U64(val))
-		case recTagRTTVar:
-			h.RTTVar = time.Duration(wire.U64(val))
-		case recTagRTO:
-			h.RTO = time.Duration(wire.U64(val))
-		case recTagRetrans:
-			h.Retransmissions = wire.U64(val)
-		case recTagFECRec:
-			h.FECRecovered = wire.U64(val)
-		case recTagGapsAband:
-			h.GapsAbandoned = wire.U64(val)
-		case recTagSentPDUs:
-			h.SentPDUs = wire.U64(val)
-		case recTagSentBytes:
-			h.SentBytes = wire.U64(val)
-		case recTagRecvPDUs:
-			h.RecvPDUs = wire.U64(val)
-		case recTagRecvBytes:
-			h.RecvBytes = wire.U64(val)
-		case recTagDelivMsg:
-			h.DeliveredMsg = wire.U64(val)
-		case recTagDelivByte:
-			h.DeliveredBytes = wire.U64(val)
-		case recTagSegues:
-			h.Segues = wire.U64(val)
-		case recTagPeerAdv:
-			h.PeerAdvert = int(wire.U32(val))
-		case recTagUnacked:
+			r.Spec = spec
+		case recTagUnacked, recTagRcvBuf:
 			e, perr := pduEntry(val)
 			if perr != nil {
 				return 0, nil, perr
 			}
-			h.Unacked = append(h.Unacked, e)
-		case recTagRcvBuf:
-			e, perr := pduEntry(val)
-			if perr != nil {
-				return 0, nil, perr
+			if tag == recTagUnacked {
+				r.Unacked = append(r.Unacked, e)
+			} else {
+				r.RcvBuf = append(r.RcvBuf, e)
 			}
-			h.RcvBuf = append(h.RcvBuf, e)
 		case recTagSendQ:
 			if len(val) < 1 {
 				return 0, nil, fmt.Errorf("controlplane: truncated send-queue entry")
 			}
-			h.SendQ = append(h.SendQ, session.HandoffSeg{
+			r.SendQ = append(r.SendQ, session.HandoffSeg{
 				EOM:  val[0] == 1,
 				Data: append([]byte(nil), val[1:]...),
 			})
+		default:
+			if int(tag) >= len(scalars) {
+				continue // a tag from a later version
+			}
+			switch v := scalars[tag].(type) {
+			case *uint16:
+				*v = wire.U16(val)
+			case *uint32:
+				*v = wire.U32(val)
+			case *netapi.HostID:
+				*v = netapi.HostID(wire.U32(val))
+			case *int:
+				*v = int(wire.U32(val))
+			case *uint64:
+				*v = wire.U64(val)
+			case *time.Duration:
+				*v = time.Duration(wire.U64(val))
+			}
 		}
 	}
-	if h.Spec == nil {
+	if r.Spec == nil {
 		return 0, nil, fmt.Errorf("controlplane: handoff record carries no spec")
 	}
-	if h.ConnID == 0 {
+	if r.ConnID == 0 {
 		return 0, nil, fmt.Errorf("controlplane: handoff record carries no connection id")
 	}
-	return epoch, h, nil
+	return r.epoch, &r.Handoff, nil
 }

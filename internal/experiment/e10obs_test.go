@@ -38,27 +38,12 @@ func TestE10ObservedScrapeUnderLoad(t *testing.T) {
 	}
 	defer resp.Body.Close()
 	go func() {
-		fr, err := trace.NewFrameReader(resp.Body)
+		set, err := trace.ReadSet(resp.Body)
 		if err != nil {
 			tailErr <- err
 			return
 		}
-		b := trace.NewSetBuilder()
-		for {
-			c, err := fr.Next()
-			if err == io.EOF {
-				tailSet <- b.Set()
-				return
-			}
-			if err != nil {
-				tailErr <- err
-				return
-			}
-			if err := b.Add(c); err != nil {
-				tailErr <- err
-				return
-			}
-		}
+		tailSet <- set
 	}()
 	if err := o.Plane.WaitSubscriber(t.Context()); err != nil {
 		t.Fatal(err)

@@ -202,9 +202,6 @@ type OpenOptions struct {
 	// dial-time knobs (establishment deadline, keepalive intervals) that the
 	// three-stage transformation does not derive from the ACD.
 	AdjustSpec func(*mechanism.Spec)
-	// DefaultTSA supplies policy rules used when the ACD carries none
-	// (node-level graceful-degradation defaults).
-	DefaultTSA []Rule
 }
 
 // OpenSessionWith runs the full three-stage transformation for an ACD and
@@ -256,15 +253,11 @@ func (e *Entity) OpenSessionWith(acd *ACD, opts OpenOptions) (*Managed, error) {
 		// Transport Measurement Component requested reach UNITES (§4.3).
 		s.SetMetricSink(&unites.FilteredSink{Next: s.MetricSink(), Allow: acd.TMC.Metrics})
 	}
-	rules := acd.TSA
-	if len(rules) == 0 {
-		rules = opts.DefaultTSA
-	}
 	m := &Managed{
 		Session:  s,
 		ACD:      acd,
 		TSC:      tsc,
-		Engine:   NewEngine(rules),
+		Engine:   NewEngine(acd.TSA),
 		peerHost: peer.Host,
 	}
 	e.managed[s.ConnID()] = m

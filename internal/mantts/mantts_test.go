@@ -331,3 +331,42 @@ func TestRuleCodecRoundTrip(t *testing.T) {
 		t.Fatalf("round trip: %+v vs %+v", got, r)
 	}
 }
+
+// TestKindNamesParseBack: every mechanism kind and every metric has a name,
+// and the Parse function beside its String returns it from that name.
+func TestKindNamesParseBack(t *testing.T) {
+	type kind struct {
+		name  string
+		back  int
+		err   error
+		value int
+	}
+	var got []kind
+	for k := mechanism.ConnImplicit; k <= mechanism.ConnExplicit3Way; k++ {
+		b, err := mechanism.ParseConnKind(k.String())
+		got = append(got, kind{k.String(), int(b), err, int(k)})
+	}
+	for k := mechanism.RecoveryNone; k <= mechanism.RecoveryFECHybrid; k++ {
+		b, err := mechanism.ParseRecoveryKind(k.String())
+		got = append(got, kind{k.String(), int(b), err, int(k)})
+	}
+	for k := mechanism.OrderNone; k <= mechanism.OrderSequenced; k++ {
+		b, err := mechanism.ParseOrderKind(k.String())
+		got = append(got, kind{k.String(), int(b), err, int(k)})
+	}
+	for m := MetricRTT; m <= MetricArbiterSqueeze; m++ {
+		b, err := ParseMetricID(m.String())
+		got = append(got, kind{m.String(), int(b), err, int(m)})
+	}
+	for _, g := range got {
+		if g.err != nil || g.back != g.value || strings.Contains(g.name, "(") {
+			t.Errorf("kind %d is named %q and parses back as %d, %v", g.value, g.name, g.back, g.err)
+		}
+	}
+	if _, err := mechanism.ParseRecoveryKind("gbn"); err == nil {
+		t.Error("ParseRecoveryKind accepted adaptivesim's flag alias")
+	}
+	if _, err := ParseMetricID("no-such-metric"); err == nil {
+		t.Error("ParseMetricID accepted an unknown name")
+	}
+}

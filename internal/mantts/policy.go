@@ -24,26 +24,15 @@ const (
 	MetricArbiterSqueeze // 1 - granted/demand from the host bandwidth arbiter [0,1]
 )
 
-func (m MetricID) String() string {
-	switch m {
-	case MetricRTT:
-		return "rtt"
-	case MetricLossRate:
-		return "loss-rate"
-	case MetricCongestion:
-		return "congestion"
-	case MetricRetransmitRate:
-		return "retransmit-rate"
-	case MetricThroughputBps:
-		return "throughput"
-	case MetricRcvBufFill:
-		return "rcvbuf-fill"
-	case MetricJitter:
-		return "jitter"
-	case MetricArbiterSqueeze:
-		return "arbiter-squeeze"
-	}
-	return fmt.Sprintf("metric(%d)", uint8(m))
+var metricNames = [...]string{"rtt", "loss-rate", "congestion", "retransmit-rate",
+	"throughput", "rcvbuf-fill", "jitter", "arbiter-squeeze"}
+
+func (m MetricID) String() string { return mechanism.KindName("metric", metricNames[:], uint8(m)) }
+
+// ParseMetricID is the inverse of String.
+func ParseMetricID(s string) (MetricID, error) {
+	m, err := mechanism.ParseKind("metric", metricNames[:], s)
+	return MetricID(m), err
 }
 
 // Op compares a sampled metric to a rule threshold.

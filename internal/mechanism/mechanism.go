@@ -222,6 +222,23 @@ type Recovery interface {
 	// Reliable reports whether the strategy guarantees delivery (drives
 	// graceful-close semantics and send-buffer retention).
 	Reliable() bool
+	// UsesRTO reports whether the strategy acts on OnRTO, so the session
+	// keeps the retransmission timer armed for it. Every reliable strategy
+	// does; pure FEC does too (it abandons outstanding data on expiry); for
+	// one that does not, a standing timer would fire spuriously forever.
+	UsesRTO() bool
+
+	// --- lifecycle ---
+
+	// Handover runs on the outgoing instance before a segue replaces it or a
+	// migration exports the session: it emits what the strategy is holding
+	// back (a partial parity group, a delayed acknowledgment) and stops the
+	// timer that would have emitted it, so nothing strands in an instance
+	// that is about to be left behind.
+	Handover(e Env)
+	// Stop cancels the strategy's timers and emits nothing (the session's
+	// terminal transition).
+	Stop()
 }
 
 // Orderer is the sequencing base class deciding delivery order and duplicate

@@ -7,6 +7,28 @@ import (
 	"adaptive/internal/wire"
 )
 
+// Each mechanism kind has one table of names, indexed by kind: String reads
+// it and the Parse function beside it searches it, so a name is spelled once.
+// (mantts.MetricID names its metrics the same way.)
+
+// KindName returns names[k], or "what(k)" for a kind past the table.
+func KindName(what string, names []string, k uint8) string {
+	if int(k) < len(names) {
+		return names[k]
+	}
+	return fmt.Sprintf("%s(%d)", what, k)
+}
+
+// ParseKind returns the index of s in names.
+func ParseKind(what string, names []string, s string) (uint8, error) {
+	for k, name := range names {
+		if name == s {
+			return uint8(k), nil
+		}
+	}
+	return 0, fmt.Errorf("unknown %s %q", what, s)
+}
+
 // ConnKind names a connection-management mechanism.
 type ConnKind uint8
 
@@ -16,16 +38,14 @@ const (
 	ConnExplicit3Way                 // request/accept/confirm handshake
 )
 
-func (c ConnKind) String() string {
-	switch c {
-	case ConnImplicit:
-		return "implicit"
-	case ConnExplicit2Way:
-		return "explicit-2way"
-	case ConnExplicit3Way:
-		return "explicit-3way"
-	}
-	return fmt.Sprintf("conn(%d)", uint8(c))
+var connNames = [...]string{"implicit", "explicit-2way", "explicit-3way"}
+
+func (c ConnKind) String() string { return KindName("conn", connNames[:], uint8(c)) }
+
+// ParseConnKind is the inverse of String.
+func ParseConnKind(s string) (ConnKind, error) {
+	k, err := ParseKind("conn", connNames[:], s)
+	return ConnKind(k), err
 }
 
 // RecoveryKind names an error-recovery mechanism.
@@ -39,20 +59,14 @@ const (
 	RecoveryFECHybrid                           // FEC first, NAK fallback (reliable)
 )
 
-func (r RecoveryKind) String() string {
-	switch r {
-	case RecoveryNone:
-		return "none"
-	case RecoveryGoBackN:
-		return "go-back-n"
-	case RecoverySelectiveRepeat:
-		return "selective-repeat"
-	case RecoveryFEC:
-		return "fec"
-	case RecoveryFECHybrid:
-		return "fec-hybrid"
-	}
-	return fmt.Sprintf("recovery(%d)", uint8(r))
+var recoveryNames = [...]string{"none", "go-back-n", "selective-repeat", "fec", "fec-hybrid"}
+
+func (r RecoveryKind) String() string { return KindName("recovery", recoveryNames[:], uint8(r)) }
+
+// ParseRecoveryKind is the inverse of String.
+func ParseRecoveryKind(s string) (RecoveryKind, error) {
+	k, err := ParseKind("recovery", recoveryNames[:], s)
+	return RecoveryKind(k), err
 }
 
 // WindowKind names a transmission-window mechanism.
@@ -64,17 +78,9 @@ const (
 	WindowAdaptive                      // slow-start / AIMD congestion window
 )
 
-func (w WindowKind) String() string {
-	switch w {
-	case WindowFixed:
-		return "fixed-window"
-	case WindowStopAndWait:
-		return "stop-and-wait"
-	case WindowAdaptive:
-		return "adaptive-window"
-	}
-	return fmt.Sprintf("window(%d)", uint8(w))
-}
+var windowNames = [...]string{"fixed-window", "stop-and-wait", "adaptive-window"}
+
+func (w WindowKind) String() string { return KindName("window", windowNames[:], uint8(w)) }
 
 // OrderKind names a sequencing mechanism.
 type OrderKind uint8
@@ -84,14 +90,14 @@ const (
 	OrderSequenced                  // strict in-order delivery
 )
 
-func (o OrderKind) String() string {
-	switch o {
-	case OrderNone:
-		return "unordered"
-	case OrderSequenced:
-		return "sequenced"
-	}
-	return fmt.Sprintf("order(%d)", uint8(o))
+var orderNames = [...]string{"unordered", "sequenced"}
+
+func (o OrderKind) String() string { return KindName("order", orderNames[:], uint8(o)) }
+
+// ParseOrderKind is the inverse of String.
+func ParseOrderKind(s string) (OrderKind, error) {
+	k, err := ParseKind("order", orderNames[:], s)
+	return OrderKind(k), err
 }
 
 // Spec is the Session Configuration Specification (SCS) — the "blueprint"

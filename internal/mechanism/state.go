@@ -21,38 +21,50 @@ type RecvPDU struct {
 	Recovered bool // reconstructed by FEC rather than received
 }
 
-// TransferState is the session context that must survive mechanism
-// replacement: the paper's MSP-inspired requirement that a retransmission
-// scheme can switch from go-back-n to selective repeat "within an active
-// connection without loss of data" (§2.3) is met by keeping sequence state
-// and both buffers here, outside any individual mechanism.
-type TransferState struct {
-	// Sender.
-	SndUna  uint32                // oldest unacknowledged sequence
-	SndNxt  uint32                // next sequence to assign
-	Unacked seqwin.Ring[*SentPDU] // in-flight data
-	DupAcks int
+// Counters are the whitebox counters the recovery strategies share.
+type Counters struct {
+	Retransmissions uint64
+	FECRecovered    uint64
+	GapsAbandoned   uint64
+}
 
-	// Receiver.
-	RcvNxt    uint32                // next expected in-order sequence
-	RcvBuf    seqwin.Ring[*RecvPDU] // buffered out-of-order data
-	RcvBufCap int                   // advertised-buffer capacity in PDUs
+// Portable is the scalar part of TransferState: what a session's final
+// snapshot keeps and what travels, by value, when the session moves to
+// another host (session.Handoff; the control plane's record gives each field
+// a tag — DESIGN.md §5.19). It is declared here and nowhere else.
+type Portable struct {
+	SndUna     uint32 // oldest unacknowledged sequence
+	SndNxt     uint32 // next sequence to assign
+	RcvNxt     uint32 // next expected in-order sequence
+	RcvBufCap  int    // advertised-buffer capacity in PDUs
+	PeerAdvert int    // the receive window the peer last advertised, in PDUs
 
 	// Round-trip estimation (Jacobson/Karels, with Karn's rule applied by
 	// callers: retransmitted PDUs are never timed).
 	SRTT   time.Duration
 	RTTVar time.Duration
 	RTO    time.Duration
+
+	Counters
+}
+
+// TransferState is the session context that must survive mechanism
+// replacement: the paper's MSP-inspired requirement that a retransmission
+// scheme can switch from go-back-n to selective repeat "within an active
+// connection without loss of data" (§2.3) is met by keeping sequence state
+// and both buffers here, outside any individual mechanism.
+type TransferState struct {
+	Portable
+
+	Unacked seqwin.Ring[*SentPDU] // in-flight data
+	RcvBuf  seqwin.Ring[*RecvPDU] // buffered out-of-order data
+	DupAcks int
+
 	// LastRTT is the most recent raw sample, unsmoothed. Congestion
 	// detectors that compare against a minimum baseline read this one: the
 	// SRTT EWMA keeps reporting an inflated value for seconds after a queue
 	// drains, which latches delay-based detectors into a decrease spiral.
 	LastRTT time.Duration
-
-	// Counters strategies share.
-	Retransmissions uint64
-	FECRecovered    uint64
-	GapsAbandoned   uint64
 
 	// CtrlScratch is a reusable header-only control PDU for ack emission.
 	// Its contents are valid only for the duration of one EmitControl call
@@ -92,7 +104,7 @@ func NewTransferState(rcvBufCap int, rtoInit time.Duration) *TransferState {
 	if rtoInit <= 0 {
 		rtoInit = 200 * time.Millisecond
 	}
-	return &TransferState{RcvBufCap: rcvBufCap, RTO: rtoInit}
+	return &TransferState{Portable: Portable{RcvBufCap: rcvBufCap, PeerAdvert: rcvBufCap, RTO: rtoInit}}
 }
 
 // NewSent returns a retransmission-buffer entry from the state's free list,

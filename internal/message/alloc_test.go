@@ -15,18 +15,18 @@ func TestHeaderOpsZeroAlloc(t *testing.T) {
 }
 
 // TestSplitCloneAllocBudget pins the fragmentation path: an unpooled Alloc,
-// a Split and a Clone of the tail, all released, cost at most two heap
-// objects (the buffer and its view); Split and Clone themselves share the
-// buffer and take their views from the pool.
+// a Split and a Retain of the tail (a second view of it), all released, cost
+// at most two heap objects (the buffer and its view); Split and Retain
+// themselves share the buffer and take their views from the pool.
 func TestSplitCloneAllocBudget(t *testing.T) {
 	if allocs := testing.AllocsPerRun(1000, func() {
 		m := Alloc(1400, 64)
 		rest := m.Split(700)
-		c := rest.Clone()
+		c := rest.Retain()
 		c.Release()
 		rest.Release()
 		m.Release()
 	}); allocs > 2 {
-		t.Fatalf("Alloc+Split+Clone: %v allocs/op, want <= 2", allocs)
+		t.Fatalf("Alloc+Split+Retain: %v allocs/op, want <= 2", allocs)
 	}
 }

@@ -7,7 +7,7 @@
 // prepend/strip of headers, and (3) lazy copying plus fragmentation and
 // reassembly. Message provides exactly that: a view (offset, length) onto a
 // reference-counted backing buffer with reserved headroom, so Push/Pop adjust
-// the view, Split shares the buffer, and Clone is O(1).
+// the view, Split shares the buffer, and Retain is O(1).
 package message
 
 import (
@@ -77,17 +77,6 @@ func Alloc(n, headroom int) *Message {
 	return wrap(b, headroom, n)
 }
 
-// New returns an empty message with DefaultHeadroom of header space and
-// capacity hint cap for payload appends.
-func New(capHint int) *Message {
-	if capHint < 0 {
-		capHint = 0
-	}
-	b := &buffer{data: make([]byte, DefaultHeadroom, DefaultHeadroom+capHint), class: -1}
-	b.refs.Store(1)
-	return wrap(b, DefaultHeadroom, 0)
-}
-
 // NewFromBytes copies p into a fresh message with default headroom.
 func NewFromBytes(p []byte) *Message {
 	m := Alloc(len(p), DefaultHeadroom)
@@ -110,9 +99,9 @@ func (b *buffer) incRef() {
 }
 
 // Retain increments the reference count and returns a new view of the same
-// buffer for the additional owner. It returns a distinct struct (like Clone)
-// because every view's Release recycles its struct: two owners sharing one
-// struct would double-recycle it.
+// buffer for the additional owner ("lazy copy": O(1), shares storage). It
+// returns a distinct struct because every view's Release recycles its struct:
+// two owners sharing one struct would double-recycle it.
 func (m *Message) Retain() *Message {
 	if m.buf == nil {
 		panic("message: retain after final release")
@@ -200,7 +189,7 @@ func (m *Message) Refs() int32 { return m.buf.refs.Load() }
 func (m *Message) Len() int { return m.n }
 
 // Bytes returns the visible region. The slice aliases the shared buffer:
-// callers must not write to it if Refs() > 1 (use CopyOnWrite first).
+// callers must not write to it if Refs() > 1.
 func (m *Message) Bytes() []byte {
 	m.check()
 	return m.buf.data[m.off : m.off+m.n]
@@ -279,32 +268,15 @@ func (m *Message) PushTail(n int) []byte {
 	return m.buf.data[end : end+n]
 }
 
-// TrimTail removes n bytes from the end and returns them.
-func (m *Message) TrimTail(n int) []byte {
-	m.check()
-	if n < 0 || n > m.n {
-		panic(fmt.Sprintf("message: TrimTail(%d) with len %d", n, m.n))
-	}
-	m.n -= n
-	return m.buf.data[m.off+m.n : m.off+m.n+n]
-}
-
 // Append copies p onto the end of the payload (sole-owner only).
 func (m *Message) Append(p []byte) {
 	copy(m.PushTail(len(p)), p)
 }
 
-// Clone returns a new view of the same buffer ("lazy copy"): O(1), shares
-// storage, bumps the reference count.
-func (m *Message) Clone() *Message {
-	m.buf.incRef()
-	return wrap(m.buf, m.off, m.n)
-}
-
 // Split divides the message at offset at: the receiver keeps [0,at) and the
 // returned message views [at,len). Both share the buffer (fragmentation
 // without copying). The returned fragment has no headroom of its own beyond
-// the shared prefix, so providers push fragment headers via CopyOnWrite.
+// the shared prefix.
 func (m *Message) Split(at int) *Message {
 	if at < 0 || at > m.n {
 		panic(fmt.Sprintf("message: Split(%d) with len %d", at, m.n))
@@ -313,31 +285,6 @@ func (m *Message) Split(at int) *Message {
 	rest := wrap(m.buf, m.off+at, m.n-at)
 	m.n = at
 	return rest
-}
-
-// CopyOnWrite ensures the message exclusively owns its bytes, copying them
-// into a pooled buffer (with headroom bytes of fresh header space) if the
-// buffer is shared.
-func (m *Message) CopyOnWrite(headroom int) *Message {
-	if m.Refs() == 1 && m.off >= headroom {
-		return m
-	}
-	nb := getBuffer(headroom + m.n + DefaultTailroom)
-	copy(nb.data[headroom:], m.Bytes())
-	// Drop the old buffer via releaseBuffer, not Release: this struct stays
-	// live (it now views nb), so it must not be recycled even when this was
-	// the old buffer's final reference.
-	releaseBuffer(m.buf)
-	m.buf = nb
-	m.off = headroom
-	return m
-}
-
-// CopyBytes returns an independent copy of the visible payload.
-func (m *Message) CopyBytes() []byte {
-	out := make([]byte, m.n)
-	copy(out, m.Bytes())
-	return out
 }
 
 // String summarizes the view for debugging.

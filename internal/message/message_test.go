@@ -50,14 +50,14 @@ func TestPushTailAndTrimTail(t *testing.T) {
 	if string(m.Bytes()) != "bodyTRL" {
 		t.Fatalf("after PushTail: %q", m.Bytes())
 	}
-	trl := m.TrimTail(3)
-	if string(trl) != "TRL" || string(m.Bytes()) != "body" {
-		t.Fatalf("TrimTail got %q, body %q", trl, m.Bytes())
+	trl := m.Split(m.Len() - 3)
+	if string(trl.Bytes()) != "TRL" || string(m.Bytes()) != "body" {
+		t.Fatalf("trimmed tail %q, body %q", trl.Bytes(), m.Bytes())
 	}
 }
 
 func TestPushTailGrows(t *testing.T) {
-	m := New(0)
+	m := Alloc(0, DefaultHeadroom)
 	m.Append([]byte("0123456789"))
 	if string(m.Bytes()) != "0123456789" {
 		t.Fatalf("append into grown buffer: %q", m.Bytes())
@@ -66,7 +66,7 @@ func TestPushTailGrows(t *testing.T) {
 
 func TestCloneSharesBuffer(t *testing.T) {
 	m := NewFromBytes([]byte("shared"))
-	c := m.Clone()
+	c := m.Retain()
 	if m.Refs() != 2 {
 		t.Fatalf("refs = %d after clone", m.Refs())
 	}
@@ -103,31 +103,6 @@ func TestSplitAtEnds(t *testing.T) {
 	}
 }
 
-func TestCopyOnWriteUnshares(t *testing.T) {
-	m := NewFromBytes([]byte("orig"))
-	c := m.Clone()
-	c = c.CopyOnWrite(8)
-	if m.Refs() != 1 || c.Refs() != 1 {
-		t.Fatalf("refs after CoW: %d / %d", m.Refs(), c.Refs())
-	}
-	c.Bytes()[0] = 'X'
-	if string(m.Bytes()) != "orig" {
-		t.Fatal("CoW write leaked into original")
-	}
-	if c.Headroom() < 8 {
-		t.Fatalf("CoW headroom = %d", c.Headroom())
-	}
-}
-
-func TestCopyOnWriteSoleOwnerNoCopy(t *testing.T) {
-	m := NewFromBytes([]byte("solo"))
-	p := &m.Bytes()[0]
-	m2 := m.CopyOnWrite(4)
-	if &m2.Bytes()[0] != p {
-		t.Fatal("sole-owner CoW copied unnecessarily")
-	}
-}
-
 func TestOverReleasePanics(t *testing.T) {
 	m := NewFromBytes([]byte("x"))
 	m.Release()
@@ -137,15 +112,6 @@ func TestOverReleasePanics(t *testing.T) {
 		}
 	}()
 	m.Release()
-}
-
-func TestCopyBytesIndependent(t *testing.T) {
-	m := NewFromBytes([]byte("data"))
-	c := m.CopyBytes()
-	m.Bytes()[0] = 'X'
-	if !bytes.Equal(c, []byte("data")) {
-		t.Fatal("CopyBytes aliases message")
-	}
 }
 
 // Property: any sequence of Push/Pop pairs preserves the payload.

@@ -149,15 +149,3 @@ func TestGetSlabPutSlab(t *testing.T) {
 	}
 	PutSlab(big)
 }
-
-func TestPooledCopyOnWriteUnshares(t *testing.T) {
-	m := PooledFromBytes([]byte("orig"))
-	c := m.Clone()
-	c = c.CopyOnWrite(8)
-	c.Bytes()[0] = 'X'
-	if string(m.Bytes()) != "orig" {
-		t.Fatal("CoW write leaked into original")
-	}
-	c.Release()
-	m.Release()
-}

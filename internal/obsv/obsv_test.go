@@ -207,27 +207,12 @@ func TestHTTPTraceTailMatchesArchive(t *testing.T) {
 	tail := make(chan *trace.Set, 1)
 	errc := make(chan error, 1)
 	go func() {
-		fr, err := trace.NewFrameReader(resp.Body)
+		set, err := trace.ReadSet(resp.Body)
 		if err != nil {
 			errc <- err
 			return
 		}
-		b := trace.NewSetBuilder()
-		for {
-			c, err := fr.Next()
-			if err == io.EOF {
-				tail <- b.Set()
-				return
-			}
-			if err != nil {
-				errc <- err
-				return
-			}
-			if err := b.Add(c); err != nil {
-				errc <- err
-				return
-			}
-		}
+		tail <- set
 	}()
 
 	// Let the HTTP subscriber attach before emitting so it sees record 0.

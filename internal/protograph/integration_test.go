@@ -278,7 +278,7 @@ func TestSegueGBNtoSRMidTransferNoLoss(t *testing.T) {
 		t.Fatalf("segue lost data: received %d of %d intact=%v",
 			len(p.received), len(payload), bytes.Equal(p.received, payload))
 	}
-	if s.Segues() == 0 || p.accepted.Segues() == 0 {
+	if s.Segues == 0 || p.accepted.Segues == 0 {
 		t.Fatal("segue did not happen")
 	}
 }

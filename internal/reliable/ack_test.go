@@ -117,7 +117,7 @@ func TestFlushAckOnSegue(t *testing.T) {
 	e := mechtest.New(delayedSpec())
 	s := NewSelectiveRepeat()
 	feedData(e, s, 0, "a") // pending delayed ack
-	s.FlushAck(e)
+	s.Handover(e)
 	if got := e.ControlCount(wire.TAck); got != 1 {
 		t.Fatalf("segue flush produced %d acks", got)
 	}

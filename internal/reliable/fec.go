@@ -89,10 +89,10 @@ func (f *FEC) Name() string {
 
 func (f *FEC) Reliable() bool { return f.hybrid }
 
-// ConsumesRTO reports that FEC acts on RTO expiry even in loss-tolerant
-// mode (abandoning the window-accounting buffer), so the session keeps the
-// retransmission timer armed across a segue to pure FEC.
-func (f *FEC) ConsumesRTO() bool { return true }
+// UsesRTO: FEC acts on RTO expiry even in loss-tolerant mode (abandoning the
+// window-accounting buffer), so the session keeps the retransmission timer
+// armed across a segue to pure FEC.
+func (*FEC) UsesRTO() bool { return true }
 
 // blockSize returns the XOR block size for the session's MSS.
 func blockSize(e mechanism.Env) int { return 2 + e.Spec().MSS }
@@ -176,8 +176,8 @@ func (f *FEC) emitParity(e mechanism.Env) {
 	f.sndCount = 0
 }
 
-// FlushParity force-emits a partial group (end of burst / segue away).
-func (f *FEC) FlushParity(e mechanism.Env) { f.emitParity(e) }
+// Handover force-emits a partial group (end of burst / segue away).
+func (f *FEC) Handover(e mechanism.Env) { f.emitParity(e) }
 
 // OnAck has nothing to add to the session's generic ack bookkeeping.
 func (*FEC) OnAck(mechanism.Env, *wire.PDU) {}

@@ -61,7 +61,7 @@ func TestFECFlushPartialGroup(t *testing.T) {
 	if p := sendGroup(e, f, 0, []string{"aa", "bb"}); p != nil {
 		t.Fatal("parity emitted early")
 	}
-	f.FlushParity(e)
+	f.Handover(e)
 	p := e.LastControl(wire.TParity)
 	if p == nil || p.Aux != 2 {
 		t.Fatalf("flushed parity %v", p)

@@ -119,6 +119,10 @@ func NewNone() *None { return &None{} }
 
 func (*None) Name() string   { return "none" }
 func (*None) Reliable() bool { return false }
+func (*None) UsesRTO() bool  { return false }
+
+func (*None) Handover(mechanism.Env) {}
+func (*None) Stop()                  {}
 
 // OnSendData drops the payload immediately: nothing is buffered, so the
 // window mechanism never sees in-flight backpressure (rate control is the
@@ -175,6 +179,7 @@ func NewGoBackN() *GoBackN { return &GoBackN{} }
 
 func (*GoBackN) Name() string   { return "go-back-n" }
 func (*GoBackN) Reliable() bool { return true }
+func (*GoBackN) UsesRTO() bool  { return true }
 
 func (g *GoBackN) OnSendData(e mechanism.Env, p *wire.PDU) {
 	// The session already recorded the PDU in Unacked; nothing extra.
@@ -236,8 +241,8 @@ func (g *GoBackN) OnData(e mechanism.Env, p *wire.PDU) {
 
 func (*GoBackN) OnParity(mechanism.Env, *wire.PDU) {}
 
-// FlushAck emits any coalesced delayed ack (segue handover).
-func (g *GoBackN) FlushAck(e mechanism.Env) { g.acker.stop(e) }
+// Handover emits any coalesced delayed ack.
+func (g *GoBackN) Handover(e mechanism.Env) { g.acker.stop(e) }
 
 // Stop cancels the delayed-ack timer; nothing is emitted (session teardown).
 func (g *GoBackN) Stop() { g.acker.cancel() }
@@ -271,6 +276,7 @@ func NewSelectiveRepeat() *SelectiveRepeat { return &SelectiveRepeat{} }
 
 func (*SelectiveRepeat) Name() string   { return "selective-repeat" }
 func (*SelectiveRepeat) Reliable() bool { return true }
+func (*SelectiveRepeat) UsesRTO() bool  { return true }
 
 func (s *SelectiveRepeat) OnSendData(e mechanism.Env, p *wire.PDU) {}
 
@@ -377,8 +383,8 @@ func nakGaps(e mechanism.Env, lastNak *throttle, missing []uint32, unthrottled b
 
 func (*SelectiveRepeat) OnParity(mechanism.Env, *wire.PDU) {}
 
-// FlushAck emits any coalesced delayed ack (segue handover).
-func (s *SelectiveRepeat) FlushAck(e mechanism.Env) { s.acker.stop(e) }
+// Handover emits any coalesced delayed ack.
+func (s *SelectiveRepeat) Handover(e mechanism.Env) { s.acker.stop(e) }
 
 // Stop cancels the delayed-ack timer; nothing is emitted (session teardown).
 func (s *SelectiveRepeat) Stop() { s.acker.cancel() }

@@ -50,6 +50,7 @@ import (
 	"adaptive"
 	"adaptive/internal/mantts"
 	"adaptive/internal/measure"
+	"adaptive/internal/mechanism"
 	"adaptive/internal/netsim"
 	"adaptive/internal/rig"
 	"adaptive/internal/unites"
@@ -127,15 +128,9 @@ type RuleDoc struct {
 
 func (d *RuleDoc) rule() (mantts.Rule, error) {
 	var r mantts.Rule
-	metrics := map[string]mantts.MetricID{
-		"rtt": mantts.MetricRTT, "loss-rate": mantts.MetricLossRate,
-		"congestion": mantts.MetricCongestion, "retransmit-rate": mantts.MetricRetransmitRate,
-		"throughput": mantts.MetricThroughputBps, "rcvbuf-fill": mantts.MetricRcvBufFill,
-		"jitter": mantts.MetricJitter,
-	}
-	m, ok := metrics[d.Metric]
-	if !ok {
-		return r, fmt.Errorf("unknown metric %q", d.Metric)
+	m, err := mantts.ParseMetricID(d.Metric)
+	if err != nil {
+		return r, err
 	}
 	r.Cond = mantts.Cond{Metric: m, Threshold: d.Threshold}
 	switch d.Op {
@@ -148,14 +143,9 @@ func (d *RuleDoc) rule() (mantts.Rule, error) {
 	}
 	switch d.Action {
 	case "set-recovery":
-		recoveries := map[string]adaptive.RecoveryKind{
-			"none": adaptive.RecoveryNone, "go-back-n": adaptive.RecoveryGoBackN,
-			"selective-repeat": adaptive.RecoverySelectiveRepeat,
-			"fec":              adaptive.RecoveryFEC, "fec-hybrid": adaptive.RecoveryFECHybrid,
-		}
-		rec, ok := recoveries[d.Recovery]
-		if !ok {
-			return r, fmt.Errorf("unknown recovery %q", d.Recovery)
+		rec, err := mechanism.ParseRecoveryKind(d.Recovery)
+		if err != nil {
+			return r, err
 		}
 		r.Action = mantts.Action{Kind: mantts.ActSetRecovery, Recovery: rec}
 	case "scale-rate":

@@ -2,7 +2,6 @@ package session
 
 import (
 	"errors"
-	"time"
 
 	"adaptive/internal/conn"
 	"adaptive/internal/mechanism"
@@ -36,6 +35,19 @@ func handoffPDU(seq uint32, p *wire.PDU) HandoffPDU {
 		Payload: append([]byte(nil), p.PayloadBytes()...)}
 }
 
+// pdu rebuilds the buffered data PDU on the importing host.
+func (hp *HandoffPDU) pdu() *wire.PDU {
+	p := wire.GetPDU()
+	p.Type = wire.TData
+	p.Seq = hp.Seq
+	p.Flags = hp.Flags
+	p.Aux = hp.Aux
+	if len(hp.Payload) > 0 {
+		p.Payload = message.PooledFromBytes(hp.Payload)
+	}
+	return p
+}
+
 // HandoffSeg is one unsent send-queue segment.
 type HandoffSeg struct {
 	Data []byte
@@ -44,38 +56,14 @@ type HandoffSeg struct {
 
 // Handoff is the complete portable state of a live session: everything a
 // target host needs to continue the transfer without loss or duplication.
-// The control plane serializes it into an epoch-stamped handoff record.
+// The control plane serializes it into an epoch-stamped handoff record. Its
+// scalars are the session's own declarations carried by value — it adds none.
 type Handoff struct {
-	ConnID    uint32
-	LocalPort uint16
-	PeerPort  uint16
-	PeerNet   netapi.Addr
-	Spec      *mechanism.Spec
+	Identity
+	Spec *mechanism.Spec
 
-	// Shared transfer state (mechanism.TransferState scalars).
-	SndUna    uint32
-	SndNxt    uint32
-	RcvNxt    uint32
-	RcvBufCap int
-	SRTT      time.Duration
-	RTTVar    time.Duration
-	RTO       time.Duration
-
-	// Counters strategies share.
-	Retransmissions uint64
-	FECRecovered    uint64
-	GapsAbandoned   uint64
-
-	// Session-level meters (UNITES whitebox continuity across hosts).
-	SentPDUs       uint64
-	SentBytes      uint64
-	RecvPDUs       uint64
-	RecvBytes      uint64
-	DeliveredMsg   uint64
-	DeliveredBytes uint64
-	Segues         uint64
-
-	PeerAdvert int
+	mechanism.Portable // sequence edges, RTT estimate, peer advert, shared counters
+	Meters             // UNITES whitebox continuity across hosts
 
 	// Buffered data.
 	Unacked []HandoffPDU // in-flight, unacknowledged data PDUs
@@ -103,7 +91,7 @@ func (s *Session) ResumeEgress() {
 		return
 	}
 	s.frozen = false
-	if s.state.InFlight() > 0 && recoveryUsesRTO(s.slots.Recovery) {
+	if s.state.InFlight() > 0 && s.slots.Recovery.UsesRTO() {
 		s.armRTO()
 	}
 	if iv := s.spec.KeepaliveInterval; iv > 0 {
@@ -144,42 +132,13 @@ func (s *Session) Retired() bool { return s.retired }
 // record holds only the shared TransferState the paper's segue discipline
 // already keeps outside the mechanisms.
 func (s *Session) ExportHandoff() *Handoff {
-	if f, ok := s.slots.Recovery.(parityFlusher); ok {
-		f.FlushParity(s.env())
-	}
-	if f, ok := s.slots.Recovery.(ackFlusher); ok {
-		f.FlushAck(s.env())
-	}
+	s.slots.Recovery.Handover(s.env())
 	// Flush any sequencing holdback into the reassembly picture is not
 	// needed: held-back data lives in RcvBuf until DrainInOrder releases
 	// it, and Sequenced holds only post-drain out-of-window arrivals that
 	// Skip released early — those were already delivered.
 	st := s.state
-	h := &Handoff{
-		ConnID:          s.connID,
-		LocalPort:       s.localPort,
-		PeerPort:        s.peerPort,
-		PeerNet:         s.peerNet,
-		Spec:            s.spec,
-		SndUna:          st.SndUna,
-		SndNxt:          st.SndNxt,
-		RcvNxt:          st.RcvNxt,
-		RcvBufCap:       st.RcvBufCap,
-		SRTT:            st.SRTT,
-		RTTVar:          st.RTTVar,
-		RTO:             st.RTO,
-		Retransmissions: st.Retransmissions,
-		FECRecovered:    st.FECRecovered,
-		GapsAbandoned:   st.GapsAbandoned,
-		SentPDUs:        s.SentPDUs,
-		SentBytes:       s.SentBytes,
-		RecvPDUs:        s.RecvPDUs,
-		RecvBytes:       s.RecvBytes,
-		DeliveredMsg:    s.DeliveredMsg,
-		DeliveredBytes:  s.DeliveredBytes,
-		Segues:          s.segues,
-		PeerAdvert:      s.peerAdvert,
-	}
+	h := &Handoff{Identity: s.id, Spec: s.spec, Portable: st.Portable, Meters: s.Meters}
 	// Both buffers are walked in ascending sequence order, so the record is
 	// byte-identical across same-seed runs.
 	if n := st.Unacked.Len(); n > 0 {
@@ -222,70 +181,35 @@ func (s *Session) ExportHandoff() *Handoff {
 func (s *Session) ImportHandoff(h *Handoff) {
 	s.frozen = true
 	st := s.state
-	st.SndUna = h.SndUna
-	st.SndNxt = h.SndNxt
-	st.RcvNxt = h.RcvNxt
-	if h.RcvBufCap > 0 {
-		st.RcvBufCap = h.RcvBufCap
+	// A record that lacks one of these (zero) keeps what the Spec gave the
+	// fresh session: a zero RTO would re-arm the timer in a tight loop, a
+	// zero advert or buffer would close the window for good.
+	p := h.Portable
+	if p.RcvBufCap <= 0 {
+		p.RcvBufCap = st.RcvBufCap
 	}
-	st.SRTT = h.SRTT
-	st.RTTVar = h.RTTVar
-	if h.RTO > 0 {
-		st.RTO = h.RTO
+	if p.RTO <= 0 {
+		p.RTO = st.RTO
 	}
-	st.Retransmissions = h.Retransmissions
-	st.FECRecovered = h.FECRecovered
-	st.GapsAbandoned = h.GapsAbandoned
-	s.SentPDUs = h.SentPDUs
-	s.SentBytes = h.SentBytes
-	s.RecvPDUs = h.RecvPDUs
-	s.RecvBytes = h.RecvBytes
-	s.DeliveredMsg = h.DeliveredMsg
-	s.DeliveredBytes = h.DeliveredBytes
-	s.segues = h.Segues
-	if h.PeerAdvert > 0 {
-		s.peerAdvert = h.PeerAdvert
+	if p.PeerAdvert <= 0 {
+		p.PeerAdvert = st.PeerAdvert
 	}
+	st.Portable, s.Meters = p, h.Meters
 	now := s.clock.Now()
 	for i := range h.Unacked {
-		hp := &h.Unacked[i]
-		p := wire.GetPDU()
-		p.Type = wire.TData
-		p.Seq = hp.Seq
-		p.Flags = hp.Flags
-		p.Aux = hp.Aux
-		if len(hp.Payload) > 0 {
-			m := message.AllocPooled(len(hp.Payload), message.DefaultHeadroom)
-			copy(m.Bytes(), hp.Payload)
-			p.Payload = m
-		}
-		e := st.NewSent(p, now)
+		e := st.NewSent(h.Unacked[i].pdu(), now)
 		e.Retransmits = 1 // Karn: never RTT-time a PDU sent by another host
-		if !st.Unacked.Set(hp.Seq, e) {
+		if !st.Unacked.Set(e.PDU.Seq, e) {
 			st.FreeSent(e) // a record spanning more than any window: not ours to honour
 		}
 	}
 	for i := range h.RcvBuf {
-		hp := &h.RcvBuf[i]
-		p := wire.GetPDU()
-		p.Type = wire.TData
-		p.Seq = hp.Seq
-		p.Flags = hp.Flags
-		p.Aux = hp.Aux
-		if len(hp.Payload) > 0 {
-			m := message.AllocPooled(len(hp.Payload), message.DefaultHeadroom)
-			copy(m.Bytes(), hp.Payload)
-			p.Payload = m
-		}
-		if r := st.NewRecv(p, now, false); !st.RcvBuf.Set(hp.Seq, r) {
+		if r := st.NewRecv(h.RcvBuf[i].pdu(), now, false); !st.RcvBuf.Set(r.PDU.Seq, r) {
 			st.FreeRecv(r)
 		}
 	}
 	for i := range h.SendQ {
-		seg := &h.SendQ[i]
-		m := message.AllocPooled(len(seg.Data), message.DefaultHeadroom)
-		copy(m.Bytes(), seg.Data)
-		s.pushSeg(queuedSeg{msg: m, eom: seg.EOM})
+		s.pushSeg(queuedSeg{msg: message.PooledFromBytes(h.SendQ[i].Data), eom: h.SendQ[i].EOM})
 	}
 	// Adopt an established connection: the handshake happened on the
 	// source host; only the shared close protocol matters from here on.
@@ -304,6 +228,6 @@ func (s *Session) ImportHandoff(h *Handoff) {
 // view of a migrated remote). Subsequent egress — acks, NAKs, data — goes to
 // the new owner.
 func (s *Session) RebindPeer(addr netapi.Addr) {
-	s.peerNet = addr
+	s.id.PeerNet = addr
 	s.metrics.Count("session.peer_rebound", 1)
 }

@@ -9,18 +9,6 @@ import (
 	"adaptive/internal/wire"
 )
 
-// parityFlusher is implemented by FEC recovery so a segue away from it can
-// emit the partial parity group before handing over.
-type parityFlusher interface {
-	FlushParity(e mechanism.Env)
-}
-
-// ackFlusher is implemented by recovery mechanisms with delayed
-// acknowledgments pending; segue flushes them so no ack strands.
-type ackFlusher interface {
-	FlushAck(e mechanism.Env)
-}
-
 // SetReconfigurable marks whether segue is permitted. Sessions synthesized
 // from static TKO templates are fully customized and immutable (§4.2.2:
 // "static templates are guaranteed not to change"); attempts to segue them
@@ -43,17 +31,12 @@ func (s *Session) SegueRecovery(next mechanism.Recovery) bool {
 		return false
 	}
 	old := s.slots.Recovery
-	s.tracer.Emit(s.clock.Now(), trace.KSegueBegin, s.connID, trace.SlotRecovery, 0, 0)
-	if f, ok := old.(parityFlusher); ok {
-		f.FlushParity(s.env())
-	}
-	if f, ok := old.(ackFlusher); ok {
-		f.FlushAck(s.env())
-	}
+	s.tracer.Emit(s.clock.Now(), trace.KSegueBegin, s.id.ConnID, trace.SlotRecovery, 0, 0)
+	old.Handover(s.env())
 	next.ImportState(old.ExportState())
 	s.slots.Recovery = next
-	s.afterSegue("recovery", old.Name(), next.Name())
-	if recoveryUsesRTO(next) {
+	s.afterSegue(trace.SlotRecovery, old.Name(), next.Name())
+	if next.UsesRTO() {
 		// A newly reliable (or RTO-consuming, e.g. pure FEC) mechanism
 		// must resume loss detection immediately.
 		s.armRTO()
@@ -74,14 +57,14 @@ func (s *Session) SegueWindow(next mechanism.Window) bool {
 		return false
 	}
 	old := s.slots.Window
-	s.tracer.Emit(s.clock.Now(), trace.KSegueBegin, s.connID, trace.SlotWindow, 0, 0)
+	s.tracer.Emit(s.clock.Now(), trace.KSegueBegin, s.id.ConnID, trace.SlotWindow, 0, 0)
 	if oc, ok := old.(mechanism.StateCarrier); ok {
 		if nc, ok2 := next.(mechanism.StateCarrier); ok2 {
 			nc.ImportState(oc.ExportState())
 		}
 	}
 	s.slots.Window = next
-	s.afterSegue("window", old.Name(), next.Name())
+	s.afterSegue(trace.SlotWindow, old.Name(), next.Name())
 	s.pump()
 	return true
 }
@@ -93,14 +76,14 @@ func (s *Session) SegueRate(next mechanism.Rate) bool {
 		return false
 	}
 	old := s.slots.Rate
-	s.tracer.Emit(s.clock.Now(), trace.KSegueBegin, s.connID, trace.SlotRate, 0, 0)
+	s.tracer.Emit(s.clock.Now(), trace.KSegueBegin, s.id.ConnID, trace.SlotRate, 0, 0)
 	if oc, ok := old.(mechanism.StateCarrier); ok {
 		if nc, ok2 := next.(mechanism.StateCarrier); ok2 {
 			nc.ImportState(oc.ExportState())
 		}
 	}
 	s.slots.Rate = next
-	s.afterSegue("rate", old.Name(), next.Name())
+	s.afterSegue(trace.SlotRate, old.Name(), next.Name())
 	s.pump()
 	return true
 }
@@ -113,34 +96,21 @@ func (s *Session) SegueOrderer(next mechanism.Orderer) bool {
 		return false
 	}
 	old := s.slots.Orderer
-	s.tracer.Emit(s.clock.Now(), trace.KSegueBegin, s.connID, trace.SlotOrder, 0, 0)
+	s.tracer.Emit(s.clock.Now(), trace.KSegueBegin, s.id.ConnID, trace.SlotOrder, 0, 0)
 	for _, d := range old.Flush() {
 		s.deliver(d)
 	}
 	s.slots.Orderer = next
-	s.afterSegue("order", old.Name(), next.Name())
+	s.afterSegue(trace.SlotOrder, old.Name(), next.Name())
 	return true
 }
 
-func segueSlotCode(slot string) uint64 {
-	switch slot {
-	case "recovery":
-		return trace.SlotRecovery
-	case "window":
-		return trace.SlotWindow
-	case "rate":
-		return trace.SlotRate
-	case "order":
-		return trace.SlotOrder
-	}
-	return 0
-}
-
-func (s *Session) afterSegue(slot, from, to string) {
-	s.segues++
+func (s *Session) afterSegue(code uint64, from, to string) {
+	slot := trace.SlotName(code)
+	s.Segues++
 	s.markSegue = true
-	s.tracer.Emit(s.clock.Now(), trace.KSegueCommit, s.connID,
-		segueSlotCode(slot), trace.HashName(from), trace.HashName(to))
+	s.tracer.Emit(s.clock.Now(), trace.KSegueCommit, s.id.ConnID,
+		code, trace.HashName(from), trace.HashName(to))
 	s.metrics.Count("session.segues", 1)
 	// A per-transition counter so UNITES snapshots record which concrete
 	// replacement happened (e.g. "session.segue.recovery.selective-repeat->

@@ -52,8 +52,8 @@ func TestApplySpecAtomicOnRefusal(t *testing.T) {
 	if sink["session.applyspec_refused"] == 0 {
 		t.Fatal("refusal not counted")
 	}
-	if s.Segues() != 0 {
-		t.Fatalf("segues = %d after refusal", s.Segues())
+	if s.Segues != 0 {
+		t.Fatalf("segues = %d after refusal", s.Segues)
 	}
 }
 
@@ -80,8 +80,8 @@ func TestApplySpecParamOnlyChangesSucceedWhenStatic(t *testing.T) {
 	if s.State().RcvBufCap != ns.RcvBufPDUs {
 		t.Fatalf("RcvBufCap = %d, want %d", s.State().RcvBufCap, ns.RcvBufPDUs)
 	}
-	if s.Segues() != 0 {
-		t.Fatalf("parameter tweak counted as %d segues", s.Segues())
+	if s.Segues != 0 {
+		t.Fatalf("parameter tweak counted as %d segues", s.Segues)
 	}
 }
 

@@ -88,6 +88,29 @@ var hotCounterNames = [numHotCounters]string{
 	"pdu.sent", "bytes.sent", "pdu.received", "app.delivered_pdus", "app.delivered_bytes",
 }
 
+// Identity is what names a session on the wire and in the stack's tables.
+type Identity struct {
+	ConnID    uint32
+	LocalPort uint16
+	PeerPort  uint16
+	PeerNet   netapi.Addr // network-level peer (host or multicast group + SAP)
+}
+
+// Meters are the session-level whitebox counters (UNITES reads them; a
+// hand-off carries them so they continue across hosts). Together with
+// mechanism.Portable they are the session's portable scalars, declared here
+// and nowhere else: Session embeds them, Handoff carries them by value, the
+// control plane's record tags each field (DESIGN.md §5.19).
+type Meters struct {
+	SentPDUs       uint64
+	SentBytes      uint64
+	RecvPDUs       uint64
+	RecvBytes      uint64
+	DeliveredMsg   uint64
+	DeliveredBytes uint64
+	Segues         uint64 // mechanism replacements performed
+}
+
 type queuedSeg struct {
 	msg *message.Message
 	eom bool
@@ -95,10 +118,8 @@ type queuedSeg struct {
 
 // Session is a live transport session.
 type Session struct {
-	connID    uint32
-	localPort uint16
-	peerPort  uint16
-	peerNet   netapi.Addr
+	id Identity
+	Meters
 
 	spec    *mechanism.Spec
 	state   *mechanism.TransferState
@@ -142,23 +163,13 @@ type Session struct {
 
 	pumpFn func() // s.pump bound once for the rate-gap timer
 
-	peerAdvert     int
 	closing        bool
 	graceful       bool
-	segues         uint64
 	markSegue      bool
 	reconfigurable bool
 	frozen         bool // egress halted for a migration handoff
 	retired        bool // handed off to another host (ErrMigrated on Send)
 	done           bool // past the terminal transition: a husk that only answers reads
-
-	// Stats visible to UNITES and tests.
-	SentPDUs       uint64
-	SentBytes      uint64
-	RecvPDUs       uint64
-	RecvBytes      uint64
-	DeliveredMsg   uint64
-	DeliveredBytes uint64
 }
 
 // New creates a session from fully-synthesized slots. It does not start the
@@ -169,10 +180,7 @@ func New(p Params) *Session {
 	}
 	p.Spec.Normalize()
 	s := &Session{
-		connID:         p.ConnID,
-		localPort:      p.LocalPort,
-		peerPort:       p.PeerPort,
-		peerNet:        p.PeerNet,
+		id:             Identity{p.ConnID, p.LocalPort, p.PeerPort, p.PeerNet},
 		spec:           p.Spec,
 		state:          mechanism.NewTransferState(p.Spec.RcvBufPDUs, p.Spec.RTOInit),
 		slots:          p.Slots,
@@ -184,7 +192,6 @@ func New(p Params) *Session {
 		tracer:         p.Tracer,
 		out:            p.Out,
 		onTerm:         p.OnTerminal,
-		peerAdvert:     p.Spec.RcvBufPDUs,
 		reconfigurable: true,
 	}
 	if s.metrics == nil {
@@ -199,13 +206,13 @@ func New(p Params) *Session {
 // --- identity and wiring ---
 
 // ConnID returns the connection identifier shared by both ends.
-func (s *Session) ConnID() uint32 { return s.connID }
+func (s *Session) ConnID() uint32 { return s.id.ConnID }
 
 // LocalPort returns the local transport port.
-func (s *Session) LocalPort() uint16 { return s.localPort }
+func (s *Session) LocalPort() uint16 { return s.id.LocalPort }
 
 // PeerAddr returns the network-level peer address.
-func (s *Session) PeerAddr() netapi.Addr { return s.peerNet }
+func (s *Session) PeerAddr() netapi.Addr { return s.id.PeerNet }
 
 // SetReceiver installs the application's delivery callback.
 func (s *Session) SetReceiver(fn func(Delivery)) { s.recvCb = fn }
@@ -253,9 +260,6 @@ func (s *Session) State() *mechanism.TransferState { return s.state }
 // CurrentSlots returns the current mechanism bindings (for inspection); the
 // zero Slots once the session has terminated.
 func (s *Session) CurrentSlots() Slots { return s.slots }
-
-// Segues returns how many mechanism replacements this session has performed.
-func (s *Session) Segues() uint64 { return s.segues }
 
 // Established reports whether data may flow.
 func (s *Session) Established() bool { return !s.done && s.slots.Conn.Established() }
@@ -350,9 +354,7 @@ func (s *Session) terminate() {
 	s.done, s.closing, s.reconfigurable = true, true, false
 	s.cancelTimers()
 	s.rtoTimer, s.pumpTimer, s.kaTimer = nil, nil, nil
-	if st, ok := s.slots.Recovery.(interface{ Stop() }); ok {
-		st.Stop() // delayed-ack and gap timers
-	}
+	s.slots.Recovery.Stop() // delayed-ack and gap timers
 	for _, d := range s.slots.Orderer.Flush() {
 		d.Msg.Release()
 	}
@@ -432,7 +434,7 @@ func (s *Session) SendMessage(m *message.Message) error {
 	}
 	// Keyed on the next tx seq: submits track the data rate, so sampled
 	// recordings thin them with the PDU events instead of keeping all.
-	s.tracer.EmitKeyed(s.txSeq, s.clock.Now(), trace.KSendSubmit, s.connID, uint64(m.Len()), 0, 0)
+	s.tracer.EmitKeyed(s.txSeq, s.clock.Now(), trace.KSendSubmit, s.id.ConnID, uint64(m.Len()), 0, 0)
 	mss := s.spec.MSS
 	for m.Len() > mss {
 		rest := m.Split(mss)
@@ -456,7 +458,7 @@ func (s *Session) pump() {
 		return
 	}
 	for s.queuedLen() > 0 {
-		if !s.slots.Window.CanSend(s.state.InFlight(), s.peerAdvert) ||
+		if !s.slots.Window.CanSend(s.state.InFlight(), s.state.PeerAdvert) ||
 			s.state.SndNxt-s.state.SndUna >= seqwin.MaxSpan {
 			// The second bound is the wire's: a 16-bit window field cannot
 			// advertise more, whatever the Spec asks for.
@@ -542,9 +544,9 @@ func (s *Session) transmitPDU(p *wire.PDU) {
 	if s.done {
 		return // a mechanism still unwinding after the terminal transition
 	}
-	p.ConnID = s.connID
-	p.SrcPort = s.localPort
-	p.DstPort = s.peerPort
+	p.ConnID = s.id.ConnID
+	p.SrcPort = s.id.LocalPort
+	p.DstPort = s.id.PeerPort
 	p.Window = s.state.Advertise()
 	if s.spec.Multicast {
 		p.Flags |= wire.FlagMcast
@@ -567,30 +569,14 @@ func (s *Session) emitPacket(pkt []byte) error {
 	s.SentBytes += uint64(len(pkt))
 	if s.tracer != nil {
 		s.tracer.EmitKeyed(s.txSeq|s.txAck, s.clock.Now(), trace.KPDUSend,
-			s.connID, s.txSeq, s.txType, uint64(len(pkt)))
+			s.id.ConnID, s.txSeq, s.txType, uint64(len(pkt)))
 	}
 	s.count(ctrPDUSent, 1)
 	s.count(ctrBytesSent, uint64(len(pkt)))
-	if err := s.out.Transmit(pkt, s.peerNet); err != nil {
+	if err := s.out.Transmit(pkt, s.id.PeerNet); err != nil {
 		s.metrics.Count("pdu.send_errors", 1)
 	}
 	return nil
-}
-
-// rtoConsumer marks recovery mechanisms that make progress on RTO expiry
-// despite not being reliable (pure FEC abandons outstanding data on RTO).
-// Unreliable mechanisms without it — reliable.None — get no RTO at all: their
-// OnRTO is a no-op, so a standing timer would fire spuriously forever.
-type rtoConsumer interface{ ConsumesRTO() bool }
-
-// recoveryUsesRTO reports whether the session should keep the
-// retransmission timer armed for this recovery mechanism.
-func recoveryUsesRTO(r mechanism.Recovery) bool {
-	if r.Reliable() {
-		return true
-	}
-	c, ok := r.(rtoConsumer)
-	return ok && c.ConsumesRTO()
 }
 
 // armRTO (re)starts the retransmission timer while data is outstanding.
@@ -620,7 +606,7 @@ func (s *Session) onRTO() {
 	if s.done {
 		return // the application closed it from inside a notification
 	}
-	if recoveryUsesRTO(s.slots.Recovery) {
+	if s.slots.Recovery.UsesRTO() {
 		s.armRTO()
 	}
 	s.pump()
@@ -635,12 +621,12 @@ func (s *Session) HandlePDU(p *wire.PDU) {
 	s.RecvBytes += uint64(wire.Overhead + int(p.PayloadLen))
 	if s.tracer != nil {
 		s.tracer.EmitKeyed(uint64(p.Seq)|uint64(p.Ack), s.clock.Now(), trace.KPDURecv,
-			s.connID, uint64(p.Seq), uint64(p.Type), uint64(p.PayloadLen))
+			s.id.ConnID, uint64(p.Seq), uint64(p.Type), uint64(p.PayloadLen))
 	}
 	s.count(ctrPDUReceived, 1)
 	s.lastHeard = s.clock.Now()
 	if p.Type == wire.TAck {
-		s.peerAdvert = int(p.Window)
+		s.state.PeerAdvert = int(p.Window)
 	}
 	if p.Type == wire.TKeepalive {
 		if p.Flags&wire.FlagEcho == 0 && !s.Closed() {
@@ -738,7 +724,7 @@ func (s *Session) deliver(d Delivery) {
 			eom = 1
 		}
 		s.tracer.EmitKeyed(uint64(d.Seq), s.clock.Now(), trace.KDeliver,
-			s.connID, uint64(d.Seq), uint64(d.Msg.Len()), eom)
+			s.id.ConnID, uint64(d.Seq), uint64(d.Msg.Len()), eom)
 	}
 	s.count(ctrDeliveredPDUs, 1)
 	s.count(ctrDeliveredBytes, uint64(d.Msg.Len()))

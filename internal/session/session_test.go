@@ -248,8 +248,8 @@ func TestSegueWindowPreservesFlow(t *testing.T) {
 	if len(out.pkts) != 5 {
 		t.Fatalf("after window segue: %d packets", len(out.pkts))
 	}
-	if s.Segues() != 1 {
-		t.Fatalf("segues %d", s.Segues())
+	if s.Segues != 1 {
+		t.Fatalf("segues %d", s.Segues)
 	}
 }
 
@@ -266,7 +266,7 @@ func TestSegueRefusedWhenStatic(t *testing.T) {
 	if s.SegueRate(xmit.NewGapRate(1e6)) || s.SegueOrderer(order.NewUnordered(8)) {
 		t.Fatal("static session accepted rate/order segue")
 	}
-	if s.Segues() != 0 {
+	if s.Segues != 0 {
 		t.Fatal("segue counted despite refusal")
 	}
 }
@@ -283,15 +283,15 @@ func TestApplySpecSeguesOnlyChangedSlots(t *testing.T) {
 	if s.CurrentSlots().Recovery.Name() != "go-back-n" {
 		t.Fatal("recovery not re-synthesized")
 	}
-	if s.Segues() != 1 {
-		t.Fatalf("segues %d, want only the recovery slot", s.Segues())
+	if s.Segues != 1 {
+		t.Fatalf("segues %d, want only the recovery slot", s.Segues)
 	}
 
 	// Rate parameter tweak: no segue, just SetRate.
 	ns2 := *s.Spec()
 	ns2.RateBps = 0 // unchanged (already 0) -> nothing at all
 	s.ApplySpec(&ns2)
-	if s.Segues() != 1 {
+	if s.Segues != 1 {
 		t.Fatal("no-op ApplySpec segued")
 	}
 }
@@ -306,7 +306,7 @@ func TestApplySpecRateTweakNoSegue(t *testing.T) {
 	ns := *s.Spec()
 	ns.RateBps = 2e6
 	s.ApplySpec(&ns)
-	if s.Segues() != 0 {
+	if s.Segues != 0 {
 		t.Fatal("rate parameter change segued")
 	}
 	if s.slots.Rate.RateBps() != 2e6 {
@@ -475,7 +475,7 @@ func TestApplySpecFactoryFailureKeepsOldSlots(t *testing.T) {
 	if s.CurrentSlots().Recovery != before {
 		t.Fatal("failed synthesis replaced slots")
 	}
-	if s.Segues() != 0 {
+	if s.Segues != 0 {
 		t.Fatal("failed synthesis counted a segue")
 	}
 }
@@ -491,8 +491,8 @@ func TestApplySpecRateEnableDisable(t *testing.T) {
 	if s.CurrentSlots().Rate.RateBps() != 1e6 {
 		t.Fatalf("rate after enable %v", s.CurrentSlots().Rate.RateBps())
 	}
-	if s.Segues() != 1 {
-		t.Fatalf("segues %d", s.Segues())
+	if s.Segues != 1 {
+		t.Fatalf("segues %d", s.Segues)
 	}
 	// paced -> 0: segue back to NoRate.
 	ns2 := *s.Spec()

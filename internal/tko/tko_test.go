@@ -66,6 +66,9 @@ type fakeRecovery struct{}
 
 func (fakeRecovery) Name() string                        { return "fake" }
 func (fakeRecovery) Reliable() bool                      { return false }
+func (fakeRecovery) UsesRTO() bool                       { return false }
+func (fakeRecovery) Handover(mechanism.Env)              {}
+func (fakeRecovery) Stop()                               {}
 func (fakeRecovery) OnSendData(mechanism.Env, *wire.PDU) {}
 func (fakeRecovery) OnAck(mechanism.Env, *wire.PDU)      {}
 func (fakeRecovery) OnNak(mechanism.Env, *wire.PDU)      {}

@@ -1,10 +1,7 @@
 package trace
 
 import (
-	"bufio"
-	"encoding/binary"
 	"fmt"
-	"io"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -165,131 +162,15 @@ func (r *Recorder) flushPending() {
 	r.stream.publish(c)
 }
 
-// --- wire format ---
-
-// Streamed trace wire format (little-endian), used by the obsv /trace HTTP
-// endpoint and the `adaptivetrace tail` client:
-//
-//	magic   [4]byte "ADTS"
-//	version uint16  (1)
-//	frames, each:
-//	  shard uint32
-//	  start uint64   emit index of the first record
-//	  count uint32   records that follow
-//	  records count × 38 bytes (identical to the trace-file record layout)
-
-var streamMagic = [4]byte{'A', 'D', 'T', 'S'}
-
-const streamVersion = 1
-
-// frameHeaderSize is shard u32 + start u64 + count u32.
-const frameHeaderSize = 4 + 8 + 4
-
-// WriteStreamHeader writes the stream magic and version.
-func WriteStreamHeader(w io.Writer) error {
-	var hdr [6]byte
-	copy(hdr[0:4], streamMagic[:])
-	binary.LittleEndian.PutUint16(hdr[4:6], streamVersion)
-	_, err := w.Write(hdr[:])
-	return err
-}
-
-// FrameSize returns the encoded size of a frame carrying n records; encoders
-// use it to pre-size buffers so AppendFrame never regrows.
-func FrameSize(n int) int { return frameHeaderSize + n*recordSize }
-
-// AppendFrame serializes one chunk onto dst and returns the extended slice.
-func AppendFrame(dst []byte, c *Chunk) []byte {
-	var hdr [frameHeaderSize]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(c.Shard))
-	binary.LittleEndian.PutUint64(hdr[4:12], c.Start)
-	binary.LittleEndian.PutUint32(hdr[12:16], uint32(len(c.Records)))
-	dst = append(dst, hdr[:]...)
-	var rec [recordSize]byte
-	for i := range c.Records {
-		encodeRecord(rec[:], &c.Records[i])
-		dst = append(dst, rec[:]...)
-	}
-	return dst
-}
-
-// DecodeFrame parses one frame from the front of b (no stream header) and
-// returns the chunk plus the remaining bytes. Fan-out paths that hand whole
-// encoded frames around (the obsv plane) decode them with this instead of
-// a reader.
-func DecodeFrame(b []byte) (Chunk, []byte, error) {
-	if len(b) < frameHeaderSize {
-		return Chunk{}, b, fmt.Errorf("trace: short frame header (%d bytes)", len(b))
-	}
-	c := Chunk{
-		Shard: int(binary.LittleEndian.Uint32(b[0:4])),
-		Start: binary.LittleEndian.Uint64(b[4:12]),
-	}
-	count := int(binary.LittleEndian.Uint32(b[12:16]))
-	b = b[frameHeaderSize:]
-	if len(b) < count*recordSize {
-		return Chunk{}, b, fmt.Errorf("trace: frame truncated: %d bytes for %d records", len(b), count)
-	}
-	c.Records = make([]Record, count)
-	for i := 0; i < count; i++ {
-		c.Records[i] = decodeRecord(b[i*recordSize:])
-	}
-	return c, b[count*recordSize:], nil
-}
-
-// FrameReader decodes a record stream (the obsv /trace body or a captured
-// stream file).
-type FrameReader struct {
-	br *bufio.Reader
-}
-
-// NewFrameReader validates the stream header and returns a reader.
-func NewFrameReader(r io.Reader) (*FrameReader, error) {
-	br := bufio.NewReader(r)
-	var hdr [6]byte
-	if _, err := io.ReadFull(br, hdr[:]); err != nil {
-		return nil, fmt.Errorf("trace: reading stream header: %w", err)
-	}
-	if [4]byte(hdr[0:4]) != streamMagic {
-		return nil, fmt.Errorf("trace: bad stream magic %q", hdr[0:4])
-	}
-	if v := binary.LittleEndian.Uint16(hdr[4:6]); v != streamVersion {
-		return nil, fmt.Errorf("trace: unsupported stream version %d", v)
-	}
-	return &FrameReader{br: br}, nil
-}
-
-// Next returns the next chunk, or io.EOF at a clean end of stream.
-func (fr *FrameReader) Next() (Chunk, error) {
-	var hdr [frameHeaderSize]byte
-	if _, err := io.ReadFull(fr.br, hdr[:]); err != nil {
-		if err == io.EOF {
-			return Chunk{}, io.EOF
-		}
-		return Chunk{}, fmt.Errorf("trace: reading frame header: %w", err)
-	}
-	c := Chunk{
-		Shard: int(binary.LittleEndian.Uint32(hdr[0:4])),
-		Start: binary.LittleEndian.Uint64(hdr[4:12]),
-	}
-	count := int(binary.LittleEndian.Uint32(hdr[12:16]))
-	c.Records = make([]Record, count)
-	var rec [recordSize]byte
-	for i := 0; i < count; i++ {
-		if _, err := io.ReadFull(fr.br, rec[:]); err != nil {
-			return Chunk{}, fmt.Errorf("trace: reading frame record %d: %w", i, err)
-		}
-		c.Records[i] = decodeRecord(rec[:])
-	}
-	return c, nil
-}
-
 // --- reassembly ---
 
-// SetBuilder reassembles streamed chunks into a Set, verifying per-shard
-// contiguity: every chunk must start exactly where the previous one for its
-// shard ended, so any queue overflow or transport loss is detected instead
-// of silently producing a holey trace.
+// SetBuilder reassembles chunks — a live tail's, or a trace file's frames —
+// into a Set, verifying per-shard contiguity: every chunk must start exactly
+// where the previous one for its shard ended, so any queue overflow or
+// transport loss is detected instead of silently producing a holey trace. A
+// shard's first chunk may start anywhere: a ring that wrapped before it was
+// written, or a tail attached after the run started, is missing a prefix, and
+// the Set says so as Total > len(Records).
 type SetBuilder struct {
 	shards map[int]*shardBuild
 }
@@ -308,10 +189,7 @@ func NewSetBuilder() *SetBuilder {
 func (b *SetBuilder) Add(c Chunk) error {
 	sb := b.shards[c.Shard]
 	if sb == nil {
-		if c.Start != 0 {
-			return fmt.Errorf("trace: shard %d stream starts at record %d, not 0 (attach before the run starts)", c.Shard, c.Start)
-		}
-		sb = &shardBuild{}
+		sb = &shardBuild{next: c.Start}
 		b.shards[c.Shard] = sb
 	}
 	if c.Start != sb.next {

@@ -2,7 +2,6 @@ package trace
 
 import (
 	"bytes"
-	"io"
 	"reflect"
 	"testing"
 	"time"
@@ -156,8 +155,13 @@ func TestSetBuilderDetectsGap(t *testing.T) {
 	if err := b.Add(Chunk{Shard: 0, Start: 8, Records: make([]Record, 4)}); err == nil {
 		t.Fatal("gap [4, 8) not detected")
 	}
-	if err := b.Add(Chunk{Shard: 1, Start: 2, Records: nil}); err == nil {
-		t.Fatal("late attach (start != 0) not detected")
+	// A shard first seen past record zero is a missed prefix, not a gap: it
+	// is accepted and shows in the Set as Total > len(Records).
+	if err := b.Add(Chunk{Shard: 1, Start: 2, Records: make([]Record, 3)}); err != nil {
+		t.Fatalf("late attach refused: %v", err)
+	}
+	if sh := b.Set().Shards[1]; sh.Total != 5 || len(sh.Records) != 3 {
+		t.Fatalf("late-attached shard = total %d, %d records; want 5, 3", sh.Total, len(sh.Records))
 	}
 }
 
@@ -182,13 +186,11 @@ func TestFrameRoundTrip(t *testing.T) {
 		buf.Write(frame)
 	}
 
-	fr, err := NewFrameReader(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rest := buf.Bytes()[streamHeaderSize:]
 	for i := range chunks {
-		got, err := fr.Next()
-		if err != nil {
+		var got Chunk
+		var err error
+		if got, rest, err = DecodeFrame(rest); err != nil {
 			t.Fatalf("frame %d: %v", i, err)
 		}
 		want := chunks[i]
@@ -202,16 +204,23 @@ func TestFrameRoundTrip(t *testing.T) {
 			}
 		}
 	}
-	if _, err := fr.Next(); err != io.EOF {
-		t.Fatalf("expected io.EOF at end of stream, got %v", err)
+	if len(rest) != 0 {
+		t.Fatalf("%d bytes left after the last frame", len(rest))
+	}
+	set, err := ReadSet(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(set.Shards) != 2 || set.Shards[0].Total != 3 || set.Shards[1].Shard != 5 {
+		t.Fatalf("ReadSet of the same stream = %+v", set.Shards)
 	}
 }
 
 func TestFrameReaderRejectsBadHeader(t *testing.T) {
-	if _, err := NewFrameReader(bytes.NewReader([]byte("ADTRxx"))); err == nil {
-		t.Fatal("trace-file magic accepted as stream magic")
+	if _, err := ReadSet(bytes.NewReader([]byte("ADTRxx"))); err == nil {
+		t.Fatal("the retired trace-file magic accepted")
 	}
-	if _, err := NewFrameReader(bytes.NewReader([]byte("ADTS\x02\x00"))); err == nil {
+	if _, err := ReadSet(bytes.NewReader([]byte("ADTS\x02\x00"))); err == nil {
 		t.Fatal("unknown stream version accepted")
 	}
 }

@@ -2,7 +2,10 @@ package trace
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
+	"math"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -81,16 +84,45 @@ func TestIORoundTrip(t *testing.T) {
 	if _, err := set.WriteTo(&buf); err != nil {
 		t.Fatalf("WriteTo: %v", err)
 	}
-	got, err := ReadSet(&buf)
+	file := buf.Bytes()
+	got, err := ReadSet(bytes.NewReader(file))
 	if err != nil {
 		t.Fatalf("ReadSet: %v", err)
 	}
 	if d, same := Diff(set, got); !same {
 		t.Fatalf("round trip changed the trace: %v", d)
 	}
+	// The wrapped ring reads back as a shard that misses its first 8 records.
 	if got.Shards[0].Total != 24 || len(got.Shards[0].Records) != 16 {
 		t.Fatalf("shard 0 total/retained = %d/%d, want 24/16",
 			got.Shards[0].Total, len(got.Shards[0].Records))
+	}
+	if got.Shards[1].Total != 1 || len(got.Shards[1].Records) != 1 {
+		t.Fatalf("shard 1 total/retained = %d/%d, want 1/1",
+			got.Shards[1].Total, len(got.Shards[1].Records))
+	}
+
+	// A file cut anywhere after the stream header — inside a frame header or
+	// inside a frame's records — is an error, not a shorter trace.
+	for _, cut := range []int{streamHeaderSize + 5, streamHeaderSize + frameHeaderSize + recordSize + 1, len(file) - 1} {
+		if _, err := ReadSet(bytes.NewReader(file[:cut])); err == nil {
+			t.Errorf("ReadSet accepted a file truncated to %d of %d bytes", cut, len(file))
+		}
+	}
+
+	// A tail that attached after the run started is the same container with a
+	// first frame past record zero: it reassembles, and shows as a missed
+	// prefix (what `adaptivetrace -tail` refuses).
+	buf.Reset()
+	WriteStreamHeader(&buf)
+	buf.Write(AppendFrame(nil, &Chunk{Shard: 3, Start: 5, Records: make([]Record, 2)}))
+	buf.Write(AppendFrame(nil, &Chunk{Shard: 3, Start: 7, Records: make([]Record, 1)}))
+	late, err := ReadSet(&buf)
+	if err != nil {
+		t.Fatalf("ReadSet(late tail): %v", err)
+	}
+	if sh := late.Shards[0]; sh.Shard != 3 || sh.Total != 8 || len(sh.Records) != 3 {
+		t.Fatalf("late tail = shard %d total %d retained %d, want 3/8/3", sh.Shard, sh.Total, len(sh.Records))
 	}
 }
 
@@ -98,6 +130,52 @@ func TestReadSetRejectsGarbage(t *testing.T) {
 	if _, err := ReadSet(strings.NewReader("not a trace")); err == nil {
 		t.Fatal("ReadSet accepted garbage input")
 	}
+}
+
+// TestFrameCountIsBounded feeds the reader a frame header that announces
+// 2^32-1 records (171 GB of them) in front of a two-record body. The reader
+// must report a truncated frame having allocated for the bytes it was given,
+// not for the count it was told.
+func TestFrameCountIsBounded(t *testing.T) {
+	var in bytes.Buffer
+	WriteStreamHeader(&in)
+	frame := AppendFrame(nil, &Chunk{Shard: 1, Start: 0, Records: make([]Record, 2)})
+	binary.LittleEndian.PutUint32(frame[12:16], math.MaxUint32)
+	in.Write(frame)
+	hostile := in.Bytes()
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := ReadSet(bytes.NewReader(hostile)); err == nil {
+		t.Fatal("ReadSet accepted a frame whose count exceeds its bytes")
+	}
+	if _, _, err := DecodeFrame(hostile[streamHeaderSize:]); err == nil {
+		t.Fatal("DecodeFrame accepted a frame whose count exceeds its bytes")
+	}
+	runtime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Fatalf("decoding a %d-byte hostile frame allocated %d bytes", len(hostile), grew)
+	}
+}
+
+// FuzzFrame: the frame decoder never panics, and whatever it decodes
+// re-encodes to exactly the bytes it consumed.
+func FuzzFrame(f *testing.F) {
+	f.Add([]byte{})
+	f.Add(AppendFrame(nil, &Chunk{Shard: 5}))
+	f.Add(AppendFrame(nil, &Chunk{Shard: 1, Start: 9, Records: []Record{
+		{At: time.Millisecond, A: 1, B: 2, C: 3, ID: 7, Kind: KPDUSend}, {At: -1, Kind: KDeliver}}}))
+	f.Add(append(AppendFrame(nil, &Chunk{Records: make([]Record, 1)}), 0xff, 0xfe))
+	f.Add([]byte{0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0xff, 0xff, 0xff, 0xff})
+	f.Fuzz(func(t *testing.T, b []byte) {
+		c, rest, err := DecodeFrame(b)
+		if err != nil {
+			return
+		}
+		if again := AppendFrame(nil, &c); !bytes.Equal(again, b[:len(b)-len(rest)]) {
+			t.Fatalf("frame re-encodes to %x, decoded from %x", again, b[:len(b)-len(rest)])
+		}
+	})
 }
 
 func TestDiff(t *testing.T) {

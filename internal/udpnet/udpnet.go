@@ -91,7 +91,9 @@ const maxBatch = 64
 //
 // Single frames — and everything in FlushWindow=0 mode — keep the exact
 // pre-train wire format (6-byte header + payload), so per-packet mode is
-// bitwise identical to the pre-batching provider on the wire.
+// bitwise identical to the pre-batching provider on the wire. A train holds up
+// to maxTrainBytes: loopback carries 60 KiB datagrams natively; a path with a
+// real MTU would IP-fragment them, and wants FlushWindow 0.
 const (
 	trainMarker   = 0xFF                  // each of the first four bytes
 	trainHdr      = 4 + 2 + frameOverhead // marker + count + src header
@@ -128,15 +130,6 @@ type Config struct {
 	// write error surfaces on the Send that triggered the size flush, or
 	// is counted (SendErrors) when a window flush hits it.
 	FlushWindow time.Duration
-	// TrainBytes bounds frame-train coalescing on the batched send path:
-	// consecutive same-destination frames in a flush are packed into one
-	// wire datagram up to this size, amortizing the kernel's
-	// per-datagram cost across the train. 0 picks the default
-	// (maxTrainBytes) when FlushWindow is active; negative disables
-	// coalescing (every frame its own datagram — set this, or a value
-	// near the path MTU, on real networks where oversized datagrams
-	// would IP-fragment; loopback carries 60 KiB trains natively).
-	TrainBytes int
 }
 
 // Option configures a Provider.
@@ -159,9 +152,6 @@ func WithBatch(n int) Option { return func(c *Config) { c.BatchSize = n } }
 // WithFlushWindow enables send-side batching with the given flush window
 // (0 keeps the per-packet write path).
 func WithFlushWindow(d time.Duration) Option { return func(c *Config) { c.FlushWindow = d } }
-
-// WithTrainBytes bounds frame-train coalescing (see Config.TrainBytes).
-func WithTrainBytes(n int) Option { return func(c *Config) { c.TrainBytes = n } }
 
 // hostAddr is one registry entry: the OS-level address of a host's socket,
 // pre-resolved into every form the send paths need so no per-packet
@@ -255,14 +245,6 @@ func New(opts ...Option) *Provider {
 	}
 	if cfg.FlushWindow < 0 {
 		cfg.FlushWindow = 0
-	}
-	switch {
-	case cfg.TrainBytes < 0:
-		cfg.TrainBytes = 0 // coalescing disabled
-	case cfg.TrainBytes == 0:
-		cfg.TrainBytes = maxTrainBytes
-	case cfg.TrainBytes > maxTrainBytes:
-		cfg.TrainBytes = maxTrainBytes
 	}
 	p := &Provider{
 		hosts:  make(map[netapi.HostID]*hostAddr),
@@ -564,9 +546,8 @@ type Endpoint struct {
 	sock   *net.UDPConn
 	closed atomic.Bool
 
-	batch      int           // batch depth (rx ring and tx flush queue)
-	flushWin   time.Duration // 0 = per-packet sends
-	trainBytes int           // frame-train coalescing budget (0 = off)
+	batch    int           // batch depth (rx ring and tx flush queue)
+	flushWin time.Duration // 0 = per-packet sends
 
 	// recv/recvBatch hold the receive upcalls; written by SetReceiver /
 	// SetBatchReceiver (any goroutine, including the loop itself) and
@@ -644,9 +625,8 @@ func (p *Provider) Open(host netapi.HostID, port uint16) (netapi.Endpoint, error
 	ep := &Endpoint{
 		p: p, host: host, port: port, sock: sock,
 		batch: p.cfg.BatchSize, flushWin: p.cfg.FlushWindow,
-		trainBytes: p.cfg.TrainBytes,
-		sq:         make([]outMsg, 0, p.cfg.BatchSize),
-		txq:        make([]outMsg, 0, p.cfg.BatchSize),
+		sq:  make([]outMsg, 0, p.cfg.BatchSize),
+		txq: make([]outMsg, 0, p.cfg.BatchSize),
 	}
 	if err := ep.bio.init(ep); err != nil {
 		sock.Close()
@@ -946,24 +926,22 @@ func (ep *Endpoint) onFlushTimer() {
 }
 
 // packTrains drains the frame queue into the wire queue, coalescing
-// consecutive same-destination frames into train datagrams within the
-// budget. Singles pass their slab through unchanged (and keep the
+// consecutive same-destination frames into train datagrams of at most
+// maxTrainBytes. Singles pass their slab through unchanged (and keep the
 // pre-train wire format). Called with sendMu held.
 func (ep *Endpoint) packTrains() {
 	sq := ep.sq
 	i := 0
 	for i < len(sq) {
 		j := i + 1
-		if ep.trainBytes > 0 {
-			total := trainHdr + trainRecHdr + (len(sq[i].frame) - frameOverhead)
-			for j < len(sq) && j-i < maxTrainCount && sq[j].dst == sq[i].dst {
-				rec := trainRecHdr + (len(sq[j].frame) - frameOverhead)
-				if total+rec > ep.trainBytes {
-					break
-				}
-				total += rec
-				j++
+		total := trainHdr + trainRecHdr + (len(sq[i].frame) - frameOverhead)
+		for j < len(sq) && j-i < maxTrainCount && sq[j].dst == sq[i].dst {
+			rec := trainRecHdr + (len(sq[j].frame) - frameOverhead)
+			if total+rec > maxTrainBytes {
+				break
 			}
+			total += rec
+			j++
 		}
 		if j == i+1 {
 			ep.txq = append(ep.txq, sq[i])
