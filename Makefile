@@ -47,8 +47,10 @@ live:
 
 # cli-smoke drives the command-line round trips no `go test` reaches: two
 # same-seed `adaptivetrace -record e10` flight recordings diffed to zero
-# divergence, and `adaptivectl migrate` on the simulator and over UDP
-# loopback (each gating exact delivery and stale-epoch fencing).
+# divergence, `adaptivectl migrate` on the simulator and over UDP loopback
+# (each gating exact delivery and stale-epoch fencing), and one start of
+# every other binary: adaptiveqos, the E3 record/summary/chrome chain that
+# `trace` runs, and the six examples.
 cli-smoke:
 	./scripts/cli_smoke.sh
 

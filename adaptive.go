@@ -39,6 +39,7 @@ package adaptive
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"time"
 
@@ -399,8 +400,10 @@ func (n *Node) Observability() *Observability { return n.obs }
 // or multicast — goes through its terminal transition abortively (nothing is
 // transmitted; owners hear NoteClosed or NoteEstablishFailed), the arbiter's
 // hint poller, every probing campaign and every unacknowledged signal retry
-// are canceled, so no timer of this node is left pending; then the
-// observability plane's trace stream is flushed and its HTTP endpoint stops.
+// are canceled, so no timer of this node is left pending; then the node's
+// endpoint is closed (a closed node answers nothing, and its host identity
+// can be opened again), the observability plane's trace stream is flushed and
+// its HTTP endpoint stops.
 // The teardown runs on the provider's event loop when the provider has one
 // that is still up, and inline when it was closed first or is a simulation
 // (call it from the goroutine that steps the kernel, not from inside an
@@ -415,7 +418,7 @@ func (n *Node) Close() error {
 		}
 		n.entity.Shutdown()
 	})
-	return n.obs.Close()
+	return errors.Join(n.stack.Endpoint().Close(), n.obs.Close())
 }
 
 // onLoop runs fn where the node's protocol code runs: on the provider's event

@@ -214,10 +214,14 @@ func TestNodeOverUDP(t *testing.T) {
 	var err1, err2 error
 	// Node creation opens sockets; do it off-loop, then interact with
 	// connections on the loop.
-	na, err1 = adaptive.NewNode(adaptive.WithProvider(p), adaptive.WithHost(1), adaptive.WithSeed(1))
-	nb, err2 = adaptive.NewNode(adaptive.WithProvider(p), adaptive.WithHost(2), adaptive.WithSeed(2))
+	// Both on a transport SAP other than the default.
+	na, err1 = adaptive.NewNode(adaptive.WithProvider(p), adaptive.WithHost(1), adaptive.WithSeed(1), adaptive.WithSAPPort(7000))
+	nb, err2 = adaptive.NewNode(adaptive.WithProvider(p), adaptive.WithHost(2), adaptive.WithSeed(2), adaptive.WithSAPPort(7000))
 	if err1 != nil || err2 != nil {
 		t.Fatal(err1, err2)
+	}
+	if nb.Addr().Port != 7000 {
+		t.Fatalf("node SAP is %v, want port 7000", nb.Addr())
 	}
 
 	var mu sync.Mutex

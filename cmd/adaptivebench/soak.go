@@ -20,6 +20,7 @@ package main
 // streamed archive for a trace.Diff against the tail's recording.
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -187,13 +188,13 @@ func runSoak(cfg soakConfig) int {
 		fail("trace stream dropped %d chunks", sum.TraceDropped)
 	}
 	if cfg.traceOut != "" {
-		set, err := o.Plane.Archive()
-		if err != nil {
+		var buf bytes.Buffer
+		if set, err := o.Plane.Archive(); err != nil {
 			fail("archive: %v", err)
-		} else if err := set.WriteFile(cfg.traceOut); err != nil {
-			fail("write %s: %v", cfg.traceOut, err)
-		} else {
-			fmt.Printf("soak: wrote archive %s (%d records)\n", cfg.traceOut, set.Len())
+		} else if _, err := set.WriteTo(&buf); err != nil {
+			fail("encode archive: %v", err)
+		} else if err := writeSoakFile(cfg.traceOut, buf.Bytes()); err != nil {
+			fail("%v", err)
 		}
 	}
 

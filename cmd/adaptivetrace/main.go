@@ -64,9 +64,7 @@ func main() {
 		default:
 			fatal("unknown experiment %q (want e3, e9, or e10)", *record)
 		}
-		if err := set.WriteFile(*out); err != nil {
-			fatal("write %s: %v", *out, err)
-		}
+		save(*out, set)
 		fmt.Printf("recorded %s: %d shard(s), %d record(s) retained -> %s\n",
 			strings.ToLower(*record), len(set.Shards), set.Len(), *out)
 
@@ -100,9 +98,7 @@ func main() {
 			fatal("-tail requires -o <path>")
 		}
 		set := tailStream(*tail)
-		if err := set.WriteFile(*out); err != nil {
-			fatal("write %s: %v", *out, err)
-		}
+		save(*out, set)
 		fmt.Printf("tailed %s: %d shard(s), %d record(s) -> %s\n",
 			*tail, len(set.Shards), set.Len(), *out)
 
@@ -162,11 +158,29 @@ func tailStream(endpoint string) *trace.Set {
 }
 
 func load(path string) *trace.Set {
-	set, err := trace.ReadFile(path)
+	f, err := os.Open(path)
+	if err != nil {
+		fatal("%v", err)
+	}
+	defer f.Close()
+	set, err := trace.ReadSet(f)
 	if err != nil {
 		fatal("read %s: %v", path, err)
 	}
 	return set
+}
+
+func save(path string, set *trace.Set) {
+	f, err := os.Create(path)
+	if err != nil {
+		fatal("%v", err)
+	}
+	if _, err := set.WriteTo(f); err != nil {
+		fatal("write %s: %v", path, err)
+	}
+	if err := f.Close(); err != nil {
+		fatal("close %s: %v", path, err)
+	}
 }
 
 func fatal(format string, args ...any) {

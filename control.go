@@ -96,13 +96,11 @@ func (cp *ControlPlane) Enroll(n *Node, capacity int) error {
 
 // Place admits an open connection into the placement view on its current
 // host and grants the initial lease. Admission rejects (host over budget)
-// are returned and counted.
+// are returned and counted. The placement and its slot in the budget are
+// released when the session ends on the host that holds the lease.
 func (cp *ControlPlane) Place(c *Conn) error {
 	return cp.ctl.Place(c.ConnID(), c.node.Addr().Host)
 }
-
-// Release drops a connection from the placement view (after close).
-func (cp *ControlPlane) Release(c *Conn) { cp.ctl.Release(c.ConnID()) }
 
 // Owner returns a connection's current lease: owning host and epoch.
 func (cp *ControlPlane) Owner(connID uint32) (HostID, uint64, bool) {

@@ -148,6 +148,45 @@ func TestMigrateSessionMidStream(t *testing.T) {
 	if len(got) != deliveredBefore {
 		t.Fatal("stale-epoch replay changed the delivered stream")
 	}
+
+	// Retiring the source copy ended a session on A, but the lease had
+	// already moved: the placement is B's until B's copy ends.
+	if st := cp.Status(); len(st.Placements) != 1 || st.Hosts[0].Sessions != 0 || st.Hosts[1].Sessions != 1 {
+		t.Fatalf("after the source retired: %+v", st)
+	}
+	adopted.Close()
+	k.RunUntil(70 * time.Second)
+	if st := cp.Status(); len(st.Placements) != 0 || st.Hosts[1].Sessions != 0 {
+		t.Fatalf("after the target copy closed: %+v", st)
+	}
+}
+
+// TestPlacementReleasedWhenSessionEnds: a placed session that ends gives its
+// admission slot back, so a host enrolled with capacity 1 can place one
+// session after another and the controller's view holds no ended session.
+func TestPlacementReleasedWhenSessionEnds(t *testing.T) {
+	k, na, _, np := simTriangle(t, netsim.LinkConfig{Bandwidth: 20e6, PropDelay: 2 * time.Millisecond, MTU: 1500})
+	cp := adaptive.NewControlPlane()
+	if err := cp.Enroll(na, 1); err != nil {
+		t.Fatal(err)
+	}
+	np.Listen(80, nil, func(c *adaptive.Conn) { c.OnReceive(func([]byte, bool) {}) })
+	for i := 0; i < 3; i++ {
+		conn, err := na.Dial(&adaptive.ACD{Participants: []adaptive.Addr{np.Addr()}, RemotePort: 80,
+			Qual: adaptive.QualQoS{Ordered: true}}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := cp.Place(conn); err != nil {
+			t.Fatalf("session %d: %v", i, err)
+		}
+		conn.Send([]byte("x"))
+		conn.Close()
+		k.RunUntil(k.Now() + 5*time.Second)
+		if st := cp.Status(); len(st.Placements) != 0 || st.Hosts[0].Sessions != 0 {
+			t.Fatalf("session %d closed, controller still holds %+v", i, st)
+		}
+	}
 }
 
 // TestMigrateRollbackOnDeadTarget drives the failure path: the target host's
@@ -255,21 +294,27 @@ func TestMigrateRollbackOnDeadTarget(t *testing.T) {
 // TestMigrateUnderLoss drives a cross-host handoff over lossy links with an
 // explicit recovery mechanism per row: the handoff record must carry live
 // retransmission state (non-empty unacked map) and the migrated stream must
-// still arrive with no lost or duplicated sequence — byte-identical.
+// still arrive with no lost or duplicated sequence — byte-identical. The
+// unreliable row repairs nothing, so it runs on a clean link and migrates
+// with nothing in flight (what the old owner has in the air when the fence
+// flips is lost to it by design); the identity it checks is the same.
 func TestMigrateUnderLoss(t *testing.T) {
 	cases := []struct {
 		name     string
 		recovery adaptive.RecoveryKind
+		drop     float64
+		at       time.Duration // when the migration starts
 	}{
-		{"SelectiveRepeat", adaptive.RecoverySelectiveRepeat},
-		{"GoBackN", adaptive.RecoveryGoBackN},
-		{"FECHybrid", adaptive.RecoveryFECHybrid},
+		{"SelectiveRepeat", adaptive.RecoverySelectiveRepeat, 0.05, 60 * time.Millisecond},
+		{"GoBackN", adaptive.RecoveryGoBackN, 0.05, 60 * time.Millisecond},
+		{"FECHybrid", adaptive.RecoveryFECHybrid, 0.05, 60 * time.Millisecond},
+		{"None", adaptive.RecoveryNone, 0, time.Second},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			k, na, nb, np := simTriangle(t, netsim.LinkConfig{
 				Bandwidth: 10e6, PropDelay: 2 * time.Millisecond, MTU: 1500,
-				DropRate: 0.05,
+				DropRate: tc.drop,
 			})
 			cp := adaptive.NewControlPlane()
 			for _, n := range []*adaptive.Node{na, nb, np} {
@@ -297,11 +342,11 @@ func TestMigrateUnderLoss(t *testing.T) {
 			if err := conn.Send(phase1); err != nil {
 				t.Fatal(err)
 			}
-			k.RunUntil(60 * time.Millisecond)
+			k.RunUntil(tc.at)
 
 			// Mid-flight under 5% loss the sender must be carrying live
 			// retransmission state into the record.
-			if h := conn.Session().ExportHandoff(); len(h.Unacked) == 0 {
+			if h := conn.Session().ExportHandoff(); tc.drop > 0 && len(h.Unacked) == 0 {
 				t.Fatal("handoff exported with an empty unacked map; loss test proves nothing")
 			}
 

@@ -5,8 +5,8 @@
 // Audio travels a fast LAN segment (~3 ms transit); video a congested
 // segment (~45 ms, jittery). Without synchronization the receiver would
 // play sound 40+ ms ahead of pictures. The playout-point synchronizer
-// releases both streams at capture time + one shared delay budget, and
-// MANTTS divides the uplink rate budget between the two sessions by
+// releases both streams at capture time + one shared delay budget, and the
+// host bandwidth arbiter divides the uplink between the two sessions by
 // priority.
 //
 //	go run ./examples/avsync
@@ -39,7 +39,8 @@ func main() {
 	network.SetRoute(dst.ID(), src.ID(), rev)
 	fwd.StartCrossTraffic(6e6, 1200) // the congestion that skews video
 
-	sender, err := adaptive.NewNode(adaptive.WithProvider(network), adaptive.WithHost(src.ID()), adaptive.WithName("studio"))
+	sender, err := adaptive.NewNode(adaptive.WithProvider(network), adaptive.WithHost(src.ID()), adaptive.WithName("studio"),
+		adaptive.WithArbiter(adaptive.DefaultArbiterPolicy()))
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -102,34 +103,45 @@ func main() {
 	receiver.Listen(5004, nil, accept(1)) // audio
 	receiver.Listen(5006, nil, accept(2)) // video
 
-	// Two related sessions from one ACD family; MANTTS coordinates their
-	// pacing by priority (video gets the bigger share of the 8 Mbps
-	// budget).
+	// Two related sessions from one ACD family. Either may burst to the
+	// whole uplink, so the sender's arbiter shares it between them by
+	// priority: weight priority+1, audio 1 : video 3.
 	mediaACD := func(port uint16, avg float64, prio int) *adaptive.ACD {
 		return &adaptive.ACD{
 			Participants: []adaptive.Addr{receiver.Addr()},
 			RemotePort:   port,
 			Quant: adaptive.QuantQoS{
-				AvgThroughputBps: avg,
-				MaxLatency:       150 * time.Millisecond,
-				MaxJitter:        20 * time.Millisecond,
-				LossTolerance:    0.05,
+				AvgThroughputBps:  avg,
+				PeakThroughputBps: 8e6,
+				MaxLatency:        150 * time.Millisecond,
+				MaxJitter:         20 * time.Millisecond,
+				LossTolerance:     0.05,
 			},
 			Qual: adaptive.QualQoS{Priority: prio},
 		}
 	}
-	audio, err := sender.Dial(mediaACD(5004, 64e3, 1), &adaptive.DialOptions{LocalPort: 5004})
+	sender.SeedPath(dst.ID(), adaptive.StaticPathInfo{Bandwidth: 8e6, RTT: 6 * time.Millisecond, MTU: 1500})
+	audio, err := sender.Dial(mediaACD(5004, 64e3, 0), &adaptive.DialOptions{LocalPort: 5004})
 	if err != nil {
 		log.Fatal(err)
 	}
-	video, err := sender.Dial(mediaACD(5006, 2e6, 3), &adaptive.DialOptions{LocalPort: 5006})
+	video, err := sender.Dial(mediaACD(5006, 2e6, 2), &adaptive.DialOptions{LocalPort: 5006})
 	if err != nil {
 		log.Fatal(err)
 	}
-	sender.Entity().CoordinateRates(8e6, audio.ConnID(), video.ConnID())
-	fmt.Printf("audio session: %v\nvideo session: %v\n", audio.Spec(), video.Spec())
-	fmt.Printf("coordinated pacing: audio %.2f Mbps, video %.2f Mbps (priority 1:3 of an 8 Mbps budget)\n\n",
-		audio.Spec().RateBps/1e6, video.Spec().RateBps/1e6)
+	// Keep each stream's first grant: the split of the seeded 8 Mbps. Later
+	// grants grow as the estimate probes a link these light streams never fill.
+	var audioBps, videoBps float64
+	first := func(dst *float64) func(float64) {
+		return func(bps float64) {
+			if *dst == 0 {
+				*dst = bps
+			}
+		}
+	}
+	audio.OnBudgetChange(first(&audioBps))
+	video.OnBudgetChange(first(&videoBps))
+	fmt.Printf("audio session: %v\nvideo session: %v\n\n", audio.Spec(), video.Spec())
 
 	// Capture loop: every 20 ms an audio frame and (every 40 ms) a video
 	// frame stamped with the same capture clock.
@@ -154,6 +166,8 @@ func main() {
 		arrivalSkew.Mean(), arrivalSkew.Quantile(0.95))
 	fmt.Printf("playout skew after synchronization: mean %.2f ms, p95 %.2f ms\n",
 		playSkew.Mean(), playSkew.Quantile(0.95))
+	fmt.Printf("arbiter's first grants: audio %.2f Mbps, video %.2f Mbps (weights 1:3 of the seeded 8 Mbps uplink)\n",
+		audioBps/1e6, videoBps/1e6)
 	a, v := sy.Stats(1), sy.Stats(2)
 	fmt.Printf("audio: %d played, %d late | video: %d played, %d late (budget 80 ms, video max transit %v)\n",
 		a.Played, a.Late, v.Played, v.Late, v.MaxTransit.Round(time.Millisecond))

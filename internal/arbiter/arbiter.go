@@ -526,15 +526,6 @@ func (a *Arbiter) CapacityBps() float64 { return a.capBps }
 // Sessions returns the registered-session count.
 func (a *Arbiter) Sessions() int { return len(a.entries) }
 
-// BudgetOf returns a session's current grant (0 if unknown or never
-// allocated).
-func (a *Arbiter) BudgetOf(id uint32) float64 {
-	if i, ok := a.index[id]; ok {
-		return a.entries[i].granted
-	}
-	return 0
-}
-
 // SqueezeOf returns how squeezed a session is: 1 - granted/demand, in
 // [0,1]. This is the MetricArbiterSqueeze value TSA rules condition on.
 func (a *Arbiter) SqueezeOf(id uint32) float64 {

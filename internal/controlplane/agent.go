@@ -126,9 +126,6 @@ func NewAgent(ctl *Controller, stack *protograph.Stack, capacity int) *Agent {
 	return a
 }
 
-// Host returns the host this agent serves.
-func (a *Agent) Host() netapi.HostID { return a.host }
-
 // --- source side ---
 
 // beginHandoff freezes the session, exports it, and starts streaming the
@@ -219,12 +216,13 @@ func (a *Agent) retireSource(connID uint32) {
 // sessionEnded is the agent's share of a session's terminal transition: a
 // hand-off the session was part of has nothing left to move. An outbound one
 // still in flight fails (its source is gone); a finished or pending adoption
-// is forgotten.
+// is forgotten; and a placement this host holds the lease for is released.
 func (a *Agent) sessionEnded(s *session.Session) {
 	connID := s.ConnID()
 	if om := a.takeOut(connID); om != nil {
 		a.ctl.failMigration(connID, om.epoch)
 	}
+	a.ctl.release(connID, a.host)
 	if ad := a.adopts[connID]; ad != nil {
 		if ad.timer != nil {
 			ad.timer.Cancel()
@@ -435,15 +433,13 @@ func (a *Agent) onOwnerAck(connID uint32, epoch uint64) {
 // fence (atomically rejecting any later packet from the old owner), repoint
 // the session's egress at the new owner, and confirm.
 func (a *Agent) onOwner(connID uint32, epoch uint64, owner netapi.Addr, from netapi.Addr) {
-	applied := a.stack.SetOwner(connID, owner, epoch)
-	if !applied {
-		// Only re-acknowledge flips the fence has already moved past; never
-		// acknowledge an epoch newer than the fence.
-		if _, cur, ok := a.stack.Owner(connID); !ok || cur < epoch {
-			return
+	// SetOwner refuses only an epoch the fence has already reached or
+	// passed, so a refused update is re-acknowledged like an applied one: its
+	// sender is retrying a flip whose first acknowledgement was lost.
+	if a.stack.SetOwner(connID, owner, epoch) {
+		if sess := a.stack.Session(connID); sess != nil {
+			sess.RebindPeer(owner)
 		}
-	} else if sess := a.stack.Session(connID); sess != nil {
-		sess.RebindPeer(owner)
 	}
 	var w wire.TLVWriter
 	w.PutU8(ctlTagType, ctlOwnerAck)

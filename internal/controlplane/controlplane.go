@@ -95,15 +95,18 @@ func (c *Controller) Place(connID uint32, host netapi.HostID) error {
 	return nil
 }
 
-// Release drops a session from the placement view (teardown).
-func (c *Controller) Release(connID uint32) {
+// release drops a session that ended on host from the placement view and
+// returns its admission slot. Only the lease holder's copy counts: the
+// transfer peer's end of the connection, and the source copy retired after a
+// migration flipped the lease, end without touching the placement.
+func (c *Controller) release(connID uint32, host netapi.HostID) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	pl := c.place[connID]
-	if pl == nil {
+	if pl == nil || pl.owner != host {
 		return
 	}
-	if he := c.hosts[pl.owner]; he != nil && he.used > 0 {
+	if he := c.hosts[host]; he != nil && he.used > 0 {
 		he.used--
 	}
 	delete(c.place, connID)

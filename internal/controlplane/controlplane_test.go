@@ -183,9 +183,13 @@ func TestControllerAdmission(t *testing.T) {
 		t.Errorf("Owner(10) = %d,%d,%v want 1,1,true", host, epoch, ok)
 	}
 
-	c.Release(11)
+	c.release(11, 2) // not the lease holder: nothing to give back
+	if err := c.Place(12, 1); err == nil {
+		t.Fatal("a release from another host freed the owner's slot")
+	}
+	c.release(11, 1)
 	if err := c.Place(12, 1); err != nil {
-		t.Fatalf("Place after Release: %v", err)
+		t.Fatalf("Place after release: %v", err)
 	}
 }
 

@@ -21,7 +21,6 @@ import (
 type discardOut struct{}
 
 func (discardOut) Transmit(pkt []byte, dst netapi.Addr) error { return nil }
-func (discardOut) PathMTU(netapi.Addr) int                    { return 1500 }
 
 // RunE5 measures the §4.2.2 customization trade-off: per-PDU receive-path
 // cost through the dynamically-bound session (interface dispatch at every

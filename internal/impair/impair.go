@@ -138,7 +138,7 @@ func (p *Provider) draw() int {
 	return passPkt
 }
 
-// endpoint passes SetReceiver/LocalAddr/PathMTU/Close through to the inner
+// endpoint passes SetReceiver/LocalAddr/Close through to the inner
 // endpoint and impairs Send.
 type endpoint struct {
 	netapi.Endpoint

@@ -150,9 +150,6 @@ func (e *Entity) NetState() *NetState { return e.netstate }
 // Call before opening sessions (typically at node construction).
 func (e *Entity) SetArbiter(a *arbiter.Arbiter) { e.arb = a }
 
-// Arbiter returns the installed bandwidth arbiter, or nil.
-func (e *Entity) Arbiter() *arbiter.Arbiter { return e.arb }
-
 // demandFor derives a session's bandwidth appetite from its ACD: the peak
 // throughput quantification when declared, else the average, else the
 // arbiter's per-session minimum.
@@ -185,9 +182,6 @@ func (e *Entity) SetDemand(m *Managed, bps float64) {
 	m.demandBps = bps
 	e.arb.SetDemand(m.Session.ConnID(), bps)
 }
-
-// Stack returns the underlying protocol graph.
-func (e *Entity) Stack() *protograph.Stack { return e.stack }
 
 // Managed returns the policy wrapper for a connection, or nil.
 func (e *Entity) ManagedSession(connID uint32) *Managed { return e.managed[connID] }
@@ -348,30 +342,6 @@ func (e *Entity) Reconfigure(m *Managed, mutate func(s *mechanism.Spec)) error {
 		e.sendSignalReliable(m.Session.PeerAddr(), w.Bytes())
 	}
 	return m.Session.ApplySpec(&ns)
-}
-
-// CoordinateRates divides a bandwidth budget among related sessions in
-// proportion to their priorities — MANTTS "coordinates multiple related
-// communication sessions (e.g., determining the scheduling priorities of
-// synchronized multimedia streams)" (§4.1). Weights are priority+1 so
-// priority-0 sessions still receive a share. Sessions not managed by this
-// entity are ignored.
-func (e *Entity) CoordinateRates(budgetBps float64, connIDs ...uint32) {
-	var total float64
-	var members []*Managed
-	for _, id := range connIDs {
-		if m := e.managed[id]; m != nil {
-			members = append(members, m)
-			total += float64(m.Session.Spec().Priority + 1)
-		}
-	}
-	if total == 0 || budgetBps <= 0 {
-		return
-	}
-	for _, m := range members {
-		share := budgetBps * float64(m.Session.Spec().Priority+1) / total
-		e.Reconfigure(m, func(s *mechanism.Spec) { s.RateBps = share })
-	}
 }
 
 // --- multicast membership ---

@@ -285,45 +285,6 @@ func TestTerminationReleasesResources(t *testing.T) {
 	}
 }
 
-func TestCoordinateRatesByPriority(t *testing.T) {
-	r := newRig(t, 2, netsim.LinkConfig{Bandwidth: 10e6, PropDelay: time.Millisecond, MTU: 1500})
-	r.stacks[1].Listen(80, &protograph.Listener{OnAccept: func(s *session.Session) {
-		s.SetReceiver(func(d session.Delivery) { d.Msg.Release() })
-	}})
-	r.stacks[1].Listen(81, &protograph.Listener{OnAccept: func(s *session.Session) {
-		s.SetReceiver(func(d session.Delivery) { d.Msg.Release() })
-	}})
-	mk := func(port uint16, prio int) *Managed {
-		addr := r.addr(1)
-		addr.Port = r.addr(1).Port
-		m, err := r.ents[0].OpenSessionWith(&ACD{
-			Participants: []netapi.Addr{r.addr(1)},
-			RemotePort:   port,
-			Quant: QuantQoS{AvgThroughputBps: 1e6, MaxJitter: 5 * time.Millisecond,
-				LossTolerance: 0.05},
-			Qual: QualQoS{Priority: prio},
-		}, OpenOptions{LocalPort: port})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return m
-	}
-	low := mk(80, 0)  // weight 1
-	high := mk(81, 3) // weight 4
-	r.ents[0].CoordinateRates(10e6, low.Session.ConnID(), high.Session.ConnID())
-	r.k.RunUntil(time.Second)
-	lo, hi := low.Session.Spec().RateBps, high.Session.Spec().RateBps
-	if lo != 2e6 || hi != 8e6 {
-		t.Fatalf("coordinated rates %v / %v, want 2e6 / 8e6", lo, hi)
-	}
-	// Unknown connection IDs are ignored, budget 0 is a no-op.
-	r.ents[0].CoordinateRates(0, low.Session.ConnID())
-	r.ents[0].CoordinateRates(5e6, 0xdeadbeef)
-	if low.Session.Spec().RateBps != 2e6 {
-		t.Fatal("no-op coordination changed rates")
-	}
-}
-
 func TestNotifyAppRuleDelivery(t *testing.T) {
 	r := newRig(t, 2, netsim.LinkConfig{Bandwidth: 10e6, PropDelay: time.Millisecond, MTU: 1500})
 	r.stacks[1].Listen(80, &protograph.Listener{OnAccept: func(s *session.Session) {

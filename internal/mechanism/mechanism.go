@@ -83,9 +83,6 @@ type Env interface {
 
 	// ConnID returns the session's connection identifier.
 	ConnID() uint32
-	// LocalPort and PeerAddr describe the transport addressing.
-	LocalPort() uint16
-	PeerAddr() netapi.Addr
 
 	// EmitControl encodes and transmits a control PDU (ACK, NAK, handshake,
 	// parity) immediately, bypassing window and rate gating.

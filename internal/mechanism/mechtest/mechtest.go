@@ -73,8 +73,6 @@ func (e *Env) Rand() *rand.Rand                { return e.Rng }
 func (e *Env) Metrics() mechanism.MetricSink   { return e.Sink }
 func (e *Env) Tracer() *trace.Recorder         { return nil }
 func (e *Env) ConnID() uint32                  { return 0xc0ffee }
-func (e *Env) LocalPort() uint16               { return 1 }
-func (e *Env) PeerAddr() netapi.Addr           { return netapi.Addr{Host: 2, Port: 7700} }
 func (e *Env) State() *mechanism.TransferState { return e.StateV }
 func (e *Env) Spec() *mechanism.Spec           { return e.SpecV }
 func (e *Env) Pump()                           { e.Pumps++ }

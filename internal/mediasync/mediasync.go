@@ -100,9 +100,6 @@ func New(timers *event.Manager, delay time.Duration, out func(Unit)) *Synchroniz
 	}
 }
 
-// Delay returns the playout budget.
-func (s *Synchronizer) Delay() time.Duration { return s.delay }
-
 // SetDelay re-tunes the playout budget for future units (an
 // application-specific response to NoteAppLoss / rising jitter).
 func (s *Synchronizer) SetDelay(d time.Duration) { s.delay = d }

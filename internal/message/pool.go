@@ -99,9 +99,6 @@ func SetPoison(on bool) bool {
 	return poisonMode.Swap(on)
 }
 
-// PoisonEnabled reports whether poison-mode debugging is active.
-func PoisonEnabled() bool { return poisonMode.Load() }
-
 // outstanding counts pooled buffers handed out and not yet recycled, while
 // poison mode is on (the debug mode pays for the bookkeeping; the default
 // path does not).

@@ -99,9 +99,6 @@ type Endpoint interface {
 	SetReceiver(r Receiver)
 	// LocalAddr returns the endpoint's bound address.
 	LocalAddr() Addr
-	// PathMTU returns the maximum packet size deliverable to dst without
-	// fragmentation by the provider.
-	PathMTU(dst Addr) int
 	Close() error
 }
 

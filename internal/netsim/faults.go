@@ -260,12 +260,6 @@ func (p *FaultPlan) Heal(at time.Duration) *FaultPlan {
 	return p.add(at, "heal", func() { p.net.Heal() })
 }
 
-// DropRate schedules a change to the link's uniform random-loss probability.
-func (p *FaultPlan) DropRate(at time.Duration, l *Link, rate float64) *FaultPlan {
-	return p.add(at, fmt.Sprintf("drop-rate(%s, %.3f)", l.cfg.Name, rate),
-		func() { l.SetDropRate(rate) })
-}
-
 // Len returns the number of planned events.
 func (p *FaultPlan) Len() int { return len(p.events) }
 

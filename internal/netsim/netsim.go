@@ -85,9 +85,6 @@ type Link struct {
 // Config returns the link's configuration.
 func (l *Link) Config() LinkConfig { return l.cfg }
 
-// ID returns the link's creation-ordered identifier (trace record ID).
-func (l *Link) ID() uint32 { return l.id }
-
 // tracer returns the kernel's flight recorder (nil when tracing is off or
 // the link is detached, e.g. a bare Link driven directly in tests).
 func (l *Link) tracer() *trace.Recorder {
@@ -111,9 +108,6 @@ func (l *Link) Stats() LinkStats { return l.stats }
 
 // SetDropRate changes the random-loss probability mid-run (loss sweeps).
 func (l *Link) SetDropRate(p float64) { l.cfg.DropRate = p }
-
-// SetBER changes the bit-error rate mid-run.
-func (l *Link) SetBER(p float64) { l.cfg.BER = p }
 
 // QueuedBytes estimates the bytes currently awaiting serialization.
 func (l *Link) QueuedBytes() int {

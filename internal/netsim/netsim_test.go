@@ -105,9 +105,6 @@ func TestMTUDrop(t *testing.T) {
 	if got || ab.Stats().DropsMTU != 1 {
 		t.Fatalf("oversized packet not dropped (got=%v stats=%+v)", got, ab.Stats())
 	}
-	if epA.PathMTU(epB.LocalAddr()) != 512 {
-		t.Fatalf("PathMTU = %d", epA.PathMTU(epB.LocalAddr()))
-	}
 }
 
 func TestBERCorruptsButDelivers(t *testing.T) {
@@ -405,11 +402,6 @@ func TestMultiHopPath(t *testing.T) {
 	}
 	if l2.Stats().TxPackets != 3 {
 		t.Fatalf("middle hop carried %d", l2.Stats().TxPackets)
-	}
-	// Path MTU is the minimum across hops.
-	l2.cfg.MTU = 512
-	if epA.PathMTU(epB.LocalAddr()) != 512 {
-		t.Fatalf("path MTU %d", epA.PathMTU(epB.LocalAddr()))
 	}
 }
 

@@ -124,9 +124,6 @@ func (n *Network) SetDeliveryMode(m DeliveryMode) {
 	n.mode = m
 }
 
-// DeliveryModeNow returns the current delivery mode.
-func (n *Network) DeliveryModeNow() DeliveryMode { return n.mode }
-
 // TotalReceived sums delivered packets across all hosts (the denominator of
 // the kernel-events-per-delivered-packet scale metric).
 func (n *Network) TotalReceived() uint64 {
@@ -171,14 +168,6 @@ func (n *Network) SetRoute(a, b netapi.HostID, path ...*Link) {
 	n.routes[[2]netapi.HostID{a, b}] = path
 }
 
-// SetDuplexRoute installs the same path in both directions (each direction
-// gets its own Link instances via the caller; this helper simply installs
-// forward and reverse entries).
-func (n *Network) SetDuplexRoute(a, b netapi.HostID, forward, reverse []*Link) {
-	n.SetRoute(a, b, forward...)
-	n.SetRoute(b, a, reverse...)
-}
-
 // Route returns the current path from a to b, or nil.
 func (n *Network) Route(a, b netapi.HostID) []*Link {
 	return n.routes[[2]netapi.HostID{a, b}]
@@ -217,19 +206,6 @@ func (n *Network) Members(group netapi.HostID) []netapi.HostID {
 	}
 	slices.Sort(out)
 	return out
-}
-
-// PathMTU computes the usable MTU between two hosts (minimum along the
-// route), or a large default when no route is installed yet.
-func (n *Network) PathMTU(a, b netapi.HostID) int {
-	mtu := 1 << 16
-	path := n.routes[[2]netapi.HostID{a, b}]
-	for _, l := range path {
-		if l.cfg.MTU > 0 && l.cfg.MTU < mtu {
-			mtu = l.cfg.MTU
-		}
-	}
-	return mtu
 }
 
 // PathRTT estimates the round-trip propagation+serialization delay for a

@@ -39,24 +39,6 @@ func (e *Endpoint) SetReceiver(r netapi.Receiver) { e.recv = r }
 // LocalAddr returns the bound address.
 func (e *Endpoint) LocalAddr() netapi.Addr { return e.addr }
 
-// PathMTU returns the usable payload size toward dst.
-func (e *Endpoint) PathMTU(dst netapi.Addr) int {
-	if dst.Host.IsMulticast() {
-		// Conservative: minimum over current members.
-		mtu := 1 << 16
-		for _, m := range e.host.net.Members(dst.Host) {
-			if m == e.host.id {
-				continue
-			}
-			if v := e.host.net.PathMTU(e.host.id, m); v < mtu {
-				mtu = v
-			}
-		}
-		return mtu
-	}
-	return e.host.net.PathMTU(e.host.id, dst.Host)
-}
-
 // SetCPUCost declares the protocol-processing cost this endpoint's stack
 // imposes per packet (see CPUCost).
 func (e *Endpoint) SetCPUCost(c CPUCost) { e.cost = c }

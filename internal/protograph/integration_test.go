@@ -251,35 +251,48 @@ func TestFECLossTolerantDeliversWithGaps(t *testing.T) {
 	}
 }
 
+// TestSegueGBNtoSRMidTransferNoLoss switches both ends to selective repeat in
+// mid-transfer: from go-back-N over a lossy link, and from no recovery at all
+// over a clean one (nothing can repair what was lost before the segue).
 func TestSegueGBNtoSRMidTransferNoLoss(t *testing.T) {
-	link := fastLink()
-	link.DropRate = 0.03
-	p := newPair(t, link)
-	spec := mechanism.DefaultSpec()
-	spec.Recovery = mechanism.RecoveryGoBackN
-	payload := bytes.Repeat([]byte("S"), 300*1024)
-	s, _, err := p.a.CreateActiveSession(&spec, p.b.LocalAddr(), 1000, 80)
-	if err != nil {
-		t.Fatal(err)
-	}
-	s.Open()
-	s.Send(payload)
-	// Mid-transfer, switch both ends to selective repeat.
-	p.k.Schedule(80*time.Millisecond, func() {
-		ns := *s.Spec()
-		ns.Recovery = mechanism.RecoverySelectiveRepeat
-		s.ApplySpec(&ns)
-		rs := *p.accepted.Spec()
-		rs.Recovery = mechanism.RecoverySelectiveRepeat
-		p.accepted.ApplySpec(&rs)
-	})
-	p.k.RunUntil(60 * time.Second)
-	if !bytes.Equal(p.received, payload) {
-		t.Fatalf("segue lost data: received %d of %d intact=%v",
-			len(p.received), len(payload), bytes.Equal(p.received, payload))
-	}
-	if s.Segues == 0 || p.accepted.Segues == 0 {
-		t.Fatal("segue did not happen")
+	for _, tc := range []struct {
+		name string
+		from mechanism.RecoveryKind
+		drop float64
+	}{
+		{"GoBackN", mechanism.RecoveryGoBackN, 0.03},
+		{"None", mechanism.RecoveryNone, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			link := fastLink()
+			link.DropRate = tc.drop
+			p := newPair(t, link)
+			spec := mechanism.DefaultSpec()
+			spec.Recovery = tc.from
+			payload := bytes.Repeat([]byte("S"), 300*1024)
+			s, _, err := p.a.CreateActiveSession(&spec, p.b.LocalAddr(), 1000, 80)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s.Open()
+			s.Send(payload)
+			p.k.Schedule(80*time.Millisecond, func() {
+				ns := *s.Spec()
+				ns.Recovery = mechanism.RecoverySelectiveRepeat
+				s.ApplySpec(&ns)
+				rs := *p.accepted.Spec()
+				rs.Recovery = mechanism.RecoverySelectiveRepeat
+				p.accepted.ApplySpec(&rs)
+			})
+			p.k.RunUntil(60 * time.Second)
+			if !bytes.Equal(p.received, payload) {
+				t.Fatalf("segue lost data: received %d of %d intact=%v",
+					len(p.received), len(payload), bytes.Equal(p.received, payload))
+			}
+			if s.Segues == 0 || p.accepted.Segues == 0 {
+				t.Fatal("segue did not happen")
+			}
+		})
 	}
 }
 
@@ -357,8 +370,8 @@ func TestUnreliableTransferOnCleanLink(t *testing.T) {
 
 func TestLayerInsertionAndRemoval(t *testing.T) {
 	p := newPair(t, fastLink())
-	drop := &dropLayer{}
-	p.a.InsertLayer(drop)
+	dropped := 0
+	p.a.InsertLayer(&fnLayer{name: "droplayer", out: func([]byte) ([]byte, bool) { dropped++; return nil, false }})
 	if got := p.a.Layers(); len(got) != 1 || got[0] != "droplayer" {
 		t.Fatalf("layers: %v", got)
 	}
@@ -378,19 +391,10 @@ func TestLayerInsertionAndRemoval(t *testing.T) {
 	if string(p.received) != "blocked" {
 		t.Fatalf("after layer removal got %q", p.received)
 	}
-	if drop.dropped == 0 {
+	if dropped == 0 {
 		t.Fatal("layer never saw traffic")
 	}
 }
-
-type dropLayer struct{ dropped int }
-
-func (d *dropLayer) Name() string { return "droplayer" }
-func (d *dropLayer) Outbound(pkt []byte, _ netapi.Addr) ([]byte, bool) {
-	d.dropped++
-	return nil, false
-}
-func (d *dropLayer) Inbound(pkt []byte, _ netapi.Addr) ([]byte, bool) { return pkt, true }
 
 func TestHandshakeRetriesSurviveLoss(t *testing.T) {
 	link := fastLink()

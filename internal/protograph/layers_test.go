@@ -2,53 +2,58 @@ package protograph
 
 import (
 	"bytes"
-	"strings"
 	"testing"
 	"time"
 
 	"adaptive/internal/mechanism"
+	"adaptive/internal/netapi"
 	"adaptive/internal/session"
 )
 
-func TestTraceLayerCountsAndLogs(t *testing.T) {
-	p := newPair(t, fastLink())
-	var log strings.Builder
-	tr := &TraceLayer{W: &log, Tag: "a"}
-	p.a.InsertLayer(tr)
-	spec := mechanism.DefaultSpec()
-	spec.ConnMgmt = mechanism.ConnImplicit
-	s, _, _ := p.a.CreateActiveSession(&spec, p.b.LocalAddr(), 1000, 80)
-	s.Open()
-	s.Send([]byte("traced"))
-	p.k.RunUntil(5 * time.Second)
-	if string(p.received) != "traced" {
-		t.Fatalf("trace layer altered traffic: %q", p.received)
-	}
-	if tr.Out == 0 || tr.In == 0 || tr.OutB == 0 {
-		t.Fatalf("trace counters empty: %+v", tr)
-	}
-	if !strings.Contains(log.String(), "trace:a ->") || !strings.Contains(log.String(), "trace:a <-") {
-		t.Fatalf("trace log missing directions:\n%s", log.String())
-	}
+// fnLayer is the tests' protocol-graph element: a name and one function per
+// direction (nil passes the packet through).
+type fnLayer struct {
+	name    string
+	out, in func(pkt []byte) ([]byte, bool)
 }
 
-func TestXorLayerSymmetric(t *testing.T) {
-	p := newPair(t, fastLink())
-	key := []byte{0x5a, 0xc3, 0x99}
-	p.a.InsertLayer(&XorLayer{Key: key})
-	p.b.InsertLayer(&XorLayer{Key: key})
-	spec := mechanism.DefaultSpec()
-	payload := bytes.Repeat([]byte("secret"), 3000)
-	p.openAndTransfer(t, spec, payload)
-	if !bytes.Equal(p.received, payload) {
-		t.Fatalf("xor round trip broke payload: %d of %d", len(p.received), len(payload))
+func (l *fnLayer) Name() string { return l.name }
+func (l *fnLayer) Outbound(pkt []byte, _ netapi.Addr) ([]byte, bool) {
+	if l.out == nil {
+		return pkt, true
 	}
+	return l.out(pkt)
+}
+func (l *fnLayer) Inbound(pkt []byte, _ netapi.Addr) ([]byte, bool) {
+	if l.in == nil {
+		return pkt, true
+	}
+	return l.in(pkt)
+}
+
+// lossLayer drops every nth outbound packet and counts the drops.
+func lossLayer(n int, dropped *int) *fnLayer {
+	count := 0
+	return &fnLayer{name: "loss", out: func(pkt []byte) ([]byte, bool) {
+		if count++; count%n == 0 {
+			*dropped++
+			return nil, false
+		}
+		return pkt, true
+	}}
 }
 
 func TestXorLayerMismatchIsLoss(t *testing.T) {
 	p := newPair(t, fastLink())
-	p.a.InsertLayer(&XorLayer{Key: []byte{0xff}})
-	// Receiver has no matching layer: every packet fails checksum.
+	// The sender whitens every packet and the receiver has no matching
+	// layer: every packet fails checksum.
+	p.a.InsertLayer(&fnLayer{name: "xor", out: func(pkt []byte) ([]byte, bool) {
+		out := bytes.Clone(pkt)
+		for i := range out {
+			out[i] ^= 0xff
+		}
+		return out, true
+	}})
 	spec := mechanism.DefaultSpec()
 	spec.ConnMgmt = mechanism.ConnImplicit
 	spec.Graceful = false
@@ -66,15 +71,15 @@ func TestXorLayerMismatchIsLoss(t *testing.T) {
 
 func TestLossLayerDeterministicFaultInjection(t *testing.T) {
 	p := newPair(t, fastLink())
-	ll := &LossLayer{DropEveryNth: 5, Outbound_: true}
-	p.a.InsertLayer(ll)
+	dropped := 0
+	p.a.InsertLayer(lossLayer(5, &dropped))
 	spec := mechanism.DefaultSpec()
 	payload := bytes.Repeat([]byte("L"), 100*1024)
 	s := p.openAndTransfer(t, spec, payload)
 	if !bytes.Equal(p.received, payload) {
 		t.Fatalf("reliable transfer did not survive 20%% injected loss: %d of %d", len(p.received), len(payload))
 	}
-	if ll.Dropped == 0 {
+	if dropped == 0 {
 		t.Fatal("loss layer dropped nothing")
 	}
 	if s.State().Retransmissions == 0 {
@@ -83,28 +88,33 @@ func TestLossLayerDeterministicFaultInjection(t *testing.T) {
 }
 
 func TestLayerOrderingOutermostLast(t *testing.T) {
-	// Layers apply outbound in insertion order and inbound in reverse:
-	// insert trace-then-xor on A; xor-then-trace equivalence on B means
-	// B's trace sees whitened bytes only if inserted before xor.
+	// Layers apply outbound in insertion order and inbound in reverse.
 	p := newPair(t, fastLink())
-	key := []byte{0xaa}
-	aTrace := &TraceLayer{Tag: "inner"}
-	p.a.InsertLayer(aTrace) // sees plaintext (outbound first)
-	p.a.InsertLayer(&XorLayer{Key: key})
-	p.b.InsertLayer(&TraceLayer{Tag: "outer"})
-	p.b.InsertLayer(&XorLayer{Key: key}) // inbound runs reverse: xor first
+	var outOrder, inOrder []string
+	for _, name := range []string{"inner", "outer"} {
+		p.a.InsertLayer(&fnLayer{name: name,
+			out: func(pkt []byte) ([]byte, bool) { outOrder = append(outOrder, name); return pkt, true },
+			in:  func(pkt []byte) ([]byte, bool) { inOrder = append(inOrder, name); return pkt, true },
+		})
+	}
 	spec := mechanism.DefaultSpec()
 	payload := []byte("ordering")
 	p.openAndTransfer(t, spec, payload)
 	if !bytes.Equal(p.received, payload) {
 		t.Fatalf("layer composition broke transfer: %q", p.received)
 	}
+	if len(outOrder) < 2 || outOrder[0] != "inner" || outOrder[1] != "outer" {
+		t.Fatalf("outbound order %v, want inner then outer", outOrder)
+	}
+	if len(inOrder) < 2 || inOrder[0] != "outer" || inOrder[1] != "inner" {
+		t.Fatalf("inbound order %v, want outer then inner", inOrder)
+	}
 }
 
 func TestRemoveLayerMidSession(t *testing.T) {
 	p := newPair(t, fastLink())
-	ll := &LossLayer{DropEveryNth: 2, Outbound_: true}
-	p.a.InsertLayer(ll)
+	dropped := 0
+	p.a.InsertLayer(lossLayer(2, &dropped))
 	spec := mechanism.DefaultSpec()
 	s, _, _ := p.a.CreateActiveSession(&spec, p.b.LocalAddr(), 1000, 80)
 	s.Open()

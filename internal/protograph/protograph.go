@@ -231,9 +231,6 @@ func (st *Stack) Transmit(pkt []byte, dst netapi.Addr) error {
 	return st.ep.Send(p, dst)
 }
 
-// PathMTU reports the usable packet size toward dst.
-func (st *Stack) PathMTU(dst netapi.Addr) int { return st.ep.PathMTU(dst) }
-
 // --- listeners and session management ---
 
 // Listen installs a listener on a transport port.
@@ -356,12 +353,6 @@ func (st *Stack) SetOwner(connID uint32, owner netapi.Addr, epoch uint64) bool {
 	}
 	st.fences[connID] = fence{owner: owner, epoch: epoch}
 	return true
-}
-
-// Owner returns the fenced owner and epoch for a connection, if any.
-func (st *Stack) Owner(connID uint32) (owner netapi.Addr, epoch uint64, ok bool) {
-	f, ok := st.fences[connID]
-	return f.owner, f.epoch, ok
 }
 
 // AdoptSession synthesizes a session from a migration handoff and registers

@@ -181,9 +181,9 @@ func (*GoBackN) Name() string   { return "go-back-n" }
 func (*GoBackN) Reliable() bool { return true }
 func (*GoBackN) UsesRTO() bool  { return true }
 
-func (g *GoBackN) OnSendData(e mechanism.Env, p *wire.PDU) {
-	// The session already recorded the PDU in Unacked; nothing extra.
-}
+// OnSendData has nothing to add: the session already recorded the PDU in
+// Unacked.
+func (g *GoBackN) OnSendData(e mechanism.Env, p *wire.PDU) {}
 
 // OnAck handles fast retransmit on the third duplicate ack. (Cumulative-ack
 // bookkeeping — AckThrough, RTT sampling, window growth — is generic and
@@ -433,7 +433,3 @@ func DecodeNakList(p *wire.PDU, into []uint32) []uint32 {
 // AcksCoalesced reports how many acknowledgments the delayed-ack timer
 // absorbed (whitebox metric for ablation A1).
 func (s *SelectiveRepeat) AcksCoalesced() uint64 { return s.acker.Coalesced }
-
-// AcksCoalesced reports how many acknowledgments the delayed-ack timer
-// absorbed.
-func (g *GoBackN) AcksCoalesced() uint64 { return g.acker.Coalesced }

@@ -26,8 +26,6 @@ func (e sessionEnv) Rand() *rand.Rand                { return e.s.rng }
 func (e sessionEnv) Metrics() mechanism.MetricSink   { return e.s.metrics }
 func (e sessionEnv) Tracer() *trace.Recorder         { return e.s.tracer }
 func (e sessionEnv) ConnID() uint32                  { return e.s.id.ConnID }
-func (e sessionEnv) LocalPort() uint16               { return e.s.id.LocalPort }
-func (e sessionEnv) PeerAddr() netapi.Addr           { return e.s.id.PeerNet }
 func (e sessionEnv) State() *mechanism.TransferState { return e.s.state }
 func (e sessionEnv) Spec() *mechanism.Spec           { return e.s.spec }
 

@@ -109,9 +109,6 @@ func (s *Session) ResumeEgress() {
 	s.pump()
 }
 
-// Frozen reports whether egress is currently frozen.
-func (s *Session) Frozen() bool { return s.frozen }
-
 // Retire ends the source copy of a migrated session: the hand-off's arm of the
 // terminal transition. Every subsequent Send fails with ErrMigrated; the
 // husk remains valid for reading meters.

@@ -45,7 +45,6 @@ type Factory func(*mechanism.Spec) (Slots, error)
 // protocol graph).
 type Outbound interface {
 	Transmit(pkt []byte, dst netapi.Addr) error
-	PathMTU(dst netapi.Addr) int
 }
 
 // Delivery re-exports mechanism.Delivery for receivers.

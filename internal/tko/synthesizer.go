@@ -55,9 +55,6 @@ func NewSynthesizer(reg *Registry) *Synthesizer {
 	return &Synthesizer{reg: reg, templates: make(map[string]*Template)}
 }
 
-// Registry exposes the underlying mechanism repository.
-func (sy *Synthesizer) Registry() *Registry { return sy.reg }
-
 // Stats returns a copy of the counters.
 func (sy *Synthesizer) Stats() Stats { return sy.stats }
 

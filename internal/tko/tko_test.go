@@ -4,10 +4,13 @@ import (
 	"encoding/binary"
 	"hash/crc32"
 	"testing"
+	"time"
 
 	"adaptive/internal/mechanism"
+	"adaptive/internal/mechanism/mechtest"
 	"adaptive/internal/message"
 	"adaptive/internal/wire"
+	"adaptive/internal/xmit"
 )
 
 func TestDefaultRegistryBuildsEveryKind(t *testing.T) {
@@ -28,6 +31,11 @@ func TestDefaultRegistryBuildsEveryKind(t *testing.T) {
 					}
 					if slots.Conn == nil || slots.Recovery == nil || slots.Window == nil || slots.Orderer == nil || slots.Rate == nil {
 						t.Fatalf("%v/%v/%v/%v: nil slot", c, r, w, o)
+					}
+					for _, m := range []mechanism.Mechanism{slots.Conn, slots.Recovery, slots.Window, slots.Orderer, slots.Rate} {
+						if m.Name() == "" {
+							t.Fatalf("%v/%v/%v/%v: %T has no name", c, r, w, o, m)
+						}
 					}
 				}
 			}
@@ -243,5 +251,78 @@ func TestCustomizedMatchesDynamicSemantics(t *testing.T) {
 	}
 	if len(eoms) != 4 || eoms[0] || !eoms[1] || eoms[2] || !eoms[3] {
 		t.Fatalf("EOM flags %v", eoms)
+	}
+}
+
+// TestMechanismsIgnoreWhatTheyDoNotConsume hands every recovery strategy the
+// events its design has no use for — with retransmission state standing by
+// that a wrong consumer would act on — and every window and rate mechanism
+// the feedback it does not adapt to: nothing is emitted and no transfer state
+// moves.
+func TestMechanismsIgnoreWhatTheyDoNotConsume(t *testing.T) {
+	nak := func() *wire.PDU {
+		p := &wire.PDU{Header: wire.Header{Type: wire.TNak, Aux: 2}}
+		p.Payload = message.NewFromBytes([]byte{0, 0, 0, 0, 0, 0, 0, 1}) // seqs 0 and 1
+		return p
+	}
+	events := map[string]func(mechanism.Recovery, mechanism.Env){
+		"ack": func(r mechanism.Recovery, e mechanism.Env) {
+			r.OnAck(e, &wire.PDU{Header: wire.Header{Type: wire.TAck, Ack: 2}})
+		},
+		"nak": func(r mechanism.Recovery, e mechanism.Env) { r.OnNak(e, nak()) },
+		"rto": func(r mechanism.Recovery, e mechanism.Env) { r.OnRTO(e) },
+		"parity": func(r mechanism.Recovery, e mechanism.Env) {
+			r.OnParity(e, &wire.PDU{Header: wire.Header{Type: wire.TParity}})
+		},
+		"send": func(r mechanism.Recovery, e mechanism.Env) { r.OnSendData(e, mechtest.DataPDU(2, "c")) },
+	}
+	for _, tc := range []struct {
+		kind    mechanism.RecoveryKind
+		ignores []string
+	}{
+		{mechanism.RecoveryNone, []string{"ack", "nak", "rto", "parity"}},
+		{mechanism.RecoveryGoBackN, []string{"nak", "parity", "send"}},
+		{mechanism.RecoverySelectiveRepeat, []string{"ack", "parity", "send"}},
+		{mechanism.RecoveryFEC, []string{"ack", "nak"}},
+		{mechanism.RecoveryFECHybrid, []string{"ack"}},
+	} {
+		for _, ev := range tc.ignores {
+			spec := mechanism.DefaultSpec()
+			spec.Recovery = tc.kind
+			slots, err := DefaultRegistry().Build(&spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			env := mechtest.New(&spec)
+			for seq := uint32(0); seq < 3; seq++ {
+				env.SentEntry(seq, "x", 0)
+			}
+			st := env.State()
+			before, unacked, held := st.Portable, st.Unacked.Len(), st.RcvBuf.Len()
+			events[ev](slots.Recovery, env)
+			env.Kernel.RunFor(time.Minute) // and no timer was left to act later
+			if n := len(env.Control) + len(env.Data) + len(env.Released) + len(env.Notes) + len(env.Skips) + env.Pumps + env.WindowLosses; n != 0 {
+				t.Errorf("%s on %s: %d emissions or upcalls", slots.Recovery.Name(), ev, n)
+			}
+			if st.Portable != before || st.Unacked.Len() != unacked || st.RcvBuf.Len() != held || st.DupAcks != 0 {
+				t.Errorf("%s on %s: transfer state moved: %+v -> %+v", slots.Recovery.Name(), ev, before, st.Portable)
+			}
+		}
+	}
+
+	for _, w := range []mechanism.Window{xmit.NewFixedWindow(8), xmit.NewStopAndWait()} {
+		size := w.Size()
+		w.OnAck(3)
+		w.OnLoss()
+		w.(mechanism.StateCarrier).ImportState(64) // a fixed window keeps its own size across a segue
+		if w.Size() != size || !w.CanSend(size-1, size) || w.CanSend(size, size+1) {
+			t.Errorf("%s: window of %d moved under ack and loss feedback", w.Name(), size)
+		}
+	}
+	var unpaced mechanism.Rate = xmit.NoRate{}
+	unpaced.OnSent(time.Second, 1500)
+	unpaced.SetRate(1e6)
+	if unpaced.RateBps() != 0 || unpaced.Delay(time.Second, 1500) != 0 {
+		t.Errorf("%s paces", unpaced.Name())
 	}
 }

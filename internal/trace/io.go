@@ -6,7 +6,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
-	"os"
 	"time"
 )
 
@@ -181,27 +180,4 @@ func ReadSet(r io.Reader) (*Set, error) {
 			return nil, err
 		}
 	}
-}
-
-// WriteFile writes the Set to path.
-func (s *Set) WriteFile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	if _, err := s.WriteTo(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// ReadFile loads a trace Set from path.
-func ReadFile(path string) (*Set, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return ReadSet(f)
 }

@@ -200,15 +200,6 @@ func (b *SetBuilder) Add(c Chunk) error {
 	return nil
 }
 
-// Records returns the total records assembled so far.
-func (b *SetBuilder) Records() int {
-	n := 0
-	for _, sb := range b.shards {
-		n += len(sb.records)
-	}
-	return n
-}
-
 // Set renders the assembled trace, shards in ascending id order. ShardTrace
 // totals are the stream end positions, matching Recorder.Total for a fully
 // flushed run.

@@ -205,9 +205,6 @@ func NewRecorder(capacity int) *Recorder {
 // exports group records by shard).
 func (r *Recorder) SetShard(shard int) { r.shard = shard }
 
-// Shard returns the recorder's shard tag.
-func (r *Recorder) ShardIndex() int { return r.shard }
-
 // SetSample sets keyed sampling to record one in every n keyed events
 // (n must be a power of two; n <= 1 records everything). Structural events
 // emitted with Emit are never sampled out.

@@ -212,6 +212,7 @@ func TestChromeExportIsValidJSON(t *testing.T) {
 	r.Emit(2*time.Millisecond, KPDURecv, 5, 1, 1, 1480)
 	r.Emit(3*time.Millisecond, KSegueCommit, 5, SlotRecovery, HashName("none"), HashName("gobackn"))
 	r.Emit(4*time.Millisecond, KLinkDrop, 2, DropQueue, 1500, 0)
+	r.Emit(5*time.Millisecond, KFault, 2, FaultLinkDown, 0, 0)
 
 	var buf bytes.Buffer
 	if err := Collect(r).WriteChrome(&buf, ChromeOptions{Spans: true, DataType: 1}); err != nil {
@@ -234,8 +235,11 @@ func TestChromeExportIsValidJSON(t *testing.T) {
 			meta++
 		}
 	}
-	if instants != 4 {
-		t.Fatalf("instant events = %d, want 4", instants)
+	if instants != 5 {
+		t.Fatalf("instant events = %d, want 5", instants)
+	}
+	if !strings.Contains(buf.String(), `"fault":"link-down"`) {
+		t.Fatal("fault record exported without its name")
 	}
 	if spans != 1 {
 		t.Fatalf("span events = %d, want 1 (pdu.send 1 -> pdu.recv 1)", spans)

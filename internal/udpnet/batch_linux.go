@@ -144,14 +144,6 @@ func newTxState(n int) *txState {
 // writeBatch transmits the queued frames with as few sendmmsg calls as
 // possible, preserving order. Called under sendMu.
 func (ep *Endpoint) writeBatch(msgs []outMsg) (int, error) {
-	for i := range msgs {
-		if !msgs[i].dst.v4 {
-			// Sockets and registrations are udp4-only, so this cannot
-			// happen today; degrade to single writes rather than crash
-			// if that ever changes.
-			return ep.writeBatchPortable(msgs)
-		}
-	}
 	tx := ep.bio.tx
 	sent := 0
 	for sent < len(msgs) {

@@ -157,20 +157,16 @@ func WithFlushWindow(d time.Duration) Option { return func(c *Config) { c.FlushW
 // pre-resolved into every form the send paths need so no per-packet
 // conversion (or allocation) happens.
 type hostAddr struct {
-	udp *net.UDPAddr   // for the portable single-write path
 	ap  netip.AddrPort // for WriteToUDPAddrPort (allocation-free)
 	ip4 [4]byte        // for sendmmsg sockaddr construction
 	prt uint16
-	v4  bool
 }
 
+// newHostAddr takes an IPv4 address: sockets are opened and registrations
+// resolved as udp4 only.
 func newHostAddr(ua *net.UDPAddr) *hostAddr {
-	ha := &hostAddr{udp: ua, ap: ua.AddrPort()}
-	if ip4 := ua.IP.To4(); ip4 != nil {
-		copy(ha.ip4[:], ip4)
-		ha.prt = uint16(ua.Port)
-		ha.v4 = true
-	}
+	ha := &hostAddr{ap: ua.AddrPort(), prt: uint16(ua.Port)}
+	copy(ha.ip4[:], ua.IP.To4())
 	return ha
 }
 
@@ -1022,20 +1018,6 @@ func (ep *Endpoint) flushLocked() error {
 	return err
 }
 
-// writeBatchPortable is the single-write drain shared by the fallback
-// backend and the (unreachable today) non-IPv4 escape hatch: datagrams go
-// out one WriteToUDPAddrPort at a time, in order.
-func (ep *Endpoint) writeBatchPortable(msgs []outMsg) (int, error) {
-	sent := 0
-	for i := range msgs {
-		if _, err := ep.sock.WriteToUDPAddrPort(msgs[i].frame, msgs[i].dst.ap); err != nil {
-			return sent, err
-		}
-		sent++
-	}
-	return sent, nil
-}
-
 // Flush forces any queued frames out now (size/window semantics are
 // bypassed). Useful in tests and before latency-sensitive quiesce points.
 func (ep *Endpoint) Flush() error {
@@ -1072,13 +1054,6 @@ func (ep *Endpoint) SetBatchReceiver(r netapi.BatchReceiver) {
 func (ep *Endpoint) LocalAddr() netapi.Addr {
 	return netapi.Addr{Host: ep.host, Port: ep.port}
 }
-
-// UDPAddr returns the endpoint's OS-level socket address (what a remote
-// provider would RegisterHost).
-func (ep *Endpoint) UDPAddr() *net.UDPAddr { return ep.sock.LocalAddr().(*net.UDPAddr) }
-
-// PathMTU reports the loopback-safe datagram budget.
-func (ep *Endpoint) PathMTU(netapi.Addr) int { return 1400 }
 
 // Close flushes any queued sends, shuts the socket, and unregisters the
 // host. Idempotent and safe from any goroutine; the reader goroutine exits

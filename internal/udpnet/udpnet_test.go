@@ -2,6 +2,7 @@ package udpnet
 
 import (
 	"bytes"
+	"net"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -11,13 +12,23 @@ import (
 )
 
 func TestRawDelivery(t *testing.T) {
-	p := New()
+	bad := New(WithBindIP("loopback"))
+	if _, err := bad.Open(1, 100); err == nil {
+		t.Fatal("an endpoint opened on a bind address that is no IP")
+	}
+	bad.Close()
+	// Any loopback address serves; off the default, sockets must follow it.
+	const bind = "127.0.0.2"
+	p := New(WithBindIP(bind))
 	defer p.Close()
 	a, err := p.Open(1, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer a.Close()
+	if got := a.(*Endpoint).sock.LocalAddr().(*net.UDPAddr).IP.String(); got != bind {
+		t.Fatalf("socket bound to %s, want %s", got, bind)
+	}
 	b, err := p.Open(2, 100)
 	if err != nil {
 		t.Fatal(err)

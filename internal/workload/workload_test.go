@@ -170,9 +170,16 @@ func TestKeystrokeGaps(t *testing.T) {
 	if g.Generated != 100 {
 		t.Fatalf("generated %d", g.Generated)
 	}
-	// Mean cadence within a generous band of the configured mean.
-	total := k.Now()
-	_ = total
+	// Stop ends emission between two keystrokes.
+	g = &Keystroke{Timers: timers, Out: out, MeanGap: 50 * time.Millisecond, Seed: 3}
+	g.Start(100)
+	k.RunFor(time.Second)
+	g.Stop()
+	stopped := g.Generated
+	k.RunFor(time.Minute)
+	if stopped == 0 || stopped >= 100 || g.Generated != stopped {
+		t.Fatalf("generated %d at Stop, %d a minute later", stopped, g.Generated)
+	}
 }
 
 func TestReqRespSequencing(t *testing.T) {

@@ -1,11 +1,13 @@
 package adaptive_test
 
 import (
+	"context"
 	"runtime"
 	"testing"
 	"time"
 
 	"adaptive"
+	"adaptive/internal/mantts"
 	"adaptive/internal/message"
 	"adaptive/internal/netsim"
 	"adaptive/internal/rig"
@@ -148,6 +150,40 @@ func churn(t *testing.T, world func() *rig.World) {
 		t.Errorf("server stack: %d sessions retired, %d tombstones after %d cycles", st.SessionsRetired, st.Tombstones, cycles)
 	}
 	runtime.KeepAlive(held)
+
+	// A closed node is off the network: it echoes no probe and accepts no
+	// connection, and its host identity can be brought up again.
+	if err := server.Close(); err != nil {
+		t.Error(err)
+	}
+	path := func() mantts.PathState { return client.Entity().NetState().Path(server.Addr().Host) }
+	var accepted int
+	var stray *adaptive.Conn
+	w.Do(func() {
+		accepted = len(held)
+		client.ProbeContext(context.Background(), server.Addr().Host, 2*time.Millisecond)
+		if stray, _ = client.Dial(&adaptive.ACD{Participants: []adaptive.Addr{server.Addr()}, RemotePort: 4000,
+			Qual: adaptive.QualQoS{Ordered: true}}, nil); stray != nil {
+			stray.Send(payload)
+		}
+	})
+	if sent := path().ProbesSent; !w.Until(time.Millisecond, limit, func() bool { return path().ProbesSent >= sent+5 }) {
+		t.Fatal("the probing campaign stalled")
+	}
+	w.Do(func() {
+		if p := path(); p.ProbesEchoed != 0 || len(held) != accepted {
+			t.Errorf("a closed node echoed %d probes and accepted %d connections", p.ProbesEchoed, len(held)-accepted)
+		}
+		if stray != nil {
+			stray.Abort()
+		}
+	})
+	if _, err := w.Node(1, 8, w.Name+"-b2"); err != nil {
+		t.Fatalf("reopening the closed node's host: %v", err)
+	}
+	if !w.Until(time.Millisecond, limit, func() bool { return path().ProbesEchoed > 0 }) {
+		t.Error("the reopened host echoes no probe")
+	}
 
 	for _, n := range w.Nodes {
 		if err := n.Close(); err != nil {

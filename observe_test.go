@@ -5,6 +5,7 @@ import (
 	"context"
 	"io"
 	"net/http"
+	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
@@ -105,8 +106,12 @@ func TestObservabilityEndToEnd(t *testing.T) {
 	if snap.Systemwide["pdu.sent"] == 0 {
 		t.Fatalf("snapshot saw no pdu.sent: %v", snap.Systemwide)
 	}
-	scrape := func() string {
-		resp, err := http.Get("http://" + obs.Addr() + "/metrics")
+	// The plane's own listener and its handler mounted in an application's
+	// server are the same surface.
+	mounted := httptest.NewServer(obs.Handler())
+	defer mounted.Close()
+	scrapeAt := func(base string) string {
+		resp, err := http.Get(base + "/metrics")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -114,6 +119,7 @@ func TestObservabilityEndToEnd(t *testing.T) {
 		body, _ := io.ReadAll(resp.Body)
 		return string(body)
 	}
+	scrape := func() string { return scrapeAt("http://" + obs.Addr()) }
 	line := func(body, metric string) string {
 		for _, l := range strings.Split(body, "\n") {
 			if strings.HasPrefix(l, metric+" ") {
@@ -125,6 +131,9 @@ func TestObservabilityEndToEnd(t *testing.T) {
 	body := scrape()
 	if !strings.Contains(body, "adaptive_pdu_sent_total") {
 		t.Fatalf("/metrics missing pdu.sent counter:\n%s", body)
+	}
+	if own, app := line(body, "adaptive_pdu_sent_total"), line(scrapeAt(mounted.URL), "adaptive_pdu_sent_total"); own != app {
+		t.Fatalf("mounted handler serves %q, the plane's listener %q", app, own)
 	}
 
 	// Session lifecycle on the same surface: the open connection is live;
@@ -172,27 +181,41 @@ func TestObservabilityEndToEnd(t *testing.T) {
 	}
 }
 
+// TestTraceTailContextCancel: a tail blocked in Next ends, without error,
+// when its context is canceled and when it is closed.
 func TestTraceTailContextCancel(t *testing.T) {
-	_, na, _ := observedPair(t)
-	ctx, cancel := context.WithCancel(context.Background())
-	tail, err := na.Observability().TraceTail(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cancel()
-	deadline := time.After(10 * time.Second)
-	for {
-		if _, ok := tail.Next(); !ok {
-			break
-		}
-		select {
-		case <-deadline:
-			t.Fatal("tail did not end after context cancel")
-		default:
-		}
-	}
-	if tail.Err() != nil {
-		t.Fatalf("unexpected tail error: %v", tail.Err())
+	for _, how := range []string{"cancel", "close"} {
+		t.Run(how, func(t *testing.T) {
+			_, na, _ := observedPair(t)
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			tail, err := na.Observability().TraceTail(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ended := make(chan struct{})
+			go func() {
+				defer close(ended)
+				for {
+					if _, ok := tail.Next(); !ok {
+						return
+					}
+				}
+			}()
+			if how == "cancel" {
+				cancel()
+			} else {
+				tail.Close()
+			}
+			select {
+			case <-ended:
+			case <-time.After(10 * time.Second):
+				t.Fatalf("tail did not end after %s", how)
+			}
+			if tail.Err() != nil {
+				t.Fatalf("unexpected tail error: %v", tail.Err())
+			}
+		})
 	}
 }
 
