@@ -147,10 +147,9 @@ func (m *Message) Window(head, tail int) []byte {
 // state by another owner).
 //
 // Every released view recycles its struct, not just the one performing the
-// final buffer release: segmented sends split one buffer into many views, so
-// non-final views dominate at scale. The struct is detached (buf nilled)
-// before recycling, which turns any use-after-release into a deterministic
-// panic via check.
+// final buffer release (Split and Retain hand out views that share a buffer).
+// The struct is detached (buf nilled) before recycling, which turns any
+// use-after-release into a deterministic panic via check.
 func (m *Message) Release() {
 	b := m.buf
 	if b == nil {
@@ -276,7 +275,8 @@ func (m *Message) Append(p []byte) {
 // Split divides the message at offset at: the receiver keeps [0,at) and the
 // returned message views [at,len). Both share the buffer (fragmentation
 // without copying). The returned fragment has no headroom of its own beyond
-// the shared prefix.
+// the shared prefix, so while both live neither is encoded in place: a sender
+// segments by copying into one buffer per segment instead (session.Send).
 func (m *Message) Split(at int) *Message {
 	if at < 0 || at > m.n {
 		panic(fmt.Sprintf("message: Split(%d) with len %d", at, m.n))

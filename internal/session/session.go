@@ -411,38 +411,41 @@ func (s *Session) popSeg() queuedSeg {
 
 var errClosed = errors.New("session: closed")
 
-// Send segments data into MSS-sized segments and queues them for
-// transmission under the window, rate, and establishment gates. The data is
-// copied into a pooled message, so the caller keeps ownership of data.
+// Send queues data for transmission under the window, rate, and
+// establishment gates, one MSS-sized segment per pooled buffer: each byte is
+// copied once, into a buffer that is the segment's alone and has header and
+// trailer room of its own, so every transmission of it — first, repeated, or
+// under FEC — is encoded in place (wire.EncodeTo). The caller keeps ownership
+// of data; a refused Send allocates nothing.
 func (s *Session) Send(data []byte) error {
-	m := message.AllocPooled(len(data), message.DefaultHeadroom)
-	copy(m.Bytes(), data)
-	return s.SendMessage(m)
-}
-
-// SendMessage queues a message (ownership transfers to the session). The
-// final segment carries the end-of-message flag.
-func (s *Session) SendMessage(m *message.Message) error {
 	if s.retired {
-		m.Release()
 		return ErrMigrated
 	}
 	if s.closing || s.Closed() {
-		m.Release()
 		return errClosed
 	}
 	// Keyed on the next tx seq: submits track the data rate, so sampled
 	// recordings thin them with the PDU events instead of keeping all.
-	s.tracer.EmitKeyed(s.txSeq, s.clock.Now(), trace.KSendSubmit, s.id.ConnID, uint64(m.Len()), 0, 0)
+	s.tracer.EmitKeyed(s.txSeq, s.clock.Now(), trace.KSendSubmit, s.id.ConnID, uint64(len(data)), 0, 0)
 	mss := s.spec.MSS
-	for m.Len() > mss {
-		rest := m.Split(mss)
-		s.pushSeg(queuedSeg{msg: m, eom: false})
-		m = rest
+	for len(data) > mss {
+		s.pushSeg(queuedSeg{msg: message.PooledFromBytes(data[:mss])})
+		data = data[mss:]
 	}
-	s.pushSeg(queuedSeg{msg: m, eom: true})
+	// The final segment carries the end-of-message flag (an empty message is
+	// one empty segment).
+	s.pushSeg(queuedSeg{msg: message.PooledFromBytes(data), eom: true})
 	s.pump()
 	return nil
+}
+
+// SendMessage is Send for data already in a message, whose ownership
+// transfers to the session: there is one segmenter, so the bytes are copied
+// into segment buffers like any others and m is released.
+func (s *Session) SendMessage(m *message.Message) error {
+	err := s.Send(m.Bytes())
+	m.Release()
+	return err
 }
 
 // QueuedSegments returns the number of segments awaiting transmission.
@@ -508,9 +511,10 @@ func (s *Session) emitSegment(seg queuedSeg) {
 	if len(blob) > 0 {
 		p.Flags |= wire.FlagImplicitCfg
 		p.Aux = uint16(len(blob))
-		withCfg := message.Alloc(0, message.DefaultHeadroom+len(blob)+seg.msg.Len())
-		withCfg.Append(blob)
-		withCfg.Append(seg.msg.Bytes())
+		withCfg := message.AllocPooled(len(blob)+seg.msg.Len(), message.DefaultHeadroom)
+		b := withCfg.Bytes()
+		copy(b, blob)
+		copy(b[len(blob):], seg.msg.Bytes())
 		seg.msg.Release()
 		p.Payload = withCfg
 	}

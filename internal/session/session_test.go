@@ -152,6 +152,83 @@ func TestSendSegmentsToMSS(t *testing.T) {
 	}
 }
 
+// TestSendOwnsOneBufferPerSegment pins who owns what from Send on. Accepted
+// data sits in the queue as one pooled buffer per segment — unshared, with
+// header and trailer room of its own, so wire.EncodeTo builds every
+// transmission of it in place — whether it came as bytes or as a message
+// (SendMessage: same segmenter, the message released), and refused data costs
+// nothing: the state check comes before the first allocation.
+func TestSendOwnsOneBufferPerSegment(t *testing.T) {
+	defer message.SetPoison(message.SetPoison(true))
+	const mss = 100
+	long := make([]byte, 5*mss+1)
+	for i := range long {
+		long[i] = byte(i)
+	}
+	refused := make([]byte, 256<<10) // beyond every pool class: plain heap if allocated
+	for _, tc := range []struct {
+		name  string
+		end   func(*Session) // nil: the session stays open, behind a closed window
+		data  []byte
+		asMsg bool  // hand the data in as a message
+		lens  []int // queued segment lengths
+		err   error
+	}{
+		{"five segments and a byte", nil, long, false, []int{mss, mss, mss, mss, mss, 1}, nil},
+		{"the same as a message", nil, long, true, []int{mss, mss, mss, mss, mss, 1}, nil},
+		{"empty message", nil, nil, false, []int{0}, nil},
+		{"closed", (*Session).Close, refused, false, nil, errClosed},
+		{"retired", (*Session).Retire, refused, false, nil, ErrMigrated},
+		{"closed, as a message", (*Session).Close, long, true, nil, errClosed},
+	} {
+		start := message.Outstanding()
+		spec := mechanism.DefaultSpec()
+		spec.MSS = mss
+		s := newTestSession(t, spec, &loopOut{})
+		s.Open()
+		s.State().PeerAdvert = 0
+		if tc.end != nil {
+			tc.end(s)
+		}
+		var err error
+		if tc.asMsg {
+			err = s.SendMessage(message.PooledFromBytes(tc.data))
+		} else if tc.end == nil {
+			err = s.Send(tc.data)
+		} else if allocs := testing.AllocsPerRun(10, func() { err = s.Send(tc.data) }); allocs != 0 {
+			t.Errorf("%s: refused Send: %v allocs/op, want 0", tc.name, allocs)
+		}
+		if err != tc.err {
+			t.Fatalf("%s: %v, want %v", tc.name, err, tc.err)
+		}
+		if s.QueuedSegments() != len(tc.lens) {
+			t.Fatalf("%s: %d segments queued, want %d", tc.name, s.QueuedSegments(), len(tc.lens))
+		}
+		var got []byte
+		for i, q := range s.sendQ[s.sendQH:] {
+			m := q.msg
+			if m.Len() != tc.lens[i] || q.eom != (i == len(tc.lens)-1) {
+				t.Errorf("%s: segment %d: len %d eom %v", tc.name, i, m.Len(), q.eom)
+			}
+			if m.Refs() != 1 || m.Headroom() < wire.HeaderLen || m.Tailroom() < wire.TrailerLen {
+				t.Errorf("%s: segment %d: refs %d headroom %d tailroom %d: not encodable in place",
+					tc.name, i, m.Refs(), m.Headroom(), m.Tailroom())
+			}
+			got = append(got, m.Bytes()...)
+		}
+		if tc.err == nil && !bytes.Equal(got, tc.data) {
+			t.Errorf("%s: queued bytes differ from the input", tc.name)
+		}
+		if held := message.Outstanding() - start; held != int64(len(tc.lens)) {
+			t.Errorf("%s: %d pooled buffers held for %d queued segments", tc.name, held, len(tc.lens))
+		}
+		s.Abort("test over") // the terminal transition releases the queue
+		if got := message.Outstanding(); got != start {
+			t.Errorf("%s: %d pooled buffers outstanding after the session ended, %d before it", tc.name, got, start)
+		}
+	}
+}
+
 func TestWindowGatesPump(t *testing.T) {
 	out := &loopOut{}
 	spec := mechanism.DefaultSpec()

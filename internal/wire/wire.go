@@ -238,10 +238,12 @@ func putHeader(buf []byte, h *Header) {
 // HeaderLen of headroom plus TrailerLen of tailroom, the header and trailer
 // are built in place around the existing payload bytes — no intermediate
 // buffer, no copy — and the view is restored after emit returns, so
-// retransmission buffers keep a clean payload view. Shared payloads (split
-// segments, clones held by retransmission buffers with the header region
-// aliasing a sibling's bytes) and header-only PDUs take a pooled-scratch
-// path with a single copy.
+// retransmission buffers keep a clean payload view. A session's data PDUs
+// always qualify — session.Send gives every segment a pooled buffer of its
+// own, and that buffer is what first transmissions, retransmissions and FEC
+// data PDUs carry. Header-only PDUs (acks, FINs, keepalives) and
+// payloads that are shared (a Split or Retain view still held elsewhere) or
+// short of room take a pooled-scratch path with a single copy.
 //
 // EncodeTo consumes nothing; p and its payload are unchanged on return. The
 // payload buffer is pinned (an extra reference is held) for the duration of
