@@ -3,16 +3,19 @@ package mantts
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"strings"
 	"testing"
 	"time"
 
 	"adaptive/internal/mechanism"
+	"adaptive/internal/message"
 	"adaptive/internal/netapi"
 	"adaptive/internal/netsim"
 	"adaptive/internal/protograph"
 	"adaptive/internal/session"
 	"adaptive/internal/sim"
+	"adaptive/internal/wire"
 )
 
 // rig is a MANTTS end-to-end test bed: hosts with stacks+entities over a
@@ -449,5 +452,63 @@ func TestQualityReportsStopAfterFailedPassiveOpen(t *testing.T) {
 	r.k.RunFor(time.Minute)
 	if after := timers.Stats(); after != settled {
 		t.Fatalf("timers still running a report period after the failed open: %+v -> %+v", settled, after)
+	}
+}
+
+// tlv is one hand-built TLV field.
+func tlv(tag uint16, val []byte) []byte {
+	b := binary.BigEndian.AppendUint16(nil, tag)
+	return append(binary.BigEndian.AppendUint16(b, uint16(len(val))), val...)
+}
+
+func u32(v uint32) []byte { return binary.BigEndian.AppendUint32(nil, v) }
+
+// TestSignalWithoutSpecIsDropped: a reconfiguration or join invite whose
+// spec is missing, or cut short, used to be applied as the all-defaults spec
+// — a live peer session switched to no recovery, no ordering and no
+// checksum, a multicast receiver created on default mechanisms. Such a
+// signal is refused.
+func TestSignalWithoutSpecIsDropped(t *testing.T) {
+	r := newRig(t, 2, netsim.LinkConfig{Bandwidth: 10e6, PropDelay: time.Millisecond, MTU: 1500})
+	r.stacks[1].Listen(80, &protograph.Listener{OnAccept: func(s *session.Session) {
+		s.SetReceiver(func(d session.Delivery) { d.Msg.Release() })
+	}})
+	acd := &ACD{Participants: []netapi.Addr{r.addr(1)}, RemotePort: 80, Qual: QualQoS{Ordered: true}}
+	m, err := r.ents[0].OpenSessionWith(acd, OpenOptions{LocalPort: 555})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.Session.Send([]byte("hello"))
+	r.k.RunUntil(time.Second)
+	id := m.Session.ConnID()
+	peer := r.stacks[1].Session(id)
+	if peer == nil {
+		t.Fatal("no peer session")
+	}
+	before := *peer.Spec()
+
+	gbn := before
+	gbn.Recovery = mechanism.RecoveryGoBackN
+	reconfig := bytes.Join([][]byte{tlv(2, u32(900)), tlv(1, []byte{sigReconfig}), tlv(3, u32(id)),
+		tlv(4, mechanism.EncodeSpec(&gbn))}, nil)
+	specAt := len(reconfig) - 4 - 178
+	const stranger = 0xbad
+	for name, payload := range map[string][]byte{
+		"reconfig without a spec":        reconfig[:specAt],
+		"reconfig cut in the spec's tag": reconfig[:specAt+2],
+		"reconfig cut in the spec":       reconfig[:specAt+100],
+		"join invite without a spec": bytes.Join([][]byte{tlv(2, u32(901)), tlv(1, []byte{sigJoinInvite}),
+			tlv(3, u32(stranger)), tlv(5, u32(uint32(r.net.NewGroup()))), tlv(6, []byte{0, 80})}, nil),
+	} {
+		p := &wire.PDU{Header: wire.Header{Type: wire.TSignal}, Payload: message.NewFromBytes(payload)}
+		wire.EncodeTo(p, wire.CkCRC32, func(pkt []byte) error { return r.stacks[0].Transmit(pkt, r.addr(1)) })
+		p.ReleasePayload()
+		r.k.RunUntil(r.k.Now() + 100*time.Millisecond)
+		if got := *peer.Spec(); got != before {
+			t.Errorf("%s: peer spec moved from %v to %v", name, before, got)
+		}
+		if r.stacks[1].Session(stranger) != nil {
+			t.Errorf("%s: a session was created on default mechanisms", name)
+		}
 	}
 }

@@ -99,8 +99,8 @@ func blockSize(e mechanism.Env) int { return 2 + e.Spec().MSS }
 
 // xorInto accumulates a length-prefixed, zero-padded copy of payload. The
 // length word's high bit carries the PDU's end-of-message flag so
-// reconstruction restores message framing (payloads are bounded well below
-// 32 KiB by the MTU).
+// reconstruction restores message framing (payloads are at most
+// mechanism.MaxMSS, under 32 KiB).
 func xorInto(acc []byte, payload []byte, eom bool) {
 	word := uint16(len(payload))
 	if eom {

@@ -186,75 +186,6 @@ func TestRoundTripProperty(t *testing.T) {
 	}
 }
 
-func TestTLVRoundTrip(t *testing.T) {
-	var w TLVWriter
-	w.PutU8(1, 0xab)
-	w.PutU16(2, 0xcdef)
-	w.PutU32(3, 0xdeadbeef)
-	w.PutU64(4, 0x0123456789abcdef)
-	w.PutString(5, "qos")
-	w.Put(6, nil)
-
-	r := NewTLVReader(w.Bytes())
-	expect := []struct {
-		tag uint16
-		chk func(v []byte) bool
-	}{
-		{1, func(v []byte) bool { return U8(v) == 0xab }},
-		{2, func(v []byte) bool { return U16(v) == 0xcdef }},
-		{3, func(v []byte) bool { return U32(v) == 0xdeadbeef }},
-		{4, func(v []byte) bool { return U64(v) == 0x0123456789abcdef }},
-		{5, func(v []byte) bool { return string(v) == "qos" }},
-		{6, func(v []byte) bool { return len(v) == 0 }},
-	}
-	for i, e := range expect {
-		tag, val, ok, err := r.Next()
-		if err != nil || !ok {
-			t.Fatalf("field %d: ok=%v err=%v", i, ok, err)
-		}
-		if tag != e.tag || !e.chk(val) {
-			t.Fatalf("field %d: tag=%d val=%x", i, tag, val)
-		}
-	}
-	if _, _, ok, _ := r.Next(); ok {
-		t.Fatal("reader did not end")
-	}
-}
-
-func TestTLVTruncation(t *testing.T) {
-	var w TLVWriter
-	w.PutU32(9, 123)
-	enc := w.Bytes()
-	for cut := 1; cut < len(enc); cut++ {
-		r := NewTLVReader(enc[:cut])
-		_, _, ok, err := r.Next()
-		if ok && err == nil && cut < len(enc) {
-			t.Fatalf("truncated at %d accepted", cut)
-		}
-	}
-}
-
-func TestTLVUnknownTagsSkippable(t *testing.T) {
-	var w TLVWriter
-	w.PutU32(1000, 1) // unknown to the reader's vocabulary
-	w.PutU8(1, 7)
-	r := NewTLVReader(w.Bytes())
-	var seen []uint16
-	for {
-		tag, _, ok, err := r.Next()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !ok {
-			break
-		}
-		seen = append(seen, tag)
-	}
-	if len(seen) != 2 || seen[1] != 1 {
-		t.Fatalf("skip failed: %v", seen)
-	}
-}
-
 // Property: Decode never panics and never accepts random garbage of any
 // length (fuzz-style robustness for the demultiplexer's front door).
 func TestDecodeGarbageNeverPanicsProperty(t *testing.T) {
