@@ -66,6 +66,12 @@ type TransferState struct {
 	// drains, which latches delay-based detectors into a decrease spiral.
 	LastRTT time.Duration
 
+	// Cache is the free lists of the event loop the session runs on (see
+	// session.Params.Cache): PDUs and payloads the buffers let go of recycle
+	// there. Nil is the shared tier; Release drops it, so a husk holds no
+	// loop's lists.
+	Cache *wire.Cache
+
 	// CtrlScratch is a reusable header-only control PDU for ack emission.
 	// Its contents are valid only for the duration of one EmitControl call
 	// (EncodeTo copies the header into locals before emitting), so every
@@ -127,7 +133,7 @@ func (s *TransferState) NewSent(p *wire.PDU, at time.Duration) *SentPDU {
 // FreeSent recycles an entry removed from Unacked, returning its PDU (payload
 // included) to the wire pool. The caller must not touch e or e.PDU afterwards.
 func (s *TransferState) FreeSent(e *SentPDU) {
-	wire.PutPDU(e.PDU)
+	s.Cache.PutPDU(e.PDU)
 	e.PDU = nil
 	if len(s.sentFree) < freeListCap {
 		s.sentFree = append(s.sentFree, e)
@@ -153,7 +159,7 @@ func (s *TransferState) NewRecv(p *wire.PDU, at time.Duration, recovered bool) *
 // FreeRecv recycles a reassembly entry after delivery, returning its PDU to
 // the wire pool (the payload must already have been handed off or released).
 func (s *TransferState) FreeRecv(e *RecvPDU) {
-	wire.PutPDU(e.PDU)
+	s.Cache.PutPDU(e.PDU)
 	e.PDU = nil
 	if len(s.recvFree) < freeListCap {
 		s.recvFree = append(s.recvFree, e)
@@ -161,17 +167,18 @@ func (s *TransferState) FreeRecv(e *RecvPDU) {
 }
 
 // Release returns every buffered PDU — payload included — to the wire pool and
-// drops both buffers and the free lists (session teardown). The scalars stay:
-// they are the session's final snapshot.
+// drops both buffers, the free lists and the loop's Cache (session teardown).
+// The scalars stay: they are the session's final snapshot.
 func (s *TransferState) Release() {
 	for _, e := range s.Unacked.All() {
-		wire.PutPDU(e.PDU)
+		s.Cache.PutPDU(e.PDU)
 	}
 	for _, e := range s.RcvBuf.All() {
-		wire.PutPDU(e.PDU)
+		s.Cache.PutPDU(e.PDU)
 	}
 	s.Unacked, s.RcvBuf = seqwin.Ring[*SentPDU]{}, seqwin.Ring[*RecvPDU]{}
 	s.sentFree, s.recvFree, s.drainScratch = nil, nil, nil
+	s.Cache = nil
 }
 
 // InFlight returns the number of unacknowledged data PDUs.

@@ -12,7 +12,6 @@ package message
 
 import (
 	"fmt"
-	"sync"
 	"sync/atomic"
 )
 
@@ -21,45 +20,44 @@ import (
 // plus a provider header.
 const DefaultHeadroom = 64
 
-// DefaultTailroom is the spare capacity reserved behind the payload so a
-// trailer checksum can be appended (PushTail) without growing the buffer.
+// DefaultTailroom is the spare capacity reserved behind the payload, where
+// wire.EncodeTo writes the checksum trailer of an in-place encode.
 const DefaultTailroom = 8
 
 // buffer is the shared, reference-counted backing store.
 //
-// class records which size-class pool the buffer came from (-1 = plain heap
-// allocation, never recycled). A buffer whose data slice is ever swapped out
-// (PushTail growth) is demoted to class -1 so a wrong-sized slice can never
-// re-enter a pool.
+// class records which size class the buffer came from (-1 = plain heap
+// allocation, never recycled). A buffer's data slice never changes, so a
+// recycled buffer always fits its class.
 type buffer struct {
 	data     []byte
 	refs     atomic.Int32
 	class    int8
-	poisoned bool // poison-filled at the last recycle (verified on pool Get)
+	poisoned bool     // poison-filled at the last recycle (verified on pool Get)
+	view     *Message // while free: the view that made the final release
 }
 
 // Message is a view onto a shared buffer. The zero value is not usable; use
 // New, NewFromBytes, or Alloc.
 //
-// Message structs are themselves pooled: every Release returns the view's
-// struct to the message pool (the final release additionally recycles the
-// backing buffer), so steady-state traffic allocates neither buffers nor
-// views.
+// Message structs are themselves pooled: the view that makes the final
+// release travels with its buffer back to the buffer's pool, and every other
+// released view returns to a pool of views, so steady-state traffic allocates
+// neither buffers nor views.
 type Message struct {
 	buf *buffer
 	off int // start of the visible region within buf.data
 	n   int // visible length
 }
 
-var msgPool = sync.Pool{New: func() any { return new(Message) }}
-
-// wrap binds a pooled (or fresh) Message struct to a buffer view. The
-// GC-immune backstop is tried before msgPool for the same reason as buffers:
-// every GC cycle flushes the sync.Pool and the refill allocations add up.
-func wrap(b *buffer, off, n int) *Message {
-	m, ok := msgBackstop.Get()
-	if !ok {
-		m = msgPool.Get().(*Message)
+// wrap binds a Message struct to a buffer view: the one a recycled buffer
+// brought along, else a pooled (or fresh) one.
+func (c *Cache) wrap(b *buffer, off, n int) *Message {
+	m := b.view
+	if m != nil {
+		b.view = nil
+	} else if m, _ = viewPool.Get(c.viewList()); m == nil {
+		m = new(Message)
 	}
 	m.buf, m.off, m.n = b, off, n
 	return m
@@ -74,7 +72,7 @@ func Alloc(n, headroom int) *Message {
 	}
 	b := &buffer{data: make([]byte, headroom+n+DefaultTailroom), class: -1}
 	b.refs.Store(1)
-	return wrap(b, headroom, n)
+	return (*Cache)(nil).wrap(b, headroom, n)
 }
 
 // NewFromBytes copies p into a fresh message with default headroom.
@@ -82,6 +80,20 @@ func NewFromBytes(p []byte) *Message {
 	m := Alloc(len(p), DefaultHeadroom)
 	copy(m.Bytes(), p)
 	return m
+}
+
+// drop removes one reference and reports whether it was the last; releasing
+// more times than the buffer was retained panics before the count moves.
+func (b *buffer) drop() bool {
+	for {
+		cur := b.refs.Load()
+		if cur <= 0 {
+			panic("message: release after final release")
+		}
+		if b.refs.CompareAndSwap(cur, cur-1) {
+			return cur == 1
+		}
+	}
 }
 
 // incRef adds a reference, refusing to resurrect a buffer whose count has
@@ -107,7 +119,7 @@ func (m *Message) Retain() *Message {
 		panic("message: retain after final release")
 	}
 	m.buf.incRef()
-	return wrap(m.buf, m.off, m.n)
+	return (*Cache)(nil).wrap(m.buf, m.off, m.n)
 }
 
 // BufPin is an opaque handle holding one buffer reference without a view
@@ -125,7 +137,11 @@ func (m *Message) Pin() BufPin {
 
 // Unpin drops the pinned reference (recycling the buffer when it was the
 // last one).
-func (p BufPin) Unpin() { releaseBuffer(p.b) }
+func (p BufPin) Unpin() {
+	if p.b.drop() && p.b.class >= 0 {
+		(*Cache)(nil).recycle(p.b)
+	}
+}
 
 // Window returns the backing bytes from head bytes before the view start to
 // tail bytes past its end, without moving the view. The caller must ensure
@@ -147,38 +163,32 @@ func (m *Message) Window(head, tail int) []byte {
 // state by another owner).
 //
 // Every released view recycles its struct, not just the one performing the
-// final buffer release (Split and Retain hand out views that share a buffer).
-// The struct is detached (buf nilled) before recycling, which turns any
-// use-after-release into a deterministic panic via check.
-func (m *Message) Release() {
+// final buffer release (Split and Retain hand out views that share a buffer):
+// the final one rides back with its pooled buffer, one object to recycle
+// instead of two, and any other goes to the pool of views. The struct is
+// detached (buf nilled) before recycling, which turns any use-after-release
+// into a deterministic panic via check.
+//
+// Release recycles through the shared tier, so it is safe from any goroutine:
+// an application may keep a delivered message and release it from its own.
+// Code on a provider's event loop releases through the loop's Cache instead.
+func (m *Message) Release() { (*Cache)(nil).Release(m) }
+
+// Release is Message.Release through the cache's free lists.
+func (c *Cache) Release(m *Message) {
 	b := m.buf
 	if b == nil {
 		panic("message: release after final release")
 	}
-	releaseBuffer(b)
+	final := b.drop()
 	m.buf = nil
 	m.off, m.n = 0, 0
-	if !msgBackstop.Put(m) {
-		msgPool.Put(m)
+	if final && b.class >= 0 {
+		b.view = m
+		c.recycle(b)
+		return
 	}
-}
-
-// releaseBuffer drops one reference, recycling the buffer on the final
-// release; it reports whether this was the final release.
-func releaseBuffer(b *buffer) bool {
-	for {
-		cur := b.refs.Load()
-		if cur <= 0 {
-			panic("message: release after final release")
-		}
-		if b.refs.CompareAndSwap(cur, cur-1) {
-			if cur == 1 {
-				recycle(b)
-				return true
-			}
-			return false
-		}
-	}
+	viewPool.Put(c.viewList(), m)
 }
 
 // Refs returns the current reference count (for tests and leak accounting).
@@ -197,8 +207,8 @@ func (m *Message) Bytes() []byte {
 // Headroom returns the bytes available for Push.
 func (m *Message) Headroom() int { return m.off }
 
-// Tailroom returns the bytes available for PushTail without growing the
-// backing buffer.
+// Tailroom returns the spare bytes behind the view (where an in-place encode
+// writes its trailer).
 func (m *Message) Tailroom() int { return len(m.buf.data) - (m.off + m.n) }
 
 // check panics when the message's buffer has already been fully released
@@ -240,38 +250,6 @@ func (m *Message) Pop(n int) []byte {
 	return p
 }
 
-// PushTail appends n bytes at the end (for trailer checksums) and returns the
-// slice covering them, growing the buffer if this message is the sole owner.
-func (m *Message) PushTail(n int) []byte {
-	m.check()
-	if n < 0 {
-		panic("message: negative PushTail")
-	}
-	end := m.off + m.n
-	if end+n > len(m.buf.data) {
-		if m.Refs() > 1 {
-			panic("message: PushTail on shared buffer without capacity")
-		}
-		if end+n <= cap(m.buf.data) {
-			// Spare capacity within the same array: extend without
-			// reallocating (the buffer stays in its size class).
-			m.buf.data = m.buf.data[:end+n]
-		} else {
-			grown := make([]byte, end+n)
-			copy(grown, m.buf.data[:end])
-			m.buf.data = grown
-			m.buf.class = -1 // slice swapped: no longer pool-eligible
-		}
-	}
-	m.n += n
-	return m.buf.data[end : end+n]
-}
-
-// Append copies p onto the end of the payload (sole-owner only).
-func (m *Message) Append(p []byte) {
-	copy(m.PushTail(len(p)), p)
-}
-
 // Split divides the message at offset at: the receiver keeps [0,at) and the
 // returned message views [at,len). Both share the buffer (fragmentation
 // without copying). The returned fragment has no headroom of its own beyond
@@ -282,7 +260,7 @@ func (m *Message) Split(at int) *Message {
 		panic(fmt.Sprintf("message: Split(%d) with len %d", at, m.n))
 	}
 	m.buf.incRef()
-	rest := wrap(m.buf, m.off+at, m.n-at)
+	rest := (*Cache)(nil).wrap(m.buf, m.off+at, m.n-at)
 	m.n = at
 	return rest
 }

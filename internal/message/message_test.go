@@ -44,23 +44,13 @@ func TestPushExhaustsHeadroomPanics(t *testing.T) {
 	m.Push(5)
 }
 
-func TestPushTailAndTrimTail(t *testing.T) {
-	m := NewFromBytes([]byte("body"))
-	copy(m.PushTail(3), "TRL")
-	if string(m.Bytes()) != "bodyTRL" {
-		t.Fatalf("after PushTail: %q", m.Bytes())
-	}
+// TestSplitTrimsTail: splitting at Len()-k cuts a k-byte tail (a trailer)
+// off into a view of its own, sharing the buffer.
+func TestSplitTrimsTail(t *testing.T) {
+	m := NewFromBytes([]byte("bodyTRL"))
 	trl := m.Split(m.Len() - 3)
 	if string(trl.Bytes()) != "TRL" || string(m.Bytes()) != "body" {
 		t.Fatalf("trimmed tail %q, body %q", trl.Bytes(), m.Bytes())
-	}
-}
-
-func TestPushTailGrows(t *testing.T) {
-	m := Alloc(0, DefaultHeadroom)
-	m.Append([]byte("0123456789"))
-	if string(m.Bytes()) != "0123456789" {
-		t.Fatalf("append into grown buffer: %q", m.Bytes())
 	}
 }
 

@@ -1,6 +1,8 @@
 package message
 
 import (
+	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -51,19 +53,49 @@ func TestPooledFromBytesCopies(t *testing.T) {
 	m.Release()
 }
 
+// TestReleaseRecyclesToPool: a loop's free lists are its own, so a release
+// through a Cache and the next allocation of the class get the same buffer
+// and view back, deterministically.
 func TestReleaseRecyclesToPool(t *testing.T) {
-	// Drain-then-reuse is best-effort (sync.Pool gives no guarantees), but a
-	// same-goroutine Put/Get pair reliably hits the private slot.
-	m := AllocPooled(100, 16)
+	var c Cache
+	m := c.AllocPooled(100, 16)
 	b := m.buf
-	m.Release()
-	m2 := AllocPooled(100, 16)
-	defer m2.Release()
-	if m2.buf != b {
-		t.Skip("pool did not return the same buffer (GC interference)")
+	c.Release(m)
+	m2 := c.AllocPooled(100, 16)
+	defer c.Release(m2)
+	if m2.buf != b || m2 != m {
+		t.Fatal("the cache did not hand back the buffer and view just released")
 	}
 	if m2.buf.refs.Load() != 1 {
 		t.Fatalf("recycled buffer refs = %d", m2.buf.refs.Load())
+	}
+}
+
+// TestCacheSteadyStateStaysOffSharedTier: once warm, a loop's allocate /
+// release / slab cycle never touches the shared tier, while the nil Cache is
+// the shared tier: at least one get and one put for the buffer (its view
+// rides along when the pool still has it) and for the slab.
+func TestCacheSteadyStateStaysOffSharedTier(t *testing.T) {
+	defer SetPoison(SetPoison(true))
+	cycle := func(c *Cache) {
+		m := c.PooledFromBytes([]byte("payload"))
+		s := c.GetSlab(1400)
+		c.PutSlab(s)
+		c.Release(m)
+	}
+	var c Cache
+	cycle(&c)
+	start := SharedOps()
+	for i := 0; i < 100; i++ {
+		cycle(&c)
+	}
+	if n := SharedOps() - start; n != 0 {
+		t.Fatalf("100 warm loop cycles took %d shared-tier operations, want 0", n)
+	}
+	start = SharedOps()
+	cycle(nil)
+	if n := SharedOps() - start; n < 4 {
+		t.Fatalf("a shared-tier cycle took %d shared-tier operations, want at least 4", n)
 	}
 }
 
@@ -105,9 +137,10 @@ func TestRetainAfterFinalReleasePanics(t *testing.T) {
 func TestPoisonCatchesWriteAfterRelease(t *testing.T) {
 	prev := SetPoison(true)
 	defer SetPoison(prev)
-	b := getBuffer(300)
+	var c Cache
+	b := c.getBuffer(300)
 	stale := b.data // reference held past the release
-	recycle(b)      // poison-fills b.data
+	c.recycle(b)    // poison-fills b.data
 	stale[17] = 0x42
 	defer func() {
 		stale[17] = poisonByte // repair: b is back in the pool and may be reused
@@ -121,9 +154,10 @@ func TestPoisonCatchesWriteAfterRelease(t *testing.T) {
 func TestPoisonFillOnRecycle(t *testing.T) {
 	prev := SetPoison(true)
 	defer SetPoison(prev)
-	b := getBuffer(300)
+	var c Cache
+	b := c.getBuffer(300)
 	copy(b.data, "some payload bytes")
-	recycle(b)
+	c.recycle(b)
 	for i, c := range b.data {
 		if c != poisonByte {
 			t.Fatalf("byte %d = %#02x after recycle, want poison", i, c)
@@ -148,4 +182,54 @@ func TestGetSlabPutSlab(t *testing.T) {
 		t.Fatalf("oversize slab len=%d", len(big))
 	}
 	PutSlab(big)
+}
+
+// TestConcurrentPutGet hammers one Pool from many goroutines (run under
+// -race), half of them through loop lists of their own and half on the
+// shared tier: an object is never handed out while another goroutine holds
+// it, and a loop list never outgrows its depth.
+func TestConcurrentPutGet(t *testing.T) {
+	const workers, each = 8, 20000
+	p := Pool[*int]{Depth: 4}
+	owned := make([]atomic.Int32, workers*4) // 1 while some goroutine holds object i
+	objs := make([]int, len(owned))
+	for i := range objs {
+		objs[i] = i
+	}
+	lists := make([]FreeList[*int], workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			var l *FreeList[*int]
+			if w%2 == 0 {
+				l = &lists[w]
+			}
+			mine := []*int{&objs[4*w], &objs[4*w+1], &objs[4*w+2], &objs[4*w+3]}
+			for _, o := range mine {
+				owned[*o].Store(1)
+			}
+			for i := 0; i < each; i++ {
+				if len(mine) > 0 && i%3 != 0 {
+					o := mine[len(mine)-1]
+					mine = mine[:len(mine)-1]
+					owned[*o].Store(0)
+					p.Put(l, o)
+				} else if o, ok := p.Get(l); ok {
+					if !owned[*o].CompareAndSwap(0, 1) {
+						t.Errorf("object %d handed out while still held", *o)
+						return
+					}
+					mine = append(mine, o)
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	for i := range lists {
+		if n := len(lists[i].free); n > p.Depth {
+			t.Fatalf("a loop list holds %d objects, depth %d", n, p.Depth)
+		}
+	}
 }

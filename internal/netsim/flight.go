@@ -1,7 +1,6 @@
 package netsim
 
 import (
-	"sync"
 	"time"
 
 	"adaptive/internal/message"
@@ -10,9 +9,10 @@ import (
 
 // flight carries one packet through the network: sender CPU, each link on the
 // resolved route, then receiver CPU and the endpoint upcall. Flights and
-// their packet slabs are pooled, and every step is scheduled through
-// ScheduleArg with a package-level function, so a packet in steady state
-// allocates nothing.
+// their packet slabs are pooled on the network's own loop tier (a network is
+// one kernel's loop), and every step is scheduled through ScheduleArg with a
+// package-level function, so a packet in steady state allocates nothing and
+// takes no lock.
 //
 // The packet slab is owned by the flight and recycled the moment the flight
 // ends (any drop path, or right after the receive upcall returns): receivers
@@ -36,10 +36,17 @@ type flight struct {
 	qnext *flight
 }
 
-var flightPool = sync.Pool{New: func() any { return new(flight) }}
+// flightPool recycles flights through the network's own list first (see
+// message.Pool).
+var flightPool = message.Pool[*flight]{Depth: 256}
 
+// newFlight takes a flight from the network's list; pkt must be a slab of
+// the network's cache, which the flight now owns.
 func newFlight(n *Network, from, to netapi.HostID, pkt []byte, srcAddr, dstAddr netapi.Addr) *flight {
-	fl := flightPool.Get().(*flight)
+	fl, ok := flightPool.Get(&n.flights)
+	if !ok {
+		fl = new(flight)
+	}
 	fl.net = n
 	fl.from = from
 	fl.to = to
@@ -51,11 +58,12 @@ func newFlight(n *Network, from, to netapi.HostID, pkt []byte, srcAddr, dstAddr 
 
 // free recycles the flight and its packet slab.
 func (fl *flight) free() {
+	n := fl.net
 	if fl.pkt != nil {
-		message.PutSlab(fl.pkt)
+		n.slabs().PutSlab(fl.pkt)
 	}
 	*fl = flight{}
-	flightPool.Put(fl)
+	flightPool.Put(&n.flights, fl)
 }
 
 // flightStep is the ScheduleArg trampoline for every movement of a flight.

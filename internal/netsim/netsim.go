@@ -21,7 +21,6 @@ package netsim
 import (
 	"time"
 
-	"adaptive/internal/message"
 	"adaptive/internal/sim"
 	"adaptive/internal/trace"
 )
@@ -214,7 +213,7 @@ func (l *Link) transit(fl *flight) {
 	if dupP > 0 && rng.Float64() < dupP {
 		l.stats.Duplicated++
 		tr.Emit(l.net.kernel.Now(), trace.KLinkDup, l.id, uint64(len(pkt)), 0, 0)
-		dup := newFlight(fl.net, fl.from, fl.to, message.GetSlab(len(pkt)), fl.srcAddr, fl.dstAddr)
+		dup := newFlight(fl.net, fl.from, fl.to, fl.net.slabs().GetSlab(len(pkt)), fl.srcAddr, fl.dstAddr)
 		copy(dup.pkt, pkt)
 		dup.path = fl.path
 		dup.i = fl.i

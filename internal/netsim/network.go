@@ -9,6 +9,7 @@ import (
 	"adaptive/internal/message"
 	"adaptive/internal/netapi"
 	"adaptive/internal/sim"
+	"adaptive/internal/wire"
 )
 
 // CPUCost models the host processing expended on one PDU by a transport
@@ -95,6 +96,11 @@ type Network struct {
 	faultStats FaultStats
 
 	linkSeq uint32 // creation-ordered link ids (deterministic across runs)
+
+	// The kernel's loop tier (see LoopCache): the pooled objects of every
+	// stack on this network, and the flights carrying their packets.
+	cache   wire.Cache
+	flights message.FreeList[*flight]
 }
 
 // New creates an empty network on the kernel.
@@ -136,6 +142,15 @@ func (n *Network) TotalReceived() uint64 {
 
 // Kernel returns the simulation kernel driving this network.
 func (n *Network) Kernel() *sim.Kernel { return n.kernel }
+
+// LoopCache returns the free lists of the network's event loop — the kernel,
+// which runs every stack on the network, every packet movement and every
+// timer on one goroutine at a time. A protocol stack finds them here
+// (protograph.NewStack), so its per-packet buffers, views and PDUs recycle
+// without a lock; the network's own packet slabs come from the same lists.
+func (n *Network) LoopCache() *wire.Cache { return &n.cache }
+
+func (n *Network) slabs() *message.Cache { return n.cache.Messages() }
 
 // AddHost creates a host and returns it.
 func (n *Network) AddHost() *Host {
@@ -224,14 +239,14 @@ func (n *Network) PathRTT(a, b netapi.HostID, size int) time.Duration {
 var errNoRoute = errors.New("netsim: no route to host")
 
 // send pushes pkt from src toward dst (unicast or multicast), beginning after
-// the sender-side CPU cost. send takes ownership of pkt, which must be a
-// pooled slab; it is recycled on every error and drop path.
+// the sender-side CPU cost. send takes ownership of pkt, which must be a slab
+// of the network's cache; it is recycled on every error and drop path.
 func (n *Network) send(src *Host, pkt []byte, srcAddr, dst netapi.Addr, cost CPUCost) error {
 	src.stats.Sent++
 	done := src.cpu(cost.Cost(len(pkt)))
 	if dst.Host.IsMulticast() {
 		if _, ok := n.groups[dst.Host]; !ok {
-			message.PutSlab(pkt)
+			n.slabs().PutSlab(pkt)
 			return fmt.Errorf("netsim: unknown multicast group %v", dst.Host)
 		}
 		// One flight per member, membership snapshotted (sorted) now; each
@@ -245,26 +260,26 @@ func (n *Network) send(src *Host, pkt []byte, srcAddr, dst netapi.Addr, cost CPU
 				n.partitionDrop() // silent loss, like any other network drop
 				continue
 			}
-			fl := newFlight(n, src.id, m, message.GetSlab(len(pkt)), srcAddr, dstAddr)
+			fl := newFlight(n, src.id, m, n.slabs().GetSlab(len(pkt)), srcAddr, dstAddr)
 			copy(fl.pkt, pkt)
 			n.launch(fl, done)
 		}
-		message.PutSlab(pkt)
+		n.slabs().PutSlab(pkt)
 		return nil
 	}
 	if _, ok := n.hosts[dst.Host]; !ok {
-		message.PutSlab(pkt)
+		n.slabs().PutSlab(pkt)
 		return fmt.Errorf("netsim: unknown host %v", dst.Host)
 	}
 	if n.routes[[2]netapi.HostID{src.id, dst.Host}] == nil {
-		message.PutSlab(pkt)
+		n.slabs().PutSlab(pkt)
 		return errNoRoute
 	}
 	if n.Partitioned(src.id, dst.Host) {
 		// A partition is a network fault, not a caller error: the packet is
 		// silently lost so the transport sees it as loss and recovers.
 		n.partitionDrop()
-		message.PutSlab(pkt)
+		n.slabs().PutSlab(pkt)
 		return nil
 	}
 	fl := newFlight(n, src.id, dst.Host, pkt, srcAddr, dst)

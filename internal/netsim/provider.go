@@ -4,7 +4,6 @@ import (
 	"errors"
 	"time"
 
-	"adaptive/internal/message"
 	"adaptive/internal/netapi"
 	"adaptive/internal/sim"
 )
@@ -28,7 +27,7 @@ func (e *Endpoint) Send(pkt []byte, dst netapi.Addr) error {
 	if e.closed {
 		return errors.New("netsim: endpoint closed")
 	}
-	owned := message.GetSlab(len(pkt))
+	owned := e.host.net.slabs().GetSlab(len(pkt))
 	copy(owned, pkt)
 	return e.host.net.send(e.host, owned, e.addr, dst, e.cost)
 }

@@ -14,7 +14,6 @@ import (
 
 	"adaptive/internal/event"
 	"adaptive/internal/mechanism"
-	"adaptive/internal/message"
 	"adaptive/internal/netapi"
 	"adaptive/internal/session"
 	"adaptive/internal/tko"
@@ -77,6 +76,7 @@ type MetricFactory func(connID uint32) mechanism.MetricSink
 type Stack struct {
 	ep      netapi.Endpoint
 	clock   netapi.Clock
+	cache   *wire.Cache // the provider's loop tier; nil = the shared tier
 	timers  *event.Manager
 	rng     *rand.Rand
 	synth   *tko.Synthesizer
@@ -147,6 +147,14 @@ func NewStack(cfg Config) (*Stack, error) {
 		listeners: make(map[uint16]*Listener),
 		fences:    make(map[uint32]fence),
 		tombs:     tombstones{until: make(map[uint32]time.Duration)},
+	}
+	if lc, ok := cfg.Provider.(interface{ LoopCache() *wire.Cache }); ok {
+		// A provider that runs the stack on one event loop (netsim's kernel,
+		// udpnet's loop goroutine) lends that loop's free lists: every
+		// pooled get and put the stack and its sessions make on the loop
+		// then takes no lock. Any other provider — a wrapper that hides
+		// them — leaves the stack on the shared tier.
+		st.cache = lc.LoopCache()
 	}
 	ep.SetReceiver(st.onPacket)
 	if be, ok := ep.(netapi.BatchEndpoint); ok {
@@ -238,9 +246,10 @@ func (st *Stack) Transmit(pkt []byte, dst netapi.Addr) error {
 // control-plane message — as a CRC-32 PDU of type t.
 func (st *Stack) TransmitDoc(t wire.Type, doc []wire.Field, dst netapi.Addr) {
 	st.doc = wire.Append(st.doc[:0], doc)
-	p := wire.PDU{Header: wire.Header{Type: t}, Payload: message.PooledFromBytes(st.doc)}
-	wire.EncodeTo(&p, wire.CkCRC32, func(pkt []byte) error { return st.Transmit(pkt, dst) })
-	p.ReleasePayload()
+	msgs := st.cache.Messages()
+	p := wire.PDU{Header: wire.Header{Type: t}, Payload: msgs.PooledFromBytes(st.doc)}
+	st.cache.EncodeTo(&p, wire.CkCRC32, func(pkt []byte) error { return st.Transmit(pkt, dst) })
+	msgs.Release(p.Payload)
 }
 
 // --- listeners and session management ---
@@ -334,6 +343,7 @@ func (st *Stack) buildSession(connID uint32, spec *mechanism.Spec, res tko.Resul
 		Metrics:   sink,
 		Tracer:    st.tracer,
 		Out:       st,
+		Cache:     st.cache,
 
 		OnTerminal: st.sessionEnded,
 	})
@@ -406,10 +416,10 @@ func (st *Stack) onPacket(pkt []byte, from netapi.Addr) {
 			return
 		}
 	}
-	pdu := wire.GetPDU()
-	if err := wire.DecodeInto(p, pdu); err != nil {
+	pdu := st.cache.GetPDU()
+	if err := st.cache.DecodeInto(p, pdu); err != nil {
 		st.stats.DecodeErrors++
-		wire.PutPDU(pdu)
+		st.cache.PutPDU(pdu)
 		return
 	}
 	st.dispatch(pdu, from)
@@ -447,7 +457,7 @@ func (st *Stack) dispatch(p *wire.PDU, from netapi.Addr) {
 			// Stale-epoch sender: a host that no longer owns this
 			// connection's egress. Reject before the session sees it.
 			st.stats.FencedPDUs++
-			wire.PutPDU(p)
+			st.cache.PutPDU(p)
 			return
 		}
 		s.HandlePDU(p)
@@ -461,13 +471,13 @@ func (st *Stack) dispatch(p *wire.PDU, from netapi.Addr) {
 	l := st.listeners[p.DstPort]
 	if l == nil {
 		st.stats.UnmatchedPDUs++
-		wire.PutPDU(p)
+		st.cache.PutPDU(p)
 		return
 	}
 	spec, ok := st.proposalFrom(p)
 	if !ok {
 		st.stats.UnmatchedPDUs++
-		wire.PutPDU(p)
+		st.cache.PutPDU(p)
 		return
 	}
 	if l.Adjust != nil {
@@ -479,7 +489,7 @@ func (st *Stack) dispatch(p *wire.PDU, from netapi.Addr) {
 	s, err := st.CreatePassiveSession(p.ConnID, spec, from, p.DstPort, p.SrcPort)
 	if err != nil {
 		st.stats.UnmatchedPDUs++
-		wire.PutPDU(p)
+		st.cache.PutPDU(p)
 		return
 	}
 	if l.OnAccept != nil {

@@ -66,7 +66,7 @@ func (st *Stack) latePDU(p *wire.PDU, from netapi.Addr) {
 	if p.Type == wire.TFin {
 		ack := wire.PDU{Header: wire.Header{Type: wire.TFinAck, ConnID: p.ConnID,
 			SrcPort: p.DstPort, DstPort: p.SrcPort, Ack: p.Seq}}
-		wire.EncodeTo(&ack, p.Checksum(), func(pkt []byte) error { return st.Transmit(pkt, from) })
+		st.cache.EncodeTo(&ack, p.Checksum(), func(pkt []byte) error { return st.Transmit(pkt, from) })
 	}
-	wire.PutPDU(p)
+	st.cache.PutPDU(p)
 }

@@ -142,8 +142,8 @@ func TestThrottleDisabledRespondsToEveryNak(t *testing.T) {
 	s := NewSelectiveRepeat()
 	s.DisableThrottle = true
 	e.SentEntry(0, "a", 0)
-	s.OnNak(e, EncodeNak([]uint32{0}))
-	s.OnNak(e, EncodeNak([]uint32{0}))
+	s.OnNak(e, EncodeNak(nil, []uint32{0}))
+	s.OnNak(e, EncodeNak(nil, []uint32{0}))
 	if len(e.Data) != 2 {
 		t.Fatalf("unthrottled sender resent %d times", len(e.Data))
 	}

@@ -55,7 +55,7 @@ func TestOnNakZeroAlloc(t *testing.T) {
 			missing[i] = uint32(i)
 			e.SentEntry(uint32(i), "p", 0)
 		}
-		nak := EncodeNak(missing)
+		nak := EncodeNak(nil, missing)
 		r.OnNak(e, nak)
 		if len(e.Data) != maxNakList {
 			t.Fatalf("%s: warm-up retransmitted %d PDUs, want %d", name, len(e.Data), maxNakList)

@@ -165,14 +165,17 @@ func (f *FEC) emitParity(e mechanism.Env) {
 	if f.sndMax > 0 && f.sndMax < len(block) {
 		block = block[:f.sndMax]
 	}
-	pm := message.AllocPooled(len(block), message.DefaultHeadroom)
+	st := e.State()
+	msgs := st.Cache.Messages()
+	pm := msgs.AllocPooled(len(block), message.DefaultHeadroom)
 	copy(pm.Bytes(), block)
-	p := &e.State().CtrlScratch
+	p := &st.CtrlScratch
 	p.Header = wire.Header{Type: wire.TParity, Seq: f.sndBase, Aux: uint16(f.sndCount)}
 	p.Payload = pm
 	e.Metrics().Count("rel.parity_sent", 1)
 	e.EmitControl(p)
-	p.ReleasePayload()
+	msgs.Release(pm)
+	p.Payload = nil
 	f.sndCount = 0
 }
 
@@ -220,13 +223,13 @@ func (f *FEC) OnRTO(e mechanism.Env) {
 func (f *FEC) OnData(e mechanism.Env, p *wire.PDU) {
 	st := e.State()
 	if p.Seq < st.RcvNxt {
-		wire.PutPDU(p)
+		st.Cache.PutPDU(p)
 		e.Metrics().Count("rel.duplicates", 1)
 		sendCumAck(e)
 		return
 	}
 	if _, dup := st.RcvBuf.Get(p.Seq); dup {
-		wire.PutPDU(p)
+		st.Cache.PutPDU(p)
 		e.Metrics().Count("rel.duplicates", 1)
 		sendCumAck(e)
 		return
@@ -317,10 +320,10 @@ func (f *FEC) tryReconstruct(e mechanism.Env, base uint32) {
 	if _, dup := st.RcvBuf.Get(seq); dup {
 		return
 	}
-	pdu := wire.GetPDU()
+	pdu := st.Cache.GetPDU()
 	pdu.Type = wire.TData
 	pdu.Seq = seq
-	pl := message.AllocPooled(n, message.DefaultHeadroom)
+	pl := st.Cache.Messages().AllocPooled(n, message.DefaultHeadroom)
 	copy(pl.Bytes(), block[2:2+n])
 	pdu.Payload = pl
 	if eom {

@@ -143,7 +143,7 @@ func TestFECLossTolerantNeverRetransmits(t *testing.T) {
 	e := mechtest.New(fecSpec(4))
 	f := NewFEC(false)
 	e.SentEntry(0, "a", 0)
-	f.OnNak(e, EncodeNak([]uint32{0}))
+	f.OnNak(e, EncodeNak(nil, []uint32{0}))
 	f.OnRTO(e)
 	if len(e.Data) != 0 {
 		t.Fatal("loss-tolerant FEC retransmitted")
@@ -163,7 +163,7 @@ func TestFECHybridNakFallback(t *testing.T) {
 	e := mechtest.New(spec)
 	f := NewFEC(true)
 	e.SentEntry(0, "a", 0)
-	f.OnNak(e, EncodeNak([]uint32{0}))
+	f.OnNak(e, EncodeNak(nil, []uint32{0}))
 	if len(e.Data) != 1 {
 		t.Fatal("hybrid ignored NAK")
 	}

@@ -34,7 +34,7 @@ func TestSelectiveRepeatRetxMapBounded(t *testing.T) {
 		for q := base; q < seq; q++ {
 			missing = append(missing, q)
 		}
-		nak := EncodeNak(missing)
+		nak := EncodeNak(nil, missing)
 		s.OnNak(e, nak)
 		// Everything is then acked: the session clears Unacked and
 		// advances SndUna before the strategy sees the ack.
@@ -121,7 +121,7 @@ func TestFECHybridRetxMapBounded(t *testing.T) {
 		for q := base; q < seq; q++ {
 			missing = append(missing, q)
 		}
-		nak := EncodeNak(missing)
+		nak := EncodeNak(nil, missing)
 		f.OnNak(e, nak)
 		for q := base; q < seq; q++ {
 			e.StateV.Unacked.Take(q)

@@ -154,7 +154,7 @@ func (*None) OnData(e mechanism.Env, p *wire.PDU) {
 	eom := p.Flags&wire.FlagEOM != 0
 	pl := p.Payload
 	p.Payload = nil
-	wire.PutPDU(p)
+	st.Cache.PutPDU(p)
 	e.ReleaseData(seq, pl, eom)
 }
 
@@ -224,7 +224,7 @@ func (g *GoBackN) OnData(e mechanism.Env, p *wire.PDU) {
 		seq := p.Seq
 		pl := p.Payload
 		p.Payload = nil
-		wire.PutPDU(p)
+		st.Cache.PutPDU(p)
 		e.ReleaseData(seq, pl, eom)
 		// Data buffered by a pre-segue selective-repeat phase is still
 		// deliverable: drain any contiguous run it left behind.
@@ -233,7 +233,7 @@ func (g *GoBackN) OnData(e mechanism.Env, p *wire.PDU) {
 	default:
 		// Out of order or duplicate: drop, re-ack immediately (duplicate
 		// acks drive the sender's fast retransmit).
-		wire.PutPDU(p)
+		st.Cache.PutPDU(p)
 		e.Metrics().Count("rel.ooo_discarded", 1)
 		g.acker.ackNow(e)
 	}
@@ -318,14 +318,14 @@ func (s *SelectiveRepeat) OnData(e mechanism.Env, p *wire.PDU) {
 	inOrder := false
 	switch {
 	case p.Seq < st.RcvNxt:
-		wire.PutPDU(p)
+		st.Cache.PutPDU(p)
 		e.Metrics().Count("rel.duplicates", 1)
 	case st.RcvBuf.Len() >= st.RcvBufCap && p.Seq != st.RcvNxt:
-		wire.PutPDU(p)
+		st.Cache.PutPDU(p)
 		e.Metrics().Count("rel.rcvbuf_overflow", 1)
 	default:
 		if _, dup := st.RcvBuf.Get(p.Seq); dup {
-			wire.PutPDU(p)
+			st.Cache.PutPDU(p)
 			e.Metrics().Count("rel.duplicates", 1)
 		} else if r := st.NewRecv(p, e.Clock().Now(), false); !st.RcvBuf.Set(p.Seq, r) {
 			// Further ahead than any advertised window allows.
@@ -374,9 +374,9 @@ func nakGaps(e mechanism.Env, lastNak *throttle, missing []uint32, unthrottled b
 	}
 	if len(missing) > 0 {
 		e.Metrics().Count("rel.naks_sent", 1)
-		p := EncodeNak(missing)
+		p := EncodeNak(st.Cache, missing)
 		e.EmitControl(p)
-		wire.PutPDU(p) // EmitControl copies synchronously; recycle PDU + payload
+		st.Cache.PutPDU(p) // EmitControl copies synchronously; recycle PDU + payload
 	}
 	return missing
 }
@@ -400,17 +400,18 @@ func (s *SelectiveRepeat) ImportState(st any) {
 	}
 }
 
-// EncodeNak builds a NAK PDU listing missing sequences.
-func EncodeNak(missing []uint32) *wire.PDU {
+// EncodeNak builds a NAK PDU listing missing sequences, drawing the PDU and
+// its payload from c's lists (nil: the shared tier).
+func EncodeNak(c *wire.Cache, missing []uint32) *wire.PDU {
 	if len(missing) > maxNakList {
 		missing = missing[:maxNakList]
 	}
-	m := message.AllocPooled(4*len(missing), message.DefaultHeadroom)
+	m := c.Messages().AllocPooled(4*len(missing), message.DefaultHeadroom)
 	buf := m.Bytes()
 	for i, q := range missing {
 		binary.BigEndian.PutUint32(buf[4*i:], q)
 	}
-	p := wire.GetPDU()
+	p := c.GetPDU()
 	p.Header = wire.Header{Type: wire.TNak, Aux: uint16(len(missing))}
 	p.Payload = m
 	return p

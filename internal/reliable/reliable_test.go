@@ -217,7 +217,7 @@ func TestSRRetransmitsOnNak(t *testing.T) {
 	e.SentEntry(0, "a", 0)
 	e.SentEntry(1, "b", 0)
 	e.SentEntry(2, "c", 0)
-	s.OnNak(e, EncodeNak([]uint32{1}))
+	s.OnNak(e, EncodeNak(nil, []uint32{1}))
 	if len(e.Data) != 1 || e.Data[0].Seq != 1 {
 		t.Fatalf("NAK retransmitted %v", e.Data)
 	}
@@ -298,7 +298,7 @@ func TestSRSegueStatePreservesThrottles(t *testing.T) {
 	e := mechtest.New(nil)
 	s1 := NewSelectiveRepeat()
 	e.SentEntry(0, "a", 0)
-	s1.OnNak(e, EncodeNak([]uint32{0}))
+	s1.OnNak(e, EncodeNak(nil, []uint32{0}))
 	if len(e.Data) != 1 {
 		t.Fatal("setup: no retransmission")
 	}
@@ -306,7 +306,7 @@ func TestSRSegueStatePreservesThrottles(t *testing.T) {
 	s2.ImportState(s1.ExportState())
 	// The throttle state traveled: an immediate duplicate NAK must not
 	// trigger another retransmission.
-	s2.OnNak(e, EncodeNak([]uint32{0}))
+	s2.OnNak(e, EncodeNak(nil, []uint32{0}))
 	if len(e.Data) != 1 {
 		t.Fatal("segue lost retransmit throttle state")
 	}
@@ -316,7 +316,7 @@ func TestSRSegueStatePreservesThrottles(t *testing.T) {
 
 func TestNakCodecRoundTrip(t *testing.T) {
 	missing := []uint32{1, 5, 9, 1000000}
-	p := EncodeNak(missing)
+	p := EncodeNak(nil, missing)
 	got := DecodeNakList(p, nil)
 	if len(got) != len(missing) {
 		t.Fatalf("decoded %v", got)
@@ -334,7 +334,7 @@ func TestNakListCapped(t *testing.T) {
 	for i := range long {
 		long[i] = uint32(i)
 	}
-	p := EncodeNak(long)
+	p := EncodeNak(nil, long)
 	if got := DecodeNakList(p, nil); len(got) != maxNakList {
 		t.Fatalf("NAK list length %d, want %d", len(got), maxNakList)
 	}
@@ -342,7 +342,7 @@ func TestNakListCapped(t *testing.T) {
 }
 
 func TestNakDecodeTruncatedAux(t *testing.T) {
-	p := EncodeNak([]uint32{1, 2, 3})
+	p := EncodeNak(nil, []uint32{1, 2, 3})
 	p.Aux = 100 // lies about the count
 	if got := DecodeNakList(p, nil); len(got) != 3 {
 		t.Fatalf("oversized aux decoded %d entries", len(got))

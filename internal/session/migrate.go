@@ -5,7 +5,6 @@ import (
 
 	"adaptive/internal/conn"
 	"adaptive/internal/mechanism"
-	"adaptive/internal/message"
 	"adaptive/internal/netapi"
 	"adaptive/internal/wire"
 )
@@ -35,15 +34,15 @@ func handoffPDU(seq uint32, p *wire.PDU) HandoffPDU {
 		Payload: append([]byte(nil), p.PayloadBytes()...)}
 }
 
-// pdu rebuilds the buffered data PDU on the importing host.
-func (hp *HandoffPDU) pdu() *wire.PDU {
-	p := wire.GetPDU()
+// pdu rebuilds the buffered data PDU on the importing host, from c's lists.
+func (hp *HandoffPDU) pdu(c *wire.Cache) *wire.PDU {
+	p := c.GetPDU()
 	p.Type = wire.TData
 	p.Seq = hp.Seq
 	p.Flags = hp.Flags
 	p.Aux = hp.Aux
 	if len(hp.Payload) > 0 {
-		p.Payload = message.PooledFromBytes(hp.Payload)
+		p.Payload = c.Messages().PooledFromBytes(hp.Payload)
 	}
 	return p
 }
@@ -194,19 +193,19 @@ func (s *Session) ImportHandoff(h *Handoff) {
 	st.Portable, s.Meters = p, h.Meters
 	now := s.clock.Now()
 	for i := range h.Unacked {
-		e := st.NewSent(h.Unacked[i].pdu(), now)
+		e := st.NewSent(h.Unacked[i].pdu(st.Cache), now)
 		e.Retransmits = 1 // Karn: never RTT-time a PDU sent by another host
 		if !st.Unacked.Set(e.PDU.Seq, e) {
 			st.FreeSent(e) // a record spanning more than any window: not ours to honour
 		}
 	}
 	for i := range h.RcvBuf {
-		if r := st.NewRecv(h.RcvBuf[i].pdu(), now, false); !st.RcvBuf.Set(r.PDU.Seq, r) {
+		if r := st.NewRecv(h.RcvBuf[i].pdu(st.Cache), now, false); !st.RcvBuf.Set(r.PDU.Seq, r) {
 			st.FreeRecv(r)
 		}
 	}
 	for i := range h.SendQ {
-		s.pushSeg(queuedSeg{msg: message.PooledFromBytes(h.SendQ[i].Data), eom: h.SendQ[i].EOM})
+		s.pushSeg(queuedSeg{msg: s.msgs().PooledFromBytes(h.SendQ[i].Data), eom: h.SendQ[i].EOM})
 	}
 	// Adopt an established connection: the handshake happened on the
 	// source host; only the shared close protocol matters from here on.

@@ -65,6 +65,10 @@ type Params struct {
 	Metrics   mechanism.MetricSink
 	Tracer    *trace.Recorder // nil disables flight-recorder hooks
 	Out       Outbound
+	// Cache is the free lists of the event loop the session runs on (the
+	// stack's provider's loop tier); nil keeps its pooled objects on the
+	// shared tier.
+	Cache *wire.Cache
 	// OnTerminal, when non-nil, runs once, inside the terminal transition
 	// (see Session.terminate), after the session has released everything it
 	// held: the stack drops its demux entry here.
@@ -196,6 +200,7 @@ func New(p Params) *Session {
 	if s.metrics == nil {
 		s.metrics = mechanism.NopSink{}
 	}
+	s.state.Cache = p.Cache
 	s.emitFn = s.emitPacket
 	s.pumpFn = s.pump
 	s.rtoFn = s.onRTO
@@ -354,11 +359,12 @@ func (s *Session) terminate() {
 	s.cancelTimers()
 	s.rtoTimer, s.pumpTimer, s.kaTimer = nil, nil, nil
 	s.slots.Recovery.Stop() // delayed-ack and gap timers
+	msgs := s.msgs()
 	for _, d := range s.slots.Orderer.Flush() {
-		d.Msg.Release()
+		msgs.Release(d.Msg)
 	}
 	for i := s.sendQH; i < len(s.sendQ); i++ {
-		s.sendQ[i].msg.Release()
+		msgs.Release(s.sendQ[i].msg)
 	}
 	s.sendQ, s.sendQH = nil, 0
 	s.state.Release()
@@ -374,6 +380,10 @@ func (s *Session) terminate() {
 // resliced away, so steady-state queue churn allocates nothing) ---
 
 func (s *Session) queuedLen() int { return len(s.sendQ) - s.sendQH }
+
+// msgs returns the message lists of the session's loop (nil once the session
+// has ended: the shared tier).
+func (s *Session) msgs() *message.Cache { return s.state.Cache.Messages() }
 
 func (s *Session) pushSeg(q queuedSeg) { s.sendQ = append(s.sendQ, q) }
 
@@ -427,14 +437,14 @@ func (s *Session) Send(data []byte) error {
 	// Keyed on the next tx seq: submits track the data rate, so sampled
 	// recordings thin them with the PDU events instead of keeping all.
 	s.tracer.EmitKeyed(s.txSeq, s.clock.Now(), trace.KSendSubmit, s.id.ConnID, uint64(len(data)), 0, 0)
-	mss := s.spec.MSS
+	mss, msgs := s.spec.MSS, s.msgs()
 	for len(data) > mss {
-		s.pushSeg(queuedSeg{msg: message.PooledFromBytes(data[:mss])})
+		s.pushSeg(queuedSeg{msg: msgs.PooledFromBytes(data[:mss])})
 		data = data[mss:]
 	}
 	// The final segment carries the end-of-message flag (an empty message is
 	// one empty segment).
-	s.pushSeg(queuedSeg{msg: message.PooledFromBytes(data), eom: true})
+	s.pushSeg(queuedSeg{msg: msgs.PooledFromBytes(data), eom: true})
 	s.pump()
 	return nil
 }
@@ -444,7 +454,7 @@ func (s *Session) Send(data []byte) error {
 // into segment buffers like any others and m is released.
 func (s *Session) SendMessage(m *message.Message) error {
 	err := s.Send(m.Bytes())
-	m.Release()
+	s.msgs().Release(m)
 	return err
 }
 
@@ -501,7 +511,7 @@ func (s *Session) emitSegment(seg queuedSeg) {
 
 	seq := st.SndNxt
 	st.SndNxt++
-	p := wire.GetPDU()
+	p := st.Cache.GetPDU()
 	p.Type = wire.TData
 	p.Seq = seq
 	p.Payload = seg.msg
@@ -511,11 +521,12 @@ func (s *Session) emitSegment(seg queuedSeg) {
 	if len(blob) > 0 {
 		p.Flags |= wire.FlagImplicitCfg
 		p.Aux = uint16(len(blob))
-		withCfg := message.AllocPooled(len(blob)+seg.msg.Len(), message.DefaultHeadroom)
+		msgs := s.msgs()
+		withCfg := msgs.AllocPooled(len(blob)+seg.msg.Len(), message.DefaultHeadroom)
 		b := withCfg.Bytes()
 		copy(b, blob)
 		copy(b[len(blob):], seg.msg.Bytes())
-		seg.msg.Release()
+		msgs.Release(seg.msg)
 		p.Payload = withCfg
 	}
 
@@ -561,7 +572,7 @@ func (s *Session) transmitPDU(p *wire.PDU) {
 	s.txSeq = uint64(p.Seq)
 	s.txAck = uint64(p.Ack)
 	s.txType = uint64(p.Type)
-	wire.EncodeTo(p, s.spec.Checksum, s.emitFn)
+	s.state.Cache.EncodeTo(p, s.spec.Checksum, s.emitFn)
 }
 
 // emitPacket is the EncodeTo sink: it counts, traces, and hands the packet to
@@ -631,16 +642,17 @@ func (s *Session) HandlePDU(p *wire.PDU) {
 	if p.Type == wire.TAck {
 		s.state.PeerAdvert = int(p.Window)
 	}
+	pdus := s.state.Cache
 	if p.Type == wire.TKeepalive {
 		if p.Flags&wire.FlagEcho == 0 && !s.Closed() {
 			s.transmitPDU(&wire.PDU{Header: wire.Header{Type: wire.TKeepalive, Flags: wire.FlagEcho}})
 		}
-		wire.PutPDU(p)
+		pdus.PutPDU(p)
 		return
 	}
 
 	if s.slots.Conn.OnPDU(s.env(), p) {
-		wire.PutPDU(p)
+		pdus.PutPDU(p)
 		s.pump()
 		return
 	}
@@ -650,7 +662,7 @@ func (s *Session) HandlePDU(p *wire.PDU) {
 		if p.Payload == nil {
 			// Zero-length segments decode with a nil payload; the
 			// delivery pipeline owns a message either way.
-			p.Payload = message.Alloc(0, 0)
+			p.Payload = s.msgs().AllocPooled(0, 0)
 		}
 		if p.Flags&wire.FlagImplicitCfg != 0 && p.Aux > 0 && p.Payload != nil {
 			// Strip the piggybacked config (already applied when the
@@ -668,15 +680,15 @@ func (s *Session) HandlePDU(p *wire.PDU) {
 			s.slots.Recovery.OnAck(s.env(), p)
 			s.pump()
 		}
-		wire.PutPDU(p)
+		pdus.PutPDU(p)
 	case wire.TNak:
 		s.slots.Recovery.OnNak(s.env(), p)
-		wire.PutPDU(p)
+		pdus.PutPDU(p)
 	case wire.TParity:
 		s.slots.Recovery.OnParity(s.env(), p)
-		wire.PutPDU(p)
+		pdus.PutPDU(p)
 	default:
-		wire.PutPDU(p)
+		pdus.PutPDU(p)
 		s.metrics.Count("pdu.unexpected", 1)
 	}
 }
@@ -710,7 +722,7 @@ func (s *Session) processAck(p *wire.PDU) {
 // application.
 func (s *Session) releaseData(seq uint32, m *message.Message, eom bool) {
 	if s.done {
-		m.Release()
+		s.msgs().Release(m)
 		return
 	}
 	for _, d := range s.slots.Orderer.Submit(seq, m, eom) {
@@ -734,7 +746,7 @@ func (s *Session) deliver(d Delivery) {
 	if s.recvCb != nil {
 		s.recvCb(d)
 	} else {
-		d.Msg.Release()
+		s.msgs().Release(d.Msg)
 	}
 }
 

@@ -15,7 +15,7 @@ import (
 // queue, sendmmsg) through the reader (recvmmsg into reused ring, pooled
 // slab copy, one posted closure per batch) to the batch upcall — at under
 // one allocation per packet. The budget lives on pooled slabs (message),
-// the pooled rxBatch carriers (backstop-fronted), pre-bound syscall
+// the pooled rxBatch carriers, pre-bound syscall
 // callbacks, and the RCU host snapshot; a regression on any of them shows
 // up here long before it shows up in the repo benchmark's blast rung.
 func TestBatchedPathAllocs(t *testing.T) {

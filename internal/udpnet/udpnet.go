@@ -22,10 +22,12 @@
 //
 //   - Receive: the reader drains up to BatchSize datagrams per recvmmsg
 //     syscall into a reused ring of frame buffers, copies each payload into
-//     a pooled backstop-fronted slab, and posts ONE closure per batch into
-//     the bounded loop queue — the queue amortizes a closure per batch, not
-//     per packet, and the upcall side delivers the whole batch through the
-//     optional netapi.BatchReceiver in a single call.
+//     a pooled slab (the shared tier: the reader runs off the loop), and
+//     posts ONE closure per batch into the bounded loop queue — the queue
+//     amortizes a closure per batch, not per packet, and the upcall side
+//     delivers the whole batch through the optional netapi.BatchReceiver in
+//     a single call, then frees the slabs into the loop's own free lists
+//     (LoopCache), whose overflow goes back to the shared tier.
 //   - Send: with FlushWindow > 0, frames are encoded into pooled scratch and
 //     enqueued on a per-endpoint flush queue drained by one sendmmsg per
 //     batch — when the queue reaches BatchSize (size flush) or when
@@ -57,9 +59,9 @@ import (
 	"sync/atomic"
 	"time"
 
-	"adaptive/internal/backstop"
 	"adaptive/internal/message"
 	"adaptive/internal/netapi"
+	"adaptive/internal/wire"
 )
 
 // maxPacket bounds received datagram size.
@@ -198,6 +200,10 @@ type Provider struct {
 	closed  atomic.Bool
 	readers sync.WaitGroup
 	clock   clock
+
+	// cache is the loop goroutine's free lists (see LoopCache): touched only
+	// by closures running on the loop.
+	cache wire.Cache
 
 	// droppedPosts counts loop-queue overflow drops provider-wide (the
 	// per-endpoint Dropped counters attribute the datagrams to a
@@ -523,6 +529,15 @@ func (t *timer) Reset(d time.Duration) { t.t.Reset(d) }
 // Clock implements netapi.Provider.
 func (p *Provider) Clock() netapi.Clock { return p.clock }
 
+// LoopCache returns the free lists of the provider's event loop. Protocol
+// code runs only there (receive upcalls, timers, posted closures), so a
+// protocol stack recycles its per-packet buffers, views and PDUs through
+// them without a lock (protograph.NewStack finds them here), and delivered
+// receive batches free their slabs into them. Nothing off the loop may use
+// them: the reader goroutine, the window-flush timer and Endpoint.Close stay
+// on the shared tier.
+func (p *Provider) LoopCache() *wire.Cache { return &p.cache }
+
 // outMsg is one wire datagram: either a single framed packet or a
 // coalesced train of them. On the flush queue (ep.sq) every entry is a
 // single frame; packTrains turns runs of them into train entries on the
@@ -644,37 +659,30 @@ type rxBatch struct {
 	run  func()
 }
 
-var (
-	rxBatchBackstop = &backstop.Stack[*rxBatch]{PerShard: 16}
-	rxBatchPool     sync.Pool // New set in init (direct literal would cycle)
-)
+// rxBatches recycles receive batches: the reader takes them, the loop (or the
+// reader, on a shed batch) gives them back, one per batch of packets.
+var rxBatches sync.Pool // New set in init (a direct literal would cycle)
 
 func init() {
-	rxBatchPool.New = func() any {
+	rxBatches.New = func() any {
 		b := &rxBatch{}
 		b.run = b.deliver
 		return b
 	}
 }
 
-func getRxBatch() *rxBatch {
-	if b, ok := rxBatchBackstop.Get(); ok {
-		return b
-	}
-	return rxBatchPool.Get().(*rxBatch)
-}
+func getRxBatch() *rxBatch { return rxBatches.Get().(*rxBatch) }
 
 func putRxBatch(b *rxBatch) {
 	b.ep = nil
-	if !rxBatchBackstop.Put(b) {
-		rxBatchPool.Put(b)
-	}
+	rxBatches.Put(b)
 }
 
-// release returns every pooled slab and the batch itself.
-func (b *rxBatch) release() {
+// release returns every pooled slab — to c, the loop's lists, when it runs on
+// the loop; nil is the shared tier — and the batch itself.
+func (b *rxBatch) release(c *message.Cache) {
 	for i := range b.pkts {
-		message.PutSlab(b.pkts[i].Data)
+		c.PutSlab(b.pkts[i].Data)
 		b.pkts[i] = netapi.Packet{}
 	}
 	b.pkts = b.pkts[:0]
@@ -695,7 +703,7 @@ func (b *rxBatch) deliver() {
 			}
 		}
 	}
-	b.release()
+	b.release(ep.p.cache.Messages())
 }
 
 // reader pumps datagram batches into the event loop. It owns its socket
@@ -820,7 +828,7 @@ func (ep *Endpoint) dispatch(rx *rxState, n int) {
 	}
 	if !ep.p.tryPost(b.run) {
 		ep.dropped.Add(uint64(len(b.pkts)))
-		b.release()
+		b.release(nil)
 	}
 }
 

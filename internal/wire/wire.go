@@ -12,9 +12,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"sync"
 
-	"adaptive/internal/backstop"
 	"adaptive/internal/message"
 )
 
@@ -177,36 +175,64 @@ func (p *PDU) ReleasePayload() {
 	}
 }
 
-var pduPool = sync.Pool{New: func() any { return new(PDU) }}
+// pduPool recycles PDU structs through a loop's Cache and the shared tier
+// (see message.Pool).
+var pduPool = message.Pool[*PDU]{Depth: 128}
 
-// pduBackstop is a bounded GC-immune free stack in front of pduPool: sync.Pool
-// is flushed every GC cycle, and at soak scale the post-GC refills of the PDU
-// working set show up in the allocation profile. ~48 B per PDU struct, so the
-// full backstop pins under 1 MiB.
-var pduBackstop = backstop.Stack[*PDU]{PerShard: 2048}
+// Cache is one event loop's free lists of the datapath's pooled objects: PDU
+// structs here, and message buffers, views and slabs in Messages. A provider
+// that runs an event loop owns one and hands it out through an optional
+// LoopCache() method; only code running on that loop may use it. Every
+// method accepts a nil *Cache, which stands for the shared tier (safe from
+// any goroutine); the package-level functions are the nil Cache's.
+type Cache struct {
+	msgs message.Cache
+	pdus message.FreeList[*PDU]
+}
+
+// Messages returns the message-buffer lists of the cache (nil for the nil
+// Cache: the shared tier).
+func (c *Cache) Messages() *message.Cache {
+	if c == nil {
+		return nil
+	}
+	return &c.msgs
+}
+
+func (c *Cache) pduList() *message.FreeList[*PDU] {
+	if c == nil {
+		return nil
+	}
+	return &c.pdus
+}
 
 // GetPDU returns a zeroed PDU from the pool. Pair with PutPDU at the point
 // the PDU's lifecycle provably ends (receive-path terminal, acked
 // retransmission-buffer entry); a PDU whose ownership is ambiguous may simply
 // be dropped to the garbage collector instead — losing one to GC is always
 // safe, double-recycling never is.
-func GetPDU() *PDU {
-	if p, ok := pduBackstop.Get(); ok {
+func (c *Cache) GetPDU() *PDU {
+	if p, ok := pduPool.Get(c.pduList()); ok {
 		return p
 	}
-	return pduPool.Get().(*PDU)
+	return new(PDU)
 }
+
+// GetPDU is Cache.GetPDU on the shared tier.
+func GetPDU() *PDU { return (*Cache)(nil).GetPDU() }
 
 // PutPDU releases any payload still attached, zeroes the PDU, and recycles
 // it. The caller must not touch p afterwards.
-func PutPDU(p *PDU) {
-	p.ReleasePayload()
-	p.Header = Header{}
-	if pduBackstop.Put(p) {
-		return
+func (c *Cache) PutPDU(p *PDU) {
+	if p.Payload != nil {
+		c.Messages().Release(p.Payload)
 	}
-	pduPool.Put(p)
+	*p = PDU{}
+	pduPool.Put(c.pduList(), p)
 }
+
+// PutPDU is Cache.PutPDU on the shared tier.
+func PutPDU(p *PDU) { (*Cache)(nil).PutPDU(p) }
 
 var (
 	ErrTooShort    = errors.New("wire: packet shorter than header+trailer")
@@ -250,7 +276,7 @@ func putHeader(buf []byte, h *Header) {
 // emit, so a synchronous transport that re-enters the protocol and drops the
 // last caller-side reference cannot recycle the buffer out from under the
 // packet slice.
-func EncodeTo(p *PDU, kind ChecksumKind, emit func(pkt []byte) error) error {
+func (c *Cache) EncodeTo(p *PDU, kind ChecksumKind, emit func(pkt []byte) error) error {
 	h := p.Header
 	h.SetChecksum(kind)
 	m := p.Payload
@@ -279,7 +305,8 @@ func EncodeTo(p *PDU, kind ChecksumKind, emit func(pkt []byte) error) error {
 		plen = m.Len()
 	}
 	h.PayloadLen = uint16(plen)
-	pkt := message.GetSlab(HeaderLen + plen + TrailerLen)
+	slabs := c.Messages()
+	pkt := slabs.GetSlab(HeaderLen + plen + TrailerLen)
 	putHeader(pkt, &h)
 	if plen > 0 {
 		copy(pkt[HeaderLen:], m.Bytes())
@@ -287,15 +314,20 @@ func EncodeTo(p *PDU, kind ChecksumKind, emit func(pkt []byte) error) error {
 	sum := checksum(kind, pkt[:HeaderLen+plen])
 	binary.BigEndian.PutUint32(pkt[HeaderLen+plen:], sum)
 	err := emit(pkt)
-	message.PutSlab(pkt)
+	slabs.PutSlab(pkt)
 	return err
+}
+
+// EncodeTo is Cache.EncodeTo on the shared tier.
+func EncodeTo(p *PDU, kind ChecksumKind, emit func(pkt []byte) error) error {
+	return (*Cache)(nil).EncodeTo(p, kind, emit)
 }
 
 // DecodeInto parses a packet into the caller-supplied PDU, overwriting it.
 // The payload (if any) is a pooled message copied out of pkt (providers
 // reuse their receive buffers). On error the PDU is left unmodified and no
 // payload is allocated.
-func DecodeInto(pkt []byte, p *PDU) error {
+func (c *Cache) DecodeInto(pkt []byte, p *PDU) error {
 	if len(pkt) < Overhead {
 		return ErrTooShort
 	}
@@ -325,7 +357,10 @@ func DecodeInto(pkt []byte, p *PDU) error {
 	p.Header = h
 	p.Payload = nil
 	if h.PayloadLen > 0 {
-		p.Payload = message.PooledFromBytes(body[HeaderLen:])
+		p.Payload = c.Messages().PooledFromBytes(body[HeaderLen:])
 	}
 	return nil
 }
+
+// DecodeInto is Cache.DecodeInto on the shared tier.
+func DecodeInto(pkt []byte, p *PDU) error { return (*Cache)(nil).DecodeInto(pkt, p) }
