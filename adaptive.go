@@ -399,11 +399,12 @@ func (n *Node) Observability() *Observability { return n.obs }
 // Close releases node resources. Every session still open — dialled, accepted
 // or multicast — goes through its terminal transition abortively (nothing is
 // transmitted; owners hear NoteClosed or NoteEstablishFailed), the arbiter's
-// hint poller, every probing campaign and every unacknowledged signal retry
-// are canceled, so no timer of this node is left pending; then the node's
-// endpoint is closed (a closed node answers nothing, and its host identity
-// can be opened again), the observability plane's trace stream is flushed and
-// its HTTP endpoint stops.
+// hint poller and every probing campaign are canceled and the stack's
+// out-of-band channels forgotten, unacknowledged documents and their
+// retransmission timers included, so no timer of this node is left pending;
+// then the node's endpoint is closed (a closed node answers nothing, and its
+// host identity can be opened again), the observability plane's trace stream
+// is flushed and its HTTP endpoint stops.
 // The teardown runs on the provider's event loop when the provider has one
 // that is still up, and inline when it was closed first or is a simulation
 // (call it from the goroutine that steps the kernel, not from inside an
@@ -417,6 +418,7 @@ func (n *Node) Close() error {
 			n.hintPoll.Cancel()
 		}
 		n.entity.Shutdown()
+		n.stack.Shutdown()
 	})
 	return errors.Join(n.stack.Endpoint().Close(), n.obs.Close())
 }

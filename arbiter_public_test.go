@@ -144,16 +144,19 @@ func TestArbiterGovernsMixedSessions(t *testing.T) {
 
 // TestNodeCloseCancelsTimers: Close must leave nothing of the node running —
 // not its own periodic timers (the arbiter's congestion-hint poller, a probing
-// campaign bounded only by context.Background) and not its sessions: a dialled
+// campaign bounded only by context.Background), not its sessions — a dialled
 // one, an accepted one, one still establishing and both ends of a multicast
-// one all go through the terminal transition abortively, transmitting nothing.
+// one all go through the terminal transition abortively, transmitting nothing
+// — and not its out-of-band channels, though a reconfiguration and a hand-off
+// are still unacknowledged on them.
 func TestNodeCloseCancelsTimers(t *testing.T) {
 	k := sim.NewKernel(5)
 	net := netsim.New(k)
-	ha, hb := net.AddHost(), net.AddHost()
+	ha, hb, hc := net.AddHost(), net.AddHost(), net.AddHost()
 	link := netsim.LinkConfig{Bandwidth: 8e6, PropDelay: 2 * time.Millisecond, MTU: 1500}
-	net.SetRoute(ha.ID(), hb.ID(), net.NewLink(link))
-	net.SetRoute(hb.ID(), ha.ID(), net.NewLink(link))
+	for _, pair := range [][2]adaptive.HostID{{ha.ID(), hb.ID()}, {hb.ID(), ha.ID()}, {ha.ID(), hc.ID()}, {hc.ID(), ha.ID()}} {
+		net.SetRoute(pair[0], pair[1], net.NewLink(link))
+	}
 	group := net.NewGroup()
 	net.Join(group, hb.ID())
 
@@ -168,6 +171,16 @@ func TestNodeCloseCancelsTimers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	target, err := adaptive.NewNode(adaptive.WithProvider(net), adaptive.WithHost(hc.ID()), adaptive.WithSeed(3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cp := adaptive.NewControlPlane()
+	for _, node := range []*adaptive.Node{n, target} {
+		if err := cp.Enroll(node, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
 	n.ProbeContext(context.Background(), hb.ID(), 50*time.Millisecond)
 
 	var conns []*adaptive.Conn
@@ -176,6 +189,7 @@ func TestNodeCloseCancelsTimers(t *testing.T) {
 	peer.OnMulticastJoin(func(c *adaptive.Conn, _ adaptive.HostID) { keep(c) })
 	ended := map[adaptive.NotificationKind]int{}
 	n.Subscribe(func(_ uint32, note adaptive.Notification) { ended[note.Kind]++ })
+	var dialled []*adaptive.Conn
 	for _, acd := range []*adaptive.ACD{
 		{Participants: []adaptive.Addr{peer.Addr()}, RemotePort: 80, Qual: adaptive.QualQoS{Ordered: true}},
 		{Participants: []adaptive.Addr{peer.Addr()}, RemotePort: 81, Qual: adaptive.QualQoS{Ordered: true}}, // nobody listens
@@ -187,10 +201,26 @@ func TestNodeCloseCancelsTimers(t *testing.T) {
 			t.Fatal(err)
 		}
 		keep(c)
+		dialled = append(dialled, c)
 	}
 	k.RunFor(time.Second)
 	if got := len(n.Stack().Sessions()) + len(peer.Stack().Sessions()); got != 5 {
 		t.Fatalf("%d sessions before Close, want 5 (3 dialled, 1 accepted, 1 joined): the test lost its subject", got)
+	}
+	// Still unacknowledged when Close runs: a reconfiguration of the
+	// multicast session toward its member, and the hand-off record of the
+	// first session toward the third host.
+	if err := dialled[2].Reconfigure(func(s *adaptive.Spec) { s.RateBps /= 2 }); err != nil {
+		t.Fatal(err)
+	}
+	if err := cp.Place(dialled[0]); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cp.MigrateSession(dialled[0], hc.ID()); err != nil {
+		t.Fatal(err)
+	}
+	if st := n.Stack().Stats(); st.DocPeers != 3 {
+		t.Fatalf("%d out-of-band channels before Close, want 3 (to and from the member, to the target): the test lost its subject", st.DocPeers)
 	}
 
 	timers := n.Stack().Timers()
@@ -212,6 +242,9 @@ func TestNodeCloseCancelsTimers(t *testing.T) {
 		}
 		if left := len(node.Stack().Sessions()); left != 0 {
 			t.Fatalf("%d sessions outlived Node.Close", left)
+		}
+		if left := node.Stack().Stats().DocPeers; left != 0 {
+			t.Fatalf("%d out-of-band channels outlived Node.Close", left)
 		}
 	}
 	closed := timers.Stats()

@@ -2,7 +2,6 @@ package controlplane
 
 import (
 	"fmt"
-	"time"
 
 	"adaptive/internal/event"
 	"adaptive/internal/netapi"
@@ -11,13 +10,14 @@ import (
 	"adaptive/internal/wire"
 )
 
-// Control-plane messages ride TControl PDUs with a TLV payload, so they share
-// the data path's framing, checksum, and layer traversal in both harnesses.
+// Control-plane messages ride TControl PDUs with a TLV payload on the stack's
+// reliable channel (protograph.Stack.SendDoc), so they share the data path's
+// framing, checksum, and layer traversal in both harnesses. Types 2 and 4 are
+// not reused: they were the chunk and owner acknowledgments the channel
+// replaced.
 const (
-	ctlChunk    uint8 = 1 // handoff record fragment (source → target)
-	ctlChunkAck uint8 = 2 // fragment receipt (target → source)
-	ctlOwner    uint8 = 3 // routing flip: new owner announcement (target → peer)
-	ctlOwnerAck uint8 = 4 // flip acknowledged; fence installed (peer → target)
+	ctlChunk uint8 = 1 // handoff record fragment (source → target)
+	ctlOwner uint8 = 3 // routing flip: new owner announcement (target → peer)
 )
 
 // control is one control-plane message. A field its type does not carry is
@@ -26,7 +26,7 @@ type control struct {
 	Type  uint8
 	Conn  uint32
 	Epoch uint64
-	Idx   uint16 // chunk, chunk ack: chunk index, sent even when 0
+	Idx   uint16 // chunk: chunk index, sent even when 0
 	Count uint16 // chunk: total chunks in the record
 	Data  []byte // chunk: record bytes
 	Host  uint32 // owner: the new owner's host
@@ -39,7 +39,7 @@ func (m *control) fields() [8]wire.Field {
 		{Tag: 1, Form: wire.U8, At: &m.Type},
 		{Tag: 2, Form: wire.U32, At: &m.Conn},
 		{Tag: 3, Form: wire.U64, At: &m.Epoch},
-		{Tag: 4, Form: wire.U16, At: &m.Idx, Omit: m.Idx == 0 && m.Type != ctlChunk && m.Type != ctlChunkAck},
+		{Tag: 4, Form: wire.U16, At: &m.Idx, Omit: m.Idx == 0 && m.Type != ctlChunk},
 		{Tag: 5, Form: wire.U16, At: &m.Count, Omit: m.Count == 0},
 		{Tag: 6, Form: wire.Bytes, At: &m.Data, Omit: len(m.Data) == 0},
 		{Tag: 7, Form: wire.U32, At: &m.Host, Omit: m.Host == 0},
@@ -51,74 +51,46 @@ const (
 	// chunkSize keeps every chunk message well under the 1400-byte path MTU
 	// after TLV framing and the wire header/trailer.
 	chunkSize = 1024
-	// ctlRetryEvery paces retransmission of unacked chunks and unacked
-	// ownership flips; ctlRetries bounds them before the migration is
-	// declared failed and rolled back.
-	ctlRetryEvery = 40 * time.Millisecond
-	ctlRetries    = 50
 
 	// What a host will hold for hand-offs still arriving — any host that
 	// reaches the SAP can start one. A record is at most maxRecordBytes (the
 	// source refuses to send a larger one), at most maxInbound reassemblies
-	// are open at once, and one that has not completed when its sender must
-	// have given up (inboundHorizon) is dropped.
+	// are open at once, and one that has had no chunk for the channel's
+	// give-up horizon (protograph.DocHorizon) is dropped: its sender has
+	// given up.
 	maxRecordBytes = 16 << 20
 	maxInbound     = 16
-	inboundHorizon = ctlRetries * ctlRetryEvery
 )
 
 // Agent is a host's control-plane arm: it executes handoffs the controller
 // decides. The source side freezes and exports the session and streams the
-// epoch-stamped record in acked chunks; the target side reassembles, adopts,
+// epoch-stamped record in chunks; the target side reassembles, adopts,
 // announces the routing flip to the transfer peer, and resumes egress only
-// after the peer's fence is confirmed — so old-epoch packets are rejected and
-// no instant ever has two live owners.
+// after the peer has installed its fence — so old-epoch packets are rejected
+// and no instant ever has two live owners.
 type Agent struct {
 	ctl   *Controller
 	stack *protograph.Stack
 	host  netapi.HostID
 
-	out    map[uint32]*outboundMigration
-	in     map[uint32]*inboundMigration
-	adopts map[uint32]*adoption
+	out map[uint32]*outboundMigration
+	in  map[uint32]*inboundMigration
 
 	// OnAdopt is invoked when this host adopts a migrated session, before
 	// egress resumes — install delivery callbacks here.
 	OnAdopt func(s *session.Session)
-
-	// Counters (single provider loop; read after Wait in tests).
-	CtlSent     uint64
-	CtlRecv     uint64
-	HandoffsOut uint64
-	HandoffsIn  uint64
 }
 
 type outboundMigration struct {
-	epoch   uint64
-	target  netapi.Addr
-	sess    *session.Session
-	chunks  [][]byte
-	acked   []bool
-	pending int
-	tries   int
-	timer   *event.Event
+	epoch uint64
+	sess  *session.Session
 }
 
 type inboundMigration struct {
-	epoch     uint64
-	from      netapi.Addr
-	chunks    [][]byte
-	remaining int
-	expiry    *event.Event
-}
-
-type adoption struct {
-	epoch     uint64
-	sess      *session.Session
-	peer      netapi.Addr
-	tries     int
-	timer     *event.Event
-	completed bool
+	epoch      uint64
+	raw        []byte // the record so far: chunks 0 .. got-1
+	got, count int
+	expiry     *event.Event
 }
 
 // NewAgent installs a control-plane agent on a host's stack and enrolls the
@@ -126,12 +98,11 @@ type adoption struct {
 // unlimited).
 func NewAgent(ctl *Controller, stack *protograph.Stack, capacity int) *Agent {
 	a := &Agent{
-		ctl:    ctl,
-		stack:  stack,
-		host:   stack.LocalAddr().Host,
-		out:    make(map[uint32]*outboundMigration),
-		in:     make(map[uint32]*inboundMigration),
-		adopts: make(map[uint32]*adoption),
+		ctl:   ctl,
+		stack: stack,
+		host:  stack.LocalAddr().Host,
+		out:   make(map[uint32]*outboundMigration),
+		in:    make(map[uint32]*inboundMigration),
 	}
 	stack.ControlHandler = a.onControl
 	stack.OnTerminal(a.sessionEnded)
@@ -141,8 +112,10 @@ func NewAgent(ctl *Controller, stack *protograph.Stack, capacity int) *Agent {
 
 // --- source side ---
 
-// beginHandoff freezes the session, exports it, and starts streaming the
-// epoch-stamped record to the target host's agent.
+// beginHandoff freezes the session, exports it, and queues the epoch-stamped
+// record to the target host's agent. The channel delivers the chunks in
+// order, a window at a time; if it gives up on the target, the lease goes back
+// to the source.
 func (a *Agent) beginHandoff(connID uint32, epoch uint64, target netapi.Addr) error {
 	sess := a.stack.Session(connID)
 	if sess == nil {
@@ -157,57 +130,25 @@ func (a *Agent) beginHandoff(connID uint32, epoch uint64, target netapi.Addr) er
 		sess.ResumeEgress()
 		return fmt.Errorf("controlplane: conn %d: handoff record of %d bytes exceeds the %d a target accepts", connID, len(raw), maxRecordBytes)
 	}
-
-	om := &outboundMigration{epoch: epoch, target: target, sess: sess}
-	for off := 0; off < len(raw); off += chunkSize {
-		end := off + chunkSize
-		if end > len(raw) {
-			end = len(raw)
-		}
-		om.chunks = append(om.chunks, raw[off:end])
-	}
-	om.acked = make([]bool, len(om.chunks))
-	om.pending = len(om.chunks)
-	a.out[connID] = om
-	a.HandoffsOut++
-
-	var resend func()
-	resend = func() {
-		if a.out[connID] != om || om.pending == 0 {
-			return
-		}
-		if om.tries >= ctlRetries {
-			// Target unreachable: give the lease back to the source.
+	a.out[connID] = &outboundMigration{epoch: epoch, sess: sess}
+	done := func(ok bool) {
+		if !ok {
 			a.ctl.failMigration(connID, epoch)
-			return
 		}
-		om.tries++
-		for i, ch := range om.chunks {
-			if !om.acked[i] {
-				a.sendChunk(connID, om, i, ch)
-			}
-		}
-		om.timer = a.stack.Timers().Schedule(ctlRetryEvery, resend)
 	}
-	resend()
+	count := (len(raw) + chunkSize - 1) / chunkSize
+	for i := 0; i < count; i++ {
+		a.send(target, &control{Type: ctlChunk, Conn: connID, Epoch: epoch, Idx: uint16(i), Count: uint16(count),
+			Data: raw[i*chunkSize : min((i+1)*chunkSize, len(raw))]}, done)
+	}
 	return nil
 }
 
-func (a *Agent) sendChunk(connID uint32, om *outboundMigration, idx int, data []byte) {
-	a.transmitControl(om.target, &control{Type: ctlChunk, Conn: connID, Epoch: om.epoch,
-		Idx: uint16(idx), Count: uint16(len(om.chunks)), Data: data})
-}
-
 // takeOut ends the bookkeeping of connID's outbound hand-off, if there is one,
-// and returns it: the resend timer is canceled and the entry is gone.
+// and returns it.
 func (a *Agent) takeOut(connID uint32) *outboundMigration {
 	om := a.out[connID]
-	if om != nil {
-		if om.timer != nil {
-			om.timer.Cancel()
-		}
-		delete(a.out, connID)
-	}
+	delete(a.out, connID)
 	return om
 }
 
@@ -222,20 +163,14 @@ func (a *Agent) retireSource(connID uint32) {
 
 // sessionEnded is the agent's share of a session's terminal transition: a
 // hand-off the session was part of has nothing left to move. An outbound one
-// still in flight fails (its source is gone); a finished or pending adoption
-// is forgotten; and a placement this host holds the lease for is released.
+// still in flight fails (its source is gone), and a placement this host holds
+// the lease for is released.
 func (a *Agent) sessionEnded(s *session.Session) {
 	connID := s.ConnID()
 	if om := a.takeOut(connID); om != nil {
 		a.ctl.failMigration(connID, om.epoch)
 	}
 	a.ctl.release(connID, a.host)
-	if ad := a.adopts[connID]; ad != nil {
-		if ad.timer != nil {
-			ad.timer.Cancel()
-		}
-		delete(a.adopts, connID)
-	}
 }
 
 // abortHandoff rolls a failed migration back: the source resumes egress with
@@ -250,104 +185,107 @@ func (a *Agent) abortHandoff(connID uint32) {
 
 func (a *Agent) onControl(p *wire.PDU, from netapi.Addr) {
 	defer p.ReleasePayload()
-	a.CtlRecv++
 	var m control
-	if f := m.fields(); wire.Decode(p.PayloadBytes(), f[:]) != nil || m.Conn == 0 {
-		return // truncated or malformed: none of it is acted on
+	if f := m.fields(); p.Seq == 0 || wire.Decode(p.PayloadBytes(), f[:]) != nil || m.Conn == 0 {
+		return // off the reliable channel, truncated or malformed: none of it is acted on
 	}
 	switch m.Type {
 	case ctlChunk:
-		a.onChunk(m.Conn, m.Epoch, int(m.Idx), int(m.Count), m.Data, from)
-	case ctlChunkAck:
-		a.onChunkAck(m.Conn, m.Epoch, int(m.Idx))
+		a.onChunk(m.Conn, m.Epoch, int(m.Idx), int(m.Count), m.Data)
 	case ctlOwner:
-		a.onOwner(m.Conn, m.Epoch, netapi.Addr{Host: netapi.HostID(m.Host), Port: m.Port}, from)
-	case ctlOwnerAck:
-		a.onOwnerAck(m.Conn, m.Epoch)
+		// A routing flip at the transfer peer: install the epoch fence
+		// (atomically rejecting any later packet from the old owner) and
+		// repoint the session's egress at the new owner. The channel
+		// acknowledges the update once this has run: that acknowledgement is
+		// the new owner's confirmation.
+		owner := netapi.Addr{Host: netapi.HostID(m.Host), Port: m.Port}
+		if a.stack.SetOwner(m.Conn, owner, m.Epoch) {
+			if sess := a.stack.Session(m.Conn); sess != nil {
+				sess.RebindPeer(owner)
+			}
+		}
 	}
 }
 
 // --- target side ---
 
-func (a *Agent) onChunk(connID uint32, epoch uint64, idx, count int, data []byte, from netapi.Addr) {
-	// A completed adoption still acks retried chunks.
-	if ad := a.adopts[connID]; ad != nil && ad.epoch == epoch {
-		a.ackChunk(connID, epoch, idx, from)
-		return
-	}
+// onChunk appends one chunk to its record; the channel delivers a source's
+// chunks in order, so the record is complete at its last index. A chunk that
+// cannot be taken — it would open a record over maxRecordBytes or a
+// reassembly past maxInbound, it is over chunkSize, it continues a record this
+// host refused or let expire, or it completes one that does not decode or
+// adopt — fails the migration, so the source rolls back instead of waiting on
+// a hand-off that will not complete.
+func (a *Agent) onChunk(connID uint32, epoch uint64, idx, count int, data []byte) {
 	im := a.in[connID]
-	if im != nil && im.epoch > epoch {
-		return // stale migration attempt
-	}
-	if im == nil || im.epoch < epoch {
+	switch {
+	case im != nil && im.epoch > epoch:
+		return // a superseded attempt's straggler
+	case idx == 0 && (im == nil || im.epoch < epoch):
 		if count <= 0 || count*chunkSize > maxRecordBytes || (im == nil && len(a.in) >= maxInbound) {
-			a.ctl.count(&a.ctl.handoffsRefused)
+			a.refuse(connID, epoch)
 			return
 		}
 		a.dropInbound(connID) // the older attempt this one supersedes
-		im = &inboundMigration{
-			epoch:     epoch,
-			from:      from,
-			chunks:    make([][]byte, count),
-			remaining: count,
-		}
-		im.expiry = a.stack.Timers().Schedule(inboundHorizon, func() {
+		im = &inboundMigration{epoch: epoch, count: count}
+		im.expiry = a.stack.Timers().Schedule(protograph.DocHorizon, func() {
 			if a.in[connID] == im {
 				a.dropInbound(connID)
 				a.ctl.count(&a.ctl.handoffsExpired)
 			}
 		})
 		a.in[connID] = im
-	}
-	if idx < 0 || idx >= len(im.chunks) || len(data) > chunkSize {
+	case im == nil || im.epoch != epoch || idx != im.got:
+		a.ctl.failMigration(connID, epoch)
 		return
 	}
-	if im.chunks[idx] == nil {
-		im.chunks[idx] = append([]byte(nil), data...)
-		im.remaining--
+	if len(data) > chunkSize {
+		a.refuse(connID, epoch)
+		return
 	}
-	a.ackChunk(connID, epoch, idx, from)
-	if im.remaining > 0 {
+	im.raw = append(im.raw, data...)
+	if im.got++; im.got < im.count {
+		im.expiry.Reset(protograph.DocHorizon)
 		return
 	}
 	a.dropInbound(connID)
-	var raw []byte
-	for _, ch := range im.chunks {
-		raw = append(raw, ch...)
+	recEpoch, h, err := DecodeRecord(im.raw)
+	var sess *session.Session
+	if err == nil && recEpoch == epoch {
+		sess, _ = a.stack.AdoptSession(h)
 	}
-	recEpoch, h, err := DecodeRecord(raw)
-	if err != nil || recEpoch != epoch {
-		return // source retries; persistent corruption rolls back at the source
-	}
-	sess, err := a.stack.AdoptSession(h)
-	if err != nil {
+	if sess == nil {
+		a.ctl.failMigration(connID, epoch)
 		return
 	}
-	a.HandoffsIn++
-	ad := &adoption{epoch: epoch, sess: sess, peer: h.PeerNet}
-	a.adopts[connID] = ad
 	if a.OnAdopt != nil {
 		a.OnAdopt(sess)
 	}
-	// Announce the routing flip to the transfer peer; egress stays frozen
-	// until the peer confirms its fence, so the old and new owners can never
-	// transmit concurrently.
-	var announce func()
-	announce = func() {
-		if a.adopts[connID] != ad || ad.completed {
-			return
-		}
-		if ad.tries >= ctlRetries {
+	// Announce the routing flip to the transfer peer. Its channel
+	// acknowledgement comes after the peer's fence is in place, so egress
+	// stays frozen until then and the old and new owners never transmit
+	// concurrently.
+	a.send(h.PeerNet, &control{Type: ctlOwner, Conn: connID, Epoch: epoch,
+		Host: uint32(a.host), Port: a.stack.LocalAddr().Port}, func(ok bool) {
+		switch {
+		case sess.Closed():
+			// The adopted copy ended first: nothing to complete or roll back.
+		case ok:
+			sess.ResumeEgress()
+			a.ctl.completeMigration(connID, a.host, epoch)
+		default:
 			sess.Abort("adoption never confirmed by the peer")
 			a.ctl.failMigration(connID, epoch)
-			return
 		}
-		ad.tries++
-		a.transmitControl(ad.peer, &control{Type: ctlOwner, Conn: connID, Epoch: epoch,
-			Host: uint32(a.host), Port: a.stack.LocalAddr().Port})
-		ad.timer = a.stack.Timers().Schedule(ctlRetryEvery, announce)
-	}
-	announce()
+	})
+}
+
+// refuse turns an inbound hand-off away: what was open of it is dropped and
+// the migration fails.
+func (a *Agent) refuse(connID uint32, epoch uint64) {
+	a.dropInbound(connID)
+	a.ctl.count(&a.ctl.handoffsRefused)
+	a.ctl.failMigration(connID, epoch)
 }
 
 // dropInbound forgets connID's inbound reassembly, if there is one.
@@ -358,58 +296,7 @@ func (a *Agent) dropInbound(connID uint32) {
 	}
 }
 
-func (a *Agent) ackChunk(connID uint32, epoch uint64, idx int, to netapi.Addr) {
-	a.transmitControl(to, &control{Type: ctlChunkAck, Conn: connID, Epoch: epoch, Idx: uint16(idx)})
-}
-
-func (a *Agent) onChunkAck(connID uint32, epoch uint64, idx int) {
-	om := a.out[connID]
-	if om == nil || om.epoch != epoch || idx < 0 || idx >= len(om.acked) {
-		return
-	}
-	if !om.acked[idx] {
-		om.acked[idx] = true
-		om.pending--
-		if om.pending == 0 && om.timer != nil {
-			om.timer.Cancel()
-		}
-	}
-}
-
-// onOwnerAck completes the migration on the target: the peer's fence is in
-// place, so the adopted session may own the egress.
-func (a *Agent) onOwnerAck(connID uint32, epoch uint64) {
-	ad := a.adopts[connID]
-	if ad == nil || ad.epoch != epoch || ad.completed {
-		return
-	}
-	ad.completed = true
-	if ad.timer != nil {
-		ad.timer.Cancel()
-	}
-	ad.sess.ResumeEgress()
-	a.ctl.completeMigration(connID, a.host, epoch)
-}
-
-// --- peer side ---
-
-// onOwner handles a routing flip at the transfer peer: install the epoch
-// fence (atomically rejecting any later packet from the old owner), repoint
-// the session's egress at the new owner, and confirm.
-func (a *Agent) onOwner(connID uint32, epoch uint64, owner netapi.Addr, from netapi.Addr) {
-	// SetOwner refuses only an epoch the fence has already reached or
-	// passed, so a refused update is re-acknowledged like an applied one: its
-	// sender is retrying a flip whose first acknowledgement was lost.
-	if a.stack.SetOwner(connID, owner, epoch) {
-		if sess := a.stack.Session(connID); sess != nil {
-			sess.RebindPeer(owner)
-		}
-	}
-	a.transmitControl(from, &control{Type: ctlOwnerAck, Conn: connID, Epoch: epoch})
-}
-
-func (a *Agent) transmitControl(to netapi.Addr, m *control) {
+func (a *Agent) send(to netapi.Addr, m *control, done func(ok bool)) {
 	f := m.fields()
-	a.stack.TransmitDoc(wire.TControl, f[:], to)
-	a.CtlSent++
+	a.stack.SendDoc(wire.TControl, f[:], to, done)
 }

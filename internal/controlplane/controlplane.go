@@ -1,7 +1,9 @@
 package controlplane
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sync"
 
 	"adaptive/internal/netapi"
@@ -29,7 +31,7 @@ type Controller struct {
 	admissionRejects uint64
 	leaseEpochs      uint64
 	handoffsRefused  uint64 // inbound hand-offs an agent turned away (too large, or too many open)
-	handoffsExpired  uint64 // inbound hand-offs dropped incomplete at the sender's give-up horizon
+	handoffsExpired  uint64 // inbound hand-offs dropped incomplete at the channel's give-up horizon
 
 	// OnMigrationDone fires after a migration completes: the routing view
 	// has flipped and the source copy is retired. OnMigrationFailed fires
@@ -180,9 +182,9 @@ func (c *Controller) Migrate(connID uint32, target netapi.HostID) error {
 	return nil
 }
 
-// completeMigration is called by the target agent once the peer acknowledged
-// the routing flip and the adopted session resumed egress: the placement view
-// flips atomically and the source copy is retired.
+// completeMigration is called by the target agent once the peer's channel
+// acknowledged the routing flip and the adopted session resumed egress: the
+// placement view flips atomically and the source copy is retired.
 func (c *Controller) completeMigration(connID uint32, target netapi.HostID, epoch uint64) {
 	c.mu.Lock()
 	pl := c.place[connID]
@@ -213,9 +215,9 @@ func (c *Controller) completeMigration(connID uint32, target netapi.HostID, epoc
 }
 
 // failMigration is called by either agent when the handoff cannot complete
-// (chunk or ownership retries exhausted): the lease stays with the source,
-// which resumes egress — the transfer continues uninterrupted on the old
-// placement.
+// (the channel gave up on a chunk or on the ownership update, or the target
+// could not take the record): the lease stays with the source, which resumes
+// egress — the transfer continues uninterrupted on the old placement.
 func (c *Controller) failMigration(connID uint32, epoch uint64) {
 	c.mu.Lock()
 	pl := c.place[connID]
@@ -315,19 +317,7 @@ func (c *Controller) Status() Status {
 			Migrating: pl.migrating, Target: pl.target,
 		})
 	}
-	sortStatus(&st)
+	slices.SortFunc(st.Hosts, func(a, b HostStatus) int { return cmp.Compare(a.Host, b.Host) })
+	slices.SortFunc(st.Placements, func(a, b PlacementStatus) int { return cmp.Compare(a.ConnID, b.ConnID) })
 	return st
-}
-
-func sortStatus(st *Status) {
-	for i := 1; i < len(st.Hosts); i++ {
-		for j := i; j > 0 && st.Hosts[j].Host < st.Hosts[j-1].Host; j-- {
-			st.Hosts[j], st.Hosts[j-1] = st.Hosts[j-1], st.Hosts[j]
-		}
-	}
-	for i := 1; i < len(st.Placements); i++ {
-		for j := i; j > 0 && st.Placements[j].ConnID < st.Placements[j-1].ConnID; j-- {
-			st.Placements[j], st.Placements[j-1] = st.Placements[j-1], st.Placements[j]
-		}
-	}
 }

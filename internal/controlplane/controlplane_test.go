@@ -11,6 +11,7 @@ import (
 	"adaptive/internal/protograph"
 	"adaptive/internal/session"
 	"adaptive/internal/sim"
+	"adaptive/internal/wire"
 )
 
 // idleAgents returns agents for simulator hosts 1..n, each on its own stack
@@ -242,53 +243,183 @@ func TestMetricCounters(t *testing.T) {
 }
 
 // TestInboundReassemblyIsBounded: any host that reaches the SAP can send
-// hand-off chunks, so what an agent holds for them is capped — record size,
-// chunk size, open reassemblies — and an incomplete one is dropped when its
-// sender must have given up. Each refusal shows in the adaptive_ctl_* counters.
+// hand-off chunks on the channel, so what an agent holds for them is capped —
+// record size, chunk size, open reassemblies — and an incomplete one is
+// dropped at the channel's give-up horizon, when its sender must have given
+// up. Each refusal shows in the adaptive_ctl_* counters.
 func TestInboundReassemblyIsBounded(t *testing.T) {
 	k := sim.NewKernel(1)
 	net := netsim.New(k)
-	stack, err := protograph.NewStack(protograph.Config{Provider: net, Host: net.AddHost().ID()})
+	target, sender := net.AddHost().ID(), net.AddHost().ID()
+	link := netsim.LinkConfig{Bandwidth: 10e6, PropDelay: time.Millisecond, MTU: 1500}
+	net.SetRoute(target, sender, net.NewLink(link))
+	net.SetRoute(sender, target, net.NewLink(link))
+	stack, err := protograph.NewStack(protograph.Config{Provider: net, Host: target})
+	if err != nil {
+		t.Fatal(err)
+	}
+	from, err := protograph.NewStack(protograph.Config{Provider: net, Host: sender})
 	if err != nil {
 		t.Fatal(err)
 	}
 	ctl := NewController()
 	a := NewAgent(ctl, stack, 0)
-	from := netapi.Addr{Host: 99, Port: 1}
 	counter := ctl.MetricCounters()
 	refused, expired := counter["ctl.handoffs_refused"], counter["ctl.handoffs_expired"]
+	chunk := func(conn uint32, epoch uint64, count int, data []byte) {
+		m := control{Type: ctlChunk, Conn: conn, Epoch: epoch, Count: uint16(count), Data: data}
+		f := m.fields()
+		from.SendDoc(wire.TControl, f[:], stack.LocalAddr(), nil)
+		k.RunFor(10 * time.Millisecond)
+	}
 
 	// A record larger than any source would send is refused outright.
-	a.onChunk(1, 1, 0, maxRecordBytes/chunkSize+1, []byte("x"), from)
+	chunk(1, 1, maxRecordBytes/chunkSize+1, []byte("x"))
 	if len(a.in) != 0 || refused() != 1 {
 		t.Fatalf("oversize record: %d open, %d refused; want 0, 1", len(a.in), refused())
 	}
-	// A chunk larger than a source cuts them is not stored.
-	a.onChunk(1, 1, 0, 2, make([]byte, chunkSize+1), from)
-	if im := a.in[1]; im == nil || im.remaining != 2 {
-		t.Fatalf("oversize chunk was stored: %+v", im)
+	// A chunk larger than a source cuts them is refused with its record.
+	chunk(1, 1, 2, make([]byte, chunkSize+1))
+	if len(a.in) != 0 || refused() != 2 {
+		t.Fatalf("oversize chunk: %d open, %d refused; want 0, 2", len(a.in), refused())
 	}
 	// maxInbound reassemblies may be open; the next connection is refused,
 	// while a newer epoch for an open one replaces it.
 	for id := uint32(2); len(a.in) < maxInbound; id++ {
-		a.onChunk(id, 1, 0, 2, []byte("x"), from)
+		chunk(id, 1, 2, []byte("x"))
 	}
-	a.onChunk(1000, 1, 0, 2, []byte("x"), from)
-	if a.in[1000] != nil || len(a.in) != maxInbound || refused() != 2 {
-		t.Fatalf("over the cap: %d open, %d refused; want %d, 2", len(a.in), refused(), maxInbound)
+	chunk(1000, 1, 2, []byte("x"))
+	if a.in[1000] != nil || len(a.in) != maxInbound || refused() != 3 {
+		t.Fatalf("over the cap: %d open, %d refused; want %d, 3", len(a.in), refused(), maxInbound)
 	}
-	a.onChunk(1, 2, 0, 3, []byte("x"), from)
-	if im := a.in[1]; im == nil || im.epoch != 2 || len(a.in) != maxInbound || refused() != 2 {
+	chunk(2, 2, 3, []byte("x"))
+	if im := a.in[2]; im == nil || im.epoch != 2 || len(a.in) != maxInbound || refused() != 3 {
 		t.Fatalf("newer epoch did not replace the open reassembly: %+v", im)
 	}
 
-	// None of them completes: all are gone once the sender's retries are spent,
-	// and no timer is left behind.
-	k.RunUntil(inboundHorizon + time.Millisecond)
+	// None of them completes: all are gone a horizon after their last chunk,
+	// and no timer is left behind on either stack.
+	k.RunFor(protograph.DocHorizon)
 	if len(a.in) != 0 || expired() != maxInbound {
 		t.Fatalf("after the horizon: %d open, %d expired; want 0, %d", len(a.in), expired(), maxInbound)
 	}
-	if p := stack.Timers().Stats().Pending; p != 0 {
-		t.Fatalf("%d timers pending after every reassembly expired", p)
+	for _, st := range []*protograph.Stack{stack, from} {
+		if p := st.Timers().Stats().Pending; p != 0 {
+			t.Fatalf("%d timers pending after every reassembly expired", p)
+		}
+	}
+}
+
+// chunkTap watches a hand-off's chunks leave the source and reach the target.
+type chunkTap struct {
+	target  bool
+	sent    *int         // highest chunk index the source has put on the wire, +1
+	arrived map[int]bool // chunk indexes that reached the target
+	count   *int         // chunks in the record
+	ahead   *int         // most chunks ever on the wire beyond what had arrived
+}
+
+func (w *chunkTap) Name() string { return "chunktap" }
+
+func (w *chunkTap) see(pkt []byte, at bool) {
+	var p wire.PDU
+	if wire.DecodeInto(pkt, &p) != nil {
+		return
+	}
+	defer p.ReleasePayload()
+	var m control
+	if f := m.fields(); p.Type != wire.TControl || wire.Decode(p.PayloadBytes(), f[:]) != nil || m.Type != ctlChunk {
+		return
+	}
+	if at {
+		w.arrived[int(m.Idx)] = true
+		return
+	}
+	*w.count = int(m.Count)
+	*w.sent = max(*w.sent, int(m.Idx)+1)
+	*w.ahead = max(*w.ahead, *w.sent-len(w.arrived))
+}
+
+func (w *chunkTap) Outbound(pkt []byte, _ netapi.Addr) ([]byte, bool) {
+	if !w.target {
+		w.see(pkt, false)
+	}
+	return pkt, true
+}
+
+func (w *chunkTap) Inbound(pkt []byte, _ netapi.Addr) ([]byte, bool) {
+	if w.target {
+		w.see(pkt, true)
+	}
+	return pkt, true
+}
+
+// TestHandoffKeepsOneWindowInFlight: a hand-off record of over 1 MiB crosses
+// links that lose 5 % of packets, and the source never has more than one
+// channel window of chunks on the wire beyond those that reached the target:
+// the record is paced by the channel, not put on the wire at once.
+func TestHandoffKeepsOneWindowInFlight(t *testing.T) {
+	k := sim.NewKernel(1)
+	net := netsim.New(k)
+	for i := 0; i < 3; i++ {
+		net.AddHost()
+	}
+	for a := netapi.HostID(1); a <= 3; a++ {
+		for b := netapi.HostID(1); b <= 3; b++ {
+			if a != b {
+				net.SetRoute(a, b, net.NewLink(netsim.LinkConfig{Bandwidth: 10e6, PropDelay: time.Millisecond, MTU: 1500, DropRate: 0.05}))
+			}
+		}
+	}
+	ctl := NewController()
+	var stacks []*protograph.Stack
+	for h := netapi.HostID(1); h <= 3; h++ {
+		st, err := protograph.NewStack(protograph.Config{Provider: net, Host: h, Seed: int64(h)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		NewAgent(ctl, st, 0)
+		stacks = append(stacks, st)
+	}
+	var sent, count, ahead int
+	arrived := map[int]bool{}
+	stacks[0].InsertLayer(&chunkTap{sent: &sent, arrived: arrived, count: &count, ahead: &ahead})
+	stacks[1].InsertLayer(&chunkTap{target: true, sent: &sent, arrived: arrived, count: &count, ahead: &ahead})
+	stacks[2].Listen(80, &protograph.Listener{OnAccept: func(s *session.Session) {
+		s.SetReceiver(func(d session.Delivery) { d.Msg.Release() })
+	}})
+	spec := mechanism.DefaultSpec()
+	s, _, err := stacks[0].CreateActiveSession(&spec, stacks[2].LocalAddr(), 1000, 80)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Open()
+	k.RunFor(time.Second)
+	// The queued send travels in the record.
+	if err := s.Send(make([]byte, 1100<<10)); err != nil {
+		t.Fatal(err)
+	}
+	if err := ctl.Place(s.ConnID(), 1); err != nil {
+		t.Fatal(err)
+	}
+	start := k.Now()
+	if err := ctl.Migrate(s.ConnID(), 2); err != nil {
+		t.Fatal(err)
+	}
+	for k.Now() < start+time.Minute {
+		if owner, _, _ := ctl.Owner(s.ConnID()); owner == 2 {
+			break
+		}
+		k.RunFor(10 * time.Millisecond)
+	}
+	t.Logf("%d chunks in %v; at most %d on the wire beyond those arrived", count, k.Now()-start, ahead)
+	if count < 1024 {
+		t.Fatalf("the record is %d chunks, not the 1 MiB the test is about", count)
+	}
+	if ahead > protograph.DocWindow {
+		t.Fatalf("%d chunks on the wire beyond those that reached the target; the window is %d", ahead, protograph.DocWindow)
+	}
+	if owner, _, _ := ctl.Owner(s.ConnID()); owner != 2 {
+		t.Fatalf("migration did not complete: owner %d, %d of %d chunks arrived", owner, len(arrived), count)
 	}
 }

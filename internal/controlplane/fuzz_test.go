@@ -51,9 +51,7 @@ func FuzzDecodeControl(f *testing.F) {
 	}
 	for _, m := range []control{
 		{Type: ctlChunk, Conn: 7, Epoch: 2, Count: 3, Data: EncodeRecord(2, sampleHandoff())[:64]},
-		{Type: ctlChunkAck, Conn: 7, Epoch: 2},
 		{Type: ctlOwner, Conn: 7, Epoch: 2, Host: 2, Port: 7700},
-		{Type: ctlOwnerAck, Conn: 7, Epoch: 2},
 	} {
 		f.Add(encode(m))
 	}

@@ -68,9 +68,9 @@ func (w *controlTap) Outbound(pkt []byte, _ netapi.Addr) ([]byte, bool) {
 func (w *controlTap) Inbound(pkt []byte, _ netapi.Addr) ([]byte, bool) { return pkt, true }
 
 // TestControlBytesPinned migrates one session from host 1 to host 2 while
-// host 3 holds its other end, and holds the first chunk, chunk ack, owner
-// update and owner ack to the bytes captured before the control-message
-// codec moved onto a field table.
+// host 3 holds its other end, and holds the first chunk and owner update to
+// the bytes captured before the control-message codec moved onto a field
+// table.
 func TestControlBytesPinned(t *testing.T) {
 	k := sim.NewKernel(1)
 	net := netsim.New(k)
@@ -119,10 +119,8 @@ func TestControlBytesPinned(t *testing.T) {
 	}
 
 	want := map[uint8]string{
-		ctlChunk:    "0001000101000200040d8f8adb000300080000000000000002000400020000000500020001000601a8000100080000000000000002000200040d8f8adb0003000203e80004000200500005000400000003000600021e14000700b200010001010002000102000300010000040001010005000102000600040000002000070004000000080008000800000000000000000009000400000578000a000400000100000b0008000000000bebc200000c00080000000000989680000d000800000002540be400000e00080000000002faf080000f000101001000040000000000110008000000000000000000120008000000000000000000130008000000000000000000140008000000000000000000080004000000010009000400000001000a000400000000000b000400000100000c000800000000001f6260000d000800000000000fb130000e00080000000000989680000f000800000000000000000010000800000000000000000011000800000000000000000012000800000000000000020013000800000000000000f90014000800000000000000020015000800000000000000ea0016000800000000000000000017000800000000000000000018000800000000000000000019000400000100",
-		ctlChunkAck: "0001000102000200040d8f8adb000300080000000000000002000400020000",
-		ctlOwner:    "0001000103000200040d8f8adb0003000800000000000000020007000400000002000800021e14",
-		ctlOwnerAck: "0001000104000200040d8f8adb000300080000000000000002",
+		ctlChunk: "0001000101000200040d8f8adb000300080000000000000002000400020000000500020001000601a8000100080000000000000002000200040d8f8adb0003000203e80004000200500005000400000003000600021e14000700b200010001010002000102000300010000040001010005000102000600040000002000070004000000080008000800000000000000000009000400000578000a000400000100000b0008000000000bebc200000c00080000000000989680000d000800000002540be400000e00080000000002faf080000f000101001000040000000000110008000000000000000000120008000000000000000000130008000000000000000000140008000000000000000000080004000000010009000400000001000a000400000000000b000400000100000c000800000000001f6260000d000800000000000fb130000e00080000000000989680000f000800000000000000000010000800000000000000000011000800000000000000000012000800000000000000020013000800000000000000f90014000800000000000000020015000800000000000000ea0016000800000000000000000017000800000000000000000018000800000000000000000019000400000100",
+		ctlOwner: "0001000103000200040d8f8adb0003000800000000000000020007000400000002000800021e14",
 	}
 	for typ, pinned := range want {
 		var got []byte

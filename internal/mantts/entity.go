@@ -12,7 +12,6 @@ import (
 	"adaptive/internal/arbiter"
 	"adaptive/internal/event"
 	"adaptive/internal/mechanism"
-	"adaptive/internal/message"
 	"adaptive/internal/netapi"
 	"adaptive/internal/protograph"
 	"adaptive/internal/session"
@@ -21,23 +20,25 @@ import (
 )
 
 // Signal message types carried over the out-of-band signaling channel
-// (Figure 3: control path separate from the data path).
+// (Figure 3: control path separate from the data path). All but the quality
+// report ride the stack's reliable channel (protograph.Stack.SendDoc). Type 5
+// is not reused: it was the signaling-level acknowledgment the channel
+// replaced.
 const (
 	sigReconfig   uint8 = 1 // coordinated SCS change for a live session
 	sigJoinInvite uint8 = 2 // multicast membership setup
 	sigJoinAck    uint8 = 3
 	sigLeave      uint8 = 4
-	sigAck        uint8 = 5 // signaling-level acknowledgment
 	sigQualReport uint8 = 6 // receiver quality report (loss feedback when
 	//                         acks are suppressed, e.g. multicast)
 )
 
 // signal is one message on the signaling channel. A field its type does not
-// carry is zero and stays off the wire.
+// carry is zero and stays off the wire. Tag 2 is not reused: it carried the
+// sequence number the channel now keeps in the PDU header.
 type signal struct {
-	Seq    uint32 // reliable signals: retried until a sigAck returns it
 	Type   uint8
-	ConnID uint32 // the session; a sigAck carries the acknowledged Seq here
+	ConnID uint32 // the session
 	Spec   []byte // reconfig, join invite: mechanism.EncodeSpec blob
 	Group  uint32 // join invite: the multicast group
 	Port   uint16 // join invite: the session's port
@@ -45,9 +46,8 @@ type signal struct {
 }
 
 // fields is the signal's TLV table, in the order fields go out.
-func (m *signal) fields() [7]wire.Field {
+func (m *signal) fields() [6]wire.Field {
 	return [...]wire.Field{
-		{Tag: 2, Form: wire.U32, At: &m.Seq, Omit: m.Seq == 0},
 		{Tag: 1, Form: wire.U8, At: &m.Type},
 		{Tag: 3, Form: wire.U32, At: &m.ConnID},
 		{Tag: 4, Form: wire.Bytes, At: &m.Spec, Omit: len(m.Spec) == 0},
@@ -64,9 +64,6 @@ const qualReportPeriod = 250 * time.Millisecond
 // ErrNotMulticast reports a membership operation on a unicast session.
 var ErrNotMulticast = errors.New("mantts: session is not multicast")
 
-// signalRetries bounds reliable-signal retransmissions.
-const signalRetries = 5
-
 // Managed couples a session with its policy machinery.
 type Managed struct {
 	Session *session.Session
@@ -79,10 +76,9 @@ type Managed struct {
 	// bitrate ladder here). Runs on the provider event loop.
 	OnBudget func(budgetBps float64)
 
-	peerHost  netapi.HostID
-	members   map[netapi.HostID]bool // multicast membership (sender side)
-	group     netapi.Addr
-	demandBps float64 // declared appetite registered with the arbiter
+	peerHost netapi.HostID
+	members  map[netapi.HostID]bool // multicast membership (sender side)
+	group    netapi.Addr
 
 	sampler *event.Event
 	// Deltas for rate-style metrics.
@@ -122,16 +118,8 @@ type Entity struct {
 	// harness joins the host to the group at the network level.
 	OnMulticastAccept func(s *session.Session, group netapi.HostID)
 
-	// pending reliable signals awaiting sigAck, keyed by signal seq.
-	pending map[uint32]*event.Event
-	sigSeq  uint32
-
 	probeTimers map[netapi.HostID]*event.Event
 	reports     map[uint32]*event.Event // receiver quality-report tickers by ConnID
-
-	// Stats.
-	SignalsSent, SignalsRecv uint64
-	Reconfigs                uint64
 
 	// tx and rx hold the signal being sent or decoded, so the tables that
 	// point into them point into the entity, not at a heap copy per signal.
@@ -145,7 +133,6 @@ func NewEntity(stack *protograph.Stack) *Entity {
 		stack:       stack,
 		netstate:    NewNetState(),
 		managed:     make(map[uint32]*Managed),
-		pending:     make(map[uint32]*event.Event),
 		probeTimers: make(map[netapi.HostID]*event.Event),
 		reports:     make(map[uint32]*event.Event),
 	}
@@ -192,7 +179,6 @@ func (e *Entity) SetDemand(m *Managed, bps float64) {
 	if e.arb == nil || m == nil {
 		return
 	}
-	m.demandBps = bps
 	e.arb.SetDemand(m.Session.ConnID(), bps)
 }
 
@@ -241,14 +227,9 @@ func (e *Entity) OpenSessionWith(acd *ACD, opts OpenOptions) (*Managed, error) {
 		}
 	}
 
-	var peer netapi.Addr
-	if acd.Multicast() {
-		if !acd.Participants[0].Host.IsMulticast() {
-			return nil, fmt.Errorf("mantts: multicast ACD must name the group as participant 0")
-		}
-		peer = acd.Participants[0]
-	} else {
-		peer = acd.Participants[0]
+	peer := acd.Participants[0]
+	if acd.Multicast() && !peer.Host.IsMulticast() {
+		return nil, fmt.Errorf("mantts: multicast ACD must name the group as participant 0")
 	}
 
 	s, _, err := e.stack.CreateActiveSession(spec, peer, localPort, acd.RemotePort) // Stage III
@@ -277,7 +258,6 @@ func (e *Entity) OpenSessionWith(acd *ACD, opts OpenOptions) (*Managed, error) {
 		if path.Bandwidth > 0 {
 			e.arb.SeedCapacity(path.Bandwidth)
 		}
-		m.demandBps = demand
 		e.arb.Register(s.ConnID(), arbiter.Class(tsc), float64(spec.Priority+1), demand,
 			func(bps float64) { e.applyBudget(m, bps) })
 	}
@@ -309,21 +289,11 @@ func (e *Entity) worstPath(acd *ACD) PathState {
 			first = false
 			continue
 		}
-		if ps.RTT > worst.RTT {
-			worst.RTT = ps.RTT
-		}
-		if ps.LossRate > worst.LossRate {
-			worst.LossRate = ps.LossRate
-		}
-		if ps.BER > worst.BER {
-			worst.BER = ps.BER
-		}
-		if ps.MTU < worst.MTU {
-			worst.MTU = ps.MTU
-		}
-		if ps.Congestion > worst.Congestion {
-			worst.Congestion = ps.Congestion
-		}
+		worst.RTT = max(worst.RTT, ps.RTT)
+		worst.LossRate = max(worst.LossRate, ps.LossRate)
+		worst.BER = max(worst.BER, ps.BER)
+		worst.MTU = min(worst.MTU, ps.MTU)
+		worst.Congestion = max(worst.Congestion, ps.Congestion)
 	}
 	if first {
 		worst = e.netstate.Path(acd.Participants[0].Host)
@@ -336,31 +306,38 @@ func (e *Entity) worstPath(acd *ACD) PathState {
 // Reconfigure applies a coordinated SCS change to a live session: the new
 // Spec travels to the peer over the signaling channel, then applies locally.
 // The local application failure (failed synthesis, refused segue) is
-// returned; the peer applies or rejects its copy independently.
+// returned; the peer applies or rejects its copy independently. A peer that
+// never confirms the change may run other mechanisms than this end, which is
+// a broken session: it is aborted, and the application hears NoteClosed.
 func (e *Entity) Reconfigure(m *Managed, mutate func(s *mechanism.Spec)) error {
-	ns := *m.Session.Spec()
+	s := m.Session
+	ns := *s.Spec()
 	mutate(&ns)
 	ns.Normalize()
-	e.Reconfigs++
-	sig := signal{Type: sigReconfig, ConnID: m.Session.ConnID(), Spec: mechanism.EncodeSpec(&ns)}
+	sig := signal{Type: sigReconfig, ConnID: s.ConnID(), Spec: mechanism.EncodeSpec(&ns)}
+	done := func(ok bool) {
+		if !ok {
+			s.Abort("reconfiguration never confirmed by the peer")
+		}
+	}
 	if m.members != nil {
 		for h := range m.members {
-			e.sendSignalReliable(netapi.Addr{Host: h, Port: e.stack.LocalAddr().Port}, sig)
+			e.sendSignal(e.sapOf(h), sig, done)
 		}
 	} else {
-		e.sendSignalReliable(m.Session.PeerAddr(), sig)
+		e.sendSignal(s.PeerAddr(), sig, done)
 	}
-	return m.Session.ApplySpec(&ns)
+	return s.ApplySpec(&ns)
 }
 
 // --- multicast membership ---
 
 // inviteMember signals a host to join the session's group.
 func (e *Entity) inviteMember(m *Managed, host netapi.HostID) {
-	e.sendSignalReliable(netapi.Addr{Host: host, Port: e.stack.LocalAddr().Port}, signal{
+	e.sendSignal(e.sapOf(host), signal{
 		Type: sigJoinInvite, ConnID: m.Session.ConnID(), Spec: mechanism.EncodeSpec(m.Session.Spec()),
 		Group: uint32(m.group.Host), Port: m.Session.LocalPort(),
-	})
+	}, nil)
 }
 
 // AddParticipant invites a new member into a live multicast session
@@ -380,42 +357,24 @@ func (e *Entity) RemoveParticipant(m *Managed, host netapi.HostID) error {
 		return ErrNotMulticast
 	}
 	delete(m.members, host)
-	e.sendSignalReliable(netapi.Addr{Host: host, Port: e.stack.LocalAddr().Port}, signal{Type: sigLeave, ConnID: m.Session.ConnID()})
+	e.sendSignal(e.sapOf(host), signal{Type: sigLeave, ConnID: m.Session.ConnID()}, nil)
 	return nil
 }
 
 // --- signaling channel ---
 
-// sendSignalReliable transmits a signal with retry-until-acked semantics (the
-// signaling channel rides the same unreliable network).
-func (e *Entity) sendSignalReliable(to netapi.Addr, sig signal) {
-	e.sigSeq++
-	seq := e.sigSeq
-	sig.Seq = seq
-
-	tries := 0
-	var send func()
-	send = func() {
-		if tries > signalRetries {
-			delete(e.pending, seq)
-			return
-		}
-		tries++
-		e.transmitSignal(to, sig)
-		rtt := e.netstate.Path(to.Host).RTT
-		if rtt <= 0 {
-			rtt = 50 * time.Millisecond
-		}
-		e.pending[seq] = e.stack.Timers().Schedule(2*rtt+10*time.Millisecond, send)
-	}
-	send()
+// sapOf is a peer host's signaling address: its stack's SAP.
+func (e *Entity) sapOf(h netapi.HostID) netapi.Addr {
+	return netapi.Addr{Host: h, Port: e.stack.LocalAddr().Port}
 }
 
-func (e *Entity) transmitSignal(to netapi.Addr, sig signal) {
+// sendSignal sends a signal on the stack's reliable channel: it reaches the
+// peer's entity in order and once, or done(false) reports the peer
+// unreachable.
+func (e *Entity) sendSignal(to netapi.Addr, sig signal, done func(ok bool)) {
 	e.tx = sig
 	f := e.tx.fields()
-	e.stack.TransmitDoc(wire.TSignal, f[:], to)
-	e.SignalsSent++
+	e.stack.SendDoc(wire.TSignal, f[:], to, done)
 }
 
 // onSignal is the stack's out-of-band upcall.
@@ -425,22 +384,15 @@ func (e *Entity) onSignal(p *wire.PDU, from netapi.Addr) {
 		e.onProbe(p, from)
 		return
 	}
-	e.SignalsRecv++
 	e.rx = signal{}
 	if f := e.rx.fields(); wire.Decode(p.PayloadBytes(), f[:]) != nil {
-		return // truncated or malformed: none of it is acted on, nor acked
+		return // truncated or malformed: none of it is acted on
 	}
 	sig := e.rx // acting on it may re-enter onSignal and reuse e.rx
-	// Ack anything carrying a signal sequence (except acks themselves).
-	if sig.Type != sigAck && sig.Seq != 0 {
-		e.transmitSignal(from, signal{Type: sigAck, ConnID: sig.Seq})
+	if p.Seq == 0 && sig.Type != sigQualReport {
+		return // only a quality report may arrive off the reliable channel
 	}
 	switch sig.Type {
-	case sigAck:
-		if t, ok := e.pending[sig.ConnID]; ok {
-			t.Cancel()
-			delete(e.pending, sig.ConnID)
-		}
 	case sigReconfig:
 		if s := e.stack.Session(sig.ConnID); s != nil {
 			if sp, err := mechanism.DecodeSpec(sig.Spec); err == nil {
@@ -471,8 +423,8 @@ func (e *Entity) onSignal(p *wire.PDU, from netapi.Addr) {
 // StartQualityReports arms the periodic receiver report for a passive
 // session whose recovery generates no ack stream (FEC or none): without it
 // the sender's MANTTS entity is blind to delivered loss. Reports are
-// fire-and-forget (no signal ack): the next period repeats them anyway. The
-// ticker ends with the session (sessionEnded).
+// fire-and-forget (off the reliable channel): the next period repeats them
+// anyway. The ticker ends with the session (sessionEnded).
 func (e *Entity) StartQualityReports(s *session.Session, sender netapi.Addr) {
 	var lastRecv, lastGaps uint64
 	e.reports[s.ConnID()] = e.stack.Timers().SchedulePeriodic(qualReportPeriod, qualReportPeriod, func() {
@@ -484,7 +436,9 @@ func (e *Entity) StartQualityReports(s *session.Session, sender netapi.Addr) {
 			return
 		}
 		frac := float64(dGaps) / float64(dRecv+dGaps)
-		e.transmitSignal(sender, signal{Type: sigQualReport, ConnID: s.ConnID(), Loss: uint64(frac * 1e9)})
+		e.tx = signal{Type: sigQualReport, ConnID: s.ConnID(), Loss: uint64(frac * 1e9)}
+		f := e.tx.fields()
+		e.stack.TransmitDoc(wire.TSignal, f[:], sender)
 	})
 }
 
@@ -506,7 +460,7 @@ func (e *Entity) onJoinInvite(sig *signal, from netapi.Addr) {
 			e.OnMulticastAccept(s, netapi.HostID(sig.Group))
 		}
 	}
-	e.sendSignalReliable(from, signal{Type: sigJoinAck, ConnID: sig.ConnID})
+	e.sendSignal(from, signal{Type: sigJoinAck, ConnID: sig.ConnID}, nil)
 }
 
 // --- probing (MANTTS-NMI) ---
@@ -536,14 +490,7 @@ func (e *Entity) StartProbingCtx(ctx context.Context, host netapi.HostID, interv
 		e.netstate.NoteProbeSent(host, now)
 		var buf [8]byte
 		binary.BigEndian.PutUint64(buf[:], uint64(now))
-		p := &wire.PDU{
-			Header:  wire.Header{Type: wire.TProbe},
-			Payload: message.NewFromBytes(buf[:]),
-		}
-		wire.EncodeTo(p, wire.CkCRC32, func(pkt []byte) error {
-			return e.stack.Transmit(pkt, to)
-		})
-		p.ReleasePayload()
+		e.stack.Emit(wire.Header{Type: wire.TProbe}, buf[:], to)
 	}
 	ev = e.stack.Timers().SchedulePeriodic(0, interval, tick)
 	e.probeTimers[host] = ev
@@ -558,31 +505,19 @@ func (e *Entity) StopProbing(host netapi.HostID) {
 	}
 }
 
-// Shutdown cancels every probing campaign still running and every reliable
-// signal still awaiting its ack (node shutdown: a campaign bounded only by
-// context.Background, or a retry toward a peer that is gone, would otherwise
-// outlive the node).
+// Shutdown cancels every probing campaign still running (node shutdown: a
+// campaign bounded only by context.Background would otherwise outlive the
+// node).
 func (e *Entity) Shutdown() {
 	for host := range e.probeTimers {
 		e.StopProbing(host)
-	}
-	for seq, t := range e.pending {
-		t.Cancel()
-		delete(e.pending, seq)
 	}
 }
 
 func (e *Entity) onProbe(p *wire.PDU, from netapi.Addr) {
 	if p.Flags&wire.FlagEcho == 0 {
 		// Reflect the probe (payload carries the sender's timestamp).
-		echo := &wire.PDU{Header: wire.Header{Type: wire.TProbe, Flags: wire.FlagEcho}}
-		if p.Payload != nil {
-			echo.Payload = message.NewFromBytes(p.PayloadBytes())
-		}
-		wire.EncodeTo(echo, wire.CkCRC32, func(pkt []byte) error {
-			return e.stack.Transmit(pkt, from)
-		})
-		echo.ReleasePayload()
+		e.stack.Emit(wire.Header{Type: wire.TProbe, Flags: wire.FlagEcho}, p.PayloadBytes(), from)
 		return
 	}
 	if b := p.PayloadBytes(); len(b) >= 8 {

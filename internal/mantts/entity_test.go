@@ -489,18 +489,22 @@ func TestSignalWithoutSpecIsDropped(t *testing.T) {
 
 	gbn := before
 	gbn.Recovery = mechanism.RecoveryGoBackN
-	reconfig := bytes.Join([][]byte{tlv(2, u32(900)), tlv(1, []byte{sigReconfig}), tlv(3, u32(id)),
+	reconfig := bytes.Join([][]byte{tlv(1, []byte{sigReconfig}), tlv(3, u32(id)),
 		tlv(4, mechanism.EncodeSpec(&gbn))}, nil)
 	specAt := len(reconfig) - 4 - 178
 	const stranger = 0xbad
+	var seq uint32
 	for name, payload := range map[string][]byte{
 		"reconfig without a spec":        reconfig[:specAt],
 		"reconfig cut in the spec's tag": reconfig[:specAt+2],
 		"reconfig cut in the spec":       reconfig[:specAt+100],
-		"join invite without a spec": bytes.Join([][]byte{tlv(2, u32(901)), tlv(1, []byte{sigJoinInvite}),
+		"join invite without a spec": bytes.Join([][]byte{tlv(1, []byte{sigJoinInvite}),
 			tlv(3, u32(stranger)), tlv(5, u32(uint32(r.net.NewGroup()))), tlv(6, []byte{0, 80})}, nil),
 	} {
-		p := &wire.PDU{Header: wire.Header{Type: wire.TSignal}, Payload: message.NewFromBytes(payload)}
+		// Each rides the reliable channel as the next document in sequence,
+		// so it reaches the entity's decoder.
+		seq++
+		p := &wire.PDU{Header: wire.Header{Type: wire.TSignal, Seq: seq, Ack: seq}, Payload: message.NewFromBytes(payload)}
 		wire.EncodeTo(p, wire.CkCRC32, func(pkt []byte) error { return r.stacks[0].Transmit(pkt, r.addr(1)) })
 		p.ReleasePayload()
 		r.k.RunUntil(r.k.Now() + 100*time.Millisecond)
@@ -510,5 +514,107 @@ func TestSignalWithoutSpecIsDropped(t *testing.T) {
 		if r.stacks[1].Session(stranger) != nil {
 			t.Errorf("%s: a session was created on default mechanisms", name)
 		}
+	}
+}
+
+// reconfigTap keeps every reconfiguration packet its stack sends, and drops
+// every signal while drop is set.
+type reconfigTap struct {
+	sent [][]byte
+	drop bool
+}
+
+func (w *reconfigTap) Name() string { return "reconfigtap" }
+func (w *reconfigTap) Outbound(pkt []byte, _ netapi.Addr) ([]byte, bool) {
+	var p wire.PDU
+	if wire.DecodeInto(pkt, &p) != nil || p.Type != wire.TSignal {
+		return pkt, true
+	}
+	defer p.ReleasePayload()
+	if sig, err := decodeSignal(p.PayloadBytes()); err == nil && sig.Type == sigReconfig {
+		w.sent = append(w.sent, append([]byte(nil), pkt...))
+	}
+	return pkt, !w.drop
+}
+func (w *reconfigTap) Inbound(pkt []byte, _ netapi.Addr) ([]byte, bool) { return pkt, true }
+
+// reconfigPair opens a unicast session from host 0 to host 1 of a lossless
+// two-host rig, with tap on host 0's packet path.
+func reconfigPair(t *testing.T, tap *reconfigTap) (*rig, *Managed) {
+	t.Helper()
+	r := newRig(t, 2, netsim.LinkConfig{Bandwidth: 10e6, PropDelay: time.Millisecond, MTU: 1500})
+	r.stacks[0].InsertLayer(tap)
+	r.stacks[1].Listen(80, &protograph.Listener{OnAccept: func(s *session.Session) {
+		s.SetReceiver(func(d session.Delivery) { d.Msg.Release() })
+	}})
+	m, err := r.ents[0].OpenSessionWith(&ACD{Participants: []netapi.Addr{r.addr(1)}, RemotePort: 80,
+		Qual: QualQoS{Ordered: true}}, OpenOptions{LocalPort: 555})
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.Session.Send([]byte("hello"))
+	r.k.RunUntil(time.Second)
+	return r, m
+}
+
+// TestDelayedReconfigIsNotReapplied: the receiver applies reconfigurations in
+// the order they were made and each once. A copy of reconfiguration k that
+// the network delays past k+1 does not put the older spec back, and a
+// duplicate of k+1 is not applied again.
+func TestDelayedReconfigIsNotReapplied(t *testing.T) {
+	tap := &reconfigTap{}
+	r, m := reconfigPair(t, tap)
+	peer := r.stacks[1].Session(m.Session.ConnID())
+	if peer == nil {
+		t.Fatal("no peer session")
+	}
+	var applied int
+	r.ents[1].SubscribeNotes(func(_ uint32, n mechanism.Notification) {
+		if n.Kind == mechanism.NotePeerReconfig {
+			applied++
+		}
+	})
+	for _, rec := range []mechanism.RecoveryKind{mechanism.RecoveryGoBackN, mechanism.RecoveryFEC} {
+		if err := r.ents[0].Reconfigure(m, func(s *mechanism.Spec) { s.Recovery = rec }); err != nil {
+			t.Fatal(err)
+		}
+		r.k.RunFor(100 * time.Millisecond)
+	}
+	if len(tap.sent) != 2 || applied != 2 || peer.Spec().Recovery != mechanism.RecoveryFEC {
+		t.Fatalf("%d reconfigurations sent, %d applied, peer on %v; want 2, 2, fec", len(tap.sent), applied, peer.Spec().Recovery)
+	}
+	for i, pkt := range [][]byte{tap.sent[0], tap.sent[1], tap.sent[1]} {
+		if err := r.stacks[0].Transmit(pkt, r.addr(1)); err != nil {
+			t.Fatal(err)
+		}
+		r.k.RunFor(100 * time.Millisecond)
+		if applied != 2 || peer.Spec().Recovery != mechanism.RecoveryFEC {
+			t.Fatalf("after replay %d (k, k+1, k+1): %d applied, peer on %v; want 2, fec", i+1, applied, peer.Spec().Recovery)
+		}
+	}
+}
+
+// TestLostReconfigAbortsSession: a reconfiguration the peer never confirms
+// leaves the two ends on different mechanisms, which is a broken session. It
+// is aborted, and the application is told once, with the reason.
+func TestLostReconfigAbortsSession(t *testing.T) {
+	tap := &reconfigTap{}
+	r, m := reconfigPair(t, tap)
+	var closed []string
+	r.ents[0].SubscribeNotes(func(_ uint32, n mechanism.Notification) {
+		if n.Kind == mechanism.NoteClosed {
+			closed = append(closed, n.Detail)
+		}
+	})
+	tap.drop = true
+	if err := r.ents[0].Reconfigure(m, func(s *mechanism.Spec) { s.Recovery = mechanism.RecoveryGoBackN }); err != nil {
+		t.Fatal(err)
+	}
+	r.k.RunFor(10 * time.Second)
+	if len(tap.sent) < 2 {
+		t.Fatalf("the reconfiguration was sent %d times, never retried", len(tap.sent))
+	}
+	if len(closed) != 1 || !strings.Contains(closed[0], "reconfiguration never confirmed") || !m.Session.Closed() {
+		t.Fatalf("application heard %q, session closed %v; want one NoteClosed with the reason", closed, m.Session.Closed())
 	}
 }

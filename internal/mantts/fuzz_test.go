@@ -45,10 +45,10 @@ func FuzzDecodeACD(f *testing.F) {
 func FuzzDecodeSignal(f *testing.F) {
 	spec := mechanism.DefaultSpec()
 	for _, sig := range []signal{
-		{Seq: 2, Type: sigReconfig, ConnID: 7, Spec: mechanism.EncodeSpec(&spec)},
-		{Seq: 1, Type: sigJoinInvite, ConnID: 7, Spec: []byte{0, 2, 0, 1, 3}, Group: 0x80000004, Port: 80},
-		{Seq: 3, Type: sigLeave, ConnID: 7},
-		{Type: sigAck, ConnID: 3},
+		{Type: sigReconfig, ConnID: 7, Spec: mechanism.EncodeSpec(&spec)},
+		{Type: sigJoinInvite, ConnID: 7, Spec: []byte{0, 2, 0, 1, 3}, Group: 0x80000004, Port: 80},
+		{Type: sigLeave, ConnID: 7},
+		{Type: sigJoinAck, ConnID: 7},
 		{Type: sigQualReport, ConnID: 7},
 	} {
 		f.Add(encodeSignal(sig))

@@ -105,9 +105,10 @@ func (w *signalTap) Outbound(pkt []byte, _ netapi.Addr) ([]byte, bool) {
 func (w *signalTap) Inbound(pkt []byte, _ netapi.Addr) ([]byte, bool) { return pkt, true }
 
 // TestSignalBytesPinned drives one multicast session through every signal
-// type — invite, its ack, the member's join-ack, quality reports, a
-// reconfiguration and a leave — and holds the first message of each type to
-// the bytes captured before the signal codec moved onto a field table.
+// type — invite, the member's join-ack, quality reports, a reconfiguration
+// and a leave — and holds the first message of each type to the bytes
+// captured before the signal codec moved onto a field table, less the
+// sequence number (tag 2) that moved into the channel's PDU header.
 func TestSignalBytesPinned(t *testing.T) {
 	r := newRig(t, 3, netsim.LinkConfig{Bandwidth: 10e6, PropDelay: time.Millisecond, MTU: 1500})
 	tap := &signalTap{}
@@ -141,11 +142,10 @@ func TestSignalBytesPinned(t *testing.T) {
 	r.k.RunUntil(1400 * time.Millisecond)
 
 	want := map[uint8]string{
-		sigReconfig:   "00020004000000020001000101000300040d8f8adb000400b200010001000002000103000300010000040001000005000100000600040000002b000700040000001000080008000000000008647000090004000005be000a0004000000ac000b00080000000005f5e100000c000800000000047868c0000d000800000002540be400000e00080000000001312d00000f0001060010000400000000001100080000000000000000001200080000000000000000001300080000000000000000001400080000000000000000",
-		sigJoinInvite: "00020004000000010001000102000300040d8f8adb000400b200010001000002000103000300010000040001000005000100000600040000002b000700040000001000080008000000000010c8e000090004000005be000a0004000000ac000b00080000000005f5e100000c000800000000047868c0000d000800000002540be400000e00080000000001312d00000f00010600100004000000000011000800000000000000000012000800000000000000000013000800000000000000000014000800000000000000000005000480000004000600020050",
-		sigJoinAck:    "00020004000000010001000103000300040d8f8adb",
-		sigLeave:      "00020004000000030001000104000300040d8f8adb",
-		sigAck:        "00010001050003000400000001",
+		sigReconfig:   "0001000101000300040d8f8adb000400b200010001000002000103000300010000040001000005000100000600040000002b000700040000001000080008000000000008647000090004000005be000a0004000000ac000b00080000000005f5e100000c000800000000047868c0000d000800000002540be400000e00080000000001312d00000f0001060010000400000000001100080000000000000000001200080000000000000000001300080000000000000000001400080000000000000000",
+		sigJoinInvite: "0001000102000300040d8f8adb000400b200010001000002000103000300010000040001000005000100000600040000002b000700040000001000080008000000000010c8e000090004000005be000a0004000000ac000b00080000000005f5e100000c000800000000047868c0000d000800000002540be400000e00080000000001312d00000f00010600100004000000000011000800000000000000000012000800000000000000000013000800000000000000000014000800000000000000000005000480000004000600020050",
+		sigJoinAck:    "0001000103000300040d8f8adb",
+		sigLeave:      "0001000104000300040d8f8adb",
 		sigQualReport: "0001000106000300040d8f8adb000700080000000000000000",
 	}
 	for typ, pinned := range want {

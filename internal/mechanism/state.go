@@ -196,9 +196,9 @@ func (s *TransferState) Advertise() uint16 {
 	return uint16(free)
 }
 
-// ObserveRTT folds a fresh round-trip sample into SRTT/RTTVar/RTO.
-func (s *TransferState) ObserveRTT(sample, rtoMin, rtoMax time.Duration) {
-	s.LastRTT = sample
+// ObserveRTT folds a fresh round-trip sample into SRTT/RTTVar/RTO. It is the
+// one estimator: sessions run it, and so does the stack's out-of-band channel.
+func (s *Portable) ObserveRTT(sample, rtoMin, rtoMax time.Duration) {
 	if s.SRTT == 0 {
 		s.SRTT = sample
 		s.RTTVar = sample / 2

@@ -55,6 +55,7 @@ type Stats struct {
 	SessionsTotal   uint64
 	SessionsRetired uint64 // sessions that went through the terminal transition
 	Tombstones      int    // ended connections still remembered (<= tombCap)
+	DocPeers        int    // out-of-band channel entries: peer SAPs sent to or heard from
 }
 
 // fence records the epoch-ordered egress owner of a migrated connection.
@@ -97,7 +98,13 @@ type Stack struct {
 	// migration agent installs itself here. The handler takes ownership.
 	ControlHandler func(p *wire.PDU, from netapi.Addr)
 
-	doc []byte // TransmitDoc's encoding, reused: out-of-band sends allocate nothing
+	// The out-of-band channel (channel.go): this stack's incarnation, and
+	// each peer SAP's sending and receiving half.
+	inc       uint32
+	senders   map[netapi.Addr]*docSender
+	receivers map[netapi.Addr]*docReceiver
+
+	doc []byte // TransmitDoc's encoding, reused: fire-and-forget sends allocate nothing
 
 	stats Stats
 	// The session-lifecycle counters are atomics because the observability
@@ -147,6 +154,11 @@ func NewStack(cfg Config) (*Stack, error) {
 		listeners: make(map[uint16]*Listener),
 		fences:    make(map[uint32]fence),
 		tombs:     tombstones{until: make(map[uint32]time.Duration)},
+		// A restarted stack's incarnation is newer than the one it replaces,
+		// so a peer's receiver starts over for it (channel.go).
+		inc:       uint32(cfg.Provider.Clock().Now() / time.Millisecond),
+		senders:   make(map[netapi.Addr]*docSender),
+		receivers: make(map[netapi.Addr]*docReceiver),
 	}
 	if lc, ok := cfg.Provider.(interface{ LoopCache() *wire.Cache }); ok {
 		// A provider that runs the stack on one event loop (netsim's kernel,
@@ -187,6 +199,7 @@ func (st *Stack) Stats() Stats {
 	s.SessionsActive = len(st.sessions)
 	s.SessionsRetired, s.LatePDUs = st.retired.Load(), st.late.Load()
 	s.Tombstones = st.tombs.n
+	s.DocPeers = len(st.senders) + len(st.receivers)
 	return s
 }
 
@@ -240,16 +253,6 @@ func (st *Stack) Transmit(pkt []byte, dst netapi.Addr) error {
 		}
 	}
 	return st.ep.Send(p, dst)
-}
-
-// TransmitDoc sends one out-of-band TLV document — a MANTTS signal or a
-// control-plane message — as a CRC-32 PDU of type t.
-func (st *Stack) TransmitDoc(t wire.Type, doc []wire.Field, dst netapi.Addr) {
-	st.doc = wire.Append(st.doc[:0], doc)
-	msgs := st.cache.Messages()
-	p := wire.PDU{Header: wire.Header{Type: t}, Payload: msgs.PooledFromBytes(st.doc)}
-	st.cache.EncodeTo(&p, wire.CkCRC32, func(pkt []byte) error { return st.Transmit(pkt, dst) })
-	msgs.Release(p.Payload)
 }
 
 // --- listeners and session management ---
@@ -359,19 +362,13 @@ func (st *Stack) buildSession(connID uint32, spec *mechanism.Spec, res tko.Resul
 
 // SetOwner installs (or advances) the epoch fence for a connection: data
 // PDUs are henceforth accepted only from owner's host. Updates are ordered
-// by epoch — a re-delivered or reordered update carrying an older epoch is
+// by epoch — one that does not carry a newer epoch than the fence's is
 // rejected and counted, so routing can only move forward. It reports whether
-// the update was applied (an exact re-delivery of the current epoch and
-// owner reports true: the update is idempotent).
+// the update was applied.
 func (st *Stack) SetOwner(connID uint32, owner netapi.Addr, epoch uint64) bool {
-	if f, ok := st.fences[connID]; ok {
-		if epoch < f.epoch || (epoch == f.epoch && owner != f.owner) {
-			st.stats.StaleOwnerUpd++
-			return false
-		}
-		if epoch == f.epoch {
-			return true // idempotent re-delivery
-		}
+	if f, ok := st.fences[connID]; ok && epoch <= f.epoch {
+		st.stats.StaleOwnerUpd++
+		return false
 	}
 	st.fences[connID] = fence{owner: owner, epoch: epoch}
 	return true
@@ -435,21 +432,13 @@ func (st *Stack) onBatch(batch []netapi.Packet) {
 
 func (st *Stack) dispatch(p *wire.PDU, from netapi.Addr) {
 	switch p.Type {
-	case wire.TSignal, wire.TProbe:
+	case wire.TSignal, wire.TControl:
+		st.onDoc(p, from)
+		return
+	case wire.TProbe:
 		// The handler takes ownership and may retain the PDU; losing it to
 		// the GC instead of the pool is always safe.
-		if st.SignalHandler != nil {
-			st.SignalHandler(p, from)
-		} else {
-			p.ReleasePayload()
-		}
-		return
-	case wire.TControl:
-		if st.ControlHandler != nil {
-			st.ControlHandler(p, from)
-		} else {
-			p.ReleasePayload()
-		}
+		st.handOff(p, from)
 		return
 	}
 	if s := st.sessions[p.ConnID]; s != nil {

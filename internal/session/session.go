@@ -706,7 +706,8 @@ func (s *Session) processAck(p *wire.PDU) {
 	}
 	acked, sentAt, ok := st.AckThrough(p.Ack)
 	if ok {
-		st.ObserveRTT(s.clock.Now()-sentAt, s.spec.RTOMin, s.spec.RTOMax)
+		st.LastRTT = s.clock.Now() - sentAt
+		st.ObserveRTT(st.LastRTT, s.spec.RTOMin, s.spec.RTOMax)
 	}
 	if acked > 0 {
 		s.slots.Window.OnAck(acked)
