@@ -434,9 +434,11 @@ func (s *Session) Send(data []byte) error {
 	if s.closing || s.Closed() {
 		return errClosed
 	}
-	// Keyed on the next tx seq: submits track the data rate, so sampled
-	// recordings thin them with the PDU events instead of keeping all.
-	s.tracer.EmitKeyed(s.txSeq, s.clock.Now(), trace.KSendSubmit, s.id.ConnID, uint64(len(data)), 0, 0)
+	if s.tracer != nil {
+		// Keyed on the next tx seq: submits track the data rate, so sampled
+		// recordings thin them with the PDU events instead of keeping all.
+		s.tracer.EmitKeyed(s.txSeq, s.clock.Now(), trace.KSendSubmit, s.id.ConnID, uint64(len(data)), 0, 0)
+	}
 	mss, msgs := s.spec.MSS, s.msgs()
 	for len(data) > mss {
 		s.pushSeg(queuedSeg{msg: msgs.PooledFromBytes(data[:mss])})

@@ -31,10 +31,11 @@
 //   - Send: with FlushWindow > 0, frames are encoded into pooled scratch and
 //     enqueued on a per-endpoint flush queue drained by one sendmmsg per
 //     batch — when the queue reaches BatchSize (size flush) or when
-//     FlushWindow elapses (window flush). FlushWindow == 0 keeps the
-//     per-packet write path (one syscall per Send), the A/B baseline the
-//     equivalence tests compare against, exactly like netsim's
-//     DeliverPerPacket.
+//     FlushWindow elapses (window flush; on linux/amd64 a timerfd in the
+//     runtime poller, so a sub-millisecond window fires on time — see
+//     window_linux.go). FlushWindow == 0 keeps the per-packet write path
+//     (one syscall per Send), the A/B baseline the equivalence tests
+//     compare against, exactly like netsim's DeliverPerPacket.
 //
 // Batch syscalls need OS support: on linux/amd64 the provider uses raw
 // recvmmsg/sendmmsg (see batch_linux.go); everywhere else the same code
@@ -571,11 +572,11 @@ type Endpoint struct {
 	// concurrent size- and window-flushes cannot reorder batches. sq
 	// holds individual frames; txq is the per-flush scratch of wire
 	// datagrams after train coalescing.
-	sendMu     sync.Mutex
-	sq         []outMsg
-	txq        []outMsg
-	flushTimer *time.Timer
-	bio        batchIO // platform-specific batch-syscall state (batch_*.go)
+	sendMu sync.Mutex
+	sq     []outMsg
+	txq    []outMsg
+	win    windowTimer // platform-specific flush-window timer (window_*.go)
+	bio    batchIO     // platform-specific batch-syscall state (batch_*.go)
 
 	sent     atomic.Uint64 // datagrams written to the socket
 	received atomic.Uint64 // datagrams read from the socket
@@ -642,6 +643,12 @@ func (p *Provider) Open(host netapi.HostID, port uint16) (netapi.Endpoint, error
 	if err := ep.bio.init(ep); err != nil {
 		sock.Close()
 		return nil, err
+	}
+	if ep.batched() {
+		if err := ep.win.init(ep); err != nil {
+			sock.Close()
+			return nil, err
+		}
 	}
 	p.hosts[host] = newHostAddr(sock.LocalAddr().(*net.UDPAddr))
 	p.eps[host] = ep
@@ -861,6 +868,10 @@ func (ep *Endpoint) Send(pkt []byte, dst netapi.Addr) error {
 	return ep.sendTo(reg, pkt, dst)
 }
 
+// batched reports whether sends go through the flush queue (FlushWindow > 0
+// and a batch deeper than one) rather than one socket write each.
+func (ep *Endpoint) batched() bool { return ep.flushWin > 0 && ep.batch > 1 }
+
 func (ep *Endpoint) sendTo(reg *registry, pkt []byte, dst netapi.Addr) error {
 	ha := reg.hosts[dst.Host]
 	if ha == nil {
@@ -876,7 +887,7 @@ func (ep *Endpoint) sendTo(reg *registry, pkt []byte, dst netapi.Addr) error {
 	frame[5] = byte(ep.port)
 	copy(frame[frameOverhead:], pkt)
 
-	if ep.flushWin == 0 || ep.batch <= 1 {
+	if !ep.batched() {
 		// Per-packet path: one write per Send, error straight back, wire
 		// format bitwise identical to the pre-batching provider.
 		_, err := ep.sock.WriteToUDPAddrPort(frame, ha.ap)
@@ -907,11 +918,7 @@ func (ep *Endpoint) enqueue(frame []byte, dst *hostAddr, dstHost netapi.HostID) 
 		return ep.flushLocked()
 	}
 	if len(ep.sq) == 1 {
-		if ep.flushTimer == nil {
-			ep.flushTimer = time.AfterFunc(ep.flushWin, ep.onFlushTimer)
-		} else {
-			ep.flushTimer.Reset(ep.flushWin)
-		}
+		ep.win.arm()
 	}
 	return nil
 }
@@ -1073,9 +1080,7 @@ func (ep *Endpoint) Close() error {
 	// Drain the tail of the flush queue before the socket goes away. The
 	// closed flag is already set, so no new frames can enqueue behind us.
 	ep.sendMu.Lock()
-	if ep.flushTimer != nil {
-		ep.flushTimer.Stop()
-	}
+	ep.win.close()
 	ep.flushLocked()
 	ep.sendMu.Unlock()
 	ep.p.mu.Lock()

@@ -148,20 +148,6 @@ func TestChecksumKindFlagBits(t *testing.T) {
 	}
 }
 
-func TestInternetChecksumKnownVector(t *testing.T) {
-	// RFC 1071 example: 0001 f203 f4f5 f6f7 -> sum 0xddf2, checksum ^0xddf2.
-	b := []byte{0x00, 0x01, 0xf2, 0x03, 0xf4, 0xf5, 0xf6, 0xf7}
-	if got := internetChecksum(b); got != ^uint16(0xddf2) {
-		t.Fatalf("internetChecksum = %04x, want %04x", got, ^uint16(0xddf2))
-	}
-}
-
-func TestInternetChecksumOddLength(t *testing.T) {
-	if internetChecksum([]byte{0xab}) != ^uint16(0xab00) {
-		t.Fatal("odd-length padding wrong")
-	}
-}
-
 // Property: encode/decode round-trips arbitrary headers and payloads.
 func TestRoundTripProperty(t *testing.T) {
 	f := func(seq, ack, conn uint32, win, aux uint16, payload []byte) bool {
