@@ -3,10 +3,10 @@
 // Every other example (and every experiment) runs against the deterministic
 // simulator; this one swaps the provider for internal/udpnet — real loopback
 // UDP datagrams, real wall-clock timers — without changing a line of
-// protocol code. It transfers 1 MB reliably through the batched
-// recvmmsg/sendmmsg datapath, publishes the provider's batch counters on
-// the node's observability endpoint, and prints the measured result plus
-// the scraped udpnet metrics.
+// protocol code. It transfers 1 MB reliably through the batched datapath
+// (flush queue and frame trains), publishes the provider's batch counters
+// on the node's observability endpoint, and prints the measured result
+// plus the scraped udpnet metrics.
 //
 //	go run ./examples/liveudp
 package main
@@ -28,7 +28,7 @@ func main() {
 	provider := udpnet.New(
 		udpnet.WithSocketBuffers(4<<20, 4<<20),       // several MB for high-rate loopback
 		udpnet.WithQueueLen(8192),                    // bounded loop queue; overflow = counted drops
-		udpnet.WithBatch(32),                         // recvmmsg/sendmmsg up to 32 datagrams per syscall
+		udpnet.WithBatch(32),                         // a full queue of 32 frames flushes at once
 		udpnet.WithFlushWindow(200*time.Microsecond), // sends coalesce for at most 200 µs
 	)
 	defer provider.Close()

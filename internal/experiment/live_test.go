@@ -101,7 +101,7 @@ func TestLiveE9LossyParity(t *testing.T) {
 }
 
 // TestLiveBatchedParity runs the segue scenario with the batched datapath
-// fully engaged (recvmmsg batches, sendmmsg flush queue) and requires the
+// fully engaged (flush queue, frame trains, batch upcalls) and requires the
 // delivered stream to remain byte-identical with the simulator: batching
 // must be invisible to the protocol — no loss, no reordering, no
 // corruption introduced by coalescing.

@@ -77,9 +77,9 @@ type Packet struct {
 type BatchReceiver func(batch []Packet)
 
 // BatchEndpoint is the optional batching extension of Endpoint: providers
-// that coalesce arrivals (udpnet's recvmmsg reader) deliver a whole batch in
-// one upcall when a BatchReceiver is installed, amortizing the per-packet
-// dispatch. When both a Receiver and a BatchReceiver are installed the batch
+// that coalesce arrivals (udpnet's reader, a frame train's frames) deliver
+// a whole batch in one upcall when a BatchReceiver is installed, amortizing
+// the per-packet dispatch. When both a Receiver and a BatchReceiver are installed the batch
 // upcall wins; packets are never delivered twice. Providers without batching
 // simply don't implement this interface and the per-packet Receiver is used.
 type BatchEndpoint interface {

@@ -170,9 +170,9 @@ func NewStack(cfg Config) (*Stack, error) {
 	}
 	ep.SetReceiver(st.onPacket)
 	if be, ok := ep.(netapi.BatchEndpoint); ok {
-		// Batching providers (udpnet's recvmmsg reader) hand the stack a
-		// whole arrival batch in one upcall; non-batching providers keep
-		// using the per-packet receiver installed above.
+		// Batching providers (udpnet's reader, a frame train's frames)
+		// hand the stack a whole arrival batch in one upcall; non-batching
+		// providers keep using the per-packet receiver installed above.
 		be.SetBatchReceiver(st.onBatch)
 	}
 	return st, nil

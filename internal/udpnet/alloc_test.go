@@ -12,12 +12,12 @@ import (
 
 // TestBatchedPathAllocs pins the steady-state allocation budget of the full
 // batched live datapath — Send (frame encode into pooled scratch, flush
-// queue, sendmmsg) through the reader (recvmmsg into reused ring, pooled
-// slab copy, one posted closure per batch) to the batch upcall — at under
-// one allocation per packet. The budget lives on pooled slabs (message),
-// the pooled rxBatch carriers, pre-bound syscall
-// callbacks, and the RCU host snapshot; a regression on any of them shows
-// up here long before it shows up in the repo benchmark's blast rung.
+// queue, trains, one write per datagram) through the reader (one read into
+// its reused buffer, pooled slab copy, one posted closure per datagram) to
+// the batch upcall — at under one allocation per packet. The budget lives on
+// pooled slabs (message), the pooled rxBatch carriers, the pre-bound flush
+// timer, and the RCU host snapshot; a regression on any of them shows up
+// here long before it shows up in the repo benchmark's blast rung.
 func TestBatchedPathAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation soak")

@@ -2,6 +2,7 @@ package udpnet
 
 import (
 	"errors"
+	"net"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -243,6 +244,64 @@ func TestSkippedCopies(t *testing.T) {
 	waitFor(t, 5*time.Second, func() bool { return p.SkippedCopies() >= 10 }, "skipped copies")
 }
 
+// TestFramesCountedAsCarried forges a train whose header claims 1 000 frames
+// while its bytes carry one. Every receive counter must book the one frame
+// the reader found, not the claim: on the skip path (no receiver) and on the
+// delivery path.
+func TestFramesCountedAsCarried(t *testing.T) {
+	p := New()
+	defer p.Close()
+	ep, err := p.Open(2, 20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn, err := net.DialUDP("udp4", nil, ep.(*Endpoint).sock.LocalAddr().(*net.UDPAddr))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	forged := []byte{
+		0xFF, 0xFF, 0xFF, 0xFF, 0x03, 0xE8, // marker, count 1 000
+		0, 0, 0, 1, 0, 10, // source host 1 port 10
+		0, 3, 'a', 'b', 'c', // the only record
+	}
+	check := func(frames uint64, what string) {
+		t.Helper()
+		bc := p.BatchCounters()
+		if bc.FramesIn != frames || ep.(*Endpoint).ReceivedCount() != frames ||
+			p.MetricCounters()["udpnet.frames_in"]() != frames {
+			t.Fatalf("%s: FramesIn %d, ReceivedCount %d, want %d",
+				what, bc.FramesIn, ep.(*Endpoint).ReceivedCount(), frames)
+		}
+	}
+
+	if _, err := conn.Write(forged); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, 5*time.Second, func() bool { return p.BatchCounters().DatagramsIn == 1 }, "skipped datagram")
+	check(1, "no receiver")
+	if got := p.SkippedCopies(); got != 1 {
+		t.Fatalf("SkippedCopies = %d, want 1", got)
+	}
+
+	got := make(chan netapi.Packet, 2)
+	ep.SetReceiver(func(pkt []byte, from netapi.Addr) {
+		got <- netapi.Packet{Data: append([]byte(nil), pkt...), From: from}
+	})
+	if _, err := conn.Write(forged); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case pkt := <-got:
+		if string(pkt.Data) != "abc" || pkt.From != (netapi.Addr{Host: 1, Port: 10}) {
+			t.Fatalf("delivered %q from %v", pkt.Data, pkt.From)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("forged train never delivered")
+	}
+	check(2, "delivered")
+}
+
 // TestStressSendBatchedReaderClose races concurrent senders against the
 // batched reader and endpoint/provider close. Run under -race; the
 // assertions are "no crash, no deadlock, errors only after close".
@@ -298,22 +357,35 @@ func TestStressSendBatchedReaderClose(t *testing.T) {
 }
 
 // TestPerPacketModeStillWorks pins the FlushWindow=0 configuration (the A/B
-// baseline): per-packet writes, no flush machinery engaged.
+// baseline): per-packet writes, no flush machinery engaged. It sends to a
+// local endpoint and to a peer known only through RegisterHost, on another
+// provider as on another machine: resolving that address yields a 4-in-6
+// form, which the udp4 socket refuses unless the registry stores it unmapped.
 func TestPerPacketModeStillWorks(t *testing.T) {
 	p := New(WithBatch(1), WithFlushWindow(0))
 	defer p.Close()
+	remote := New()
+	defer remote.Close()
 
 	a, _ := p.Open(1, 10)
 	b, _ := p.Open(2, 20)
-	var got atomic.Uint64
-	b.SetReceiver(func(pkt []byte, from netapi.Addr) { got.Add(1) })
-
-	for i := 0; i < 50; i++ {
-		if err := a.Send([]byte{byte(i)}, netapi.Addr{Host: 2, Port: 20}); err != nil {
-			t.Fatal(err)
-		}
+	c, err := remote.Open(3, 30)
+	if err != nil {
+		t.Fatal(err)
 	}
-	waitFor(t, 5*time.Second, func() bool { return got.Load() == 50 }, "per-packet delivery")
+	if err := p.RegisterHost(3, c.(*Endpoint).sock.LocalAddr().String()); err != nil {
+		t.Fatal(err)
+	}
+	for _, dst := range []netapi.Endpoint{b, c} {
+		var got atomic.Uint64
+		dst.SetReceiver(func(pkt []byte, from netapi.Addr) { got.Add(1) })
+		for i := 0; i < 50; i++ {
+			if err := a.Send([]byte{byte(i)}, dst.LocalAddr()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		waitFor(t, 5*time.Second, func() bool { return got.Load() == 50 }, "per-packet delivery")
+	}
 	bc := p.BatchCounters()
 	if bc.BatchesOut != 0 || bc.FlushesSize != 0 || bc.FlushesWindow != 0 {
 		t.Fatalf("flush machinery engaged in per-packet mode: %+v", bc)

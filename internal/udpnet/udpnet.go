@@ -18,31 +18,27 @@
 //     snapshot), and each endpoint's send flush queue.
 //
 // The datapath mirrors netsim's interrupt-coalescing design on the real
-// socket (DESIGN.md §5.18):
+// socket (DESIGN.md §5.18). Frame trains — many protocol frames in one wire
+// datagram — do the batching, so every socket call moves one datagram:
 //
-//   - Receive: the reader drains up to BatchSize datagrams per recvmmsg
-//     syscall into a reused ring of frame buffers, copies each payload into
-//     a pooled slab (the shared tier: the reader runs off the loop), and
-//     posts ONE closure per batch into the bounded loop queue — the queue
-//     amortizes a closure per batch, not per packet, and the upcall side
-//     delivers the whole batch through the optional netapi.BatchReceiver in
-//     a single call, then frees the slabs into the loop's own free lists
+//   - Receive: the reader reads one datagram at a time into its one buffer,
+//     copies each frame's payload into a pooled slab (the shared tier: the
+//     reader runs off the loop), and posts ONE closure per datagram into the
+//     bounded loop queue. A train's frames ride that one closure, and the
+//     upcall side delivers them through the optional netapi.BatchReceiver
+//     in a single call, then frees the slabs into the loop's own free lists
 //     (LoopCache), whose overflow goes back to the shared tier.
 //   - Send: with FlushWindow > 0, frames are encoded into pooled scratch and
-//     enqueued on a per-endpoint flush queue drained by one sendmmsg per
-//     batch — when the queue reaches BatchSize (size flush) or when
+//     enqueued on a per-endpoint flush queue, coalesced into trains and
+//     written when the queue reaches BatchSize (size flush) or when
 //     FlushWindow elapses (window flush; on linux/amd64 a timerfd in the
 //     runtime poller, so a sub-millisecond window fires on time — see
-//     window_linux.go). FlushWindow == 0 keeps the per-packet write path
-//     (one syscall per Send), the A/B baseline the equivalence tests
-//     compare against, exactly like netsim's DeliverPerPacket.
+//     window_linux.go, the package's only platform split). FlushWindow == 0
+//     keeps the per-packet write path (one write per Send, no trains), the
+//     A/B baseline the equivalence tests compare against, exactly like
+//     netsim's DeliverPerPacket.
 //
-// Batch syscalls need OS support: on linux/amd64 the provider uses raw
-// recvmmsg/sendmmsg (see batch_linux.go); everywhere else the same code
-// shape runs over single-datagram reads and writes (batch_fallback.go), so
-// behavior is identical and only the syscall amortization is lost.
-//
-// A reader that finds the loop queue full drops the batch and counts it
+// A reader that finds the loop queue full drops the datagram and counts it
 // (congestion loss, exactly the netapi.Endpoint.Send contract) instead of
 // blocking the socket drain; when the queue is already full the per-packet
 // copies are skipped too (counted in SkippedCopies). Shutdown is ordered:
@@ -73,15 +69,13 @@ const maxPacket = 64 << 10
 // host with full source addressing.
 const frameOverhead = 6
 
-// maxBatch caps BatchSize: each endpoint's reader owns BatchSize frame
-// buffers of maxPacket bytes, so the cap bounds per-endpoint memory (64
-// frames = 4 MiB).
+// maxBatch caps BatchSize, the frames per size flush.
 const maxBatch = 64
 
 // Frame-train coalescing: consecutive same-destination frames in the flush
-// queue ride one wire datagram, so the kernel's per-datagram cost (the
-// dominant cost on the loopback path — syscall batching alone only shaves
-// the entry overhead) is paid once per train instead of once per frame.
+// queue ride one wire datagram, so the socket call and the kernel's
+// per-datagram cost (the dominant cost on the loopback path) are paid once
+// per train instead of once per frame.
 // Train layout:
 //
 //	[0..3]  0xFF 0xFF 0xFF 0xFF   marker (trainMarker: an impossible
@@ -101,11 +95,11 @@ const (
 	trainMarker   = 0xFF                  // each of the first four bytes
 	trainHdr      = 4 + 2 + frameOverhead // marker + count + src header
 	trainRecHdr   = 2                     // per-frame length prefix
-	maxTrainBytes = 60 << 10              // stay under the rx ring's maxPacket slots
+	maxTrainBytes = 60 << 10              // stay under the reader's maxPacket buffer
 	maxTrainCount = 128                   // frames per train (fits uint16 with margin)
 )
 
-// DefaultBatchSize is the rx/tx batch depth when Config.BatchSize is 0.
+// DefaultBatchSize is the frames per size flush when Config.BatchSize is 0.
 const DefaultBatchSize = 32
 
 // Config carries the provider's tunables; zero values pick the defaults
@@ -120,14 +114,14 @@ type Config struct {
 	// ReadBuffer / WriteBuffer set the socket buffer sizes in bytes
 	// (0 keeps the OS default). High-speed transfers want several MB.
 	ReadBuffer, WriteBuffer int
-	// BatchSize is the maximum datagrams moved per batch syscall and per
-	// send flush (default DefaultBatchSize, capped at 64). 1 degenerates
-	// to one datagram per syscall — the per-packet baseline.
+	// BatchSize is the frames per size flush (default DefaultBatchSize,
+	// capped at 64). 1 degenerates to one write per Send — the per-packet
+	// baseline.
 	BatchSize int
 	// FlushWindow enables send-side batching: frames queue on the
-	// endpoint and are written by one sendmmsg when BatchSize accumulate
-	// (size flush) or when this window elapses since the queue went
-	// non-empty (window flush), whichever is first. 0 (the default)
+	// endpoint and are written, coalesced into trains, when BatchSize
+	// accumulate (size flush) or when this window elapses since the queue
+	// went non-empty (window flush), whichever is first. 0 (the default)
 	// keeps today's per-packet behavior: every Send is one socket write,
 	// and a Send error is returned from that very call. With batching, a
 	// write error surfaces on the Send that triggered the size flush, or
@@ -149,28 +143,20 @@ func WithSocketBuffers(read, write int) Option {
 	return func(c *Config) { c.ReadBuffer, c.WriteBuffer = read, write }
 }
 
-// WithBatch sets the batch depth for recvmmsg reads and sendmmsg flushes.
+// WithBatch sets the frames per size flush.
 func WithBatch(n int) Option { return func(c *Config) { c.BatchSize = n } }
 
 // WithFlushWindow enables send-side batching with the given flush window
 // (0 keeps the per-packet write path).
 func WithFlushWindow(d time.Duration) Option { return func(c *Config) { c.FlushWindow = d } }
 
-// hostAddr is one registry entry: the OS-level address of a host's socket,
-// pre-resolved into every form the send paths need so no per-packet
-// conversion (or allocation) happens.
-type hostAddr struct {
-	ap  netip.AddrPort // for WriteToUDPAddrPort (allocation-free)
-	ip4 [4]byte        // for sendmmsg sockaddr construction
-	prt uint16
-}
-
-// newHostAddr takes an IPv4 address: sockets are opened and registrations
-// resolved as udp4 only.
-func newHostAddr(ua *net.UDPAddr) *hostAddr {
-	ha := &hostAddr{ap: ua.AddrPort(), prt: uint16(ua.Port)}
-	copy(ha.ip4[:], ua.IP.To4())
-	return ha
+// hostAddr is a registry entry: the OS-level address of a host's socket, in
+// the form WriteToUDPAddrPort takes without conversion or allocation.
+// Sockets are opened and registrations resolved as udp4 only, and a udp4
+// socket refuses a 4-in-6 address, so the address is stored unmapped.
+func hostAddr(ua *net.UDPAddr) netip.AddrPort {
+	ap := ua.AddrPort()
+	return netip.AddrPortFrom(ap.Addr().Unmap(), ap.Port())
 }
 
 // registry is the immutable host/group snapshot the send path reads. The
@@ -178,7 +164,7 @@ func newHostAddr(ua *net.UDPAddr) *hostAddr {
 // swap the whole snapshot (RCU), so sendTo resolves destinations without
 // taking the provider mutex per packet.
 type registry struct {
-	hosts  map[netapi.HostID]*hostAddr
+	hosts  map[netapi.HostID]netip.AddrPort
 	groups map[netapi.HostID][]netapi.HostID
 }
 
@@ -187,8 +173,8 @@ var emptyRegistry = &registry{}
 // Provider maps netapi.HostID values onto UDP addresses.
 type Provider struct {
 	mu     sync.Mutex
-	hosts  map[netapi.HostID]*hostAddr // authoritative; mutate under mu
-	eps    map[netapi.HostID]*Endpoint // locally opened endpoints
+	hosts  map[netapi.HostID]netip.AddrPort // authoritative; mutate under mu
+	eps    map[netapi.HostID]*Endpoint      // locally opened endpoints
 	groups map[netapi.HostID][]netapi.HostID
 
 	// reg is the published read-mostly snapshot of hosts+groups.
@@ -216,7 +202,6 @@ type Provider struct {
 	datagramsOut  atomic.Uint64 // wire datagrams written to sockets, provider-wide
 	framesIn      atomic.Uint64 // protocol frames received (trains expanded)
 	framesOut     atomic.Uint64 // protocol frames sent (trains counted per frame)
-	batchesIn     atomic.Uint64 // batch reads that returned >= 1 datagram
 	batchesOut    atomic.Uint64 // batch flush writes
 	flushesSize   atomic.Uint64 // flushes triggered by a full queue
 	flushesWindow atomic.Uint64 // flushes triggered by the flush window
@@ -250,7 +235,7 @@ func New(opts ...Option) *Provider {
 		cfg.FlushWindow = 0
 	}
 	p := &Provider{
-		hosts:  make(map[netapi.HostID]*hostAddr),
+		hosts:  make(map[netapi.HostID]netip.AddrPort),
 		eps:    make(map[netapi.HostID]*Endpoint),
 		groups: make(map[netapi.HostID][]netapi.HostID),
 		cfg:    cfg,
@@ -268,7 +253,7 @@ func New(opts ...Option) *Provider {
 // authoritative maps. Call with p.mu held after any mutation.
 func (p *Provider) publishLocked() {
 	r := &registry{
-		hosts:  make(map[netapi.HostID]*hostAddr, len(p.hosts)),
+		hosts:  make(map[netapi.HostID]netip.AddrPort, len(p.hosts)),
 		groups: make(map[netapi.HostID][]netapi.HostID, len(p.groups)),
 	}
 	for h, a := range p.hosts {
@@ -360,9 +345,8 @@ type BatchCounters struct {
 	// factor).
 	DatagramsIn, DatagramsOut uint64
 	FramesIn, FramesOut       uint64
-	// BatchesIn is how many receive batches arrived (DatagramsIn /
-	// BatchesIn is the average rx batch depth — the syscall amortization
-	// factor). BatchesOut counts send flushes the same way.
+	// BatchesIn is how many receive batches arrived; each read is one
+	// datagram, so it equals DatagramsIn. BatchesOut counts send flushes.
 	BatchesIn, BatchesOut uint64
 	// FlushesSize / FlushesWindow split BatchesOut by trigger: queue
 	// reached BatchSize vs. the FlushWindow timer fired.
@@ -389,7 +373,7 @@ func (p *Provider) BatchCounters() BatchCounters {
 		DatagramsOut:  p.datagramsOut.Load(),
 		FramesIn:      p.framesIn.Load(),
 		FramesOut:     p.framesOut.Load(),
-		BatchesIn:     p.batchesIn.Load(),
+		BatchesIn:     p.datagramsIn.Load(),
 		BatchesOut:    p.batchesOut.Load(),
 		FlushesSize:   p.flushesSize.Load(),
 		FlushesWindow: p.flushesWindow.Load(),
@@ -412,16 +396,13 @@ func (p *Provider) FanoutErrors() uint64 { return p.fanoutErrs.Load() }
 // closures keyed by dotted metric names, in the shape the observability
 // plane's Observe.Counters field consumes — pass the result (or a merge of
 // several providers') to adaptive.WithObservability to publish the batch
-// datapath on /metrics. avg_batch_in_milli is the average receive batch
-// depth ×1000 (counters are integral), i.e. 32000 means a full
-// BatchSize=32 on every recvmmsg.
+// datapath on /metrics.
 func (p *Provider) MetricCounters() map[string]func() uint64 {
 	return map[string]func() uint64{
 		"udpnet.datagrams_in":   p.datagramsIn.Load,
 		"udpnet.datagrams_out":  p.datagramsOut.Load,
 		"udpnet.frames_in":      p.framesIn.Load,
 		"udpnet.frames_out":     p.framesOut.Load,
-		"udpnet.batches_in":     p.batchesIn.Load,
 		"udpnet.batches_out":    p.batchesOut.Load,
 		"udpnet.flushes_size":   p.flushesSize.Load,
 		"udpnet.flushes_window": p.flushesWindow.Load,
@@ -432,13 +413,6 @@ func (p *Provider) MetricCounters() map[string]func() uint64 {
 		"udpnet.trains_out":     p.trainsOut.Load,
 		"udpnet.train_frames":   p.trainFrames.Load,
 		"udpnet.rehomed_frames": p.rehomedFrames.Load,
-		"udpnet.avg_batch_in_milli": func() uint64 {
-			b := p.batchesIn.Load()
-			if b == 0 {
-				return 0
-			}
-			return 1000 * p.datagramsIn.Load() / b
-		},
 	}
 }
 
@@ -487,7 +461,7 @@ func (p *Provider) RegisterHost(host netapi.HostID, addr string) error {
 	if _, local := p.eps[host]; local {
 		return fmt.Errorf("udpnet: host %v is opened locally", host)
 	}
-	p.hosts[host] = newHostAddr(ua)
+	p.hosts[host] = hostAddr(ua)
 	p.publishLocked()
 	return nil
 }
@@ -545,7 +519,7 @@ func (p *Provider) LoopCache() *wire.Cache { return &p.cache }
 // wire queue (ep.txq).
 type outMsg struct {
 	frame   []byte // pooled slab; returned after the flush write
-	dst     *hostAddr
+	dst     netip.AddrPort
 	dstHost netapi.HostID // re-resolved against the registry at flush time
 	frames  int           // protocol frames inside (1 for a single, n for a train)
 }
@@ -558,7 +532,7 @@ type Endpoint struct {
 	sock   *net.UDPConn
 	closed atomic.Bool
 
-	batch    int           // batch depth (rx ring and tx flush queue)
+	batch    int           // frames per size flush
 	flushWin time.Duration // 0 = per-packet sends
 
 	// recv/recvBatch hold the receive upcalls; written by SetReceiver /
@@ -576,7 +550,6 @@ type Endpoint struct {
 	sq     []outMsg
 	txq    []outMsg
 	win    windowTimer // platform-specific flush-window timer (window_*.go)
-	bio    batchIO     // platform-specific batch-syscall state (batch_*.go)
 
 	sent     atomic.Uint64 // datagrams written to the socket
 	received atomic.Uint64 // datagrams read from the socket
@@ -640,17 +613,13 @@ func (p *Provider) Open(host netapi.HostID, port uint16) (netapi.Endpoint, error
 		sq:  make([]outMsg, 0, p.cfg.BatchSize),
 		txq: make([]outMsg, 0, p.cfg.BatchSize),
 	}
-	if err := ep.bio.init(ep); err != nil {
-		sock.Close()
-		return nil, err
-	}
 	if ep.batched() {
 		if err := ep.win.init(ep); err != nil {
 			sock.Close()
 			return nil, err
 		}
 	}
-	p.hosts[host] = newHostAddr(sock.LocalAddr().(*net.UDPAddr))
+	p.hosts[host] = hostAddr(sock.LocalAddr().(*net.UDPAddr))
 	p.eps[host] = ep
 	p.publishLocked()
 	p.readers.Add(1)
@@ -713,22 +682,20 @@ func (b *rxBatch) deliver() {
 	b.release(ep.p.cache.Messages())
 }
 
-// reader pumps datagram batches into the event loop. It owns its socket
+// reader pumps datagrams into the event loop, one read each: the source
+// address is in the frame header, so a plain Read serves. It owns its socket
 // until the socket closes, then signals the provider's reader WaitGroup —
 // Close waits on that before stopping the loop, so shutdown never strands
 // an upcall.
 func (ep *Endpoint) reader() {
 	defer ep.p.readers.Done()
-	rx := ep.bio.newRxState(ep)
+	buf := make([]byte, maxPacket)
 	for {
-		n, err := ep.readBatch(rx)
+		n, err := ep.sock.Read(buf)
 		if err != nil {
 			return // socket closed
 		}
-		if n == 0 {
-			continue
-		}
-		ep.dispatch(rx, n)
+		ep.dispatch(buf[:n])
 	}
 }
 
@@ -741,95 +708,76 @@ func parseSrc(hdr []byte) netapi.Addr {
 }
 
 // isTrain reports whether a wire datagram is a coalesced frame train.
-func isTrain(buf []byte, ln int) bool {
-	return ln >= trainHdr &&
-		buf[0] == trainMarker && buf[1] == trainMarker &&
-		buf[2] == trainMarker && buf[3] == trainMarker
+func isTrain(dgram []byte) bool {
+	return len(dgram) >= trainHdr &&
+		dgram[0] == trainMarker && dgram[1] == trainMarker &&
+		dgram[2] == trainMarker && dgram[3] == trainMarker
 }
 
-// wireFrameCount is the number of protocol frames a wire datagram claims
-// to carry (pre-copy, header-only inspection).
-func wireFrameCount(buf []byte, ln int) int {
-	if isTrain(buf, ln) {
-		return int(buf[4])<<8 | int(buf[5])
-	}
-	if ln >= frameOverhead {
+// expand appends each protocol frame of one wire datagram to b, copied into
+// its own pooled slab, and returns how many frames the datagram holds; with b
+// nil it only counts them. A single frame is the datagram after its 6-byte
+// header. A train yields its records until one runs past the end of the
+// datagram (the damage cannot be re-synchronized), so the count is what the
+// bytes carry, never what the train header claims.
+func expand(dgram []byte, b *rxBatch) int {
+	if !isTrain(dgram) {
+		if len(dgram) < frameOverhead {
+			return 0
+		}
+		b.add(dgram[frameOverhead:], parseSrc(dgram))
 		return 1
 	}
-	return 0
-}
-
-// expandTrain copies each record of a train datagram into its own pooled
-// slab and appends it to the batch. Truncated or malformed records abort
-// the rest of the train (the damage cannot be re-synchronized).
-func expandTrain(b *rxBatch, buf []byte, ln int) {
-	cnt := int(buf[4])<<8 | int(buf[5])
-	src := parseSrc(buf[6:trainHdr])
-	off := trainHdr
-	for k := 0; k < cnt; k++ {
-		if off+trainRecHdr > ln {
-			return
-		}
-		rl := int(buf[off])<<8 | int(buf[off+1])
+	cnt := int(dgram[4])<<8 | int(dgram[5])
+	src := parseSrc(dgram[6:trainHdr])
+	off, n := trainHdr, 0
+	for ; n < cnt && off+trainRecHdr <= len(dgram); n++ {
+		rl := int(dgram[off])<<8 | int(dgram[off+1])
 		off += trainRecHdr
-		if off+rl > ln {
-			return
+		if off+rl > len(dgram) {
+			break
 		}
-		pkt := message.GetSlab(rl)
-		copy(pkt, buf[off:off+rl])
+		b.add(dgram[off:off+rl], src)
 		off += rl
-		b.pkts = append(b.pkts, netapi.Packet{Data: pkt, From: src})
 	}
+	return n
 }
 
-// dispatch copies one received batch into pooled slabs — expanding frame
-// trains back into individual packets — and posts a single closure for it,
-// shedding (with counts, and without copying) when nobody can consume it.
-func (ep *Endpoint) dispatch(rx *rxState, n int) {
-	frames := 0
-	for i := 0; i < n; i++ {
-		frames += wireFrameCount(rx.slot(i), rx.size(i))
-	}
-	if frames == 0 {
+// add appends a pooled copy of one frame's payload; a nil batch is a count
+// only (see expand).
+func (b *rxBatch) add(payload []byte, src netapi.Addr) {
+	if b == nil {
 		return
 	}
-	ep.received.Add(uint64(frames))
-	ep.p.framesIn.Add(uint64(frames))
-	ep.p.datagramsIn.Add(uint64(n))
-	ep.p.batchesIn.Add(1)
+	pkt := message.GetSlab(len(payload))
+	copy(pkt, payload)
+	b.pkts = append(b.pkts, netapi.Packet{Data: pkt, From: src})
+}
 
+// dispatch copies one received datagram's frames into pooled slabs — a
+// train expands back into individual packets — and posts a single closure
+// for them, shedding (with counts, and without copying) when nobody can
+// consume them.
+func (ep *Endpoint) dispatch(dgram []byte) {
 	// Copy-avoidance checks (the authoritative drop still happens at
 	// tryPost): no receiver installed, or the loop queue already full —
-	// either way this batch cannot be consumed, so skip the copies.
+	// either way these frames cannot be consumed, so only count them.
 	rb, _ := ep.recv.Load().(recvBox)
 	bb, _ := ep.recvBatch.Load().(batchBox)
 	if (rb.fn == nil && bb.fn == nil) || ep.closed.Load() {
-		ep.p.skippedCopies.Add(uint64(frames))
+		ep.p.skippedCopies.Add(ep.countIn(expand(dgram, nil)))
 		return
 	}
 	if ep.p.loopFull() {
-		ep.p.skippedCopies.Add(uint64(frames))
-		ep.dropped.Add(uint64(frames))
+		n := ep.countIn(expand(dgram, nil))
+		ep.p.skippedCopies.Add(n)
+		ep.dropped.Add(n)
 		return
 	}
 
 	b := getRxBatch()
 	b.ep = ep
-	for i := 0; i < n; i++ {
-		ln := rx.size(i)
-		buf := rx.slot(i)
-		if isTrain(buf, ln) {
-			expandTrain(b, buf, ln)
-			continue
-		}
-		if ln < frameOverhead {
-			continue
-		}
-		pkt := message.GetSlab(ln - frameOverhead)
-		copy(pkt, buf[frameOverhead:ln])
-		b.pkts = append(b.pkts, netapi.Packet{Data: pkt, From: parseSrc(buf)})
-	}
-	if len(b.pkts) == 0 {
+	if ep.countIn(expand(dgram, b)) == 0 {
 		putRxBatch(b)
 		return
 	}
@@ -837,6 +785,17 @@ func (ep *Endpoint) dispatch(rx *rxState, n int) {
 		ep.dropped.Add(uint64(len(b.pkts)))
 		b.release(nil)
 	}
+}
+
+// countIn books one received datagram holding n frames (none when it held
+// no frame) and returns n.
+func (ep *Endpoint) countIn(n int) uint64 {
+	if n > 0 {
+		ep.received.Add(uint64(n))
+		ep.p.framesIn.Add(uint64(n))
+		ep.p.datagramsIn.Add(1)
+	}
+	return uint64(n)
 }
 
 // Send frames and transmits pkt toward dst. For multicast destinations the
@@ -873,8 +832,8 @@ func (ep *Endpoint) Send(pkt []byte, dst netapi.Addr) error {
 func (ep *Endpoint) batched() bool { return ep.flushWin > 0 && ep.batch > 1 }
 
 func (ep *Endpoint) sendTo(reg *registry, pkt []byte, dst netapi.Addr) error {
-	ha := reg.hosts[dst.Host]
-	if ha == nil {
+	ha, ok := reg.hosts[dst.Host]
+	if !ok {
 		return fmt.Errorf("udpnet: unknown host %v", dst.Host)
 	}
 	// Frame encode into pooled scratch: srcHost | srcPort | payload.
@@ -890,7 +849,7 @@ func (ep *Endpoint) sendTo(reg *registry, pkt []byte, dst netapi.Addr) error {
 	if !ep.batched() {
 		// Per-packet path: one write per Send, error straight back, wire
 		// format bitwise identical to the pre-batching provider.
-		_, err := ep.sock.WriteToUDPAddrPort(frame, ha.ap)
+		_, err := ep.sock.WriteToUDPAddrPort(frame, ha)
 		message.PutSlab(frame)
 		if err == nil {
 			ep.sent.Add(1)
@@ -905,7 +864,7 @@ func (ep *Endpoint) sendTo(reg *registry, pkt []byte, dst netapi.Addr) error {
 // enqueue adds a framed datagram to the flush queue, flushing when it
 // reaches the batch size and arming the window timer when it goes
 // non-empty.
-func (ep *Endpoint) enqueue(frame []byte, dst *hostAddr, dstHost netapi.HostID) error {
+func (ep *Endpoint) enqueue(frame []byte, dst netip.AddrPort, dstHost netapi.HostID) error {
 	ep.sendMu.Lock()
 	defer ep.sendMu.Unlock()
 	if ep.closed.Load() {
@@ -957,7 +916,7 @@ func (ep *Endpoint) packTrains() {
 		if j == i+1 {
 			ep.txq = append(ep.txq, sq[i])
 		} else {
-			ep.txq = append(ep.txq, ep.buildTrain(sq[i:j]))
+			ep.txq = append(ep.txq, buildTrain(sq[i:j]))
 			ep.p.trainsOut.Add(1)
 			ep.p.trainFrames.Add(uint64(j - i))
 		}
@@ -973,7 +932,7 @@ func (ep *Endpoint) packTrains() {
 // recycles the constituent frame slabs. The shared 6-byte source header is
 // taken from the first frame (all frames from this endpoint carry the same
 // one).
-func (ep *Endpoint) buildTrain(run []outMsg) outMsg {
+func buildTrain(run []outMsg) outMsg {
 	total := trainHdr
 	for k := range run {
 		total += trainRecHdr + len(run[k].frame) - frameOverhead
@@ -997,8 +956,9 @@ func (ep *Endpoint) buildTrain(run []outMsg) outMsg {
 }
 
 // flushLocked coalesces the queued frames into wire datagrams, writes them
-// with one batch syscall, and recycles the slabs. Called with sendMu held —
-// the lock spans the write so batches leave the socket in enqueue order.
+// in order — one write each, stopping at the first error — and recycles the
+// slabs. Called with sendMu held: the lock spans the writes so flushes leave
+// the socket in enqueue order.
 func (ep *Endpoint) flushLocked() error {
 	if len(ep.sq) == 0 {
 		return nil
@@ -1006,30 +966,32 @@ func (ep *Endpoint) flushLocked() error {
 	// Re-resolve queued destinations against the current registry snapshot:
 	// frames enqueued before a peer re-registered (restart on a new socket)
 	// must flush to its new address, not the one captured at enqueue time.
-	// Entries re-resolve to the snapshot's shared *hostAddr, so packTrains'
-	// pointer-equality coalescing keeps working.
 	reg := ep.p.reg.Load()
 	for i := range ep.sq {
-		if ha := reg.hosts[ep.sq[i].dstHost]; ha != nil && ha != ep.sq[i].dst {
+		if ha, ok := reg.hosts[ep.sq[i].dstHost]; ok && ha != ep.sq[i].dst {
 			ep.sq[i].dst = ha
 			ep.p.rehomedFrames.Add(1)
 		}
 	}
 	ep.p.batchesOut.Add(1)
 	ep.packTrains()
-	wrote, err := ep.writeBatch(ep.txq)
-	var frames uint64
-	for i := 0; i < wrote; i++ {
-		frames += uint64(ep.txq[i].frames)
-	}
-	ep.sent.Add(frames)
-	ep.p.framesOut.Add(frames)
-	ep.p.datagramsOut.Add(uint64(wrote))
+	var frames, wrote uint64
+	var err error
 	for i := range ep.txq {
-		message.PutSlab(ep.txq[i].frame)
-		ep.txq[i] = outMsg{}
+		m := &ep.txq[i]
+		if err == nil {
+			if _, err = ep.sock.WriteToUDPAddrPort(m.frame, m.dst); err == nil {
+				frames += uint64(m.frames)
+				wrote++
+			}
+		}
+		message.PutSlab(m.frame)
+		*m = outMsg{}
 	}
 	ep.txq = ep.txq[:0]
+	ep.sent.Add(frames)
+	ep.p.framesOut.Add(frames)
+	ep.p.datagramsOut.Add(wrote)
 	return err
 }
 
