@@ -98,16 +98,7 @@ type (
 	NotificationKind = mechanism.NotificationKind
 	// Delivery is one received message unit.
 	Delivery = session.Delivery
-
-	// ArbiterPolicy configures the per-host bandwidth arbiter: class
-	// weights and floors over the Table-1 service classes, the AIMD
-	// estimator constants, and the reallocation cadence (WithArbiter).
-	ArbiterPolicy = arbiter.Policy
 )
-
-// DefaultArbiterPolicy returns the standard arbiter policy: guaranteed
-// floors for the isochronous classes and a weight ladder by class urgency.
-func DefaultArbiterPolicy() ArbiterPolicy { return arbiter.DefaultPolicy() }
 
 // Re-exported notification kinds.
 const (
@@ -179,7 +170,7 @@ type options struct {
 	seed     int64
 	observe  *Observe
 	name     string
-	arbiter  *ArbiterPolicy
+	arbiter  bool
 }
 
 // Option configures one aspect of a Node (functional options for NewNode).
@@ -209,9 +200,7 @@ func WithName(name string) Option { return func(o *options) { o.name = name } }
 // shares above them, work-conserving redistribution). Sessions receive
 // budget changes through Conn.OnBudgetChange; arbiter state appears as
 // adaptive_arbiter_* gauges on the observability plane's /metrics.
-func WithArbiter(pol ArbiterPolicy) Option {
-	return func(o *options) { o.arbiter = &pol }
-}
+func WithArbiter() Option { return func(o *options) { o.arbiter = true } }
 
 // Node is one host's complete ADAPTIVE transport system instance: a
 // protocol graph (TKO), a MANTTS entity, and UNITES instrumentation.
@@ -294,8 +283,8 @@ func NewNode(opts ...Option) (*Node, error) {
 			repo.Retire(name, s.ConnID())
 		}
 	})
-	if o.arbiter != nil {
-		n.arb = arbiter.New(*o.arbiter)
+	if o.arbiter {
+		n.arb = arbiter.New(arbiter.Policy{})
 		n.entity.SetArbiter(n.arb)
 		n.startHintPoller(o.provider)
 	}
@@ -309,7 +298,6 @@ func NewNode(opts ...Option) (*Node, error) {
 			Repository: repo,
 			Recorders:  recs,
 			FlushEvery: obs.TraceFlush,
-			Queue:      obs.TraceQueue,
 			Archive:    obs.TraceArchive,
 			Counters:   obs.Counters,
 		})

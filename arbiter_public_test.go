@@ -30,7 +30,7 @@ func TestArbiterGovernsMixedSessions(t *testing.T) {
 
 	na, err := adaptive.NewNode(adaptive.WithProvider(net), adaptive.WithHost(ha.ID()),
 		adaptive.WithSeed(1), adaptive.WithName("a"),
-		adaptive.WithArbiter(adaptive.DefaultArbiterPolicy()))
+		adaptive.WithArbiter())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +163,7 @@ func TestNodeCloseCancelsTimers(t *testing.T) {
 	// The impairment shim has a drop counter, which is what arms the poller.
 	prov := impair.Wrap(net, impair.Config{Seed: 5, Loss: 0.01})
 	n, err := adaptive.NewNode(adaptive.WithProvider(prov), adaptive.WithHost(ha.ID()),
-		adaptive.WithArbiter(adaptive.DefaultArbiterPolicy()))
+		adaptive.WithArbiter())
 	if err != nil {
 		t.Fatal(err)
 	}

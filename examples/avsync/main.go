@@ -40,7 +40,7 @@ func main() {
 	fwd.StartCrossTraffic(6e6, 1200) // the congestion that skews video
 
 	sender, err := adaptive.NewNode(adaptive.WithProvider(network), adaptive.WithHost(src.ID()), adaptive.WithName("studio"),
-		adaptive.WithArbiter(adaptive.DefaultArbiterPolicy()))
+		adaptive.WithArbiter())
 	if err != nil {
 		log.Fatal(err)
 	}

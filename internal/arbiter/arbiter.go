@@ -46,108 +46,63 @@ const (
 	NumClasses = 4
 )
 
-// Policy is the allocation and estimator configuration. The zero value is
-// not useful; start from DefaultPolicy.
-type Policy struct {
-	// Weight is the per-class proportional share above the floors. A class
-	// with twice the weight gets twice the surplus bandwidth when both are
-	// backlogged.
-	Weight [NumClasses]float64
-	// Floor reserves this fraction of estimated capacity for a class before
-	// any weighted sharing (never more than the class actually demands).
-	// The isochronous classes carry floors so a bulk backlog cannot starve
-	// a voice stream below its codec rate.
-	Floor [NumClasses]float64
+// The allocation policy and estimator constants. They are fixed: MANTTS
+// derives every per-session input (class, weight, demand, seed capacity), so
+// nothing above the arbiter has a reason to vary them.
+var (
+	// classWeight is the per-class proportional share above the floors,
+	// following class urgency. A class with twice the weight gets twice the
+	// surplus bandwidth when both are backlogged.
+	classWeight = [NumClasses]float64{4, 3, 2, 1}
+	// classFloor reserves this fraction of estimated capacity for a class
+	// before any weighted sharing (never more than the class actually
+	// demands). The isochronous classes carry floors so a bulk backlog cannot
+	// starve a voice stream below its codec rate.
+	classFloor = [NumClasses]float64{0.25, 0.20, 0, 0}
+)
+
+const (
 	// MinBps is the per-session grant floor: even a fully squeezed session
 	// keeps enough budget for keepalives and signaling.
-	MinBps float64
-	// Headroom is the fraction of estimated capacity handed out as grants;
+	MinBps float64 = 32e3
+	// headroom is the fraction of estimated capacity handed out as grants;
 	// the remainder absorbs estimation error before the queue does.
-	Headroom float64
+	headroom float64 = 0.95
 
-	// Beta is the multiplicative-decrease factor applied to the capacity
+	// beta is the multiplicative-decrease factor applied to the capacity
 	// estimate on a congestion event.
-	Beta float64
-	// ProbeGain is the fractional additive-increase step: while sessions
-	// are squeezed (aggregate demand above the estimate) and the host sees
-	// clean samples, the estimate grows by this fraction per reallocation
+	beta float64 = 0.85
+	// probeGain is the fractional additive-increase step: while sessions are
+	// squeezed (aggregate demand above the estimate) and the host sees clean
+	// samples, the estimate grows by this fraction per reallocation
 	// interval, probing for released capacity.
-	ProbeGain float64
-	// Holdoff is the minimum spacing between multiplicative decreases, so
+	probeGain float64 = 0.05
+	// holdoff is the minimum spacing between multiplicative decreases, so
 	// one congestion episode (many sessions reporting the same queue drop)
 	// costs one decrease, not one per session.
-	Holdoff time.Duration
+	holdoff = 100 * time.Millisecond
 
-	// LossThresh is the per-sample loss fraction above which a session's
+	// lossThresh is the per-sample loss fraction above which a session's
 	// signal counts as congestion.
-	LossThresh float64
-	// RTTInflation is the ratio of a sample RTT to the session's minimum
-	// observed RTT above which the signal counts as congestion (queue
-	// growth at the bottleneck).
-	RTTInflation float64
+	lossThresh float64 = 0.02
+	// rttInflation is the ratio of a sample RTT to the session's minimum
+	// observed RTT above which the signal counts as congestion (queue growth
+	// at the bottleneck).
+	rttInflation float64 = 2.0
 
-	// ReallocEvery rate-limits grant recomputation: Reallocate calls inside
-	// the interval are coalesced (the periodic MANTTS samplers of N
-	// sessions would otherwise recompute N times per period).
-	ReallocEvery time.Duration
-}
+	// reallocEvery rate-limits grant recomputation: Reallocate calls inside
+	// the interval are coalesced (the periodic MANTTS samplers of N sessions
+	// would otherwise recompute N times per period).
+	reallocEvery = 25 * time.Millisecond
+)
 
-// DefaultPolicy returns the standard Table-1-shaped policy: isochronous
-// classes hold floors (25% interactive, 20% distributional) and the weight
-// ladder follows class urgency.
-func DefaultPolicy() Policy {
-	return Policy{
-		Weight:       [NumClasses]float64{4, 3, 2, 1},
-		Floor:        [NumClasses]float64{0.25, 0.20, 0, 0},
-		MinBps:       32e3,
-		Headroom:     0.95,
-		Beta:         0.85,
-		ProbeGain:    0.05,
-		Holdoff:      100 * time.Millisecond,
-		LossThresh:   0.02,
-		RTTInflation: 2.0,
-		ReallocEvery: 25 * time.Millisecond,
-	}
-}
+// Policy has no fields: the policy is the package constants above. It and
+// DefaultPolicy remain only because the repo benchmark constructs arbiters
+// as New(DefaultPolicy()).
+type Policy struct{}
 
-// normalize fills unset policy fields with defaults so a partially
-// specified literal behaves.
-func (p *Policy) normalize() {
-	d := DefaultPolicy()
-	allZero := true
-	for _, w := range p.Weight {
-		if w != 0 {
-			allZero = false
-		}
-	}
-	if allZero {
-		p.Weight = d.Weight
-	}
-	if p.MinBps <= 0 {
-		p.MinBps = d.MinBps
-	}
-	if p.Headroom <= 0 || p.Headroom > 1 {
-		p.Headroom = d.Headroom
-	}
-	if p.Beta <= 0 || p.Beta >= 1 {
-		p.Beta = d.Beta
-	}
-	if p.ProbeGain <= 0 {
-		p.ProbeGain = d.ProbeGain
-	}
-	if p.Holdoff <= 0 {
-		p.Holdoff = d.Holdoff
-	}
-	if p.LossThresh <= 0 {
-		p.LossThresh = d.LossThresh
-	}
-	if p.RTTInflation <= 1 {
-		p.RTTInflation = d.RTTInflation
-	}
-	if p.ReallocEvery <= 0 {
-		p.ReallocEvery = d.ReallocEvery
-	}
-}
+// DefaultPolicy returns the (only) policy.
+func DefaultPolicy() Policy { return Policy{} }
 
 // Signal is one session's periodic congestion report (produced by the
 // MANTTS sampler from whitebox session metrics).
@@ -157,11 +112,9 @@ type Signal struct {
 	LossRate float64
 	// RTT is the smoothed round-trip estimate; zero means unknown.
 	RTT time.Duration
-	// ThroughputBps is the delivered rate over the sample window.
+	// ThroughputBps is not read: the estimator works from loss and delay
+	// alone. The field remains only because the repo benchmark sets it.
 	ThroughputBps float64
-	// ECN marks an explicit environment congestion hint attributed to this
-	// sample (over and above the host-level Hint path).
-	ECN bool
 }
 
 // Grant is a budget callback: the arbiter calls it with the session's new
@@ -179,15 +132,12 @@ type entry struct {
 	granted float64       // last delivered budget
 	alloc   float64       // scratch: allocation being computed
 	minRTT  time.Duration // per-session RTT floor (inflation baseline)
-	tput    float64       // last reported delivered rate
 	grantFn Grant
 }
 
 // Arbiter is the per-host congestion manager. Zero value is unusable; use
 // New.
 type Arbiter struct {
-	pol Policy
-
 	capBps float64 // shared bottleneck estimate
 	capMax float64 // growth ceiling (0 = demand-bounded only)
 	seeded bool
@@ -200,7 +150,6 @@ type Arbiter struct {
 	ranOnce      bool
 	dirty        bool
 	clean        bool // a congestion-free sample arrived since the last probe
-	lastHintSeen uint64
 
 	// Scrape-safe counters (adaptive_arbiter_* gauges).
 	grants    atomic.Uint64 // budget deliveries
@@ -213,14 +162,10 @@ type Arbiter struct {
 	squeeze   atomic.Uint64 // host squeeze, parts per million
 }
 
-// New returns an arbiter under the policy (unset fields defaulted).
-func New(pol Policy) *Arbiter {
-	pol.normalize()
-	return &Arbiter{pol: pol, index: make(map[uint32]int)}
+// New returns an arbiter.
+func New(Policy) *Arbiter {
+	return &Arbiter{index: make(map[uint32]int)}
 }
-
-// Policy returns the (normalized) policy in force.
-func (a *Arbiter) Policy() Policy { return a.pol }
 
 // SeedCapacity installs a-priori bottleneck knowledge (the MANTTS network
 // state descriptor's path bandwidth): the estimate starts there and probing
@@ -255,8 +200,8 @@ func (a *Arbiter) Register(id uint32, class Class, weight, demandBps float64, gr
 	if weight <= 0 {
 		weight = 1
 	}
-	if demandBps < a.pol.MinBps {
-		demandBps = a.pol.MinBps
+	if demandBps < MinBps {
+		demandBps = MinBps
 	}
 	a.index[id] = len(a.entries)
 	a.entries = append(a.entries, entry{
@@ -296,8 +241,8 @@ func (a *Arbiter) SetDemand(id uint32, demandBps float64) {
 	if !ok {
 		return
 	}
-	if demandBps < a.pol.MinBps {
-		demandBps = a.pol.MinBps
+	if demandBps < MinBps {
+		demandBps = MinBps
 	}
 	if a.entries[i].demand != demandBps {
 		a.entries[i].demand = demandBps
@@ -313,13 +258,12 @@ func (a *Arbiter) Observe(now time.Duration, id uint32, sig Signal) {
 		return
 	}
 	e := &a.entries[i]
-	e.tput = sig.ThroughputBps
 	if sig.RTT > 0 && (e.minRTT == 0 || sig.RTT < e.minRTT) {
 		e.minRTT = sig.RTT
 	}
-	congested := sig.ECN || sig.LossRate > a.pol.LossThresh
+	congested := sig.LossRate > lossThresh
 	if !congested && sig.RTT > 0 && e.minRTT > 0 {
-		congested = float64(sig.RTT) > float64(e.minRTT)*a.pol.RTTInflation
+		congested = float64(sig.RTT) > float64(e.minRTT)*rttInflation
 	}
 	if congested {
 		a.congestion(now)
@@ -339,13 +283,13 @@ func (a *Arbiter) Hint(now time.Duration) {
 // congestion applies one multiplicative decrease, holdoff-limited so a
 // single congestion episode reported by many sessions costs one step.
 func (a *Arbiter) congestion(now time.Duration) {
-	if a.lastDecrease != 0 && now-a.lastDecrease < a.pol.Holdoff {
+	if a.lastDecrease != 0 && now-a.lastDecrease < holdoff {
 		return
 	}
 	a.lastDecrease = now
 	a.clean = false
-	floor := a.pol.MinBps * float64(len(a.entries)+1)
-	a.capBps *= a.pol.Beta
+	floor := MinBps * float64(len(a.entries)+1)
+	a.capBps *= beta
 	if a.capBps < floor {
 		a.capBps = floor
 	}
@@ -354,11 +298,11 @@ func (a *Arbiter) congestion(now time.Duration) {
 	a.dirty = true
 }
 
-// Reallocate recomputes and delivers grants. Rate-limited to ReallocEvery
+// Reallocate recomputes and delivers grants. Rate-limited to reallocEvery
 // (callers invoke it from every sampler tick; coalesced calls are free).
 // Allocation-free on every path.
 func (a *Arbiter) Reallocate(now time.Duration) {
-	if a.ranOnce && !a.dirty && now-a.lastRealloc < a.pol.ReallocEvery {
+	if a.ranOnce && !a.dirty && now-a.lastRealloc < reallocEvery {
 		return
 	}
 	a.lastRealloc = now
@@ -373,8 +317,8 @@ func (a *Arbiter) Reallocate(now time.Duration) {
 	// the estimate toward released capacity. Demand-bounded growth (and the
 	// seed ceiling) keeps an idle host's estimate from ballooning.
 	total := a.totalDemand()
-	if total > a.capBps && a.clean && (a.lastDecrease == 0 || now-a.lastDecrease > a.pol.Holdoff) {
-		grown := a.capBps * (1 + a.pol.ProbeGain)
+	if total > a.capBps && a.clean && (a.lastDecrease == 0 || now-a.lastDecrease > holdoff) {
+		grown := a.capBps * (1 + probeGain)
 		if a.capMax > 0 && grown > a.capMax {
 			grown = a.capMax
 		}
@@ -389,7 +333,7 @@ func (a *Arbiter) Reallocate(now time.Duration) {
 		a.clean = false // next probe step needs fresh clean evidence
 	}
 
-	avail := a.capBps * a.pol.Headroom
+	avail := a.capBps * headroom
 	a.squeeze.Store(squeezePPM(total, avail))
 
 	// Stage 1 — class budgets: demand-capped floors first, then the
@@ -400,7 +344,7 @@ func (a *Arbiter) Reallocate(now time.Duration) {
 	}
 	pool := avail
 	for c := 0; c < NumClasses; c++ {
-		f := a.pol.Floor[c] * avail
+		f := classFloor[c] * avail
 		if f > classDemand[c] {
 			f = classDemand[c]
 		}
@@ -411,7 +355,7 @@ func (a *Arbiter) Reallocate(now time.Duration) {
 		var wsum float64
 		for c := 0; c < NumClasses; c++ {
 			if budget[c] < classDemand[c] {
-				wsum += a.pol.Weight[c]
+				wsum += classWeight[c]
 			}
 		}
 		if wsum == 0 {
@@ -422,7 +366,7 @@ func (a *Arbiter) Reallocate(now time.Duration) {
 			if budget[c] >= classDemand[c] {
 				continue
 			}
-			add := pool * a.pol.Weight[c] / wsum
+			add := pool * classWeight[c] / wsum
 			if budget[c]+add > classDemand[c] {
 				spill += budget[c] + add - classDemand[c]
 				budget[c] = classDemand[c]
@@ -444,8 +388,8 @@ func (a *Arbiter) Reallocate(now time.Duration) {
 	for i := range a.entries {
 		e := &a.entries[i]
 		g := e.alloc
-		if g < a.pol.MinBps {
-			g = a.pol.MinBps
+		if g < MinBps {
+			g = MinBps
 		}
 		if e.granted != 0 && !changed(g, e.granted) {
 			continue

@@ -30,16 +30,10 @@ type E10ObservedConfig struct {
 	Buffer int
 	// Sample keeps 1/N keyed data-path trace events (0 or 1 keeps all).
 	Sample uint64
-	// FlushEvery is the streaming flush watermark (<= 0: a quarter ring).
-	FlushEvery int
-	// Queue is the chunk-queue depth (<= 0: trace.DefaultStreamQueue).
-	Queue int
 	// Archive keeps the in-process reassembly for post-run trace.Diff gates.
 	Archive bool
 	// Listen, when non-empty, serves the obsv HTTP endpoint on this address.
 	Listen string
-	// Counters adds process-level counters to the exported surfaces.
-	Counters map[string]func() uint64
 }
 
 // E10Observed is a soak rig whose plane outlives individual iterations: the
@@ -66,10 +60,7 @@ func StartE10Observed(cfg E10ObservedConfig) (*E10Observed, error) {
 	p, err := obsv.New(obsv.Options{
 		Repository: repo,
 		Recorders:  recs,
-		FlushEvery: cfg.FlushEvery,
-		Queue:      cfg.Queue,
 		Archive:    cfg.Archive,
-		Counters:   cfg.Counters,
 	})
 	if err != nil {
 		return nil, err

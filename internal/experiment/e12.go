@@ -108,7 +108,7 @@ func (sc *E12Scenario) RunSim() (*E12Run, error) {
 // RunLive executes the scenario over UDP loopback sockets and the wall
 // clock: three in-process hosts on one provider.
 func (sc *E12Scenario) RunLive() (*E12Run, error) {
-	return sc.run(rig.NewLive(3, 0, 0))
+	return sc.run(rig.NewLive(3, 0))
 }
 
 // run is the scenario script. Hosts: 0 = source A, 1 = target B, 2 = peer P.

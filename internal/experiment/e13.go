@@ -38,34 +38,14 @@ import (
 type E13Scenario struct {
 	Name string
 	Seed int64
-	// LinkBps is the bottleneck bandwidth (default 8 Mbps).
-	LinkBps float64
-	// Window is the traffic window in virtual time (default 10s).
-	Window time.Duration
-	// BulkBytes is the background transfer size (default 8 MiB).
-	BulkBytes int
 }
 
-func (sc *E13Scenario) linkBps() float64 {
-	if sc.LinkBps > 0 {
-		return sc.LinkBps
-	}
-	return 8e6
-}
-
-func (sc *E13Scenario) window() time.Duration {
-	if sc.Window > 0 {
-		return sc.Window
-	}
-	return 10 * time.Second
-}
-
-func (sc *E13Scenario) bulkBytes() int {
-	if sc.BulkBytes > 0 {
-		return sc.BulkBytes
-	}
-	return 8 << 20
-}
+// The shared bottleneck every E13 run uses.
+const (
+	e13LinkBps   = 8e6              // bottleneck bandwidth
+	e13Window    = 10 * time.Second // traffic window in virtual time
+	e13BulkBytes = 8 << 20          // background transfer size
+)
 
 // E13Flow is one session's outcome.
 type E13Flow struct {
@@ -110,14 +90,14 @@ func jain(xs []float64) float64 {
 // RunSim executes one arm on the deterministic simulator.
 func (sc *E13Scenario) RunSim(arbitrated bool) (*E13Run, error) {
 	link := netsim.LinkConfig{
-		Bandwidth: sc.linkBps(),
+		Bandwidth: e13LinkBps,
 		PropDelay: 2 * time.Millisecond,
 		MTU:       1500,
 		QueueLen:  64 * 1500, // bytes: ~96 ms of buffer at 8 Mbps
 	}
 	var extra []adaptive.Option
 	if arbitrated {
-		extra = append(extra, adaptive.WithArbiter(adaptive.DefaultArbiterPolicy()))
+		extra = append(extra, adaptive.WithArbiter())
 	}
 	w := newWorld(2, link, sc.Seed, nil, extra...)
 	w.SeedPaths()
@@ -223,7 +203,7 @@ func (sc *E13Scenario) RunSim(arbitrated bool) (*E13Run, error) {
 		MeanSize: 25000, Burst: 2, GroupLen: 12,
 		Tiers: []int{25000, 16666, 8333},
 	}
-	bulk := &workload.Bulk{Out: cBulk, TotalSize: sc.bulkBytes(), ChunkSize: 32 << 10}
+	bulk := &workload.Bulk{Out: cBulk, TotalSize: e13BulkBytes, ChunkSize: 32 << 10}
 	rr := &workload.ReqResp{Timers: timers, Out: cOltp, ReqSize: 256, Think: 10 * time.Millisecond}
 	cOltp.OnDelivery(rr.OnResponse)
 
@@ -260,13 +240,13 @@ func (sc *E13Scenario) RunSim(arbitrated bool) (*E13Run, error) {
 	// The background flood arrives after the media flows settle.
 	k.Schedule(time.Second, func() { bulk.Start(k) })
 
-	k.RunUntil(t0 + sc.window())
+	k.RunUntil(t0 + e13Window)
 	voiceA.Stop()
 	voiceB.Stop()
 	video.Stop()
-	k.RunUntil(t0 + sc.window() + time.Second) // drain
+	k.RunUntil(t0 + e13Window + time.Second) // drain
 
-	windowSec := sc.window().Seconds()
+	windowSec := e13Window.Seconds()
 	goodput := func(m *workload.Meter) float64 { return float64(m.Bytes) * 8 / windowSec }
 	p99 := func(m *workload.Meter) time.Duration {
 		return time.Duration(m.Latency.Quantile(0.99) * float64(time.Second))
@@ -359,12 +339,12 @@ type E13LiveRun struct {
 // the arbiter must register environment congestion (Hints > 0) and back off
 // its capacity estimate below the seeded path bandwidth.
 func (sc *E13Scenario) RunLive() (*E13LiveRun, error) {
-	e := rig.NewLive(2, 0, 0)
+	e := rig.NewLive(2, 0)
 	defer e.Close()
 	e.Impair(impair.Config{Seed: sc.Seed, Loss: 0.05})
 
 	const seedBps = 50e6
-	na, err := scriptNode(e, 0, sc.Seed, adaptive.WithArbiter(adaptive.DefaultArbiterPolicy()))
+	na, err := scriptNode(e, 0, sc.Seed, adaptive.WithArbiter())
 	if err != nil {
 		return nil, err
 	}

@@ -44,12 +44,10 @@ type LiveScenario struct {
 	// PhaseTimeout caps establishment and each phase on the environment's
 	// own clock — virtual time on the simulator, wall time live (default 30s).
 	PhaseTimeout time.Duration
-	// BatchSize and FlushWindow configure the live provider's batched
-	// datapath (udpnet.Config). The zero values keep receive batching at
-	// the provider default and sends per-packet — the A/B baseline; the
+	// FlushWindow configures the live provider's batched datapath
+	// (udpnet.Config). Zero keeps sends per-packet — the A/B baseline; the
 	// parity tests run the same scenario both ways and require
 	// byte-identical delivery.
-	BatchSize   int
 	FlushWindow time.Duration
 }
 
@@ -101,7 +99,7 @@ func (sc *LiveScenario) RunSim() (*LiveRun, error) {
 
 // RunLive executes the scenario over UDP loopback sockets and the wall clock.
 func (sc *LiveScenario) RunLive() (*LiveRun, error) {
-	return sc.run(rig.NewLive(2, sc.BatchSize, sc.FlushWindow))
+	return sc.run(rig.NewLive(2, sc.FlushWindow))
 }
 
 // scriptNode brings up host i of a two-environment script: the node is named

@@ -109,7 +109,6 @@ func TestLiveBatchedParity(t *testing.T) {
 	sc := &LiveScenario{
 		Name:        "e3-segue-batched",
 		Seed:        73,
-		BatchSize:   32,
 		FlushWindow: 200 * time.Microsecond,
 		Phases: []LivePhase{
 			{Label: "sr", Bytes: 128 << 10},
@@ -134,17 +133,16 @@ func TestLiveBatchedParity(t *testing.T) {
 // must both deliver exactly the source stream — the flush queue cannot
 // change what arrives, only how many syscalls it takes.
 func TestLiveFlushWindowAB(t *testing.T) {
-	mk := func(batch int, window time.Duration) *LiveScenario {
+	mk := func(window time.Duration) *LiveScenario {
 		return &LiveScenario{
 			Name:        "ab-flush",
 			Seed:        74,
-			BatchSize:   batch,
 			FlushWindow: window,
 			Phases:      []LivePhase{{Label: "bulk", Bytes: 192 << 10}},
 		}
 	}
-	baseline := mk(1, 0) // per-packet: pre-batching behavior
-	batched := mk(32, 200*time.Microsecond)
+	baseline := mk(0) // per-packet: pre-batching behavior
+	batched := mk(200 * time.Microsecond)
 
 	a, err := baseline.RunLive()
 	if err != nil {

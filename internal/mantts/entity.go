@@ -153,13 +153,13 @@ func (e *Entity) SetArbiter(a *arbiter.Arbiter) { e.arb = a }
 // demandFor derives a session's bandwidth appetite from its ACD: the peak
 // throughput quantification when declared, else the average, else the
 // arbiter's per-session minimum.
-func demandFor(acd *ACD, pol arbiter.Policy) float64 {
+func demandFor(acd *ACD) float64 {
 	d := acd.Quant.PeakThroughputBps
 	if d == 0 {
 		d = acd.Quant.AvgThroughputBps
 	}
-	if d < pol.MinBps {
-		d = pol.MinBps
+	if d < arbiter.MinBps {
+		d = arbiter.MinBps
 	}
 	return d
 }
@@ -221,7 +221,7 @@ func (e *Entity) OpenSessionWith(acd *ACD, opts OpenOptions) (*Managed, error) {
 		// for non-isochronous classes (window-limited, no pacer), but a
 		// grant is only enforceable through a rate mechanism, so seed the
 		// spec with the session's appetite and let grants retune it.
-		demand = demandFor(acd, e.arb.Policy())
+		demand = demandFor(acd)
 		if spec.RateBps == 0 {
 			spec.RateBps = demand
 		}
@@ -602,11 +602,7 @@ func (e *Entity) sample(m *Managed) {
 		if rttSig == 0 {
 			rttSig = st.SRTT
 		}
-		e.arb.Observe(now, id, arbiter.Signal{
-			LossRate:      loss,
-			RTT:           rttSig,
-			ThroughputBps: values[MetricThroughputBps],
-		})
+		e.arb.Observe(now, id, arbiter.Signal{LossRate: loss, RTT: rttSig})
 		values[MetricArbiterSqueeze] = e.arb.SqueezeOf(id)
 		e.arb.Reallocate(now)
 	}

@@ -22,12 +22,6 @@
 //	      bulk      size, chunk
 //	      keystroke gap, count
 //	      reqresp   size, think, count
-//	trace [spans] [sample=1/N] [buffer=<records>]
-//	    Requests a flight recording of the session. sample keeps every Nth
-//	    high-rate event (N a power of two; structural events are always
-//	    kept); buffer sets the ring capacity in records and accepts k/m
-//	    suffixes ("64k", "1m"); spans asks renderers to derive
-//	    send->receive spans.
 package measure
 
 import (
@@ -38,7 +32,6 @@ import (
 
 	"adaptive/internal/event"
 	"adaptive/internal/mantts"
-	"adaptive/internal/trace"
 	"adaptive/internal/workload"
 )
 
@@ -87,35 +80,10 @@ type WorkloadSpec struct {
 	Count    uint64
 }
 
-// TraceSpec is a parsed trace statement.
-type TraceSpec struct {
-	Enabled bool
-	Spans   bool   // derive send->receive spans when rendering
-	Sample  uint64 // keep every Nth high-rate event (0/1 = all)
-	Buffer  int    // ring capacity in records (0 = trace.DefaultBuffer)
-}
-
-// NewRecorder builds the requested flight recorder, or nil when the
-// specification asked for no tracing.
-func (t TraceSpec) NewRecorder() *trace.Recorder {
-	if !t.Enabled {
-		return nil
-	}
-	r := trace.NewRecorder(t.Buffer)
-	if t.Sample > 1 {
-		// Parse already validated the stride; SetSample cannot fail here.
-		if err := r.SetSample(t.Sample); err != nil {
-			panic(err)
-		}
-	}
-	return r
-}
-
 // Spec is a fully parsed measurement specification.
 type Spec struct {
 	TMC      mantts.TMC
 	Workload WorkloadSpec
-	Trace    TraceSpec
 }
 
 // Parse compiles a specification string.
@@ -134,10 +102,6 @@ func Parse(input string) (*Spec, error) {
 			}
 		case "generate":
 			if err := spec.parseGenerate(fields[1:]); err != nil {
-				return nil, err
-			}
-		case "trace":
-			if err := spec.parseTrace(fields[1:]); err != nil {
 				return nil, err
 			}
 		default:
@@ -237,69 +201,6 @@ func (s *Spec) parseGenerate(args []string) error {
 	}
 	s.Workload = w
 	return nil
-}
-
-func (s *Spec) parseTrace(args []string) error {
-	t := TraceSpec{Enabled: true}
-	for _, arg := range args {
-		key, val, hasVal := strings.Cut(arg, "=")
-		switch strings.ToLower(key) {
-		case "spans":
-			if hasVal {
-				return fmt.Errorf("measure: trace option spans takes no value")
-			}
-			t.Spans = true
-		case "sample":
-			if !hasVal {
-				return fmt.Errorf("measure: trace sample needs a value (sample=1/16)")
-			}
-			num, den, ok := strings.Cut(val, "/")
-			if !ok || num != "1" {
-				return fmt.Errorf("measure: trace sample must be a 1/N fraction, got %q", val)
-			}
-			n, err := strconv.ParseUint(den, 10, 64)
-			if err != nil {
-				return fmt.Errorf("measure: bad trace sample denominator %q: %v", den, err)
-			}
-			if n == 0 || n&(n-1) != 0 {
-				return fmt.Errorf("measure: trace sample denominator must be a power of two, got %d", n)
-			}
-			t.Sample = n
-		case "buffer":
-			if !hasVal {
-				return fmt.Errorf("measure: trace buffer needs a value (buffer=64k)")
-			}
-			n, err := parseBufferSize(val)
-			if err != nil {
-				return err
-			}
-			t.Buffer = n
-		default:
-			return fmt.Errorf("measure: unknown trace option %q", key)
-		}
-	}
-	s.Trace = t
-	return nil
-}
-
-// parseBufferSize parses a record count with an optional k/m suffix.
-func parseBufferSize(val string) (int, error) {
-	mult := 1
-	num := strings.ToLower(val)
-	switch {
-	case strings.HasSuffix(num, "k"):
-		mult, num = 1<<10, num[:len(num)-1]
-	case strings.HasSuffix(num, "m"):
-		mult, num = 1<<20, num[:len(num)-1]
-	}
-	n, err := strconv.Atoi(num)
-	if err != nil {
-		return 0, fmt.Errorf("measure: bad trace buffer %q: %v", val, err)
-	}
-	if n <= 0 {
-		return 0, fmt.Errorf("measure: trace buffer must be positive, got %q", val)
-	}
-	return n * mult, nil
 }
 
 func (w *WorkloadSpec) validate() error {

@@ -156,68 +156,17 @@ type senderFunc func([]byte) error
 
 func (f senderFunc) Send(b []byte) error { return f(b) }
 
-func TestParseTrace(t *testing.T) {
-	s, err := Parse("trace spans sample=1/16 buffer=64k")
-	if err != nil {
-		t.Fatal(err)
-	}
-	tr := s.Trace
-	if !tr.Enabled || !tr.Spans || tr.Sample != 16 || tr.Buffer != 64<<10 {
-		t.Fatalf("trace spec %+v", tr)
-	}
-	rec := tr.NewRecorder()
-	if rec == nil {
-		t.Fatal("NewRecorder returned nil for an enabled trace spec")
-	}
-}
-
-func TestParseTraceBare(t *testing.T) {
-	s, err := Parse("trace")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !s.Trace.Enabled || s.Trace.Sample != 0 || s.Trace.Buffer != 0 || s.Trace.Spans {
-		t.Fatalf("bare trace spec %+v", s.Trace)
-	}
-}
-
-func TestParseTraceCombined(t *testing.T) {
-	s, err := Parse("collect rel. every 100ms; trace buffer=1m; generate bulk size=4096")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s.Trace.Buffer != 1<<20 || s.Workload.Kind != WorkloadBulk || len(s.TMC.Metrics) != 1 {
-		t.Fatalf("%+v", s)
-	}
-}
-
-func TestTraceSpecDisabledRecorder(t *testing.T) {
-	var disabled TraceSpec
-	if disabled.NewRecorder() != nil {
-		t.Fatal("disabled trace spec built a recorder")
-	}
-}
-
+// TestParseTraceErrors: the language has no trace statement. Recording is
+// requested through adaptivetrace or Observe.TraceBuffer.
 func TestParseTraceErrors(t *testing.T) {
-	cases := []struct {
-		input, want string
-	}{
-		{"trace sample", "needs a value"},
-		{"trace sample=16", "1/N fraction"},
-		{"trace sample=2/16", "1/N fraction"},
-		{"trace sample=1/12", "power of two"},
-		{"trace sample=1/0", "power of two"},
-		{"trace sample=1/x", "denominator"},
-		{"trace buffer", "needs a value"},
-		{"trace buffer=0", "must be positive"},
-		{"trace buffer=-4k", "must be positive"},
-		{"trace buffer=lots", "bad trace buffer"},
-		{"trace spans=yes", "takes no value"},
-		{"trace verbose", "unknown trace option"},
-	}
-	for _, c := range cases {
-		if _, err := Parse(c.input); err == nil || !strings.Contains(err.Error(), c.want) {
-			t.Errorf("Parse(%q) error = %v, want substring %q", c.input, err, c.want)
+	for _, input := range []string{
+		"trace",
+		"trace spans sample=1/16 buffer=64k",
+		"trace sample=1/12",
+		"collect rel. every 100ms; trace buffer=1m; generate bulk size=4096",
+	} {
+		if _, err := Parse(input); err == nil || !strings.Contains(err.Error(), "unknown statement") {
+			t.Errorf("Parse(%q) error = %v, want an unknown-statement error", input, err)
 		}
 	}
 }

@@ -48,10 +48,6 @@ type Options struct {
 	// (<= 0 selects a quarter of each ring; capped at half).
 	FlushEvery int
 
-	// Queue is the chunk-queue depth between recorder writers and the
-	// chaser (<= 0 selects trace.DefaultStreamQueue).
-	Queue int
-
 	// SubBuffer is each subscriber's frame-channel depth (<= 0 selects 64).
 	SubBuffer int
 
@@ -104,11 +100,10 @@ type Plane struct {
 	done    chan struct{} // closed when the chaser exits
 	closed  bool
 
-	scrapes       atomic.Uint64
-	framesOut     atomic.Uint64
-	subDrops      atomic.Uint64
-	recordsSeen   atomic.Uint64
-	tracingActive bool
+	scrapes     atomic.Uint64
+	framesOut   atomic.Uint64
+	subDrops    atomic.Uint64
+	recordsSeen atomic.Uint64
 }
 
 // New builds a plane and, when recorders are configured, installs the trace
@@ -125,13 +120,12 @@ func New(opts Options) (*Plane, error) {
 		p.archive = trace.NewSetBuilder()
 	}
 	if len(opts.Recorders) > 0 {
-		p.stream = trace.NewStream(opts.Queue)
+		p.stream = trace.NewStream(trace.DefaultStreamQueue)
 		for _, r := range opts.Recorders {
 			if err := r.SetStream(p.stream, opts.FlushEvery); err != nil {
 				return nil, err
 			}
 		}
-		p.tracingActive = true
 		go p.chase()
 	} else {
 		close(p.done)

@@ -120,7 +120,6 @@ type Config struct {
 	Host     netapi.HostID
 	SAPPort  uint16 // the well-known transport service access point port
 	Seed     int64
-	Synth    *tko.Synthesizer
 	Metrics  MetricFactory
 	// Tracer, when non-nil, is handed to every session so the flight
 	// recorder captures the send/receive pipeline and segue events.
@@ -135,9 +134,6 @@ func NewStack(cfg Config) (*Stack, error) {
 	if cfg.SAPPort == 0 {
 		cfg.SAPPort = DefaultSAPPort
 	}
-	if cfg.Synth == nil {
-		cfg.Synth = tko.NewSynthesizer(tko.DefaultRegistry())
-	}
 	ep, err := cfg.Provider.Open(cfg.Host, cfg.SAPPort)
 	if err != nil {
 		return nil, err
@@ -147,7 +143,7 @@ func NewStack(cfg Config) (*Stack, error) {
 		clock:     cfg.Provider.Clock(),
 		timers:    event.NewManager(cfg.Provider.Clock()),
 		rng:       rand.New(rand.NewSource(cfg.Seed ^ int64(cfg.Host)<<20)),
-		synth:     cfg.Synth,
+		synth:     tko.NewSynthesizer(tko.DefaultRegistry()),
 		metrics:   cfg.Metrics,
 		tracer:    cfg.Tracer,
 		sessions:  make(map[uint32]*session.Session),

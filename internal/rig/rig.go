@@ -68,11 +68,10 @@ func OnKernel(k *sim.Kernel, n int) *World {
 }
 
 // NewLive builds n in-process hosts on one UDP loopback provider with the
-// given batched-datapath settings (zero values: provider defaults, per-packet
-// sends).
-func NewLive(n, batch int, flush time.Duration) *World {
+// given flush window (zero: per-packet sends).
+func NewLive(n int, flush time.Duration) *World {
 	p := udpnet.New(udpnet.WithQueueLen(1<<14), udpnet.WithSocketBuffers(4<<20, 4<<20),
-		udpnet.WithBatch(batch), udpnet.WithFlushWindow(flush))
+		udpnet.WithFlushWindow(flush))
 	w := newWorld("live", p, n)
 	w.live, w.start = p, time.Now()
 	for i := range w.Hosts {

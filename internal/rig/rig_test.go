@@ -19,7 +19,7 @@ func bothWorlds(t *testing.T, seed int64) []*World {
 	t.Helper()
 	s := NewSim(seed, 2)
 	s.Mesh(testLink)
-	worlds := []*World{s, NewLive(2, 0, 0)}
+	worlds := []*World{s, NewLive(2, 0)}
 	for _, w := range worlds {
 		t.Cleanup(w.Close)
 		for i := range w.Hosts {

@@ -37,8 +37,10 @@
 //
 // The world itself (kernel, hosts, links, nodes) is an internal/rig World.
 //
-// Workloads use the internal/measure specification language; ACDs use a
-// JSON projection of the ADAPTIVE Communication Descriptor.
+// Workloads use the internal/measure specification language, restricted to
+// one generate statement (Parse refuses a collect, which Run would not
+// apply); ACDs use a JSON projection of the ADAPTIVE Communication
+// Descriptor.
 package scenario
 
 import (
@@ -353,6 +355,9 @@ func Parse(raw []byte) (*Document, error) {
 		if !names[s.To] && !groups[s.To] {
 			return nil, fmt.Errorf("scenario: session %q: unknown destination %q", s.Name, s.To)
 		}
+		if err := checkWorkload(s.Workload); err != nil {
+			return nil, fmt.Errorf("scenario: session %q: %v", s.Name, err)
+		}
 	}
 	onLink := func(i int, kind, from, to string) error {
 		if !names[from] || !names[to] {
@@ -425,6 +430,23 @@ func Parse(raw []byte) (*Document, error) {
 		doc.RunMs = 60_000
 	}
 	return &doc, nil
+}
+
+// checkWorkload refuses a session workload Run would not apply in full: one
+// the measure language refuses, one that carries a collect statement (Run
+// only builds the generator), and one with no generate statement.
+func checkWorkload(src string) error {
+	spec, err := measure.Parse(src)
+	if err != nil {
+		return err
+	}
+	if len(spec.TMC.Metrics) > 0 || spec.TMC.SampleRate != 0 {
+		return fmt.Errorf("workload %q: collect is not applied to a scenario session", src)
+	}
+	if spec.Workload.Kind == measure.WorkloadNone {
+		return fmt.Errorf("workload %q: no generate statement", src)
+	}
+	return nil
 }
 
 // firingOrder lists the events' indices by time, document order within one

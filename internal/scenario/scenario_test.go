@@ -169,6 +169,11 @@ func TestParseRejectsBadDocuments(t *testing.T) {
 		"group unknown member": `{"hosts":["a","b"],"groups":[{"name":"g","members":["zz"]}],"sessions":[{}]}`,
 		"session unknown from": oneLink(`{"name":"s","from":"zz","to":"b"}`, ``),
 		"session unknown to":   oneLink(`{"name":"s","from":"a","to":"zz"}`, ``),
+		// Run applies a workload's generate statement and nothing else.
+		"workload refused by measure": oneLink(`{"name":"s","from":"a","to":"b","workload":"generate warp size=1"}`, ``),
+		"workload with collect": oneLink(
+			`{"name":"s","from":"a","to":"b","workload":"collect rel.* every 50ms; generate bulk size=10"}`, ``),
+		"workload without generate": oneLink(`{"name":"s","from":"a","to":"b"}`, ``),
 		// Events: a->b is the only declared link; c is a host without links.
 		"cross_traffic unknown host": oneLink(okSession, `{"at_ms":1,"cross_traffic":{"from":"a","to":"zz","rate_bps":1e6}}`),
 		"cross_traffic no link":      oneLink(okSession, `{"at_ms":1,"cross_traffic":{"from":"b","to":"a","rate_bps":1e6}}`),

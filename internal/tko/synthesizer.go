@@ -2,7 +2,6 @@ package tko
 
 import (
 	"fmt"
-	"time"
 
 	"adaptive/internal/mechanism"
 	"adaptive/internal/session"
@@ -39,15 +38,6 @@ type Synthesizer struct {
 	reg       *Registry
 	templates map[string]*Template
 	stats     Stats
-
-	// SynthesisDelay models the host processing cost of one full dynamic
-	// synthesis versus a template hit, so configuration-latency
-	// experiments reflect the paper's motivation that "the benefits of a
-	// dynamically configured architecture are reduced if the
-	// configuration process is overly time-consuming" (§4.1.1). Zero
-	// disables the model (unit tests).
-	SynthesisDelay time.Duration
-	TemplateDelay  time.Duration
 }
 
 // NewSynthesizer returns a synthesizer over the registry.
@@ -80,9 +70,8 @@ func (sy *Synthesizer) Lookup(spec *mechanism.Spec) *Template {
 // Result describes how a synthesis request was satisfied.
 type Result struct {
 	Slots        session.Slots
-	FromTemplate *Template     // nil when dynamically synthesized
-	Static       bool          // session must refuse segue
-	Cost         time.Duration // modeled configuration latency
+	FromTemplate *Template // nil when dynamically synthesized
+	Static       bool      // session must refuse segue
 }
 
 // Synthesize builds a slot table for the spec, consulting the template
@@ -102,7 +91,6 @@ func (sy *Synthesizer) Synthesize(spec *mechanism.Spec) (Result, error) {
 			Slots:        slots,
 			FromTemplate: t,
 			Static:       t.Kind == TemplateStatic,
-			Cost:         sy.TemplateDelay,
 		}, nil
 	}
 	sy.stats.TemplateMiss++
@@ -113,7 +101,7 @@ func (sy *Synthesizer) Synthesize(spec *mechanism.Spec) (Result, error) {
 	}
 	cp := *spec
 	sy.templates[specKey(spec)] = &Template{Name: "auto:" + specKey(spec), Kind: TemplateReconfigurable, Spec: cp}
-	return Result{Slots: slots, Cost: sy.SynthesisDelay}, nil
+	return Result{Slots: slots}, nil
 }
 
 // Factory returns a session.Factory for per-slot re-synthesis during

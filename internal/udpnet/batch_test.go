@@ -127,8 +127,8 @@ func TestMulticastFanoutContinuesOnError(t *testing.T) {
 		t.Fatalf("unexpected error: %v", err)
 	}
 	waitFor(t, 5*time.Second, func() bool { return got.Load() == 1 }, "delivery to live member")
-	if p.FanoutErrors() != 1 {
-		t.Fatalf("FanoutErrors = %d, want 1", p.FanoutErrors())
+	if got := p.BatchCounters().FanoutErrors; got != 1 {
+		t.Fatalf("FanoutErrors = %d, want 1", got)
 	}
 
 	// errors.Join output must still unwrap to something inspectable.
@@ -241,7 +241,7 @@ func TestSkippedCopies(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	waitFor(t, 5*time.Second, func() bool { return p.SkippedCopies() >= 10 }, "skipped copies")
+	waitFor(t, 5*time.Second, func() bool { return p.BatchCounters().SkippedCopies >= 10 }, "skipped copies")
 }
 
 // TestFramesCountedAsCarried forges a train whose header claims 1 000 frames
@@ -280,7 +280,7 @@ func TestFramesCountedAsCarried(t *testing.T) {
 	}
 	waitFor(t, 5*time.Second, func() bool { return p.BatchCounters().DatagramsIn == 1 }, "skipped datagram")
 	check(1, "no receiver")
-	if got := p.SkippedCopies(); got != 1 {
+	if got := p.BatchCounters().SkippedCopies; got != 1 {
 		t.Fatalf("SkippedCopies = %d, want 1", got)
 	}
 

@@ -385,13 +385,6 @@ func (p *Provider) BatchCounters() BatchCounters {
 	}
 }
 
-// SkippedCopies reports received datagrams dropped before their payload
-// copy (no receiver installed, or loop queue already full).
-func (p *Provider) SkippedCopies() uint64 { return p.skippedCopies.Load() }
-
-// FanoutErrors reports per-member multicast send failures.
-func (p *Provider) FanoutErrors() uint64 { return p.fanoutErrs.Load() }
-
 // MetricCounters returns the provider's counters as read-at-scrape-time
 // closures keyed by dotted metric names, in the shape the observability
 // plane's Observe.Counters field consumes — pass the result (or a merge of

@@ -63,7 +63,7 @@ func TestChurnLeavesNothingBehind(t *testing.T) {
 		})
 	})
 	t.Run("live", func(t *testing.T) {
-		churn(t, func() *rig.World { return rig.NewLive(2, 0, 0) })
+		churn(t, func() *rig.World { return rig.NewLive(2, 0) })
 	})
 }
 
@@ -211,7 +211,7 @@ func churn(t *testing.T, world func() *rig.World) {
 // in (bench/live.go, rig.World.Close): the provider first. Its loop has exited,
 // so Node.Close must do its work inline — and still end every session.
 func TestNodeCloseAfterProviderClosed(t *testing.T) {
-	w := rig.NewLive(2, 0, 0)
+	w := rig.NewLive(2, 0)
 	defer w.Close()
 	for i := range w.Hosts {
 		if _, err := w.Node(i, int64(3+i), "late-"+string(rune('a'+i))); err != nil {

@@ -66,11 +66,6 @@ type Observe struct {
 	// 0 selects a quarter of the ring; capped at half the ring.
 	TraceFlush int
 
-	// TraceQueue is the chunk-queue depth between the recorder and the
-	// streaming chaser (0 selects the default). The queue never blocks the
-	// data path; overflow is counted and surfaces as a tail gap.
-	TraceQueue int
-
 	// TraceArchive keeps an in-process reassembly of everything streamed,
 	// retrievable as a TraceSet for post-run diffing against a live tail.
 	TraceArchive bool

@@ -10,7 +10,9 @@
 #  2. adaptivectl migrate, on the simulator and over UDP loopback: each exits
 #     nonzero unless delivery is exact across the handoff and the stale-epoch
 #     replay is fenced.
-#  3. Every other binary starts and finishes: adaptiveqos derives a Table-1
+#  3. adaptivectl status runs the migration-handover scenario and must report
+#     the one scripted migration and no failed one.
+#  4. Every other binary starts and finishes: adaptiveqos derives a Table-1
 #     application's configuration, adaptivetrace records E3 and renders it both
 #     ways (what `make trace` does), and each example exits 0.
 set -eu
@@ -23,6 +25,7 @@ go run ./cmd/adaptivetrace -diff CLI_e10_a.trace CLI_e10_b.trace
 
 go run ./cmd/adaptivectl migrate -seed 12
 go run ./cmd/adaptivectl migrate -live -seed 12
+go run ./cmd/adaptivectl status -scenario scenarios/migration-handover.json | grep 'migrations=1 failed=0'
 
 go run ./cmd/adaptiveqos -app "Voice Conversation" | grep 'Stage II (SCS): *{conn='
 go run ./cmd/adaptivetrace -record e3 -sample 16 -o CLI_e3.trace
@@ -32,4 +35,4 @@ for ex in examples/*/; do
     go run "./$ex" >/dev/null
 done
 
-echo "cli-smoke: E10 flight recordings identical; migration gate passed in sim and live; every binary ran"
+echo "cli-smoke: E10 flight recordings identical; migration gate passed in sim and live; status reported the handover; every binary ran"
