@@ -67,12 +67,12 @@ func runMigrate(args []string) {
 	)
 	fs.Parse(args)
 
-	sc := &experiment.E12Scenario{Name: "adaptivectl", Seed: *seed, Phase1: *phase1, Phase2: *phase2}
+	sc := experiment.MigrationScenario("adaptivectl", *seed, *phase1, *phase2)
 	env := "sim"
-	run := func() (*experiment.E12Run, error) { return sc.RunSim() }
+	run := func() (*experiment.LiveRun, error) { return sc.RunSim() }
 	if *live {
 		env = "live"
-		run = func() (*experiment.E12Run, error) { return sc.RunLive() }
+		run = func() (*experiment.LiveRun, error) { return sc.RunLive() }
 	}
 	start := time.Now()
 	r, err := run()

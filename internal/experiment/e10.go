@@ -217,14 +217,7 @@ func buildE10Shard(shard int, k *sim.Kernel, sessions int, repo *unites.Reposito
 		cls := e10ClassFor(mix, i)
 		port := uint16(2000 + i)
 		if cls.name == "oltp-reqresp" {
-			// Echo server: one response PDU per request.
-			check(server.Listen(port, nil, func(c *adaptive.Conn) {
-				// Send copies synchronously into a pooled message, so the
-				// delivered slice can be echoed straight back without a copy.
-				c.OnReceive(func(data []byte, eom bool) {
-					c.Send(data)
-				})
-			}))
+			check(sh.Echo(server, port))
 		} else {
 			check(server.Listen(port, nil, func(c *adaptive.Conn) {
 				c.OnDelivery(meter.OnDeliver)

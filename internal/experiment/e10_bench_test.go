@@ -14,6 +14,7 @@ import (
 	"runtime/debug"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -37,10 +38,21 @@ func raceEnabled() bool {
 	return false
 }
 
+// scrapeEvery is the /trace volume between two /metrics scrapes of the
+// observed soak. One N=1000 iteration streams about 3.6 MB of trace, so it
+// takes observedScrapes scrapes in every build, however slow.
+const (
+	scrapeEvery     = 1 << 20
+	observedScrapes = 3
+)
+
 // startObservedSoak builds the fully observed soak rig: the plane serving
-// HTTP, /metrics scraped every 200ms (a Prometheus-style poll cadence) and a
-// /trace tail draining frames for the whole run. stop tears all of it down.
-func startObservedSoak(tb testing.TB) (o *E10Observed, stop func()) {
+// HTTP, a /trace tail draining frames for the whole run, and /metrics scraped
+// once per scrapeEvery bytes the tail reads — a poll cadence set by the soak's
+// progress, not the wall clock, so the scrapes per packet do not depend on how
+// fast the build runs. scrapes reports how many have completed; stop tears all
+// of it down.
+func startObservedSoak(tb testing.TB) (o *E10Observed, scrapes func() int, stop func()) {
 	tb.Helper()
 	o, err := StartE10Observed(E10ObservedConfig{Sample: 64, Listen: "127.0.0.1:0"})
 	if err != nil {
@@ -53,22 +65,29 @@ func startObservedSoak(tb testing.TB) (o *E10Observed, stop func()) {
 		tb.Fatal(err)
 	}
 	done := make(chan struct{})
+	// due queues scrapes the tail has triggered. Its room for a few
+	// iterations' worth means the tail never waits on a scrape in flight.
+	due := make(chan struct{}, 64)
+	var taken atomic.Int64
 	var wg sync.WaitGroup
 	wg.Add(2)
 	go func() {
 		defer wg.Done()
-		_, _ = io.Copy(io.Discard, tail.Body)
+		defer close(due)
+		buf := make([]byte, 64<<10)
+		for read, next := 0, scrapeEvery; ; {
+			n, err := tail.Body.Read(buf)
+			for read += n; read >= next; next += scrapeEvery {
+				due <- struct{}{}
+			}
+			if err != nil {
+				return
+			}
+		}
 	}()
 	go func() {
 		defer wg.Done()
-		tick := time.NewTicker(200 * time.Millisecond)
-		defer tick.Stop()
-		for {
-			select {
-			case <-done:
-				return
-			case <-tick.C:
-			}
+		for range due {
 			resp, err := http.Get("http://" + addr + "/metrics")
 			if err != nil {
 				select {
@@ -76,13 +95,14 @@ func startObservedSoak(tb testing.TB) (o *E10Observed, stop func()) {
 				default:
 					tb.Errorf("scrape: %v", err)
 				}
-				return
+				continue
 			}
 			_, _ = io.Copy(io.Discard, resp.Body)
 			resp.Body.Close()
+			taken.Add(1)
 		}
 	}()
-	return o, func() {
+	return o, func() int { return int(taken.Load()) }, func() {
 		close(done)
 		o.Close()
 		tail.Body.Close()
@@ -120,9 +140,19 @@ func TestE10Budgets(t *testing.T) {
 	}
 	check("N=100", false, func() E10Result { return RunE10Scale(100) })
 	check("N=5000", true, func() E10Result { return RunE10Scale(5000) })
-	observed, stop := startObservedSoak(t)
+	observed, scrapes, stop := startObservedSoak(t)
 	defer stop()
-	check("observed/N=1000", true, func() E10Result { return observed.RunIteration(1000) })
+	check("observed/N=1000", true, func() E10Result {
+		r := observed.RunIteration(1000)
+		// The tail trails the soak: count the iteration's last scrapes too.
+		for deadline := time.Now().Add(10 * time.Second); scrapes() < observedScrapes && time.Now().Before(deadline); {
+			time.Sleep(time.Millisecond)
+		}
+		return r
+	})
+	if n := scrapes(); n != observedScrapes {
+		t.Errorf("observed/N=1000: %d /metrics scrapes, want %d (one per %d bytes of trace)", n, observedScrapes, scrapeEvery)
+	}
 }
 
 // benchSoak times b.N runs of one soak (setup outside the call stays off the
@@ -165,13 +195,13 @@ func BenchmarkE10_Scale(b *testing.B) {
 
 // BenchmarkE10_Observed is the observability overhead A/B: the N=1000 soak
 // with the plane fully off versus fully on — shared repository, one streaming
-// recorder per shard (1/64 sampling), the HTTP endpoint scraped every 200ms,
-// and a /trace tail draining frames. The plane is started once per
-// sub-benchmark (the soak model: one long-lived plane, many iterations), so
-// the measured delta is the per-packet observation cost, not rig setup. The
-// rows are for reading: mode=on against mode=off is within run-to-run noise
-// on a shared host, so it gates nothing. The allocation bar on the observed
-// soak is TestE10Budgets.
+// recorder per shard (1/64 sampling), a /trace tail draining frames, and the
+// HTTP endpoint scraped once per scrapeEvery bytes of trace. The plane is
+// started once per sub-benchmark (the soak model: one long-lived plane, many
+// iterations), so the measured delta is the per-packet observation cost, not
+// rig setup. The rows are for reading: mode=on against mode=off is within
+// run-to-run noise on a shared host, so it gates nothing. The allocation bar
+// on the observed soak is TestE10Budgets.
 func BenchmarkE10_Observed(b *testing.B) {
 	const n = 1000
 	b.Run("mode=off", func(b *testing.B) {
@@ -188,7 +218,7 @@ func BenchmarkE10_Observed(b *testing.B) {
 		benchSoak(b, func() E10Result { return o.RunIteration(n) })
 	})
 	b.Run("mode=on", func(b *testing.B) {
-		o, stop := startObservedSoak(b)
+		o, _, stop := startObservedSoak(b)
 		defer stop()
 		benchSoak(b, func() E10Result { return o.RunIteration(n) })
 	})

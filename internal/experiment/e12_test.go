@@ -9,7 +9,7 @@ import (
 // the acceptance criteria: exact delivery across the handoff, exactly one
 // migration, stale-epoch replay fenced.
 func TestE12SimMigration(t *testing.T) {
-	sc := &E12Scenario{Name: "e12-sim", Seed: 12}
+	sc := MigrationScenario("e12-sim", 12, 256<<10, 256<<10)
 	run, err := sc.RunSim()
 	if err != nil {
 		t.Fatal(err)
@@ -27,7 +27,7 @@ func TestE12LiveMigration(t *testing.T) {
 	if testing.Short() {
 		t.Skip("live sockets in -short mode")
 	}
-	sc := &E12Scenario{Name: "e12-live", Seed: 12}
+	sc := MigrationScenario("e12-live", 12, 256<<10, 256<<10)
 	simRun, err := sc.RunSim()
 	if err != nil {
 		t.Fatal(err)

@@ -120,13 +120,7 @@ func (sc *E13Scenario) RunSim(arbitrated bool) (*E13Run, error) {
 		return nil, err
 	}
 	// Port 81 echoes OLTP requests.
-	if err := w.Listen(w.Nodes[1], 81, func(c *adaptive.Conn) {
-		c.OnReceive(func(data []byte, eom bool) {
-			reply := make([]byte, len(data))
-			copy(reply, data)
-			c.Send(reply)
-		})
-	}); err != nil {
+	if err := w.Echo(w.Nodes[1], 81); err != nil {
 		return nil, err
 	}
 

@@ -74,6 +74,6 @@ func RunE6() []Table {
 	}
 	t.Notes = append(t.Notes,
 		"a dynamic-synthesis miss also *installs* a template, so only the first request for a novel SCS pays full price",
-		"static-template sessions additionally refuse segue and may use the customized fast path (E5)")
+		"static-template sessions additionally refuse segue")
 	return []Table{t}
 }

@@ -23,11 +23,6 @@ func RunF3() []Table {
 		Headers: []string{"one-way delay", "conn mgmt", "first byte", "10 KB done", "handshake PDUs"},
 	}
 	delays := []time.Duration{time.Millisecond, 10 * time.Millisecond, 50 * time.Millisecond, 200 * time.Millisecond}
-	kinds := []struct {
-		name string
-		kind adaptive.Spec
-	}{}
-	_ = kinds
 	for _, d := range delays {
 		for _, cm := range []struct {
 			name string

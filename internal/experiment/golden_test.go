@@ -12,7 +12,7 @@ var update = flag.Bool("update", false, "rewrite testdata/eseries.golden")
 
 // wallClock names the runners whose rows are wall-clock measurements; every
 // other runner's tables are virtual-time arithmetic on seeded simulations.
-var wallClock = map[string]bool{"F2": true, "E5": true, "E6": true}
+var wallClock = map[string]bool{"F2": true, "E6": true}
 
 // TestESeriesGolden pins the rendered tables of every deterministic runner,
 // byte for byte, in presentation order (what `adaptivebench` prints, minus the

@@ -151,7 +151,6 @@ func All() []Runner {
 		{"E2", "Overweight and underweight configurations", RunE2},
 		{"E3", "Congestion policy: selective-repeat <-> go-back-n", RunE3},
 		{"E4", "Route switch to satellite: retransmission -> FEC", RunE4},
-		{"E5", "Dynamic binding vs customization", RunE5},
 		{"E6", "TKO template cache", RunE6},
 		{"E7", "Throughput preservation across channel speeds", RunE7},
 		{"E8", "Teleconference membership dynamics", RunE8},

@@ -22,17 +22,11 @@ func RunT1() []Table {
 		Title:   "Table 1 — Application Transport Service Classes (policy table)",
 		Headers: []string{"class", "application", "thruput", "burst", "delay", "jitter", "order", "loss", "prio", "mcast"},
 	}
-	yn := func(v bool) string {
-		if v {
-			return "yes"
-		}
-		return "no"
-	}
 	for _, r := range mantts.Table1 {
 		policy.Rows = append(policy.Rows, []string{
 			r.Class.String(), r.Application, r.AvgThruput.String(), r.BurstFactor.String(),
 			r.DelaySens.String(), r.JitterSens.String(), r.OrderSens.String(), r.LossTol.String(),
-			yn(r.Priority), yn(r.Multicast),
+			yesNo(r.Priority), yesNo(r.Multicast),
 		})
 	}
 
@@ -154,15 +148,8 @@ func runProfileRow(p *mantts.AppProfile, seed int64) []string {
 		runFor = 15 * time.Second
 	default: // OLTP, Remote File Service: request-response
 		rr := &workload.ReqResp{Timers: timers, Out: conn, ReqSize: 256, Think: 5 * time.Millisecond}
-		// Echo server: replies to each request.
 		w.Nodes[1].Unlisten(80)
-		check(w.Nodes[1].Listen(80, nil, func(c *adaptive.Conn) {
-			c.OnReceive(func(data []byte, eom bool) {
-				reply := make([]byte, len(data))
-				copy(reply, data)
-				c.Send(reply)
-			})
-		}))
+		check(w.Echo(w.Nodes[1], 80))
 		conn.OnDelivery(func(d adaptive.Delivery) {
 			meters[0].Observe(d)
 			rr.OnResponse(d)

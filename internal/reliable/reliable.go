@@ -418,13 +418,11 @@ func EncodeNak(c *wire.Cache, missing []uint32) *wire.PDU {
 }
 
 // DecodeNakList appends the missing-sequence list of a NAK PDU to into (the
-// caller's scratch, or nil) and returns it.
+// caller's scratch, or nil) and returns it: at most maxNakList sequences, what
+// EncodeNak sends, whatever count a forged header claims.
 func DecodeNakList(p *wire.PDU, into []uint32) []uint32 {
 	b := p.PayloadBytes()
-	n := int(p.Aux)
-	if n > len(b)/4 {
-		n = len(b) / 4
-	}
+	n := min(int(p.Aux), len(b)/4, maxNakList)
 	for i := 0; i < n; i++ {
 		into = append(into, binary.BigEndian.Uint32(b[4*i:]))
 	}

@@ -208,6 +208,15 @@ func (w *World) Listen(n *adaptive.Node, port uint16, accept func(*adaptive.Conn
 	return err
 }
 
+// Echo listens on a node's port and sends every message back on the
+// connection it arrived on. Send copies synchronously into a pooled message, so
+// the delivered slice goes straight back without a copy.
+func (w *World) Echo(n *adaptive.Node, port uint16) error {
+	return w.Listen(n, port, func(c *adaptive.Conn) {
+		c.OnReceive(func(data []byte, _ bool) { c.Send(data) })
+	})
+}
+
 // ErrEstablishStalled is Dial's error when the limit passes first.
 var ErrEstablishStalled = errors.New("establishment stalled")
 

@@ -1,8 +1,6 @@
 package tko
 
 import (
-	"encoding/binary"
-	"hash/crc32"
 	"testing"
 	"time"
 
@@ -144,113 +142,6 @@ func TestSpecKeyDistinguishesParameters(t *testing.T) {
 	c.Recovery = mechanism.RecoveryFEC
 	if specKey(&a) == specKey(&c) {
 		t.Fatal("recovery kind not in template key")
-	}
-}
-
-// --- customized fast path ---
-
-func buildRawPacket(seq uint32, payload []byte) []byte {
-	p := &wire.PDU{Header: wire.Header{Type: wire.TData, Seq: seq}}
-	if payload != nil {
-		p.Payload = message.NewFromBytes(payload)
-	}
-	if seqEOM := false; seqEOM {
-		p.Flags |= wire.FlagEOM
-	}
-	out := encodedCopy(p)
-	p.ReleasePayload()
-	return out
-}
-
-// encodedCopy returns a private copy of the packet EncodeTo emits for p.
-func encodedCopy(p *wire.PDU) []byte {
-	var out []byte
-	wire.EncodeTo(p, wire.CkCRC32, func(pkt []byte) error {
-		out = append([]byte(nil), pkt...)
-		return nil
-	})
-	return out
-}
-
-func TestCustomizedReceiverInOrder(t *testing.T) {
-	var got [][]byte
-	c := NewCustomizedReceiver(func(p []byte, eom bool) {
-		cp := make([]byte, len(p))
-		copy(cp, p)
-		got = append(got, cp)
-	})
-	for i := uint32(0); i < 5; i++ {
-		ack := c.Process(buildRawPacket(i, []byte{byte(i)}))
-		if ack == nil {
-			t.Fatalf("no ack for seq %d", i)
-		}
-		var pdu wire.PDU
-		if err := wire.DecodeInto(ack, &pdu); err != nil || pdu.Type != wire.TAck || pdu.Ack != i+1 {
-			t.Fatalf("ack %d: %v %v", i, pdu.Header.String(), err)
-		}
-	}
-	if c.Delivered != 5 || len(got) != 5 || got[3][0] != 3 {
-		t.Fatalf("delivered %d", c.Delivered)
-	}
-}
-
-func TestCustomizedReceiverRejectsCorruption(t *testing.T) {
-	c := NewCustomizedReceiver(func([]byte, bool) { panic("delivered corrupt") })
-	pkt := buildRawPacket(0, []byte("abc"))
-	pkt[wire.HeaderLen] ^= 0xff
-	if ack := c.Process(pkt); ack != nil {
-		t.Fatal("corrupt packet acked")
-	}
-	if c.Dropped != 1 {
-		t.Fatalf("dropped %d", c.Dropped)
-	}
-}
-
-func TestCustomizedReceiverDupAcksOutOfOrder(t *testing.T) {
-	delivered := 0
-	c := NewCustomizedReceiver(func([]byte, bool) { delivered++ })
-	ack := c.Process(buildRawPacket(3, []byte("x")))
-	if delivered != 0 {
-		t.Fatal("out-of-order delivered (customized path is strict GBN-style)")
-	}
-	var pdu wire.PDU
-	if err := wire.DecodeInto(ack, &pdu); err != nil || pdu.Ack != 0 {
-		t.Fatalf("dup ack %d", pdu.Ack)
-	}
-}
-
-func TestCustomizedReceiverRejectsShortAndWrongType(t *testing.T) {
-	c := NewCustomizedReceiver(func([]byte, bool) {})
-	if c.Process([]byte{1, 2, 3}) != nil {
-		t.Fatal("short packet acked")
-	}
-	// A valid ACK packet is not data.
-	ackPkt := make([]byte, wire.Overhead)
-	ackPkt[0] = wire.Version<<4 | byte(wire.TAck)
-	binary.BigEndian.PutUint32(ackPkt[wire.Overhead-4:], crc32.ChecksumIEEE(ackPkt[:wire.HeaderLen]))
-	if c.Process(ackPkt) != nil {
-		t.Fatal("non-data packet processed")
-	}
-	if c.Dropped != 2 {
-		t.Fatalf("dropped %d", c.Dropped)
-	}
-}
-
-// TestCustomizedMatchesDynamicSemantics cross-checks the fast path against
-// the full wire codec for a run of sequential packets with mixed EOM flags.
-func TestCustomizedMatchesDynamicSemantics(t *testing.T) {
-	var eoms []bool
-	c := NewCustomizedReceiver(func(p []byte, eom bool) { eoms = append(eoms, eom) })
-	for i := uint32(0); i < 4; i++ {
-		p := &wire.PDU{Header: wire.Header{Type: wire.TData, Seq: i}, Payload: message.NewFromBytes([]byte("z"))}
-		if i%2 == 1 {
-			p.Flags |= wire.FlagEOM
-		}
-		c.Process(encodedCopy(p))
-		p.ReleasePayload()
-	}
-	if len(eoms) != 4 || eoms[0] || !eoms[1] || eoms[2] || !eoms[3] {
-		t.Fatalf("EOM flags %v", eoms)
 	}
 }
 
