@@ -40,10 +40,11 @@ golden-update:
 # live runs the E-series parity scenarios over real UDP loopback sockets
 # (segue mid-stream, seeded impairment) under the race detector, plus the
 # udpnet lifecycle stress tests: the sim and live runs of each scenario must
-# deliver byte-identical streams with zero data loss.
+# deliver byte-identical streams with zero data loss. Message poison mode is
+# on, so a pooled buffer used after its release panics instead of corrupting.
 live:
-	$(GO) test -race -count=1 -v -run 'TestLive' ./internal/experiment/
-	$(GO) test -race -count=1 ./internal/udpnet/ ./internal/impair/
+	ADAPTIVE_MSG_POISON=1 $(GO) test -race -count=1 -v -run 'TestLive' ./internal/experiment/
+	ADAPTIVE_MSG_POISON=1 $(GO) test -race -count=1 ./internal/udpnet/ ./internal/impair/
 
 # cli-smoke drives the command-line round trips no `go test` reaches: two
 # same-seed `adaptivetrace -record e10` flight recordings diffed to zero

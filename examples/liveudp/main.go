@@ -4,9 +4,9 @@
 // simulator; this one swaps the provider for internal/udpnet — real loopback
 // UDP datagrams, real wall-clock timers — without changing a line of
 // protocol code. It transfers 1 MB reliably through the batched datapath
-// (flush queue and frame trains), publishes the provider's batch counters
-// on the node's observability endpoint, and prints the measured result
-// plus the scraped udpnet metrics.
+// (frames laid into trains, written on a flush window), publishes the
+// provider's batch counters on the node's observability endpoint, and prints
+// the measured result plus the scraped udpnet metrics.
 //
 //	go run ./examples/liveudp
 package main

@@ -66,7 +66,8 @@ type Event struct {
 	simTimer sim.Timer     // kernel fast path (value type, no boxing)
 	period   time.Duration // 0 for one-shot
 	fn       func()
-	fireFn   func() // e.fire bound once; reused for every (re)arm
+	fireFn   func()        // e.fire bound once; reused for every (re)arm
+	due      time.Duration // generic-clock path: the instant the current arm expires
 	stopped  bool
 	pending  bool
 	fireSeen uint64
@@ -114,6 +115,7 @@ func (m *Manager) arm(e *Event, d time.Duration) {
 		if e.fireFn == nil {
 			e.fireFn = e.fire // bound once; reused for every re-arm
 		}
+		e.due = m.clock.Now() + d
 		// A provider timer that can be re-armed in place is; any other clock
 		// (a wrapper, a test fake) gets a fresh AfterFunc per arm.
 		if r, ok := e.timer.(interface{ Reset(time.Duration) }); ok {
@@ -138,13 +140,15 @@ func (e *Event) stopTimer() {
 }
 
 func (e *Event) fire() {
-	if e.stopped {
+	// A live clock can deliver an expiry its Stop or Reset came too late for,
+	// already queued on the loop: one after the arm fired, or one before the
+	// re-armed instant, belongs to a superseded arm. The kernel never
+	// delivers one, so its path reads no clock.
+	if e.stopped || !e.pending || (e.mgr.k == nil && e.mgr.clock.Now() < e.due) {
 		return
 	}
-	if e.pending { // a live clock can deliver a firing its Stop came too late for
-		e.pending = false
-		e.mgr.stats.Pending--
-	}
+	e.pending = false
+	e.mgr.stats.Pending--
 	e.mgr.stats.Expired++
 	e.fireSeen++
 	e.fn()

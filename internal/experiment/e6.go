@@ -73,7 +73,7 @@ func RunE6() []Table {
 		{"static template hit (RDTP compat)", fmt.Sprintf("%.0f", staticNs), fmt.Sprintf("%d", n), "0"},
 	}
 	t.Notes = append(t.Notes,
-		"a dynamic-synthesis miss also *installs* a template, so only the first request for a novel SCS pays full price",
+		"a template hit runs the same Registry.Build as a miss; the rows differ by the miss's bookkeeping (two more specKey renders and the template install) and, in the cold row, a fresh synthesizer per request",
 		"static-template sessions additionally refuse segue")
 	return []Table{t}
 }

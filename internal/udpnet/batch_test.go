@@ -1,7 +1,10 @@
 package udpnet
 
 import (
+	"bytes"
 	"errors"
+	"fmt"
+	"math/rand/v2"
 	"net"
 	"strings"
 	"sync"
@@ -452,5 +455,131 @@ func TestFlushRehomesReregisteredPeer(t *testing.T) {
 	}
 	if re := src.MetricCounters()["udpnet.rehomed_frames"](); re != n {
 		t.Fatalf("rehomed_frames = %d, want %d", re, n)
+	}
+}
+
+// TestForgedTrainCostsOneSlab dispatches the densest forged train — 30 714
+// empty records under a header claiming them all — to an endpoint with a batch
+// receiver. The upcall must see no more than maxBatch frames, the most a
+// udpnet sender packs, and every frame must be a view into the one slab the
+// datagram was copied into, not a slab of its own.
+func TestForgedTrainCostsOneSlab(t *testing.T) {
+	p := New()
+	defer p.Close()
+	ep, err := p.Open(2, 20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make(chan error, 1)
+	ep.(netapi.BatchEndpoint).SetBatchReceiver(func(batch []netapi.Packet) {
+		if len(batch) > maxBatch {
+			got <- fmt.Errorf("upcall saw %d frames, want at most %d", len(batch), maxBatch)
+			return
+		}
+		// A view's capacity runs to the end of its slab, so views into one
+		// slab share their last byte.
+		end := func(d []byte) *byte { return &d[:cap(d)][cap(d)-1] }
+		for i := range batch {
+			if end(batch[i].Data) != end(batch[0].Data) {
+				got <- fmt.Errorf("frame %d is not in frame 0's slab", i)
+				return
+			}
+		}
+		got <- nil
+	})
+	ep.(*Endpoint).dispatch(densestTrain())
+	select {
+	case err := <-got:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("forged train never delivered")
+	}
+}
+
+// TestSendKeepsOrderAndBytes pushes random interleavings of three
+// destinations through a batched endpoint, in runs of random length and
+// payload size: runs longer than the batch, and runs whose bytes pass
+// maxTrainBytes. Each destination must receive exactly what was sent to it,
+// in order, and FramesOut must count every frame.
+func TestSendKeepsOrderAndBytes(t *testing.T) {
+	const batch = 8
+	p := New(WithBatch(batch), WithFlushWindow(200*time.Microsecond),
+		WithQueueLen(1<<12), WithSocketBuffers(4<<20, 4<<20))
+	defer p.Close()
+	src, err := p.Open(1, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const dsts = 3
+	var mu sync.Mutex
+	got := make([][][]byte, dsts)
+	var gotBytes atomic.Int64
+	for d := 0; d < dsts; d++ {
+		ep, err := p.Open(netapi.HostID(2+d), 20)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ep.SetReceiver(func(pkt []byte, from netapi.Addr) {
+			if from != src.LocalAddr() {
+				t.Errorf("frame from %v", from)
+			}
+			mu.Lock()
+			got[d] = append(got[d], append([]byte(nil), pkt...))
+			mu.Unlock()
+			gotBytes.Add(int64(len(pkt)))
+		})
+	}
+
+	rng := rand.New(rand.NewPCG(1, 2))
+	want := make([][][]byte, dsts)
+	var frames, sentBytes int64
+	for run := 0; run < 120; run++ {
+		d := rng.IntN(dsts)
+		n := 1 + rng.IntN(3*batch)
+		size := rng.IntN(1500)
+		if run%10 == 9 {
+			size = maxTrainBytes / 4 // four of these pass the train's cap
+		}
+		for i := 0; i < n; i++ {
+			// Let the receivers drain before the socket buffers could
+			// overflow.
+			if sentBytes-gotBytes.Load() > 128<<10 {
+				if err := src.(*Endpoint).Flush(); err != nil {
+					t.Fatal(err)
+				}
+				waitFor(t, 5*time.Second, func() bool { return gotBytes.Load() == sentBytes }, "receivers to drain")
+			}
+			pkt := make([]byte, size)
+			for k := range pkt {
+				pkt[k] = byte(rng.Uint32())
+			}
+			if err := src.Send(pkt, netapi.Addr{Host: netapi.HostID(2 + d), Port: 20}); err != nil {
+				t.Fatal(err)
+			}
+			want[d] = append(want[d], pkt)
+			frames++
+			sentBytes += int64(size)
+		}
+	}
+	if err := src.(*Endpoint).Flush(); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, 5*time.Second, func() bool { return gotBytes.Load() == sentBytes }, "every frame")
+	mu.Lock()
+	defer mu.Unlock()
+	for d := range want {
+		if len(got[d]) != len(want[d]) {
+			t.Fatalf("destination %d received %d frames, want %d", d, len(got[d]), len(want[d]))
+		}
+		for i := range want[d] {
+			if !bytes.Equal(got[d][i], want[d][i]) {
+				t.Fatalf("destination %d frame %d differs from what was sent", d, i)
+			}
+		}
+	}
+	if bc := p.BatchCounters(); bc.FramesOut != uint64(frames) || bc.TrainFrames == 0 {
+		t.Fatalf("FramesOut %d for %d frames sent (TrainFrames %d)", bc.FramesOut, frames, bc.TrainFrames)
 	}
 }

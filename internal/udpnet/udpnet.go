@@ -15,26 +15,27 @@
 //     taking any lock.
 //   - mutex-guarded: the authoritative host and group registries (mutation
 //     only — Open/Close/RegisterHost/RegisterGroup republish an immutable
-//     snapshot), and each endpoint's send flush queue.
+//     snapshot), and each endpoint's open send datagram.
 //
 // The datapath mirrors netsim's interrupt-coalescing design on the real
 // socket (DESIGN.md §5.18). Frame trains — many protocol frames in one wire
 // datagram — do the batching, so every socket call moves one datagram:
 //
 //   - Receive: the reader reads one datagram at a time into its one buffer,
-//     copies each frame's payload into a pooled slab (the shared tier: the
-//     reader runs off the loop), and posts ONE closure per datagram into the
-//     bounded loop queue. A train's frames ride that one closure, and the
-//     upcall side delivers them through the optional netapi.BatchReceiver
-//     in a single call, then frees the slabs into the loop's own free lists
-//     (LoopCache), whose overflow goes back to the shared tier.
-//   - Send: with FlushWindow > 0, frames are encoded into pooled scratch and
-//     enqueued on a per-endpoint flush queue, coalesced into trains and
-//     written when the queue reaches BatchSize (size flush) or when
-//     FlushWindow elapses (window flush; on linux/amd64 a timerfd in the
-//     runtime poller, so a sub-millisecond window fires on time — see
-//     window_linux.go, the package's only platform split). FlushWindow == 0
-//     keeps the per-packet write path (one write per Send, no trains), the
+//     copies it once into a pooled slab (the shared tier: the reader runs off
+//     the loop), and posts ONE closure per datagram into the bounded loop
+//     queue. The datagram's frames — at most maxBatch — ride that closure as
+//     views into the slab; the upcall side delivers them through the
+//     optional netapi.BatchReceiver in a single call, then frees the one slab
+//     back to the shared tier, where the reader takes the next.
+//   - Send: with FlushWindow > 0, each endpoint keeps one open datagram, and
+//     Send lays its frame straight into it as a train record. The datagram is
+//     written when a frame for another host arrives, when it holds BatchSize
+//     frames (size flush), when FlushWindow elapses since it opened (window
+//     flush; on linux/amd64 a timerfd in the runtime poller, so a
+//     sub-millisecond window fires on time — see window_linux.go, the
+//     package's only platform split), and on Flush and Close. FlushWindow ==
+//     0 keeps the per-packet write path (one write per Send, no trains), the
 //     A/B baseline the equivalence tests compare against, exactly like
 //     netsim's DeliverPerPacket.
 //
@@ -42,7 +43,7 @@
 // (congestion loss, exactly the netapi.Endpoint.Send contract) instead of
 // blocking the socket drain; when the queue is already full the per-packet
 // copies are skipped too (counted in SkippedCopies). Shutdown is ordered:
-// Provider.Close first closes every endpoint (flushing its send queue),
+// Provider.Close first closes every endpoint (writing its open datagram),
 // waits for all reader goroutines to exit, then stops the loop — so no
 // packet upcall can run after Close returns.
 package udpnet
@@ -69,14 +70,15 @@ const maxPacket = 64 << 10
 // host with full source addressing.
 const frameOverhead = 6
 
-// maxBatch caps BatchSize, the frames per size flush.
+// maxBatch caps BatchSize, the frames per size flush: the most frames a
+// udpnet sender packs into one datagram, and so the most the reader takes
+// from one.
 const maxBatch = 64
 
-// Frame-train coalescing: consecutive same-destination frames in the flush
-// queue ride one wire datagram, so the socket call and the kernel's
-// per-datagram cost (the dominant cost on the loopback path) are paid once
-// per train instead of once per frame.
-// Train layout:
+// Frame-train coalescing: consecutive same-destination frames ride one wire
+// datagram, so the socket call and the kernel's per-datagram cost (the
+// dominant cost on the loopback path) are paid once per train instead of once
+// per frame. Train layout:
 //
 //	[0..3]  0xFF 0xFF 0xFF 0xFF   marker (trainMarker: an impossible
 //	                              source host — unicast sources never have
@@ -84,7 +86,7 @@ const maxBatch = 64
 //	                              frame's header can't collide)
 //	[4..5]  count  uint16 BE
 //	[6..11] srcHost uint32 BE | srcPort uint16 BE (shared by all frames)
-//	then count × { uint16 BE length | payload }
+//	then count × { uint16 BE length | payload }   (appendRecord)
 //
 // Single frames — and everything in FlushWindow=0 mode — keep the exact
 // pre-train wire format (6-byte header + payload), so per-packet mode is
@@ -96,7 +98,6 @@ const (
 	trainHdr      = 4 + 2 + frameOverhead // marker + count + src header
 	trainRecHdr   = 2                     // per-frame length prefix
 	maxTrainBytes = 60 << 10              // stay under the reader's maxPacket buffer
-	maxTrainCount = 128                   // frames per train (fits uint16 with margin)
 )
 
 // DefaultBatchSize is the frames per size flush when Config.BatchSize is 0.
@@ -118,14 +119,17 @@ type Config struct {
 	// capped at 64). 1 degenerates to one write per Send — the per-packet
 	// baseline.
 	BatchSize int
-	// FlushWindow enables send-side batching: frames queue on the
-	// endpoint and are written, coalesced into trains, when BatchSize
-	// accumulate (size flush) or when this window elapses since the queue
-	// went non-empty (window flush), whichever is first. 0 (the default)
-	// keeps today's per-packet behavior: every Send is one socket write,
-	// and a Send error is returned from that very call. With batching, a
-	// write error surfaces on the Send that triggered the size flush, or
-	// is counted (SendErrors) when a window flush hits it.
+	// FlushWindow enables send-side batching: frames accumulate, as one
+	// train, in the endpoint's open datagram, which is written when BatchSize
+	// frames are in it (size flush), when this window elapses since it
+	// opened (window flush), or as soon as a frame for another host arrives,
+	// whichever is first. 0 (the default) keeps today's per-packet behavior:
+	// every Send is one socket write, and a Send error is returned from that
+	// very call. With batching, a write error surfaces on the Send that
+	// wrote the datagram — its frame filled it (size flush), or was bound
+	// for another host or did not fit, and then that frame is not sent
+	// either — or on Flush; it is counted (SendErrors) when a window flush
+	// hits it, and Close drops it.
 	FlushWindow time.Duration
 }
 
@@ -203,14 +207,14 @@ type Provider struct {
 	framesIn      atomic.Uint64 // protocol frames received (trains expanded)
 	framesOut     atomic.Uint64 // protocol frames sent (trains counted per frame)
 	batchesOut    atomic.Uint64 // batch flush writes
-	flushesSize   atomic.Uint64 // flushes triggered by a full queue
+	flushesSize   atomic.Uint64 // flushes triggered by a datagram holding BatchSize frames
 	flushesWindow atomic.Uint64 // flushes triggered by the flush window
 	skippedCopies atomic.Uint64 // rx copies skipped (no receiver / full queue)
 	fanoutErrs    atomic.Uint64 // per-member multicast send failures
 	sendErrs      atomic.Uint64 // socket write errors on flush paths
 	trainsOut     atomic.Uint64 // coalesced train datagrams written
 	trainFrames   atomic.Uint64 // frames that rode in trains
-	rehomedFrames atomic.Uint64 // queued frames redirected to a re-registered peer
+	rehomedFrames atomic.Uint64 // frames redirected at write time to a re-registered peer
 }
 
 // New returns a provider with a running event loop.
@@ -348,8 +352,8 @@ type BatchCounters struct {
 	// BatchesIn is how many receive batches arrived; each read is one
 	// datagram, so it equals DatagramsIn. BatchesOut counts send flushes.
 	BatchesIn, BatchesOut uint64
-	// FlushesSize / FlushesWindow split BatchesOut by trigger: queue
-	// reached BatchSize vs. the FlushWindow timer fired.
+	// FlushesSize / FlushesWindow split BatchesOut by trigger: the open
+	// datagram reached BatchSize frames vs. the FlushWindow timer fired.
 	FlushesSize, FlushesWindow uint64
 	// SkippedCopies counts received datagrams dropped before their
 	// payload copy: no receiver installed, or the loop queue already
@@ -410,7 +414,7 @@ func (p *Provider) MetricCounters() map[string]func() uint64 {
 }
 
 // Close shuts the provider down in order: close every endpoint (which
-// flushes its send queue and unblocks its reader), wait for the readers to
+// writes its open datagram and unblocks its reader), wait for the readers to
 // drain, then stop the event loop and wait for it to finish the queued
 // work. Idempotent.
 func (p *Provider) Close() {
@@ -500,22 +504,10 @@ func (p *Provider) Clock() netapi.Clock { return p.clock }
 // LoopCache returns the free lists of the provider's event loop. Protocol
 // code runs only there (receive upcalls, timers, posted closures), so a
 // protocol stack recycles its per-packet buffers, views and PDUs through
-// them without a lock (protograph.NewStack finds them here), and delivered
-// receive batches free their slabs into them. Nothing off the loop may use
-// them: the reader goroutine, the window-flush timer and Endpoint.Close stay
-// on the shared tier.
+// them without a lock (protograph.NewStack finds them here). Nothing off the
+// loop may use them: the reader goroutine, the slabs it fills and the
+// per-packet Send stay on the shared tier.
 func (p *Provider) LoopCache() *wire.Cache { return &p.cache }
-
-// outMsg is one wire datagram: either a single framed packet or a
-// coalesced train of them. On the flush queue (ep.sq) every entry is a
-// single frame; packTrains turns runs of them into train entries on the
-// wire queue (ep.txq).
-type outMsg struct {
-	frame   []byte // pooled slab; returned after the flush write
-	dst     netip.AddrPort
-	dstHost netapi.HostID // re-resolved against the registry at flush time
-	frames  int           // protocol frames inside (1 for a single, n for a train)
-}
 
 // Endpoint is a UDP-backed netapi.Endpoint.
 type Endpoint struct {
@@ -535,18 +527,20 @@ type Endpoint struct {
 	recv      atomic.Value // of recvBox
 	recvBatch atomic.Value // of batchBox
 
-	// The send flush queue. sendMu is held across the flush write so
-	// concurrent size- and window-flushes cannot reorder batches. sq
-	// holds individual frames; txq is the per-flush scratch of wire
-	// datagrams after train coalescing.
-	sendMu sync.Mutex
-	sq     []outMsg
-	txq    []outMsg
-	win    windowTimer // platform-specific flush-window timer (window_*.go)
+	// The open datagram of a batched endpoint: trainHdr bytes of header
+	// room, then one train record per frame Send laid into it, all bound for
+	// outHost. sendMu guards it and is held across its write, so datagrams
+	// leave the socket in Send order.
+	sendMu  sync.Mutex
+	out     []byte
+	outN    int            // frames in out
+	outDst  netip.AddrPort // outHost's address when the datagram opened
+	outHost netapi.HostID  // re-resolved against the registry at write time
+	win     windowTimer    // platform-specific flush-window timer (window_*.go)
 
-	sent     atomic.Uint64 // datagrams written to the socket
-	received atomic.Uint64 // datagrams read from the socket
-	dropped  atomic.Uint64 // datagrams shed by the bounded loop queue
+	sent     atomic.Uint64 // frames written to the socket
+	received atomic.Uint64 // frames read from the socket
+	dropped  atomic.Uint64 // frames shed by the bounded loop queue
 }
 
 var (
@@ -554,14 +548,15 @@ var (
 	_ netapi.BatchEndpoint = (*Endpoint)(nil)
 )
 
-// SentCount reports datagrams successfully written to the socket.
+// SentCount reports frames successfully written to the socket (a train
+// counts each frame it carries).
 func (ep *Endpoint) SentCount() uint64 { return ep.sent.Load() }
 
-// ReceivedCount reports datagrams read from the socket (before any queue
-// shedding).
+// ReceivedCount reports frames read from the socket, as the datagrams'
+// bytes carry them (before any queue shedding).
 func (ep *Endpoint) ReceivedCount() uint64 { return ep.received.Load() }
 
-// DroppedCount reports datagrams shed because the event-loop queue was full.
+// DroppedCount reports frames shed because the event-loop queue was full.
 func (ep *Endpoint) DroppedCount() uint64 { return ep.dropped.Load() }
 
 // Open binds a UDP socket for the host on the provider's bind address and
@@ -603,10 +598,9 @@ func (p *Provider) Open(host netapi.HostID, port uint16) (netapi.Endpoint, error
 	ep := &Endpoint{
 		p: p, host: host, port: port, sock: sock,
 		batch: p.cfg.BatchSize, flushWin: p.cfg.FlushWindow,
-		sq:  make([]outMsg, 0, p.cfg.BatchSize),
-		txq: make([]outMsg, 0, p.cfg.BatchSize),
 	}
 	if ep.batched() {
+		ep.out = make([]byte, 0, maxPacket)
 		if err := ep.win.init(ep); err != nil {
 			sock.Close()
 			return nil, err
@@ -620,16 +614,19 @@ func (p *Provider) Open(host netapi.HostID, port uint16) (netapi.Endpoint, error
 	return ep, nil
 }
 
-// rxBatch is one posted receive batch: pooled, with its loop closure bound
-// once at construction so the steady-state packet path allocates nothing.
+// rxBatch is one posted receive batch: one datagram, copied into one pooled
+// slab, and the frames it carries as views into that slab. It is pooled, with
+// its loop closure bound once at construction, so the steady-state packet path
+// allocates nothing.
 type rxBatch struct {
 	ep   *Endpoint
-	pkts []netapi.Packet // Data fields are pooled slabs
+	slab []byte
+	pkts []netapi.Packet // Data fields are views into slab
 	run  func()
 }
 
 // rxBatches recycles receive batches: the reader takes them, the loop (or the
-// reader, on a shed batch) gives them back, one per batch of packets.
+// reader, on a shed batch) gives them back, one per datagram.
 var rxBatches sync.Pool // New set in init (a direct literal would cycle)
 
 func init() {
@@ -640,22 +637,15 @@ func init() {
 	}
 }
 
-func getRxBatch() *rxBatch { return rxBatches.Get().(*rxBatch) }
-
-func putRxBatch(b *rxBatch) {
-	b.ep = nil
+// release frees the datagram's slab and recycles the batch. The slab goes to
+// the shared tier even on the loop: the reader that takes slabs runs off the
+// loop, so on the loop's lists — one per size class a datagram spans, each
+// holding up to its bound — they would only sit.
+func (b *rxBatch) release() {
+	message.PutSlab(b.slab)
+	clear(b.pkts)
+	b.ep, b.slab, b.pkts = nil, nil, b.pkts[:0]
 	rxBatches.Put(b)
-}
-
-// release returns every pooled slab — to c, the loop's lists, when it runs on
-// the loop; nil is the shared tier — and the batch itself.
-func (b *rxBatch) release(c *message.Cache) {
-	for i := range b.pkts {
-		c.PutSlab(b.pkts[i].Data)
-		b.pkts[i] = netapi.Packet{}
-	}
-	b.pkts = b.pkts[:0]
-	putRxBatch(b)
 }
 
 // deliver runs on the loop goroutine: one closure per batch, the whole
@@ -672,7 +662,7 @@ func (b *rxBatch) deliver() {
 			}
 		}
 	}
-	b.release(ep.p.cache.Messages())
+	b.release()
 }
 
 // reader pumps datagrams into the event loop, one read each: the source
@@ -700,6 +690,24 @@ func parseSrc(hdr []byte) netapi.Addr {
 	}
 }
 
+// putSrc encodes a 6-byte frame header (the inverse of parseSrc).
+func putSrc(hdr []byte, a netapi.Addr) {
+	hdr[0], hdr[1], hdr[2], hdr[3] = byte(a.Host>>24), byte(a.Host>>16), byte(a.Host>>8), byte(a.Host)
+	hdr[4], hdr[5] = byte(a.Port>>8), byte(a.Port)
+}
+
+// putTrainHdr writes the header of a train of n frames from src.
+func putTrainHdr(dgram []byte, n int, src netapi.Addr) {
+	dgram[0], dgram[1], dgram[2], dgram[3] = trainMarker, trainMarker, trainMarker, trainMarker
+	dgram[4], dgram[5] = byte(n>>8), byte(n)
+	putSrc(dgram[6:trainHdr], src)
+}
+
+// appendRecord appends one train record: uint16 BE length | payload.
+func appendRecord(dgram, payload []byte) []byte {
+	return append(append(dgram, byte(len(payload)>>8), byte(len(payload))), payload...)
+}
+
 // isTrain reports whether a wire datagram is a coalesced frame train.
 func isTrain(dgram []byte) bool {
 	return len(dgram) >= trainHdr &&
@@ -707,12 +715,13 @@ func isTrain(dgram []byte) bool {
 		dgram[2] == trainMarker && dgram[3] == trainMarker
 }
 
-// expand appends each protocol frame of one wire datagram to b, copied into
-// its own pooled slab, and returns how many frames the datagram holds; with b
-// nil it only counts them. A single frame is the datagram after its 6-byte
-// header. A train yields its records until one runs past the end of the
-// datagram (the damage cannot be re-synchronized), so the count is what the
-// bytes carry, never what the train header claims.
+// expand appends each protocol frame of one wire datagram to b, as a view
+// into dgram, and returns how many frames the datagram holds; with b nil it
+// only counts them. A single frame is the datagram after its 6-byte header.
+// A train yields its records until one runs past the end of the datagram (the
+// damage cannot be re-synchronized), so the count is what the bytes carry,
+// never what the train header claims — and never more than maxBatch, the most
+// a udpnet sender packs, so a forged train of empty records costs one batch.
 func expand(dgram []byte, b *rxBatch) int {
 	if !isTrain(dgram) {
 		if len(dgram) < frameOverhead {
@@ -721,7 +730,7 @@ func expand(dgram []byte, b *rxBatch) int {
 		b.add(dgram[frameOverhead:], parseSrc(dgram))
 		return 1
 	}
-	cnt := int(dgram[4])<<8 | int(dgram[5])
+	cnt := min(int(dgram[4])<<8|int(dgram[5]), maxBatch)
 	src := parseSrc(dgram[6:trainHdr])
 	off, n := trainHdr, 0
 	for ; n < cnt && off+trainRecHdr <= len(dgram); n++ {
@@ -736,21 +745,17 @@ func expand(dgram []byte, b *rxBatch) int {
 	return n
 }
 
-// add appends a pooled copy of one frame's payload; a nil batch is a count
-// only (see expand).
+// add appends one frame; a nil batch is a count only (see expand).
 func (b *rxBatch) add(payload []byte, src netapi.Addr) {
-	if b == nil {
-		return
+	if b != nil {
+		b.pkts = append(b.pkts, netapi.Packet{Data: payload, From: src})
 	}
-	pkt := message.GetSlab(len(payload))
-	copy(pkt, payload)
-	b.pkts = append(b.pkts, netapi.Packet{Data: pkt, From: src})
 }
 
-// dispatch copies one received datagram's frames into pooled slabs — a
-// train expands back into individual packets — and posts a single closure
-// for them, shedding (with counts, and without copying) when nobody can
-// consume them.
+// dispatch copies one received datagram into a pooled slab, expands its
+// frames — a train back into individual packets — as views into it, and posts
+// a single closure for them, shedding (with counts, and without copying) when
+// nobody can consume them.
 func (ep *Endpoint) dispatch(dgram []byte) {
 	// Copy-avoidance checks (the authoritative drop still happens at
 	// tryPost): no receiver installed, or the loop queue already full —
@@ -768,15 +773,17 @@ func (ep *Endpoint) dispatch(dgram []byte) {
 		return
 	}
 
-	b := getRxBatch()
+	b := rxBatches.Get().(*rxBatch)
 	b.ep = ep
-	if ep.countIn(expand(dgram, b)) == 0 {
-		putRxBatch(b)
+	b.slab = message.GetSlab(len(dgram))
+	copy(b.slab, dgram)
+	if ep.countIn(expand(b.slab, b)) == 0 {
+		b.release()
 		return
 	}
 	if !ep.p.tryPost(b.run) {
 		ep.dropped.Add(uint64(len(b.pkts)))
-		b.release(nil)
+		b.release()
 	}
 }
 
@@ -820,7 +827,7 @@ func (ep *Endpoint) Send(pkt []byte, dst netapi.Addr) error {
 	return ep.sendTo(reg, pkt, dst)
 }
 
-// batched reports whether sends go through the flush queue (FlushWindow > 0
+// batched reports whether sends go through the open datagram (FlushWindow > 0
 // and a batch deeper than one) rather than one socket write each.
 func (ep *Endpoint) batched() bool { return ep.flushWin > 0 && ep.batch > 1 }
 
@@ -829,174 +836,107 @@ func (ep *Endpoint) sendTo(reg *registry, pkt []byte, dst netapi.Addr) error {
 	if !ok {
 		return fmt.Errorf("udpnet: unknown host %v", dst.Host)
 	}
-	// Frame encode into pooled scratch: srcHost | srcPort | payload.
-	frame := message.GetSlab(frameOverhead + len(pkt))
-	frame[0] = byte(ep.host >> 24)
-	frame[1] = byte(ep.host >> 16)
-	frame[2] = byte(ep.host >> 8)
-	frame[3] = byte(ep.host)
-	frame[4] = byte(ep.port >> 8)
-	frame[5] = byte(ep.port)
-	copy(frame[frameOverhead:], pkt)
-
-	if !ep.batched() {
-		// Per-packet path: one write per Send, error straight back, wire
-		// format bitwise identical to the pre-batching provider.
-		_, err := ep.sock.WriteToUDPAddrPort(frame, ha)
-		message.PutSlab(frame)
-		if err == nil {
-			ep.sent.Add(1)
-			ep.p.datagramsOut.Add(1)
-			ep.p.framesOut.Add(1)
-		}
-		return err
+	if ep.batched() {
+		return ep.enqueue(pkt, ha, dst.Host)
 	}
-	return ep.enqueue(frame, ha, dst.Host)
+	// Per-packet path: one write per Send, error straight back, wire format
+	// bitwise identical to the pre-batching provider.
+	frame := message.GetSlab(frameOverhead + len(pkt))
+	putSrc(frame, ep.LocalAddr())
+	copy(frame[frameOverhead:], pkt)
+	_, err := ep.sock.WriteToUDPAddrPort(frame, ha)
+	message.PutSlab(frame)
+	if err == nil {
+		ep.sent.Add(1)
+		ep.p.datagramsOut.Add(1)
+		ep.p.framesOut.Add(1)
+	}
+	return err
 }
 
-// enqueue adds a framed datagram to the flush queue, flushing when it
-// reaches the batch size and arming the window timer when it goes
-// non-empty.
-func (ep *Endpoint) enqueue(frame []byte, dst netip.AddrPort, dstHost netapi.HostID) error {
+// enqueue lays pkt into the open datagram as one train record. A datagram
+// bound for another host, or with no room for the record, is written first;
+// one that now holds a batch is written at once (size flush). Opening a
+// datagram arms the flush window.
+func (ep *Endpoint) enqueue(pkt []byte, dst netip.AddrPort, dstHost netapi.HostID) error {
 	ep.sendMu.Lock()
 	defer ep.sendMu.Unlock()
 	if ep.closed.Load() {
-		message.PutSlab(frame)
 		return errors.New("udpnet: endpoint closed")
 	}
-	ep.sq = append(ep.sq, outMsg{frame: frame, dst: dst, dstHost: dstHost, frames: 1})
-	if len(ep.sq) >= ep.batch {
-		ep.p.flushesSize.Add(1)
-		return ep.flushLocked()
+	if ep.outN > 0 && (dstHost != ep.outHost || len(ep.out)+trainRecHdr+len(pkt) > maxTrainBytes) {
+		if err := ep.writeLocked(); err != nil {
+			return err
+		}
 	}
-	if len(ep.sq) == 1 {
+	if ep.outN == 0 {
+		ep.out, ep.outDst, ep.outHost = ep.out[:trainHdr], dst, dstHost
 		ep.win.arm()
+	}
+	ep.out = appendRecord(ep.out, pkt)
+	if ep.outN++; ep.outN >= ep.batch {
+		ep.p.flushesSize.Add(1)
+		return ep.writeLocked()
 	}
 	return nil
 }
 
-// onFlushTimer drains whatever accumulated during the flush window.
+// onFlushTimer writes whatever accumulated during the flush window.
 func (ep *Endpoint) onFlushTimer() {
 	ep.sendMu.Lock()
 	defer ep.sendMu.Unlock()
-	if len(ep.sq) == 0 || ep.closed.Load() {
+	if ep.outN == 0 || ep.closed.Load() {
 		return
 	}
 	ep.p.flushesWindow.Add(1)
-	if err := ep.flushLocked(); err != nil {
+	if err := ep.writeLocked(); err != nil {
 		ep.p.sendErrs.Add(1)
 	}
 }
 
-// packTrains drains the frame queue into the wire queue, coalescing
-// consecutive same-destination frames into train datagrams of at most
-// maxTrainBytes. Singles pass their slab through unchanged (and keep the
-// pre-train wire format). Called with sendMu held.
-func (ep *Endpoint) packTrains() {
-	sq := ep.sq
-	i := 0
-	for i < len(sq) {
-		j := i + 1
-		total := trainHdr + trainRecHdr + (len(sq[i].frame) - frameOverhead)
-		for j < len(sq) && j-i < maxTrainCount && sq[j].dst == sq[i].dst {
-			rec := trainRecHdr + (len(sq[j].frame) - frameOverhead)
-			if total+rec > maxTrainBytes {
-				break
-			}
-			total += rec
-			j++
-		}
-		if j == i+1 {
-			ep.txq = append(ep.txq, sq[i])
-		} else {
-			ep.txq = append(ep.txq, buildTrain(sq[i:j]))
-			ep.p.trainsOut.Add(1)
-			ep.p.trainFrames.Add(uint64(j - i))
-		}
-		i = j
+// writeLocked writes the open datagram and empties it. A lone frame leaves
+// in the single format, its 6-byte header written over the train bytes in
+// front of its payload; more frames leave as a train, its header written into
+// the room left for it. The destination is re-resolved against the current
+// registry snapshot: frames laid in before their peer re-registered (restart
+// on a new socket) go to its new address. Called with sendMu held and the
+// datagram non-empty.
+func (ep *Endpoint) writeLocked() error {
+	n := ep.outN
+	dgram := ep.out
+	if n == 1 {
+		dgram = dgram[trainHdr+trainRecHdr-frameOverhead:]
+		putSrc(dgram, ep.LocalAddr())
+	} else {
+		putTrainHdr(dgram, n, ep.LocalAddr())
+		ep.p.trainsOut.Add(1)
+		ep.p.trainFrames.Add(uint64(n))
 	}
-	for k := range sq {
-		sq[k] = outMsg{}
+	dst := ep.outDst
+	if ha, ok := ep.p.reg.Load().hosts[ep.outHost]; ok && ha != dst {
+		dst = ha
+		ep.p.rehomedFrames.Add(uint64(n))
 	}
-	ep.sq = sq[:0]
-}
-
-// buildTrain packs a same-destination run into one train datagram and
-// recycles the constituent frame slabs. The shared 6-byte source header is
-// taken from the first frame (all frames from this endpoint carry the same
-// one).
-func buildTrain(run []outMsg) outMsg {
-	total := trainHdr
-	for k := range run {
-		total += trainRecHdr + len(run[k].frame) - frameOverhead
-	}
-	t := message.GetSlab(total)
-	t[0], t[1], t[2], t[3] = trainMarker, trainMarker, trainMarker, trainMarker
-	n := len(run)
-	t[4], t[5] = byte(n>>8), byte(n)
-	copy(t[6:trainHdr], run[0].frame[:frameOverhead])
-	off := trainHdr
-	for k := range run {
-		pl := run[k].frame[frameOverhead:]
-		t[off] = byte(len(pl) >> 8)
-		t[off+1] = byte(len(pl))
-		off += trainRecHdr
-		copy(t[off:], pl)
-		off += len(pl)
-		message.PutSlab(run[k].frame)
-	}
-	return outMsg{frame: t, dst: run[0].dst, frames: n}
-}
-
-// flushLocked coalesces the queued frames into wire datagrams, writes them
-// in order — one write each, stopping at the first error — and recycles the
-// slabs. Called with sendMu held: the lock spans the writes so flushes leave
-// the socket in enqueue order.
-func (ep *Endpoint) flushLocked() error {
-	if len(ep.sq) == 0 {
-		return nil
-	}
-	// Re-resolve queued destinations against the current registry snapshot:
-	// frames enqueued before a peer re-registered (restart on a new socket)
-	// must flush to its new address, not the one captured at enqueue time.
-	reg := ep.p.reg.Load()
-	for i := range ep.sq {
-		if ha, ok := reg.hosts[ep.sq[i].dstHost]; ok && ha != ep.sq[i].dst {
-			ep.sq[i].dst = ha
-			ep.p.rehomedFrames.Add(1)
-		}
-	}
+	ep.outN = 0
 	ep.p.batchesOut.Add(1)
-	ep.packTrains()
-	var frames, wrote uint64
-	var err error
-	for i := range ep.txq {
-		m := &ep.txq[i]
-		if err == nil {
-			if _, err = ep.sock.WriteToUDPAddrPort(m.frame, m.dst); err == nil {
-				frames += uint64(m.frames)
-				wrote++
-			}
-		}
-		message.PutSlab(m.frame)
-		*m = outMsg{}
+	if _, err := ep.sock.WriteToUDPAddrPort(dgram, dst); err != nil {
+		return err
 	}
-	ep.txq = ep.txq[:0]
-	ep.sent.Add(frames)
-	ep.p.framesOut.Add(frames)
-	ep.p.datagramsOut.Add(wrote)
-	return err
+	ep.sent.Add(uint64(n))
+	ep.p.framesOut.Add(uint64(n))
+	ep.p.datagramsOut.Add(1)
+	return nil
 }
 
-// Flush forces any queued frames out now (size/window semantics are
-// bypassed). Useful in tests and before latency-sensitive quiesce points.
+// Flush writes the open datagram now (size/window semantics are bypassed).
+// Useful in tests and before latency-sensitive quiesce points.
 func (ep *Endpoint) Flush() error {
 	ep.sendMu.Lock()
 	defer ep.sendMu.Unlock()
-	if ep.closed.Load() {
+	if ep.outN == 0 || ep.closed.Load() {
 		return nil
 	}
-	return ep.flushLocked()
+	return ep.writeLocked()
 }
 
 // recvBox wraps the receiver so atomic.Value can store a nil upcall.
@@ -1025,18 +965,20 @@ func (ep *Endpoint) LocalAddr() netapi.Addr {
 	return netapi.Addr{Host: ep.host, Port: ep.port}
 }
 
-// Close flushes any queued sends, shuts the socket, and unregisters the
+// Close writes the open datagram, shuts the socket, and unregisters the
 // host. Idempotent and safe from any goroutine; the reader goroutine exits
 // once the socket read fails.
 func (ep *Endpoint) Close() error {
 	if ep.closed.Swap(true) {
 		return nil
 	}
-	// Drain the tail of the flush queue before the socket goes away. The
-	// closed flag is already set, so no new frames can enqueue behind us.
+	// Write the open datagram before the socket goes away. The closed flag
+	// is already set, so no new frame can be laid in behind it.
 	ep.sendMu.Lock()
 	ep.win.close()
-	ep.flushLocked()
+	if ep.outN > 0 {
+		ep.writeLocked()
+	}
 	ep.sendMu.Unlock()
 	ep.p.mu.Lock()
 	delete(ep.p.hosts, ep.host)

@@ -130,6 +130,38 @@ func TestEventResetRearmsLiveTimer(t *testing.T) {
 	}
 }
 
+// TestEventResetDropsQueuedExpiry re-arms a live event whose expiry is already
+// queued on the loop: the loop is held inside one closure past the first arm's
+// instant, so its expiry waits in the queue while Reset runs. That stale
+// expiry must not count as the re-armed firing (an RTO reset by an ack would
+// fire spuriously), and the re-armed one must fire exactly once.
+func TestEventResetDropsQueuedExpiry(t *testing.T) {
+	p := New()
+	defer p.Close()
+	m := event.NewManager(p.Clock())
+	fired := make(chan time.Duration, 4)
+	var reset time.Duration
+	p.Wait(func() {
+		e := m.Schedule(time.Millisecond, func() { fired <- p.Clock().Now() })
+		time.Sleep(20 * time.Millisecond)
+		e.Reset(50 * time.Millisecond)
+		reset = p.Clock().Now()
+	})
+	select {
+	case at := <-fired:
+		if at-reset < 45*time.Millisecond {
+			t.Fatalf("fired %v after a 50ms Reset", at-reset)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("re-armed event never fired")
+	}
+	select {
+	case at := <-fired:
+		t.Fatalf("fired again %v after the Reset", at-reset)
+	case <-time.After(80 * time.Millisecond):
+	}
+}
+
 func TestSoftwareMulticast(t *testing.T) {
 	p := New()
 	defer p.Close()
