@@ -163,3 +163,44 @@ func TestLiveFlushWindowAB(t *testing.T) {
 		t.Fatal("per-packet and batched runs delivered different streams")
 	}
 }
+
+// TestLiveReplyFlushTurnsTheWindow is a fixed-window selective-repeat bulk
+// transfer over udpnet with a 250 ms flush window, the window set above the
+// provider's 32-frame batch so data leaves by size flushes. Each window turn
+// waits on the receiver's acks; were they held for the flush window like data,
+// the transfer would take at least turns × window. The reply flush writes
+// them as soon as the receive batch that produced them ends, so the transfer
+// — dial, a segue to the pinned window and the few flush windows that setup
+// and the transfer's tail still wait — must finish in under half that. The
+// flush window is long against the CPU one turn costs even under -race with
+// coverage on (≈ 40 ms), so only the ack wait can decide the outcome.
+func TestLiveReplyFlushTurnsTheWindow(t *testing.T) {
+	const (
+		flush  = 250 * time.Millisecond
+		window = 48
+	)
+	sc := &LiveScenario{
+		Name:        "reply-flush",
+		Seed:        75,
+		FlushWindow: flush,
+		Phases: []LivePhase{{Label: "bulk", Bytes: 2 << 20,
+			Mutate: func(s *adaptive.Spec) {
+				s.Recovery = adaptive.RecoverySelectiveRepeat
+				s.Window, s.WindowSize = adaptive.WindowFixed, window
+			}}},
+	}
+	start := time.Now()
+	run, err := sc.RunLive()
+	if err != nil {
+		t.Fatal(err)
+	}
+	took := time.Since(start)
+	if !bytes.Equal(run.Delivered, sc.Payload()) {
+		t.Fatalf("delivered %d of %d bytes", len(run.Delivered), sc.TotalBytes())
+	}
+	turns := time.Duration(run.Stats.SentPDUs / window)
+	t.Logf("%d PDUs in %d window turns: %v (turns × flush window = %v)", run.Stats.SentPDUs, turns, took, turns*flush)
+	if took >= turns*flush/2 {
+		t.Fatalf("transfer took %v, want under half of %d turns × %v", took, turns, flush)
+	}
+}

@@ -113,8 +113,10 @@ func Parse(input string) (*Spec, error) {
 
 func (s *Spec) parseCollect(rest string) error {
 	rest = strings.TrimSpace(rest)
-	// Split off the optional "every <dur>" clause.
-	if i := strings.LastIndex(strings.ToLower(rest), " every "); i >= 0 {
+	// Split off the optional "every <dur>" clause. Only ASCII letters are
+	// folded: strings.ToLower can change a string's length (invalid UTF-8
+	// becomes U+FFFD), and then its index would not slice rest.
+	if i := strings.LastIndex(lowerASCII(rest), " every "); i >= 0 {
 		durStr := strings.TrimSpace(rest[i+len(" every "):])
 		d, err := time.ParseDuration(durStr)
 		if err != nil {
@@ -139,6 +141,18 @@ func (s *Spec) parseCollect(rest string) error {
 		return fmt.Errorf("measure: collect statement names no metrics")
 	}
 	return nil
+}
+
+// lowerASCII lowercases the ASCII letters of s and keeps every other byte,
+// so an index into the result is an index into s.
+func lowerASCII(s string) string {
+	b := []byte(s)
+	for i, c := range b {
+		if 'A' <= c && c <= 'Z' {
+			b[i] = c + 'a' - 'A'
+		}
+	}
+	return string(b)
 }
 
 func (s *Spec) parseGenerate(args []string) error {

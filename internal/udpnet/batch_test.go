@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand/v2"
 	"net"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -13,6 +14,7 @@ import (
 	"time"
 
 	"adaptive/internal/netapi"
+	"adaptive/internal/wire"
 )
 
 // waitFor polls cond until it holds or the deadline passes.
@@ -581,5 +583,128 @@ func TestSendKeepsOrderAndBytes(t *testing.T) {
 	}
 	if bc := p.BatchCounters(); bc.FramesOut != uint64(frames) || bc.TrainFrames == 0 {
 		t.Fatalf("FramesOut %d for %d frames sent (TrainFrames %d)", bc.FramesOut, frames, bc.TrainFrames)
+	}
+}
+
+// TestReplyFlush gives the endpoints a 500 ms flush window and host 2 a batch
+// receiver that replies to each frame from inside its upcall. An ack-typed
+// reply must reach host 1 within 100 ms, written by a reply flush; a
+// data-typed reply, and a datagram holding an ack and data, must wait out the
+// window, as every datagram did before reply flushes.
+func TestReplyFlush(t *testing.T) {
+	const window = 500 * time.Millisecond
+	p := New(WithBatch(32), WithFlushWindow(window))
+	defer p.Close()
+	a, err := p.Open(1, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := p.Open(2, 20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ack := []byte{wire.Version<<4 | byte(wire.TAck), 'a'}
+	data := []byte{wire.Version<<4 | byte(wire.TData), 'd'}
+	var replies [][]byte // written and read on the loop only
+	b.(netapi.BatchEndpoint).SetBatchReceiver(func(batch []netapi.Packet) {
+		for _, r := range replies {
+			if err := b.Send(r, batch[0].From); err != nil {
+				t.Error(err)
+			}
+		}
+	})
+	arrived := make(chan time.Time, 4)
+	a.SetReceiver(func([]byte, netapi.Addr) { arrived <- time.Now() })
+
+	for _, tc := range []struct {
+		name    string
+		replies [][]byte
+		prompt  bool
+	}{
+		{"ack", [][]byte{ack}, true},
+		{"data", [][]byte{data}, false},
+		{"ack+data", [][]byte{ack, data}, false},
+	} {
+		p.Wait(func() { replies = tc.replies })
+		before := p.BatchCounters().FlushesReply
+		start := time.Now()
+		if err := a.Send(data, b.LocalAddr()); err != nil {
+			t.Fatal(err)
+		}
+		if err := a.(*Endpoint).Flush(); err != nil {
+			t.Fatal(err)
+		}
+		var first time.Time
+		for i := range tc.replies {
+			select {
+			case at := <-arrived:
+				if i == 0 {
+					first = at
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatalf("%s: reply frame %d never arrived", tc.name, i)
+			}
+		}
+		took := first.Sub(start)
+		flushes := p.BatchCounters().FlushesReply - before
+		t.Logf("%s: reply after %v, %d reply flushes", tc.name, took, flushes)
+		if tc.prompt && (took > 100*time.Millisecond || flushes != 1) {
+			t.Fatalf("%s: reply after %v with %d reply flushes, want under 100ms and 1", tc.name, took, flushes)
+		}
+		if !tc.prompt && (took < window-50*time.Millisecond || flushes != 0) {
+			t.Fatalf("%s: reply after %v with %d reply flushes, want the %v window and 0", tc.name, took, flushes, window)
+		}
+	}
+}
+
+// TestKernelDropsCounted floods an endpoint whose receive buffer holds about
+// one 60 KiB datagram with such datagrams from a plain UDP socket, so the
+// kernel drops some before the reader sees them. Once the counters settle,
+// every datagram written is in DatagramsIn or in KernelDrops, and closing the
+// endpoint keeps its count.
+func TestKernelDropsCounted(t *testing.T) {
+	if runtime.GOOS != "linux" || runtime.GOARCH == "386" {
+		t.Skip("kernel drops are read on linux only")
+	}
+	p := New(WithSocketBuffers(4096, 0))
+	defer p.Close()
+	ep, err := p.Open(2, 20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ep.SetReceiver(func([]byte, netapi.Addr) {})
+	conn, err := net.DialUDP("udp4", nil, ep.(*Endpoint).sock.LocalAddr().(*net.UDPAddr))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	dgram := make([]byte, 60<<10)
+	putSrc(dgram, netapi.Addr{Host: 1, Port: 10})
+	var sent uint64
+	for i := 0; i < 200; i++ {
+		if _, err := conn.Write(dgram); err == nil {
+			sent++
+		}
+	}
+	var bc BatchCounters
+	deadline := time.Now().Add(5 * time.Second)
+	for bc = p.BatchCounters(); bc.DatagramsIn+bc.KernelDrops != sent; bc = p.BatchCounters() {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d datagrams written, DatagramsIn %d + KernelDrops %d", sent, bc.DatagramsIn, bc.KernelDrops)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	t.Logf("%d datagrams written: %d read, %d dropped by the kernel", sent, bc.DatagramsIn, bc.KernelDrops)
+	if bc.KernelDrops == 0 {
+		t.Fatal("no kernel drop counted")
+	}
+	if got := p.MetricCounters()["udpnet.kernel_drops"](); got != bc.KernelDrops {
+		t.Fatalf("udpnet.kernel_drops = %d, BatchCounters.KernelDrops = %d", got, bc.KernelDrops)
+	}
+	if err := ep.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if got := p.BatchCounters().KernelDrops; got != bc.KernelDrops {
+		t.Fatalf("KernelDrops %d after Close, %d before", got, bc.KernelDrops)
 	}
 }

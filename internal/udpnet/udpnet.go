@@ -33,16 +33,22 @@
 //     written when a frame for another host arrives, when it holds BatchSize
 //     frames (size flush), when FlushWindow elapses since it opened (window
 //     flush; on linux/amd64 a timerfd in the runtime poller, so a
-//     sub-millisecond window fires on time — see window_linux.go, the
-//     package's only platform split), and on Flush and Close. FlushWindow ==
-//     0 keeps the per-packet write path (one write per Send, no trains), the
-//     A/B baseline the equivalence tests compare against, exactly like
-//     netsim's DeliverPerPacket.
+//     sub-millisecond window fires on time — see window_linux.go), when a
+//     receive upcall on the endpoint returns and the datagram holds no data
+//     frame (reply flush: the acks and NAKs a batch produced leave when it
+//     ends), and on Flush and Close. FlushWindow == 0 keeps the per-packet
+//     write path (one write per Send, no trains), the A/B baseline the
+//     equivalence tests compare against, exactly like netsim's
+//     DeliverPerPacket.
 //
 // A reader that finds the loop queue full drops the datagram and counts it
 // (congestion loss, exactly the netapi.Endpoint.Send contract) instead of
 // blocking the socket drain; when the queue is already full the per-packet
-// copies are skipped too (counted in SkippedCopies). Shutdown is ordered:
+// copies are skipped too (counted in SkippedCopies). A datagram the kernel
+// drops on a full socket receive buffer never reaches the reader; on linux
+// KernelDrops reads those from the socket (sockdrops_linux.go). The flush
+// window and the kernel drop count are the package's two platform splits.
+// Shutdown is ordered:
 // Provider.Close first closes every endpoint (writing its open datagram),
 // waits for all reader goroutines to exit, then stops the loop — so no
 // packet upcall can run after Close returns.
@@ -123,13 +129,20 @@ type Config struct {
 	// train, in the endpoint's open datagram, which is written when BatchSize
 	// frames are in it (size flush), when this window elapses since it
 	// opened (window flush), or as soon as a frame for another host arrives,
-	// whichever is first. 0 (the default) keeps today's per-packet behavior:
-	// every Send is one socket write, and a Send error is returned from that
-	// very call. With batching, a write error surfaces on the Send that
-	// wrote the datagram — its frame filled it (size flush), or was bound
-	// for another host or did not fit, and then that frame is not sent
-	// either — or on Flush; it is counted (SendErrors) when a window flush
-	// hits it, and Close drops it.
+	// whichever is first. Only data frames (wire.TData and wire.TParity
+	// PDUs) are sure to wait for one of those: when a receive upcall on the
+	// endpoint returns and the open datagram holds no data frame — only
+	// acks, NAKs or control — it is written at once (reply flush), so the
+	// replies a receive batch produced leave when the batch ends. A control
+	// frame sent with no receive upcall after it, such as a delayed-ack
+	// timer's ack on a quiet link, still waits for the window. 0 (the
+	// default) keeps today's per-packet behavior: every Send is one socket
+	// write, and a Send error is returned from that very call. With
+	// batching, a write error surfaces on the Send that wrote the datagram —
+	// its frame filled it (size flush), or was bound for another host or did
+	// not fit, and then that frame is not sent either — or on Flush; it is
+	// counted (SendErrors) when a window or reply flush hits it, and Close
+	// drops it.
 	FlushWindow time.Duration
 }
 
@@ -209,12 +222,18 @@ type Provider struct {
 	batchesOut    atomic.Uint64 // batch flush writes
 	flushesSize   atomic.Uint64 // flushes triggered by a datagram holding BatchSize frames
 	flushesWindow atomic.Uint64 // flushes triggered by the flush window
+	flushesReply  atomic.Uint64 // flushes of a control-only datagram at the end of a receive upcall
 	skippedCopies atomic.Uint64 // rx copies skipped (no receiver / full queue)
 	fanoutErrs    atomic.Uint64 // per-member multicast send failures
 	sendErrs      atomic.Uint64 // socket write errors on flush paths
 	trainsOut     atomic.Uint64 // coalesced train datagrams written
 	trainFrames   atomic.Uint64 // frames that rode in trains
 	rehomedFrames atomic.Uint64 // frames redirected at write time to a re-registered peer
+
+	// closedDrops is the kernel drop count of every closed endpoint's
+	// socket as last read at its Close, so KernelDrops never goes down.
+	// Guarded by mu.
+	closedDrops uint64
 }
 
 // New returns a provider with a running event loop.
@@ -350,15 +369,27 @@ type BatchCounters struct {
 	DatagramsIn, DatagramsOut uint64
 	FramesIn, FramesOut       uint64
 	// BatchesIn is how many receive batches arrived; each read is one
-	// datagram, so it equals DatagramsIn. BatchesOut counts send flushes.
+	// datagram, so it equals DatagramsIn. BatchesOut counts send writes of
+	// the open datagram.
 	BatchesIn, BatchesOut uint64
-	// FlushesSize / FlushesWindow split BatchesOut by trigger: the open
-	// datagram reached BatchSize frames vs. the FlushWindow timer fired.
-	FlushesSize, FlushesWindow uint64
+	// FlushesSize / FlushesWindow / FlushesReply count three of the
+	// triggers behind BatchesOut: the open datagram reached BatchSize frames,
+	// the FlushWindow timer fired, or a receive upcall returned while it held
+	// no data frame. The rest of BatchesOut is writes on a destination
+	// change, on a frame that did not fit, and on Flush and Close.
+	FlushesSize, FlushesWindow, FlushesReply uint64
 	// SkippedCopies counts received datagrams dropped before their
 	// payload copy: no receiver installed, or the loop queue already
 	// full.
 	SkippedCopies uint64
+	// KernelDrops counts datagrams the kernel dropped on the endpoints'
+	// sockets before the reader saw them — chiefly a full receive buffer
+	// (see WithSocketBuffers). It is read from each socket when the
+	// counters are snapshotted (SO_MEMINFO; linux only, 0 elsewhere), and a
+	// closed endpoint's last count stays in it. Over loopback, every
+	// datagram with a frame in it that reached an endpoint's socket is
+	// either in DatagramsIn or here.
+	KernelDrops uint64
 	// FanoutErrors counts per-member multicast send failures (the send
 	// continues to remaining members; see Endpoint.Send).
 	FanoutErrors uint64
@@ -381,7 +412,9 @@ func (p *Provider) BatchCounters() BatchCounters {
 		BatchesOut:    p.batchesOut.Load(),
 		FlushesSize:   p.flushesSize.Load(),
 		FlushesWindow: p.flushesWindow.Load(),
+		FlushesReply:  p.flushesReply.Load(),
 		SkippedCopies: p.skippedCopies.Load(),
+		KernelDrops:   p.kernelDrops(),
 		FanoutErrors:  p.fanoutErrs.Load(),
 		SendErrors:    p.sendErrs.Load(),
 		TrainsOut:     p.trainsOut.Load(),
@@ -403,6 +436,8 @@ func (p *Provider) MetricCounters() map[string]func() uint64 {
 		"udpnet.batches_out":    p.batchesOut.Load,
 		"udpnet.flushes_size":   p.flushesSize.Load,
 		"udpnet.flushes_window": p.flushesWindow.Load,
+		"udpnet.flushes_reply":  p.flushesReply.Load,
+		"udpnet.kernel_drops":   p.kernelDrops,
 		"udpnet.skipped_copies": p.skippedCopies.Load,
 		"udpnet.fanout_errors":  p.fanoutErrs.Load,
 		"udpnet.send_errors":    p.sendErrs.Load,
@@ -411,6 +446,18 @@ func (p *Provider) MetricCounters() map[string]func() uint64 {
 		"udpnet.train_frames":   p.trainFrames.Load,
 		"udpnet.rehomed_frames": p.rehomedFrames.Load,
 	}
+}
+
+// kernelDrops sums the kernel drop counts of the endpoints' sockets: each
+// open one read now, the closed ones as last read at their Close.
+func (p *Provider) kernelDrops() uint64 {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	n := p.closedDrops
+	for _, ep := range p.eps {
+		n += sockDrops(ep.sock)
+	}
+	return n
 }
 
 // Close shuts the provider down in order: close every endpoint (which
@@ -536,6 +583,7 @@ type Endpoint struct {
 	outN    int            // frames in out
 	outDst  netip.AddrPort // outHost's address when the datagram opened
 	outHost netapi.HostID  // re-resolved against the registry at write time
+	outData bool           // out holds a data frame (isData): no reply flush
 	win     windowTimer    // platform-specific flush-window timer (window_*.go)
 
 	sent     atomic.Uint64 // frames written to the socket
@@ -650,7 +698,8 @@ func (b *rxBatch) release() {
 
 // deliver runs on the loop goroutine: one closure per batch, the whole
 // batch through the batch upcall when one is installed, else the per-packet
-// receiver per element.
+// receiver per element. Then the replies the upcall laid into the endpoint's
+// open datagram leave (flushReply).
 func (b *rxBatch) deliver() {
 	ep := b.ep
 	if !ep.closed.Load() {
@@ -663,6 +712,7 @@ func (b *rxBatch) deliver() {
 		}
 	}
 	b.release()
+	ep.flushReply()
 }
 
 // reader pumps datagrams into the event loop, one read each: the source
@@ -870,15 +920,44 @@ func (ep *Endpoint) enqueue(pkt []byte, dst netip.AddrPort, dstHost netapi.HostI
 		}
 	}
 	if ep.outN == 0 {
-		ep.out, ep.outDst, ep.outHost = ep.out[:trainHdr], dst, dstHost
+		ep.out, ep.outDst, ep.outHost, ep.outData = ep.out[:trainHdr], dst, dstHost, false
 		ep.win.arm()
 	}
 	ep.out = appendRecord(ep.out, pkt)
+	ep.outData = ep.outData || isData(pkt)
 	if ep.outN++; ep.outN >= ep.batch {
 		ep.p.flushesSize.Add(1)
 		return ep.writeLocked()
 	}
 	return nil
+}
+
+// isData reports whether a frame is a data PDU: a wire.TData or wire.TParity
+// type in the low nibble of its first byte. Every other frame — acks, NAKs,
+// control — is a reply, which the reply flush may write at once.
+func isData(pkt []byte) bool {
+	if len(pkt) == 0 {
+		return false
+	}
+	t := wire.Type(pkt[0] & 0x0f)
+	return t == wire.TData || t == wire.TParity
+}
+
+// flushReply writes the open datagram when it holds no data frame. It runs
+// after every receive upcall, so the acks and NAKs a batch produced leave
+// when the batch ends rather than a flush window later; a datagram holding
+// data keeps waiting for its size or window flush, so replies never cut a
+// data train short. Runs on the loop.
+func (ep *Endpoint) flushReply() {
+	ep.sendMu.Lock()
+	defer ep.sendMu.Unlock()
+	if ep.outN == 0 || ep.outData || ep.closed.Load() {
+		return
+	}
+	ep.p.flushesReply.Add(1)
+	if err := ep.writeLocked(); err != nil {
+		ep.p.sendErrs.Add(1)
+	}
 }
 
 // onFlushTimer writes whatever accumulated during the flush window.
@@ -981,6 +1060,7 @@ func (ep *Endpoint) Close() error {
 	}
 	ep.sendMu.Unlock()
 	ep.p.mu.Lock()
+	ep.p.closedDrops += sockDrops(ep.sock)
 	delete(ep.p.hosts, ep.host)
 	delete(ep.p.eps, ep.host)
 	ep.p.publishLocked()
