@@ -39,12 +39,13 @@ golden-update:
 
 # live runs the E-series parity scenarios over real UDP loopback sockets
 # (segue mid-stream, seeded impairment) under the race detector, plus the
-# udpnet lifecycle stress tests: the sim and live runs of each scenario must
-# deliver byte-identical streams with zero data loss. Message poison mode is
-# on, so a pooled buffer used after its release panics instead of corrupting.
+# udpnet lifecycle stress tests and the netapi contract suite over every
+# provider: the sim and live runs of each scenario must deliver
+# byte-identical streams with zero data loss. Message poison mode is on, so a
+# pooled buffer used after its release panics instead of corrupting.
 live:
 	ADAPTIVE_MSG_POISON=1 $(GO) test -race -count=1 -v -run 'TestLive' ./internal/experiment/
-	ADAPTIVE_MSG_POISON=1 $(GO) test -race -count=1 ./internal/udpnet/ ./internal/impair/
+	ADAPTIVE_MSG_POISON=1 $(GO) test -race -count=1 ./internal/udpnet/ ./internal/impair/ ./internal/netapi/providertest/
 
 # cli-smoke drives the command-line round trips no `go test` reaches: two
 # same-seed `adaptivetrace -record e10` flight recordings diffed to zero

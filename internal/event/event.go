@@ -4,8 +4,10 @@
 // policy evaluation ticks).
 //
 // Events run on the clock provider's event loop, so mechanism code needs no
-// locking. The manager also keeps scheduling statistics, which UNITES exposes
-// as whitebox metrics.
+// locking. A superseded arm never fires: the provider's netapi.Timer drops an
+// expiry that Stop or Reset came too late to cancel (udpnet's timer does it
+// under its own lock), so no path here reads the clock. The manager also keeps
+// scheduling statistics, which UNITES exposes as whitebox metrics.
 package event
 
 import (
@@ -66,8 +68,7 @@ type Event struct {
 	simTimer sim.Timer     // kernel fast path (value type, no boxing)
 	period   time.Duration // 0 for one-shot
 	fn       func()
-	fireFn   func()        // e.fire bound once; reused for every (re)arm
-	due      time.Duration // generic-clock path: the instant the current arm expires
+	fireFn   func() // e.fire bound once; reused for every (re)arm
 	stopped  bool
 	pending  bool
 	fireSeen uint64
@@ -115,7 +116,6 @@ func (m *Manager) arm(e *Event, d time.Duration) {
 		if e.fireFn == nil {
 			e.fireFn = e.fire // bound once; reused for every re-arm
 		}
-		e.due = m.clock.Now() + d
 		// A provider timer that can be re-armed in place is; any other clock
 		// (a wrapper, a test fake) gets a fresh AfterFunc per arm.
 		if r, ok := e.timer.(interface{ Reset(time.Duration) }); ok {
@@ -140,11 +140,7 @@ func (e *Event) stopTimer() {
 }
 
 func (e *Event) fire() {
-	// A live clock can deliver an expiry its Stop or Reset came too late for,
-	// already queued on the loop: one after the arm fired, or one before the
-	// re-armed instant, belongs to a superseded arm. The kernel never
-	// delivers one, so its path reads no clock.
-	if e.stopped || !e.pending || (e.mgr.k == nil && e.mgr.clock.Now() < e.due) {
+	if e.stopped || !e.pending {
 		return
 	}
 	e.pending = false

@@ -77,27 +77,6 @@ func TestDuplicateAndReorder(t *testing.T) {
 	}
 }
 
-// TestZeroConfigPassesThrough checks the inactive shim is transparent.
-func TestZeroConfigPassesThrough(t *testing.T) {
-	if (Config{}).Active() {
-		t.Fatal("zero config claims to be active")
-	}
-	const n = 500
-	k, p, ha, hb := testNet(t, Config{Seed: 3})
-	src, _ := p.Open(ha, 1)
-	dst, _ := p.Open(hb, 2)
-	var got int
-	dst.SetReceiver(func([]byte, netapi.Addr) { got++ })
-	for i := 0; i < n; i++ {
-		src.Send([]byte{1}, dst.LocalAddr())
-	}
-	k.RunUntil(time.Second)
-	c := p.Counters()
-	if got != n || c.Dropped != 0 || c.Duplicated != 0 || c.Reordered != 0 {
-		t.Fatalf("pass-through shim interfered: got %d of %d, counters %+v", got, n, c)
-	}
-}
-
 // TestBatchReceiverPassThrough checks the shim forwards SetBatchReceiver to
 // a batching inner provider (udpnet): batched deliveries must flow through
 // the impairment endpoint untouched, since the shim impairs sends only.
@@ -133,29 +112,5 @@ func TestBatchReceiverPassThrough(t *testing.T) {
 			t.Fatalf("batched delivery through shim: got %d of %d", got.Load(), n)
 		}
 		time.Sleep(time.Millisecond)
-	}
-}
-
-// TestBatchReceiverNoOpOnSim checks the pass-through degrades cleanly over
-// a non-batching inner provider: SetBatchReceiver is a no-op and the
-// per-packet receiver keeps delivering.
-func TestBatchReceiverNoOpOnSim(t *testing.T) {
-	const n = 100
-	k, p, ha, hb := testNet(t, Config{Seed: 4})
-	src, _ := p.Open(ha, 1)
-	dst, _ := p.Open(hb, 2)
-	var perPkt int
-	dst.SetReceiver(func([]byte, netapi.Addr) { perPkt++ })
-	if be, ok := dst.(netapi.BatchEndpoint); ok {
-		be.SetBatchReceiver(func(batch []netapi.Packet) {
-			t.Error("batch upcall over a non-batching provider")
-		})
-	}
-	for i := 0; i < n; i++ {
-		src.Send([]byte{1}, dst.LocalAddr())
-	}
-	k.RunUntil(time.Second)
-	if perPkt != n {
-		t.Fatalf("per-packet delivery broken: got %d of %d", perPkt, n)
 	}
 }

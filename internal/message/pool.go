@@ -311,9 +311,16 @@ func GetSlab(n int) []byte { return (*Cache)(nil).GetSlab(n) }
 
 // PutSlab recycles a slice previously returned by GetSlab. Slices whose
 // capacity is not an exact class size (including make fallbacks) are dropped.
-// The caller must not touch s afterwards.
+// The caller must not touch s afterwards; in poison mode the slab is
+// poison-filled here, so a delivery buffer kept past its upcall reads poison.
 func (c *Cache) PutSlab(s []byte) {
 	if ci := exactClass(cap(s)); ci >= 0 {
+		if poisonMode.Load() {
+			s = s[:cap(s)]
+			for i := range s {
+				s[i] = poisonByte
+			}
+		}
 		slabPools[ci].Put(c.slabList(ci), unsafe.SliceData(s[:cap(s)]))
 	}
 }

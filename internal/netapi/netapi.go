@@ -5,7 +5,14 @@
 // virtual time, simulated links) and internal/udpnet (real clock, UDP
 // sockets). All protocol mechanisms are written solely against netapi, which
 // is what lets the identical session code run in both environments — the
-// paper's "controlled prototyping environment" property.
+// paper's "controlled prototyping environment" property. That holds because
+// every provider keeps one contract, stated on the types below and checked by
+// internal/netapi/providertest over netsim and udpnet in each delivery mode,
+// bare and behind impair: upcalls and timer callbacks run only on the
+// provider's event loop; a packet buffer lives only as long as its upcall; a
+// lossless provider delivers each Send once, in order per source and
+// destination; a superseded timer arm never fires; nothing is delivered
+// after Close.
 package netapi
 
 import (
@@ -44,7 +51,12 @@ func (a Addr) String() string { return fmt.Sprintf("%v:%d", a.Host, a.Port) }
 // Timer is a cancellable pending callback.
 type Timer interface {
 	// Stop cancels the timer; it reports whether the timer was still
-	// pending. Stopping an expired or stopped timer is a no-op.
+	// pending. After true the callback never runs, even if its expiry came
+	// due and was queued behind the loop's current work. Called on the loop,
+	// false means the callback has run; called off it, it may be running.
+	// Stopping an expired or stopped timer is a no-op. A provider timer with
+	// a Reset(d) method re-arms in place, and the arm Reset supersedes never
+	// fires either.
 	Stop() bool
 }
 
@@ -57,9 +69,10 @@ type Clock interface {
 	AfterFunc(d time.Duration, fn func()) Timer
 }
 
-// Receiver consumes packets arriving at an endpoint. The packet buffer is
-// valid only for the duration of the call: providers recycle delivery
-// buffers through pools, so a callee that keeps bytes past its return must
+// Receiver consumes packets arriving at an endpoint. It runs on the
+// provider's event loop. The packet buffer is valid only for the duration of
+// the call: providers recycle delivery buffers through pools (poison-filled
+// in message poison mode), so a callee that keeps bytes past its return must
 // copy them (the protocol stack does — wire.DecodeInto copies payloads into
 // pooled messages).
 type Receiver func(pkt []byte, from Addr)
@@ -79,9 +92,11 @@ type BatchReceiver func(batch []Packet)
 // BatchEndpoint is the optional batching extension of Endpoint: providers
 // that coalesce arrivals (udpnet's reader, a frame train's frames) deliver
 // a whole batch in one upcall when a BatchReceiver is installed, amortizing
-// the per-packet dispatch. When both a Receiver and a BatchReceiver are installed the batch
-// upcall wins; packets are never delivered twice. Providers without batching
-// simply don't implement this interface and the per-packet Receiver is used.
+// the per-packet dispatch. When both a Receiver and a BatchReceiver are
+// installed the batch upcall wins where the provider batches; either way no
+// packet is delivered twice. Providers without batching simply don't
+// implement this interface (or, as a wrapper, ignore the call) and the
+// per-packet Receiver is used.
 type BatchEndpoint interface {
 	Endpoint
 	SetBatchReceiver(r BatchReceiver)
@@ -89,16 +104,20 @@ type BatchEndpoint interface {
 
 // Endpoint is a bound packet endpoint (one per transport stack instance).
 type Endpoint interface {
-	// Send transmits pkt toward dst. For multicast destinations the
-	// provider fans the packet out to all group members. Send never
-	// blocks; packets that exceed queue capacity are dropped by the
-	// provider (congestion loss).
+	// Send transmits pkt toward dst; the caller may reuse pkt once it
+	// returns. For multicast destinations the provider fans the packet out
+	// to all group members except the sender. Send never blocks; packets
+	// that exceed queue capacity are dropped by the provider (congestion
+	// loss).
 	Send(pkt []byte, dst Addr) error
 	// SetReceiver installs the upcall for arriving packets. It must be
 	// called before traffic flows.
 	SetReceiver(r Receiver)
 	// LocalAddr returns the endpoint's bound address.
 	LocalAddr() Addr
+	// Close unbinds the endpoint; its address can be opened again. Once a
+	// Close called on the loop returns, no upcall runs on the endpoint (off
+	// the loop, one already begun may finish), and Send returns an error.
 	Close() error
 }
 

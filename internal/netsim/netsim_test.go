@@ -29,7 +29,7 @@ func TestUnicastDelivery(t *testing.T) {
 	epB, _ := n.Open(b.ID(), 2)
 	var got []byte
 	var from netapi.Addr
-	epB.SetReceiver(func(pkt []byte, src netapi.Addr) { got = pkt; from = src })
+	epB.SetReceiver(func(pkt []byte, src netapi.Addr) { got = append([]byte(nil), pkt...); from = src })
 	if err := epA.Send([]byte("ping"), epB.LocalAddr()); err != nil {
 		t.Fatal(err)
 	}
@@ -163,56 +163,30 @@ func TestDuplication(t *testing.T) {
 	}
 }
 
-func TestMulticastFanout(t *testing.T) {
+// TestMulticastLeave checks that a member that leaves hears nothing sent to
+// the group afterwards while the rest still do (fan-out itself is the
+// providertest contract's).
+func TestMulticastLeave(t *testing.T) {
 	k := sim.NewKernel(1)
 	n := New(k)
 	src := n.AddHost()
-	var members []*Host
 	group := n.NewGroup()
 	received := make(map[netapi.HostID]int)
-	for i := 0; i < 3; i++ {
-		m := n.AddHost()
+	var members []netapi.HostID
+	for i := 0; i < 2; i++ {
+		m := n.AddHost().ID()
 		members = append(members, m)
-		l := n.NewLink(LinkConfig{Bandwidth: mbps(10), MTU: 1500})
-		n.SetRoute(src.ID(), m.ID(), l)
-		n.Join(group, m.ID())
-		ep, _ := n.Open(m.ID(), 5)
-		id := m.ID()
-		ep.SetReceiver(func(pkt []byte, from netapi.Addr) { received[id]++ })
+		n.SetRoute(src.ID(), m, n.NewLink(LinkConfig{Bandwidth: mbps(10), MTU: 1500}))
+		n.Join(group, m)
+		ep, _ := n.Open(m, 5)
+		ep.SetReceiver(func([]byte, netapi.Addr) { received[m]++ })
 	}
 	epS, _ := n.Open(src.ID(), 1)
+	n.Leave(group, members[0])
 	epS.Send([]byte("mc"), netapi.Addr{Host: group, Port: 5})
 	k.Run()
-	for _, m := range members {
-		if received[m.ID()] != 1 {
-			t.Fatalf("member %v received %d", m.ID(), received[m.ID()])
-		}
-	}
-	// Leave and resend: departed member hears nothing new.
-	n.Leave(group, members[0].ID())
-	epS.Send([]byte("mc2"), netapi.Addr{Host: group, Port: 5})
-	k.Run()
-	if received[members[0].ID()] != 1 {
-		t.Fatal("departed member still receiving")
-	}
-	if received[members[1].ID()] != 2 {
-		t.Fatal("remaining member missed post-leave send")
-	}
-}
-
-func TestMulticastSkipsSender(t *testing.T) {
-	k := sim.NewKernel(1)
-	n := New(k)
-	a := n.AddHost()
-	group := n.NewGroup()
-	n.Join(group, a.ID())
-	ep, _ := n.Open(a.ID(), 5)
-	self := 0
-	ep.SetReceiver(func(pkt []byte, from netapi.Addr) { self++ })
-	ep.Send([]byte("x"), netapi.Addr{Host: group, Port: 5})
-	k.Run()
-	if self != 0 {
-		t.Fatal("sender received its own multicast")
+	if received[members[0]] != 0 || received[members[1]] != 1 {
+		t.Fatalf("after a Leave: departed member got %d, remaining member %d; want 0 and 1", received[members[0]], received[members[1]])
 	}
 }
 
@@ -318,6 +292,8 @@ func TestEphemeralPorts(t *testing.T) {
 	}
 }
 
+// TestSendNoRoute checks that a known host with no route is a send error (an
+// unknown host is the providertest contract's).
 func TestSendNoRoute(t *testing.T) {
 	k := sim.NewKernel(1)
 	n := New(k)
@@ -325,24 +301,6 @@ func TestSendNoRoute(t *testing.T) {
 	epA, _ := n.Open(a.ID(), 1)
 	if err := epA.Send([]byte("x"), netapi.Addr{Host: b.ID(), Port: 1}); err == nil {
 		t.Fatal("send without route succeeded")
-	}
-	if err := epA.Send([]byte("x"), netapi.Addr{Host: 99, Port: 1}); err == nil {
-		t.Fatal("send to unknown host succeeded")
-	}
-}
-
-func TestSendOwnsCopy(t *testing.T) {
-	n, a, b, _, _ := twoHosts(t, LinkConfig{Bandwidth: mbps(10), MTU: 1500})
-	epA, _ := n.Open(a.ID(), 1)
-	epB, _ := n.Open(b.ID(), 2)
-	var got []byte
-	epB.SetReceiver(func(pkt []byte, src netapi.Addr) { got = pkt })
-	buf := []byte("original")
-	epA.Send(buf, epB.LocalAddr())
-	copy(buf, "CLOBBER!")
-	n.Kernel().Run()
-	if string(got) != "original" {
-		t.Fatalf("send aliased caller buffer: %q", got)
 	}
 }
 

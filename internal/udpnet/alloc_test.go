@@ -136,3 +136,19 @@ func TestEventRearmZeroAlloc(t *testing.T) {
 		t.Fatalf("Scheduled = %d: the re-arms were not counted", got)
 	}
 }
+
+// TestWaitZeroAlloc pins Provider.Wait at zero allocations: the live
+// benchmark calls it once per top-up, and each call once built a channel and
+// a closure.
+func TestWaitZeroAlloc(t *testing.T) {
+	p := New()
+	defer p.Close()
+	var n int // on the loop; read here after each Wait returned
+	fn := func() { n++ }
+	if allocs := testing.AllocsPerRun(1000, func() { p.Wait(fn) }); allocs != 0 {
+		t.Fatalf("Provider.Wait: %v allocs/op, want 0", allocs)
+	}
+	if n != 1001 {
+		t.Fatalf("fn ran %d times for 1001 Waits", n)
+	}
+}

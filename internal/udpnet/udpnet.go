@@ -204,6 +204,7 @@ type Provider struct {
 	closed  atomic.Bool
 	readers sync.WaitGroup
 	clock   clock
+	waiters chan *waiter // Wait's free list
 
 	// cache is the loop goroutine's free lists (see LoopCache): touched only
 	// by closures running on the loop.
@@ -258,13 +259,14 @@ func New(opts ...Option) *Provider {
 		cfg.FlushWindow = 0
 	}
 	p := &Provider{
-		hosts:  make(map[netapi.HostID]netip.AddrPort),
-		eps:    make(map[netapi.HostID]*Endpoint),
-		groups: make(map[netapi.HostID][]netapi.HostID),
-		cfg:    cfg,
-		loop:   make(chan func(), cfg.QueueLen),
-		quit:   make(chan struct{}),
-		done:   make(chan struct{}),
+		hosts:   make(map[netapi.HostID]netip.AddrPort),
+		eps:     make(map[netapi.HostID]*Endpoint),
+		groups:  make(map[netapi.HostID][]netapi.HostID),
+		cfg:     cfg,
+		loop:    make(chan func(), cfg.QueueLen),
+		quit:    make(chan struct{}),
+		done:    make(chan struct{}),
+		waiters: make(chan *waiter, 4), // more concurrent Waits build, then drop, their own
 	}
 	p.reg.Store(emptyRegistry)
 	p.clock = clock{p: p, epoch: time.Now()}
@@ -344,16 +346,32 @@ func (p *Provider) tryPost(fn func()) bool {
 func (p *Provider) loopFull() bool { return len(p.loop) == cap(p.loop) }
 
 // Wait runs fn on the loop and blocks until it completes (or the provider
-// shuts down first, in which case fn may not run).
+// shuts down first, in which case fn may not run). It allocates nothing: a
+// waiter's loop closure and done channel are built once and reused.
 func (p *Provider) Wait(fn func()) {
-	ch := make(chan struct{})
-	if !p.Post(func() { fn(); close(ch) }) {
+	var w *waiter
+	select {
+	case w = <-p.waiters:
+	default:
+		w = &waiter{done: make(chan struct{}, 1)}
+		w.run = func() { w.fn(); w.done <- struct{}{} }
+	}
+	if w.fn = fn; !p.Post(w.run) {
 		return
 	}
 	select {
-	case <-ch:
-	case <-p.done:
+	case <-w.done:
+		select {
+		case p.waiters <- w:
+		default:
+		}
+	case <-p.done: // w.run may still sit in the dead queue: w is not reused
 	}
+}
+
+type waiter struct {
+	fn, run func()
+	done    chan struct{}
 }
 
 // DroppedPosts reports how many packet-batch upcalls the bounded loop queue
@@ -521,29 +539,72 @@ var _ netapi.Clock = clock{}
 func (c clock) Now() time.Duration { return time.Since(c.epoch) }
 
 func (c clock) AfterFunc(d time.Duration, fn func()) netapi.Timer {
-	t := &timer{p: c.p, fn: fn}
+	t := &timer{p: c.p, fn: fn, armed: true}
+	t.run = t.expire
 	t.t = time.AfterFunc(d, t.post)
 	return t
 }
 
+// timer is a runtime timer whose expiry is posted to the loop. Stop or Reset
+// can come after the runtime timer fired, with its expiry already queued; the
+// timer drops that stale expiry itself (armed and stale, fed by the runtime
+// timer's own Stop/Reset results under mu, as both may run off the loop).
 type timer struct {
-	t  *time.Timer
-	p  *Provider
-	fn func()
+	t   *time.Timer
+	p   *Provider
+	fn  func()
+	run func() // t.expire bound once
+
+	mu    sync.Mutex
+	armed bool // the current arm has neither run nor been superseded
+	stale int  // queued expiries of superseded arms
 }
 
-// post hands the callback to the event loop. Timer callbacks are
-// control-plane work: use the blocking Post (a full queue delays the timer
-// rather than dropping protocol events).
-func (t *timer) post() { t.p.Post(t.fn) }
+// post hands the expiry to the event loop. Timer callbacks are control-plane
+// work: use the blocking Post (a full queue delays the timer rather than
+// dropping protocol events).
+func (t *timer) post() { t.p.Post(t.run) }
 
-func (t *timer) Stop() bool { return t.t.Stop() }
+// expire runs on the loop: fn, unless the expiry belongs to a superseded arm.
+func (t *timer) expire() {
+	t.mu.Lock()
+	run := t.stale == 0
+	if run {
+		t.armed = false
+	} else {
+		t.stale--
+	}
+	t.mu.Unlock()
+	if run {
+		t.fn()
+	}
+}
 
-// Reset re-arms the timer to run the same callback after d. The event
-// manager finds it by type assertion and re-arms through it, so a timer that
-// is reset on every send and every ack (the RTO) costs one runtime timer and
-// one closure for its whole life instead of one of each per arm.
-func (t *timer) Reset(d time.Duration) { t.t.Reset(d) }
+// Stop reports whether it cancelled the current arm; fn then never runs for it.
+func (t *timer) Stop() bool {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	was := t.armed
+	if was && !t.t.Stop() {
+		t.stale++
+	}
+	t.armed = false
+	return was
+}
+
+// Reset re-arms the timer to run the same callback after d, superseding an
+// arm whose fn has not run. The event manager finds it by type assertion and
+// re-arms through it, so a timer that is reset on every send and every ack
+// (the RTO) costs one runtime timer and one closure for its whole life
+// instead of one of each per arm.
+func (t *timer) Reset(d time.Duration) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if !t.t.Reset(d) && t.armed {
+		t.stale++
+	}
+	t.armed = true
+}
 
 // Clock implements netapi.Provider.
 func (p *Provider) Clock() netapi.Clock { return p.clock }
@@ -1038,6 +1099,10 @@ func (ep *Endpoint) SetReceiver(r netapi.Receiver) {
 func (ep *Endpoint) SetBatchReceiver(r netapi.BatchReceiver) {
 	ep.recvBatch.Store(batchBox{fn: r})
 }
+
+// UDPAddr returns the socket's address: what a provider on another machine
+// passes to RegisterHost to reach this endpoint's host.
+func (ep *Endpoint) UDPAddr() string { return ep.sock.LocalAddr().String() }
 
 // LocalAddr returns the endpoint's netapi address.
 func (ep *Endpoint) LocalAddr() netapi.Addr {

@@ -3,7 +3,6 @@ package udpnet
 import (
 	"bytes"
 	"net"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -40,7 +39,7 @@ func TestRawDelivery(t *testing.T) {
 	p.Wait(func() {
 		b.SetReceiver(func(pkt []byte, src netapi.Addr) {
 			from = src
-			got <- pkt
+			got <- append([]byte(nil), pkt...)
 		})
 	})
 	if err := a.Send([]byte("over the wire"), b.LocalAddr()); err != nil {
@@ -56,37 +55,6 @@ func TestRawDelivery(t *testing.T) {
 	}
 	if from != a.LocalAddr() {
 		t.Fatalf("source %v, want %v", from, a.LocalAddr())
-	}
-}
-
-func TestClockAndTimers(t *testing.T) {
-	p := New()
-	defer p.Close()
-	c := p.Clock()
-	fired := make(chan time.Duration, 1)
-	start := c.Now()
-	c.AfterFunc(30*time.Millisecond, func() { fired <- c.Now() })
-	select {
-	case at := <-fired:
-		if at-start < 25*time.Millisecond {
-			t.Fatalf("timer fired after %v", at-start)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("timer never fired")
-	}
-}
-
-func TestTimerStop(t *testing.T) {
-	p := New()
-	defer p.Close()
-	var fired atomic.Bool
-	tm := p.Clock().AfterFunc(50*time.Millisecond, func() { fired.Store(true) })
-	if !tm.Stop() {
-		t.Fatal("Stop returned false on pending timer")
-	}
-	time.Sleep(100 * time.Millisecond)
-	if fired.Load() {
-		t.Fatal("stopped timer fired")
 	}
 }
 
@@ -130,93 +98,6 @@ func TestEventResetRearmsLiveTimer(t *testing.T) {
 	}
 }
 
-// TestEventResetDropsQueuedExpiry re-arms a live event whose expiry is already
-// queued on the loop: the loop is held inside one closure past the first arm's
-// instant, so its expiry waits in the queue while Reset runs. That stale
-// expiry must not count as the re-armed firing (an RTO reset by an ack would
-// fire spuriously), and the re-armed one must fire exactly once.
-func TestEventResetDropsQueuedExpiry(t *testing.T) {
-	p := New()
-	defer p.Close()
-	m := event.NewManager(p.Clock())
-	fired := make(chan time.Duration, 4)
-	var reset time.Duration
-	p.Wait(func() {
-		e := m.Schedule(time.Millisecond, func() { fired <- p.Clock().Now() })
-		time.Sleep(20 * time.Millisecond)
-		e.Reset(50 * time.Millisecond)
-		reset = p.Clock().Now()
-	})
-	select {
-	case at := <-fired:
-		if at-reset < 45*time.Millisecond {
-			t.Fatalf("fired %v after a 50ms Reset", at-reset)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("re-armed event never fired")
-	}
-	select {
-	case at := <-fired:
-		t.Fatalf("fired again %v after the Reset", at-reset)
-	case <-time.After(80 * time.Millisecond):
-	}
-}
-
-func TestSoftwareMulticast(t *testing.T) {
-	p := New()
-	defer p.Close()
-	src, _ := p.Open(1, 100)
-	defer src.Close()
-	var eps []netapi.Endpoint
-	counts := make([]atomic.Int32, 3)
-	for i := 0; i < 3; i++ {
-		ep, err := p.Open(netapi.HostID(2+i), 100)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer ep.Close()
-		i := i
-		p.Wait(func() {
-			ep.SetReceiver(func(pkt []byte, _ netapi.Addr) { counts[i].Add(1) })
-		})
-		eps = append(eps, ep)
-	}
-	group := netapi.MulticastBit | 7
-	p.RegisterGroup(group, 2, 3, 4)
-	if err := src.Send([]byte("mc"), netapi.Addr{Host: group, Port: 100}); err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		all := true
-		for i := range counts {
-			if counts[i].Load() != 1 {
-				all = false
-			}
-		}
-		if all {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("fanout incomplete: %v %v %v", counts[0].Load(), counts[1].Load(), counts[2].Load())
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
-}
-
-func TestUnknownHostErrors(t *testing.T) {
-	p := New()
-	defer p.Close()
-	a, _ := p.Open(1, 100)
-	defer a.Close()
-	if err := a.Send([]byte("x"), netapi.Addr{Host: 99, Port: 100}); err == nil {
-		t.Fatal("send to unknown host succeeded")
-	}
-	if err := a.Send([]byte("x"), netapi.Addr{Host: netapi.MulticastBit | 5, Port: 1}); err == nil {
-		t.Fatal("send to unknown group succeeded")
-	}
-}
-
 func TestDuplicateHostRejected(t *testing.T) {
 	p := New()
 	defer p.Close()
@@ -224,22 +105,6 @@ func TestDuplicateHostRejected(t *testing.T) {
 	defer a.Close()
 	if _, err := p.Open(1, 200); err == nil {
 		t.Fatal("second endpoint for one host accepted")
-	}
-}
-
-func TestSendAfterCloseFails(t *testing.T) {
-	p := New()
-	defer p.Close()
-	a, _ := p.Open(1, 100)
-	b, _ := p.Open(2, 100)
-	defer b.Close()
-	a.Close()
-	if err := a.Send([]byte("x"), b.LocalAddr()); err == nil {
-		t.Fatal("send on closed endpoint succeeded")
-	}
-	// Host 1 is free again.
-	if _, err := p.Open(1, 100); err != nil {
-		t.Fatalf("reopen after close: %v", err)
 	}
 }
 

@@ -36,7 +36,12 @@ type windowTimer struct {
 	spec  itimerspec
 	buf   [8]byte          // expiration count read from the timerfd
 	armFn func(fd uintptr) // w.settime bound once: a method value per arm would allocate
+	trace func(armed bool) // windowTrace as the endpoint opened
 }
+
+// windowTrace, when a test sets it, is called as a datagram opens the window
+// (true) and after each window flush (false), for endpoints opened after.
+var windowTrace func(armed bool)
 
 // init creates the timerfd and starts the goroutine that flushes on each
 // expiry; the provider's reader WaitGroup tracks it, so Provider.Close
@@ -56,6 +61,7 @@ func (w *windowTimer) init(ep *Endpoint) error {
 	w.rc = rc
 	w.spec.value = syscall.NsecToTimespec(int64(ep.flushWin))
 	w.armFn = w.settime
+	w.trace = windowTrace
 	ep.p.readers.Add(1)
 	go w.run(ep)
 	return nil
@@ -68,6 +74,9 @@ func (w *windowTimer) run(ep *Endpoint) {
 			return // closed
 		}
 		ep.onFlushTimer()
+		if w.trace != nil {
+			w.trace(false)
+		}
 	}
 }
 
@@ -77,6 +86,9 @@ func (w *windowTimer) arm() {
 	// Control fails only once the file is closed, and Close closes it under
 	// sendMu after marking the endpoint closed, so an arm never sees that.
 	_ = w.rc.Control(w.armFn)
+	if w.trace != nil {
+		w.trace(true)
+	}
 }
 
 // settime never blocks, so it skips the scheduler's syscall bookkeeping.

@@ -2,7 +2,8 @@
 # Prints every function no gate runs: 0 % in one profile merged from
 # `go test ./...`, `make live`'s two lines and `make cli-smoke`. Exits 1 for
 # any outside cmd/ and examples/ that the list below does not excuse. A body
-# of `{}` has no statement for a profile to count and is not listed.
+# of `{}` has no statement for a profile to count and is not listed. A test
+# line that fails prints its output and stops the script.
 set -eu
 cd "$(dirname "$0")/.."
 allow='
@@ -14,12 +15,17 @@ protograph/protograph.go:Synth       read only by bench/counters.go
 wire/wire.go:String                  String() on a debug type
 '
 d=$(mktemp -d)
-trap 'rm -rf "$d"' EXIT
+log=$(mktemp)
+trap 'rm -rf "$d" "$log"' EXIT
+# run runs one line quietly; a failing line prints its output and ends the script.
+run() {
+    "$@" >"$log" 2>&1 || { cat "$log"; echo "uncovered.sh: failed: $*" >&2; exit 1; }
+}
 cover='-cover -covermode=atomic -coverpkg=./...' # atomic: what -race forces, and one merge takes one mode
-go test -count=1 $cover ./... -args -test.gocoverdir="$d" >/dev/null
-go test -race -count=1 $cover -run 'TestLive' ./internal/experiment/ -args -test.gocoverdir="$d" >/dev/null
-go test -race -count=1 $cover ./internal/udpnet/ ./internal/impair/ -args -test.gocoverdir="$d" >/dev/null
-GOFLAGS="$cover" GOCOVERDIR="$d" ./scripts/cli_smoke.sh >/dev/null
+run go test -count=1 $cover ./... -args -test.gocoverdir="$d"
+run go test -race -count=1 $cover -run 'TestLive' ./internal/experiment/ -args -test.gocoverdir="$d"
+run go test -race -count=1 $cover ./internal/udpnet/ ./internal/impair/ ./internal/netapi/providertest/ -args -test.gocoverdir="$d"
+run env GOFLAGS="$cover" GOCOVERDIR="$d" ./scripts/cli_smoke.sh
 go tool covdata textfmt -i="$d" -o "$d/profile"
 go tool cover -func="$d/profile" | awk -v allow="$allow" '
 BEGIN { n = split(allow, l, "\n"); for (i = 1; i <= n; i++) { split(l[i], f, " "); if (f[1] != "") ok["adaptive/internal/" f[1]] = 1 } }
